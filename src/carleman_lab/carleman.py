@@ -24,6 +24,7 @@ from .pde_solver import (
     Direction,
     ProblemSpec,
     Trajectory,
+    _adjoint_march,
     solve_adjoint,
 )
 from .sampling import (
@@ -185,15 +186,13 @@ def carleman_sweep(
     zero_order_exponent: float = 5.0 / 3.0,
     quad_points: int = 12,
     bridge_degree: int = 5,
-    jobs: int = 1,
 ) -> SweepResult:
     """Cross product of seeded samples, s values and lambda values.
 
     With ``s_relative`` the entries of ``s_grid`` multiply the per-lambda
     stable threshold.  Backward solves are shared across (s, lambda) because
-    the trajectories do not depend on the weight parameters; ``jobs`` caps
-    the worker threads that fan the solves out.  Results are merged by sample
-    index, so the output is deterministic regardless of execution order.
+    the trajectories do not depend on the weight parameters; all samples are
+    marched together in one batched backward solve.
     """
     from .weights import build_weights, default_omega_prime
 
@@ -208,18 +207,9 @@ def carleman_sweep(
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, nodes)
     f_fields = sample_fields(seed, STREAM_SOURCE, n_samples, nodes)
 
-    def solve_sample(i: int):
-        f_row = f_fields[i]
-        F = lambda t, xs, row=f_row: row if xs.size == row.size else np.interp(xs, nodes, row)
-        return solve_adjoint(spec, vt_fields[i], F=F)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(solve_sample, range(n_samples)))
-    else:
-        trajectories = [solve_sample(i) for i in range(n_samples)]
+    # the sampled sources do not depend on time
+    rows, _, _ = _adjoint_march(spec, vt_fields, F_const=f_fields)
+    trajectories = [Trajectory(r, spec.mesh, spec.T, Direction.BACKWARD) for r in rows]
     f_trajs = []
     for i in range(n_samples):
         fv = np.tile(f_fields[i], (spec.time_steps + 1, 1))

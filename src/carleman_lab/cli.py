@@ -325,7 +325,7 @@ def _exp_energy(cfg, seed, log):
     return tables, results, invariants
 
 
-def _exp_carleman_sweep(cfg, seed, log, jobs=1):
+def _exp_carleman_sweep(cfg, seed, log):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     spec = _build_problem(cfg, coef, rep)
@@ -339,7 +339,6 @@ def _exp_carleman_sweep(cfg, seed, log, jobs=1):
         omega_prime=omega_prime,
         s_relative=bool(cfg.get("s_relative", True)),
         zero_order_exponent=float(cfg.get("zero_order_exponent", 5.0 / 3.0)),
-        jobs=jobs,
     )
     header = ["sample", "s", "lambda", "lhs_grad", "lhs_zero", "rhs_source", "rhs_local", "ratio"]
     srows = [
@@ -635,7 +634,7 @@ def _exp_convergence(cfg, seed, log):
 # --------------------------------------------------------------------------------
 
 
-def run_experiment(cfg: dict, outdir: Path, jobs: int = 1) -> int:
+def run_experiment(cfg: dict, outdir: Path) -> int:
     seed = _effective_seed(cfg)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -658,7 +657,7 @@ def run_experiment(cfg: dict, outdir: Path, jobs: int = 1) -> int:
         elif exp == "energy":
             tables, results, invariants = _exp_energy(cfg, seed, log)
         elif exp == "carleman_sweep":
-            tables, results, invariants = _exp_carleman_sweep(cfg, seed, log, jobs=jobs)
+            tables, results, invariants = _exp_carleman_sweep(cfg, seed, log)
         elif exp == "lemma_checks":
             tables, results, invariants = _exp_lemma_checks(cfg, seed, log)
         elif exp == "observability":
@@ -714,7 +713,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to the JSON configuration")
-    p_run.add_argument("--jobs", type=int, default=1, help="sweep worker cap")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_val = sub.add_parser("validate", help="validate a JSON config")
     p_val.add_argument("config")
@@ -737,7 +735,7 @@ def main(argv=None) -> int:
         return 0
 
     outdir = Path(args.out) if args.out else Path(cfg.get("output_dir", "out"))
-    return run_experiment(cfg, outdir, jobs=max(1, args.jobs))
+    return run_experiment(cfg, outdir)
 
 
 if __name__ == "__main__":

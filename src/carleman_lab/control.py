@@ -81,7 +81,7 @@ class _DualOperator:
         self.mask = omega_node_mask(spec.mesh, spec.omega)[self.op.node_index]
         self.sample_t, self.taus = substep_times(spec)
 
-    def adjoint_pairing(self, v_unknown: np.ndarray) -> list:
+    def adjoint_pairing(self, v_unknown: np.ndarray) -> np.ndarray:
         full = self.op.embed(v_unknown)
         _, pairing, _ = _adjoint_march(
             self.spec, full, keep_pairing=True, stepper=self.stepper
@@ -95,22 +95,13 @@ class _DualOperator:
         )
         return self.op.restrict(rows[0]), pairing
 
-    def control_from_pairing(self, pairing: list) -> np.ndarray:
-        ctrl = np.array([np.where(self.mask, y, 0.0) for y in pairing])
-        return ctrl
+    def control_from_pairing(self, pairing: np.ndarray) -> np.ndarray:
+        return np.where(self.mask, pairing, 0.0)
 
     def forward_terminal(self, u0_unknown: np.ndarray, ctrl: Optional[np.ndarray]):
         # march with per-substep control samples on the unknown nodes
-        st = self.stepper
-        op = self.op
-        u = u0_unknown.copy()
-        W = op.weights
-        for j, sub in enumerate(st.subs):
-            rhs = st.apply_R(j, u)
-            if ctrl is not None:
-                rhs = rhs + sub.tau * W * ctrl[j]
-            u = st.solve_L(j, rhs)
-        return u
+        load = None if ctrl is None else (lambda j: ctrl[j])
+        return self.stepper.forward(u0_unknown, load)
 
     def gram_apply(self, v_unknown: np.ndarray) -> np.ndarray:
         pairing = self.adjoint_pairing(v_unknown)
@@ -182,11 +173,10 @@ def synthesize_null_control(
 
     pairing = dual.adjoint_pairing(v_hat)
     ctrl = dual.control_from_pairing(pairing)
-    full_vals = np.array([op.embed(row) for row in ctrl])
     control = SpaceTimeControl(
         sample_times=dual.sample_t,
         taus=dual.taus,
-        values=full_vals,
+        values=op.embed(ctrl),
         omega=spec.omega,
     )
     u_T = dual.forward_terminal(u0_unknown, ctrl)
@@ -205,11 +195,9 @@ def synthesize_null_control(
 
 def verify_control(spec: ProblemSpec, u0: np.ndarray, control: SpaceTimeControl) -> float:
     """One forward solve with the synthesized control; returns the terminal norm."""
-    from .pde_solver import assemble_diffusion
-
-    op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
-    ctrl_unknown = control.values[:, op.node_index]
-    traj = solve_forward(spec, u0, control=ctrl_unknown)
+    st = _Stepper(spec)
+    op = st.op
+    traj = solve_forward(spec, u0, control=op.restrict(control.values), stepper=st)
     return op.norm(op.restrict(traj.values[-1]))
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf as _dgttrf, dgttrs as _dgttrs
 
 from .coefficients import DegeneracyCoefficient, HypothesisReport, Regime
 
@@ -204,22 +204,12 @@ class DiffusionOperator:
         zero_flux = regime.left is LeftBoundary.ZERO_FLUX
         start = 0 if zero_flux else 1
         idx = np.arange(start, n_nodes - 1)  # unknown node indices
-        n = idx.size
-        diag = np.zeros(n)
-        off = np.zeros(max(n - 1, 0))
-        # interior faces couple unknown pairs; boundary faces only load the diagonal
-        for f in range(n_nodes - 1):
-            li, ri = f, f + 1
-            lu = li - start
-            ru = ri - start
-            l_in = 0 <= lu < n
-            r_in = 0 <= ru < n
-            if l_in:
-                diag[lu] += cond[f]
-            if r_in:
-                diag[ru] += cond[f]
-            if l_in and r_in:
-                off[lu] -= cond[f]
+        # every unknown node collects the conductances of its two faces (only
+        # its right face at x = 0), left face first; interior faces couple
+        # unknown pairs, boundary faces only load the diagonal
+        left = np.concatenate(([0.0], cond))
+        diag = left[idx] + cond[idx]
+        off = -cond[start : n_nodes - 2]
         self.coef = coef
         self.mesh = mesh
         self.regime = regime
@@ -244,11 +234,13 @@ class DiffusionOperator:
         return self.stiffness_apply(u) / self.weights
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
-        return np.asarray(full, dtype=float)[self.node_index]
+        """Unknown-node values of a nodal vector or of a stack of them."""
+        return np.asarray(full, dtype=float)[..., self.node_index]
 
     def embed(self, u: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.mesh.nodes.size)
-        full[self.node_index] = u
+        """Nodal vector (or stack) with zeros on the pinned nodes."""
+        full = np.zeros(np.shape(u)[:-1] + (self.mesh.nodes.size,))
+        full[..., self.node_index] = u
         return full
 
     def apply_full(self, full: np.ndarray) -> np.ndarray:
@@ -278,6 +270,7 @@ class _Substep:
     tau: float
     implicit: float  # 1.0 backward Euler, 0.5 Crank-Nicolson
     t_sample: float  # where c, controls and sources are sampled
+    closes: bool = True  # ends on a step boundary t = m * dt
 
 
 def _substep_schedule(spec: ProblemSpec) -> list[_Substep]:
@@ -291,7 +284,7 @@ def _substep_schedule(spec: ProblemSpec) -> list[_Substep]:
         if spec.scheme is Scheme.BACKWARD_EULER:
             subs.append(_Substep(t0, k, 1.0, t0 + k))
         elif M >= 3 and (m == 0 or m == M - 1):
-            subs.append(_Substep(t0, 0.5 * k, 1.0, t0 + 0.5 * k))
+            subs.append(_Substep(t0, 0.5 * k, 1.0, t0 + 0.5 * k, closes=False))
             subs.append(_Substep(t0 + 0.5 * k, 0.5 * k, 1.0, t0 + k))
         else:
             subs.append(_Substep(t0, k, 0.5, t0 + 0.5 * k))
@@ -314,65 +307,143 @@ def omega_node_mask(mesh: Mesh, omega: tuple[float, float]) -> np.ndarray:
     return (mesh.nodes > a) & (mesh.nodes < b)
 
 
+# scipy's dgttrf/dgttrs wrappers reject systems of fewer unknowns
+_LAPACK_MIN_N = 3
+
+
+def _require_finite(state: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(state)):
+        raise ValueError(f"non-finite march: {what} produced NaN or inf")
+
+
 class _Stepper:
-    """Precomputed substep matrices L = W + th*tau*G and R = W - (1-th)*tau*G
-    with G = S + W*diag(c), plus the banded forms for the solves."""
+    """The marching engine: substep matrices L = W + th*tau*G and
+    R = W - (1-th)*tau*G with G = S + W*diag(c), each distinct L factored once.
+
+    With c = None the key of L is (tau, th), so a schedule has at most two
+    factorizations; with a potential every substep has its own.  LAPACK
+    ``dgttrf`` factors and ``dgttrs`` solves: both run the same elimination as
+    the ``dgtsv`` behind ``solve_banded((1, 1), ...)``, and the step matrices
+    are strictly diagonally dominant, so no pivot is taken and every solve is
+    bit-identical to factoring from scratch.  Systems below three unknowns are
+    padded with decoupled identity rows, which leaves the eliminations of the
+    real rows unchanged.
+
+    States are single ``(n,)`` vectors or sample-major ``(S, n)`` blocks;
+    LAPACK receives a block as its Fortran-ordered ``(n, S)`` transpose and
+    eliminates each column exactly as it would a lone vector.
+    """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
         self.subs = _substep_schedule(spec)
-        self.xs_unknown = spec.mesh.nodes[self.op.node_index]
+        idx = self.op.node_index
+        self.cols = slice(idx[0], idx[-1] + 1)  # unknown nodes within a nodal row
+        self.xs_unknown = spec.mesh.nodes[idx]
         W = self.op.weights
         n = self.op.n_unknowns
-        self.L_banded = []
+        self._pad = max(0, _LAPACK_MIN_N - n)
+        self.factor_of = []  # substep -> index into the factor list
+        self.tau_w = []  # tau * W, the weight of a substep's forcing
         self.R_diag = []
         self.R_off = []
-        cache: dict = {}
+        self._factors = []
+        built: dict = {}  # key of L -> (factor index, tau*W, R diagonal, R off-diagonal)
         for sub in self.subs:
-            if spec.c is None:
-                key = (sub.tau, sub.implicit)
-            else:
-                key = None
-            if key is not None and key in cache:
-                Lb, Rd, Ro = cache[key]
-            else:
-                cvals = (
-                    np.zeros(n)
-                    if spec.c is None
-                    else np.asarray(spec.c(sub.t_sample, self.xs_unknown), dtype=float)
-                    * np.ones(n)
-                )
-                g_diag = self.op.diag + W * cvals
-                g_off = self.op.off
+            # with a potential every substep gets a fresh key, hence its own factor
+            key = (sub.tau, sub.implicit) if spec.c is None else len(self._factors)
+            if key not in built:
+                g_diag = self.op.diag
+                if spec.c is not None:
+                    cvals = np.asarray(spec.c(sub.t_sample, self.xs_unknown), dtype=float)
+                    cvals = cvals * np.ones(n)
+                    if not np.all(np.isfinite(cvals)):
+                        raise ValueError(f"potential c is not finite at t = {sub.t_sample:.17g}")
+                    g_diag = g_diag + W * cvals
                 th = sub.implicit
-                Ld = W + th * sub.tau * g_diag
-                Lo = th * sub.tau * g_off
-                Rd = W - (1.0 - th) * sub.tau * g_diag
-                Ro = -(1.0 - th) * sub.tau * g_off
-                Lb = np.zeros((3, n))
-                Lb[0, 1:] = Lo
-                Lb[1] = Ld
-                Lb[2, :-1] = Lo
-                if key is not None:
-                    cache[key] = (Lb, Rd, Ro)
-            self.L_banded.append(Lb)
+                Lo = th * sub.tau * self.op.off
+                self._factors.append(self._factor(W + th * sub.tau * g_diag, Lo))
+                built[key] = (
+                    len(self._factors) - 1,
+                    sub.tau * W,
+                    W - (1.0 - th) * sub.tau * g_diag,
+                    -(1.0 - th) * sub.tau * self.op.off,
+                )
+            f, tw, Rd, Ro = built[key]
+            self.factor_of.append(f)
+            self.tau_w.append(tw)
             self.R_diag.append(Rd)
             self.R_off.append(Ro)
 
+    def _factor(self, Ld: np.ndarray, Lo: np.ndarray) -> tuple:
+        if self._pad:
+            Ld = np.concatenate((Ld, np.ones(self._pad)))
+            Lo = np.concatenate((Lo, np.zeros(self._pad)))
+        dl, d, du, du2, ipiv, info = _dgttrf(Lo, Ld, Lo)
+        if info != 0:
+            raise ValueError("singular step matrix: time step or potential pathological")
+        return dl, d, du, du2, ipiv
+
     def solve_L(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        try:
-            return solve_banded((1, 1), self.L_banded[j], rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological c
-            raise ValueError("non-SPD step matrix: time step or potential pathological") from exc
+        """L_j^{-1} rhs for an (n,) vector or an (S, n) block; rhs is consumed."""
+        b = rhs.T
+        if self._pad:
+            b = np.concatenate((b, np.zeros((self._pad,) + b.shape[1:])))
+        x, _ = _dgttrs(*self._factors[self.factor_of[j]], b, overwrite_b=1)
+        return (x[: x.shape[0] - self._pad] if self._pad else x).T
 
     def apply_R(self, j: int, u: np.ndarray) -> np.ndarray:
-        out = self.R_diag[j] * u
+        """R_j u for an (n,) vector or an (S, n) block."""
         ro = self.R_off[j]
-        if isinstance(ro, np.ndarray) and ro.size:
-            out[:-1] += ro * u[1:]
-            out[1:] += ro * u[:-1]
+        out = self.R_diag[j] * u
+        out[..., :-1] += ro * u[..., 1:]
+        out[..., 1:] += ro * u[..., :-1]
         return out
+
+    def forward(self, u: np.ndarray, load=None, rows=None) -> np.ndarray:
+        """March u over the whole schedule and return the final state.
+
+        ``load(j)`` gives substep j's forcing g, entering the right-hand side
+        as tau*W*g, or None; ``rows``, when given, receives the state at the
+        end of every step m = 1..M in its unknown-node columns.
+        """
+        m = 1
+        for j, sub in enumerate(self.subs):
+            rhs = self.apply_R(j, u)
+            g = None if load is None else load(j)
+            if g is not None:
+                rhs = rhs + self.tau_w[j] * g
+            u = self.solve_L(j, rhs)
+            if rows is not None and sub.closes:
+                rows[..., m, self.cols] = u
+                m += 1
+        # every solve couples all unknowns, so a non-finite value met at any
+        # substep is still present in the final state
+        _require_finite(u, "the control or source")
+        return u
+
+    def backward(self, v: np.ndarray, deposit=None, pairing=None, rows=None) -> None:
+        """Transposed march from terminal data v.
+
+        ``deposit(j)`` is subtracted after substep j's transposed step, or
+        None; ``pairing[j]`` receives the profile that pairs with substep-j
+        forcing; ``rows`` receives the state at every step start m = M-1..0.
+        """
+        W = self.op.weights
+        z = W * v
+        m = self.spec.time_steps - 1
+        for j in range(len(self.subs) - 1, -1, -1):
+            y = self.solve_L(j, z)
+            if pairing is not None:
+                pairing[j] = y
+            z = self.apply_R(j, y)
+            if deposit is not None:
+                z = z - deposit(j)
+            if rows is not None and (j == 0 or self.subs[j - 1].closes):
+                rows[..., m, self.cols] = z / W
+                m -= 1
+        _require_finite(z, "the source")
 
 
 def _sample_field(field, t: float, xs: np.ndarray, j: int) -> np.ndarray:
@@ -389,82 +460,92 @@ def solve_forward(
     u0: np.ndarray,
     control=None,
     source=None,
+    stepper: Optional[_Stepper] = None,
 ) -> Trajectory:
     """March the controlled forward problem from u0.
 
     ``control`` acts only through the nodes strictly inside omega (sharp
     indicator); ``source`` is an unrestricted right-hand side.  Either may be
     a callable (t, x) -> value or an array of per-substep samples aligned with
-    ``substep_times``.
+    ``substep_times``.  ``stepper`` reuses a factored engine for ``spec``.
     """
-    st = _Stepper(spec)
+    st = stepper if stepper is not None else _Stepper(spec)
     op = st.op
     mesh = spec.mesh
-    M = spec.time_steps
     mask = omega_node_mask(mesh, spec.omega)[op.node_index]
     u = op.restrict(u0)
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
-    rows = np.zeros((M + 1, mesh.nodes.size))
-    rows[0] = op.embed(u)
+    rows = np.zeros((spec.time_steps + 1, mesh.nodes.size))
+    rows[0, st.cols] = u
     xs = st.xs_unknown
-    W = op.weights
-    k = spec.dt
-    m = 1
-    t_acc = 0.0
-    for j, sub in enumerate(st.subs):
-        rhs = st.apply_R(j, u)
+
+    def load(j):
+        t = st.subs[j].t_sample
         g = np.zeros_like(u)
-        ctrl = _sample_field(control, sub.t_sample, xs, j)
+        ctrl = _sample_field(control, t, xs, j)
         if ctrl is not None:
             g += np.where(mask, ctrl, 0.0)
-        src = _sample_field(source, sub.t_sample, xs, j)
+        src = _sample_field(source, t, xs, j)
         if src is not None:
             g += src
-        if g.any():
-            rhs = rhs + sub.tau * W * g
-        u = st.solve_L(j, rhs)
-        t_acc += sub.tau
-        if abs(t_acc - m * k) < 1e-12 * max(1.0, spec.T):
-            rows[m] = op.embed(u)
-            m += 1
+        return g if g.any() else None
+
+    forced = control is not None or source is not None
+    st.forward(u, load if forced else None, rows)
     return Trajectory(rows, mesh, spec.T, Direction.FORWARD)
 
 
-def _adjoint_march(spec: ProblemSpec, v_T: np.ndarray, F=None, keep_pairing=False, stepper=None):
+def _adjoint_march(
+    spec: ProblemSpec,
+    v_T: np.ndarray,
+    F=None,
+    keep_pairing=False,
+    stepper=None,
+    F_const=None,
+):
     """Backward recursion that is the exact measure-weighted transpose of the
-    forward step map.  Returns (rows, pairing) where pairing[j] is the
-    intermediate profile that multiplies substep-j sources in the duality sum."""
+    forward step map.  Returns (rows, pairing, stepper): rows holds the nodal
+    state at every step, pairing[j] the profile that multiplies substep-j
+    sources in the duality sum.
+
+    ``v_T`` is one nodal vector, giving ``(M+1, N+1)`` rows, or an ``(S, N+1)``
+    stack of samples marched together, giving ``(S, M+1, N+1)`` rows.  ``F`` is
+    a source shared by every sample (callable or per-substep samples);
+    ``F_const`` is a time-independent nodal source, one row per sample, whose
+    deposit is computed once per distinct step matrix.
+    """
     st = stepper if stepper is not None else _Stepper(spec)
     op = st.op
-    M = spec.time_steps
     W = op.weights
-    xs = st.xs_unknown
-    k = spec.dt
     v = op.restrict(v_T)
     if not np.all(np.isfinite(v)):
         raise ValueError("terminal data must be finite")
-    rows = np.zeros((M + 1, spec.mesh.nodes.size))
-    rows[M] = op.embed(v)
-    z = W * v
-    pairing = [None] * len(st.subs) if keep_pairing else None
-    m = M - 1
-    t_acc = spec.T
-    for j in range(len(st.subs) - 1, -1, -1):
-        sub = st.subs[j]
-        y = st.solve_L(j, z)
-        if keep_pairing:
-            pairing[j] = y
-        z = st.apply_R(j, y)
-        Fj = _sample_field(F, sub.t_sample, xs, j)
-        if Fj is not None:
-            # implicit-side deposit: raw tau*W*F leaves a first-order residue
-            # on stiff source modes, the L-solve restores the scheme's order
-            z = z - sub.tau * W * st.solve_L(j, W * Fj)
-        t_acc -= sub.tau
-        if m >= 0 and abs(t_acc - m * k) < 1e-12 * max(1.0, spec.T):
-            rows[m] = op.embed(z / W)
-            m -= 1
+    M = spec.time_steps
+    rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
+    rows[..., M, st.cols] = v
+    pairing = np.empty((len(st.subs),) + v.shape) if keep_pairing else None
+
+    # implicit-side deposit: raw tau*W*F leaves a first-order residue on stiff
+    # source modes, the L-solve restores the scheme's order
+    deposit = None
+    if F_const is not None:
+        WF = W * op.restrict(F_const)
+        cache: dict = {}
+
+        def deposit(j):
+            f = st.factor_of[j]
+            if f not in cache:
+                cache[f] = st.tau_w[j] * st.solve_L(j, WF.copy())
+            return cache[f]
+
+    elif F is not None:
+
+        def deposit(j):
+            Fj = _sample_field(F, st.subs[j].t_sample, st.xs_unknown, j)
+            return st.tau_w[j] * st.solve_L(j, W * Fj)
+
+    st.backward(v, deposit, pairing, rows)
     return rows, pairing, st
 
 
@@ -487,7 +568,7 @@ def energy_report(spec: ProblemSpec, u0: np.ndarray, h=None) -> float:
     """
     st = _Stepper(spec)
     op = st.op
-    traj = solve_forward(spec, u0, control=h)
+    traj = solve_forward(spec, u0, control=h, stepper=st)
     vals = traj.values[:, op.node_index]
     mesh = spec.mesh
     W = op.weights

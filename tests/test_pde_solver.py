@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from carleman_lab.coefficients import DegeneracyCoefficient, classify, make_power_coefficient
 from carleman_lab.pde_solver import (
@@ -10,10 +11,13 @@ from carleman_lab.pde_solver import (
     LeftBoundary,
     ProblemSpec,
     Scheme,
+    _adjoint_march,
+    _substep_schedule,
     assemble_diffusion,
     boundary_regime_for,
     build_mesh,
     energy_report,
+    omega_node_mask,
     solve_adjoint,
     solve_forward,
     trajectory_from_binary,
@@ -393,3 +397,218 @@ class TestSpecValidation:
                 T=1.0, coef=coef, regime=WEAK, mesh=build_mesh(16, 1.0),
                 time_steps=4, omega=(0.0, 0.7),
             )
+
+
+# --------------------------------------------------------------------------------
+# the factor-once marching engine against a per-substep solve_banded reference
+
+
+def _reference_assembly(op, coef, mesh, regime):
+    """(diag, off) of the stiffness, accumulated face by face."""
+    cond = np.asarray(coef.eval(mesh.faces), dtype=float) / mesh.spacings
+    start = 0 if regime.left is LeftBoundary.ZERO_FLUX else 1
+    n = op.n_unknowns
+    diag = np.zeros(n)
+    off = np.zeros(max(n - 1, 0))
+    for f in range(mesh.nodes.size - 1):
+        lu, ru = f - start, f + 1 - start
+        if 0 <= lu < n:
+            diag[lu] += cond[f]
+        if 0 <= ru < n:
+            diag[ru] += cond[f]
+        if 0 <= lu < n and 0 <= ru < n:
+            off[lu] -= cond[f]
+    return diag, off
+
+
+def _reference_steps(spec):
+    """Per substep: (substep, banded L, R diagonal, R off-diagonal)."""
+    op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
+    W, n = op.weights, op.n_unknowns
+    xs = spec.mesh.nodes[op.node_index]
+    steps = []
+    for sub in _substep_schedule(spec):
+        c = np.zeros(n)
+        if spec.c is not None:
+            c = np.asarray(spec.c(sub.t_sample, xs), dtype=float) * np.ones(n)
+        gd = op.diag + W * c
+        th = sub.implicit
+        Lb = np.zeros((3, n))
+        Lb[0, 1:] = th * sub.tau * op.off
+        Lb[1] = W + th * sub.tau * gd
+        Lb[2, :-1] = th * sub.tau * op.off
+        steps.append((sub, Lb, W - (1.0 - th) * sub.tau * gd, -(1.0 - th) * sub.tau * op.off))
+    return op, steps
+
+
+def _apply(Rd, Ro, u):
+    out = Rd * u
+    out[:-1] += Ro * u[1:]
+    out[1:] += Ro * u[:-1]
+    return out
+
+
+def _reference_forward(spec, u0, control=None, source=None):
+    """Forward march with one solve_banded call per substep and step ends
+    found by accumulating substep lengths."""
+    op, steps = _reference_steps(spec)
+    W = op.weights
+    xs = spec.mesh.nodes[op.node_index]
+    mask = omega_node_mask(spec.mesh, spec.omega)[op.node_index]
+    u = op.restrict(u0)
+    rows = np.zeros((spec.time_steps + 1, spec.mesh.nodes.size))
+    rows[0] = op.embed(u)
+    m, t_acc = 1, 0.0
+    for sub, Lb, Rd, Ro in steps:
+        rhs = _apply(Rd, Ro, u)
+        g = np.zeros_like(u)
+        if control is not None:
+            g += np.where(mask, control(sub.t_sample, xs) * np.ones_like(xs), 0.0)
+        if source is not None:
+            g += source(sub.t_sample, xs) * np.ones_like(xs)
+        if g.any():
+            rhs = rhs + sub.tau * W * g
+        u = solve_banded((1, 1), Lb, rhs)
+        t_acc += sub.tau
+        if abs(t_acc - m * spec.dt) < 1e-12 * max(1.0, spec.T):
+            rows[m] = op.embed(u)
+            m += 1
+    return rows
+
+
+def _reference_adjoint(spec, vT, F=None):
+    """Transposed march: (rows, pairing) with one solve_banded per solve."""
+    op, steps = _reference_steps(spec)
+    W = op.weights
+    xs = spec.mesh.nodes[op.node_index]
+    M = spec.time_steps
+    v = op.restrict(vT)
+    rows = np.zeros((M + 1, spec.mesh.nodes.size))
+    rows[M] = op.embed(v)
+    z = W * v
+    pairing = [None] * len(steps)
+    m, t_acc = M - 1, spec.T
+    for j in range(len(steps) - 1, -1, -1):
+        sub, Lb, Rd, Ro = steps[j]
+        y = solve_banded((1, 1), Lb, z)
+        pairing[j] = y
+        z = _apply(Rd, Ro, y)
+        if F is not None:
+            Fj = F(sub.t_sample, xs) * np.ones_like(xs)
+            z = z - sub.tau * W * solve_banded((1, 1), Lb, W * Fj)
+        t_acc -= sub.tau
+        if m >= 0 and abs(t_acc - m * spec.dt) < 1e-12 * max(1.0, spec.T):
+            rows[m] = op.embed(z / W)
+            m -= 1
+    return rows, np.array(pairing)
+
+
+def _draws(spec, seed, count=1):
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal((count, spec.mesh.nodes.size))
+    out[:, -1] = 0.0
+    return out
+
+
+ENGINE_CASES = [
+    (scheme, gamma) for scheme in (Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER)
+    for gamma in (0.5, 1.5)
+]
+
+
+class TestMarchingEngine:
+    @pytest.mark.parametrize("N", [2, 3, 17, 64])
+    @pytest.mark.parametrize("regime", [WEAK, STRONG])
+    def test_assembly_matches_face_loop(self, N, regime):
+        coef = make_power_coefficient(0.5)
+        mesh = build_mesh(N, 2.0)
+        op = assemble_diffusion(coef, mesh, regime)
+        diag, off = _reference_assembly(op, coef, mesh, regime)
+        assert np.array_equal(op.diag, diag) and np.array_equal(op.off, off)
+
+    @pytest.mark.parametrize("scheme,gamma", ENGINE_CASES)
+    def test_forward_bit_identical(self, scheme, gamma):
+        spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
+        u0 = _draws(spec, 1)[0]
+        control = lambda t, x: np.cos(3.0 * t) * x
+        source = lambda t, x: np.sin(np.pi * x) * (1.0 + t)
+        got = solve_forward(spec, u0, control=control, source=source).values
+        assert np.array_equal(got, _reference_forward(spec, u0, control, source))
+        assert np.array_equal(solve_forward(spec, u0).values, _reference_forward(spec, u0))
+
+    @pytest.mark.parametrize("scheme,gamma", ENGINE_CASES)
+    def test_adjoint_bit_identical(self, scheme, gamma):
+        spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
+        vT = _draws(spec, 2)[0]
+        F = lambda t, x: np.cos(np.pi * x) * (2.0 - t)
+        rows, pairing, _ = _adjoint_march(spec, vT, F=F, keep_pairing=True)
+        ref_rows, ref_pairing = _reference_adjoint(spec, vT, F)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(pairing, ref_pairing)
+
+    @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
+    def test_potential_bit_identical(self, scheme):
+        c = lambda t, x: 0.3 + 0.2 * np.sin(2 * np.pi * x) * np.cos(t)
+        spec = make_spec(N=40, M=24, scheme=scheme, c=c)
+        u0, vT = _draws(spec, 3, 2)
+        assert np.array_equal(solve_forward(spec, u0).values, _reference_forward(spec, u0))
+        assert np.array_equal(solve_adjoint(spec, vT).values, _reference_adjoint(spec, vT)[0])
+
+    @pytest.mark.parametrize("scheme,gamma", ENGINE_CASES)
+    def test_batched_adjoint_matches_per_sample(self, scheme, gamma):
+        spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
+        op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
+        vTs = _draws(spec, 4, 5)
+        fs = _draws(spec, 5, 5)
+        rows, _, _ = _adjoint_march(spec, vTs, F_const=fs)
+        assert rows.shape == (5, spec.time_steps + 1, spec.mesh.nodes.size)
+        for i in range(5):
+            F = lambda t, x, f=op.restrict(fs[i]): f
+            assert np.array_equal(rows[i], _reference_adjoint(spec, vTs[i], F)[0])
+            assert np.array_equal(rows[i], solve_adjoint(spec, vTs[i], F=F).values)
+
+    @pytest.mark.parametrize(
+        "N,regime,n_unknowns", [(2, WEAK, 1), (2, STRONG, 2), (3, WEAK, 2)]
+    )
+    @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
+    def test_tiny_systems(self, N, regime, n_unknowns, scheme):
+        coef = make_power_coefficient(1.0)
+        spec = ProblemSpec(
+            T=1.0, coef=coef, regime=regime, mesh=build_mesh(N, 2.0), time_steps=6,
+            omega=(0.3, 0.7), scheme=scheme, boundary_override=True,
+        )
+        op = assemble_diffusion(coef, spec.mesh, regime)
+        assert op.n_unknowns == n_unknowns
+        u0, vT = _draws(spec, 6, 2)
+        F = lambda t, x: np.ones_like(x)
+        fwd = solve_forward(spec, u0)
+        adj = solve_adjoint(spec, vT)
+        lhs = op.inner(op.restrict(fwd.values[-1]), op.restrict(vT))
+        rhs = op.inner(op.restrict(u0), op.restrict(adj.values[0]))
+        assert abs(lhs - rhs) / (abs(lhs) + abs(rhs)) < 1e-14
+        assert np.array_equal(fwd.values, _reference_forward(spec, u0))
+        assert np.array_equal(
+            solve_adjoint(spec, vT, F=F).values, _reference_adjoint(spec, vT, F)[0]
+        )
+
+    def test_nan_source_raises(self):
+        spec = make_spec(N=16, M=8)
+        u0 = np.zeros(spec.mesh.nodes.size)
+        late_nan = lambda t, x: np.full_like(x, np.nan if t > 0.5 else 1.0)
+        with pytest.raises(ValueError, match="non-finite march: the control or source"):
+            solve_forward(spec, u0, source=late_nan)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite march: the control or source"
+        ):
+            solve_forward(spec, u0, control=lambda t, x: np.full_like(x, np.inf))
+        with pytest.raises(ValueError, match="non-finite march: the source"):
+            solve_adjoint(spec, u0, F=late_nan)
+        fs = np.ones((2, spec.mesh.nodes.size))
+        fs[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite march: the source"):
+            _adjoint_march(spec, np.zeros_like(fs), F_const=fs)
+
+    def test_nonfinite_potential_raises(self):
+        spec = make_spec(N=16, M=8, c=lambda t, x: np.where(x > 0.5, np.nan, 0.0))
+        with pytest.raises(ValueError, match="potential c is not finite"):
+            solve_forward(spec, np.zeros(spec.mesh.nodes.size))

@@ -19,20 +19,21 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .functionals import Region, spacetime_weighted_integral
+from .functionals import Region, _clipped_node_quadrature, spacetime_weighted_integral
 from .pde_solver import (
     Direction,
     ProblemSpec,
     Trajectory,
     _adjoint_march,
     solve_adjoint,
+    trapezoid_time_weights,
 )
 from .sampling import (
     STREAM_SOURCE,
     STREAM_TERMINAL,
     sample_fields,
 )
-from .weights import CarlemanWeights
+from .weights import CarlemanWeights, build_weights, default_omega_prime
 
 __all__ = [
     "CarlemanParams",
@@ -171,9 +172,6 @@ class SweepResult:
     rows: list  # one dict per (sample, s, lambda)
     summary: dict
 
-    def config_hash(self) -> str:
-        return self.summary.get("config_sha256", "")
-
 
 def carleman_sweep(
     spec: ProblemSpec,
@@ -192,10 +190,9 @@ def carleman_sweep(
     With ``s_relative`` the entries of ``s_grid`` multiply the per-lambda
     stable threshold.  Backward solves are shared across (s, lambda) because
     the trajectories do not depend on the weight parameters; all samples are
-    marched together in one batched backward solve.
+    marched together in one batched backward solve.  ``empirical_C`` is NaN
+    when every sample at every point is degenerate.
     """
-    from .weights import build_weights, default_omega_prime
-
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if len(s_grid) == 0 or len(lambda_grid) == 0:
@@ -293,7 +290,7 @@ def carleman_sweep(
         json.dumps(config, sort_keys=True).encode("utf-8")
     ).hexdigest()
     summary = {
-        "empirical_C": empirical,
+        "empirical_C": empirical if excluded < len(rows) else float("nan"),
         "excluded_count": excluded,
         "per_point": summaries,
         "config_sha256": digest,
@@ -423,10 +420,7 @@ def _grids(weights: CarlemanWeights, resolution: int):
     xs = np.concatenate([left, mid, right])
     xw = np.concatenate([wl, wm, wr])
     ts = np.linspace(0.0, weights.T, resolution + 1)
-    tw = np.full(ts.size, weights.T / resolution)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    return ts, xs, tw, xw
+    return ts, xs, trapezoid_time_weights(weights.T, resolution), xw
 
 
 def identity_residual(
@@ -593,9 +587,7 @@ def boundary_sign_term(
     xs = mesh.nodes
     M = wt.w.shape[0] - 1
     ts = np.linspace(0.0, wt.T, M + 1)
-    tw = np.full(M + 1, wt.T / M)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
+    tw = trapezoid_time_weights(wt.T, M)
     h = mesh.spacings
     wx0 = (wt.w[:, 1] - wt.w[:, 0]) / h[0]
     wx1 = (wt.w[:, -1] - wt.w[:, -2]) / h[-1]
@@ -620,6 +612,22 @@ class ObservabilityReport:
     excluded_count: int
 
 
+def _observability_ratios(spec: ProblemSpec, vt_fields: np.ndarray) -> list:
+    """Initial-time energy over the control-region space-time energy of the
+    source-free backward solve from each terminal draw in the stack; NaN
+    where the control-region energy is degenerate."""
+    rows, _, _ = _adjoint_march(spec, vt_fields)
+    vols = spec.mesh.volumes
+    xw_omega = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
+    tw = trapezoid_time_weights(spec.T, spec.time_steps)
+    ratios = []
+    for r in rows:
+        num = float(np.sum(vols * r[0] * r[0]))
+        den = float(np.einsum("m,mi,i->", tw, r * r, xw_omega))
+        ratios.append(num / den if den >= DEGENERATE_DENOMINATOR else float("nan"))
+    return ratios
+
+
 def observability_ratio(
     spec: ProblemSpec,
     weights: Optional[CarlemanWeights] = None,
@@ -628,31 +636,13 @@ def observability_ratio(
 ) -> ObservabilityReport:
     """Empirical observability constant: the largest ratio of the initial-time
     energy to the control-region energy over seeded source-free backward
-    solves."""
+    solves, all marched as one batch."""
     if weights is not None and abs(weights.T - spec.T) > 1e-12 * max(1.0, spec.T):
         raise ValueError("weights and spec disagree on the horizon")
-    nodes = spec.mesh.nodes
-    vols = spec.mesh.volumes
-    vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, nodes)
-    a_mask_lo, a_mask_hi = spec.omega
-    from .functionals import _clipped_node_quadrature
-
-    xw_omega = _clipped_node_quadrature(nodes, a_mask_lo, a_mask_hi)
-    M = spec.time_steps
-    tw = np.full(M + 1, spec.T / M)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    ratios = []
-    excluded = 0
-    for i in range(n_samples):
-        traj = solve_adjoint(spec, vt_fields[i], F=None)
-        v0 = traj.values[0]
-        num = float(np.sum(vols * v0 * v0))
-        sq = traj.values * traj.values
-        den = float(np.einsum("m,mi,i->", tw, sq, xw_omega))
-        if den < DEGENERATE_DENOMINATOR:
-            excluded += 1
-            continue
-        ratios.append(num / den)
+    vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
+    all_ratios = _observability_ratios(spec, vt_fields)
+    ratios = [r for r in all_ratios if not math.isnan(r)]
     constant = float(np.max(ratios)) if ratios else float("nan")
-    return ObservabilityReport(constant=constant, ratios=ratios, excluded_count=excluded)
+    return ObservabilityReport(
+        constant=constant, ratios=ratios, excluded_count=len(all_ratios) - len(ratios)
+    )

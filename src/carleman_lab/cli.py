@@ -17,11 +17,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .carleman import (
     CarlemanParams,
+    _observability_ratios,
     boundary_sign_term,
     carleman_sweep,
     identity_residual,
@@ -31,18 +33,22 @@ from .carleman import (
 )
 from .coefficients import Regime, classify, coefficient_from_descriptor, make_power_coefficient
 from .control import synthesize_null_control
-from .functionals import HardyCase, aux_hardy_b, aux_hardy_p, hardy_ratio
+from .functionals import HardyCase, WeightedNorms, aux_hardy_b, aux_hardy_p, hardy_ratio
 from .pde_solver import (
     BoundaryRegime,
+    Direction,
     LeftBoundary,
     ProblemSpec,
     Scheme,
+    Trajectory,
+    _adjoint_march,
     boundary_regime_for,
     build_mesh,
     energy_report,
-    solve_adjoint,
+    omega_node_mask,
     solve_forward,
     trajectory_to_binary,
+    trapezoid_time_weights,
 )
 from .sampling import (
     GENERATOR_NAME,
@@ -52,29 +58,6 @@ from .sampling import (
     sample_fields,
 )
 from .weights import build_weights, default_omega_prime
-
-EXPERIMENTS = (
-    "classify",
-    "hardy",
-    "energy",
-    "carleman_sweep",
-    "lemma_checks",
-    "observability",
-    "null_control",
-    "convergence",
-)
-
-# behavioral description recorded in each summary
-ANCHORS = {
-    "classify": "degeneracy-band certification of the diffusion coefficient",
-    "hardy": "weighted Hardy-type ratio estimation",
-    "energy": "trajectory-energy to data-energy ratio",
-    "carleman_sweep": "weighted observability-type inequality sweep",
-    "lemma_checks": "conjugated-operator identity and boundary-sign checks",
-    "observability": "empirical observability constant",
-    "null_control": "penalized dual null-control synthesis",
-    "convergence": "manufactured-solution convergence orders",
-}
 
 
 def _fmt(v) -> str:
@@ -154,6 +137,14 @@ def validate_config(cfg: dict) -> list[str]:
         o, op = cfg["omega"], cfg["omega_prime"]
         if not (o[0] < op[0] < op[1] < o[1]):
             errors.append("omega_prime: must be compactly contained in omega")
+    mesh_fields_ok = not any(e.startswith(("mesh_n:", "mesh_grading:", "omega:")) for e in errors)
+    if EXPERIMENTS[exp].builds_spec and mesh_fields_ok:
+        mesh, omega = _mesh_and_omega(cfg)
+        if not omega_node_mask(mesh, omega).any():
+            errors.append(
+                f"omega: {list(omega)} holds no mesh node "
+                f"(mesh_n={mesh.n_cells}, mesh_grading={mesh.grading_exponent:g})"
+            )
 
     for name in ("lambda_grid", "s_grid", "epsilon_grid"):
         if name in cfg:
@@ -172,18 +163,39 @@ def validate_config(cfg: dict) -> list[str]:
         errors.append(f"boundary: must be auto, dirichlet_zero or zero_flux, got {cfg['boundary']!r}")
     if "scheme" in cfg and cfg["scheme"] not in ("crank_nicolson", "backward_euler"):
         errors.append(f"scheme: must be crank_nicolson or backward_euler, got {cfg['scheme']!r}")
+    try:
+        _env_seed()
+    except ValueError as exc:
+        errors.append(str(exc))
     return errors
 
 
-def _effective_seed(cfg: dict) -> int:
+def _env_seed():
+    """The ``CARLEMAN_LAB_SEED`` override, or None when it is unset."""
     env = os.environ.get("CARLEMAN_LAB_SEED")
-    if env is not None:
-        return int(env)
-    return int(cfg.get("seed", 0))
+    if env is None:
+        return None
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"CARLEMAN_LAB_SEED: must be a non-negative integer, got {env!r}")
+    return seed
+
+
+def _effective_seed(cfg: dict) -> int:
+    env = _env_seed()
+    return env if env is not None else int(cfg.get("seed", 0))
+
+
+def _mesh_and_omega(cfg: dict):
+    mesh = build_mesh(int(cfg.get("mesh_n", 128)), float(cfg.get("mesh_grading", 2.0)))
+    return mesh, tuple(cfg.get("omega", (0.3, 0.7)))
 
 
 def _build_problem(cfg: dict, coef, report):
-    mesh = build_mesh(int(cfg.get("mesh_n", 128)), float(cfg.get("mesh_grading", 2.0)))
+    mesh, omega = _mesh_and_omega(cfg)
     boundary = cfg.get("boundary", "auto")
     override = False
     if boundary == "auto":
@@ -200,7 +212,7 @@ def _build_problem(cfg: dict, coef, report):
         regime=regime,
         mesh=mesh,
         time_steps=int(cfg.get("time_steps", 128)),
-        omega=tuple(cfg.get("omega", (0.3, 0.7))),
+        omega=omega,
         c=c,
         scheme=scheme,
         hypothesis=report,
@@ -213,7 +225,7 @@ def _build_problem(cfg: dict, coef, report):
 # tables: {filename: (header, rows)}; invariants: list of (name, passed, detail)
 
 
-def _exp_classify(cfg, seed, log):
+def _exp_classify(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(
         coef,
@@ -254,7 +266,7 @@ def _exp_classify(cfg, seed, log):
     return tables, results, invariants
 
 
-def _exp_hardy(cfg, seed, log):
+def _exp_hardy(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     mesh = build_mesh(int(cfg.get("mesh_n", 512)), float(cfg.get("mesh_grading", 2.0)))
@@ -303,7 +315,7 @@ def _exp_hardy(cfg, seed, log):
     return tables, results, invariants
 
 
-def _exp_energy(cfg, seed, log):
+def _exp_energy(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     spec = _build_problem(cfg, coef, rep)
@@ -325,7 +337,7 @@ def _exp_energy(cfg, seed, log):
     return tables, results, invariants
 
 
-def _exp_carleman_sweep(cfg, seed, log):
+def _exp_carleman_sweep(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     spec = _build_problem(cfg, coef, rep)
@@ -379,7 +391,7 @@ def _exp_carleman_sweep(cfg, seed, log):
     return tables, results, invariants
 
 
-def _exp_lemma_checks(cfg, seed, log):
+def _exp_lemma_checks(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     spec = _build_problem(cfg, coef, rep)
@@ -412,10 +424,11 @@ def _exp_lemma_checks(cfg, seed, log):
 
     n_samples = int(cfg.get("n_samples", 10))
     vts = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
+    trajs, _, _ = _adjoint_march(spec, vts)
     sign_rows = []
     ok_sign = True
-    for i in range(n_samples):
-        traj = solve_adjoint(spec, vts[i])
+    for i, values in enumerate(trajs):
+        traj = Trajectory(values, spec.mesh, spec.T, Direction.BACKWARD)
         wt = transform_to_w(traj, wts, params)
         bt = boundary_sign_term(wt, wts, params)
         passed = bt.term >= -1e-8 * bt.scale
@@ -441,7 +454,7 @@ def _exp_lemma_checks(cfg, seed, log):
     return tables, results, invariants
 
 
-def _exp_observability(cfg, seed, log):
+def _exp_observability(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     spec = _build_problem(cfg, coef, rep)
@@ -449,24 +462,7 @@ def _exp_observability(cfg, seed, log):
     obs = observability_ratio(spec, n_samples=n_samples, seed=seed)
     # scale invariance probe: doubling the sample leaves the ratio unchanged
     vt = sample_fields(seed, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
-
-    def one_ratio(v):
-        traj = solve_adjoint(spec, v)
-        vols = spec.mesh.volumes
-        from .functionals import _clipped_node_quadrature
-
-        xw = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
-        M = spec.time_steps
-        tw = np.full(M + 1, spec.T / M)
-        tw[0] *= 0.5
-        tw[-1] *= 0.5
-        v0 = traj.values[0]
-        num = float(np.sum(vols * v0 * v0))
-        den = float(np.einsum("m,mi,i->", tw, traj.values**2, xw))
-        return num / den
-
-    r1 = one_ratio(vt)
-    r2 = one_ratio(2.0 * vt)
+    r1, r2 = _observability_ratios(spec, np.stack([vt, 2.0 * vt]))
     scale_err = abs(r1 - r2) / max(abs(r1), 1e-300)
     log(f"observability constant: {obs.constant:.6g} (excluded {obs.excluded_count})")
     rows = [{"sample": i, "ratio": r} for i, r in enumerate(obs.ratios)]
@@ -483,7 +479,7 @@ def _exp_observability(cfg, seed, log):
     return tables, results, invariants
 
 
-def _exp_null_control(cfg, seed, log, outdir: Path = None):
+def _exp_null_control(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     spec = _build_problem(cfg, coef, rep)
@@ -500,8 +496,6 @@ def _exp_null_control(cfg, seed, log, outdir: Path = None):
         cg_tol=float(cfg.get("cg_tol", 1e-8)),
         cg_max_iter=int(cfg.get("cg_max_iter", 500)),
     )
-    from .functionals import WeightedNorms
-
     norms = WeightedNorms(spec.mesh, coef)
     u0_norm = norms.norm("L2", u0)
     rel = result.terminal_norm / u0_norm if u0_norm > 0 else 0.0
@@ -525,12 +519,9 @@ def _exp_null_control(cfg, seed, log, outdir: Path = None):
         "converged": result.converged,
         "epsilon": epsilon,
     }
-    if outdir is not None:
-        from .pde_solver import Direction, Trajectory
-
-        ctraj = Trajectory(vals, spec.mesh, spec.T, Direction.FORWARD)
-        trajectory_to_binary(ctraj, outdir / "control.bin")
-    mask = (xs > spec.omega[0]) & (xs < spec.omega[1])
+    ctraj = Trajectory(vals, spec.mesh, spec.T, Direction.FORWARD)
+    trajectory_to_binary(ctraj, outdir / "control.bin")
+    mask = omega_node_mask(spec.mesh, spec.omega)
     support_ok = bool(np.all(vals[:, ~mask] == 0.0))
     invariants = [
         ("conjugate gradients converged", result.converged, f"{result.cg_iterations} iterations"),
@@ -544,7 +535,7 @@ def _exp_null_control(cfg, seed, log, outdir: Path = None):
     return tables, results, invariants
 
 
-def _exp_convergence(cfg, seed, log):
+def _exp_convergence(cfg, seed, log, outdir):
     # manufactured problem on a = x with value-pinned boundaries
     coef = make_power_coefficient(1.0)
     rep = classify(coef)
@@ -580,9 +571,7 @@ def _exp_convergence(cfg, seed, log):
         u0 = exact(0.0, mesh.nodes)
         traj = solve_forward(spec, u0, source=source)
         err_sq = 0.0
-        tw = np.full(M + 1, T / M)
-        tw[0] *= 0.5
-        tw[-1] *= 0.5
+        tw = trapezoid_time_weights(T, M)
         for m, t in enumerate(traj.times):
             diff = traj.values[m] - exact(t, mesh.nodes)
             err_sq += tw[m] * float(np.sum(mesh.volumes * diff * diff))
@@ -631,11 +620,43 @@ def _exp_convergence(cfg, seed, log):
     return tables, results, invariants
 
 
+class Experiment(NamedTuple):
+    run: Callable  # (cfg, seed, log, outdir) -> (tables, results, invariants)
+    anchor: str  # behavioral description recorded in each summary
+    builds_spec: bool  # marches a ProblemSpec built by _build_problem
+
+
+EXPERIMENTS = {
+    "classify": Experiment(
+        _exp_classify, "degeneracy-band certification of the diffusion coefficient", False
+    ),
+    "hardy": Experiment(_exp_hardy, "weighted Hardy-type ratio estimation", False),
+    "energy": Experiment(_exp_energy, "trajectory-energy to data-energy ratio", True),
+    "carleman_sweep": Experiment(
+        _exp_carleman_sweep, "weighted observability-type inequality sweep", True
+    ),
+    "lemma_checks": Experiment(
+        _exp_lemma_checks, "conjugated-operator identity and boundary-sign checks", True
+    ),
+    "observability": Experiment(_exp_observability, "empirical observability constant", True),
+    "null_control": Experiment(
+        _exp_null_control, "penalized dual null-control synthesis", True
+    ),
+    "convergence": Experiment(
+        _exp_convergence, "manufactured-solution convergence orders", False
+    ),
+}
+
+
 # --------------------------------------------------------------------------------
 
 
 def run_experiment(cfg: dict, outdir: Path) -> int:
-    seed = _effective_seed(cfg)
+    try:
+        seed = _effective_seed(cfg)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -650,24 +671,7 @@ def run_experiment(cfg: dict, outdir: Path) -> int:
     log(f"experiment: {exp}")
     log(f"seed: {seed} (generator {GENERATOR_NAME})")
     try:
-        if exp == "classify":
-            tables, results, invariants = _exp_classify(cfg, seed, log)
-        elif exp == "hardy":
-            tables, results, invariants = _exp_hardy(cfg, seed, log)
-        elif exp == "energy":
-            tables, results, invariants = _exp_energy(cfg, seed, log)
-        elif exp == "carleman_sweep":
-            tables, results, invariants = _exp_carleman_sweep(cfg, seed, log)
-        elif exp == "lemma_checks":
-            tables, results, invariants = _exp_lemma_checks(cfg, seed, log)
-        elif exp == "observability":
-            tables, results, invariants = _exp_observability(cfg, seed, log)
-        elif exp == "null_control":
-            tables, results, invariants = _exp_null_control(cfg, seed, log, outdir=outdir)
-        elif exp == "convergence":
-            tables, results, invariants = _exp_convergence(cfg, seed, log)
-        else:  # pragma: no cover - guarded by validation
-            raise ValueError(exp)
+        tables, results, invariants = EXPERIMENTS[exp].run(cfg, seed, log, outdir)
     except ValueError as exc:
         log(f"error: {exc}")
         (outdir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
@@ -683,7 +687,7 @@ def run_experiment(cfg: dict, outdir: Path) -> int:
 
     summary = {
         "experiment": exp,
-        "anchor": ANCHORS[exp],
+        "anchor": EXPERIMENTS[exp].anchor,
         "seed": seed,
         "generator": GENERATOR_NAME,
         "config_sha256": _config_hash(cfg),

@@ -45,19 +45,6 @@ class SpaceTimeControl:
     values: np.ndarray  # (J, N+1) nodal samples, zero outside omega
     omega: tuple
 
-    def as_callable(self):
-        vals = self.values
-        times = self.sample_times
-
-        def h(t, xs):
-            j = int(np.argmin(np.abs(times - t)))
-            row = vals[j]
-            if xs.size == row.size:
-                return row
-            raise ValueError("control sampled on a different grid")
-
-        return h
-
 
 @dataclass
 class ControlResult:
@@ -81,13 +68,6 @@ class _DualOperator:
         self.mask = omega_node_mask(spec.mesh, spec.omega)[self.op.node_index]
         self.sample_t, self.taus = substep_times(spec)
 
-    def adjoint_pairing(self, v_unknown: np.ndarray) -> np.ndarray:
-        full = self.op.embed(v_unknown)
-        _, pairing, _ = _adjoint_march(
-            self.spec, full, keep_pairing=True, stepper=self.stepper
-        )
-        return pairing
-
     def adjoint_initial_and_pairing(self, v_unknown: np.ndarray):
         full = self.op.embed(v_unknown)
         rows, pairing, _ = _adjoint_march(
@@ -104,7 +84,7 @@ class _DualOperator:
         return self.stepper.forward(u0_unknown, load)
 
     def gram_apply(self, v_unknown: np.ndarray) -> np.ndarray:
-        pairing = self.adjoint_pairing(v_unknown)
+        _, pairing = self.adjoint_initial_and_pairing(v_unknown)
         ctrl = self.control_from_pairing(pairing)
         lam_v = self.forward_terminal(np.zeros_like(v_unknown), ctrl)
         return lam_v + self.epsilon * v_unknown
@@ -171,7 +151,7 @@ def synthesize_null_control(
     rhs = -b
     v_hat, iters, converged = _cg(dual.gram_apply, rhs, inner, cg_tol, cg_max_iter)
 
-    pairing = dual.adjoint_pairing(v_hat)
+    _, pairing = dual.adjoint_initial_and_pairing(v_hat)
     ctrl = dual.control_from_pairing(pairing)
     control = SpaceTimeControl(
         sample_times=dual.sample_t,

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import DegeneracyCoefficient, HypothesisReport, classify
+from .pde_solver import trapezoid_time_weights
 from .weights import CarlemanWeights
 
 __all__ = [
@@ -157,10 +158,7 @@ def spacetime_weighted_integral(
     if abs(traj.T - weights.T) > 1e-12 * max(1.0, weights.T):
         raise ValueError("trajectory and weights disagree on the horizon")
     lo, hi = _region_interval(region, weights, omega)
-    M = vals.shape[0] - 1
-    tw = np.full(M + 1, traj.T / M)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
+    tw = trapezoid_time_weights(traj.T, vals.shape[0] - 1)
 
     if integrand in ("v_sq", "source_sq"):
         field = vals * vals

@@ -37,6 +37,7 @@ __all__ = [
     "solve_adjoint",
     "energy_report",
     "substep_times",
+    "trapezoid_time_weights",
     "omega_node_mask",
     "trajectory_to_csv",
     "trajectory_to_binary",
@@ -243,9 +244,6 @@ class DiffusionOperator:
         full[..., self.node_index] = u
         return full
 
-    def apply_full(self, full: np.ndarray) -> np.ndarray:
-        return self.embed(self.apply(self.restrict(full)))
-
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.dot(self.weights * u, v))
 
@@ -299,6 +297,14 @@ def substep_times(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
         np.array([s.t_sample for s in subs]),
         np.array([s.tau for s in subs]),
     )
+
+
+def trapezoid_time_weights(T: float, M: int) -> np.ndarray:
+    """Trapezoid weights of the M + 1 uniform time levels on [0, T]."""
+    tw = np.full(M + 1, T / M)
+    tw[0] *= 0.5
+    tw[-1] *= 0.5
+    return tw
 
 
 def omega_node_mask(mesh: Mesh, omega: tuple[float, float]) -> np.ndarray:
@@ -588,8 +594,7 @@ def energy_report(spec: ProblemSpec, u0: np.ndarray, h=None) -> float:
         du = (vals[m + 1] - vals[m]) / k
         ut_sq += k * float(np.dot(W * du, du))
     au_sq = 0.0
-    tw = np.full(vals.shape[0], k)
-    tw[0] = tw[-1] = 0.5 * k
+    tw = trapezoid_time_weights(spec.T, spec.time_steps)
     for m in range(vals.shape[0]):
         Au = op.apply(vals[m])
         au_sq += tw[m] * float(np.dot(W * Au, Au))

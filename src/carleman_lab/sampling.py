@@ -19,8 +19,6 @@ STREAM_TERMINAL = 1
 STREAM_SOURCE = 2
 STREAM_INITIAL = 3
 STREAM_CONTROL = 4
-STREAM_POINTS = 5
-STREAM_DIRECTIONS = 6
 
 DEFAULT_MODES = 16
 

@@ -5,6 +5,7 @@ import pytest
 
 from carleman_lab.carleman import (
     CarlemanParams,
+    _observability_ratios,
     boundary_sign_term,
     carleman_sides,
     carleman_sweep,
@@ -20,7 +21,9 @@ from carleman_lab.pde_solver import (
     boundary_regime_for,
     build_mesh,
     solve_adjoint,
+    trapezoid_time_weights,
 )
+from carleman_lab.functionals import _clipped_node_quadrature
 from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
 from carleman_lab.weights import build_weights
 
@@ -245,6 +248,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="nonempty"):
             carleman_sweep(spec, 1, [], [2.0], seed=0)
 
+    def test_all_degenerate_reports_nan(self):
+        # s = 1e6 at lambda = 50 flushes every weight of the strong band to
+        # zero, so no sample is evaluable at the only point
+        spec = make_spec(gamma=1.5, N=32, M=32)
+        res = carleman_sweep(spec, 3, [1e6], [50.0], seed=0, s_relative=False)
+        assert res.summary["excluded_count"] == 3
+        assert math.isnan(res.summary["empirical_C"])
+
     def test_zero_order_exponent_variant_bounded(self):
         # quadratic zero-order exponent stays bounded away from the unit-ratio
         # band for both degeneracy bands (not asserted for the boundary case)
@@ -280,3 +291,27 @@ class TestObservability:
         wts = build_weights(spec.coef, 1.0, 2.0, 0.4, 0.6)
         with pytest.raises(ValueError, match="horizon"):
             observability_ratio(spec, weights=wts, n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_batched_matches_per_sample(self, gamma):
+        # reference: one solve_adjoint per draw, the ratio formula inline
+        spec = make_spec(gamma=gamma, N=48, M=40, T=1.0)
+        rep = observability_ratio(spec, n_samples=6, seed=3)
+        vts = sample_fields(3, STREAM_TERMINAL, 6, spec.mesh.nodes)
+        xw = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
+        tw = trapezoid_time_weights(spec.T, spec.time_steps)
+        ref = []
+        for vt in vts:
+            vals = solve_adjoint(spec, vt).values
+            num = float(np.sum(spec.mesh.volumes * vals[0] * vals[0]))
+            ref.append(num / float(np.einsum("m,mi,i->", tw, vals * vals, xw)))
+        assert rep.ratios == ref
+        assert rep.constant == max(ref)
+        assert rep.excluded_count == 0
+
+    def test_zero_draw_is_degenerate(self):
+        spec = make_spec(N=32, M=32, T=1.0)
+        vt = sample_fields(0, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
+        r, zero = _observability_ratios(spec, np.stack([vt, np.zeros_like(vt)]))
+        assert math.isfinite(r)
+        assert math.isnan(zero)

@@ -1,6 +1,29 @@
 import json
+from pathlib import Path
 
-from carleman_lab.cli import main, validate_config
+import numpy as np
+import pytest
+
+from carleman_lab.carleman import (
+    CarlemanParams,
+    _observability_ratios,
+    boundary_sign_term,
+    transform_to_w,
+)
+from carleman_lab.cli import EXPERIMENTS, main, run_experiment, validate_config
+from carleman_lab.coefficients import classify, make_power_coefficient
+from carleman_lab.functionals import _clipped_node_quadrature
+from carleman_lab.pde_solver import (
+    ProblemSpec,
+    boundary_regime_for,
+    build_mesh,
+    solve_adjoint,
+    trapezoid_time_weights,
+)
+from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
+from carleman_lab.weights import build_weights
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -63,6 +86,44 @@ class TestValidation:
         assert any("lambda_grid" in e for e in errs)
         assert any("s_grid" in e for e in errs)
 
+    @pytest.mark.parametrize(
+        "exp", ["energy", "carleman_sweep", "lemma_checks", "observability", "null_control"]
+    )
+    def test_omega_without_mesh_node(self, exp):
+        # (i/8)^2 jumps from 0.766 to 1 across omega
+        cfg = {
+            "experiment": exp,
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "mesh_n": 8,
+            "omega": [0.98, 0.99],
+            "lambda_grid": [2.0],
+            "s_grid": [1.0],
+        }
+        assert validate_config(cfg) == [
+            "omega: [0.98, 0.99] holds no mesh node (mesh_n=8, mesh_grading=2)"
+        ]
+        cfg["omega"] = [0.7, 0.99]
+        assert validate_config(cfg) == []
+
+    def test_omega_node_check_skips_invalid_mesh(self):
+        cfg = {
+            "experiment": "observability",
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "mesh_n": 4,
+            "omega": [0.98, 0.99],
+        }
+        assert validate_config(cfg) == ["mesh_n: must be >= 8, got 4"]
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_valid(self, path):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        assert validate_config(cfg) == []
+        assert cfg["experiment"] in EXPERIMENTS
+
+    def test_every_experiment_has_a_shipped_config(self):
+        shipped = {json.loads(p.read_text(encoding="utf-8"))["experiment"] for p in CONFIGS}
+        assert shipped == set(EXPERIMENTS)
+
     def test_valid_config_passes(self):
         assert validate_config(base_classify_config("out")) == []
 
@@ -110,6 +171,20 @@ class TestMain:
         assert main(["run", path]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 123
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_env_seed_override_malformed(self, tmp_path, monkeypatch, capsys, value):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_classify_config(str(out)))
+        monkeypatch.setenv("CARLEMAN_LAB_SEED", value)
+        message = f"config error: CARLEMAN_LAB_SEED: must be a non-negative integer, got {value!r}"
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err.strip() == message
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err.strip() == message
+        assert run_experiment(base_classify_config(str(out)), out) == 2
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
 
     def test_classify_violation_exit_1(self, tmp_path):
         out = tmp_path / "out"
@@ -255,3 +330,80 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert min(summary["results"]["spatial_orders"]) >= 1.0
         assert min(summary["results"]["temporal_orders"]) >= 1.8
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_anchor(tmp_path, path):
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    assert run_experiment(cfg, tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["anchor"] == EXPERIMENTS[cfg["experiment"]].anchor
+
+
+def _gamma_spec(gamma, N, T, omega):
+    coef = make_power_coefficient(gamma)
+    rep = classify(coef)
+    return ProblemSpec(
+        T=T, coef=coef, regime=boundary_regime_for(rep), mesh=build_mesh(N, 2.0),
+        time_steps=N, omega=omega, hypothesis=rep,
+    )
+
+
+def test_lemma_sign_terms_match_per_sample(tmp_path):
+    cfg = {
+        "experiment": "lemma_checks",
+        "coefficient": {"kind": "power", "params": {"gamma": 1.0}},
+        "T": 2.0,
+        "omega": [0.3, 0.7],
+        "omega_prime": [0.4, 0.6],
+        "resolution": 32,
+        "residual_threshold": 1.0,
+        "n_samples": 4,
+        "mesh_n": 40,
+        "time_steps": 40,
+        "seed": 5,
+    }
+    assert run_experiment(cfg, tmp_path) == 0
+    lines = (tmp_path / "boundary_sign.csv").read_text().splitlines()[1:]
+    got = [tuple(float(v) for v in line.split(",")[1:3]) for line in lines]
+    # reference: one solve_adjoint per draw
+    spec = _gamma_spec(1.0, 40, 2.0, (0.3, 0.7))
+    wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
+    params = CarlemanParams(1.0, 1.0)
+    ref = []
+    for vt in sample_fields(5, STREAM_TERMINAL, 4, spec.mesh.nodes):
+        bt = boundary_sign_term(transform_to_w(solve_adjoint(spec, vt), wts, params), wts, params)
+        ref.append((bt.term, bt.scale))
+    assert got == ref
+
+
+def test_observability_probe_matches_per_sample(tmp_path):
+    cfg = {
+        "experiment": "observability",
+        "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+        "T": 1.0,
+        "mesh_n": 40,
+        "time_steps": 40,
+        "omega": [0.3, 0.7],
+        "n_samples": 3,
+        "seed": 7,
+    }
+    assert run_experiment(cfg, tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    # reference: the homogeneity probe with one solve_adjoint per field
+    spec = _gamma_spec(0.5, 40, 1.0, (0.3, 0.7))
+    xw = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
+    tw = trapezoid_time_weights(spec.T, spec.time_steps)
+
+    def one_ratio(v):
+        vals = solve_adjoint(spec, v).values
+        num = float(np.sum(spec.mesh.volumes * vals[0] * vals[0]))
+        return num / float(np.einsum("m,mi,i->", tw, vals**2, xw))
+
+    vts = sample_fields(7, STREAM_TERMINAL, 3, spec.mesh.nodes)
+    lines = (tmp_path / "observability.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[1]) for line in lines] == [one_ratio(v) for v in vts]
+    vt = sample_fields(7, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
+    r1, r2 = one_ratio(vt), one_ratio(2.0 * vt)
+    assert _observability_ratios(spec, np.stack([vt, 2.0 * vt])) == [r1, r2]
+    assert summary["results"]["scale_invariance_error"] == abs(r1 - r2) / max(abs(r1), 1e-300)

@@ -23,6 +23,7 @@ from carleman_lab.pde_solver import (
     trajectory_from_binary,
     trajectory_to_binary,
     trajectory_to_csv,
+    trapezoid_time_weights,
 )
 
 WEAK = BoundaryRegime(LeftBoundary.DIRICHLET_ZERO)
@@ -612,3 +613,18 @@ class TestMarchingEngine:
         spec = make_spec(N=16, M=8, c=lambda t, x: np.where(x > 0.5, np.nan, 0.0))
         with pytest.raises(ValueError, match="potential c is not finite"):
             solve_forward(spec, np.zeros(spec.mesh.nodes.size))
+
+
+class TestTrapezoidTimeWeights:
+    @pytest.mark.parametrize("T,M", [(1.0, 1), (2.0, 1), (2.0, 3), (0.7, 7), (10.0, 128), (1.0 / 3.0, 1000)])
+    def test_matches_inline_rules(self, T, M):
+        # the two inline forms the helper replaced
+        halved = np.full(M + 1, T / M)
+        halved[0] *= 0.5
+        halved[-1] *= 0.5
+        k = T / M
+        assigned = np.full(M + 1, k)
+        assigned[0] = assigned[-1] = 0.5 * k
+        tw = trapezoid_time_weights(T, M)
+        assert np.array_equal(tw, halved)
+        assert np.array_equal(tw, assigned)

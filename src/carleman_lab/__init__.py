@@ -51,6 +51,7 @@ from .functionals import (
     aux_hardy_p,
     hardy_ratio,
     spacetime_weighted_integral,
+    spacetime_weighted_integrals,
     weighted_norm,
 )
 from .carleman import (

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .functionals import Region, _clipped_node_quadrature, spacetime_weighted_integral
+from .functionals import Region, _WeightedQuadrature, _clipped_node_quadrature
 from .pde_solver import (
     Direction,
     ProblemSpec,
@@ -114,27 +114,25 @@ def carleman_sides(
     s, lam = params.s, params.lam
     sl = s * lam
     q = zero_order_exponent
-    lhs_grad = sl * spacetime_weighted_integral(traj, weights, s, 1.0, "a_vx_sq", Region.Q)
-    lhs_zero = sl**q * spacetime_weighted_integral(traj, weights, s, q, "v_sq", Region.Q)
+    grid = (traj.mesh, traj.T, traj.values.shape[0] - 1, weights, s)
+    grad = _WeightedQuadrature(*grid, 1.0, "a_vx_sq")
+    zero = _WeightedQuadrature(*grid, q, "v_sq")
+    local = _WeightedQuadrature(*grid, 3.0, "v_sq", Region.Q_OMEGA, spec.omega)
+    v_sq = zero.field(traj.values)
+    lhs_grad = sl * grad.contract(grad.field(traj.values))
+    lhs_zero = sl**q * zero.contract(v_sq)
     if F is None:
         rhs_source = 0.0
     else:
-        f_traj = _field_on_grid(F, traj)
-        rhs_source = spacetime_weighted_integral(
-            f_traj, weights, s, 0.0, "source_sq", Region.Q
-        )
-    rhs_local = sl**3 * spacetime_weighted_integral(
-        traj, weights, s, 3.0, "v_sq", Region.Q_OMEGA, omega=spec.omega
-    )
+        source = _WeightedQuadrature(*grid, 0.0, "source_sq")
+        rhs_source = source.contract(source.field(_field_on_grid(F, traj).values))
+    rhs_local = sl**3 * local.contract(v_sq)
     denom = rhs_source + rhs_local
-    if denom < DEGENERATE_DENOMINATOR:
-        return CarlemanReport(
-            lhs_grad, lhs_zero, rhs_source, rhs_local, float("nan"), params,
-            sample_id, degenerate=True,
-        )
+    degenerate = denom < DEGENERATE_DENOMINATOR
     return CarlemanReport(
         lhs_grad, lhs_zero, rhs_source, rhs_local,
-        (lhs_grad + lhs_zero) / denom, params, sample_id,
+        float("nan") if degenerate else (lhs_grad + lhs_zero) / denom,
+        params, sample_id, degenerate=degenerate,
     )
 
 
@@ -190,8 +188,11 @@ def carleman_sweep(
     With ``s_relative`` the entries of ``s_grid`` multiply the per-lambda
     stable threshold.  Backward solves are shared across (s, lambda) because
     the trajectories do not depend on the weight parameters; all samples are
-    marched together in one batched backward solve.  ``empirical_C`` is NaN
-    when every sample at every point is degenerate.
+    marched together in one batched backward solve.  Conversely the weight
+    grids do not depend on the sample, so each (s, lambda) point builds its
+    four grids once and shares them across the samples' ``carleman_sides``
+    calls.  ``empirical_C`` is NaN when every sample at every point is
+    degenerate.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -204,13 +205,14 @@ def carleman_sweep(
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, nodes)
     f_fields = sample_fields(seed, STREAM_SOURCE, n_samples, nodes)
 
-    # the sampled sources do not depend on time
-    rows, _, _ = _adjoint_march(spec, vt_fields, F_const=f_fields)
-    trajectories = [Trajectory(r, spec.mesh, spec.T, Direction.BACKWARD) for r in rows]
-    f_trajs = []
-    for i in range(n_samples):
-        fv = np.tile(f_fields[i], (spec.time_steps + 1, 1))
-        f_trajs.append(Trajectory(fv, spec.mesh, spec.T, Direction.BACKWARD))
+    # the sampled sources do not depend on time: each is one row broadcast
+    # over the time steps, never a tiled copy
+    v_rows, _, _ = _adjoint_march(spec, vt_fields, F_const=f_fields)
+    trajectories = [Trajectory(r, spec.mesh, spec.T, Direction.BACKWARD) for r in v_rows]
+    f_trajs = [
+        Trajectory(np.broadcast_to(f, v_rows[0].shape), spec.mesh, spec.T, Direction.BACKWARD)
+        for f in f_fields
+    ]
 
     rows = []
     summaries = []
@@ -226,20 +228,18 @@ def carleman_sweep(
             s = s_entry * s0 if s_relative else s_entry
             params = CarlemanParams(s, lam)
             ratios = []
-            for i in range(n_samples):
-                rep = carleman_sides(
-                    spec,
-                    vt_fields[i],
-                    f_trajs[i],
-                    wts,
-                    params,
-                    sample_id=i,
-                    zero_order_exponent=zero_order_exponent,
-                    traj=trajectories[i],
-                )
+            with wts.shared_grids():
+                reports = [
+                    carleman_sides(
+                        spec, vt_fields[i], f_trajs[i], wts, params, sample_id=i,
+                        zero_order_exponent=zero_order_exponent, traj=trajectories[i],
+                    )
+                    for i in range(n_samples)
+                ]
+            for rep in reports:
                 rows.append(
                     {
-                        "sample": i,
+                        "sample": rep.sample_id,
                         "s": s,
                         "lambda": lam,
                         "lhs_grad": rep.lhs_grad,

@@ -107,6 +107,9 @@ def validate_config(cfg: dict) -> list[str]:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             errors.append(f"{name}: must be a number, got {v!r}")
             return
+        if isinstance(v, float) and not math.isfinite(v):
+            errors.append(f"{name}: must be a finite number, got {v}")
+            return
         if lo is not None and (v <= lo if strict_lo else v < lo):
             errors.append(f"{name}: must be {'>' if strict_lo else '>='} {lo}, got {v}")
         if hi is not None and v > hi:
@@ -153,6 +156,8 @@ def validate_config(cfg: dict) -> list[str]:
                 errors.append(f"{name}: must be a nonempty list")
             elif not all(isinstance(e, (int, float)) and e > 0 for e in v):
                 errors.append(f"{name}: entries must be positive numbers")
+            elif any(isinstance(e, float) and not math.isfinite(e) for e in v):
+                errors.append(f"{name}: entries must be finite numbers, got {v}")
     if exp == "carleman_sweep":
         if "lambda_grid" not in cfg:
             errors.append("lambda_grid: required for carleman_sweep")

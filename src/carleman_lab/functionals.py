@@ -27,6 +27,7 @@ __all__ = [
     "HardyReport",
     "weighted_norm",
     "spacetime_weighted_integral",
+    "spacetime_weighted_integrals",
     "hardy_ratio",
     "aux_hardy_p",
     "aux_hardy_b",
@@ -135,6 +136,87 @@ def _clipped_cell_lengths(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray
     return np.maximum(b - a, 0.0)
 
 
+class _WeightedQuadrature:
+    """The sample-independent half of :func:`spacetime_weighted_integral`.
+
+    Holds the weight grid exp(2*s*phi)*sigma**k for one (s, k) on the
+    abscissae of the integrand (nodes, or faces for ``a_vx_sq``), the
+    trapezoid time weights and the clipped space quadrature of the region,
+    so that one build serves every trajectory on the same mesh and time
+    grid.  ``field`` squares a trajectory's values into the integrand and
+    ``contract`` integrates a field against the weight.
+    """
+
+    def __init__(
+        self,
+        mesh,
+        T: float,
+        M: int,
+        weights: CarlemanWeights,
+        s: float,
+        k: float,
+        integrand: str,
+        region: Region = Region.Q,
+        omega=None,
+    ):
+        if abs(T - weights.T) > 1e-12 * max(1.0, weights.T):
+            raise ValueError("trajectory and weights disagree on the horizon")
+        lo, hi = _region_interval(region, weights, omega)
+        nodes = mesh.nodes
+        ts = np.linspace(0.0, T, M + 1)
+        self.integrand = integrand
+        self.spacings = mesh.spacings
+        self.tw = trapezoid_time_weights(T, M)
+        if integrand in ("v_sq", "source_sq"):
+            self.wgrid = weights.weight_grid(ts, nodes, s, k)
+            self.xw = _clipped_node_quadrature(nodes, lo, hi)
+        elif integrand == "a_vx_sq":
+            self.a_faces = np.asarray(weights.coef.eval(mesh.faces), dtype=float)
+            self.wgrid = weights.weight_grid(ts, mesh.faces, s, k)
+            self.xw = _clipped_cell_lengths(nodes, lo, hi)
+        else:
+            raise ValueError(f"unknown integrand {integrand!r}")
+
+    def field(self, vals) -> np.ndarray:
+        vals = np.asarray(vals, dtype=float)
+        if self.integrand == "a_vx_sq":
+            grads = np.diff(vals, axis=1) / self.spacings[None, :]
+            return self.a_faces[None, :] * grads * grads
+        return vals * vals
+
+    def contract(self, field: np.ndarray) -> float:
+        return float(np.einsum("m,mi,i->", self.tw, self.wgrid * field, self.xw))
+
+
+def spacetime_weighted_integrals(
+    stack,
+    weights: CarlemanWeights,
+    s: float,
+    k: float,
+    integrand: str,
+    region: Region = Region.Q,
+    omega=None,
+) -> np.ndarray:
+    """:func:`spacetime_weighted_integral` of every trajectory in ``stack``.
+
+    The trajectories must share one mesh and time grid; the weight grid is
+    built once and contracted against each sample in turn, so no stack of
+    products is ever held.
+    """
+    stack = list(stack)
+    if not stack:
+        raise ValueError("need at least one trajectory")
+    first = stack[0]
+    shape = first.values.shape
+    if any(t.mesh is not first.mesh or t.values.shape != shape or t.T != first.T
+           for t in stack):
+        raise ValueError("trajectories must share one mesh and time grid")
+    quad = _WeightedQuadrature(
+        first.mesh, first.T, shape[0] - 1, weights, s, k, integrand, region, omega
+    )
+    return np.array([quad.contract(quad.field(t.values)) for t in stack])
+
+
 def spacetime_weighted_integral(
     traj,
     weights: CarlemanWeights,
@@ -151,28 +233,9 @@ def spacetime_weighted_integral(
     coefficient.  Endpoint rows contribute nothing because the weight
     vanishes at t in {0, T}.
     """
-    vals = np.asarray(traj.values, dtype=float)
-    mesh = traj.mesh
-    nodes = mesh.nodes
-    ts = traj.times
-    if abs(traj.T - weights.T) > 1e-12 * max(1.0, weights.T):
-        raise ValueError("trajectory and weights disagree on the horizon")
-    lo, hi = _region_interval(region, weights, omega)
-    tw = trapezoid_time_weights(traj.T, vals.shape[0] - 1)
-
-    if integrand in ("v_sq", "source_sq"):
-        field = vals * vals
-        wgrid = weights.weight_grid(ts, nodes, s, k)
-        xw = _clipped_node_quadrature(nodes, lo, hi)
-        return float(np.einsum("m,mi,i->", tw, wgrid * field, xw))
-    if integrand == "a_vx_sq":
-        grads = np.diff(vals, axis=1) / mesh.spacings[None, :]
-        a_faces = np.asarray(weights.coef.eval(mesh.faces), dtype=float)
-        field = a_faces[None, :] * grads * grads
-        wgrid = weights.weight_grid(ts, mesh.faces, s, k)
-        lens = _clipped_cell_lengths(nodes, lo, hi)
-        return float(np.einsum("m,mi,i->", tw, wgrid * field, lens))
-    raise ValueError(f"unknown integrand {integrand!r}")
+    return float(
+        spacetime_weighted_integrals([traj], weights, s, k, integrand, region, omega)[0]
+    )
 
 
 class HardyCase(Enum):

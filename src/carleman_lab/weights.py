@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -368,6 +369,7 @@ class CarlemanWeights:
         self.coef = psi.coef
         self.psi_sup = psi.psi_sup
         self.c3 = float(np.exp(3.0 * self.lam * self.psi_sup))
+        self._shared: dict | None = None
 
     # -- scalar/array component evaluators ----------------------------------------
     def theta_time(self, t) -> np.ndarray:
@@ -408,6 +410,31 @@ class CarlemanWeights:
             raise ValueError(f"k must be >= 0, got {k}")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if self._shared is None:
+            return self._build_grid(ts, xs, s, k)
+        key = (float(s), float(k), ts.tobytes(), xs.tobytes())
+        grid = self._shared.get(key)
+        if grid is None:
+            grid = self._shared[key] = self._build_grid(ts, xs, s, k)
+            grid.flags.writeable = False
+        return grid
+
+    @contextmanager
+    def shared_grids(self):
+        """Build each distinct weight grid once while the block is open.
+
+        Inside the block :meth:`weight_grid` returns one read-only array per
+        distinct (ts, xs, s, k), so callers that evaluate the same integrals
+        for many samples share the grids instead of rebuilding them.  The
+        grids are dropped when the block closes.
+        """
+        outer, self._shared = self._shared, {}
+        try:
+            yield self
+        finally:
+            self._shared = outer
+
+    def _build_grid(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> np.ndarray:
         interior = (ts > 0.0) & (ts < self.T)
         eta = self.eta(xs)
         em = eta - self.c3

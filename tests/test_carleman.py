@@ -18,14 +18,15 @@ from carleman_lab.carleman import (
 from carleman_lab.coefficients import classify, make_power_coefficient
 from carleman_lab.pde_solver import (
     ProblemSpec,
+    _adjoint_march,
     boundary_regime_for,
     build_mesh,
     solve_adjoint,
     trapezoid_time_weights,
 )
-from carleman_lab.functionals import _clipped_node_quadrature
-from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
-from carleman_lab.weights import build_weights
+from carleman_lab.functionals import _clipped_cell_lengths, _clipped_node_quadrature
+from carleman_lab.sampling import STREAM_SOURCE, STREAM_TERMINAL, sample_fields
+from carleman_lab.weights import CarlemanWeights, build_weights
 
 
 def make_spec(gamma=0.5, N=64, M=48, T=2.0, omega=(0.3, 0.7)):
@@ -255,6 +256,83 @@ class TestSweep:
         res = carleman_sweep(spec, 3, [1e6], [50.0], seed=0, s_relative=False)
         assert res.summary["excluded_count"] == 3
         assert math.isnan(res.summary["empirical_C"])
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_batched_matches_per_sample_formula(self, gamma):
+        # reference: the per-call formula, one weight grid and one einsum per
+        # sample and integral, with the source tiled over time
+        spec = make_spec(gamma=gamma, N=32, M=24, T=10.0, omega=(0.02, 0.95))
+        nodes, faces = spec.mesh.nodes, spec.mesh.faces
+        assert not np.isin(spec.omega, nodes).any()  # omega clips its end cells
+        q, n, seed = 5.0 / 3.0, 3, 4
+        kw = dict(omega_prime=(0.05, 0.9), s_relative=True, zero_order_exponent=q)
+        res = carleman_sweep(spec, n, [1.0, 4.0], [2.0, 3.0], seed, **kw)
+
+        vts = sample_fields(seed, STREAM_TERMINAL, n, nodes)
+        fs = sample_fields(seed, STREAM_SOURCE, n, nodes)
+        vals, _, _ = _adjoint_march(spec, vts, F_const=fs)
+        ts = np.linspace(0.0, spec.T, spec.time_steps + 1)
+        tw = trapezoid_time_weights(spec.T, spec.time_steps)
+        xw_q = _clipped_node_quadrature(nodes, 0.0, 1.0)
+        xw_omega = _clipped_node_quadrature(nodes, *spec.omega)
+        lens = _clipped_cell_lengths(nodes, 0.0, 1.0)
+        a_faces = np.asarray(spec.coef.eval(faces), dtype=float)
+        ref = []
+        for lam in (2.0, 3.0):
+            wts = build_weights(spec.coef, lam, spec.T, 0.05, 0.9)
+            for s in (1.0 * stable_s0(wts), 4.0 * stable_s0(wts)):
+                sl = s * lam
+                for i in range(n):
+                    v = vals[i]
+                    grads = np.diff(v, axis=1) / spec.mesh.spacings[None, :]
+                    f = np.tile(fs[i], (spec.time_steps + 1, 1))
+
+                    def integral(xs, k, field, xw):
+                        grid = wts.weight_grid(ts, xs, s, k)
+                        return float(np.einsum("m,mi,i->", tw, grid * field, xw))
+
+                    lhs_grad = sl * integral(faces, 1.0, a_faces * grads * grads, lens)
+                    lhs_zero = sl**q * integral(nodes, q, v * v, xw_q)
+                    rhs_source = integral(nodes, 0.0, f * f, xw_q)
+                    rhs_local = sl**3 * integral(nodes, 3.0, v * v, xw_omega)
+                    ref.append({
+                        "sample": i, "s": s, "lambda": lam, "lhs_grad": lhs_grad,
+                        "lhs_zero": lhs_zero, "rhs_source": rhs_source,
+                        "rhs_local": rhs_local,
+                        "ratio": (lhs_grad + lhs_zero) / (rhs_source + rhs_local),
+                    })
+        assert res.summary["excluded_count"] == 0
+        assert res.rows == ref
+
+    def test_weight_grids_built_once_per_point(self, monkeypatch):
+        # every sample still asks for its four grids, but each (s, lambda)
+        # point builds them once whatever the number of samples
+        calls, builds = [], []
+        original_call = CarlemanWeights.weight_grid
+        original_build = CarlemanWeights._build_grid
+
+        def called(self, ts, xs, s, k):
+            calls.append((s, k))
+            return original_call(self, ts, xs, s, k)
+
+        def built(self, ts, xs, s, k):
+            builds.append((s, k))
+            return original_build(self, ts, xs, s, k)
+
+        monkeypatch.setattr(CarlemanWeights, "weight_grid", called)
+        monkeypatch.setattr(CarlemanWeights, "_build_grid", built)
+        spec = make_spec(N=24, M=16, T=10.0, omega=(0.02, 0.95))
+        s_grid, lambda_grid = [1.0, 2.0, 4.0], [2.0, 3.0]
+        points = len(s_grid) * len(lambda_grid)
+        for n_samples in (1, 5):
+            calls.clear()
+            builds.clear()
+            carleman_sweep(
+                spec, n_samples, s_grid, lambda_grid, seed=1,
+                omega_prime=(0.05, 0.9), s_relative=True,
+            )
+            assert len(builds) == 4 * points
+            assert len(calls) == 4 * n_samples * points
 
     def test_zero_order_exponent_variant_bounded(self):
         # quadratic zero-order exponent stays bounded away from the unit-ratio

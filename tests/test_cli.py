@@ -127,6 +127,34 @@ class TestValidation:
     def test_valid_config_passes(self):
         assert validate_config(base_classify_config("out")) == []
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mesh_n", float("inf"), "mesh_n: must be a finite number, got inf"),
+            ("mesh_n", float("nan"), "mesh_n: must be a finite number, got nan"),
+            ("T", float("inf"), "T: must be a finite number, got inf"),
+            ("T", float("nan"), "T: must be a finite number, got nan"),
+            ("epsilon", float("inf"), "epsilon: must be a finite number, got inf"),
+            ("epsilon", float("nan"), "epsilon: must be a finite number, got nan"),
+            ("s_grid", [1, float("inf")], "s_grid: entries must be finite numbers, got [1, inf]"),
+        ],
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, field, value, message):
+        # JSON Infinity/NaN parse to floats; each must be a field-level error
+        cfg = {
+            "experiment": "null_control" if field == "epsilon" else "carleman_sweep",
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "lambda_grid": [2.0],
+            "s_grid": [1.0],
+            "output_dir": str(tmp_path / "out"),
+            field: value,
+        }
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not (tmp_path / "out").exists()
+
 
 class TestMain:
     def test_validate_subcommand(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from carleman_lab.functionals import (
     aux_hardy_p,
     hardy_ratio,
     spacetime_weighted_integral,
+    spacetime_weighted_integrals,
     weighted_norm,
 )
 from carleman_lab.pde_solver import Direction, Trajectory, build_mesh
@@ -131,6 +132,36 @@ class TestSpacetimeIntegral:
         traj = _traj_of(lambda t, x: np.ones_like(x), mesh, 1.0, 8)
         with pytest.raises(ValueError, match="horizon"):
             spacetime_weighted_integral(traj, weights, 1.0, 0.0, "v_sq")
+
+    @pytest.mark.parametrize("integrand", ["v_sq", "a_vx_sq", "source_sq"])
+    @pytest.mark.parametrize("region", [Region.Q, Region.Q_OMEGA, Region.Q_OMEGA_PRIME])
+    def test_stack_matches_each_sample(self, setup, integrand, region):
+        _, weights, mesh = setup
+        omega = (0.27, 0.73)  # clips the cells around both ends
+        assert not np.isin(omega, mesh.nodes).any()
+        stack = [
+            _traj_of(lambda t, x, c=c: np.sin(c * np.pi * x) * (1 + c * t), mesh, self.T, 24)
+            for c in (1.0, 2.0, 3.0)
+        ]
+        batched = spacetime_weighted_integrals(
+            stack, weights, 1.5, 1.0, integrand, region, omega
+        )
+        single = [
+            spacetime_weighted_integral(t, weights, 1.5, 1.0, integrand, region, omega)
+            for t in stack
+        ]
+        assert batched.shape == (3,)
+        assert batched.tolist() == single
+        assert all(v > 0.0 for v in single)
+
+    def test_stack_must_share_the_grid(self, setup):
+        _, weights, mesh = setup
+        a = _traj_of(lambda t, x: np.ones_like(x), mesh, self.T, 8)
+        b = _traj_of(lambda t, x: np.ones_like(x), mesh, self.T, 16)
+        with pytest.raises(ValueError, match="share"):
+            spacetime_weighted_integrals([a, b], weights, 1.0, 0.0, "v_sq")
+        with pytest.raises(ValueError, match="at least one"):
+            spacetime_weighted_integrals([], weights, 1.0, 0.0, "v_sq")
 
     def test_quadrature_converges_under_joint_refinement(self, setup):
         coef, weights, _ = setup

@@ -183,6 +183,18 @@ class TestWeightEvaluation:
             v = eval_weight(weights, float(ti), float(xi), 1.0, 0.0)
             assert 0.0 <= v < 1.0
 
+    def test_shared_grids_build_each_grid_once(self, weights):
+        ts, xs = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)
+        plain = weights.weight_grid(ts, xs, 2.0, 1.5)
+        with weights.shared_grids():
+            first = weights.weight_grid(ts, xs, 2.0, 1.5)
+            assert weights.weight_grid(ts.copy(), xs.copy(), 2.0, 1.5) is first
+            assert weights.weight_grid(ts, xs, 2.0, 3.0) is not first
+            assert not first.flags.writeable
+        np.testing.assert_array_equal(first, plain)
+        after = weights.weight_grid(ts, xs, 2.0, 1.5)
+        assert after is not first and after.flags.writeable
+
     def test_underflow_clamp(self, weights):
         # enormous s pushes the exponent below -700: exact zero, no subnormals
         assert eval_weight(weights, 0.5, 0.5, 1e6, 0.0) == 0.0

@@ -118,15 +118,18 @@ def carleman_sides(
     grad = _WeightedQuadrature(*grid, 1.0, "a_vx_sq")
     zero = _WeightedQuadrature(*grid, q, "v_sq")
     local = _WeightedQuadrature(*grid, 3.0, "v_sq", Region.Q_OMEGA, spec.omega)
-    v_sq = zero.field(traj.values)
-    lhs_grad = sl * grad.contract(grad.field(traj.values))
-    lhs_zero = sl**q * zero.contract(v_sq)
+    lhs_grad = sl * grad.integral(traj.values)
+    lhs_zero = sl**q * zero.integral(traj.values)
     if F is None:
         rhs_source = 0.0
     else:
-        source = _WeightedQuadrature(*grid, 0.0, "source_sq")
-        rhs_source = source.contract(source.field(_field_on_grid(F, traj).values))
-    rhs_local = sl**3 * local.contract(v_sq)
+        f = _field_on_grid(F, traj).values
+        # a source broadcast over the time steps needs only its first row
+        source = _WeightedQuadrature(
+            *grid, 0.0, "source_sq", time_constant=f.strides[0] == 0
+        )
+        rhs_source = source.integral(f)
+    rhs_local = sl**3 * local.integral(traj.values)
     denom = rhs_source + rhs_local
     degenerate = denom < DEGENERATE_DENOMINATOR
     return CarlemanReport(
@@ -191,8 +194,9 @@ def carleman_sweep(
     marched together in one batched backward solve.  Conversely the weight
     grids do not depend on the sample, so each (s, lambda) point builds its
     four grids once and shares them across the samples' ``carleman_sides``
-    calls.  ``empirical_C`` is NaN when every sample at every point is
-    degenerate.
+    calls.  Degenerate samples and non-finite ratios are excluded from the
+    per-point statistics; ``empirical_C`` is NaN when every sample at every
+    point is excluded.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -249,7 +253,7 @@ def carleman_sweep(
                         "ratio": rep.ratio,
                     }
                 )
-                if rep.degenerate:
+                if rep.degenerate or not math.isfinite(rep.ratio):
                     excluded += 1
                 else:
                     ratios.append(rep.ratio)

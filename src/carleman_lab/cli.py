@@ -59,6 +59,10 @@ from .sampling import (
 )
 from .weights import build_weights, default_omega_prime
 
+# Upper bound of every size and count field (mesh cells, time steps, samples,
+# resolutions, iterations): larger values exit 2 instead of reaching numpy.
+MAX_SIZE = 1_000_000
+
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -100,30 +104,51 @@ def validate_config(cfg: dict) -> list[str]:
             except (KeyError, ValueError, TypeError) as exc:
                 errors.append(f"coefficient: {exc}")
 
-    def check_number(name, lo=None, hi=None, strict_lo=False):
-        if name not in cfg:
-            return
-        v = cfg[name]
+    def check_value(label, v, lo=None, hi=None, strict_lo=False) -> bool:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            errors.append(f"{name}: must be a number, got {v!r}")
-            return
+            errors.append(f"{label}: must be a number, got {v!r}")
+            return False
         if isinstance(v, float) and not math.isfinite(v):
-            errors.append(f"{name}: must be a finite number, got {v}")
-            return
+            errors.append(f"{label}: must be a finite number, got {v}")
+            return False
         if lo is not None and (v <= lo if strict_lo else v < lo):
-            errors.append(f"{name}: must be {'>' if strict_lo else '>='} {lo}, got {v}")
+            errors.append(f"{label}: must be {'>' if strict_lo else '>='} {lo}, got {v}")
+            return False
         if hi is not None and v > hi:
-            errors.append(f"{name}: must be <= {hi}, got {v}")
+            errors.append(f"{label}: must be <= {hi}, got {v}")
+            return False
+        return True
+
+    def check_number(name, lo=None, hi=None, strict_lo=False):
+        if name in cfg:
+            check_value(name, cfg[name], lo, hi, strict_lo)
 
     check_number("T", 0, strict_lo=True)
-    check_number("mesh_n", 8)
+    check_number("mesh_n", 8, MAX_SIZE)
     check_number("mesh_grading", 1.0, 4.0)
-    check_number("time_steps", 1)
-    check_number("n_samples", 1)
+    check_number("time_steps", 1, MAX_SIZE)
+    check_number("n_samples", 1, MAX_SIZE)
     check_number("seed", 0)
     check_number("epsilon", 0, strict_lo=True)
     check_number("s", 0, strict_lo=True)
     check_number("lambda", 0, strict_lo=True)
+    check_number("zero_order_exponent", 0, strict_lo=True)
+    check_number("resolution", 2, MAX_SIZE)
+    check_number("cg_max_iter", 1, MAX_SIZE)
+    check_number("cg_tol", 0, strict_lo=True)
+    check_number("grid_size", 64, MAX_SIZE)
+    check_number("spatial_time_steps", 1, MAX_SIZE)
+    check_number("temporal_mesh_n", 8, MAX_SIZE)
+    check_number("terminal_threshold_rel", 0, strict_lo=True)
+    check_number("residual_threshold", 0, strict_lo=True)
+    for name, lo in (("spatial_n", 8), ("temporal_m", 1)):
+        if name in cfg:
+            v = cfg[name]
+            if not isinstance(v, list) or len(v) < 2:
+                errors.append(f"{name}: must be a list of at least two sizes, got {v!r}")
+            elif all([check_value(f"{name}[{i}]", e, lo, MAX_SIZE) for i, e in enumerate(v)]):
+                if any(int(a) >= int(b) for a, b in zip(v, v[1:])):
+                    errors.append(f"{name}: sizes must increase, got {v}")
 
     for name in ("omega", "omega_prime"):
         if name in cfg:
@@ -677,7 +702,7 @@ def run_experiment(cfg: dict, outdir: Path) -> int:
     log(f"seed: {seed} (generator {GENERATOR_NAME})")
     try:
         tables, results, invariants = EXPERIMENTS[exp].run(cfg, seed, log, outdir)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         log(f"error: {exc}")
         (outdir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
         print("\n".join(log_lines))

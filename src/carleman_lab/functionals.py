@@ -139,12 +139,18 @@ def _clipped_cell_lengths(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray
 class _WeightedQuadrature:
     """The sample-independent half of :func:`spacetime_weighted_integral`.
 
-    Holds the weight grid exp(2*s*phi)*sigma**k for one (s, k) on the
-    abscissae of the integrand (nodes, or faces for ``a_vx_sq``), the
-    trapezoid time weights and the clipped space quadrature of the region,
-    so that one build serves every trajectory on the same mesh and time
-    grid.  ``field`` squares a trajectory's values into the integrand and
-    ``contract`` integrates a field against the weight.
+    Folds the trapezoid time weights ``tw``, the clipped space quadrature
+    ``xw`` of the region and the weight grid ``w`` = exp(2*s*phi)*sigma**k
+    for one (s, k) into one grid G[m, i] = tw[m]*w[m, i]*xw[i] on the
+    abscissae of the integrand: nodes, or faces for ``a_vx_sq``, whose
+    ``xw`` also absorbs a/h**2.  G is cut to the box of its nonzero entries
+    (the time endpoints, the underflow clamp and the outside of the region
+    drop out), and an integral is one pass sum(G*u*u) over the box, where u
+    is the trajectory's values or, for ``a_vx_sq``, their face differences.
+    A ``time_constant`` quadrature keeps only the column sums of G and
+    integrates the first row of a field that does not depend on time.
+    While :meth:`CarlemanWeights.shared_grids` is open, each folded grid is
+    built once per (s, k, integrand, region) and shared.
     """
 
     def __init__(
@@ -158,34 +164,65 @@ class _WeightedQuadrature:
         integrand: str,
         region: Region = Region.Q,
         omega=None,
+        time_constant: bool = False,
     ):
         if abs(T - weights.T) > 1e-12 * max(1.0, weights.T):
             raise ValueError("trajectory and weights disagree on the horizon")
         lo, hi = _region_interval(region, weights, omega)
         nodes = mesh.nodes
         ts = np.linspace(0.0, T, M + 1)
-        self.integrand = integrand
-        self.spacings = mesh.spacings
-        self.tw = trapezoid_time_weights(T, M)
         if integrand in ("v_sq", "source_sq"):
-            self.wgrid = weights.weight_grid(ts, nodes, s, k)
-            self.xw = _clipped_node_quadrature(nodes, lo, hi)
+            xs = nodes
         elif integrand == "a_vx_sq":
-            self.a_faces = np.asarray(weights.coef.eval(mesh.faces), dtype=float)
-            self.wgrid = weights.weight_grid(ts, mesh.faces, s, k)
-            self.xw = _clipped_cell_lengths(nodes, lo, hi)
+            xs = mesh.faces
         else:
             raise ValueError(f"unknown integrand {integrand!r}")
+        self.integrand = integrand
+        self.time_constant = time_constant
+        wgrid = weights.weight_grid(ts, xs, s, k)
 
-    def field(self, vals) -> np.ndarray:
+        def fold():
+            if integrand == "a_vx_sq":
+                a_faces = np.asarray(weights.coef.eval(mesh.faces), dtype=float)
+                xw = _clipped_cell_lengths(nodes, lo, hi) * a_faces / mesh.spacings**2
+            else:
+                xw = _clipped_node_quadrature(nodes, lo, hi)
+            return _fold(wgrid, trapezoid_time_weights(T, M), xw, time_constant)
+
+        key = ("quadrature", integrand, float(s), float(k), float(lo), float(hi),
+               time_constant, ts.tobytes(), nodes.tobytes())
+        self.rows, self.cols, self.grid = weights.shared(key, fold)
+
+    def integral(self, vals) -> float:
         vals = np.asarray(vals, dtype=float)
+        rows = 0 if self.time_constant else self.rows
         if self.integrand == "a_vx_sq":
-            grads = np.diff(vals, axis=1) / self.spacings[None, :]
-            return self.a_faces[None, :] * grads * grads
-        return vals * vals
+            u = np.diff(vals[rows, self.cols.start : self.cols.stop + 1], axis=-1)
+        else:
+            u = vals[rows, self.cols]
+        spec = "i,i,i->" if self.time_constant else "mi,mi,mi->"
+        return float(np.einsum(spec, self.grid, u, u))
 
-    def contract(self, field: np.ndarray) -> float:
-        return float(np.einsum("m,mi,i->", self.tw, self.wgrid * field, self.xw))
+
+def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool):
+    """(rows, cols, G) with G = tw[:, None]*wgrid*xw[None, :] on the box
+    rows x cols of its nonzero entries, or G's column sums over that box."""
+    live = wgrid != 0.0
+    live &= (tw != 0.0)[:, None]
+    live &= (xw != 0.0)[None, :]
+    rows = np.flatnonzero(live.any(axis=1))
+    cols = np.flatnonzero(live.any(axis=0))
+    if rows.size == 0:
+        rows = cols = slice(0, 0)
+    else:
+        rows = slice(rows[0], rows[-1] + 1)
+        cols = slice(cols[0], cols[-1] + 1)
+    grid = wgrid[rows, cols] * tw[rows, None]
+    grid *= xw[None, cols]
+    if time_constant:
+        grid = grid.sum(axis=0)
+    grid.flags.writeable = False
+    return rows, cols, grid
 
 
 def spacetime_weighted_integrals(
@@ -199,9 +236,9 @@ def spacetime_weighted_integrals(
 ) -> np.ndarray:
     """:func:`spacetime_weighted_integral` of every trajectory in ``stack``.
 
-    The trajectories must share one mesh and time grid; the weight grid is
-    built once and contracted against each sample in turn, so no stack of
-    products is ever held.
+    The trajectories must share one mesh and time grid; the folded
+    quadrature grid is built once and contracted against each sample in
+    turn, so no stack of products is ever held.
     """
     stack = list(stack)
     if not stack:
@@ -214,7 +251,7 @@ def spacetime_weighted_integrals(
     quad = _WeightedQuadrature(
         first.mesh, first.T, shape[0] - 1, weights, s, k, integrand, region, omega
     )
-    return np.array([quad.contract(quad.field(t.values)) for t in stack])
+    return np.array([quad.integral(t.values) for t in stack])
 
 
 def spacetime_weighted_integral(

@@ -410,23 +410,20 @@ class CarlemanWeights:
             raise ValueError(f"k must be >= 0, got {k}")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if self._shared is None:
-            return self._build_grid(ts, xs, s, k)
-        key = (float(s), float(k), ts.tobytes(), xs.tobytes())
-        grid = self._shared.get(key)
-        if grid is None:
-            grid = self._shared[key] = self._build_grid(ts, xs, s, k)
-            grid.flags.writeable = False
-        return grid
+        return self.shared(
+            ("weight", float(s), float(k), ts.tobytes(), xs.tobytes()),
+            lambda: self._build_grid(ts, xs, s, k),
+        )
 
     @contextmanager
     def shared_grids(self):
-        """Build each distinct weight grid once while the block is open.
+        """Build each distinct grid once while the block is open.
 
         Inside the block :meth:`weight_grid` returns one read-only array per
-        distinct (ts, xs, s, k), so callers that evaluate the same integrals
-        for many samples share the grids instead of rebuilding them.  The
-        grids are dropped when the block closes.
+        distinct (ts, xs, s, k), and :meth:`shared` keeps one value per key,
+        so callers that evaluate the same integrals for many samples share
+        the grids instead of rebuilding them.  The grids are dropped when the
+        block closes.
         """
         outer, self._shared = self._shared, {}
         try:
@@ -434,21 +431,48 @@ class CarlemanWeights:
         finally:
             self._shared = outer
 
+    def shared(self, key, build):
+        """``build()``, kept under ``key`` while :meth:`shared_grids` is open.
+
+        Inside the block the first request of a key builds the value and
+        every later one returns it; an array value is made read-only.
+        Outside the block every request builds afresh.
+        """
+        if self._shared is None:
+            return build()
+        value = self._shared.get(key)
+        if value is None:
+            value = self._shared[key] = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return value
+
     def _build_grid(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> np.ndarray:
-        interior = (ts > 0.0) & (ts < self.T)
-        eta = self.eta(xs)
-        em = eta - self.c3
         out = np.zeros((ts.size, xs.size))
-        if np.any(interior):
-            ti = ts[interior]
-            g = ti * (self.T - ti)
-            th = g**-4
-            expo = 2.0 * s * np.outer(th, em)
-            if k > 0.0:
-                log_sigma = -4.0 * np.log(g)[:, None] + np.log(eta)[None, :]
-                expo = expo + k * log_sigma
-            vals = np.where(expo > UNDERFLOW_EXPONENT, np.exp(expo), 0.0)
-            out[interior] = vals
+        rows = np.flatnonzero((ts > 0.0) & (ts < self.T))
+        if rows.size == 0:
+            return out
+        # the exponent is built in place in the interior rows of ``out`` (in a
+        # buffer when those rows are not contiguous), in the same operation
+        # order as exp(2*s*outer(theta, eta - c3) + k*log(sigma))
+        contiguous = rows[-1] - rows[0] + 1 == rows.size
+        expo = out[rows[0] : rows[-1] + 1] if contiguous else np.empty((rows.size, xs.size))
+        ti = ts[rows]
+        g = ti * (self.T - ti)
+        eta = self.eta(xs)
+        np.multiply.outer(g**-4, eta - self.c3, out=expo)
+        expo *= 2.0 * s
+        if k > 0.0:
+            log_sigma = np.add.outer(-4.0 * np.log(g), np.log(eta))
+            log_sigma *= k
+            expo += log_sigma
+            del log_sigma
+        keep = expo > UNDERFLOW_EXPONENT
+        np.exp(expo, out=expo, where=keep)
+        np.logical_not(keep, out=keep)
+        expo[keep] = 0.0
+        if not contiguous:
+            out[rows] = expo
         return out
 
     def weight(self, t, x, s: float, k: float):

@@ -18,12 +18,14 @@ from carleman_lab.carleman import (
 from carleman_lab.coefficients import classify, make_power_coefficient
 from carleman_lab.pde_solver import (
     ProblemSpec,
+    Trajectory,
     _adjoint_march,
     boundary_regime_for,
     build_mesh,
     solve_adjoint,
     trapezoid_time_weights,
 )
+from carleman_lab import functionals
 from carleman_lab.functionals import _clipped_cell_lengths, _clipped_node_quadrature
 from carleman_lab.sampling import STREAM_SOURCE, STREAM_TERMINAL, sample_fields
 from carleman_lab.weights import CarlemanWeights, build_weights
@@ -223,6 +225,34 @@ class TestCarlemanSides:
             vals.append(rep.ratio)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.10
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_same_inside_and_outside_shared_grids(self, gamma):
+        spec = make_spec(gamma=gamma, N=32, M=24, T=10.0, omega=(0.02, 0.95))
+        wts = build_weights(spec.coef, 2.0, spec.T, 0.05, 0.9)
+        vt = np.sin(np.pi * spec.mesh.nodes)
+        f_row = np.cos(3.0 * spec.mesh.nodes)
+        F = lambda t, x: np.interp(x, spec.mesh.nodes, f_row)
+        traj = solve_adjoint(spec, vt, F=F)
+        shape = traj.values.shape
+        broadcast = Trajectory(np.broadcast_to(f_row, shape), spec.mesh, spec.T, traj.direction)
+        tiled = Trajectory(np.tile(f_row, (shape[0], 1)), spec.mesh, spec.T, traj.direction)
+        for s_rel in (1.0, 16.0):
+            params = CarlemanParams(s_rel * stable_s0(wts), 2.0)
+            calls = [
+                lambda: carleman_sides(spec, vt, F, wts, params),
+                lambda: carleman_sides(spec, vt, broadcast, wts, params, traj=traj),
+                lambda: carleman_sides(spec, vt, tiled, wts, params, traj=traj),
+            ]
+            outside = [call() for call in calls]
+            with wts.shared_grids():
+                inside = [call() for call in calls] + [call() for call in calls]
+            assert inside == outside + outside
+            # the broadcast source goes through the column sums of its grid
+            assert outside[1].rhs_source == pytest.approx(
+                outside[2].rhs_source, rel=1e-13, abs=0.0
+            )
+            assert outside[0] == outside[2]
+
 
 class TestSweep:
     def test_single_point_single_sample(self):
@@ -302,7 +332,14 @@ class TestSweep:
                         "ratio": (lhs_grad + lhs_zero) / (rhs_source + rhs_local),
                     })
         assert res.summary["excluded_count"] == 0
-        assert res.rows == ref
+        # the folded grids sum in another order: rounding-level drift only
+        assert len(res.rows) == len(ref)
+        for row, want in zip(res.rows, ref):
+            assert (row["sample"], row["s"], row["lambda"]) == (
+                want["sample"], want["s"], want["lambda"]
+            )
+            for key in ("lhs_grad", "lhs_zero", "rhs_source", "rhs_local", "ratio"):
+                assert row[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
 
     def test_weight_grids_built_once_per_point(self, monkeypatch):
         # every sample still asks for its four grids, but each (s, lambda)
@@ -333,6 +370,53 @@ class TestSweep:
             )
             assert len(builds) == 4 * points
             assert len(calls) == 4 * n_samples * points
+
+    def test_folded_grids_built_once_per_point(self, monkeypatch):
+        # the four folded quadrature grids of a point, one per (k, region),
+        # are built once whatever the number of samples, while every sample
+        # still asks for its four weight grids
+        calls, folds = [], []
+        original_call = CarlemanWeights.weight_grid
+        original_fold = functionals._fold
+
+        def called(self, ts, xs, s, k):
+            calls.append((self.lam, s, k))
+            return original_call(self, ts, xs, s, k)
+
+        def folded(wgrid, tw, xw, time_constant):
+            folds.append(time_constant)
+            return original_fold(wgrid, tw, xw, time_constant)
+
+        monkeypatch.setattr(CarlemanWeights, "weight_grid", called)
+        monkeypatch.setattr(functionals, "_fold", folded)
+        spec = make_spec(N=24, M=16, T=10.0, omega=(0.02, 0.95))
+        s_grid, lambda_grid = [1.0, 2.0, 4.0], [2.0, 3.0]
+        points = len(s_grid) * len(lambda_grid)
+        for n_samples in (1, 5):
+            calls.clear()
+            folds.clear()
+            carleman_sweep(
+                spec, n_samples, s_grid, lambda_grid, seed=1,
+                omega_prime=(0.05, 0.9), s_relative=True,
+            )
+            assert len(folds) == 4 * points
+            # the time-constant source keeps only column sums
+            assert folds.count(True) == points
+            assert len(calls) == 4 * n_samples * points
+            assert len(set(calls)) == 4 * points
+
+    def test_non_finite_ratio_is_not_valid(self):
+        # a NaN exponent makes every ratio NaN without a degenerate
+        # denominator; no such sample may count as valid
+        spec = make_spec(N=24, M=16, T=10.0, omega=(0.02, 0.95))
+        res = carleman_sweep(
+            spec, 3, [1.0, 2.0], [2.0], seed=1, omega_prime=(0.05, 0.9),
+            s_relative=True, zero_order_exponent=float("nan"),
+        )
+        assert all(math.isnan(r["ratio"]) for r in res.rows)
+        assert res.summary["excluded_count"] == len(res.rows) == 6
+        assert [p["n_valid"] for p in res.summary["per_point"]] == [0, 0]
+        assert math.isnan(res.summary["empirical_C"])
 
     def test_zero_order_exponent_variant_bounded(self):
         # quadratic zero-order exponent stays bounded away from the unit-ratio

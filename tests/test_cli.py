@@ -155,6 +155,60 @@ class TestValidation:
             assert capsys.readouterr().err.strip() == f"config error: {message}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "exp, field, value, message",
+        [
+            ("carleman_sweep", "zero_order_exponent", float("nan"),
+             "zero_order_exponent: must be a finite number, got nan"),
+            ("carleman_sweep", "zero_order_exponent", 0,
+             "zero_order_exponent: must be > 0, got 0"),
+            ("carleman_sweep", "mesh_n", 1e300, "mesh_n: must be <= 1000000, got 1e+300"),
+            ("lemma_checks", "resolution", float("inf"),
+             "resolution: must be a finite number, got inf"),
+            ("lemma_checks", "resolution", 1, "resolution: must be >= 2, got 1"),
+            ("lemma_checks", "time_steps", 2e6, "time_steps: must be <= 1000000, got 2000000.0"),
+            ("lemma_checks", "residual_threshold", 0, "residual_threshold: must be > 0, got 0"),
+            ("energy", "n_samples", 1e7, "n_samples: must be <= 1000000, got 10000000.0"),
+            ("null_control", "cg_max_iter", float("inf"),
+             "cg_max_iter: must be a finite number, got inf"),
+            ("null_control", "cg_max_iter", 0, "cg_max_iter: must be >= 1, got 0"),
+            ("null_control", "cg_tol", -1e-8, "cg_tol: must be > 0, got -1e-08"),
+            ("null_control", "terminal_threshold_rel", "x",
+             "terminal_threshold_rel: must be a number, got 'x'"),
+            ("classify", "grid_size", 32, "grid_size: must be >= 64, got 32"),
+            ("classify", "grid_size", 1e300, "grid_size: must be <= 1000000, got 1e+300"),
+            ("convergence", "spatial_time_steps", float("inf"),
+             "spatial_time_steps: must be a finite number, got inf"),
+            ("convergence", "temporal_mesh_n", 4, "temporal_mesh_n: must be >= 8, got 4"),
+            ("convergence", "spatial_n", [32, float("inf")],
+             "spatial_n[1]: must be a finite number, got inf"),
+            ("convergence", "spatial_n", [16, 2e6],
+             "spatial_n[1]: must be <= 1000000, got 2000000.0"),
+            ("convergence", "temporal_m", [8],
+             "temporal_m: must be a list of at least two sizes, got [8]"),
+            ("convergence", "temporal_m", [8, 8.5], "temporal_m: sizes must increase, got [8, 8.5]"),
+        ],
+    )
+    def test_field_error_exit_2(self, tmp_path, capsys, exp, field, value, message):
+        cfg = {
+            "experiment": exp,
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "lambda_grid": [2.0],
+            "s_grid": [1.0],
+            "output_dir": str(tmp_path / "out"),
+            field: value,
+        }
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_size_fields_accept_the_cap(self):
+        cfg = base_classify_config("out")
+        cfg.update(grid_size=1_000_000, cg_max_iter=1_000_000, spatial_n=[8, 1_000_000])
+        assert validate_config(cfg) == []
+
 
 class TestMain:
     def test_validate_subcommand(self, tmp_path, capsys):
@@ -213,6 +267,43 @@ class TestMain:
         assert run_experiment(base_classify_config(str(out)), out) == 2
         assert capsys.readouterr().err.strip() == message
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "exc", [FloatingPointError("overflow encountered in exp"), OverflowError("math range error")]
+    )
+    def test_arithmetic_error_exit_1(self, tmp_path, monkeypatch, exc):
+        def fails(cfg, seed, log, outdir):
+            log("started")
+            raise exc
+
+        monkeypatch.setitem(EXPERIMENTS, "classify", EXPERIMENTS["classify"]._replace(run=fails))
+        out = tmp_path / "out"
+        assert run_experiment(base_classify_config(str(out)), out) == 1
+        assert (out / "run.log").read_text().splitlines()[-2:] == ["started", f"error: {exc}"]
+        assert not (out / "summary.json").exists()
+
+    def test_nan_ratios_fail_the_valid_sample_invariant(self, tmp_path):
+        # run_experiment does not validate: a NaN exponent reaches the sweep,
+        # whose ratios are then all NaN and none is a valid sample
+        cfg = {
+            "experiment": "carleman_sweep",
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "T": 10.0,
+            "mesh_n": 16,
+            "time_steps": 16,
+            "omega": [0.02, 0.95],
+            "lambda_grid": [2.0],
+            "s_grid": [1.0],
+            "n_samples": 2,
+            "zero_order_exponent": float("nan"),
+        }
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.isnan(summary["results"]["empirical_C"])
+        assert summary["results"]["excluded_count"] == 2
+        failed = [i["name"] for i in summary["invariants"] if not i["passed"]]
+        assert failed == ["every (s, lambda) point has a valid sample"]
 
     def test_classify_violation_exit_1(self, tmp_path):
         out = tmp_path / "out"

@@ -195,6 +195,54 @@ class TestWeightEvaluation:
         after = weights.weight_grid(ts, xs, 2.0, 1.5)
         assert after is not first and after.flags.writeable
 
+    def test_shared_keeps_one_value_per_key(self, weights):
+        builds = []
+
+        def build():
+            builds.append(1)
+            return np.arange(3.0)
+
+        assert weights.shared("key", build) is not weights.shared("key", build)
+        assert len(builds) == 2
+        with weights.shared_grids():
+            first = weights.shared("key", build)
+            assert weights.shared("key", build) is first
+            assert weights.shared("other", build) is not first
+            assert not first.flags.writeable
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize("k", [0.0, 5.0 / 3.0, 3.0])
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_in_place_build_matches_formula(self, k, ordered):
+        # the out-of-place chain the grid builder replaced
+        def formula(w, ts, xs, s, k):
+            interior = (ts > 0.0) & (ts < w.T)
+            eta = w.eta(xs)
+            em = eta - w.c3
+            out = np.zeros((ts.size, xs.size))
+            ti = ts[interior]
+            g = ti * (w.T - ti)
+            expo = 2.0 * s * np.outer(g**-4, em)
+            if k > 0.0:
+                log_sigma = -4.0 * np.log(g)[:, None] + np.log(eta)[None, :]
+                expo = expo + k * log_sigma
+            out[interior] = np.where(expo > -700.0, np.exp(expo), 0.0)
+            return out
+
+        w = build_weights(make_power_coefficient(1.5), 3.0, 2.0, 0.3, 0.7)
+        ts = np.linspace(0.0, 2.0, 41)
+        if not ordered:
+            # interior rows split by an endpoint row: built in a buffer
+            ts = np.concatenate([ts[20:], ts[:20]])
+        xs = np.linspace(0.0, 1.0, 33)
+        for s in (1e-6, 1e-4, 1e-3):
+            grid = w.weight_grid(ts, xs, s, k)
+            np.testing.assert_array_equal(grid, formula(w, ts, xs, s, k))
+            assert not grid[ts == 0.0].any() and not grid[ts == 2.0].any()
+        # the largest s clamps part, but not all, of the interior rows
+        inner = grid[(ts > 0.0) & (ts < 2.0)]
+        assert 0 < np.count_nonzero(inner) < inner.size
+
     def test_underflow_clamp(self, weights):
         # enormous s pushes the exponent below -700: exact zero, no subnormals
         assert eval_weight(weights, 0.5, 0.5, 1e6, 0.0) == 0.0

@@ -62,6 +62,9 @@ from .weights import build_weights, default_omega_prime
 # Upper bound of every size and count field (mesh cells, time steps, samples,
 # resolutions, iterations): larger values exit 2 instead of reaching numpy.
 MAX_SIZE = 1_000_000
+# Upper bound of the entries of the largest field block a run allocates: the
+# space-time grid times the samples marched together (400 MB of float64).
+MAX_GRID_ENTRIES = 50_000_000
 
 
 def _fmt(v) -> str:
@@ -70,9 +73,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write dict rows, or the rows of a 2-d float array in header order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            # one formatting pass, the same text as _fmt gives each float
+            line = ",".join(["%.17g"] * len(header)) + "\n"
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+            return
         for row in rows:
             fh.write(",".join(_fmt(row[h]) for h in header) + "\n")
 
@@ -174,6 +183,16 @@ def validate_config(cfg: dict) -> list[str]:
                 f"(mesh_n={mesh.n_cells}, mesh_grading={mesh.grading_exponent:g})"
             )
 
+    sizes_ok = not any(e.startswith(("mesh_n:", "time_steps:", "n_samples:")) for e in errors)
+    if EXPERIMENTS[exp].builds_spec and sizes_ok:
+        mesh_n, time_steps = int(cfg.get("mesh_n", 128)), int(cfg.get("time_steps", 128))
+        entries = (mesh_n + 1) * (time_steps + 1) * max(1, _n_samples(cfg))
+        if entries > MAX_GRID_ENTRIES:
+            errors.append(
+                "mesh_n, time_steps, n_samples: (mesh_n+1)*(time_steps+1)*max(1, n_samples) "
+                f"must be <= {MAX_GRID_ENTRIES}, got {entries}"
+            )
+
     for name in ("lambda_grid", "s_grid", "epsilon_grid"):
         if name in cfg:
             v = cfg[name]
@@ -217,6 +236,11 @@ def _env_seed():
 def _effective_seed(cfg: dict) -> int:
     env = _env_seed()
     return env if env is not None else int(cfg.get("seed", 0))
+
+
+def _n_samples(cfg: dict) -> int:
+    """The configured sample count, or the experiment's default."""
+    return int(cfg.get("n_samples", EXPERIMENTS[cfg["experiment"]].n_samples))
 
 
 def _mesh_and_omega(cfg: dict):
@@ -300,7 +324,7 @@ def _exp_hardy(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     mesh = build_mesh(int(cfg.get("mesh_n", 512)), float(cfg.get("mesh_grading", 2.0)))
-    n_samples = int(cfg.get("n_samples", 50))
+    n_samples = _n_samples(cfg)
     case = HardyCase.CASE_A if rep.regime is Regime.WDC else HardyCase.CASE_B
     draws = sample_fields(seed, STREAM_TERMINAL, n_samples, mesh.nodes)
     rows = []
@@ -349,7 +373,7 @@ def _exp_energy(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     spec = _build_problem(cfg, coef, rep)
-    n_samples = int(cfg.get("n_samples", 20))
+    n_samples = _n_samples(cfg)
     u0s = sample_fields(seed, STREAM_INITIAL, n_samples, spec.mesh.nodes)
     hs = sample_fields(seed, STREAM_CONTROL, n_samples, spec.mesh.nodes)
     rows = []
@@ -374,7 +398,7 @@ def _exp_carleman_sweep(cfg, seed, log, outdir):
     omega_prime = tuple(cfg["omega_prime"]) if "omega_prime" in cfg else None
     res = carleman_sweep(
         spec,
-        n_samples=int(cfg.get("n_samples", 10)),
+        n_samples=_n_samples(cfg),
         s_grid=list(cfg["s_grid"]),
         lambda_grid=list(cfg["lambda_grid"]),
         seed=seed,
@@ -452,7 +476,7 @@ def _exp_lemma_checks(cfg, seed, log, outdir):
         )
         log(f"identity residual [{f.name}]: {fine:.3e} (coarse {coarse:.3e})")
 
-    n_samples = int(cfg.get("n_samples", 10))
+    n_samples = _n_samples(cfg)
     vts = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     trajs, _, _ = _adjoint_march(spec, vts)
     sign_rows = []
@@ -488,7 +512,7 @@ def _exp_observability(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     spec = _build_problem(cfg, coef, rep)
-    n_samples = int(cfg.get("n_samples", 20))
+    n_samples = _n_samples(cfg)
     obs = observability_ratio(spec, n_samples=n_samples, seed=seed)
     # scale invariance probe: doubling the sample leaves the ratio unchanged
     vt = sample_fields(seed, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
@@ -534,12 +558,9 @@ def _exp_null_control(cfg, seed, log, outdir):
         f"null control: terminal={result.terminal_norm:.6g} rel={rel:.6g} "
         f"iters={result.cg_iterations} converged={result.converged}"
     )
-    ctrl_rows = []
     vals = result.control.values
-    for j, t in enumerate(result.control.sample_times):
-        for i, x in enumerate(xs):
-            if vals[j, i] != 0.0:
-                ctrl_rows.append({"t": float(t), "x": float(x), "value": float(vals[j, i])})
+    js, ix = np.nonzero(vals)
+    ctrl_rows = np.column_stack((result.control.sample_times[js], xs[ix], vals[js, ix]))
     tables = {"control.csv": (["t", "x", "value"], ctrl_rows)}
     results = {
         "terminal_norm": result.terminal_norm,
@@ -654,21 +675,24 @@ class Experiment(NamedTuple):
     run: Callable  # (cfg, seed, log, outdir) -> (tables, results, invariants)
     anchor: str  # behavioral description recorded in each summary
     builds_spec: bool  # marches a ProblemSpec built by _build_problem
+    n_samples: int = 0  # default sample count; 0 when no samples are drawn
 
 
 EXPERIMENTS = {
     "classify": Experiment(
         _exp_classify, "degeneracy-band certification of the diffusion coefficient", False
     ),
-    "hardy": Experiment(_exp_hardy, "weighted Hardy-type ratio estimation", False),
-    "energy": Experiment(_exp_energy, "trajectory-energy to data-energy ratio", True),
+    "hardy": Experiment(_exp_hardy, "weighted Hardy-type ratio estimation", False, 50),
+    "energy": Experiment(_exp_energy, "trajectory-energy to data-energy ratio", True, 20),
     "carleman_sweep": Experiment(
-        _exp_carleman_sweep, "weighted observability-type inequality sweep", True
+        _exp_carleman_sweep, "weighted observability-type inequality sweep", True, 10
     ),
     "lemma_checks": Experiment(
-        _exp_lemma_checks, "conjugated-operator identity and boundary-sign checks", True
+        _exp_lemma_checks, "conjugated-operator identity and boundary-sign checks", True, 10
     ),
-    "observability": Experiment(_exp_observability, "empirical observability constant", True),
+    "observability": Experiment(
+        _exp_observability, "empirical observability constant", True, 20
+    ),
     "null_control": Experiment(
         _exp_null_control, "penalized dual null-control synthesis", True
     ),
@@ -702,8 +726,8 @@ def run_experiment(cfg: dict, outdir: Path) -> int:
     log(f"seed: {seed} (generator {GENERATOR_NAME})")
     try:
         tables, results, invariants = EXPERIMENTS[exp].run(cfg, seed, log, outdir)
-    except (ValueError, ArithmeticError) as exc:
-        log(f"error: {exc}")
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        log(f"error: {str(exc) or type(exc).__name__}")
         (outdir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
         print("\n".join(log_lines))
         return 1

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "Regime",
@@ -194,6 +193,9 @@ def make_table_coefficient(x, a, label: str = "table") -> DegeneracyCoefficient:
     The table must start at (0, 0) and stay positive afterwards; derivatives
     come from the interpolant (second derivative is only piecewise continuous).
     """
+    # imported here so that only tabulated coefficients load scipy.interpolate
+    from scipy.interpolate import PchipInterpolator
+
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     if x.ndim != 1 or x.shape != a.shape or x.size < 4:

@@ -2,21 +2,21 @@
 and underflow-safe evaluation of the exponential weights.
 
 The space profile psi integrates y/a(y) upward from 0 on the left of the
-inner observation window and downward from its left edge beyond the window,
+inner observation window and downward from its right edge beyond the window,
 with a polynomial bridge joining the two branches twice-differentiably.  The
-time factor blows up at both ends of (0, T), so every weighted integrand
-vanishes there to machine precision.
+integrals are numpy Gauss-Legendre panels; the integrable singularity of
+y/a(y) at the degenerate endpoint x = 0 is summed over halving intervals and
+closed with a geometric tail.  The time factor blows up at both ends of
+(0, T), so every weighted integrand vanishes there to machine precision.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import integrate
 
 from .coefficients import DegeneracyCoefficient, coefficient_from_descriptor
 
@@ -55,11 +55,42 @@ def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return half * (vals @ wts)
 
 
+# Smallest halving interval of the singular first gap.  Below it the geometric
+# tail takes over; a(y) > y**2 stays a normal double there for every
+# coefficient with K < 2.
+_SINGULAR_FLOOR = 1e-150
+
+
+def _singular_gap(f, b: float, n: int) -> float:
+    """Integral of f over (0, b] with an integrable singularity at 0.
+
+    Gauss panels with n nodes on the halving intervals (b/2^(k+1), b/2^k]
+    run down to about 1e-150, and the geometric tail I_K r/(1 - r), with
+    r = I_K/I_(K-1), closes the sum.  The tail is exact for f = c y^p, and
+    for f ~ c y^p once the panels reach the floor (the bisection sequence
+    QUADPACK's QAGS extrapolates).  A non-finite panel, or a ratio r outside
+    (0, 1) or within rounding of 1 (a 1/y singularity), is not integrable.
+    """
+    nodes, wts = _gauss_nodes(n)
+    hi = b * 0.5 ** np.arange(max(2, math.ceil(math.log2(b / _SINGULAR_FLOOR))) + 1)
+    half = 0.25 * hi
+    with np.errstate(all="ignore"):
+        vals = f(((0.75 * hi)[:, None] + half[:, None] * nodes).ravel()).reshape(-1, n)
+        # the rule as 2 f_0 + sum_i w_i (f_i - f_0): its weights sum to 2
+        # exactly, so a constant integrand (a = x) gives b to the last bit
+        panels = half * (2.0 * vals[:, 0] + (vals - vals[:, :1]) @ wts)
+        r = panels[-1] / panels[-2]
+    if not (np.all(np.isfinite(panels)) and 0.0 < r < 1.0 - 1e-12):
+        raise ValueError("integrand not integrable near the degenerate endpoint")
+    return math.fsum(panels) + float(panels[-1] * r / (1.0 - r))
+
+
 def _cumulative_from(f, start: float, xs: np.ndarray, singular_start: bool, n: int):
     """Cumulative integral of f from `start` to each sorted abscissa in xs.
 
-    The leading gap may contain an integrable singularity at `start`; it is
-    handled by adaptive quadrature, the remaining gaps by fixed Gauss panels.
+    Every gap is a Gauss-Legendre panel with n nodes, except a leading gap
+    with an integrable singularity at `start` = 0, which is summed over
+    halving intervals by :func:`_singular_gap`.
     """
     out = np.zeros_like(xs)
     if xs.size == 0:
@@ -67,23 +98,7 @@ def _cumulative_from(f, start: float, xs: np.ndarray, singular_start: bool, n: i
     first = 0.0
     if xs[0] > start:
         if singular_start:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate.IntegrationWarning)
-                try:
-                    first, _ = integrate.quad(
-                        lambda y: float(f(np.array([y]))[0]), start, xs[0], limit=200
-                    )
-                except (
-                    integrate.IntegrationWarning,
-                    FloatingPointError,
-                    ZeroDivisionError,
-                    OverflowError,
-                ) as exc:
-                    raise ValueError(
-                        "integrand not integrable near the degenerate endpoint"
-                    ) from exc
-            if not np.isfinite(first):
-                raise ValueError("integrand not integrable near the degenerate endpoint")
+            first = _singular_gap(f, float(xs[0]), n)
         else:
             first = float(_segment_integrals(f, np.array([start]), xs[:1], n)[0])
     out[0] = first

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from carleman_lab.pde_solver import (
     boundary_regime_for,
     build_mesh,
     solve_adjoint,
+    substep_times,
+    trajectory_from_binary,
     trapezoid_time_weights,
 )
 from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
@@ -209,6 +212,56 @@ class TestValidation:
         cfg.update(grid_size=1_000_000, cg_max_iter=1_000_000, spatial_n=[8, 1_000_000])
         assert validate_config(cfg) == []
 
+    @pytest.mark.parametrize(
+        "exp, sizes, entries",
+        [
+            # every field within MAX_SIZE, 20 default samples: 7.3 TiB per block
+            ("observability", {"mesh_n": 1_000_000, "time_steps": 1_000_000}, 20000040000020),
+            ("null_control", {"mesh_n": 10_000, "time_steps": 10_000}, 100020001),
+            ("carleman_sweep", {"mesh_n": 2000, "time_steps": 2000, "n_samples": 13}, 52052013),
+        ],
+    )
+    def test_grid_entries_cap_exit_2(self, tmp_path, capsys, exp, sizes, entries):
+        cfg = {
+            "experiment": exp,
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "lambda_grid": [2.0],
+            "s_grid": [1.0],
+            "output_dir": str(tmp_path / "out"),
+            **sizes,
+        }
+        message = (
+            "config error: mesh_n, time_steps, n_samples: "
+            f"(mesh_n+1)*(time_steps+1)*max(1, n_samples) must be <= 50000000, got {entries}"
+        )
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_entries_count_the_default_samples(self):
+        cfg = {
+            "experiment": "carleman_sweep",
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "lambda_grid": [2.0],
+            "s_grid": [1.0],
+            "mesh_n": 2000,
+            "time_steps": 2000,
+        }
+        assert validate_config(cfg) == []  # 2001 * 2001 * 10 default samples
+        assert len(validate_config({**cfg, "n_samples": 13})) == 1
+
+    def test_benchmark_inputs_valid(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for tiny in (False, True):
+                for cfg in workloads.configs(name, 0, tiny):
+                    assert validate_config(cfg) == [], (name, tiny, cfg["experiment"])
+
 
 class TestMain:
     def test_validate_subcommand(self, tmp_path, capsys):
@@ -280,6 +333,24 @@ class TestMain:
         out = tmp_path / "out"
         assert run_experiment(base_classify_config(str(out)), out) == 1
         assert (out / "run.log").read_text().splitlines()[-2:] == ["started", f"error: {exc}"]
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB"),
+            (MemoryError(), "error: MemoryError"),
+        ],
+    )
+    def test_memory_error_exit_1(self, tmp_path, monkeypatch, exc, line):
+        def fails(cfg, seed, log, outdir):
+            log("started")
+            raise exc
+
+        monkeypatch.setitem(EXPERIMENTS, "classify", EXPERIMENTS["classify"]._replace(run=fails))
+        out = tmp_path / "out"
+        assert run_experiment(base_classify_config(str(out)), out) == 1
+        assert (out / "run.log").read_text().splitlines()[-2:] == ["started", line]
         assert not (out / "summary.json").exists()
 
     def test_nan_ratios_fail_the_valid_sample_invariant(self, tmp_path):
@@ -457,6 +528,31 @@ def test_shipped_config_anchor(tmp_path, path):
     assert run_experiment(cfg, tmp_path) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["anchor"] == EXPERIMENTS[cfg["experiment"]].anchor
+
+
+def test_control_csv_matches_row_by_row_format(tmp_path):
+    cfg = {
+        "experiment": "null_control",
+        "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+        "T": 0.5,
+        "mesh_n": 24,
+        "time_steps": 24,
+        "omega": [0.3, 0.7],
+        "seed": 1,
+    }
+    assert run_experiment(cfg, tmp_path) == 0
+    # the control table as one formatted line per nonzero control value
+    spec = _gamma_spec(0.5, 24, 0.5, (0.3, 0.7))
+    vals = trajectory_from_binary(tmp_path / "control.bin")["values"]
+    times = substep_times(spec)[0]
+    assert len(times) == vals.shape[0]
+    lines = ["t,x,value"]
+    for j, t in enumerate(times):
+        for i, x in enumerate(spec.mesh.nodes):
+            if vals[j, i] != 0.0:
+                lines.append(f"{float(t):.17g},{float(x):.17g},{float(vals[j, i]):.17g}")
+    assert len(lines) > 100
+    assert (tmp_path / "control.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def _gamma_spec(gamma, N, T, omega):

@@ -63,6 +63,71 @@ class TestPsiBranches:
             build_psi(bad, 0.3, 0.7)
 
 
+class TestSingularFirstGap:
+    """The left branch at a single abscissa b is the integral of y/a(y) over
+    (0, b], whose integrand is singular at 0 for a strong degeneracy."""
+
+    @staticmethod
+    def first_gap(coef, b):
+        return build_psi(coef, 0.35, 0.65).value(np.array([b]))[0]
+
+    @pytest.mark.parametrize("b", [0.3, 1e-3, 1.9e-6])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 1.9, 1.99])
+    def test_power_closed_form(self, gamma, b):
+        got = self.first_gap(make_power_coefficient(gamma), b)
+        assert got == pytest.approx(b ** (2.0 - gamma) / (2.0 - gamma), rel=1e-13, abs=0)
+
+    def test_linear_coefficient_is_exact(self):
+        # a = x makes the integrand 1: the gap is b to the last bit
+        for b in (0.3, 0.123456, 1e-3, 1.9e-6):
+            assert self.first_gap(make_power_coefficient(1.0), b) == b
+
+    @pytest.mark.parametrize("b", [0.3, 1e-3])
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("power_plus_x", {"theta": 1.5}),
+            ("power_plus_x", {"theta": 1.9}),
+            ("power_minus_x", {"theta": 0.5}),
+            ("power_cos", {"gamma": 0.5, "alpha": 1.0}),
+            ("power_cos", {"gamma": 1.5, "alpha": 1.0}),
+        ],
+    )
+    def test_extended_precision_reference(self, kind, params, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            p = mpmath.mpf(params.get("theta", params.get("gamma")))
+            beta = mpmath.atan(mpmath.mpf(params.get("alpha", 0.0)))
+            a = {
+                "power_plus_x": lambda y: y**p + y,
+                "power_minus_x": lambda y: y**p - y,
+                "power_cos": lambda y: y**p * mpmath.cos(beta * y),
+            }[kind]
+            top = mpmath.mpf(b)
+            # breakpoints toward the singular endpoint keep tanh-sinh accurate
+            expected = float(mpmath.quad(lambda y: y / a(y), [0, top / 1e6, top / 1e3, top]))
+        got = self.first_gap(make_example_coefficient(kind, **params), b)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "a, alpha_prime",
+        [
+            (lambda x: np.power(x, 2.0001), 0.3),
+            # a 1/y singularity whose last panel ratio rounds to 1 - 1e-16:
+            # without the rounding margin it would pass as integrable
+            (lambda x: np.power(x, 2.0) * 1.563611050812721 * np.exp(3.392774901986161 * x),
+             0.4710566131401384),
+        ],
+        ids=["x^2.0001", "x^2*exp(x)"],
+    )
+    def test_non_integrable_rejected(self, a, alpha_prime):
+        from carleman_lab.coefficients import DegeneracyCoefficient
+
+        bad = DegeneracyCoefficient(label="bad", eval=a, eval_deriv=lambda x: 2.0 * x)
+        with pytest.raises(ValueError, match="not integrable"):
+            build_psi(bad, alpha_prime, 0.7)
+
+
 class TestBridgeStitching:
     @pytest.mark.parametrize("seed", range(4))
     def test_c2_matching_random_configurations(self, seed):

@@ -33,7 +33,7 @@ from .carleman import (
 )
 from .coefficients import Regime, classify, coefficient_from_descriptor, make_power_coefficient
 from .control import synthesize_null_control
-from .functionals import HardyCase, WeightedNorms, aux_hardy_b, aux_hardy_p, hardy_ratio
+from .functionals import HardyCase, WeightedNorms, aux_hardy_b, aux_hardy_p, hardy_ratios
 from .pde_solver import (
     BoundaryRegime,
     Direction,
@@ -44,9 +44,10 @@ from .pde_solver import (
     _adjoint_march,
     boundary_regime_for,
     build_mesh,
-    energy_report,
+    energy_reports,
     omega_node_mask,
     solve_forward,
+    substep_times,
     trajectory_to_binary,
     trapezoid_time_weights,
 )
@@ -63,7 +64,8 @@ from .weights import build_weights, default_omega_prime
 # resolutions, iterations): larger values exit 2 instead of reaching numpy.
 MAX_SIZE = 1_000_000
 # Upper bound of the entries of the largest field block a run allocates: the
-# space-time grid times the samples marched together (400 MB of float64).
+# space-time grid times the samples marched together, the Hardy draws, or a
+# convergence study's finest trajectory (400 MB of float64).
 MAX_GRID_ENTRIES = 50_000_000
 
 
@@ -183,14 +185,40 @@ def validate_config(cfg: dict) -> list[str]:
                 f"(mesh_n={mesh.n_cells}, mesh_grading={mesh.grading_exponent:g})"
             )
 
-    sizes_ok = not any(e.startswith(("mesh_n:", "time_steps:", "n_samples:")) for e in errors)
-    if EXPERIMENTS[exp].builds_spec and sizes_ok:
-        mesh_n, time_steps = int(cfg.get("mesh_n", 128)), int(cfg.get("time_steps", 128))
-        entries = (mesh_n + 1) * (time_steps + 1) * max(1, _n_samples(cfg))
+    def check_entries(fields: str, formula: str, entries: int) -> None:
         if entries > MAX_GRID_ENTRIES:
-            errors.append(
-                "mesh_n, time_steps, n_samples: (mesh_n+1)*(time_steps+1)*max(1, n_samples) "
-                f"must be <= {MAX_GRID_ENTRIES}, got {entries}"
+            errors.append(f"{fields}: {formula} must be <= {MAX_GRID_ENTRIES}, got {entries}")
+
+    def sizes_ok(*names) -> bool:
+        return not any(e.startswith(names) for e in errors)
+
+    if EXPERIMENTS[exp].builds_spec and sizes_ok("mesh_n:", "time_steps:", "n_samples:"):
+        mesh_n, time_steps = int(cfg.get("mesh_n", 128)), int(cfg.get("time_steps", 128))
+        check_entries(
+            "mesh_n, time_steps, n_samples",
+            "(mesh_n+1)*(time_steps+1)*max(1, n_samples)",
+            (mesh_n + 1) * (time_steps + 1) * max(1, _n_samples(cfg)),
+        )
+    if exp == "hardy" and sizes_ok("mesh_n:", "n_samples:"):
+        check_entries(
+            "mesh_n, n_samples",
+            "(mesh_n+1)*n_samples",
+            (int(cfg.get("mesh_n", 512)) + 1) * _n_samples(cfg),
+        )
+    if exp == "convergence":
+        if sizes_ok("spatial_n", "spatial_time_steps:"):
+            check_entries(
+                "spatial_n, spatial_time_steps",
+                "(max(spatial_n)+1)*(spatial_time_steps+1)",
+                (max(int(n) for n in cfg.get("spatial_n", [128])) + 1)
+                * (int(cfg.get("spatial_time_steps", 512)) + 1),
+            )
+        if sizes_ok("temporal_m", "temporal_mesh_n:"):
+            check_entries(
+                "temporal_mesh_n, temporal_m",
+                "(temporal_mesh_n+1)*(max(temporal_m)+1)",
+                (int(cfg.get("temporal_mesh_n", 512)) + 1)
+                * (max(int(m) for m in cfg.get("temporal_m", [32])) + 1),
             )
 
     for name in ("lambda_grid", "s_grid", "epsilon_grid"):
@@ -327,34 +355,25 @@ def _exp_hardy(cfg, seed, log, outdir):
     n_samples = _n_samples(cfg)
     case = HardyCase.CASE_A if rep.regime is Regime.WDC else HardyCase.CASE_B
     draws = sample_fields(seed, STREAM_TERMINAL, n_samples, mesh.nodes)
-    rows = []
-    ratios = []
-    violations = 0
-    for i in range(n_samples):
-        r = hardy_ratio(coef, mesh, draws[i], case, hypothesis=rep)
-        rows.append(
-            {"sample": i, "case": r.case.value, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
-        )
-        ratios.append(r.ratio)
-        violations += int(r.violation)
+    reports = hardy_ratios(coef, mesh, draws, case, hypothesis=rep)
+    rows = [
+        {"sample": i, "case": r.case.value, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
+        for i, r in enumerate(reports)
+    ]
+    ratios = [r.ratio for r in reports]
+    violations = sum(r.violation for r in reports)
     aux_rows = []
     if rep.boundary_case:
         for label, aux, case_aux in (
             ("p", aux_hardy_p(coef), HardyCase.AUX_P),
             ("b", aux_hardy_b(coef), HardyCase.AUX_B),
         ):
-            for i in range(n_samples):
-                r = hardy_ratio(aux, mesh, draws[i], case_aux, hypothesis=rep)
-                aux_rows.append(
-                    {
-                        "aux": label,
-                        "sample": i,
-                        "lhs": r.lhs,
-                        "rhs": r.rhs,
-                        "ratio": r.ratio,
-                    }
-                )
-                violations += int(r.violation)
+            aux_reports = hardy_ratios(aux, mesh, draws, case_aux, hypothesis=rep)
+            aux_rows.extend(
+                {"aux": label, "sample": i, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
+                for i, r in enumerate(aux_reports)
+            )
+            violations += sum(r.violation for r in aux_reports)
     log(f"hardy ratios over {n_samples} draws: max={max(ratios):.6g}")
     tables = {
         "hardy.csv": (["sample", "case", "lhs", "rhs", "ratio"], rows),
@@ -376,14 +395,8 @@ def _exp_energy(cfg, seed, log, outdir):
     n_samples = _n_samples(cfg)
     u0s = sample_fields(seed, STREAM_INITIAL, n_samples, spec.mesh.nodes)
     hs = sample_fields(seed, STREAM_CONTROL, n_samples, spec.mesh.nodes)
-    rows = []
-    ratios = []
-    for i in range(n_samples):
-        h_row = hs[i]
-        h = lambda t, xs, row=h_row, nodes=spec.mesh.nodes: np.interp(xs, nodes, row)
-        ratio = energy_report(spec, u0s[i], h)
-        rows.append({"sample": i, "ratio": ratio})
-        ratios.append(ratio)
+    ratios = energy_reports(spec, u0s, hs).tolist()
+    rows = [{"sample": i, "ratio": r} for i, r in enumerate(ratios)]
     log(f"energy ratios: max={max(ratios):.6g}")
     tables = {"energy.csv": (["sample", "ratio"], rows)}
     results = {"max_ratio": max(ratios)}
@@ -620,12 +633,14 @@ def _exp_convergence(cfg, seed, log, outdir):
             boundary_override=True,
         )
         u0 = exact(0.0, mesh.nodes)
-        traj = solve_forward(spec, u0, source=source)
-        err_sq = 0.0
-        tw = trapezoid_time_weights(T, M)
-        for m, t in enumerate(traj.times):
-            diff = traj.values[m] - exact(t, mesh.nodes)
-            err_sq += tw[m] * float(np.sum(mesh.volumes * diff * diff))
+        # the source on every (substep time, unknown node) pair, evaluated once
+        ts, _ = substep_times(spec)
+        unknown = mesh.nodes[1:-1]  # both ends pinned
+        traj = solve_forward(spec, u0, source=source(ts[:, None], unknown[None, :]))
+        diff = traj.values - exact(traj.times[:, None], mesh.nodes[None, :])
+        rowsums = np.sum(mesh.volumes * diff * diff, axis=-1)
+        # added left to right, as a loop over the time rows would
+        err_sq = np.cumsum(trapezoid_time_weights(T, M) * rowsums)[-1]
         return math.sqrt(err_sq)
 
     spatial_n = [int(n) for n in cfg.get("spatial_n", [32, 64, 128])]

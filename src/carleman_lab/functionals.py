@@ -29,6 +29,7 @@ __all__ = [
     "spacetime_weighted_integral",
     "spacetime_weighted_integrals",
     "hardy_ratio",
+    "hardy_ratios",
     "aux_hardy_p",
     "aux_hardy_b",
 ]
@@ -339,56 +340,73 @@ def _monotone_on_grid(vals: np.ndarray, nondecreasing: bool) -> bool:
     return bool(np.all(d >= -tol)) if nondecreasing else bool(np.all(d <= tol))
 
 
-def hardy_ratio(
+def hardy_ratios(
     coef_or_aux: DegeneracyCoefficient,
     mesh,
-    w: np.ndarray,
+    ws: np.ndarray,
     case: HardyCase,
     hypothesis: Optional[HypothesisReport] = None,
-) -> HardyReport:
-    """Ratio of the weighted zero-order integral to the gradient integral.
+) -> list[HardyReport]:
+    """:func:`hardy_ratio` of every row of the ``(S, N+1)`` stack ``ws``.
 
-    Case A requires w(0) = 0 and checks that a/x^theta is nonincreasing for a
-    theta just above the certified band; case B and the auxiliary cases
-    require w(1) = 0 and check nondecrease near zero.
+    The coefficient values and the monotonicity probe are computed once for
+    the stack; both integrals are row sums over the stack, each summed in the
+    order of the one-sample sum.
     """
-    w = np.asarray(w, dtype=float)
+    ws = np.asarray(ws, dtype=float)
     nodes = mesh.nodes
-    if w.shape != nodes.shape:
+    if ws.ndim != 2 or ws.shape[1] != nodes.size:
         raise ValueError("nodal values must match the mesh")
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    scale = np.max(np.abs(ws), axis=-1)
     if case is HardyCase.CASE_A:
-        if abs(w[0]) > 1e-12 * (1.0 + scale):
+        if np.any(np.abs(ws[:, 0]) > 1e-12 * (1.0 + scale)):
             raise ValueError("case A needs w(0) = 0")
     else:
-        if abs(w[-1]) > 1e-12 * (1.0 + scale):
+        if np.any(np.abs(ws[:, -1]) > 1e-12 * (1.0 + scale)):
             raise ValueError(f"case {case.value} needs w(1) = 0")
 
     a_nodes = np.asarray(coef_or_aux.eval(nodes), dtype=float)
     a_faces = np.asarray(coef_or_aux.eval(mesh.faces), dtype=float)
     vols = mesh.volumes
     with np.errstate(all="ignore"):
-        f = a_nodes / nodes**2 * w * w
+        f = a_nodes / nodes**2 * ws * ws
     # degenerate node: limit when the boundary constraint kills it, else drop
     # the first cell and integrate from the first interior node
     if case is HardyCase.CASE_A:
-        f[0] = 0.0
-        lhs = float(np.sum(vols * f))
+        f[:, 0] = 0.0
+        lhs = np.sum(vols * f, axis=-1)
     else:
-        lhs = float(np.sum(vols[1:] * f[1:]))
-    grad = np.diff(w) / mesh.spacings
-    rhs = float(np.sum(a_faces * grad * grad * mesh.spacings))
+        lhs = np.sum(vols[1:] * f[:, 1:], axis=-1)
+    grad = np.diff(ws, axis=-1) / mesh.spacings
+    rhs = np.sum(a_faces * grad * grad * mesh.spacings, axis=-1)
 
-    violation = False
-    if rhs <= 0.0:
-        if lhs > 1e-14 * (1.0 + scale) ** 2:
-            violation = True
-            ratio = float("inf")
+    theta_used, mono_ok = _hardy_monotonicity(coef_or_aux, case, hypothesis)
+    reports = []
+    for lhs_i, rhs_i, scale_i in zip(lhs.tolist(), rhs.tolist(), scale.tolist()):
+        violation = False
+        if rhs_i <= 0.0:
+            if lhs_i > 1e-14 * (1.0 + scale_i) ** 2:
+                violation = True
+                ratio = float("inf")
+            else:
+                ratio = 0.0
         else:
-            ratio = 0.0
-    else:
-        ratio = lhs / rhs
+            ratio = lhs_i / rhs_i
+        reports.append(HardyReport(
+            lhs=lhs_i,
+            rhs=rhs_i,
+            ratio=ratio,
+            case=case,
+            violation=violation,
+            theta_used=theta_used,
+            monotonicity_ok=mono_ok,
+        ))
+    return reports
 
+
+def _hardy_monotonicity(coef_or_aux, case: HardyCase, hypothesis) -> tuple:
+    """(theta_used, monotonicity_ok) of the case's power comparison, probed on
+    a log grid."""
     theta_used = None
     mono_ok = None
     probe = np.logspace(-6, 0, 257)
@@ -423,13 +441,21 @@ def hardy_ratio(
         mono_ok = _monotone_on_grid(
             (avals / probe**theta_used)[near], nondecreasing=True
         )
+    return theta_used, mono_ok
 
-    return HardyReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        case=case,
-        violation=violation,
-        theta_used=theta_used,
-        monotonicity_ok=mono_ok,
-    )
+
+def hardy_ratio(
+    coef_or_aux: DegeneracyCoefficient,
+    mesh,
+    w: np.ndarray,
+    case: HardyCase,
+    hypothesis: Optional[HypothesisReport] = None,
+) -> HardyReport:
+    """Ratio of the weighted zero-order integral to the gradient integral.
+
+    Case A requires w(0) = 0 and checks that a/x^theta is nonincreasing for a
+    theta just above the certified band; case B and the auxiliary cases
+    require w(1) = 0 and check nondecrease near zero.  The one-sample case of
+    :func:`hardy_ratios`.
+    """
+    return hardy_ratios(coef_or_aux, mesh, np.asarray(w)[None], case, hypothesis)[0]

@@ -36,6 +36,7 @@ __all__ = [
     "solve_forward",
     "solve_adjoint",
     "energy_report",
+    "energy_reports",
     "substep_times",
     "trapezoid_time_weights",
     "omega_node_mask",
@@ -225,13 +226,14 @@ class DiffusionOperator:
         return self.node_index.size
 
     def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
+        """S u for an unknown vector or a stack of them."""
         out = self.diag * u
-        out[:-1] += self.off * u[1:]
-        out[1:] += self.off * u[:-1]
+        out[..., :-1] += self.off * u[..., 1:]
+        out[..., 1:] += self.off * u[..., :-1]
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """W^{-1} S u on unknown vectors: the discrete -(a u_x)_x."""
+        """W^{-1} S u on unknown vectors (or stacks): the discrete -(a u_x)_x."""
         return self.stiffness_apply(u) / self.weights
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
@@ -565,55 +567,95 @@ def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
     return Trajectory(rows, spec.mesh, spec.T, Direction.BACKWARD)
 
 
+def energy_reports(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray:
+    """:func:`energy_report` of every sample in the ``(S, N+1)`` stack ``u0s``,
+    under the time-constant nodal controls ``h_rows`` (one row per sample) or
+    none; one ratio per sample.
+
+    The samples march together as one ``(S, n)`` block and every reduction
+    runs over the whole stack, one time row at a time.
+    """
+    st = _Stepper(spec)
+    return _energy_ratios(st, u0s, None if h_rows is None else st.op.restrict(h_rows))
+
+
+def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
+    """Energy ratios of the ``(S, N+1)`` stack u0s under the control g on the
+    unknown nodes, which acts only inside omega: None, one ``(S, n)`` block
+    for every substep, or ``(J, S, n)`` per-substep blocks."""
+    spec = st.spec
+    op = st.op
+    mesh = spec.mesh
+    u0s = np.asarray(u0s, dtype=float)
+    u = op.restrict(u0s)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial data must be finite")
+    M = spec.time_steps
+    rows = np.zeros((u.shape[0], M + 1, mesh.nodes.size))
+    rows[:, 0, st.cols] = u
+    load = None
+    if g is not None:
+        g = np.where(omega_node_mask(mesh, spec.omega)[op.node_index], g, 0.0)
+        load = (lambda j: g[j]) if g.ndim == 3 else (lambda j: g)
+    st.forward(u, load, rows)
+
+    W = op.weights
+    hsp = mesh.spacings
+    vols = mesh.volumes
+    faces_a = op.a_faces
+    k = spec.dt
+
+    def h1a_sq(full):
+        grad = np.diff(full, axis=-1) / hsp
+        return np.sum(vols * full * full, axis=-1) + np.sum(faces_a * grad * grad * hsp, axis=-1)
+
+    # one time row of every sample at a time: whole-block reductions would
+    # hold several (S, M+1, N+1) temporaries at once
+    tw = trapezoid_time_weights(spec.T, M)
+    h1_sup = h1a_sq(rows[:, 0])
+    ut_sq = np.zeros(u.shape[0])
+    au_sq = np.zeros(u.shape[0])
+    for m in range(M + 1):
+        cur = rows[:, m, st.cols]
+        if m:
+            h1_sup = np.maximum(h1_sup, h1a_sq(rows[:, m]))
+            du = (cur - rows[:, m - 1, st.cols]) / k
+            ut_sq += k * np.sum(W * du * du, axis=-1)
+        Au = op.apply(cur)
+        au_sq += tw[m] * np.sum(W * Au * Au, axis=-1)
+    lhs = h1_sup + ut_sq + au_sq
+
+    # data energy, then the control energy of each substep added in order
+    terms = [h1a_sq(u0s)]
+    if g is not None:
+        ctrl_sq = np.sum(W * g * g, axis=-1)
+        taus = np.array([sub.tau for sub in st.subs])
+        terms.extend(taus[:, None] * ctrl_sq)
+    rhs = np.cumsum(np.array(terms), axis=0)[-1]
+
+    dead = rhs <= 0.0
+    if np.any(lhs[dead] > 1e-12):
+        raise ValueError("inconsistent energy report: zero data but nonzero trajectory")
+    return np.where(dead, 0.0, lhs / np.where(dead, 1.0, rhs))
+
+
 def energy_report(spec: ProblemSpec, u0: np.ndarray, h=None) -> float:
     """Ratio of the trajectory energy to the data energy.
 
     Numerator: sup_t of the weighted first-order norm squared plus the time
     integrals of |u_t|^2 and |(a u_x)_x|^2.  Denominator: the same first-order
-    norm of u0 plus the control energy on the control cylinder.
+    norm of u0 plus the control energy on the control cylinder.  ``h`` is a
+    callable (t, x) -> value or per-substep samples aligned with
+    ``substep_times``, sampled on the schedule once; the one-sample case of
+    :func:`energy_reports`.
     """
     st = _Stepper(spec)
-    op = st.op
-    traj = solve_forward(spec, u0, control=h, stepper=st)
-    vals = traj.values[:, op.node_index]
-    mesh = spec.mesh
-    W = op.weights
-    faces_a = op.a_faces
-    hsp = mesh.spacings
-    k = spec.dt
-
-    def h1a_sq(full_row):
-        grad = np.diff(full_row) / hsp
-        semi = float(np.sum(faces_a * grad * grad * hsp))
-        l2 = float(np.sum(mesh.volumes * full_row * full_row))
-        return l2 + semi
-
-    h1_rows = [h1a_sq(traj.values[m]) for m in range(vals.shape[0])]
-    ut_sq = 0.0
-    for m in range(vals.shape[0] - 1):
-        du = (vals[m + 1] - vals[m]) / k
-        ut_sq += k * float(np.dot(W * du, du))
-    au_sq = 0.0
-    tw = trapezoid_time_weights(spec.T, spec.time_steps)
-    for m in range(vals.shape[0]):
-        Au = op.apply(vals[m])
-        au_sq += tw[m] * float(np.dot(W * Au, Au))
-    lhs = max(h1_rows) + ut_sq + au_sq
-
-    rhs = h1a_sq(np.asarray(u0, dtype=float))
+    g = None
     if h is not None:
-        mask = omega_node_mask(mesh, spec.omega)[op.node_index]
         xs = st.xs_unknown
-        for j, sub in enumerate(st.subs):
-            g = _sample_field(h, sub.t_sample, xs, j)
-            g = np.where(mask, g, 0.0)
-            rhs += sub.tau * float(np.dot(W * g, g))
-
-    if rhs <= 0.0:
-        if lhs > 1e-12:
-            raise ValueError("inconsistent energy report: zero data but nonzero trajectory")
-        return 0.0
-    return lhs / rhs
+        g = np.stack([_sample_field(h, sub.t_sample, xs, j) for j, sub in enumerate(st.subs)])
+        g = g[:, None, :]
+    return float(_energy_ratios(st, np.asarray(u0, dtype=float)[None], g)[0])
 
 
 # --------------------------------------------------------------------------------

@@ -45,7 +45,11 @@ def sample_fields(
 ) -> np.ndarray:
     """(count, len(x)) array of independent sine-series draws."""
     rng = stream_rng(seed, stream)
-    out = np.empty((count, np.asarray(x).size))
+    x = np.asarray(x, dtype=float)
+    basis = np.sin(np.pi * np.outer(x, np.arange(1, n_modes + 1, dtype=float)))
+    out = np.empty((count, x.size))
+    # one matvec per draw, as in sine_series: a single matmul would sum in
+    # another order and move every sampled value
     for i in range(count):
-        out[i] = sine_series(sine_coefficients(rng, n_modes), x)
+        out[i] = basis @ sine_coefficients(rng, n_modes)
     return out

@@ -240,6 +240,47 @@ class TestValidation:
             assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"experiment": "hardy", "mesh_n": 1_000_000, "n_samples": 1_000_000},
+             "mesh_n, n_samples: (mesh_n+1)*n_samples must be <= 50000000, "
+             "got 1000001000000"),
+            # default mesh_n = 512 with more samples than the default 50
+            ({"experiment": "hardy", "n_samples": 100_000},
+             "mesh_n, n_samples: (mesh_n+1)*n_samples must be <= 50000000, got 51300000"),
+            ({"experiment": "convergence", "spatial_n": [8, 1_000_000],
+              "spatial_time_steps": 1_000_000},
+             "spatial_n, spatial_time_steps: (max(spatial_n)+1)*(spatial_time_steps+1) "
+             "must be <= 50000000, got 1000002000001"),
+            # default spatial_time_steps = 512
+            ({"experiment": "convergence", "spatial_n": [8, 100_000]},
+             "spatial_n, spatial_time_steps: (max(spatial_n)+1)*(spatial_time_steps+1) "
+             "must be <= 50000000, got 51300513"),
+            ({"experiment": "convergence", "temporal_m": [8, 100_000]},
+             "temporal_mesh_n, temporal_m: (temporal_mesh_n+1)*(max(temporal_m)+1) "
+             "must be <= 50000000, got 51300513"),
+        ],
+    )
+    def test_hardy_and_convergence_entries_cap_exit_2(self, tmp_path, capsys, cfg, message):
+        cfg = {
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "output_dir": str(tmp_path / "out"),
+            **cfg,
+        }
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_hardy_and_convergence_entries_cap_is_inclusive(self):
+        hardy = {"experiment": "hardy", "coefficient": {"kind": "power", "params": {"gamma": 0.5}}}
+        assert validate_config({**hardy, "mesh_n": 999_999, "n_samples": 50}) == []
+        conv = {"experiment": "convergence", "spatial_time_steps": 49, "temporal_m": [8, 49]}
+        assert validate_config({**conv, "spatial_n": [8, 999_999],
+                                "temporal_mesh_n": 999_999}) == []
+
     def test_grid_entries_count_the_default_samples(self):
         cfg = {
             "experiment": "carleman_sweep",
@@ -520,6 +561,45 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert min(summary["results"]["spatial_orders"]) >= 1.0
         assert min(summary["results"]["temporal_orders"]) >= 1.8
+
+
+def test_convergence_errors_match_a_per_row_loop(tmp_path):
+    from carleman_lab.cli import _exp_convergence
+    from carleman_lab.pde_solver import BoundaryRegime, LeftBoundary, solve_forward
+
+    cfg = {"experiment": "convergence", "spatial_n": [16, 32], "temporal_m": [8, 16],
+           "spatial_time_steps": 512, "temporal_mesh_n": 48, "T": 0.75}
+    # 513 time rows: at this length a BLAS dot of the row sums already
+    # rounds differently from the left-to-right sum
+    tables, _, _ = _exp_convergence(cfg, 0, lambda msg: None, tmp_path)
+    got = [(r["size"], r["error"]) for r in tables["convergence.csv"][1]]
+
+    # the callable source sampled per substep and one error row per time level
+    coef = make_power_coefficient(1.0)
+    pi = np.pi
+
+    def exact(t, x):
+        return np.exp(np.sin(2.0 * t) - t) * np.sin(pi * x)
+
+    def source(t, x):
+        q = np.exp(np.sin(2.0 * t) - t)
+        return q * ((2.0 * np.cos(2.0 * t) - 1.0) * np.sin(pi * x)
+                    - pi * np.cos(pi * x) + pi * pi * x * np.sin(pi * x))
+
+    def error(N, M):
+        mesh = build_mesh(N, 1.0)
+        spec = ProblemSpec(T=0.75, coef=coef, regime=BoundaryRegime(LeftBoundary.DIRICHLET_ZERO),
+                           mesh=mesh, time_steps=M, omega=(0.3, 0.7), boundary_override=True)
+        traj = solve_forward(spec, exact(0.0, mesh.nodes), source=source)
+        err_sq = 0.0
+        tw = trapezoid_time_weights(spec.T, M)
+        for m, t in enumerate(traj.times):
+            diff = traj.values[m] - exact(t, mesh.nodes)
+            err_sq += tw[m] * float(np.sum(mesh.volumes * diff * diff))
+        return float(np.sqrt(err_sq))
+
+    expected = [(n, error(n, 512)) for n in (16, 32)] + [(m, error(48, m)) for m in (8, 16)]
+    assert got == expected
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)

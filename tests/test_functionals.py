@@ -15,6 +15,7 @@ from carleman_lab.functionals import (
     aux_hardy_b,
     aux_hardy_p,
     hardy_ratio,
+    hardy_ratios,
     spacetime_weighted_integral,
     spacetime_weighted_integrals,
     weighted_norm,
@@ -277,3 +278,38 @@ class TestHardyRatio:
             ]
             maxima.append(max(ratios))
         assert abs(maxima[1] - maxima[0]) / maxima[0] < 0.10
+
+
+class TestStackedHardy:
+    @pytest.mark.parametrize(
+        "gamma, profile, case",
+        [
+            (0.5, None, HardyCase.CASE_A),
+            (1.5, None, HardyCase.CASE_B),
+            (1.0, aux_hardy_p, HardyCase.AUX_P),
+            (1.0, aux_hardy_b, HardyCase.AUX_B),
+        ],
+    )
+    @pytest.mark.parametrize("with_hypothesis", [True, False])
+    def test_matches_per_sample_reports(self, gamma, profile, case, with_hypothesis):
+        coef = make_power_coefficient(gamma)
+        hyp = classify(coef) if with_hypothesis else None
+        target = coef if profile is None else profile(coef)
+        mesh = build_mesh(96, 2.0)
+        draws = sample_fields(11, STREAM_TERMINAL, 7, mesh.nodes)
+        draws[3] = 0.0  # zero gradient: both integrals vanish
+        stacked = hardy_ratios(target, mesh, draws, case, hypothesis=hyp)
+        assert len(stacked) == 7
+        assert stacked[3].ratio == 0.0 and not stacked[3].violation
+        for i in range(7):
+            assert stacked[i] == hardy_ratio(target, mesh, draws[i], case, hypothesis=hyp)
+
+    def test_one_bad_row_rejects_the_stack(self):
+        coef = make_power_coefficient(0.5)
+        mesh = build_mesh(32, 2.0)
+        ws = sample_fields(11, STREAM_TERMINAL, 3, mesh.nodes)
+        ws[2, 0] = 1.0
+        with pytest.raises(ValueError, match="case A needs w"):
+            hardy_ratios(coef, mesh, ws, HardyCase.CASE_A)
+        with pytest.raises(ValueError, match="must match the mesh"):
+            hardy_ratios(coef, mesh, ws[:, 1:], HardyCase.CASE_A)

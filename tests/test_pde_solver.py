@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from carleman_lab.pde_solver import (
     boundary_regime_for,
     build_mesh,
     energy_report,
+    energy_reports,
     omega_node_mask,
     solve_adjoint,
     solve_forward,
@@ -346,6 +348,94 @@ class TestEnergyReport:
             ratios.append(energy_report(spec, u0s[i], h))
         assert all(math.isfinite(r) for r in ratios)
         assert max(ratios) < 20.0
+
+
+class TestStackedEnergy:
+    def draws(self, spec, count=6):
+        from carleman_lab.sampling import STREAM_CONTROL, STREAM_INITIAL, sample_fields
+
+        nodes = spec.mesh.nodes
+        return (sample_fields(21, STREAM_INITIAL, count, nodes),
+                sample_fields(21, STREAM_CONTROL, count, nodes))
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_matches_per_sample_reports(self, gamma, scheme):
+        spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
+        u0s, hs = self.draws(spec)
+        free = energy_reports(spec, u0s)
+        controlled = energy_reports(spec, u0s, hs)
+        for i in range(len(u0s)):
+            h = lambda t, x, row=hs[i]: np.interp(x, spec.mesh.nodes, row)
+            assert free[i] == pytest.approx(energy_report(spec, u0s[i]), rel=1e-12)
+            assert controlled[i] == pytest.approx(energy_report(spec, u0s[i], h), rel=1e-12)
+
+    def test_with_potential(self):
+        spec = make_spec(N=32, M=16, c=lambda t, x: 0.5 + 0.0 * x)
+        u0s, hs = self.draws(spec, 3)
+        got = energy_reports(spec, u0s, hs)
+        for i in range(3):
+            h = lambda t, x, row=hs[i]: np.interp(x, spec.mesh.nodes, row)
+            assert got[i] == pytest.approx(energy_report(spec, u0s[i], h), rel=1e-12)
+
+    def test_zero_data_gives_zero_per_sample(self):
+        spec = make_spec(N=32, M=16)
+        u0s, hs = self.draws(spec, 3)
+        u0s[1] = 0.0
+        # a control that lives only outside omega carries no energy
+        hs[1] = np.where(omega_node_mask(spec.mesh, spec.omega), 0.0, 1.0)
+        got = energy_reports(spec, u0s, hs)
+        assert got[1] == 0.0
+        assert got[0] > 0.0 and got[2] > 0.0
+
+    def test_zero_data_with_nonzero_trajectory_raises(self, monkeypatch):
+        from carleman_lab import pde_solver
+
+        spec = make_spec(N=16, M=8)
+        u0s = np.zeros((2, spec.mesh.nodes.size))
+        u0s[0] = np.sin(np.pi * spec.mesh.nodes)
+        forward = pde_solver._Stepper.forward
+
+        def leaky(self, u, load=None, rows=None):
+            out = forward(self, u, load, rows)
+            rows[1, -1, self.cols] = 1.0  # the zero sample ends away from zero
+            return out
+
+        monkeypatch.setattr(pde_solver._Stepper, "forward", leaky)
+        with pytest.raises(ValueError, match="zero data but nonzero trajectory"):
+            energy_reports(spec, u0s)
+
+    def test_non_finite_data_rejected(self):
+        spec = make_spec(N=16, M=8)
+        u0s = np.zeros((2, spec.mesh.nodes.size))
+        u0s[1, 5] = np.nan
+        with pytest.raises(ValueError, match="initial data must be finite"):
+            energy_reports(spec, u0s)
+
+    def test_peak_memory_stays_near_the_rows_block(self):
+        spec = make_spec(N=128, M=128)
+        u0s, hs = self.draws(spec, 20)
+        rows_bytes = 20 * 129 * 129 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            energy_reports(spec, u0s, hs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows_bytes, peak
+
+
+class TestStackedStiffness:
+    @pytest.mark.parametrize("regime", [WEAK, STRONG])
+    def test_stack_equals_row_by_row(self, regime):
+        op = assemble_diffusion(make_power_coefficient(0.5), build_mesh(20, 2.0), regime)
+        u = np.random.default_rng(5).standard_normal((4, op.n_unknowns))
+        stacked = op.stiffness_apply(u)
+        assert stacked.shape == u.shape
+        for i in range(4):
+            assert np.array_equal(stacked[i], op.stiffness_apply(u[i]))
+            assert np.array_equal(op.apply(u)[i], op.apply(u[i]))
 
 
 class TestExportFormats:

@@ -1,0 +1,18 @@
+import numpy as np
+import pytest
+
+from carleman_lab.sampling import (
+    STREAM_TERMINAL,
+    sample_fields,
+    sine_coefficients,
+    sine_series,
+    stream_rng,
+)
+
+
+@pytest.mark.parametrize("n, count", [(512, 50), (128, 20), (512, 20), (96, 1)])
+def test_sample_fields_equal_one_series_per_draw(n, count):
+    x = np.linspace(0.0, 1.0, n + 1) ** 2
+    rng = stream_rng(4, STREAM_TERMINAL)
+    expected = np.array([sine_series(sine_coefficients(rng), x) for _ in range(count)])
+    assert np.array_equal(sample_fields(4, STREAM_TERMINAL, count, x), expected)

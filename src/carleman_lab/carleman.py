@@ -259,7 +259,10 @@ def carleman_sweep(
                     ratios.append(rep.ratio)
             if ratios:
                 mx = float(np.max(ratios))
-                med = float(np.median(ratios))
+                # np.median's value without its import of numpy.ma
+                ordered = sorted(ratios)
+                k = len(ordered) // 2
+                med = float(ordered[k] if len(ordered) % 2 else (ordered[k - 1] + ordered[k]) / 2)
                 empirical = max(empirical, mx)
             else:
                 mx = med = float("nan")

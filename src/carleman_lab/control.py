@@ -67,24 +67,27 @@ class _DualOperator:
         self.op = self.stepper.op
         self.mask = omega_node_mask(spec.mesh, spec.omega)[self.op.node_index]
         self.sample_t, self.taus = substep_times(spec)
+        self.tau_w = np.array(self.stepper.tau_w)  # (J, n): tau_j * W per substep
 
-    def adjoint_initial_and_pairing(self, v_unknown: np.ndarray):
+    def adjoint_pairing(self, v_unknown: np.ndarray, keep_initial: bool = False):
+        """(initial adjoint state or None, per-substep pairing profiles)."""
         full = self.op.embed(v_unknown)
         rows, pairing, _ = _adjoint_march(
-            self.spec, full, keep_pairing=True, stepper=self.stepper
+            self.spec, full, keep_pairing=True, stepper=self.stepper, keep_rows=keep_initial
         )
-        return self.op.restrict(rows[0]), pairing
+        return (self.op.restrict(rows[0]) if keep_initial else None), pairing
 
     def control_from_pairing(self, pairing: np.ndarray) -> np.ndarray:
         return np.where(self.mask, pairing, 0.0)
 
     def forward_terminal(self, u0_unknown: np.ndarray, ctrl: Optional[np.ndarray]):
-        # march with per-substep control samples on the unknown nodes
-        load = None if ctrl is None else (lambda j: ctrl[j])
+        # march with per-substep control samples on the unknown nodes, each
+        # substep's forcing tau_j * W * ctrl[j] formed in one block up front
+        load = None if ctrl is None else (self.tau_w * ctrl).__getitem__
         return self.stepper.forward(u0_unknown, load)
 
     def gram_apply(self, v_unknown: np.ndarray) -> np.ndarray:
-        _, pairing = self.adjoint_initial_and_pairing(v_unknown)
+        _, pairing = self.adjoint_pairing(v_unknown)
         ctrl = self.control_from_pairing(pairing)
         lam_v = self.forward_terminal(np.zeros_like(v_unknown), ctrl)
         return lam_v + self.epsilon * v_unknown
@@ -151,7 +154,7 @@ def synthesize_null_control(
     rhs = -b
     v_hat, iters, converged = _cg(dual.gram_apply, rhs, inner, cg_tol, cg_max_iter)
 
-    _, pairing = dual.adjoint_initial_and_pairing(v_hat)
+    _, pairing = dual.adjoint_pairing(v_hat)
     ctrl = dual.control_from_pairing(pairing)
     control = SpaceTimeControl(
         sample_times=dual.sample_t,
@@ -188,7 +191,7 @@ def dual_functional(
     dual = _DualOperator(spec, epsilon)
     op = dual.op
     v_unknown = op.restrict(v_T)
-    v0, pairing = dual.adjoint_initial_and_pairing(v_unknown)
+    v0, pairing = dual.adjoint_pairing(v_unknown, keep_initial=True)
     ctrl = dual.control_from_pairing(pairing)
     u0_unknown = op.restrict(u0)
     return (

@@ -11,15 +11,40 @@ or plain backward Euler.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf as _dgttrf, dgttrs as _dgttrs
+import scipy
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import DegeneracyCoefficient, HypothesisReport, Regime
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK wrapper module, loaded from its file.
+
+    ``import scipy.linalg`` would also load every decomposition and scipy's
+    array-API shim (which imports ``numpy.f2py``, ``numpy.testing`` and
+    ``numpy.ma``); the marches need only two routines of this one module.
+    """
+    where = os.path.join(scipy.__path__[0], "linalg")
+    found = importlib.machinery.PathFinder.find_spec("_flapack", [where])
+    if found is None:
+        raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+_dgttrf, _dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 __all__ = [
     "Mesh",
@@ -334,12 +359,20 @@ class _Stepper:
     the ``dgtsv`` behind ``solve_banded((1, 1), ...)``, and the step matrices
     are strictly diagonally dominant, so no pivot is taken and every solve is
     bit-identical to factoring from scratch.  Systems below three unknowns are
-    padded with decoupled identity rows, which leaves the eliminations of the
-    real rows unchanged.
+    padded with decoupled identity rows in L and R, which leaves the
+    eliminations of the real rows unchanged.
 
-    States are single ``(n,)`` vectors or sample-major ``(S, n)`` blocks;
-    LAPACK receives a block as its Fortran-ordered ``(n, S)`` transpose and
-    eliminates each column exactly as it would a lone vector.
+    States are single ``(n,)`` vectors or sample-major ``(S, n)`` blocks.  A
+    march keeps its state in one flat buffer of ``S*p + 2`` doubles, with p
+    the unknowns plus padding: a zero, the p values of each sample in turn,
+    a zero.  The interior seen as ``(S, p)`` and transposed is the Fortran
+    ``(p, S)`` operand that ``dgttrs`` overwrites in place, eliminating each
+    column exactly as it would a lone vector.  R is one product of a
+    ``(3, S*p)`` coefficient array (zero wherever a stencil window reaches
+    into a neighbouring sample or an end zero) with the length-3 windows of
+    the buffer, then two sums in the order ``(Rd u + ro u+) + ro u-``.  So a
+    substep allocates nothing, and its floor is the latency-bound recurrence
+    of ``dgttrs`` itself, about two thirds of its time at n = 255.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -351,16 +384,15 @@ class _Stepper:
         self.xs_unknown = spec.mesh.nodes[idx]
         W = self.op.weights
         n = self.op.n_unknowns
-        self._pad = max(0, _LAPACK_MIN_N - n)
-        self.factor_of = []  # substep -> index into the factor list
+        self.width = max(n, _LAPACK_MIN_N)  # unknowns plus identity padding
+        self.factor_of = []  # substep -> index of its distinct L
         self.tau_w = []  # tau * W, the weight of a substep's forcing
-        self.R_diag = []
-        self.R_off = []
-        self._factors = []
-        built: dict = {}  # key of L -> (factor index, tau*W, R diagonal, R off-diagonal)
+        self._L = []  # substep -> factored L
+        self._R = []  # substep -> stencil coefficients of R
+        built: dict = {}  # key of L -> (factor index, factored L, tau*W, R coefficients)
         for sub in self.subs:
             # with a potential every substep gets a fresh key, hence its own factor
-            key = (sub.tau, sub.implicit) if spec.c is None else len(self._factors)
+            key = (sub.tau, sub.implicit) if spec.c is None else len(built)
             if key not in built:
                 g_diag = self.op.diag
                 if spec.c is not None:
@@ -370,66 +402,104 @@ class _Stepper:
                         raise ValueError(f"potential c is not finite at t = {sub.t_sample:.17g}")
                     g_diag = g_diag + W * cvals
                 th = sub.implicit
-                Lo = th * sub.tau * self.op.off
-                self._factors.append(self._factor(W + th * sub.tau * g_diag, Lo))
                 built[key] = (
-                    len(self._factors) - 1,
+                    len(built),
+                    self._factor(W + th * sub.tau * g_diag, th * sub.tau * self.op.off),
                     sub.tau * W,
-                    W - (1.0 - th) * sub.tau * g_diag,
-                    -(1.0 - th) * sub.tau * self.op.off,
+                    self._stencil(
+                        W - (1.0 - th) * sub.tau * g_diag, -(1.0 - th) * sub.tau * self.op.off
+                    ),
                 )
-            f, tw, Rd, Ro = built[key]
+            f, L, tw, R = built[key]
             self.factor_of.append(f)
+            self._L.append(L)
             self.tau_w.append(tw)
-            self.R_diag.append(Rd)
-            self.R_off.append(Ro)
+            self._R.append(R)
 
     def _factor(self, Ld: np.ndarray, Lo: np.ndarray) -> tuple:
-        if self._pad:
-            Ld = np.concatenate((Ld, np.ones(self._pad)))
-            Lo = np.concatenate((Lo, np.zeros(self._pad)))
+        pad = self.width - Ld.size
+        if pad:
+            Ld = np.concatenate((Ld, np.ones(pad)))
+            Lo = np.concatenate((Lo, np.zeros(pad)))
         dl, d, du, du2, ipiv, info = _dgttrf(Lo, Ld, Lo)
         if info != 0:
             raise ValueError("singular step matrix: time step or potential pathological")
         return dl, d, du, du2, ipiv
 
+    def _stencil(self, Rd: np.ndarray, Ro: np.ndarray) -> np.ndarray:
+        """Coefficients of u[i-1], u[i], u[i+1] in (R u)[i], identity on the padding."""
+        n = Rd.size
+        coef = np.zeros((3, self.width))
+        coef[0, 1:n] = Ro
+        coef[1] = 1.0
+        coef[1, :n] = Rd
+        coef[2, : n - 1] = Ro
+        return coef
+
+    def _buffer(self, shape: tuple) -> tuple:
+        """A zeroed march buffer for states of ``shape``: (the flat buffer, its
+        ``(S, p)`` interior, the view of the unknowns in ``shape``)."""
+        buf = np.zeros(math.prod(shape[:-1]) * self.width + 2)
+        inner = buf[1:-1].reshape(-1, self.width)
+        return buf, inner, inner[:, : shape[-1]].reshape(shape, copy=False)
+
+    def _apply_R(self, buf: np.ndarray, inner: np.ndarray):
+        """In-place ``apply_R(j)``: the interior of buf becomes R_j times it."""
+        S = inner.shape[0]
+        flat = buf[1:-1]
+        windows = sliding_window_view(buf, 3).T  # rows u[i-1], u[i], u[i+1]
+        prod = np.empty(windows.shape)
+        lo, mid, hi = prod
+        coefs = self._R
+        if S > 1 and self.spec.c is None:
+            # at most two distinct R: tile each over the samples once
+            tiled: dict = {}
+            for f, coef in zip(self.factor_of, self._R):
+                if f not in tiled:
+                    tiled[f] = np.tile(coef, S)
+            coefs = [tiled[f] for f in self.factor_of]
+        # with a potential every R is used once per march, so tile on use
+        retile = S > 1 and self.spec.c is not None
+
+        def apply_R(j: int) -> None:
+            np.multiply(np.tile(coefs[j], S) if retile else coefs[j], windows, out=prod)
+            np.add(mid, hi, out=flat)
+            np.add(flat, lo, out=flat)
+
+        return apply_R
+
     def solve_L(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        """L_j^{-1} rhs for an (n,) vector or an (S, n) block; rhs is consumed."""
-        b = rhs.T
-        if self._pad:
-            b = np.concatenate((b, np.zeros((self._pad,) + b.shape[1:])))
-        x, _ = _dgttrs(*self._factors[self.factor_of[j]], b, overwrite_b=1)
-        return (x[: x.shape[0] - self._pad] if self._pad else x).T
+        """L_j^{-1} rhs for an (n,) vector or an (S, n) block."""
+        _, inner, x = self._buffer(rhs.shape)
+        x[...] = rhs
+        _dgttrs(*self._L[j], inner.T, "N", 1)
+        return x
 
-    def apply_R(self, j: int, u: np.ndarray) -> np.ndarray:
-        """R_j u for an (n,) vector or an (S, n) block."""
-        ro = self.R_off[j]
-        out = self.R_diag[j] * u
-        out[..., :-1] += ro * u[..., 1:]
-        out[..., 1:] += ro * u[..., :-1]
-        return out
-
-    def forward(self, u: np.ndarray, load=None, rows=None) -> np.ndarray:
+    def forward(self, u: np.ndarray, load=None, closed=None) -> np.ndarray:
         """March u over the whole schedule and return the final state.
 
-        ``load(j)`` gives substep j's forcing g, entering the right-hand side
-        as tau*W*g, or None; ``rows``, when given, receives the state at the
-        end of every step m = 1..M in its unknown-node columns.
+        ``load(j)`` gives substep j's forcing term tau*W*g, added to the
+        right-hand side, or None; ``closed(m, state)`` is called at the end
+        of every step m = 1..M with the live state, which it must not keep.
         """
+        buf, inner, state = self._buffer(u.shape)
+        state[...] = u
+        apply_R = self._apply_R(buf, inner)
+        b = inner.T
         m = 1
         for j, sub in enumerate(self.subs):
-            rhs = self.apply_R(j, u)
+            apply_R(j)
             g = None if load is None else load(j)
             if g is not None:
-                rhs = rhs + self.tau_w[j] * g
-            u = self.solve_L(j, rhs)
-            if rows is not None and sub.closes:
-                rows[..., m, self.cols] = u
+                np.add(state, g, out=state)
+            _dgttrs(*self._L[j], b, "N", 1)
+            if closed is not None and sub.closes:
+                closed(m, state)
                 m += 1
         # every solve couples all unknowns, so a non-finite value met at any
         # substep is still present in the final state
-        _require_finite(u, "the control or source")
-        return u
+        _require_finite(state, "the control or source")
+        return state
 
     def backward(self, v: np.ndarray, deposit=None, pairing=None, rows=None) -> None:
         """Transposed march from terminal data v.
@@ -439,15 +509,18 @@ class _Stepper:
         forcing; ``rows`` receives the state at every step start m = M-1..0.
         """
         W = self.op.weights
-        z = W * v
+        buf, inner, z = self._buffer(v.shape)
+        np.multiply(W, v, out=z)
+        apply_R = self._apply_R(buf, inner)
+        b = inner.T
         m = self.spec.time_steps - 1
         for j in range(len(self.subs) - 1, -1, -1):
-            y = self.solve_L(j, z)
+            _dgttrs(*self._L[j], b, "N", 1)
             if pairing is not None:
-                pairing[j] = y
-            z = self.apply_R(j, y)
+                pairing[j] = z
+            apply_R(j)
             if deposit is not None:
-                z = z - deposit(j)
+                np.subtract(z, deposit(j), out=z)
             if rows is not None and (j == 0 or self.subs[j - 1].closes):
                 rows[..., m, self.cols] = z / W
                 m -= 1
@@ -497,10 +570,13 @@ def solve_forward(
         src = _sample_field(source, t, xs, j)
         if src is not None:
             g += src
-        return g if g.any() else None
+        return st.tau_w[j] * g if g.any() else None
+
+    def closed(m, state):
+        rows[m, st.cols] = state
 
     forced = control is not None or source is not None
-    st.forward(u, load if forced else None, rows)
+    st.forward(u, load if forced else None, closed)
     return Trajectory(rows, mesh, spec.T, Direction.FORWARD)
 
 
@@ -511,11 +587,13 @@ def _adjoint_march(
     keep_pairing=False,
     stepper=None,
     F_const=None,
+    keep_rows=True,
 ):
     """Backward recursion that is the exact measure-weighted transpose of the
     forward step map.  Returns (rows, pairing, stepper): rows holds the nodal
-    state at every step, pairing[j] the profile that multiplies substep-j
-    sources in the duality sum.
+    state at every step (None unless ``keep_rows``), pairing[j] the profile
+    that multiplies substep-j sources in the duality sum (None unless
+    ``keep_pairing``).
 
     ``v_T`` is one nodal vector, giving ``(M+1, N+1)`` rows, or an ``(S, N+1)``
     stack of samples marched together, giving ``(S, M+1, N+1)`` rows.  ``F`` is
@@ -530,8 +608,10 @@ def _adjoint_march(
     if not np.all(np.isfinite(v)):
         raise ValueError("terminal data must be finite")
     M = spec.time_steps
-    rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
-    rows[..., M, st.cols] = v
+    rows = None
+    if keep_rows:
+        rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
+        rows[..., M, st.cols] = v
     pairing = np.empty((len(st.subs),) + v.shape) if keep_pairing else None
 
     # implicit-side deposit: raw tau*W*F leaves a first-order residue on stiff
@@ -544,7 +624,7 @@ def _adjoint_march(
         def deposit(j):
             f = st.factor_of[j]
             if f not in cache:
-                cache[f] = st.tau_w[j] * st.solve_L(j, WF.copy())
+                cache[f] = st.tau_w[j] * st.solve_L(j, WF)
             return cache[f]
 
     elif F is not None:
@@ -572,8 +652,9 @@ def energy_reports(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarra
     under the time-constant nodal controls ``h_rows`` (one row per sample) or
     none; one ratio per sample.
 
-    The samples march together as one ``(S, n)`` block and every reduction
-    runs over the whole stack, one time row at a time.
+    The samples march together as one ``(S, n)`` block, and every step is
+    reduced across the whole stack as the march closes it, so no trajectory
+    is stored.
     """
     st = _Stepper(spec)
     return _energy_ratios(st, u0s, None if h_rows is None else st.op.restrict(h_rows))
@@ -587,17 +668,15 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
     op = st.op
     mesh = spec.mesh
     u0s = np.asarray(u0s, dtype=float)
-    u = op.restrict(u0s)
+    # row-major like the march's states: a row sum over a column-major
+    # block adds in another order
+    u = np.ascontiguousarray(op.restrict(u0s))
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
-    M = spec.time_steps
-    rows = np.zeros((u.shape[0], M + 1, mesh.nodes.size))
-    rows[:, 0, st.cols] = u
     load = None
     if g is not None:
         g = np.where(omega_node_mask(mesh, spec.omega)[op.node_index], g, 0.0)
-        load = (lambda j: g[j]) if g.ndim == 3 else (lambda j: g)
-    st.forward(u, load, rows)
+        load = (lambda j: st.tau_w[j] * g[j]) if g.ndim == 3 else (lambda j: st.tau_w[j] * g)
 
     W = op.weights
     hsp = mesh.spacings
@@ -609,20 +688,27 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
         grad = np.diff(full, axis=-1) / hsp
         return np.sum(vols * full * full, axis=-1) + np.sum(faces_a * grad * grad * hsp, axis=-1)
 
-    # one time row of every sample at a time: whole-block reductions would
-    # hold several (S, M+1, N+1) temporaries at once
-    tw = trapezoid_time_weights(spec.T, M)
-    h1_sup = h1a_sq(rows[:, 0])
+    # the sup and both time integrals, one time row of every sample at a time
+    tw = trapezoid_time_weights(spec.T, spec.time_steps)
+    full = np.zeros((u.shape[0], mesh.nodes.size))
+    full[:, st.cols] = u
+    prev = u.copy()
+    h1_sup = h1a_sq(full)
     ut_sq = np.zeros(u.shape[0])
     au_sq = np.zeros(u.shape[0])
-    for m in range(M + 1):
-        cur = rows[:, m, st.cols]
+
+    def closed(m, cur):
         if m:
-            h1_sup = np.maximum(h1_sup, h1a_sq(rows[:, m]))
-            du = (cur - rows[:, m - 1, st.cols]) / k
-            ut_sq += k * np.sum(W * du * du, axis=-1)
+            full[:, st.cols] = cur
+            np.maximum(h1_sup, h1a_sq(full), out=h1_sup)
+            du = (cur - prev) / k
+            np.add(ut_sq, k * np.sum(W * du * du, axis=-1), out=ut_sq)
+            prev[...] = cur
         Au = op.apply(cur)
-        au_sq += tw[m] * np.sum(W * Au * Au, axis=-1)
+        np.add(au_sq, tw[m] * np.sum(W * Au * Au, axis=-1), out=au_sq)
+
+    closed(0, u)
+    st.forward(u, load, closed)
     lhs = h1_sup + ut_sq + au_sq
 
     # data energy, then the control energy of each substep added in order

@@ -272,6 +272,18 @@ class TestSweep:
         assert r1.rows == r2.rows
         assert r1.summary["config_sha256"] == r2.summary["config_sha256"]
 
+    @pytest.mark.parametrize("n_samples", [3, 4])
+    def test_median_ratio_matches_numpy(self, n_samples):
+        spec = make_spec(N=32, M=32, T=10.0, omega=(0.02, 0.95))
+        res = carleman_sweep(
+            spec, n_samples, [1.0, 2.0], [2.0], seed=5, omega_prime=(0.05, 0.9),
+            s_relative=True,
+        )
+        for point in res.summary["per_point"]:
+            ratios = [r["ratio"] for r in res.rows if r["s"] == point["s"]]
+            assert point["n_valid"] == n_samples
+            assert point["median_ratio"] == float(np.median(ratios))
+
     def test_validates_arguments(self):
         spec = make_spec(N=32, M=32)
         with pytest.raises(ValueError, match="sample"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from carleman_lab import pde_solver
 from carleman_lab.coefficients import DegeneracyCoefficient, classify, make_power_coefficient
 from carleman_lab.pde_solver import (
     BoundaryRegime,
@@ -396,10 +397,14 @@ class TestStackedEnergy:
         u0s[0] = np.sin(np.pi * spec.mesh.nodes)
         forward = pde_solver._Stepper.forward
 
-        def leaky(self, u, load=None, rows=None):
-            out = forward(self, u, load, rows)
-            rows[1, -1, self.cols] = 1.0  # the zero sample ends away from zero
-            return out
+        def leaky(self, u, load=None, closed=None):
+            def leak(m, state):
+                if m == spec.time_steps:
+                    state = state.copy()
+                    state[1] = 1.0  # the zero sample ends away from zero
+                closed(m, state)
+
+            return forward(self, u, load, leak)
 
         monkeypatch.setattr(pde_solver._Stepper, "forward", leaky)
         with pytest.raises(ValueError, match="zero data but nonzero trajectory"):
@@ -412,7 +417,7 @@ class TestStackedEnergy:
         with pytest.raises(ValueError, match="initial data must be finite"):
             energy_reports(spec, u0s)
 
-    def test_peak_memory_stays_near_the_rows_block(self):
+    def test_peak_memory_stays_well_under_the_rows_block(self):
         spec = make_spec(N=128, M=128)
         u0s, hs = self.draws(spec, 20)
         rows_bytes = 20 * 129 * 129 * 8
@@ -423,7 +428,8 @@ class TestStackedEnergy:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 2 * rows_bytes, peak
+        # each step is reduced as the march closes it: no trajectory is kept
+        assert peak < rows_bytes / 4, peak
 
 
 class TestStackedStiffness:
@@ -703,6 +709,172 @@ class TestMarchingEngine:
         spec = make_spec(N=16, M=8, c=lambda t, x: np.where(x > 0.5, np.nan, 0.0))
         with pytest.raises(ValueError, match="potential c is not finite"):
             solve_forward(spec, np.zeros(spec.mesh.nodes.size))
+
+
+# --------------------------------------------------------------------------------
+# the in-place engine against a copy of the allocating per-substep loop it replaced
+
+
+def _old_engine(spec):
+    """Per substep: (substep, factored L, R diagonal, R off-diagonal, tau*W),
+    and the number of padding rows, as the allocating engine built them."""
+    op, steps = _reference_steps(spec)
+    pad = max(0, 3 - op.n_unknowns)
+    out = []
+    for sub, Lb, Rd, Ro in steps:
+        Ld = np.concatenate((Lb[1], np.ones(pad)))
+        Lo = np.concatenate((Lb[0, 1:], np.zeros(pad)))
+        factors = pde_solver._dgttrf(Lo, Ld, Lo)[:5]
+        out.append((sub, factors, Rd, Ro, sub.tau * op.weights))
+    return out, pad
+
+
+def _old_solve_L(factors, pad, rhs):
+    b = rhs.T
+    if pad:
+        b = np.concatenate((b, np.zeros((pad,) + b.shape[1:])))
+    x, _ = pde_solver._dgttrs(*factors, b, overwrite_b=1)
+    return (x[: x.shape[0] - pad] if pad else x).T
+
+
+def _old_apply_R(Rd, Ro, u):
+    out = Rd * u
+    out[..., :-1] += Ro * u[..., 1:]
+    out[..., 1:] += Ro * u[..., :-1]
+    return out
+
+
+def _old_forward(spec, u, g=None):
+    """(final state, rows) of the allocating forward loop; g holds per-substep
+    unweighted forcing."""
+    steps, pad = _old_engine(spec)
+    cols = pde_solver._Stepper(spec).cols
+    rows = np.zeros(u.shape[:-1] + (spec.time_steps + 1, spec.mesh.nodes.size))
+    m = 1
+    for j, (sub, factors, Rd, Ro, tw) in enumerate(steps):
+        rhs = _old_apply_R(Rd, Ro, u)
+        if g is not None:
+            rhs = rhs + tw * g[j]
+        u = _old_solve_L(factors, pad, rhs)
+        if sub.closes:
+            rows[..., m, cols] = u
+            m += 1
+    return u, rows
+
+
+def _old_backward(spec, v, F=None, F_const=None):
+    """(rows, pairing) of the allocating transposed loop with the deposits
+    of ``_adjoint_march``: per-substep F or a constant F_const."""
+    steps, pad = _old_engine(spec)
+    st = pde_solver._Stepper(spec)
+    W = st.op.weights
+    M = spec.time_steps
+    rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
+    rows[..., M, st.cols] = v
+    pairing = np.empty((len(steps),) + v.shape)
+    z = W * v
+    m = M - 1
+    for j in range(len(steps) - 1, -1, -1):
+        sub, factors, Rd, Ro, tw = steps[j]
+        y = _old_solve_L(factors, pad, z)
+        pairing[j] = y
+        z = _old_apply_R(Rd, Ro, y)
+        if F_const is not None:
+            z = z - tw * _old_solve_L(factors, pad, W * F_const)
+        elif F is not None:
+            z = z - tw * _old_solve_L(factors, pad, W * F[j])
+        if j == 0 or st.subs[j - 1].closes:
+            rows[..., m, st.cols] = z / W
+            m -= 1
+    return rows, pairing
+
+
+def _spec_for(N, regime, scheme, c=None):
+    coef = make_power_coefficient(1.0 if N < 8 else 0.5)
+    return ProblemSpec(
+        T=1.0, coef=coef, regime=regime, mesh=build_mesh(N, 2.0), time_steps=7,
+        omega=(0.3, 0.7), scheme=scheme, c=c, boundary_override=True,
+    )
+
+
+POTENTIAL = lambda t, x: 0.3 + 0.2 * np.sin(2 * np.pi * x) * np.cos(t)  # noqa: E731
+
+IN_PLACE_CASES = [
+    pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, None, id="cn"),
+    pytest.param(24, WEAK, Scheme.BACKWARD_EULER, None, id="be"),
+    pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, POTENTIAL, id="cn-potential"),
+    pytest.param(24, WEAK, Scheme.BACKWARD_EULER, POTENTIAL, id="be-potential"),
+    pytest.param(2, WEAK, Scheme.CRANK_NICOLSON, None, id="n1"),
+    pytest.param(2, STRONG, Scheme.CRANK_NICOLSON, POTENTIAL, id="n2-strong"),
+    pytest.param(3, WEAK, Scheme.BACKWARD_EULER, None, id="n2-weak"),
+    pytest.param(3, STRONG, Scheme.CRANK_NICOLSON, None, id="n3"),
+]
+
+
+class TestInPlaceEngine:
+    @pytest.mark.parametrize("S", [None, 3])
+    @pytest.mark.parametrize("N,regime,scheme,c", IN_PLACE_CASES)
+    def test_forward_matches_allocating_loop(self, N, regime, scheme, c, S):
+        spec = _spec_for(N, regime, scheme, c)
+        st = pde_solver._Stepper(spec)
+        n, J = st.op.n_unknowns, len(st.subs)
+        rng = np.random.default_rng(N + (S or 0))
+        shape = (n,) if S is None else (S, n)
+        u = rng.standard_normal(shape)
+        g = rng.standard_normal((J,) + shape)
+        for forcing in (None, g):
+            rows = np.zeros(shape[:-1] + (spec.time_steps + 1, spec.mesh.nodes.size))
+
+            def closed(m, state):
+                rows[..., m, st.cols] = state
+
+            load = None if forcing is None else (lambda j: st.tau_w[j] * forcing[j])
+            u_in = u.copy()
+            got = st.forward(u_in, load, closed)
+            assert np.array_equal(u_in, u)  # the input is not consumed
+            want, want_rows = _old_forward(spec, u, forcing)
+            assert got.shape == shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(rows, want_rows)
+
+    @pytest.mark.parametrize("S", [None, 3])
+    @pytest.mark.parametrize("N,regime,scheme,c", IN_PLACE_CASES)
+    def test_backward_matches_allocating_loop(self, N, regime, scheme, c, S):
+        spec = _spec_for(N, regime, scheme, c)
+        st = pde_solver._Stepper(spec)
+        op = st.op
+        n, J = op.n_unknowns, len(st.subs)
+        rng = np.random.default_rng(10 + N + (S or 0))
+        shape = (n,) if S is None else (S, n)
+        nodal = shape[:-1] + (spec.mesh.nodes.size,)
+        vT = op.embed(rng.standard_normal(shape))
+        v = op.restrict(vT)
+        F = rng.standard_normal((J, n))
+        F_const = op.embed(rng.standard_normal(shape))
+        for kw, ref_kw in (
+            ({}, {}),
+            ({"F": F}, {"F": F}),
+            ({"F_const": F_const}, {"F_const": op.restrict(F_const)}),
+        ):
+            rows, pairing, _ = _adjoint_march(spec, vT, keep_pairing=True, stepper=st, **kw)
+            want_rows, want_pairing = _old_backward(spec, v, **ref_kw)
+            assert rows.shape == shape[:-1] + (spec.time_steps + 1, nodal[-1])
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(pairing, want_pairing)
+            skipped, kept, _ = _adjoint_march(
+                spec, vT, keep_pairing=True, stepper=st, keep_rows=False, **kw
+            )
+            assert skipped is None and np.array_equal(kept, want_pairing)
+
+    def test_solve_L_leaves_its_input(self):
+        spec = _spec_for(2, WEAK, Scheme.CRANK_NICOLSON)
+        st = pde_solver._Stepper(spec)
+        steps, pad = _old_engine(spec)
+        rhs = np.random.default_rng(7).standard_normal((4, st.op.n_unknowns))
+        before = rhs.copy()
+        got = st.solve_L(0, rhs)
+        assert np.array_equal(rhs, before)
+        assert np.array_equal(got, _old_solve_L(steps[0][1], pad, before.copy()))
 
 
 class TestTrapezoidTimeWeights:

@@ -67,7 +67,6 @@ class _DualOperator:
         self.op = self.stepper.op
         self.mask = omega_node_mask(spec.mesh, spec.omega)[self.op.node_index]
         self.sample_t, self.taus = substep_times(spec)
-        self.tau_w = np.array(self.stepper.tau_w)  # (J, n): tau_j * W per substep
 
     def adjoint_pairing(self, v_unknown: np.ndarray, keep_initial: bool = False):
         """(initial adjoint state or None, per-substep pairing profiles)."""
@@ -81,9 +80,8 @@ class _DualOperator:
         return np.where(self.mask, pairing, 0.0)
 
     def forward_terminal(self, u0_unknown: np.ndarray, ctrl: Optional[np.ndarray]):
-        # march with per-substep control samples on the unknown nodes, each
-        # substep's forcing tau_j * W * ctrl[j] formed in one block up front
-        load = None if ctrl is None else (self.tau_w * ctrl).__getitem__
+        # march with per-substep control samples on the unknown nodes
+        load = None if ctrl is None else ctrl.__getitem__
         return self.stepper.forward(u0_unknown, load)
 
     def gram_apply(self, v_unknown: np.ndarray) -> np.ndarray:

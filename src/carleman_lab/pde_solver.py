@@ -367,10 +367,11 @@ class _Stepper:
     the unknowns plus padding: a zero, the p values of each sample in turn,
     a zero.  The interior seen as ``(S, p)`` and transposed is the Fortran
     ``(p, S)`` operand that ``dgttrs`` overwrites in place, eliminating each
-    column exactly as it would a lone vector.  R is one product of a
-    ``(3, S*p)`` coefficient array (zero wherever a stencil window reaches
-    into a neighbouring sample or an end zero) with the length-3 windows of
-    the buffer, then two sums in the order ``(Rd u + ro u+) + ro u-``.  So a
+    column exactly as it would a lone vector.  R is one product of its
+    ``(3, p)`` stencil coefficients (zero wherever a window reaches into a
+    neighbouring sample or an end zero), broadcast over the samples, with the
+    length-3 windows of the buffer seen as ``(3, S, p)``, then two sums in
+    the order ``(Rd u + ro u+) + ro u-``.  So a
     substep allocates nothing, and its floor is the latency-bound recurrence
     of ``dgttrs`` itself, about two thirds of its time at n = 255.
     """
@@ -427,13 +428,14 @@ class _Stepper:
         return dl, d, du, du2, ipiv
 
     def _stencil(self, Rd: np.ndarray, Ro: np.ndarray) -> np.ndarray:
-        """Coefficients of u[i-1], u[i], u[i+1] in (R u)[i], identity on the padding."""
+        """Coefficients of u[i-1], u[i], u[i+1] in (R u)[i], identity on the
+        padding, shaped ``(3, 1, p)`` to broadcast over a march's samples."""
         n = Rd.size
-        coef = np.zeros((3, self.width))
-        coef[0, 1:n] = Ro
+        coef = np.zeros((3, 1, self.width))
+        coef[0, 0, 1:n] = Ro
         coef[1] = 1.0
-        coef[1, :n] = Rd
-        coef[2, : n - 1] = Ro
+        coef[1, 0, :n] = Rd
+        coef[2, 0, : n - 1] = Ro
         return coef
 
     def _buffer(self, shape: tuple) -> tuple:
@@ -441,30 +443,22 @@ class _Stepper:
         ``(S, p)`` interior, the view of the unknowns in ``shape``)."""
         buf = np.zeros(math.prod(shape[:-1]) * self.width + 2)
         inner = buf[1:-1].reshape(-1, self.width)
-        return buf, inner, inner[:, : shape[-1]].reshape(shape, copy=False)
+        # a view for every shape used: (S, n) keeps the slice's shape and
+        # (n,) drops its unit axis
+        return buf, inner, inner[:, : shape[-1]].reshape(shape)
 
     def _apply_R(self, buf: np.ndarray, inner: np.ndarray):
         """In-place ``apply_R(j)``: the interior of buf becomes R_j times it."""
-        S = inner.shape[0]
-        flat = buf[1:-1]
-        windows = sliding_window_view(buf, 3).T  # rows u[i-1], u[i], u[i+1]
+        # rows u[i-1], u[i], u[i+1] of every sample, as a (3, S, p) view
+        windows = sliding_window_view(buf, 3).T.reshape((3,) + inner.shape)
         prod = np.empty(windows.shape)
         lo, mid, hi = prod
         coefs = self._R
-        if S > 1 and self.spec.c is None:
-            # at most two distinct R: tile each over the samples once
-            tiled: dict = {}
-            for f, coef in zip(self.factor_of, self._R):
-                if f not in tiled:
-                    tiled[f] = np.tile(coef, S)
-            coefs = [tiled[f] for f in self.factor_of]
-        # with a potential every R is used once per march, so tile on use
-        retile = S > 1 and self.spec.c is not None
 
         def apply_R(j: int) -> None:
-            np.multiply(np.tile(coefs[j], S) if retile else coefs[j], windows, out=prod)
-            np.add(mid, hi, out=flat)
-            np.add(flat, lo, out=flat)
+            np.multiply(coefs[j], windows, out=prod)
+            np.add(mid, hi, out=inner)
+            np.add(inner, lo, out=inner)
 
         return apply_R
 
@@ -478,20 +472,22 @@ class _Stepper:
     def forward(self, u: np.ndarray, load=None, closed=None) -> np.ndarray:
         """March u over the whole schedule and return the final state.
 
-        ``load(j)`` gives substep j's forcing term tau*W*g, added to the
-        right-hand side, or None; ``closed(m, state)`` is called at the end
-        of every step m = 1..M with the live state, which it must not keep.
+        ``load(j)`` gives substep j's forcing g, entering the right-hand side
+        as tau*W*g, or None; ``closed(m, state)`` is called at the end of
+        every step m = 1..M with the live state, which it must not keep.
         """
         buf, inner, state = self._buffer(u.shape)
         state[...] = u
         apply_R = self._apply_R(buf, inner)
         b = inner.T
+        forcing = None if load is None else np.empty(u.shape)
         m = 1
         for j, sub in enumerate(self.subs):
             apply_R(j)
             g = None if load is None else load(j)
             if g is not None:
-                np.add(state, g, out=state)
+                np.multiply(self.tau_w[j], g, out=forcing)
+                np.add(state, forcing, out=state)
             _dgttrs(*self._L[j], b, "N", 1)
             if closed is not None and sub.closes:
                 closed(m, state)
@@ -570,7 +566,7 @@ def solve_forward(
         src = _sample_field(source, t, xs, j)
         if src is not None:
             g += src
-        return st.tau_w[j] * g if g.any() else None
+        return g if g.any() else None
 
     def closed(m, state):
         rows[m, st.cols] = state
@@ -676,7 +672,7 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
     load = None
     if g is not None:
         g = np.where(omega_node_mask(mesh, spec.omega)[op.node_index], g, 0.0)
-        load = (lambda j: st.tau_w[j] * g[j]) if g.ndim == 3 else (lambda j: st.tau_w[j] * g)
+        load = g.__getitem__ if g.ndim == 3 else (lambda j: g)
 
     W = op.weights
     hsp = mesh.spacings

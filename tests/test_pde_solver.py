@@ -828,7 +828,7 @@ class TestInPlaceEngine:
             def closed(m, state):
                 rows[..., m, st.cols] = state
 
-            load = None if forcing is None else (lambda j: st.tau_w[j] * forcing[j])
+            load = None if forcing is None else forcing.__getitem__
             u_in = u.copy()
             got = st.forward(u_in, load, closed)
             assert np.array_equal(u_in, u)  # the input is not consumed

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .functionals import Region, _WeightedQuadrature, _clipped_node_quadrature
+from .functionals import Region, _abscissae, _clipped_node_quadrature, _WeightedQuadrature
 from .pde_solver import (
     Direction,
     ProblemSpec,
@@ -48,6 +48,7 @@ __all__ = [
     "transform_to_w",
     "identity_residual",
     "boundary_sign_term",
+    "boundary_sign_terms",
     "observability_ratio",
     "standard_identity_fields",
 ]
@@ -114,7 +115,7 @@ def carleman_sides(
     s, lam = params.s, params.lam
     sl = s * lam
     q = zero_order_exponent
-    grid = (traj.mesh, traj.T, traj.values.shape[0] - 1, weights, s)
+    grid = (_abscissae(traj.mesh, traj.T, traj.values.shape[0] - 1, weights), weights, s)
     grad = _WeightedQuadrature(*grid, 1.0, "a_vx_sq")
     zero = _WeightedQuadrature(*grid, q, "v_sq")
     local = _WeightedQuadrature(*grid, 3.0, "v_sq", Region.Q_OMEGA, spec.omega)
@@ -579,6 +580,39 @@ class BoundaryTerm:
     scale: float
 
 
+def _boundary_sign(mesh, T: float, M: int, weights: CarlemanWeights, params: CarlemanParams):
+    """The sample-independent half of :func:`boundary_sign_term`: returns
+    ``term(w)``, the boundary term of a conjugated field w on the
+    ``(M+1) x (N+1)`` grid, which reads only the columns 0, 1, -2 and -1 of
+    w (so it may be given just those four)."""
+    s = params.s
+    lam = params.lam
+    ts = np.linspace(0.0, T, M + 1)
+    tw = trapezoid_time_weights(T, M)
+    h = mesh.spacings
+    comp = weights.space_composites(np.array([mesh.nodes[0], mesh.nodes[-1]]))
+    a = comp["a"]
+    c1 = comp["c1"]
+    eta = comp["eta"]
+    th = np.zeros(M + 1)
+    inner = (ts > 0.0) & (ts < T)
+    th[inner] = weights._theta_parts(ts[inner])[0]
+    # the factors of a^2 phi_x at each end, in the order they multiply w_x^2
+    at_one = th * lam * eta[1] * a[1] * c1[1]
+    at_zero = th * lam * eta[0] * a[0] * c1[0]
+
+    def term(w: np.ndarray) -> BoundaryTerm:
+        wx0 = (w[:, 1] - w[:, 0]) / h[0]
+        wx1 = (w[:, -1] - w[:, -2]) / h[-1]
+        at1 = at_one * wx1 * wx1
+        at0 = at_zero * wx0 * wx0
+        value = -s * float(np.dot(tw, at1 - at0))
+        scale = s * float(np.dot(tw, np.abs(at1) + np.abs(at0))) + 1e-300
+        return BoundaryTerm(term=value, scale=scale)
+
+    return term
+
+
 def boundary_sign_term(
     wt: WTransform, weights: CarlemanWeights, params: CarlemanParams
 ) -> BoundaryTerm:
@@ -588,28 +622,28 @@ def boundary_sign_term(
     negative at x = 1 and the degenerate factor kills the x = 0 trace, so the
     term is nonnegative up to discretization noise.
     """
-    s = params.s
-    lam = params.lam
-    mesh = wt.mesh
-    xs = mesh.nodes
-    M = wt.w.shape[0] - 1
-    ts = np.linspace(0.0, wt.T, M + 1)
-    tw = trapezoid_time_weights(wt.T, M)
-    h = mesh.spacings
-    wx0 = (wt.w[:, 1] - wt.w[:, 0]) / h[0]
-    wx1 = (wt.w[:, -1] - wt.w[:, -2]) / h[-1]
-    comp = weights.space_composites(np.array([xs[0], xs[-1]]))
-    a = comp["a"]
-    c1 = comp["c1"]
-    eta = comp["eta"]
-    th = np.zeros(M + 1)
-    inner = (ts > 0.0) & (ts < wt.T)
-    th[inner] = weights._theta_parts(ts[inner])[0]
-    at1 = th * lam * eta[1] * a[1] * c1[1] * wx1 * wx1
-    at0 = th * lam * eta[0] * a[0] * c1[0] * wx0 * wx0
-    term = -s * float(np.dot(tw, at1 - at0))
-    scale = s * float(np.dot(tw, np.abs(at1) + np.abs(at0))) + 1e-300
-    return BoundaryTerm(term=term, scale=scale)
+    return _boundary_sign(wt.mesh, wt.T, wt.w.shape[0] - 1, weights, params)(wt.w)
+
+
+# the columns of w that the boundary term reads
+_EDGE_COLUMNS = [0, 1, -2, -1]
+
+
+def boundary_sign_terms(
+    rows: np.ndarray, mesh, T: float, weights: CarlemanWeights, params: CarlemanParams
+) -> list:
+    """``boundary_sign_term(transform_to_w(v))`` of every backward trajectory
+    v in the ``(S, M+1, N+1)`` stack ``rows``, with the same bits.
+
+    exp(s*phi) does not depend on the sample, so it is built once, and of
+    each conjugated field w = exp(s*phi)*v only the four edge columns the
+    boundary term reads are formed.
+    """
+    M = rows.shape[-2] - 1
+    ts = np.linspace(0.0, T, M + 1)
+    E = weights.exp_s_phi_grid(ts, mesh.nodes, params.s)[:, _EDGE_COLUMNS]
+    term = _boundary_sign(mesh, T, M, weights, params)
+    return [term(E * r[:, _EDGE_COLUMNS]) for r in rows]
 
 
 @dataclass

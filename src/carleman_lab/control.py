@@ -58,7 +58,17 @@ class ControlResult:
 
 
 class _DualOperator:
-    """Matrix-free application of the control Gram operator plus penalty."""
+    """Matrix-free application of the control Gram operator plus penalty.
+
+    One :meth:`gram_apply`, the work of one CG iteration, is two bare
+    marches of one factored engine: the transposed march writes the pairing
+    profile of every substep into a ``(J, n)`` block this operator keeps,
+    the block is cut to the control region in place, and the forward march
+    from rest takes the whole block as its forcing, which the engine
+    weights by tau*W before the march, into a scratch block of its own.  So
+    an iteration allocates no block of the schedule's size; the returned
+    vector is always fresh.
+    """
 
     def __init__(self, spec: ProblemSpec, epsilon: float):
         self.spec = spec
@@ -67,25 +77,31 @@ class _DualOperator:
         self.op = self.stepper.op
         self.mask = omega_node_mask(spec.mesh, spec.omega)[self.op.node_index]
         self.sample_t, self.taus = substep_times(spec)
+        self._outside = ~self.mask
+        self._pairing = np.empty((self.taus.size, self.op.n_unknowns))
 
-    def adjoint_pairing(self, v_unknown: np.ndarray, keep_initial: bool = False):
-        """(initial adjoint state or None, per-substep pairing profiles)."""
+    def adjoint_pairing(self, v_unknown: np.ndarray, keep_initial: bool = False, out=None):
+        """(initial adjoint state or None, per-substep pairing profiles), the
+        profiles written into ``out`` when it is given."""
         full = self.op.embed(v_unknown)
         rows, pairing, _ = _adjoint_march(
-            self.spec, full, keep_pairing=True, stepper=self.stepper, keep_rows=keep_initial
+            self.spec, full, keep_pairing=True, stepper=self.stepper, keep_rows=keep_initial,
+            pairing_out=out,
         )
         return (self.op.restrict(rows[0]) if keep_initial else None), pairing
 
     def control_from_pairing(self, pairing: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, pairing, 0.0)
+        """The control of a pairing block: the block itself, set to +0.0 off
+        the control-region nodes in place."""
+        np.copyto(pairing, 0.0, where=self._outside)
+        return pairing
 
     def forward_terminal(self, u0_unknown: np.ndarray, ctrl: Optional[np.ndarray]):
-        # march with per-substep control samples on the unknown nodes
-        load = None if ctrl is None else ctrl.__getitem__
-        return self.stepper.forward(u0_unknown, load)
+        # march with the (J, n) block of per-substep controls on the unknown nodes
+        return self.stepper.forward(u0_unknown, ctrl)
 
     def gram_apply(self, v_unknown: np.ndarray) -> np.ndarray:
-        _, pairing = self.adjoint_pairing(v_unknown)
+        _, pairing = self.adjoint_pairing(v_unknown, out=self._pairing)
         ctrl = self.control_from_pairing(pairing)
         lam_v = self.forward_terminal(np.zeros_like(v_unknown), ctrl)
         return lam_v + self.epsilon * v_unknown

@@ -374,6 +374,14 @@ class _Stepper:
     the order ``(Rd u + ro u+) + ro u-``.  So a
     substep allocates nothing, and its floor is the latency-bound recurrence
     of ``dgttrs`` itself, about two thirds of its time at n = 255.
+
+    The engine owns the forcing weight tau*W.  A forward march forced by a
+    whole ``(J, ...)`` schedule block weights all of it up front, one product
+    per run of equal substep lengths, into a scratch block kept for the
+    stepper's next such march, and then adds one row per substep.  Forcing
+    given substep by substep is weighted as it comes, and a substep without
+    forcing adds nothing (adding +0.0 would turn a -0.0 entry of the state
+    into +0.0).
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -416,6 +424,11 @@ class _Stepper:
             self._L.append(L)
             self.tau_w.append(tw)
             self._R.append(R)
+        self._weighted = None  # scratch of _weigh, made by the first forcing block
+        # ends of the runs of substeps that share one tau, hence one tau*W
+        J = len(self.subs)
+        self._tau_runs = [j for j in range(1, J) if self.subs[j].tau != self.subs[j - 1].tau]
+        self._tau_runs.append(J)
 
     def _factor(self, Ld: np.ndarray, Lo: np.ndarray) -> tuple:
         pad = self.width - Ld.size
@@ -469,24 +482,46 @@ class _Stepper:
         _dgttrs(*self._L[j], inner.T, "N", 1)
         return x
 
+    def _weigh(self, g: np.ndarray) -> np.ndarray:
+        """tau_j*W*g[j] for every substep j of the ``(J, ...)`` block g, into a
+        scratch block the stepper keeps for its next call: one product per
+        run of substeps of one length (three for Crank-Nicolson)."""
+        if self._weighted is None or self._weighted.shape != g.shape:
+            self._weighted = np.empty(g.shape)
+        start = 0
+        for stop in self._tau_runs:
+            np.multiply(self.tau_w[start], g[start:stop], out=self._weighted[start:stop])
+            start = stop
+        return self._weighted
+
     def forward(self, u: np.ndarray, load=None, closed=None) -> np.ndarray:
         """March u over the whole schedule and return the final state.
 
-        ``load(j)`` gives substep j's forcing g, entering the right-hand side
-        as tau*W*g, or None; ``closed(m, state)`` is called at the end of
-        every step m = 1..M with the live state, which it must not keep.
+        Substep j's forcing g enters the right-hand side as tau*W*g.
+        ``load`` is None, a callable whose ``load(j)`` gives g, or a
+        ``(J, ...)`` block whose row j is g, all of it weighted before the
+        march, where an all-zero row adds nothing; ``closed(m, state)`` is
+        called at the end of every step m = 1..M with the live state, which
+        it must not keep.
         """
         buf, inner, state = self._buffer(u.shape)
         state[...] = u
         apply_R = self._apply_R(buf, inner)
         b = inner.T
-        forcing = None if load is None else np.empty(u.shape)
+        weighted = forcing = None
+        if isinstance(load, np.ndarray):
+            weighted = self._weigh(load)
+            live = load.reshape(len(load), -1).any(axis=1).tolist()
+        elif load is not None:
+            forcing = np.empty(u.shape)
         m = 1
         for j, sub in enumerate(self.subs):
             apply_R(j)
-            g = None if load is None else load(j)
-            if g is not None:
-                np.multiply(self.tau_w[j], g, out=forcing)
+            if weighted is not None:
+                if live[j]:
+                    np.add(state, weighted[j], out=state)
+            elif forcing is not None:
+                np.multiply(self.tau_w[j], load(j), out=forcing)
                 np.add(state, forcing, out=state)
             _dgttrs(*self._L[j], b, "N", 1)
             if closed is not None and sub.closes:
@@ -532,6 +567,17 @@ def _sample_field(field, t: float, xs: np.ndarray, j: int) -> np.ndarray:
     return arr[j]
 
 
+def _schedule_samples(field, st: _Stepper) -> np.ndarray:
+    """The ``(J, n)`` block of a field's samples at every substep of the
+    schedule, from a callable (t, x) -> value or an array of them."""
+    if callable(field):
+        xs = st.xs_unknown
+        return np.stack(
+            [_sample_field(field, sub.t_sample, xs, j) for j, sub in enumerate(st.subs)]
+        )
+    return np.asarray(field, dtype=float)
+
+
 def solve_forward(
     spec: ProblemSpec,
     u0: np.ndarray,
@@ -543,36 +589,33 @@ def solve_forward(
 
     ``control`` acts only through the nodes strictly inside omega (sharp
     indicator); ``source`` is an unrestricted right-hand side.  Either may be
-    a callable (t, x) -> value or an array of per-substep samples aligned with
-    ``substep_times``.  ``stepper`` reuses a factored engine for ``spec``.
+    a callable (t, x) -> value or a ``(J, n)`` array of per-substep samples
+    on the unknown nodes, aligned with ``substep_times``.  Both are gathered
+    into one block of per-substep forcing before the march.  ``stepper``
+    reuses a factored engine for ``spec``.
     """
     st = stepper if stepper is not None else _Stepper(spec)
     op = st.op
     mesh = spec.mesh
-    mask = omega_node_mask(mesh, spec.omega)[op.node_index]
     u = op.restrict(u0)
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
     rows = np.zeros((spec.time_steps + 1, mesh.nodes.size))
     rows[0, st.cols] = u
-    xs = st.xs_unknown
 
-    def load(j):
-        t = st.subs[j].t_sample
-        g = np.zeros_like(u)
-        ctrl = _sample_field(control, t, xs, j)
-        if ctrl is not None:
-            g += np.where(mask, ctrl, 0.0)
-        src = _sample_field(source, t, xs, j)
-        if src is not None:
-            g += src
-        return g if g.any() else None
+    g = None
+    if control is not None or source is not None:
+        g = np.zeros((len(st.subs), u.size))
+        if control is not None:
+            mask = omega_node_mask(mesh, spec.omega)[op.node_index]
+            g += np.where(mask, _schedule_samples(control, st), 0.0)
+        if source is not None:
+            g += _schedule_samples(source, st)
 
     def closed(m, state):
         rows[m, st.cols] = state
 
-    forced = control is not None or source is not None
-    st.forward(u, load if forced else None, closed)
+    st.forward(u, g, closed)
     return Trajectory(rows, mesh, spec.T, Direction.FORWARD)
 
 
@@ -584,12 +627,14 @@ def _adjoint_march(
     stepper=None,
     F_const=None,
     keep_rows=True,
+    pairing_out=None,
 ):
     """Backward recursion that is the exact measure-weighted transpose of the
     forward step map.  Returns (rows, pairing, stepper): rows holds the nodal
     state at every step (None unless ``keep_rows``), pairing[j] the profile
     that multiplies substep-j sources in the duality sum (None unless
-    ``keep_pairing``).
+    ``keep_pairing``).  ``pairing_out``, a ``(J,) + v.shape`` array, receives
+    the pairing in place of a fresh block when ``keep_pairing`` is set.
 
     ``v_T`` is one nodal vector, giving ``(M+1, N+1)`` rows, or an ``(S, N+1)``
     stack of samples marched together, giving ``(S, M+1, N+1)`` rows.  ``F`` is
@@ -608,7 +653,9 @@ def _adjoint_march(
     if keep_rows:
         rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
         rows[..., M, st.cols] = v
-    pairing = np.empty((len(st.subs),) + v.shape) if keep_pairing else None
+    pairing = None
+    if keep_pairing:
+        pairing = np.empty((len(st.subs),) + v.shape) if pairing_out is None else pairing_out
 
     # implicit-side deposit: raw tau*W*F leaves a first-order residue on stiff
     # source modes, the L-solve restores the scheme's order
@@ -672,7 +719,7 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
     load = None
     if g is not None:
         g = np.where(omega_node_mask(mesh, spec.omega)[op.node_index], g, 0.0)
-        load = g.__getitem__ if g.ndim == 3 else (lambda j: g)
+        load = g if g.ndim == 3 else (lambda j: g)
 
     W = op.weights
     hsp = mesh.spacings
@@ -732,11 +779,7 @@ def energy_report(spec: ProblemSpec, u0: np.ndarray, h=None) -> float:
     :func:`energy_reports`.
     """
     st = _Stepper(spec)
-    g = None
-    if h is not None:
-        xs = st.xs_unknown
-        g = np.stack([_sample_field(h, sub.t_sample, xs, j) for j, sub in enumerate(st.subs)])
-        g = g[:, None, :]
+    g = None if h is None else _schedule_samples(h, st)[:, None, :]
     return float(_energy_ratios(st, np.asarray(u0, dtype=float)[None], g)[0])
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from carleman_lab.carleman import (
     CarlemanParams,
     _observability_ratios,
     boundary_sign_term,
+    boundary_sign_terms,
     carleman_sides,
     carleman_sweep,
     identity_residual,
@@ -17,6 +19,7 @@ from carleman_lab.carleman import (
 )
 from carleman_lab.coefficients import classify, make_power_coefficient
 from carleman_lab.pde_solver import (
+    Direction,
     ProblemSpec,
     Trajectory,
     _adjoint_march,
@@ -180,6 +183,63 @@ class TestBoundarySign:
             wt = transform_to_w(traj, wts, params)
             bt = boundary_sign_term(wt, wts, params)
             assert bt.term >= -1e-8 * bt.scale
+
+
+def _full_boundary_term(wt, weights, params):
+    """The boundary term as computed from the whole conjugated field before
+    its sample-independent factors were hoisted."""
+    s, lam = params.s, params.lam
+    xs = wt.mesh.nodes
+    M = wt.w.shape[0] - 1
+    ts = np.linspace(0.0, wt.T, M + 1)
+    tw = trapezoid_time_weights(wt.T, M)
+    h = wt.mesh.spacings
+    wx0 = (wt.w[:, 1] - wt.w[:, 0]) / h[0]
+    wx1 = (wt.w[:, -1] - wt.w[:, -2]) / h[-1]
+    comp = weights.space_composites(np.array([xs[0], xs[-1]]))
+    a, c1, eta = comp["a"], comp["c1"], comp["eta"]
+    th = np.zeros(M + 1)
+    inner = (ts > 0.0) & (ts < wt.T)
+    th[inner] = weights._theta_parts(ts[inner])[0]
+    at1 = th * lam * eta[1] * a[1] * c1[1] * wx1 * wx1
+    at0 = th * lam * eta[0] * a[0] * c1[0] * wx0 * wx0
+    term = -s * float(np.dot(tw, at1 - at0))
+    scale = s * float(np.dot(tw, np.abs(at1) + np.abs(at0))) + 1e-300
+    return term, scale
+
+
+class TestBoundarySignTerms:
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("s", [1.0, 50.0])
+    def test_stack_equals_the_per_sample_transform(self, gamma, s):
+        spec = make_spec(gamma=gamma, N=40, M=32)
+        wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
+        params = CarlemanParams(s, 1.0)
+        vts = sample_fields(11, STREAM_TERMINAL, 5, spec.mesh.nodes)
+        rows, _, _ = _adjoint_march(spec, vts)
+        got = boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
+        assert len(got) == 5
+        for r, bt in zip(rows, got):
+            wt = transform_to_w(Trajectory(r, spec.mesh, spec.T, Direction.BACKWARD), wts, params)
+            one = boundary_sign_term(wt, wts, params)
+            assert (bt.term, bt.scale) == (one.term, one.scale)
+            assert (bt.term, bt.scale) == _full_boundary_term(wt, wts, params)
+
+    def test_transform_calls_replaced_by_one_weight(self, monkeypatch):
+        # one exp(s*phi) grid for the whole stack, and no full transform
+        calls = []
+        original = CarlemanWeights.exp_s_phi_grid
+
+        def counted(self, ts, xs, s):
+            calls.append(s)
+            return original(self, ts, xs, s)
+
+        monkeypatch.setattr(CarlemanWeights, "exp_s_phi_grid", counted)
+        spec = make_spec(N=24, M=16)
+        wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
+        rows, _, _ = _adjoint_march(spec, sample_fields(2, STREAM_TERMINAL, 6, spec.mesh.nodes))
+        boundary_sign_terms(rows, spec.mesh, spec.T, wts, CarlemanParams(1.0, 1.0))
+        assert calls == [1.0]
 
 
 class TestCarlemanSides:
@@ -416,6 +476,63 @@ class TestSweep:
             assert folds.count(True) == points
             assert len(calls) == 4 * n_samples * points
             assert len(set(calls)) == 4 * points
+
+    @pytest.mark.parametrize("integrand, region, k", [
+        ("v_sq", functionals.Region.Q, 5.0 / 3.0),
+        ("v_sq", functionals.Region.Q_OMEGA, 3.0),
+        ("a_vx_sq", functionals.Region.Q, 1.0),
+        ("source_sq", functionals.Region.Q, 0.0),
+    ])
+    def test_folded_grid_unchanged(self, integrand, region, k):
+        # the grid folded from the shared abscissae is the grid folded from a
+        # time grid and faces built for the request
+        spec = make_spec(gamma=1.5, N=24, M=16, T=10.0, omega=(0.02, 0.95))
+        wts = build_weights(spec.coef, 2.0, spec.T, 0.05, 0.9)
+        s = stable_s0(wts)
+        mesh, T, M = spec.mesh, spec.T, spec.time_steps
+        lo, hi = (0.0, 1.0) if region is functionals.Region.Q else spec.omega
+        ts = np.linspace(0.0, T, M + 1)
+        if integrand == "a_vx_sq":
+            xw = (_clipped_cell_lengths(mesh.nodes, lo, hi) * spec.coef.eval(mesh.faces)
+                  / mesh.spacings**2)
+            want = functionals._fold(wts.weight_grid(ts, mesh.faces, s, k),
+                                     trapezoid_time_weights(T, M), xw, False)
+        else:
+            want = functionals._fold(wts.weight_grid(ts, mesh.nodes, s, k),
+                                     trapezoid_time_weights(T, M),
+                                     _clipped_node_quadrature(mesh.nodes, lo, hi), False)
+        for shared in (False, True):
+            with wts.shared_grids() if shared else contextlib.nullcontext():
+                grid = functionals._abscissae(mesh, T, M, wts)
+                quad = functionals._WeightedQuadrature(grid, wts, s, k, integrand, region,
+                                                       spec.omega)
+            assert (quad.rows, quad.cols) == want[:2]
+            assert np.array_equal(quad.grid, want[2])
+
+    def test_one_time_grid_per_point(self, monkeypatch):
+        # inside a point's block every request of every sample shares one
+        # abscissae bundle; outside, each call builds its own
+        built = []
+        original = functionals._Abscissae
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        spec = make_spec(N=24, M=16, T=10.0, omega=(0.02, 0.95))
+        wts = build_weights(spec.coef, 2.0, spec.T, 0.05, 0.9)
+        params = CarlemanParams(stable_s0(wts), 2.0)
+        vt = np.sin(np.pi * spec.mesh.nodes)
+        traj = solve_adjoint(spec, vt)
+        monkeypatch.setattr(functionals, "_Abscissae", counted)
+        with wts.shared_grids():
+            grids = {id(functionals._abscissae(spec.mesh, spec.T, 16, wts)) for _ in range(3)}
+            for _ in range(4):
+                carleman_sides(spec, vt, None, wts, params, traj=traj)
+        assert len(grids) == 1 and len(built) == 1
+        built.clear()
+        carleman_sides(spec, vt, None, wts, params, traj=traj)
+        assert len(built) == 1
 
     def test_non_finite_ratio_is_not_valid(self):
         # a NaN exponent makes every ratio NaN without a degenerate

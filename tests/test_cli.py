@@ -11,6 +11,7 @@ from carleman_lab.carleman import (
     boundary_sign_term,
     transform_to_w,
 )
+from carleman_lab import cli
 from carleman_lab.cli import EXPERIMENTS, main, run_experiment, validate_config
 from carleman_lab.coefficients import classify, make_power_coefficient
 from carleman_lab.functionals import _clipped_node_quadrature
@@ -190,6 +191,28 @@ class TestValidation:
             ("convergence", "temporal_m", [8],
              "temporal_m: must be a list of at least two sizes, got [8]"),
             ("convergence", "temporal_m", [8, 8.5], "temporal_m: sizes must increase, got [8, 8.5]"),
+            # every other field a runner reads
+            ("null_control", "u0_modes", "abc",
+             "u0_modes: must be a list of 1 to 1000000 numbers, got 'abc'"),
+            ("null_control", "u0_modes", [], "u0_modes: must be a list of 1 to 1000000 numbers, got []"),
+            ("null_control", "u0_modes", [1.0, "x"], "u0_modes[1]: must be a number, got 'x'"),
+            ("null_control", "u0_modes", [float("nan")],
+             "u0_modes[0]: must be a finite number, got nan"),
+            ("null_control", "u0_modes", [0.0],
+             "u0_modes: needs a nonzero coefficient (u0 = 0 has no relative terminal norm)"),
+            ("null_control", "u0_modes", [1e308, 1e308],
+             "u0_modes: the sum of absolute coefficients must be <= 1e+100, got inf"),
+            ("null_control", "potential_const", "0.5", "potential_const: must be a number, got '0.5'"),
+            ("energy", "potential_const", float("inf"), "potential_const: must be a finite number, got inf"),
+            ("classify", "zero_neighborhood", "0.01", "zero_neighborhood: must be a number, got '0.01'"),
+            ("classify", "zero_neighborhood", 0.6, "zero_neighborhood: must be <= 0.5, got 0.6"),
+            ("classify", "zero_neighborhood", 0, "zero_neighborhood: must be > 0, got 0"),
+            ("convergence", "min_spatial_order", "1", "min_spatial_order: must be a number, got '1'"),
+            ("convergence", "min_temporal_order", "2", "min_temporal_order: must be a number, got '2'"),
+            ("carleman_sweep", "s_relative", "no", "s_relative: must be true or false, got 'no'"),
+            ("carleman_sweep", "s_relative", 1, "s_relative: must be true or false, got 1"),
+            ("carleman_sweep", "lambda_grid", [True], "lambda_grid: entries must be positive numbers"),
+            ("classify", "output_dir", 5, "output_dir: must be a string, got 5"),
         ],
     )
     def test_field_error_exit_2(self, tmp_path, capsys, exp, field, value, message):
@@ -633,6 +656,38 @@ def test_control_csv_matches_row_by_row_format(tmp_path):
                 lines.append(f"{float(t):.17g},{float(x):.17g},{float(vals[j, i]):.17g}")
     assert len(lines) > 100
     assert (tmp_path / "control.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 4096])
+def test_float_table_text_matches_per_value_format(tmp_path, monkeypatch, block_rows):
+    # repeated columns are formatted once per bit pattern, so -0.0 and 0.0
+    # keep their own text; the rows are written in blocks
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    t = np.repeat([0.0, -0.0, 0.1, 1.0 / 3.0], 3)
+    x = np.tile([-0.0, 0.25, 1e-300], 4)
+    v = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, 0.1, 0.2, 0.3, 2.0 / 3.0])
+    rows = np.column_stack((t, x, v))
+    cli._write_csv(tmp_path / "t.csv", ["t", "x", "value"], rows)
+    want = "t,x,value\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in rows.tolist())
+    assert (tmp_path / "t.csv").read_text() == want
+    assert "\n0,-0,0\n" in want and "\n-0,-0,inf\n" in want
+    cli._write_csv(tmp_path / "e.csv", ["t", "x", "value"], rows[:0])
+    assert (tmp_path / "e.csv").read_text() == "t,x,value\n"
+
+
+def test_null_control_on_zero_data_fails_its_check(tmp_path):
+    # run_experiment without validation: u0 = 0 has no relative terminal norm
+    cfg = {
+        "experiment": "null_control",
+        "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+        "mesh_n": 16,
+        "time_steps": 16,
+        "u0_modes": [0.0],
+    }
+    assert run_experiment(cfg, tmp_path) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert np.isnan(summary["results"]["terminal_rel"])
+    assert summary["status"] == "fail"
 
 
 def _gamma_spec(gamma, N, T, omega):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from carleman_lab.coefficients import classify, make_power_coefficient
+from carleman_lab import control
 from carleman_lab.control import (
+    _DualOperator,
     dual_functional,
     dual_gradient,
     synthesize_null_control,
@@ -12,7 +14,11 @@ from carleman_lab.control import (
 )
 from carleman_lab.functionals import WeightedNorms
 from carleman_lab.pde_solver import (
+    BoundaryRegime,
+    LeftBoundary,
     ProblemSpec,
+    Scheme,
+    _adjoint_march,
     assemble_diffusion,
     boundary_regime_for,
     build_mesh,
@@ -154,3 +160,94 @@ class TestDualFunctional:
             ) / (2 * h)
             an = op.inner(grad, du)
             assert abs(fd - an) / (abs(an) + 1e-30) < 1e-6
+
+
+def _allocating_gram(dual, v):
+    """The Gram operator as one CG iteration computed it before the blocks
+    were kept: a fresh pairing block, a fresh masked copy, and a forward
+    march that weights the control substep by substep."""
+    op, st = dual.op, dual.stepper
+    _, pairing, _ = _adjoint_march(
+        dual.spec, op.embed(v), keep_pairing=True, stepper=st, keep_rows=False
+    )
+    ctrl = np.where(dual.mask, pairing, 0.0)
+    return st.forward(np.zeros_like(v), ctrl.__getitem__) + dual.epsilon * v
+
+
+def _engine_spec(N, left, scheme):
+    return ProblemSpec(
+        T=0.5, coef=make_power_coefficient(0.5 if left is LeftBoundary.DIRICHLET_ZERO else 1.5),
+        regime=BoundaryRegime(left), mesh=build_mesh(N, 2.0), time_steps=N,
+        omega=(0.3, 0.7), scheme=scheme, boundary_override=True,
+    )
+
+
+ENGINE_CASES = [
+    pytest.param(N, left, scheme, id=f"{N}-{left.value}-{scheme.value}")
+    for N in (8, 32, 96)
+    for left in LeftBoundary
+    for scheme in Scheme
+]
+
+
+class TestReusedBlocks:
+    @pytest.mark.parametrize("N,left,scheme", ENGINE_CASES)
+    def test_gram_apply_bitwise_equals_the_allocating_path(self, N, left, scheme):
+        dual = _DualOperator(_engine_spec(N, left, scheme), 1e-6)
+        rng = np.random.default_rng(N)
+        for _ in range(3):  # the kept blocks are reused from the second call on
+            v = rng.standard_normal(dual.op.n_unknowns)
+            assert np.array_equal(dual.gram_apply(v), _allocating_gram(dual, v))
+
+    @pytest.mark.parametrize("N,left,scheme", ENGINE_CASES)
+    def test_synthesis_unchanged(self, N, left, scheme, monkeypatch):
+        spec = _engine_spec(N, left, scheme)
+        u0 = np.sin(np.pi * spec.mesh.nodes) + 0.3 * np.sin(2 * np.pi * spec.mesh.nodes)
+        got = synthesize_null_control(spec, u0, 1e-6)
+        monkeypatch.setattr(control._DualOperator, "gram_apply", _allocating_gram)
+        want = synthesize_null_control(spec, u0, 1e-6)
+        assert got.cg_iterations == want.cg_iterations > 0
+        for name in ("terminal_norm", "control_cost", "converged", "epsilon"):
+            assert getattr(got, name) == getattr(want, name)
+        assert np.array_equal(got.v_T, want.v_T)
+        assert np.array_equal(got.control.values, want.control.values)
+        assert np.array_equal(got.control.sample_times, want.control.sample_times)
+        assert np.array_equal(got.control.taus, want.control.taus)
+
+    def test_results_do_not_alias_the_kept_blocks(self):
+        dual = _DualOperator(_engine_spec(32, LeftBoundary.ZERO_FLUX, Scheme.CRANK_NICOLSON), 1e-4)
+        rng = np.random.default_rng(3)
+        v1, v2 = rng.standard_normal((2, dual.op.n_unknowns))
+        first = dual.gram_apply(v1)
+        kept = first.copy()
+        second = dual.gram_apply(v2)
+        assert np.array_equal(first, kept)  # the second call left the first result alone
+        assert not np.array_equal(first, second)
+        for block in (dual._pairing, dual.stepper._weighted):
+            assert not np.shares_memory(first, block)
+            assert not np.shares_memory(second, block)
+
+    @pytest.mark.parametrize("left", list(LeftBoundary))
+    def test_dual_functional_and_gradient_after_a_synthesis(self, left):
+        spec = _engine_spec(32, left, Scheme.CRANK_NICOLSON)
+        u0 = np.sin(np.pi * spec.mesh.nodes)
+        eps = 1e-6
+        res = synthesize_null_control(spec, u0, eps)
+        dual = _DualOperator(spec, eps)
+        op = dual.op
+        v = op.restrict(res.v_T)
+        b = dual.forward_terminal(op.restrict(u0), None)
+        # the gradient is the Gram operator plus the free terminal state
+        grad = op.restrict(dual_gradient(spec, u0, eps, res.v_T))
+        assert np.array_equal(grad, _allocating_gram(dual, v) + b)
+        assert op.norm(grad) <= 1e-7 * op.norm(b)
+        # the functional at the minimizer from its definition, on fresh blocks
+        rows, pairing, _ = _adjoint_march(spec, res.v_T, keep_pairing=True)
+        ctrl = np.where(dual.mask, pairing, 0.0)
+        cost = float(sum(tau * np.dot(op.weights * r, r) for tau, r in zip(dual.taus, ctrl)))
+        want = (
+            0.5 * cost + 0.5 * eps * op.inner(v, v)
+            + op.inner(op.restrict(u0), op.restrict(rows[0]))
+        )
+        assert dual_functional(spec, u0, eps, res.v_T) == want
+        assert res.control_cost == cost

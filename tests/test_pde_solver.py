@@ -634,6 +634,27 @@ class TestMarchingEngine:
         assert np.array_equal(solve_forward(spec, u0).values, _reference_forward(spec, u0))
 
     @pytest.mark.parametrize("scheme,gamma", ENGINE_CASES)
+    def test_forward_sample_arrays_bit_identical(self, scheme, gamma):
+        # per-substep sample arrays, with all-zero forcing rows (one of them
+        # -0.0) that must add nothing, against callables reading the same rows
+        spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
+        u0 = _draws(spec, 7)[0]
+        op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
+        xs = spec.mesh.nodes[op.node_index]
+        ts = np.array([sub.t_sample for sub in _substep_schedule(spec)])
+        control = np.cos(3.0 * ts)[:, None] * xs
+        source = np.sin(np.pi * xs) * (1.0 + ts)[:, None]
+        control[::3] = 0.0
+        source[::3] = 0.0
+        source[3] = -0.0
+        row = {t: j for j, t in enumerate(ts.tolist())}
+        got = solve_forward(spec, u0, control=control, source=source).values
+        want = _reference_forward(
+            spec, u0, lambda t, x: control[row[t]], lambda t, x: source[row[t]]
+        )
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme,gamma", ENGINE_CASES)
     def test_adjoint_bit_identical(self, scheme, gamma):
         spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
         vT = _draws(spec, 2)[0]
@@ -822,13 +843,13 @@ class TestInPlaceEngine:
         shape = (n,) if S is None else (S, n)
         u = rng.standard_normal(shape)
         g = rng.standard_normal((J,) + shape)
-        for forcing in (None, g):
+        # no forcing, forcing substep by substep, and the whole block at once
+        for forcing, load in ((None, None), (g, g.__getitem__), (g, g)):
             rows = np.zeros(shape[:-1] + (spec.time_steps + 1, spec.mesh.nodes.size))
 
             def closed(m, state):
                 rows[..., m, st.cols] = state
 
-            load = None if forcing is None else forcing.__getitem__
             u_in = u.copy()
             got = st.forward(u_in, load, closed)
             assert np.array_equal(u_in, u)  # the input is not consumed
@@ -865,6 +886,23 @@ class TestInPlaceEngine:
                 spec, vT, keep_pairing=True, stepper=st, keep_rows=False, **kw
             )
             assert skipped is None and np.array_equal(kept, want_pairing)
+
+    def test_forcing_block_is_left_alone_and_reweighted_per_march(self):
+        spec = _spec_for(24, STRONG, Scheme.CRANK_NICOLSON)
+        st = pde_solver._Stepper(spec)
+        n, J = st.op.n_unknowns, len(st.subs)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(n)
+        g1, g2 = rng.standard_normal((2, J, n))
+        keep = g1.copy()
+        first = st.forward(u, g1)
+        assert np.array_equal(g1, keep)
+        # the kept scratch is refilled for a new block, and a new shape gets its own
+        assert np.array_equal(st.forward(u, g2), _old_forward(spec, u, g2)[0])
+        assert np.array_equal(st.forward(u, g1), first)
+        block = rng.standard_normal((J, 2, n))
+        assert np.array_equal(st.forward(np.stack([u, u]), block),
+                              _old_forward(spec, np.stack([u, u]), block)[0])
 
     def test_solve_L_leaves_its_input(self):
         spec = _spec_for(2, WEAK, Scheme.CRANK_NICOLSON)

@@ -212,7 +212,7 @@ def carleman_sweep(
 
     # the sampled sources do not depend on time: each is one row broadcast
     # over the time steps, never a tiled copy
-    v_rows, _, _ = _adjoint_march(spec, vt_fields, F_const=f_fields)
+    v_rows, _ = _adjoint_march(spec, vt_fields, F_const=f_fields)
     trajectories = [Trajectory(r, spec.mesh, spec.T, Direction.BACKWARD) for r in v_rows]
     f_trajs = [
         Trajectory(np.broadcast_to(f, v_rows[0].shape), spec.mesh, spec.T, Direction.BACKWARD)
@@ -486,14 +486,19 @@ def identity_residual(
     def integrate(f):
         return float(np.einsum("m,mi,i->", tw, f, xw))
 
+    # full grids are dropped once consumed, which bounds the peak
     phi_t = tx(th1, em)
     phi_x_sq_a = tx(th * th, lam * lam * eta * eta * c2)  # a*phi_x^2
     a_wx_x = ap[None, :] * wx + a[None, :] * wxx
+    del wxx
     l_plus = -s * phi_t * wv + s * s * phi_x_sq_a * wv + a_wx_x
+    del phi_t, phi_x_sq_a, a_wx_x
     a_phi_x = tx(th, lam * eta * c1)
     a_phi_x_x = tx(th, lam * eta * (lam * c2 + c1p))
     l_minus = wt - s * a_phi_x_x * wv - 2.0 * s * a_phi_x * wx
+    del wt, a_phi_x
     lhs = integrate(l_plus * l_minus)
+    del l_plus, l_minus
 
     t1 = 0.5 * s * integrate(tx(th2, em) * wv * wv)
     t2 = -2.0 * s * s * integrate(tx(th1 * th, lam * lam * eta * eta * c2) * wv * wv)
@@ -657,7 +662,7 @@ def _observability_ratios(spec: ProblemSpec, vt_fields: np.ndarray) -> list:
     """Initial-time energy over the control-region space-time energy of the
     source-free backward solve from each terminal draw in the stack; NaN
     where the control-region energy is degenerate."""
-    rows, _, _ = _adjoint_march(spec, vt_fields)
+    rows, _ = _adjoint_march(spec, vt_fields)
     vols = spec.mesh.volumes
     xw_omega = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
     tw = trapezoid_time_weights(spec.T, spec.time_steps)

@@ -41,12 +41,12 @@ from .pde_solver import (
     Scheme,
     Trajectory,
     _adjoint_march,
+    _Stepper,
     boundary_regime_for,
     build_mesh,
     energy_reports,
     omega_node_mask,
     solve_forward,
-    substep_times,
     trajectory_to_binary,
     trapezoid_time_weights,
 )
@@ -293,6 +293,18 @@ def validate_config(cfg: dict) -> list[str]:
         errors.append(f"boundary: must be auto, dirichlet_zero or zero_flux, got {cfg['boundary']!r}")
     if "scheme" in cfg and cfg["scheme"] not in ("crank_nicolson", "backward_euler"):
         errors.append(f"scheme: must be crank_nicolson or backward_euler, got {cfg['scheme']!r}")
+    if EXPERIMENTS[exp].builds_spec and sizes_ok("potential_const", "T:", "time_steps:", "scheme"):
+        # a step matrix W + th*tau*(S + W*c) has a positive, strictly dominant
+        # diagonal iff 1 + th*tau*c > 0; th*tau is dt/2 (Crank-Nicolson) or dt
+        scheme = cfg.get("scheme", "crank_nicolson")
+        bound = -1 if scheme == "backward_euler" else -2
+        least = bound * int(cfg.get("time_steps", 128)) / cfg.get("T", 1.0)
+        if cfg.get("potential_const", 0) <= least:
+            errors.append(
+                f"potential_const: potential_const*T/time_steps must be > {bound} for {scheme} "
+                f"(step matrices keep a positive, strictly dominant diagonal), "
+                f"so > {least:g} here, got {cfg['potential_const']}"
+            )
     try:
         _env_seed()
     except ValueError as exc:
@@ -544,7 +556,7 @@ def _exp_lemma_checks(cfg, seed, log, outdir):
 
     n_samples = _n_samples(cfg)
     vts = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
-    trajs, _, _ = _adjoint_march(spec, vts)
+    trajs, _ = _adjoint_march(spec, vts)
     sign_rows = []
     ok_sign = True
     for i, bt in enumerate(boundary_sign_terms(trajs, spec.mesh, spec.T, wts, params)):
@@ -685,9 +697,9 @@ def _exp_convergence(cfg, seed, log, outdir):
         )
         u0 = exact(0.0, mesh.nodes)
         # the source on every (substep time, unknown node) pair, evaluated once
-        ts, _ = substep_times(spec)
-        unknown = mesh.nodes[1:-1]  # both ends pinned
-        traj = solve_forward(spec, u0, source=source(ts[:, None], unknown[None, :]))
+        st = _Stepper(spec)
+        f = source(st.t_sample[:, None], st.xs_unknown[None, :])
+        traj = solve_forward(spec, u0, source=f, stepper=st)
         diff = traj.values - exact(traj.times[:, None], mesh.nodes[None, :])
         rowsums = np.sum(mesh.volumes * diff * diff, axis=-1)
         # added left to right, as a loop over the time rows would

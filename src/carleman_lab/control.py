@@ -15,14 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pde_solver import (
-    ProblemSpec,
-    _adjoint_march,
-    _Stepper,
-    omega_node_mask,
-    solve_forward,
-    substep_times,
-)
+from .pde_solver import ProblemSpec, _adjoint_march, _Stepper, solve_forward
 
 __all__ = [
     "SpaceTimeControl",
@@ -73,10 +66,10 @@ class _DualOperator:
     def __init__(self, spec: ProblemSpec, epsilon: float):
         self.spec = spec
         self.epsilon = epsilon
-        self.stepper = _Stepper(spec)
-        self.op = self.stepper.op
-        self.mask = omega_node_mask(spec.mesh, spec.omega)[self.op.node_index]
-        self.sample_t, self.taus = substep_times(spec)
+        self.stepper = st = _Stepper(spec)
+        self.op = st.op
+        self.mask = st.omega
+        self.sample_t, self.taus = st.t_sample, st.tau
         self._outside = ~self.mask
         self._pairing = np.empty((self.taus.size, self.op.n_unknowns))
 
@@ -84,7 +77,7 @@ class _DualOperator:
         """(initial adjoint state or None, per-substep pairing profiles), the
         profiles written into ``out`` when it is given."""
         full = self.op.embed(v_unknown)
-        rows, pairing, _ = _adjoint_march(
+        rows, pairing = _adjoint_march(
             self.spec, full, keep_pairing=True, stepper=self.stepper, keep_rows=keep_initial,
             pairing_out=out,
         )

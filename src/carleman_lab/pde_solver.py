@@ -289,41 +289,31 @@ def assemble_diffusion(
 # time stepping
 
 
-@dataclass(frozen=True)
-class _Substep:
-    t0: float
-    tau: float
-    implicit: float  # 1.0 backward Euler, 0.5 Crank-Nicolson
-    t_sample: float  # where c, controls and sources are sampled
-    closes: bool = True  # ends on a step boundary t = m * dt
-
-
-def _substep_schedule(spec: ProblemSpec) -> list[_Substep]:
+def _substep_schedule(spec: ProblemSpec) -> tuple:
     """Palindromic schedule: plain steps for backward Euler; Crank-Nicolson with
-    two implicit-Euler half-steps at each end of the horizon otherwise."""
+    two implicit-Euler half-steps at each end of the horizon otherwise.  Four
+    columns, one entry per substep: (sample times, lengths, implicit weights,
+    whether the substep ends on a step boundary t = m * dt)."""
     k = spec.dt
     M = spec.time_steps
-    subs: list[_Substep] = []
+    rows = []
     for m in range(M):
         t0 = m * k
         if spec.scheme is Scheme.BACKWARD_EULER:
-            subs.append(_Substep(t0, k, 1.0, t0 + k))
+            rows.append((t0 + k, k, 1.0, True))
         elif M >= 3 and (m == 0 or m == M - 1):
-            subs.append(_Substep(t0, 0.5 * k, 1.0, t0 + 0.5 * k, closes=False))
-            subs.append(_Substep(t0 + 0.5 * k, 0.5 * k, 1.0, t0 + k))
+            rows.append((t0 + 0.5 * k, 0.5 * k, 1.0, False))
+            rows.append((t0 + k, 0.5 * k, 1.0, True))
         else:
-            subs.append(_Substep(t0, k, 0.5, t0 + 0.5 * k))
-    return subs
+            rows.append((t0 + 0.5 * k, k, 0.5, True))
+    return tuple(zip(*rows))
 
 
 def substep_times(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """(sample times, substep lengths) of the marching schedule; per-substep
     control fields must align with these."""
-    subs = _substep_schedule(spec)
-    return (
-        np.array([s.t_sample for s in subs]),
-        np.array([s.tau for s in subs]),
-    )
+    t_sample, tau, _, _ = _substep_schedule(spec)
+    return np.array(t_sample), np.array(tau)
 
 
 def trapezoid_time_weights(T: float, M: int) -> np.ndarray:
@@ -352,6 +342,10 @@ def _require_finite(state: np.ndarray, what: str) -> None:
 class _Stepper:
     """The marching engine: substep matrices L = W + th*tau*G and
     R = W - (1-th)*tau*G with G = S + W*diag(c), each distinct L factored once.
+
+    Every caller reads the schedule off the engine: substep j samples c,
+    controls and sources at ``t_sample[j]``, lasts ``tau[j]`` and ends a
+    step when ``closes[j]``.  ``omega`` masks the control region's unknowns.
 
     With c = None the key of L is (tau, th), so a schedule has at most two
     factorizations; with a potential every substep has its own.  LAPACK
@@ -387,10 +381,12 @@ class _Stepper:
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
-        self.subs = _substep_schedule(spec)
+        t_sample, tau, implicit, self.closes = _substep_schedule(spec)
+        self.t_sample, self.tau = np.array(t_sample), np.array(tau)
         idx = self.op.node_index
         self.cols = slice(idx[0], idx[-1] + 1)  # unknown nodes within a nodal row
         self.xs_unknown = spec.mesh.nodes[idx]
+        self.omega = omega_node_mask(spec.mesh, spec.omega)[idx]
         W = self.op.weights
         n = self.op.n_unknowns
         self.width = max(n, _LAPACK_MIN_N)  # unknowns plus identity padding
@@ -399,24 +395,23 @@ class _Stepper:
         self._L = []  # substep -> factored L
         self._R = []  # substep -> stencil coefficients of R
         built: dict = {}  # key of L -> (factor index, factored L, tau*W, R coefficients)
-        for sub in self.subs:
+        for t, tau_j, th in zip(t_sample, tau, implicit):
             # with a potential every substep gets a fresh key, hence its own factor
-            key = (sub.tau, sub.implicit) if spec.c is None else len(built)
+            key = (tau_j, th) if spec.c is None else len(built)
             if key not in built:
                 g_diag = self.op.diag
                 if spec.c is not None:
-                    cvals = np.asarray(spec.c(sub.t_sample, self.xs_unknown), dtype=float)
+                    cvals = np.asarray(spec.c(t, self.xs_unknown), dtype=float)
                     cvals = cvals * np.ones(n)
                     if not np.all(np.isfinite(cvals)):
-                        raise ValueError(f"potential c is not finite at t = {sub.t_sample:.17g}")
+                        raise ValueError(f"potential c is not finite at t = {t:.17g}")
                     g_diag = g_diag + W * cvals
-                th = sub.implicit
                 built[key] = (
                     len(built),
-                    self._factor(W + th * sub.tau * g_diag, th * sub.tau * self.op.off),
-                    sub.tau * W,
+                    self._factor(W + th * tau_j * g_diag, th * tau_j * self.op.off),
+                    tau_j * W,
                     self._stencil(
-                        W - (1.0 - th) * sub.tau * g_diag, -(1.0 - th) * sub.tau * self.op.off
+                        W - (1.0 - th) * tau_j * g_diag, -(1.0 - th) * tau_j * self.op.off
                     ),
                 )
             f, L, tw, R = built[key]
@@ -426,8 +421,8 @@ class _Stepper:
             self._R.append(R)
         self._weighted = None  # scratch of _weigh, made by the first forcing block
         # ends of the runs of substeps that share one tau, hence one tau*W
-        J = len(self.subs)
-        self._tau_runs = [j for j in range(1, J) if self.subs[j].tau != self.subs[j - 1].tau]
+        J = len(tau)
+        self._tau_runs = [j for j in range(1, J) if tau[j] != tau[j - 1]]
         self._tau_runs.append(J)
 
     def _factor(self, Ld: np.ndarray, Lo: np.ndarray) -> tuple:
@@ -515,7 +510,7 @@ class _Stepper:
         elif load is not None:
             forcing = np.empty(u.shape)
         m = 1
-        for j, sub in enumerate(self.subs):
+        for j, closes in enumerate(self.closes):
             apply_R(j)
             if weighted is not None:
                 if live[j]:
@@ -524,7 +519,7 @@ class _Stepper:
                 np.multiply(self.tau_w[j], load(j), out=forcing)
                 np.add(state, forcing, out=state)
             _dgttrs(*self._L[j], b, "N", 1)
-            if closed is not None and sub.closes:
+            if closed is not None and closes:
                 closed(m, state)
                 m += 1
         # every solve couples all unknowns, so a non-finite value met at any
@@ -545,14 +540,14 @@ class _Stepper:
         apply_R = self._apply_R(buf, inner)
         b = inner.T
         m = self.spec.time_steps - 1
-        for j in range(len(self.subs) - 1, -1, -1):
+        for j in range(len(self.closes) - 1, -1, -1):
             _dgttrs(*self._L[j], b, "N", 1)
             if pairing is not None:
                 pairing[j] = z
             apply_R(j)
             if deposit is not None:
                 np.subtract(z, deposit(j), out=z)
-            if rows is not None and (j == 0 or self.subs[j - 1].closes):
+            if rows is not None and (j == 0 or self.closes[j - 1]):
                 rows[..., m, self.cols] = z / W
                 m -= 1
         _require_finite(z, "the source")
@@ -572,9 +567,7 @@ def _schedule_samples(field, st: _Stepper) -> np.ndarray:
     schedule, from a callable (t, x) -> value or an array of them."""
     if callable(field):
         xs = st.xs_unknown
-        return np.stack(
-            [_sample_field(field, sub.t_sample, xs, j) for j, sub in enumerate(st.subs)]
-        )
+        return np.stack([_sample_field(field, t, xs, j) for j, t in enumerate(st.t_sample)])
     return np.asarray(field, dtype=float)
 
 
@@ -605,10 +598,9 @@ def solve_forward(
 
     g = None
     if control is not None or source is not None:
-        g = np.zeros((len(st.subs), u.size))
+        g = np.zeros((st.tau.size, u.size))
         if control is not None:
-            mask = omega_node_mask(mesh, spec.omega)[op.node_index]
-            g += np.where(mask, _schedule_samples(control, st), 0.0)
+            g += np.where(st.omega, _schedule_samples(control, st), 0.0)
         if source is not None:
             g += _schedule_samples(source, st)
 
@@ -630,7 +622,7 @@ def _adjoint_march(
     pairing_out=None,
 ):
     """Backward recursion that is the exact measure-weighted transpose of the
-    forward step map.  Returns (rows, pairing, stepper): rows holds the nodal
+    forward step map.  Returns (rows, pairing): rows holds the nodal
     state at every step (None unless ``keep_rows``), pairing[j] the profile
     that multiplies substep-j sources in the duality sum (None unless
     ``keep_pairing``).  ``pairing_out``, a ``(J,) + v.shape`` array, receives
@@ -655,7 +647,7 @@ def _adjoint_march(
         rows[..., M, st.cols] = v
     pairing = None
     if keep_pairing:
-        pairing = np.empty((len(st.subs),) + v.shape) if pairing_out is None else pairing_out
+        pairing = np.empty((st.tau.size,) + v.shape) if pairing_out is None else pairing_out
 
     # implicit-side deposit: raw tau*W*F leaves a first-order residue on stiff
     # source modes, the L-solve restores the scheme's order
@@ -673,11 +665,11 @@ def _adjoint_march(
     elif F is not None:
 
         def deposit(j):
-            Fj = _sample_field(F, st.subs[j].t_sample, st.xs_unknown, j)
+            Fj = _sample_field(F, st.t_sample[j], st.xs_unknown, j)
             return st.tau_w[j] * st.solve_L(j, W * Fj)
 
     st.backward(v, deposit, pairing, rows)
-    return rows, pairing, st
+    return rows, pairing
 
 
 def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
@@ -686,7 +678,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
     Implemented as the exact transpose of ``solve_forward``'s step map, so the
     discrete duality pairing with forward solutions holds to rounding.
     """
-    rows, _, _ = _adjoint_march(spec, v_T, F=F, keep_pairing=False)
+    rows, _ = _adjoint_march(spec, v_T, F=F, keep_pairing=False)
     return Trajectory(rows, spec.mesh, spec.T, Direction.BACKWARD)
 
 
@@ -718,7 +710,7 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
         raise ValueError("initial data must be finite")
     load = None
     if g is not None:
-        g = np.where(omega_node_mask(mesh, spec.omega)[op.node_index], g, 0.0)
+        g = np.where(st.omega, g, 0.0)
         load = g if g.ndim == 3 else (lambda j: g)
 
     W = op.weights
@@ -758,8 +750,7 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
     terms = [h1a_sq(u0s)]
     if g is not None:
         ctrl_sq = np.sum(W * g * g, axis=-1)
-        taus = np.array([sub.tau for sub in st.subs])
-        terms.extend(taus[:, None] * ctrl_sq)
+        terms.extend(st.tau[:, None] * ctrl_sq)
     rhs = np.cumsum(np.array(terms), axis=0)[-1]
 
     dead = rhs <= 0.0

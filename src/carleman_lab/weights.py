@@ -502,18 +502,11 @@ class CarlemanWeights:
         return grid
 
     def exp_s_phi_grid(self, ts, xs, s: float) -> np.ndarray:
-        """exp(s*phi) on the tensor grid, zero at t in {0, T} and below underflow."""
+        """exp(s*phi) on the tensor grid, zero at t in {0, T} and below underflow:
+        the weight grid of s/2 and k = 0."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        interior = (ts > 0.0) & (ts < self.T)
-        em = self.eta(xs) - self.c3
-        out = np.zeros((ts.size, xs.size))
-        if np.any(interior):
-            ti = ts[interior]
-            th = (ti * (self.T - ti)) ** -4
-            expo = s * np.outer(th, em)
-            out[interior] = np.where(expo > UNDERFLOW_EXPONENT, np.exp(expo), 0.0)
-        return out
+        return self._build_grid(ts, xs, 0.5 * s, 0.0)
 
     # -- branch-safe space composites ----------------------------------------------
     def space_composites(self, xs) -> dict:

@@ -216,7 +216,7 @@ class TestBoundarySignTerms:
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
         params = CarlemanParams(s, 1.0)
         vts = sample_fields(11, STREAM_TERMINAL, 5, spec.mesh.nodes)
-        rows, _, _ = _adjoint_march(spec, vts)
+        rows, _ = _adjoint_march(spec, vts)
         got = boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
         assert len(got) == 5
         for r, bt in zip(rows, got):
@@ -237,7 +237,7 @@ class TestBoundarySignTerms:
         monkeypatch.setattr(CarlemanWeights, "exp_s_phi_grid", counted)
         spec = make_spec(N=24, M=16)
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
-        rows, _, _ = _adjoint_march(spec, sample_fields(2, STREAM_TERMINAL, 6, spec.mesh.nodes))
+        rows, _ = _adjoint_march(spec, sample_fields(2, STREAM_TERMINAL, 6, spec.mesh.nodes))
         boundary_sign_terms(rows, spec.mesh, spec.T, wts, CarlemanParams(1.0, 1.0))
         assert calls == [1.0]
 
@@ -372,7 +372,7 @@ class TestSweep:
 
         vts = sample_fields(seed, STREAM_TERMINAL, n, nodes)
         fs = sample_fields(seed, STREAM_SOURCE, n, nodes)
-        vals, _, _ = _adjoint_march(spec, vts, F_const=fs)
+        vals, _ = _adjoint_march(spec, vts, F_const=fs)
         ts = np.linspace(0.0, spec.T, spec.time_steps + 1)
         tw = trapezoid_time_weights(spec.T, spec.time_steps)
         xw_q = _clipped_node_quadrature(nodes, 0.0, 1.0)

@@ -11,7 +11,7 @@ from carleman_lab.carleman import (
     boundary_sign_term,
     transform_to_w,
 )
-from carleman_lab import cli
+from carleman_lab import cli, pde_solver
 from carleman_lab.cli import EXPERIMENTS, main, run_experiment, validate_config
 from carleman_lab.coefficients import classify, make_power_coefficient
 from carleman_lab.functionals import _clipped_node_quadrature
@@ -315,6 +315,51 @@ class TestValidation:
         }
         assert validate_config(cfg) == []  # 2001 * 2001 * 10 default samples
         assert len(validate_config({**cfg, "n_samples": 13})) == 1
+
+    def test_potential_breaking_diagonal_dominance_exit_2(self, tmp_path, capsys):
+        # the implicit-Euler startup substep divided the free terminal state
+        # to zero, so this run passed every invariant vacuously
+        cfg = {
+            "experiment": "null_control",
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "mesh_n": 16,
+            "time_steps": 16,
+            "T": 0.5,
+            "potential_const": -1e300,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == (
+                "config error: potential_const: potential_const*T/time_steps must be > -2 "
+                "for crank_nicolson (step matrices keep a positive, strictly dominant diagonal), "
+                "so > -64 here, got -1e+300"
+            )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scheme, bound", [("crank_nicolson", -2), ("backward_euler", -1)])
+    def test_potential_bound_is_strict(self, scheme, bound):
+        cfg = {
+            "experiment": "energy",
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "time_steps": 16,
+            "T": 0.5,
+            "scheme": scheme,
+        }
+        # potential_const * T / time_steps at the bound, then just inside it
+        at = bound * 32.0
+        assert validate_config({**cfg, "potential_const": at}) == [
+            f"potential_const: potential_const*T/time_steps must be > {bound} for {scheme} "
+            f"(step matrices keep a positive, strictly dominant diagonal), "
+            f"so > {at:g} here, got {at}"
+        ]
+        assert validate_config({**cfg, "potential_const": 0.999 * at}) == []
+        # an integer too large for a float is compared exactly
+        assert len(validate_config({**cfg, "potential_const": -(10**400)})) == 1
+        assert validate_config({**cfg, "potential_const": 10**400}) == []
+        assert validate_config({**cfg, "potential_const": -0.5 * at}) == []
+        assert validate_config(cfg) == []
 
     def test_benchmark_inputs_valid(self):
         path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -625,12 +670,34 @@ def test_convergence_errors_match_a_per_row_loop(tmp_path):
     assert got == expected
 
 
+# substep schedules a run builds: one per marching engine, 13 for the pass
+SCHEDULE_BUILDS = {
+    "carleman_sweep_strong": 1, "carleman_sweep_weak": 1, "classify_strong": 0,
+    "classify_weak": 0, "convergence": 6, "energy": 1, "hardy_boundary_case": 0,
+    "hardy_weak": 0, "lemma_checks": 1, "null_control": 1, "observability": 2,
+}
+
+
+def test_schedule_builds_cover_the_shipped_configs():
+    assert sorted(SCHEDULE_BUILDS) == [p.stem for p in CONFIGS]
+    assert sum(SCHEDULE_BUILDS.values()) == 13
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
-def test_shipped_config_anchor(tmp_path, path):
+def test_shipped_config_anchor(tmp_path, monkeypatch, path):
+    builds = []
+    schedule = pde_solver._substep_schedule
+
+    def counted(spec):
+        builds.append(spec.time_steps)
+        return schedule(spec)
+
+    monkeypatch.setattr(pde_solver, "_substep_schedule", counted)
     cfg = json.loads(path.read_text(encoding="utf-8"))
     assert run_experiment(cfg, tmp_path) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["anchor"] == EXPERIMENTS[cfg["experiment"]].anchor
+    assert len(builds) == SCHEDULE_BUILDS[path.stem]
 
 
 def test_control_csv_matches_row_by_row_format(tmp_path):

@@ -167,7 +167,7 @@ def _allocating_gram(dual, v):
     were kept: a fresh pairing block, a fresh masked copy, and a forward
     march that weights the control substep by substep."""
     op, st = dual.op, dual.stepper
-    _, pairing, _ = _adjoint_march(
+    _, pairing = _adjoint_march(
         dual.spec, op.embed(v), keep_pairing=True, stepper=st, keep_rows=False
     )
     ctrl = np.where(dual.mask, pairing, 0.0)
@@ -242,7 +242,7 @@ class TestReusedBlocks:
         assert np.array_equal(grad, _allocating_gram(dual, v) + b)
         assert op.norm(grad) <= 1e-7 * op.norm(b)
         # the functional at the minimizer from its definition, on fresh blocks
-        rows, pairing, _ = _adjoint_march(spec, res.v_T, keep_pairing=True)
+        rows, pairing = _adjoint_march(spec, res.v_T, keep_pairing=True)
         ctrl = np.where(dual.mask, pairing, 0.0)
         cost = float(sum(tau * np.dot(op.weights * r, r) for tau, r in zip(dual.taus, ctrl)))
         want = (

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from carleman_lab.pde_solver import (
     ProblemSpec,
     Scheme,
     _adjoint_march,
-    _substep_schedule,
     assemble_diffusion,
     boundary_regime_for,
     build_mesh,
@@ -518,13 +518,39 @@ def _reference_assembly(op, coef, mesh, regime):
     return diag, off
 
 
+@dataclass(frozen=True)
+class _Substep:
+    t0: float
+    tau: float
+    implicit: float  # 1.0 backward Euler, 0.5 Crank-Nicolson
+    t_sample: float  # where c, controls and sources are sampled
+    closes: bool = True  # ends on a step boundary t = m * dt
+
+
+def _reference_schedule(spec):
+    """The palindromic substep schedule as one object per substep."""
+    k = spec.dt
+    M = spec.time_steps
+    subs = []
+    for m in range(M):
+        t0 = m * k
+        if spec.scheme is Scheme.BACKWARD_EULER:
+            subs.append(_Substep(t0, k, 1.0, t0 + k))
+        elif M >= 3 and (m == 0 or m == M - 1):
+            subs.append(_Substep(t0, 0.5 * k, 1.0, t0 + 0.5 * k, closes=False))
+            subs.append(_Substep(t0 + 0.5 * k, 0.5 * k, 1.0, t0 + k))
+        else:
+            subs.append(_Substep(t0, k, 0.5, t0 + 0.5 * k))
+    return subs
+
+
 def _reference_steps(spec):
     """Per substep: (substep, banded L, R diagonal, R off-diagonal)."""
     op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
     W, n = op.weights, op.n_unknowns
     xs = spec.mesh.nodes[op.node_index]
     steps = []
-    for sub in _substep_schedule(spec):
+    for sub in _reference_schedule(spec):
         c = np.zeros(n)
         if spec.c is not None:
             c = np.asarray(spec.c(sub.t_sample, xs), dtype=float) * np.ones(n)
@@ -641,7 +667,7 @@ class TestMarchingEngine:
         u0 = _draws(spec, 7)[0]
         op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
         xs = spec.mesh.nodes[op.node_index]
-        ts = np.array([sub.t_sample for sub in _substep_schedule(spec)])
+        ts = np.array([sub.t_sample for sub in _reference_schedule(spec)])
         control = np.cos(3.0 * ts)[:, None] * xs
         source = np.sin(np.pi * xs) * (1.0 + ts)[:, None]
         control[::3] = 0.0
@@ -659,7 +685,7 @@ class TestMarchingEngine:
         spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
         vT = _draws(spec, 2)[0]
         F = lambda t, x: np.cos(np.pi * x) * (2.0 - t)
-        rows, pairing, _ = _adjoint_march(spec, vT, F=F, keep_pairing=True)
+        rows, pairing = _adjoint_march(spec, vT, F=F, keep_pairing=True)
         ref_rows, ref_pairing = _reference_adjoint(spec, vT, F)
         assert np.array_equal(rows, ref_rows)
         assert np.array_equal(pairing, ref_pairing)
@@ -678,7 +704,7 @@ class TestMarchingEngine:
         op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
         vTs = _draws(spec, 4, 5)
         fs = _draws(spec, 5, 5)
-        rows, _, _ = _adjoint_march(spec, vTs, F_const=fs)
+        rows, _ = _adjoint_march(spec, vTs, F_const=fs)
         assert rows.shape == (5, spec.time_steps + 1, spec.mesh.nodes.size)
         for i in range(5):
             F = lambda t, x, f=op.restrict(fs[i]): f
@@ -804,7 +830,7 @@ def _old_backward(spec, v, F=None, F_const=None):
             z = z - tw * _old_solve_L(factors, pad, W * F_const)
         elif F is not None:
             z = z - tw * _old_solve_L(factors, pad, W * F[j])
-        if j == 0 or st.subs[j - 1].closes:
+        if j == 0 or steps[j - 1][0].closes:
             rows[..., m, st.cols] = z / W
             m -= 1
     return rows, pairing
@@ -838,7 +864,7 @@ class TestInPlaceEngine:
     def test_forward_matches_allocating_loop(self, N, regime, scheme, c, S):
         spec = _spec_for(N, regime, scheme, c)
         st = pde_solver._Stepper(spec)
-        n, J = st.op.n_unknowns, len(st.subs)
+        n, J = st.op.n_unknowns, st.tau.size
         rng = np.random.default_rng(N + (S or 0))
         shape = (n,) if S is None else (S, n)
         u = rng.standard_normal(shape)
@@ -864,7 +890,7 @@ class TestInPlaceEngine:
         spec = _spec_for(N, regime, scheme, c)
         st = pde_solver._Stepper(spec)
         op = st.op
-        n, J = op.n_unknowns, len(st.subs)
+        n, J = op.n_unknowns, st.tau.size
         rng = np.random.default_rng(10 + N + (S or 0))
         shape = (n,) if S is None else (S, n)
         nodal = shape[:-1] + (spec.mesh.nodes.size,)
@@ -877,12 +903,12 @@ class TestInPlaceEngine:
             ({"F": F}, {"F": F}),
             ({"F_const": F_const}, {"F_const": op.restrict(F_const)}),
         ):
-            rows, pairing, _ = _adjoint_march(spec, vT, keep_pairing=True, stepper=st, **kw)
+            rows, pairing = _adjoint_march(spec, vT, keep_pairing=True, stepper=st, **kw)
             want_rows, want_pairing = _old_backward(spec, v, **ref_kw)
             assert rows.shape == shape[:-1] + (spec.time_steps + 1, nodal[-1])
             assert np.array_equal(rows, want_rows)
             assert np.array_equal(pairing, want_pairing)
-            skipped, kept, _ = _adjoint_march(
+            skipped, kept = _adjoint_march(
                 spec, vT, keep_pairing=True, stepper=st, keep_rows=False, **kw
             )
             assert skipped is None and np.array_equal(kept, want_pairing)
@@ -890,7 +916,7 @@ class TestInPlaceEngine:
     def test_forcing_block_is_left_alone_and_reweighted_per_march(self):
         spec = _spec_for(24, STRONG, Scheme.CRANK_NICOLSON)
         st = pde_solver._Stepper(spec)
-        n, J = st.op.n_unknowns, len(st.subs)
+        n, J = st.op.n_unknowns, st.tau.size
         rng = np.random.default_rng(5)
         u = rng.standard_normal(n)
         g1, g2 = rng.standard_normal((2, J, n))
@@ -913,6 +939,34 @@ class TestInPlaceEngine:
         got = st.solve_L(0, rhs)
         assert np.array_equal(rhs, before)
         assert np.array_equal(got, _old_solve_L(steps[0][1], pad, before.copy()))
+
+
+class TestScheduleTable:
+    @pytest.mark.parametrize("c", [None, POTENTIAL], ids=["plain", "potential"])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 97])
+    @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
+    def test_columns_match_substep_objects(self, scheme, M, c):
+        spec = make_spec(N=12, M=M, T=0.7, scheme=scheme, c=c)
+        subs = _reference_schedule(spec)
+        st = pde_solver._Stepper(spec)
+        assert st.t_sample.tolist() == [sub.t_sample for sub in subs]
+        assert st.tau.tolist() == [sub.tau for sub in subs]
+        assert list(st.closes) == [sub.closes for sub in subs]
+        keys = [(sub.tau, sub.implicit) for sub in subs] if c is None else list(range(len(subs)))
+        distinct = list(dict.fromkeys(keys))
+        assert st.factor_of == [distinct.index(key) for key in keys]
+        assert len(st._L) == len(st._R) == len(st.tau_w) == len(subs)
+        for tw, sub in zip(st.tau_w, subs):
+            assert np.array_equal(tw, sub.tau * st.op.weights)
+        ts, taus = pde_solver.substep_times(spec)
+        assert np.array_equal(ts, st.t_sample) and np.array_equal(taus, st.tau)
+
+    @pytest.mark.parametrize("regime", [WEAK, STRONG])
+    def test_omega_is_the_mask_on_the_unknowns(self, regime):
+        spec = _spec_for(24, regime, Scheme.CRANK_NICOLSON)
+        st = pde_solver._Stepper(spec)
+        want = omega_node_mask(spec.mesh, spec.omega)[st.op.node_index]
+        assert st.omega.dtype == bool and np.array_equal(st.omega, want)
 
 
 class TestTrapezoidTimeWeights:

@@ -308,6 +308,33 @@ class TestWeightEvaluation:
         inner = grid[(ts > 0.0) & (ts < 2.0)]
         assert 0 < np.count_nonzero(inner) < inner.size
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+    def test_exp_s_phi_grid_matches_its_own_clamp(self, gamma):
+        # the body exp_s_phi_grid had before it became the weight grid of
+        # s/2 and k = 0
+        def own(w, ts, xs, s):
+            interior = (ts > 0.0) & (ts < w.T)
+            em = w.eta(xs) - w.c3
+            out = np.zeros((ts.size, xs.size))
+            if np.any(interior):
+                ti = ts[interior]
+                th = (ti * (w.T - ti)) ** -4
+                expo = s * np.outer(th, em)
+                out[interior] = np.where(expo > -700.0, np.exp(expo), 0.0)
+            return out
+
+        psi = build_psi(make_power_coefficient(gamma), 0.3, 0.7)
+        for T in (0.5, 2.0, 10.0):
+            for lam in (1.0, 2.0, 4.0):
+                w = CarlemanWeights(psi, lam, T)
+                ts = np.linspace(0.0, T, 33)
+                for N in (16, 128, 512):
+                    xs = (np.arange(N + 1) / N) ** 2.0
+                    for s in (1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6):
+                        np.testing.assert_array_equal(
+                            w.exp_s_phi_grid(ts, xs, s), own(w, ts, xs, s)
+                        )
+
     def test_underflow_clamp(self, weights):
         # enormous s pushes the exponent below -700: exact zero, no subnormals
         assert eval_weight(weights, 0.5, 0.5, 1e6, 0.0) == 0.0

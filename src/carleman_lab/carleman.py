@@ -19,7 +19,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .functionals import Region, _abscissae, _clipped_node_quadrature, _WeightedQuadrature
+from .functionals import (
+    Region,
+    WeightedNorms,
+    _abscissae,
+    _clipped_node_quadrature,
+    _WeightedQuadrature,
+)
 from .pde_solver import (
     Direction,
     ProblemSpec,
@@ -33,7 +39,7 @@ from .sampling import (
     STREAM_TERMINAL,
     sample_fields,
 )
-from .weights import CarlemanWeights, build_weights, default_omega_prime
+from .weights import CarlemanWeights, build_weights, default_omega_prime, time_factor
 
 __all__ = [
     "CarlemanParams",
@@ -184,7 +190,6 @@ def carleman_sweep(
     omega_prime: Optional[tuple] = None,
     s_relative: bool = False,
     zero_order_exponent: float = 5.0 / 3.0,
-    quad_points: int = 12,
     bridge_degree: int = 5,
 ) -> SweepResult:
     """Cross product of seeded samples, s values and lambda values.
@@ -225,8 +230,7 @@ def carleman_sweep(
     empirical = 0.0
     for lam in lambda_grid:
         wts = build_weights(
-            spec.coef, lam, spec.T, omega_prime[0], omega_prime[1], quad_points,
-            bridge_degree,
+            spec.coef, lam, spec.T, omega_prime[0], omega_prime[1], bridge_degree
         )
         s0 = stable_s0(wts)
         for si, s_entry in enumerate(s_grid):
@@ -431,6 +435,36 @@ def _grids(weights: CarlemanWeights, resolution: int):
     return ts, xs, trapezoid_time_weights(weights.T, resolution), xw
 
 
+def _tx(trow, xrow):
+    return trow[:, None] * xrow[None, :]
+
+
+# The conjugated operator parts of both checks: identity_residual feeds them
+# exact derivatives, transform_to_w centered differences.  th and th1 are the
+# rows of theta and theta', comp and em = eta - exp(3*lam*sup psi) the
+# columns of the space composites.
+
+
+def _l_plus(w, a_wx_x, th, th1, em, comp, params: CarlemanParams):
+    """L+ w = -s*phi_t*w + s^2*a*phi_x^2*w + (a*w_x)_x."""
+    s, lam = params.s, params.lam
+    eta = comp["eta"]
+    return (
+        -s * _tx(th1, em) * w
+        + s * s * _tx(th * th, lam * lam * eta * eta * comp["c2"]) * w
+        + a_wx_x
+    )
+
+
+def _l_minus(w, w_t, w_x, th, comp, params: CarlemanParams):
+    """(L- w, (a*phi_x)_x) with L- w = w_t - s*(a*phi_x)_x*w - 2*s*a*phi_x*w_x."""
+    s, lam = params.s, params.lam
+    eta = comp["eta"]
+    a_phi_x_x = _tx(th, lam * eta * (lam * comp["c2"] + comp["c1p"]))
+    l_minus = w_t - s * a_phi_x_x * w - 2.0 * s * _tx(th, lam * eta * comp["c1"]) * w_x
+    return l_minus, a_phi_x_x
+
+
 def identity_residual(
     field: SpaceTimeField,
     weights: CarlemanWeights,
@@ -472,45 +506,34 @@ def identity_residual(
     c1, c1p, c1pp = comp["c1"], comp["c1p"], comp["c1pp"]
     c2, c3x, c4, c5 = comp["c2"], comp["c3x"], comp["c4"], comp["c5"]
     em = eta - weights.c3
-
-    th = np.zeros(ts.size)
-    th1 = np.zeros(ts.size)
-    th2 = np.zeros(ts.size)
-    inner = (ts > 0.0) & (ts < T)
-    th[inner], th1[inner], th2[inner] = weights._theta_parts(ts[inner])
     # endpoint rows: the field's fifth-power envelope beats every blow-up, so
-    # all weighted rows vanish in the limit
-    def tx(trow, xrow):
-        return trow[:, None] * xrow[None, :]
+    # all weighted rows vanish in the limit, where theta is zero
+    th, th1, th2 = time_factor(ts, T)
 
     def integrate(f):
         return float(np.einsum("m,mi,i->", tw, f, xw))
 
     # full grids are dropped once consumed, which bounds the peak
-    phi_t = tx(th1, em)
-    phi_x_sq_a = tx(th * th, lam * lam * eta * eta * c2)  # a*phi_x^2
     a_wx_x = ap[None, :] * wx + a[None, :] * wxx
     del wxx
-    l_plus = -s * phi_t * wv + s * s * phi_x_sq_a * wv + a_wx_x
-    del phi_t, phi_x_sq_a, a_wx_x
-    a_phi_x = tx(th, lam * eta * c1)
-    a_phi_x_x = tx(th, lam * eta * (lam * c2 + c1p))
-    l_minus = wt - s * a_phi_x_x * wv - 2.0 * s * a_phi_x * wx
-    del wt, a_phi_x
+    l_plus = _l_plus(wv, a_wx_x, th, th1, em, comp, params)
+    del a_wx_x
+    l_minus, a_phi_x_x = _l_minus(wv, wt, wx, th, comp, params)
+    del wt
     lhs = integrate(l_plus * l_minus)
     del l_plus, l_minus
 
-    t1 = 0.5 * s * integrate(tx(th2, em) * wv * wv)
-    t2 = -2.0 * s * s * integrate(tx(th1 * th, lam * lam * eta * eta * c2) * wv * wv)
+    t1 = 0.5 * s * integrate(_tx(th2, em) * wv * wv)
+    t2 = -2.0 * s * s * integrate(_tx(th1 * th, lam * lam * eta * eta * c2) * wv * wv)
     t3 = s**3 * integrate(
-        tx(th**3, lam**3 * eta**3 * (2.0 * lam * c2 * c2 + c5)) * wv * wv
+        _tx(th**3, lam**3 * eta**3 * (2.0 * lam * c2 * c2 + c5)) * wv * wv
     )
-    a_phi_x_xx_a = tx(
+    a_phi_x_xx_a = _tx(
         th, lam * eta * (lam * c1 * (lam * c2 + c1p) + lam * c3x + a * c1pp)
     )
     t4 = s * integrate(a_phi_x_xx_a * wv * wx)
     t5 = 2.0 * s * integrate(a_phi_x_x * a[None, :] * wx * wx)
-    t6 = -s * integrate(tx(th, lam * eta * c4) * wx * wx)
+    t6 = -s * integrate(_tx(th, lam * eta * c4) * wx * wx)
     # boundary flux term: a^2 phi_x wx^2 evaluated at the two space endpoints
     bndry = th * lam * (
         eta[-1] * a[-1] * c1[-1] * wx[:, -1] ** 2
@@ -540,43 +563,24 @@ def transform_to_w(
 ) -> WTransform:
     """Conjugate a backward trajectory and evaluate the split operators on the
     interior grid (centered differences in both variables)."""
-    s, lam = params.s, params.lam
     mesh = v_traj.mesh
     xs = mesh.nodes
     ts = v_traj.times
-    T = v_traj.T
-    E = weights.exp_s_phi_grid(ts, xs, s)
-    w = E * v_traj.values
+    w = weights.exp_s_phi_grid(ts, xs, params.s) * v_traj.values
 
-    comp = weights.space_composites(xs)
-    eta, a, ap = comp["eta"], comp["a"], comp["ap"]
-    c1, c1p, c2 = comp["c1"], comp["c1p"], comp["c2"]
-    em = eta - weights.c3
-    inner_t = slice(1, ts.size - 1)
-    th, th1, _ = weights._theta_parts(ts[inner_t])
+    inner = slice(1, -1)
+    comp = {name: v[inner] for name, v in weights.space_composites(xs).items()}
+    em = comp["eta"] - weights.c3
+    th, th1, _ = (r[inner] for r in time_factor(ts, weights.T))
     k = ts[1] - ts[0]
 
-    wt = (w[2:, :] - w[:-2, :]) / (2.0 * k)
-    h = mesh.spacings
-    flux = np.asarray(weights.coef.eval(mesh.faces), dtype=float)[None, :] * np.diff(
-        w, axis=1
-    ) / h[None, :]
-    vol = mesh.volumes[1:-1]
-    awx_x = (flux[:, 1:] - flux[:, :-1]) / vol[None, :]
-    wx = (w[:, 2:] - w[:, :-2]) / (xs[2:] - xs[:-2])[None, :]
-
-    ii = slice(1, xs.size - 1)
-    phi_t = th1[:, None] * em[None, ii]
-    aphx2 = (th**2)[:, None] * (lam * lam * eta * eta * c2)[None, ii]
-    l_plus = (
-        -s * phi_t * w[inner_t, ii]
-        + s * s * aphx2 * w[inner_t, ii]
-        + awx_x[inner_t]
-    )
-    a_phi_x = th[:, None] * (lam * eta * c1)[None, ii]
-    a_phi_x_x = th[:, None] * (lam * eta * (lam * c2 + c1p))[None, ii]
-    l_minus = wt[:, ii] - s * a_phi_x_x * w[inner_t, ii] - 2.0 * s * a_phi_x * wx[inner_t]
-    return WTransform(w, l_plus, l_minus, params, mesh, T)
+    wt = (w[2:, inner] - w[:-2, inner]) / (2.0 * k)
+    wx = (w[inner, 2:] - w[inner, :-2]) / (xs[2:] - xs[:-2])[None, :]
+    a_wx_x = WeightedNorms(mesh, weights.coef).flux_laplacian(w)[inner, inner]
+    l_plus = _l_plus(w[inner, inner], a_wx_x, th, th1, em, comp, params)
+    del a_wx_x
+    l_minus, _ = _l_minus(w[inner, inner], wt, wx, th, comp, params)
+    return WTransform(w, l_plus, l_minus, params, mesh, v_traj.T)
 
 
 @dataclass(frozen=True)
@@ -599,9 +603,7 @@ def _boundary_sign(mesh, T: float, M: int, weights: CarlemanWeights, params: Car
     a = comp["a"]
     c1 = comp["c1"]
     eta = comp["eta"]
-    th = np.zeros(M + 1)
-    inner = (ts > 0.0) & (ts < T)
-    th[inner] = weights._theta_parts(ts[inner])[0]
+    th = time_factor(ts, weights.T)[0]
     # the factors of a^2 phi_x at each end, in the order they multiply w_x^2
     at_one = th * lam * eta[1] * a[1] * c1[1]
     at_zero = th * lam * eta[0] * a[0] * c1[0]

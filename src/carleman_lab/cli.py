@@ -70,6 +70,19 @@ MAX_GRID_ENTRIES = 50_000_000
 # squares in its norms and in the CG inner products stay finite.
 MAX_AMPLITUDE = 1e100
 
+# The value of each optional field that a config leaves out, one name per
+# default, read by validate_config's checks and by the runners alike.
+DEFAULT_T = 1.0
+DEFAULT_MESH_N = 128
+DEFAULT_HARDY_MESH_N = 512
+DEFAULT_TIME_STEPS = 128
+DEFAULT_OMEGA = (0.3, 0.7)
+DEFAULT_SCHEME = "crank_nicolson"
+DEFAULT_SPATIAL_N = (32, 64, 128)
+DEFAULT_SPATIAL_TIME_STEPS = 512
+DEFAULT_TEMPORAL_M = (8, 16, 32)
+DEFAULT_TEMPORAL_MESH_N = 512
+
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -245,7 +258,8 @@ def validate_config(cfg: dict) -> list[str]:
         return not any(e.startswith(names) for e in errors)
 
     if EXPERIMENTS[exp].builds_spec and sizes_ok("mesh_n:", "time_steps:", "n_samples:"):
-        mesh_n, time_steps = int(cfg.get("mesh_n", 128)), int(cfg.get("time_steps", 128))
+        mesh_n = int(cfg.get("mesh_n", DEFAULT_MESH_N))
+        time_steps = int(cfg.get("time_steps", DEFAULT_TIME_STEPS))
         check_entries(
             "mesh_n, time_steps, n_samples",
             "(mesh_n+1)*(time_steps+1)*max(1, n_samples)",
@@ -255,22 +269,22 @@ def validate_config(cfg: dict) -> list[str]:
         check_entries(
             "mesh_n, n_samples",
             "(mesh_n+1)*n_samples",
-            (int(cfg.get("mesh_n", 512)) + 1) * _n_samples(cfg),
+            (int(cfg.get("mesh_n", DEFAULT_HARDY_MESH_N)) + 1) * _n_samples(cfg),
         )
     if exp == "convergence":
         if sizes_ok("spatial_n", "spatial_time_steps:"):
             check_entries(
                 "spatial_n, spatial_time_steps",
                 "(max(spatial_n)+1)*(spatial_time_steps+1)",
-                (max(int(n) for n in cfg.get("spatial_n", [128])) + 1)
-                * (int(cfg.get("spatial_time_steps", 512)) + 1),
+                (max(int(n) for n in cfg.get("spatial_n", DEFAULT_SPATIAL_N)) + 1)
+                * (int(cfg.get("spatial_time_steps", DEFAULT_SPATIAL_TIME_STEPS)) + 1),
             )
         if sizes_ok("temporal_m", "temporal_mesh_n:"):
             check_entries(
                 "temporal_mesh_n, temporal_m",
                 "(temporal_mesh_n+1)*(max(temporal_m)+1)",
-                (int(cfg.get("temporal_mesh_n", 512)) + 1)
-                * (max(int(m) for m in cfg.get("temporal_m", [32])) + 1),
+                (int(cfg.get("temporal_mesh_n", DEFAULT_TEMPORAL_MESH_N)) + 1)
+                * (max(int(m) for m in cfg.get("temporal_m", DEFAULT_TEMPORAL_M)) + 1),
             )
 
     for name in ("lambda_grid", "s_grid", "epsilon_grid"):
@@ -296,9 +310,9 @@ def validate_config(cfg: dict) -> list[str]:
     if EXPERIMENTS[exp].builds_spec and sizes_ok("potential_const", "T:", "time_steps:", "scheme"):
         # a step matrix W + th*tau*(S + W*c) has a positive, strictly dominant
         # diagonal iff 1 + th*tau*c > 0; th*tau is dt/2 (Crank-Nicolson) or dt
-        scheme = cfg.get("scheme", "crank_nicolson")
+        scheme = cfg.get("scheme", DEFAULT_SCHEME)
         bound = -1 if scheme == "backward_euler" else -2
-        least = bound * int(cfg.get("time_steps", 128)) / cfg.get("T", 1.0)
+        least = bound * int(cfg.get("time_steps", DEFAULT_TIME_STEPS)) / cfg.get("T", DEFAULT_T)
         if cfg.get("potential_const", 0) <= least:
             errors.append(
                 f"potential_const: potential_const*T/time_steps must be > {bound} for {scheme} "
@@ -337,8 +351,8 @@ def _n_samples(cfg: dict) -> int:
 
 
 def _mesh_and_omega(cfg: dict):
-    mesh = build_mesh(int(cfg.get("mesh_n", 128)), float(cfg.get("mesh_grading", 2.0)))
-    return mesh, tuple(cfg.get("omega", (0.3, 0.7)))
+    mesh = build_mesh(int(cfg.get("mesh_n", DEFAULT_MESH_N)), float(cfg.get("mesh_grading", 2.0)))
+    return mesh, tuple(cfg.get("omega", DEFAULT_OMEGA))
 
 
 def _build_problem(cfg: dict, coef, report):
@@ -350,15 +364,15 @@ def _build_problem(cfg: dict, coef, report):
     else:
         regime = BoundaryRegime(LeftBoundary(boundary))
         override = True
-    scheme = Scheme(cfg.get("scheme", "crank_nicolson"))
+    scheme = Scheme(cfg.get("scheme", DEFAULT_SCHEME))
     c_const = cfg.get("potential_const")
     c = None if c_const in (None, 0) else (lambda t, x, v=float(c_const): v)
     return ProblemSpec(
-        T=float(cfg.get("T", 1.0)),
+        T=float(cfg.get("T", DEFAULT_T)),
         coef=coef,
         regime=regime,
         mesh=mesh,
-        time_steps=int(cfg.get("time_steps", 128)),
+        time_steps=int(cfg.get("time_steps", DEFAULT_TIME_STEPS)),
         omega=omega,
         c=c,
         scheme=scheme,
@@ -416,7 +430,7 @@ def _exp_classify(cfg, seed, log, outdir):
 def _exp_hardy(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
-    mesh = build_mesh(int(cfg.get("mesh_n", 512)), float(cfg.get("mesh_grading", 2.0)))
+    mesh, _ = _mesh_and_omega({"mesh_n": DEFAULT_HARDY_MESH_N, **cfg})
     n_samples = _n_samples(cfg)
     case = HardyCase.CASE_A if rep.regime is Regime.WDC else HardyCase.CASE_B
     draws = sample_fields(seed, STREAM_TERMINAL, n_samples, mesh.nodes)
@@ -666,8 +680,8 @@ def _exp_convergence(cfg, seed, log, outdir):
     # manufactured problem on a = x with value-pinned boundaries
     coef = make_power_coefficient(1.0)
     rep = classify(coef)
-    T = float(cfg.get("T", 1.0))
-    omega = tuple(cfg.get("omega", (0.3, 0.7)))
+    T = float(cfg.get("T", DEFAULT_T))
+    omega = tuple(cfg.get("omega", DEFAULT_OMEGA))
 
     pi = np.pi
 
@@ -706,16 +720,16 @@ def _exp_convergence(cfg, seed, log, outdir):
         err_sq = np.cumsum(trapezoid_time_weights(T, M) * rowsums)[-1]
         return math.sqrt(err_sq)
 
-    spatial_n = [int(n) for n in cfg.get("spatial_n", [32, 64, 128])]
-    m_fixed = int(cfg.get("spatial_time_steps", 512))
+    spatial_n = [int(n) for n in cfg.get("spatial_n", DEFAULT_SPATIAL_N)]
+    m_fixed = int(cfg.get("spatial_time_steps", DEFAULT_SPATIAL_TIME_STEPS))
     sp_errors = [run(n, m_fixed) for n in spatial_n]
     sp_orders = [
         math.log(sp_errors[i] / sp_errors[i + 1]) / math.log(spatial_n[i + 1] / spatial_n[i])
         for i in range(len(sp_errors) - 1)
     ]
 
-    temporal_m = [int(m) for m in cfg.get("temporal_m", [8, 16, 32])]
-    n_fixed = int(cfg.get("temporal_mesh_n", 512))
+    temporal_m = [int(m) for m in cfg.get("temporal_m", DEFAULT_TEMPORAL_M)]
+    n_fixed = int(cfg.get("temporal_mesh_n", DEFAULT_TEMPORAL_MESH_N))
     tm_errors = [run(n_fixed, m) for m in temporal_m]
     tm_orders = [
         math.log(tm_errors[i] / tm_errors[i + 1]) / math.log(temporal_m[i + 1] / temporal_m[i])

@@ -106,14 +106,14 @@ class _DualOperator:
         ))
 
 
-def _cg(apply_A, b, inner, tol: float, max_iter: int):
-    """Conjugate gradients in the supplied inner product."""
+def _cg(apply_A, b, inner, atol: float, max_iter: int):
+    """Conjugate gradients in the supplied inner product, stopped once the
+    residual norm is at most ``atol``."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rs = inner(r, r)
-    b_norm = np.sqrt(inner(b, b))
-    if b_norm == 0.0:
+    if rs == 0.0:
         return x, 0, True
     for it in range(1, max_iter + 1):
         Ap = apply_A(p)
@@ -124,7 +124,7 @@ def _cg(apply_A, b, inner, tol: float, max_iter: int):
         x = x + alpha * p
         r = r - alpha * Ap
         rs_new = inner(r, r)
-        if np.sqrt(rs_new) <= tol * b_norm:
+        if np.sqrt(rs_new) <= atol:
             return x, it, True
         p = r + (rs_new / rs) * p
         rs = rs_new
@@ -141,9 +141,11 @@ def synthesize_null_control(
     """Minimize the penalized dual functional and return the closed-loop result.
 
     Each conjugate-gradient iteration costs one backward and one forward
-    solve.  The control is the restriction of the optimal adjoint profile to
-    the control-region nodes; the returned terminal norm comes from an
-    explicit forward verification solve.
+    solve.  It stops at a residual of ``cg_tol`` times the smaller W-norm of
+    the free terminal state and of the initial state, so a problem that
+    grows cannot loosen the tolerance.  The control is the restriction of
+    the optimal adjoint profile to the control-region nodes; the returned
+    terminal norm comes from an explicit forward verification solve.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -154,12 +156,9 @@ def synthesize_null_control(
     dual = _DualOperator(spec, epsilon)
     op = dual.op
     u0_unknown = op.restrict(u0)
-    b = dual.forward_terminal(u0_unknown, None)  # free terminal state
-    def inner(u, v):
-        return op.inner(u, v)
-
-    rhs = -b
-    v_hat, iters, converged = _cg(dual.gram_apply, rhs, inner, cg_tol, cg_max_iter)
+    rhs = -dual.forward_terminal(u0_unknown, None)  # minus the free terminal state
+    atol = cg_tol * min(np.sqrt(op.inner(rhs, rhs)), op.norm(u0_unknown))
+    v_hat, iters, converged = _cg(dual.gram_apply, rhs, op.inner, atol, cg_max_iter)
 
     _, pairing = dual.adjoint_pairing(v_hat)
     ctrl = dual.control_from_pairing(pairing)

@@ -58,11 +58,12 @@ class WeightedNorms:
         return float(np.sum(self.a_faces * grad * grad * self.spacings))
 
     def flux_laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Interior values of (a u_x)_x; boundary entries are zero-padded."""
+        """Interior values of (a u_x)_x along the last axis of u (one nodal
+        vector or a stack of them); boundary entries are zero-padded."""
         u = np.asarray(u, dtype=float)
         flux = self.a_faces * np.diff(u) / self.spacings
         out = np.zeros_like(u)
-        out[1:-1] = np.diff(flux) / self.volumes[1:-1]
+        out[..., 1:-1] = np.diff(flux) / self.volumes[1:-1]
         return out
 
     def norm(self, kind: str, u: np.ndarray) -> float:

@@ -27,6 +27,7 @@ __all__ = [
     "build_weights",
     "eval_theta_time",
     "eval_weight",
+    "time_factor",
     "default_omega_prime",
     "weights_config",
     "weights_from_config",
@@ -35,6 +36,9 @@ __all__ = [
 # Exponents below this underflow double precision; the weighted integrands are
 # zero there to machine accuracy anyway.
 UNDERFLOW_EXPONENT = -700.0
+
+# Gauss-Legendre nodes per panel of the profile integrals
+QUAD_POINTS = 12
 
 _GL_CACHE: dict = {}
 
@@ -149,24 +153,23 @@ class PsiFunction:
     x = 1.
     """
 
+    # the fixed panel order; perfbench's tracer keys weight grids by it
+    quad_points = QUAD_POINTS
+
     def __init__(
         self,
         coef: DegeneracyCoefficient,
         alpha_prime: float,
         beta_prime: float,
-        quad_points: int = 12,
         bridge_degree: int = 5,
     ):
         if not 0.0 < alpha_prime < beta_prime < 1.0:
             raise ValueError(
                 f"need 0 < alpha_prime < beta_prime < 1, got ({alpha_prime}, {beta_prime})"
             )
-        if quad_points < 4:
-            raise ValueError("quad_points must be >= 4")
         self.coef = coef
         self.alpha_prime = float(alpha_prime)
         self.beta_prime = float(beta_prime)
-        self.quad_points = int(quad_points)
         self.bridge_degree = int(bridge_degree)
         self._span = self.beta_prime - self.alpha_prime
         self._value_cache: dict = {}
@@ -183,27 +186,22 @@ class PsiFunction:
         if a_ap <= 0 or a_bp <= 0:
             raise ValueError("coefficient must be positive at the window edges")
 
-        self.psi_alpha = float(
-            _cumulative_from(
-                integrand, 0.0, np.array([alpha_prime]), True, self.quad_points
-            )[0]
-        )
+        self.psi_alpha = float(self._running_integral(np.array([alpha_prime]), 0.0)[0])
         # branch derivatives at the joints
         d1_l = alpha_prime / a_ap
         d2_l = (a_ap - alpha_prime * da_ap) / a_ap**2
         d1_r = -beta_prime / a_bp
         d2_r = -(a_bp - beta_prime * da_bp) / a_bp**2
         L = self._span
-        self._bridge = _hermite_bridge(
+        bridge = _hermite_bridge(
             self.psi_alpha, L * d1_l, L * L * d2_l, 0.0, L * d1_r, L * L * d2_r,
             degree=self.bridge_degree,
         )
-        self._bridge_d1 = P.polyder(self._bridge)
-        self._bridge_d2 = P.polyder(self._bridge, 2)
-        self._bridge_d3 = P.polyder(self._bridge, 3)
+        # the bridge polynomial and its first three derivatives in xi
+        self._bridge = [P.polyder(bridge, k) for k in range(4)]
 
         xi = np.linspace(0.0, 1.0, 2001)
-        bridge_vals = P.polyval(xi, self._bridge)
+        bridge_vals = P.polyval(xi, bridge)
         self.psi_one = float(self.value(np.array([1.0]))[0])
         branch_mag = max(abs(self.psi_alpha), abs(self.psi_one), 1e-300)
         if np.max(np.abs(bridge_vals)) > 10.0 * branch_mag:
@@ -233,6 +231,30 @@ class PsiFunction:
     def _xi(self, x: np.ndarray) -> np.ndarray:
         return (x - self.alpha_prime) / self._span
 
+    def _running_integral(self, xs: np.ndarray, start: float) -> np.ndarray:
+        """Integral of y/a(y) from ``start`` (0, the singular end, or
+        ``beta_prime``) to each entry of xs, in any order.  Repeated entries
+        share one value: a zero-width panel at 0 would evaluate 0/a(0)."""
+        uniq, inverse = np.unique(xs, return_inverse=True)
+        return _cumulative_from(self._integrand, start, uniq, start == 0.0, QUAD_POINTS)[inverse]
+
+    def _derivative(self, x, k: int, branch) -> np.ndarray:
+        """k-th derivative: ``branch(x, a, a', ...)`` (the coefficient and its
+        first k-1 derivatives) left of the window, its negative right of it,
+        and the bridge's k-th derivative over span**k inside."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        coef = self.coef
+        out = np.empty_like(x)
+        left, mid, right = self._masks(x)
+        with np.errstate(all="ignore"):
+            derivs = (coef.eval, coef.eval_deriv, coef.eval_deriv2)[:k]
+            core = branch(x, *(np.asarray(f(x), dtype=float) for f in derivs))
+            out[left] = core[left]
+            out[right] = -core[right]
+        if np.any(mid):
+            out[mid] = P.polyval(self._xi(x[mid]), self._bridge[k]) / self._span**k
+        return out
+
     # -- evaluators --------------------------------------------------------------
     def value(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -243,27 +265,11 @@ class PsiFunction:
         out = np.empty_like(x)
         left, mid, right = self._masks(x)
         if np.any(left):
-            xs = x[left]
-            order = np.argsort(xs)
-            sorted_xs = xs[order]
-            vals = _cumulative_from(
-                self._integrand, 0.0, sorted_xs, True, self.quad_points
-            )
-            tmp = np.empty_like(vals)
-            tmp[order] = vals
-            out[left] = tmp
+            out[left] = self._running_integral(x[left], 0.0)
         if np.any(right):
-            xs = x[right]
-            order = np.argsort(xs)
-            sorted_xs = xs[order]
-            vals = _cumulative_from(
-                self._integrand, self.beta_prime, sorted_xs, False, self.quad_points
-            )
-            tmp = np.empty_like(vals)
-            tmp[order] = vals
-            out[right] = -tmp
+            out[right] = -self._running_integral(x[right], self.beta_prime)
         if np.any(mid):
-            out[mid] = P.polyval(self._xi(x[mid]), self._bridge)
+            out[mid] = P.polyval(self._xi(x[mid]), self._bridge[0])
         if len(self._value_cache) > 64:
             self._value_cache.clear()
         self._value_cache[key] = out.copy()
@@ -271,33 +277,10 @@ class PsiFunction:
 
     def d1(self, x) -> np.ndarray:
         """First derivative; on the branches this is +-x/a(x) (x > 0)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        left, mid, right = self._masks(x)
-        with np.errstate(all="ignore"):
-            a = np.asarray(self.coef.eval(x), dtype=float)
-            if np.any(left):
-                out[left] = x[left] / a[left]
-            if np.any(right):
-                out[right] = -x[right] / a[right]
-        if np.any(mid):
-            out[mid] = P.polyval(self._xi(x[mid]), self._bridge_d1) / self._span
-        return out
+        return self._derivative(x, 1, lambda x, a: x / a)
 
     def d2(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        left, mid, right = self._masks(x)
-        with np.errstate(all="ignore"):
-            a = np.asarray(self.coef.eval(x), dtype=float)
-            da = np.asarray(self.coef.eval_deriv(x), dtype=float)
-            if np.any(left):
-                out[left] = (a[left] - x[left] * da[left]) / a[left] ** 2
-            if np.any(right):
-                out[right] = -(a[right] - x[right] * da[right]) / a[right] ** 2
-        if np.any(mid):
-            out[mid] = P.polyval(self._xi(x[mid]), self._bridge_d2) / self._span**2
-        return out
+        return self._derivative(x, 2, lambda x, a, da: (a - x * da) / a**2)
 
     def d3(self, x) -> np.ndarray:
         if self.coef.eval_deriv2 is None:
@@ -305,21 +288,9 @@ class PsiFunction:
                 f"coefficient {self.coef.label!r} has no second derivative; "
                 "third profile derivative unavailable"
             )
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        left, mid, right = self._masks(x)
-        with np.errstate(all="ignore"):
-            a = np.asarray(self.coef.eval(x), dtype=float)
-            da = np.asarray(self.coef.eval_deriv(x), dtype=float)
-            d2a = np.asarray(self.coef.eval_deriv2(x), dtype=float)
-            core = (-x * d2a * a - 2.0 * da * (a - x * da)) / a**3
-            if np.any(left):
-                out[left] = core[left]
-            if np.any(right):
-                out[right] = -core[right]
-        if np.any(mid):
-            out[mid] = P.polyval(self._xi(x[mid]), self._bridge_d3) / self._span**3
-        return out
+        return self._derivative(
+            x, 3, lambda x, a, da, d2a: (-x * d2a * a - 2.0 * da * (a - x * da)) / a**3
+        )
 
     def sign_change_location(self, n: int = 20001) -> float:
         """Abscissa where the profile turns negative (the right window edge,
@@ -341,11 +312,25 @@ def build_psi(
     coef: DegeneracyCoefficient,
     alpha_prime: float,
     beta_prime: float,
-    quad_points: int = 12,
     bridge_degree: int = 5,
 ) -> PsiFunction:
     """Construct the sign-changing space profile for a coefficient and window."""
-    return PsiFunction(coef, alpha_prime, beta_prime, quad_points, bridge_degree)
+    return PsiFunction(coef, alpha_prime, beta_prime, bridge_degree)
+
+
+def time_factor(ts, T: float):
+    """(theta, theta', theta'') on the time grid ts, with theta = 1/[t(T-t)]^4;
+    exactly zero wherever t is not in (0, T)."""
+    ts = np.asarray(ts, dtype=float)
+    th, th1, th2 = np.zeros((3,) + ts.shape)
+    inner = (ts > 0.0) & (ts < T)
+    t = ts[inner]
+    g = t * (T - t)
+    gp = T - 2.0 * t
+    th[inner] = g**-4
+    th1[inner] = -4.0 * gp * g**-5
+    th2[inner] = 20.0 * gp * gp * g**-6 + 8.0 * g**-5
+    return th, th1, th2
 
 
 def eval_theta_time(t: float, T: float) -> float:
@@ -353,8 +338,7 @@ def eval_theta_time(t: float, T: float) -> float:
     t = float(t)
     if t <= 0.0 or t >= T:
         raise ValueError(f"singular endpoint: t must lie in (0, {T}), got {t}")
-    g = t * (T - t)
-    return g**-4
+    return float(time_factor(np.array([t]), T)[0][0])
 
 
 def default_omega_prime(omega) -> tuple[float, float]:
@@ -391,8 +375,7 @@ class CarlemanWeights:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t <= 0.0) or np.any(t >= self.T):
             raise ValueError("singular endpoint: theta_time needs t in (0, T)")
-        g = t * (self.T - t)
-        return g**-4
+        return time_factor(t, self.T)[0]
 
     def eta(self, x) -> np.ndarray:
         return np.exp(self.lam * (self.psi_sup + self.psi.value(x)))
@@ -402,15 +385,6 @@ class CarlemanWeights:
 
     def phi(self, t, x) -> np.ndarray:
         return self.theta_time(t) * (self.eta(x) - self.c3)
-
-    # time factor derivatives (interior t only)
-    def _theta_parts(self, t: np.ndarray):
-        g = t * (self.T - t)
-        gp = self.T - 2.0 * t
-        th = g**-4
-        th1 = -4.0 * gp * g**-5
-        th2 = 20.0 * gp * gp * g**-6 + 8.0 * g**-5
-        return th, th1, th2
 
     # -- weight grids --------------------------------------------------------------
     def weight_grid(self, ts, xs, s: float, k: float) -> np.ndarray:
@@ -473,6 +447,8 @@ class CarlemanWeights:
         contiguous = rows[-1] - rows[0] + 1 == rows.size
         expo = out[rows[0] : rows[-1] + 1] if contiguous else np.empty((rows.size, xs.size))
         ti = ts[rows]
+        # g stays here rather than coming from time_factor: k*log(sigma) adds
+        # -4*log(g), which rounds differently from log(g**-4)
         g = ti * (self.T - ti)
         eta = self.eta(xs)
         np.multiply.outer(g**-4, eta - self.c3, out=expo)
@@ -608,11 +584,10 @@ def build_weights(
     T: float,
     alpha_prime: float,
     beta_prime: float,
-    quad_points: int = 12,
     bridge_degree: int = 5,
 ) -> CarlemanWeights:
     """Build the full weight bundle for one coefficient and window."""
-    psi = build_psi(coef, alpha_prime, beta_prime, quad_points, bridge_degree)
+    psi = build_psi(coef, alpha_prime, beta_prime, bridge_degree)
     return CarlemanWeights(psi, lam, T)
 
 
@@ -629,7 +604,6 @@ def weights_config(w: CarlemanWeights) -> dict:
         "T": w.T,
         "alpha_prime": w.psi.alpha_prime,
         "beta_prime": w.psi.beta_prime,
-        "quad_points": w.psi.quad_points,
         "bridge_degree": w.psi.bridge_degree,
         "coefficient": w.coef.descriptor,
     }
@@ -643,6 +617,5 @@ def weights_from_config(cfg: dict) -> CarlemanWeights:
         cfg["T"],
         cfg["alpha_prime"],
         cfg["beta_prime"],
-        cfg.get("quad_points", 12),
         cfg.get("bridge_degree", 5),
     )

@@ -390,9 +390,9 @@ class TestAcceptance:
                 sign * (a - joint * da) / a**2,
             ]
             bridge = [
-                P.polyval(xi, psi._bridge),
-                P.polyval(xi, psi._bridge_d1) / span,
-                P.polyval(xi, psi._bridge_d2) / span**2,
+                P.polyval(xi, psi._bridge[0]),
+                P.polyval(xi, psi._bridge[1]) / span,
+                P.polyval(xi, psi._bridge[2]) / span**2,
             ]
             for b_val, g_val in zip(branch, bridge):
                 stitch = max(stitch, abs(b_val - g_val) / (1.0 + abs(b_val)))

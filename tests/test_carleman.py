@@ -200,7 +200,8 @@ def _full_boundary_term(wt, weights, params):
     a, c1, eta = comp["a"], comp["c1"], comp["eta"]
     th = np.zeros(M + 1)
     inner = (ts > 0.0) & (ts < wt.T)
-    th[inner] = weights._theta_parts(ts[inner])[0]
+    g = ts[inner] * (weights.T - ts[inner])
+    th[inner] = g**-4
     at1 = th * lam * eta[1] * a[1] * c1[1] * wx1 * wx1
     at0 = th * lam * eta[0] * a[0] * c1[0] * wx0 * wx0
     term = -s * float(np.dot(tw, at1 - at0))

@@ -45,6 +45,44 @@ def base_classify_config(out):
     }
 
 
+def _default_edge_cases():
+    """(base config, field, the runner's default, then a setting of another
+    field that keeps the check passing and one that fails it) for every
+    default that a size or stability check reads.  temporal_m is left out:
+    with its default, no temporal_mesh_n up to MAX_SIZE reaches the cap."""
+    cap = cli.MAX_GRID_ENTRIES
+    coef = {"coefficient": {"kind": "power", "params": {"gamma": 0.5}}}
+    energy = {"experiment": "energy", "n_samples": 1, **coef}
+    hardy = {"experiment": "hardy", **coef}
+    conv = {"experiment": "convergence"}
+    n = cli.DEFAULT_MESH_N + 1
+    m = cli.DEFAULT_TIME_STEPS + 1
+    hn = cli.DEFAULT_HARDY_MESH_N + 1
+    sn = max(cli.DEFAULT_SPATIAL_N) + 1
+    sm = cli.DEFAULT_SPATIAL_TIME_STEPS + 1
+    tn = cli.DEFAULT_TEMPORAL_MESH_N + 1
+    # Crank-Nicolson needs potential_const > -2*time_steps/T
+    least = -2 * cli.DEFAULT_TIME_STEPS / cli.DEFAULT_T
+    return [
+        (energy, "mesh_n", cli.DEFAULT_MESH_N,
+         {"time_steps": cap // n - 1}, {"time_steps": cap // n}),
+        (energy, "time_steps", cli.DEFAULT_TIME_STEPS,
+         {"mesh_n": cap // m - 1}, {"mesh_n": cap // m}),
+        (energy, "T", cli.DEFAULT_T,
+         {"potential_const": least + 1}, {"potential_const": least}),
+        (energy, "scheme", cli.DEFAULT_SCHEME,
+         {"potential_const": least + 1}, {"potential_const": least}),
+        (hardy, "mesh_n", cli.DEFAULT_HARDY_MESH_N,
+         {"n_samples": cap // hn}, {"n_samples": cap // hn + 1}),
+        (conv, "spatial_n", list(cli.DEFAULT_SPATIAL_N),
+         {"spatial_time_steps": cap // sn - 1}, {"spatial_time_steps": cap // sn}),
+        (conv, "spatial_time_steps", cli.DEFAULT_SPATIAL_TIME_STEPS,
+         {"spatial_n": [8, cap // sm - 1]}, {"spatial_n": [8, cap // sm]}),
+        (conv, "temporal_mesh_n", cli.DEFAULT_TEMPORAL_MESH_N,
+         {"temporal_m": [8, cap // tn - 1]}, {"temporal_m": [8, cap // tn]}),
+    ]
+
+
 class TestValidation:
     def test_missing_experiment(self):
         assert any("experiment" in e for e in validate_config({}))
@@ -315,6 +353,21 @@ class TestValidation:
         }
         assert validate_config(cfg) == []  # 2001 * 2001 * 10 default samples
         assert len(validate_config({**cfg, "n_samples": 13})) == 1
+
+    @pytest.mark.parametrize(
+        "base, field, default, fits, exceeds",
+        _default_edge_cases(),
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_omitted_field_gets_the_runner_default_verdict(
+        self, base, field, default, fits, exceeds
+    ):
+        # on both sides of the check the default enters, leaving the field
+        # out and passing the default the runner reads give one verdict
+        for other, valid in ((fits, True), (exceeds, False)):
+            omitted = validate_config({**base, **other})
+            assert omitted == validate_config({**base, **other, field: default})
+            assert (omitted == []) is valid
 
     def test_potential_breaking_diagonal_dominance_exit_2(self, tmp_path, capsys):
         # the implicit-Euler startup substep divided the free terminal state
@@ -755,6 +808,26 @@ def test_null_control_on_zero_data_fails_its_check(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert np.isnan(summary["results"]["terminal_rel"])
     assert summary["status"] == "fail"
+
+
+def test_growing_problem_fails_the_cg_check(tmp_path):
+    # a potential inside the diagonal-dominance bound that makes the free
+    # terminal state about 6e23 large: a stopping rule relative to that norm
+    # alone reported convergence after one iteration
+    cfg = {
+        "experiment": "null_control",
+        "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+        "mesh_n": 16,
+        "time_steps": 16,
+        "T": 0.5,
+        "potential_const": -63.9,
+    }
+    assert validate_config(cfg) == []
+    assert run_experiment(cfg, tmp_path) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    checks = {i["name"]: i["passed"] for i in summary["invariants"]}
+    assert checks["conjugate gradients converged"] is False
+    assert summary["results"]["cg_iterations"] > 1
 
 
 def _gamma_spec(gamma, N, T, omega):

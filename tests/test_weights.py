@@ -163,9 +163,9 @@ class TestBridgeStitching:
             branch_val = psi.value(x)[0]
             branch_d1 = sign * joint / a
             branch_d2 = sign * (a - joint * da) / a**2
-            assert P.polyval(xi, psi._bridge) == pytest.approx(branch_val, abs=1e-10)
-            assert P.polyval(xi, psi._bridge_d1) / span == pytest.approx(branch_d1, abs=1e-10)
-            assert P.polyval(xi, psi._bridge_d2) / span**2 == pytest.approx(
+            assert P.polyval(xi, psi._bridge[0]) == pytest.approx(branch_val, abs=1e-10)
+            assert P.polyval(xi, psi._bridge[1]) / span == pytest.approx(branch_d1, abs=1e-10)
+            assert P.polyval(xi, psi._bridge[2]) / span**2 == pytest.approx(
                 branch_d2, abs=1e-8
             )
 

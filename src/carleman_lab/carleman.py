@@ -23,6 +23,7 @@ from .functionals import (
     Region,
     WeightedNorms,
     _abscissae,
+    _check_horizon,
     _clipped_node_quadrature,
     _WeightedQuadrature,
 )
@@ -31,6 +32,7 @@ from .pde_solver import (
     ProblemSpec,
     Trajectory,
     _adjoint_march,
+    _Stepper,
     solve_adjoint,
     trapezoid_time_weights,
 )
@@ -216,8 +218,13 @@ def carleman_sweep(
     f_fields = sample_fields(seed, STREAM_SOURCE, n_samples, nodes)
 
     # the sampled sources do not depend on time: each is one row broadcast
-    # over the time steps, never a tiled copy
-    v_rows, _ = _adjoint_march(spec, vt_fields, F_const=f_fields)
+    # over the substeps and the time steps, never a tiled copy
+    st = _Stepper(spec)
+    source = np.broadcast_to(
+        st.op.restrict(f_fields), st.tau.shape + (n_samples, st.op.n_unknowns)
+    )
+    v_rows, _ = _adjoint_march(spec, vt_fields, source, stepper=st)
+    del st, source
     trajectories = [Trajectory(r, spec.mesh, spec.T, Direction.BACKWARD) for r in v_rows]
     f_trajs = [
         Trajectory(np.broadcast_to(f, v_rows[0].shape), spec.mesh, spec.T, Direction.BACKWARD)
@@ -563,6 +570,7 @@ def transform_to_w(
 ) -> WTransform:
     """Conjugate a backward trajectory and evaluate the split operators on the
     interior grid (centered differences in both variables)."""
+    _check_horizon(v_traj.T, weights)
     mesh = v_traj.mesh
     xs = mesh.nodes
     ts = v_traj.times
@@ -594,6 +602,7 @@ def _boundary_sign(mesh, T: float, M: int, weights: CarlemanWeights, params: Car
     ``term(w)``, the boundary term of a conjugated field w on the
     ``(M+1) x (N+1)`` grid, which reads only the columns 0, 1, -2 and -1 of
     w (so it may be given just those four)."""
+    _check_horizon(T, weights)
     s = params.s
     lam = params.lam
     ts = np.linspace(0.0, T, M + 1)
@@ -647,9 +656,9 @@ def boundary_sign_terms(
     boundary term reads are formed.
     """
     M = rows.shape[-2] - 1
+    term = _boundary_sign(mesh, T, M, weights, params)
     ts = np.linspace(0.0, T, M + 1)
     E = weights.exp_s_phi_grid(ts, mesh.nodes, params.s)[:, _EDGE_COLUMNS]
-    term = _boundary_sign(mesh, T, M, weights, params)
     return [term(E * r[:, _EDGE_COLUMNS]) for r in rows]
 
 
@@ -677,16 +686,11 @@ def _observability_ratios(spec: ProblemSpec, vt_fields: np.ndarray) -> list:
 
 
 def observability_ratio(
-    spec: ProblemSpec,
-    weights: Optional[CarlemanWeights] = None,
-    n_samples: int = 20,
-    seed: int = 0,
+    spec: ProblemSpec, n_samples: int = 20, seed: int = 0
 ) -> ObservabilityReport:
     """Empirical observability constant: the largest ratio of the initial-time
     energy to the control-region energy over seeded source-free backward
     solves, all marched as one batch."""
-    if weights is not None and abs(weights.T - spec.T) > 1e-12 * max(1.0, spec.T):
-        raise ValueError("weights and spec disagree on the horizon")
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     all_ratios = _observability_ratios(spec, vt_fields)
     ratios = [r for r in all_ratios if not math.isnan(r)]

@@ -157,12 +157,16 @@ def validate_config(cfg: dict) -> list[str]:
             except (KeyError, ValueError, TypeError) as exc:
                 errors.append(f"coefficient: {exc}")
 
-    def check_value(label, v, lo=None, hi=None, strict_lo=False) -> bool:
+    def check_value(label, v, lo=None, hi=None, strict_lo=False, integer=False) -> bool:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             errors.append(f"{label}: must be a number, got {v!r}")
             return False
         if isinstance(v, float) and not math.isfinite(v):
             errors.append(f"{label}: must be a finite number, got {v}")
+            return False
+        # runners truncate with int(), so 16.7 would run as 16 under the hash of 16.7
+        if integer and v != int(v):
+            errors.append(f"{label}: must be an integer, got {v}")
             return False
         if lo is not None and (v <= lo if strict_lo else v < lo):
             errors.append(f"{label}: must be {'>' if strict_lo else '>='} {lo}, got {v}")
@@ -172,26 +176,26 @@ def validate_config(cfg: dict) -> list[str]:
             return False
         return True
 
-    def check_number(name, lo=None, hi=None, strict_lo=False):
+    def check_number(name, lo=None, hi=None, strict_lo=False, integer=False):
         if name in cfg:
-            check_value(name, cfg[name], lo, hi, strict_lo)
+            check_value(name, cfg[name], lo, hi, strict_lo, integer)
 
     check_number("T", 0, strict_lo=True)
-    check_number("mesh_n", 8, MAX_SIZE)
+    check_number("mesh_n", 8, MAX_SIZE, integer=True)
     check_number("mesh_grading", 1.0, 4.0)
-    check_number("time_steps", 1, MAX_SIZE)
-    check_number("n_samples", 1, MAX_SIZE)
-    check_number("seed", 0)
+    check_number("time_steps", 1, MAX_SIZE, integer=True)
+    check_number("n_samples", 1, MAX_SIZE, integer=True)
+    check_number("seed", 0, integer=True)
     check_number("epsilon", 0, strict_lo=True)
     check_number("s", 0, strict_lo=True)
     check_number("lambda", 0, strict_lo=True)
     check_number("zero_order_exponent", 0, strict_lo=True)
-    check_number("resolution", 2, MAX_SIZE)
-    check_number("cg_max_iter", 1, MAX_SIZE)
+    check_number("resolution", 2, MAX_SIZE, integer=True)
+    check_number("cg_max_iter", 1, MAX_SIZE, integer=True)
     check_number("cg_tol", 0, strict_lo=True)
-    check_number("grid_size", 64, MAX_SIZE)
-    check_number("spatial_time_steps", 1, MAX_SIZE)
-    check_number("temporal_mesh_n", 8, MAX_SIZE)
+    check_number("grid_size", 64, MAX_SIZE, integer=True)
+    check_number("spatial_time_steps", 1, MAX_SIZE, integer=True)
+    check_number("temporal_mesh_n", 8, MAX_SIZE, integer=True)
     check_number("terminal_threshold_rel", 0, strict_lo=True)
     check_number("residual_threshold", 0, strict_lo=True)
     check_number("zero_neighborhood", 0, 0.5, strict_lo=True)
@@ -222,7 +226,8 @@ def validate_config(cfg: dict) -> list[str]:
             v = cfg[name]
             if not isinstance(v, list) or len(v) < 2:
                 errors.append(f"{name}: must be a list of at least two sizes, got {v!r}")
-            elif all([check_value(f"{name}[{i}]", e, lo, MAX_SIZE) for i, e in enumerate(v)]):
+            elif all([check_value(f"{name}[{i}]", e, lo, MAX_SIZE, integer=True)
+                      for i, e in enumerate(v)]):
                 if any(int(a) >= int(b) for a, b in zip(v, v[1:])):
                     errors.append(f"{name}: sizes must increase, got {v}")
 

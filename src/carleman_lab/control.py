@@ -68,18 +68,17 @@ class _DualOperator:
         self.epsilon = epsilon
         self.stepper = st = _Stepper(spec)
         self.op = st.op
-        self.mask = st.omega
-        self.sample_t, self.taus = st.t_sample, st.tau
-        self._outside = ~self.mask
-        self._pairing = np.empty((self.taus.size, self.op.n_unknowns))
+        self._outside = ~st.omega
+        self._pairing = np.empty((st.tau.size, self.op.n_unknowns))
 
     def adjoint_pairing(self, v_unknown: np.ndarray, keep_initial: bool = False, out=None):
         """(initial adjoint state or None, per-substep pairing profiles), the
-        profiles written into ``out`` when it is given."""
-        full = self.op.embed(v_unknown)
-        rows, pairing = _adjoint_march(
-            self.spec, full, keep_pairing=True, stepper=self.stepper, keep_rows=keep_initial,
-            pairing_out=out,
+        profiles written into ``out`` when it is given, else a fresh block."""
+        st = self.stepper
+        pairing = np.empty((st.tau.size,) + v_unknown.shape) if out is None else out
+        rows, _ = _adjoint_march(
+            self.spec, self.op.embed(v_unknown), stepper=st, keep_rows=keep_initial,
+            pairing_out=pairing,
         )
         return (self.op.restrict(rows[0]) if keep_initial else None), pairing
 
@@ -102,7 +101,7 @@ class _DualOperator:
     def control_cost(self, ctrl: np.ndarray) -> float:
         W = self.op.weights
         return float(sum(
-            tau * np.dot(W * row, row) for tau, row in zip(self.taus, ctrl)
+            tau * np.dot(W * row, row) for tau, row in zip(self.stepper.tau, ctrl)
         ))
 
 
@@ -163,8 +162,8 @@ def synthesize_null_control(
     _, pairing = dual.adjoint_pairing(v_hat)
     ctrl = dual.control_from_pairing(pairing)
     control = SpaceTimeControl(
-        sample_times=dual.sample_t,
-        taus=dual.taus,
+        sample_times=dual.stepper.t_sample,
+        taus=dual.stepper.tau,
         values=op.embed(ctrl),
         omega=spec.omega,
     )

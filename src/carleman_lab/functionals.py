@@ -150,6 +150,12 @@ class _Abscissae(NamedTuple):
     key: tuple
 
 
+def _check_horizon(T: float, weights: CarlemanWeights) -> None:
+    """Raise unless a trajectory on [0, T] and ``weights`` share the horizon."""
+    if abs(T - weights.T) > 1e-12 * max(1.0, weights.T):
+        raise ValueError("trajectory and weights disagree on the horizon")
+
+
 def _abscissae(mesh, T: float, M: int, weights: CarlemanWeights) -> _Abscissae:
     """The abscissae of the ``(M+1) x (N+1)`` grid of ``mesh`` on [0, T].
 
@@ -157,8 +163,7 @@ def _abscissae(mesh, T: float, M: int, weights: CarlemanWeights) -> _Abscissae:
     quadrature requests of every sample at one sweep point share one time
     grid and one key, whose bytes are hashed once.
     """
-    if abs(T - weights.T) > 1e-12 * max(1.0, weights.T):
-        raise ValueError("trajectory and weights disagree on the horizon")
+    _check_horizon(T, weights)
     key = (float(T), M, mesh.nodes.tobytes())
 
     def build():

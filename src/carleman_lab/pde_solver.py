@@ -131,13 +131,9 @@ class BoundaryRegime:
     left: LeftBoundary
 
 
-def boundary_regime_for(
-    hypothesis: HypothesisReport, override: Optional[LeftBoundary] = None
-) -> BoundaryRegime:
+def boundary_regime_for(hypothesis: HypothesisReport) -> BoundaryRegime:
     """Conventional pairing: value condition for the weak band, flux condition
-    for the strong band.  An explicit override wins."""
-    if override is not None:
-        return BoundaryRegime(override)
+    for the strong band."""
     if hypothesis.regime is Regime.WDC:
         return BoundaryRegime(LeftBoundary.DIRICHLET_ZERO)
     if hypothesis.regime is Regime.SDC:
@@ -369,13 +365,14 @@ class _Stepper:
     substep allocates nothing, and its floor is the latency-bound recurrence
     of ``dgttrs`` itself, about two thirds of its time at n = 255.
 
-    The engine owns the forcing weight tau*W.  A forward march forced by a
-    whole ``(J, ...)`` schedule block weights all of it up front, one product
-    per run of equal substep lengths, into a scratch block kept for the
-    stepper's next such march, and then adds one row per substep.  Forcing
-    given substep by substep is weighted as it comes, and a substep without
-    forcing adds nothing (adding +0.0 would turn a -0.0 entry of the state
-    into +0.0).
+    A forcing is a ``(J, ...)`` block whose row j drives substep j; one that
+    is constant in time is one row broadcast over J (``np.broadcast_to``),
+    so its first stride is zero and it is never materialized.  The engine
+    owns the forcing weight tau*W and reads that stride: a forward march
+    weights its forcing up front, one product per run of equal substep
+    lengths (one row per run for a constant forcing), into a scratch block
+    kept for the stepper's next march, and a backward march deposits a
+    constant source once per distinct L.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -419,7 +416,7 @@ class _Stepper:
             self._L.append(L)
             self.tau_w.append(tw)
             self._R.append(R)
-        self._weighted = None  # scratch of _weigh, made by the first forcing block
+        self._weighted = None  # scratch of _forcing_rows, made by the first forcing
         # ends of the runs of substeps that share one tau, hence one tau*W
         J = len(tau)
         self._tau_runs = [j for j in range(1, J) if tau[j] != tau[j - 1]]
@@ -477,25 +474,37 @@ class _Stepper:
         _dgttrs(*self._L[j], inner.T, "N", 1)
         return x
 
-    def _weigh(self, g: np.ndarray) -> np.ndarray:
-        """tau_j*W*g[j] for every substep j of the ``(J, ...)`` block g, into a
-        scratch block the stepper keeps for its next call: one product per
-        run of substeps of one length (three for Crank-Nicolson)."""
-        if self._weighted is None or self._weighted.shape != g.shape:
-            self._weighted = np.empty(g.shape)
+    def _forcing_rows(self, g: np.ndarray) -> list:
+        """Per substep j, the row tau_j*W*g[j] it adds to the state, or None
+        where g[j] is all zero (adding +0.0 would turn a -0.0 entry of the
+        state into +0.0).  The rows live in a scratch block the stepper keeps
+        for its next call, made by one product per run of substeps of one
+        length (three for Crank-Nicolson); a zero-stride g gets one row per
+        run."""
+        const = g.strides[0] == 0
+        shape = (len(self._tau_runs) if const else len(g),) + g.shape[1:]
+        if self._weighted is None or self._weighted.shape != shape:
+            self._weighted = np.empty(shape)
+        rows = []
         start = 0
-        for stop in self._tau_runs:
-            np.multiply(self.tau_w[start], g[start:stop], out=self._weighted[start:stop])
+        for r, stop in enumerate(self._tau_runs):
+            if const:
+                np.multiply(self.tau_w[start], g[0], out=self._weighted[r])
+                rows += [self._weighted[r]] * (stop - start)
+            else:
+                np.multiply(self.tau_w[start], g[start:stop], out=self._weighted[start:stop])
             start = stop
-        return self._weighted
+        if const:
+            # only the one row is tested: the broadcast block is never copied
+            return rows if g[0].any() else [None] * len(g)
+        live = g.reshape(len(g), -1).any(axis=1).tolist()
+        return [row if keep else None for row, keep in zip(self._weighted, live)]
 
     def forward(self, u: np.ndarray, load=None, closed=None) -> np.ndarray:
         """March u over the whole schedule and return the final state.
 
-        Substep j's forcing g enters the right-hand side as tau*W*g.
-        ``load`` is None, a callable whose ``load(j)`` gives g, or a
-        ``(J, ...)`` block whose row j is g, all of it weighted before the
-        march, where an all-zero row adds nothing; ``closed(m, state)`` is
+        ``load`` is None or a ``(J, ...)`` forcing block, whose row g = load[j]
+        enters substep j's right-hand side as tau*W*g; ``closed(m, state)`` is
         called at the end of every step m = 1..M with the live state, which
         it must not keep.
         """
@@ -503,21 +512,12 @@ class _Stepper:
         state[...] = u
         apply_R = self._apply_R(buf, inner)
         b = inner.T
-        weighted = forcing = None
-        if isinstance(load, np.ndarray):
-            weighted = self._weigh(load)
-            live = load.reshape(len(load), -1).any(axis=1).tolist()
-        elif load is not None:
-            forcing = np.empty(u.shape)
+        adds = None if load is None else self._forcing_rows(load)
         m = 1
         for j, closes in enumerate(self.closes):
             apply_R(j)
-            if weighted is not None:
-                if live[j]:
-                    np.add(state, weighted[j], out=state)
-            elif forcing is not None:
-                np.multiply(self.tau_w[j], load(j), out=forcing)
-                np.add(state, forcing, out=state)
+            if adds is not None and adds[j] is not None:
+                np.add(state, adds[j], out=state)
             _dgttrs(*self._L[j], b, "N", 1)
             if closed is not None and closes:
                 closed(m, state)
@@ -527,14 +527,22 @@ class _Stepper:
         _require_finite(state, "the control or source")
         return state
 
-    def backward(self, v: np.ndarray, deposit=None, pairing=None, rows=None) -> None:
+    def backward(self, v: np.ndarray, source=None, pairing=None, rows=None) -> None:
         """Transposed march from terminal data v.
 
-        ``deposit(j)`` is subtracted after substep j's transposed step, or
-        None; ``pairing[j]`` receives the profile that pairs with substep-j
-        forcing; ``rows`` receives the state at every step start m = M-1..0.
+        ``source`` is None or a ``(J, ...)`` block: after substep j's
+        transposed step the deposit tau_j*L_j^{-1}(W*source[j]) is subtracted
+        (raw tau*W*source leaves a first-order residue on stiff source modes,
+        the L-solve restores the scheme's order), computed once per distinct
+        L for a zero-stride source.  ``pairing[j]`` receives the profile that
+        pairs with substep-j forcing; ``rows`` receives the state at every
+        step start m = M-1..0.
         """
         W = self.op.weights
+        const = source is not None and source.strides[0] == 0
+        if const:
+            WF = W * source[0]
+            deposits: dict = {}  # factor index -> deposit of the constant source
         buf, inner, z = self._buffer(v.shape)
         np.multiply(W, v, out=z)
         apply_R = self._apply_R(buf, inner)
@@ -545,29 +553,26 @@ class _Stepper:
             if pairing is not None:
                 pairing[j] = z
             apply_R(j)
-            if deposit is not None:
-                np.subtract(z, deposit(j), out=z)
+            if source is not None:
+                if not const:
+                    dep = self.tau_w[j] * self.solve_L(j, W * source[j])
+                elif (dep := deposits.get(self.factor_of[j])) is None:
+                    dep = deposits[self.factor_of[j]] = self.tau_w[j] * self.solve_L(j, WF)
+                np.subtract(z, dep, out=z)
             if rows is not None and (j == 0 or self.closes[j - 1]):
                 rows[..., m, self.cols] = z / W
                 m -= 1
         _require_finite(z, "the source")
 
 
-def _sample_field(field, t: float, xs: np.ndarray, j: int) -> np.ndarray:
-    if field is None:
-        return None
-    if callable(field):
-        return np.asarray(field(t, xs), dtype=float) * np.ones_like(xs)
-    arr = np.asarray(field, dtype=float)
-    return arr[j]
-
-
 def _schedule_samples(field, st: _Stepper) -> np.ndarray:
     """The ``(J, n)`` block of a field's samples at every substep of the
-    schedule, from a callable (t, x) -> value or an array of them."""
+    schedule, from a callable (t, x) -> value; an array is taken as that
+    block already."""
     if callable(field):
         xs = st.xs_unknown
-        return np.stack([_sample_field(field, t, xs, j) for j, t in enumerate(st.t_sample)])
+        return np.stack([np.asarray(field(t, xs), dtype=float) * np.ones_like(xs)
+                         for t in st.t_sample])
     return np.asarray(field, dtype=float)
 
 
@@ -615,29 +620,25 @@ def _adjoint_march(
     spec: ProblemSpec,
     v_T: np.ndarray,
     F=None,
-    keep_pairing=False,
-    stepper=None,
-    F_const=None,
+    stepper: Optional[_Stepper] = None,
     keep_rows=True,
     pairing_out=None,
 ):
     """Backward recursion that is the exact measure-weighted transpose of the
-    forward step map.  Returns (rows, pairing): rows holds the nodal
-    state at every step (None unless ``keep_rows``), pairing[j] the profile
-    that multiplies substep-j sources in the duality sum (None unless
-    ``keep_pairing``).  ``pairing_out``, a ``(J,) + v.shape`` array, receives
-    the pairing in place of a fresh block when ``keep_pairing`` is set.
+    forward step map.  Returns (rows, pairing_out): rows holds the nodal
+    state at every step (None unless ``keep_rows``); ``pairing_out``, a
+    ``(J,) + v.shape`` array or None, receives pairing[j], the profile that
+    multiplies substep-j sources in the duality sum.
 
     ``v_T`` is one nodal vector, giving ``(M+1, N+1)`` rows, or an ``(S, N+1)``
-    stack of samples marched together, giving ``(S, M+1, N+1)`` rows.  ``F`` is
-    a source shared by every sample (callable or per-substep samples);
-    ``F_const`` is a time-independent nodal source, one row per sample, whose
-    deposit is computed once per distinct step matrix.
+    stack of samples marched together, giving ``(S, M+1, N+1)`` rows.  ``F``
+    is a callable (t, x) -> value shared by every sample, or a ``(J, ...)``
+    block of per-substep samples on the unknown nodes, whose rows are
+    ``(n,)`` (shared) or ``(S, n)`` (one per sample); a source constant in
+    time is one row broadcast over J.
     """
     st = stepper if stepper is not None else _Stepper(spec)
-    op = st.op
-    W = op.weights
-    v = op.restrict(v_T)
+    v = st.op.restrict(v_T)
     if not np.all(np.isfinite(v)):
         raise ValueError("terminal data must be finite")
     M = spec.time_steps
@@ -645,31 +646,9 @@ def _adjoint_march(
     if keep_rows:
         rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
         rows[..., M, st.cols] = v
-    pairing = None
-    if keep_pairing:
-        pairing = np.empty((st.tau.size,) + v.shape) if pairing_out is None else pairing_out
-
-    # implicit-side deposit: raw tau*W*F leaves a first-order residue on stiff
-    # source modes, the L-solve restores the scheme's order
-    deposit = None
-    if F_const is not None:
-        WF = W * op.restrict(F_const)
-        cache: dict = {}
-
-        def deposit(j):
-            f = st.factor_of[j]
-            if f not in cache:
-                cache[f] = st.tau_w[j] * st.solve_L(j, WF)
-            return cache[f]
-
-    elif F is not None:
-
-        def deposit(j):
-            Fj = _sample_field(F, st.t_sample[j], st.xs_unknown, j)
-            return st.tau_w[j] * st.solve_L(j, W * Fj)
-
-    st.backward(v, deposit, pairing, rows)
-    return rows, pairing
+    source = None if F is None else _schedule_samples(F, st)
+    st.backward(v, source, pairing_out, rows)
+    return rows, pairing_out
 
 
 def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
@@ -678,7 +657,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
     Implemented as the exact transpose of ``solve_forward``'s step map, so the
     discrete duality pairing with forward solutions holds to rounding.
     """
-    rows, _ = _adjoint_march(spec, v_T, F=F, keep_pairing=False)
+    rows, _ = _adjoint_march(spec, v_T, F=F)
     return Trajectory(rows, spec.mesh, spec.T, Direction.BACKWARD)
 
 
@@ -711,7 +690,7 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
     load = None
     if g is not None:
         g = np.where(st.omega, g, 0.0)
-        load = g if g.ndim == 3 else (lambda j: g)
+        load = g if g.ndim == 3 else np.broadcast_to(g, st.tau.shape + g.shape)
 
     W = op.weights
     hsp = mesh.spacings

@@ -23,6 +23,7 @@ from carleman_lab.pde_solver import (
     ProblemSpec,
     Trajectory,
     _adjoint_march,
+    _Stepper,
     boundary_regime_for,
     build_mesh,
     solve_adjoint,
@@ -373,7 +374,9 @@ class TestSweep:
 
         vts = sample_fields(seed, STREAM_TERMINAL, n, nodes)
         fs = sample_fields(seed, STREAM_SOURCE, n, nodes)
-        vals, _ = _adjoint_march(spec, vts, F_const=fs)
+        st = _Stepper(spec)
+        source = np.broadcast_to(st.op.restrict(fs), st.tau.shape + (n, st.op.n_unknowns))
+        vals, _ = _adjoint_march(spec, vts, source)
         ts = np.linspace(0.0, spec.T, spec.time_steps + 1)
         tw = trapezoid_time_weights(spec.T, spec.time_steps)
         xw_q = _clipped_node_quadrature(nodes, 0.0, 1.0)
@@ -561,6 +564,28 @@ class TestSweep:
             assert all(math.isfinite(r) for r in ratios)
 
 
+class TestHorizonCheck:
+    """A T = 2 backward trajectory with weights built for T = 1: theta
+    vanishes past t = 1, so without the check w is mostly zero rows and the
+    boundary term passes its sign test vacuously."""
+
+    @pytest.mark.parametrize("check", ["transform_to_w", "boundary_sign_term", "boundary_sign_terms"])
+    def test_rejects_another_horizon(self, check):
+        spec = make_spec(N=32, M=32, T=2.0)
+        params = CarlemanParams(1.0, 1.0)
+        wts = build_weights(spec.coef, 1.0, 1.0, 0.4, 0.6)
+        rows, _ = _adjoint_march(spec, sample_fields(0, STREAM_TERMINAL, 2, spec.mesh.nodes))
+        traj = Trajectory(rows[0], spec.mesh, spec.T, Direction.BACKWARD)
+        with pytest.raises(ValueError, match="trajectory and weights disagree on the horizon"):
+            if check == "transform_to_w":
+                transform_to_w(traj, wts, params)
+            elif check == "boundary_sign_term":
+                own = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
+                boundary_sign_term(transform_to_w(traj, own, params), wts, params)
+            else:
+                boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
+
+
 class TestObservability:
     def test_zero_sample_excluded(self):
         spec = make_spec(N=32, M=32)
@@ -577,12 +602,6 @@ class TestObservability:
         assert math.isfinite(rep.constant)
         doubled = observability_ratio(spec, n_samples=5, seed=7)
         assert doubled.constant == rep.constant
-
-    def test_horizon_consistency_check(self):
-        spec = make_spec(N=32, M=32, T=1.0)
-        wts = build_weights(spec.coef, 1.0, 2.0, 0.4, 0.6)
-        with pytest.raises(ValueError, match="horizon"):
-            observability_ratio(spec, weights=wts, n_samples=1, seed=0)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.5])
     def test_batched_matches_per_sample(self, gamma):

@@ -228,7 +228,8 @@ class TestValidation:
              "spatial_n[1]: must be <= 1000000, got 2000000.0"),
             ("convergence", "temporal_m", [8],
              "temporal_m: must be a list of at least two sizes, got [8]"),
-            ("convergence", "temporal_m", [8, 8.5], "temporal_m: sizes must increase, got [8, 8.5]"),
+            ("convergence", "temporal_m", [8, 8.5], "temporal_m[1]: must be an integer, got 8.5"),
+            ("convergence", "temporal_m", [8, 8.0], "temporal_m: sizes must increase, got [8, 8.0]"),
             # every other field a runner reads
             ("null_control", "u0_modes", "abc",
              "u0_modes: must be a list of 1 to 1000000 numbers, got 'abc'"),
@@ -267,6 +268,45 @@ class TestValidation:
             assert main([command, path]) == 2
             assert capsys.readouterr().err.strip() == f"config error: {message}"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "exp, field, value, message",
+        [
+            ("energy", "mesh_n", 16.7, "mesh_n: must be an integer, got 16.7"),
+            ("energy", "time_steps", 8.9, "time_steps: must be an integer, got 8.9"),
+            ("energy", "n_samples", 2.5, "n_samples: must be an integer, got 2.5"),
+            ("energy", "seed", 3.5, "seed: must be an integer, got 3.5"),
+            ("lemma_checks", "resolution", 64.5, "resolution: must be an integer, got 64.5"),
+            ("null_control", "cg_max_iter", 10.25, "cg_max_iter: must be an integer, got 10.25"),
+            ("classify", "grid_size", 100.5, "grid_size: must be an integer, got 100.5"),
+            ("convergence", "spatial_time_steps", 16.5,
+             "spatial_time_steps: must be an integer, got 16.5"),
+            ("convergence", "temporal_mesh_n", 32.5, "temporal_mesh_n: must be an integer, got 32.5"),
+            ("convergence", "spatial_n", [8, 16.5], "spatial_n[1]: must be an integer, got 16.5"),
+            ("convergence", "temporal_m", [4.5, 8], "temporal_m[0]: must be an integer, got 4.5"),
+        ],
+    )
+    def test_non_integral_size_exits_2(self, tmp_path, capsys, exp, field, value, message):
+        # the runners truncate with int(), while the config hash keeps the float
+        cfg = {
+            "experiment": exp,
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "output_dir": str(tmp_path / "out"),
+            field: value,
+        }
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_sizes_are_accepted(self):
+        cfg = {
+            "experiment": "energy",
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "mesh_n": 128.0, "time_steps": 16.0, "n_samples": 2.0, "seed": 3.0,
+        }
+        assert validate_config(cfg) == []
 
     def test_size_fields_accept_the_cap(self):
         cfg = base_classify_config("out")

@@ -168,10 +168,11 @@ def _allocating_gram(dual, v):
     march that weights the control substep by substep."""
     op, st = dual.op, dual.stepper
     _, pairing = _adjoint_march(
-        dual.spec, op.embed(v), keep_pairing=True, stepper=st, keep_rows=False
+        dual.spec, op.embed(v), stepper=st, keep_rows=False,
+        pairing_out=np.empty((st.tau.size, v.size)),
     )
-    ctrl = np.where(dual.mask, pairing, 0.0)
-    return st.forward(np.zeros_like(v), ctrl.__getitem__) + dual.epsilon * v
+    ctrl = np.where(st.omega, pairing, 0.0)
+    return st.forward(np.zeros_like(v), ctrl) + dual.epsilon * v
 
 
 def _engine_spec(N, left, scheme):
@@ -242,9 +243,12 @@ class TestReusedBlocks:
         assert np.array_equal(grad, _allocating_gram(dual, v) + b)
         assert op.norm(grad) <= 1e-7 * op.norm(b)
         # the functional at the minimizer from its definition, on fresh blocks
-        rows, pairing = _adjoint_march(spec, res.v_T, keep_pairing=True)
-        ctrl = np.where(dual.mask, pairing, 0.0)
-        cost = float(sum(tau * np.dot(op.weights * r, r) for tau, r in zip(dual.taus, ctrl)))
+        st = dual.stepper
+        rows, pairing = _adjoint_march(
+            spec, res.v_T, pairing_out=np.empty((st.tau.size, op.n_unknowns))
+        )
+        ctrl = np.where(st.omega, pairing, 0.0)
+        cost = float(sum(tau * np.dot(op.weights * r, r) for tau, r in zip(st.tau, ctrl)))
         want = (
             0.5 * cost + 0.5 * eps * op.inner(v, v)
             + op.inner(op.restrict(u0), op.restrict(rows[0]))

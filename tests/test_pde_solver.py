@@ -431,6 +431,22 @@ class TestStackedEnergy:
         # each step is reduced as the march closes it: no trajectory is kept
         assert peak < rows_bytes / 4, peak
 
+    def test_constant_source_march_stays_well_under_the_rows_block(self):
+        spec = make_spec(N=128, M=128)
+        vts, fs = self.draws(spec, 20)
+        rows_bytes = 20 * 129 * 129 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            st = pde_solver._Stepper(spec)
+            _adjoint_march(spec, vts, _constant_block(st, fs), stepper=st, keep_rows=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the source is one row per sample broadcast over the substeps: a
+        # copy of the (J, 20, n) block alone would be 2.6 MB
+        assert peak < rows_bytes / 4, peak
+
 
 class TestStackedStiffness:
     @pytest.mark.parametrize("regime", [WEAK, STRONG])
@@ -685,7 +701,9 @@ class TestMarchingEngine:
         spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
         vT = _draws(spec, 2)[0]
         F = lambda t, x: np.cos(np.pi * x) * (2.0 - t)
-        rows, pairing = _adjoint_march(spec, vT, F=F, keep_pairing=True)
+        J = pde_solver.substep_times(spec)[0].size
+        n = assemble_diffusion(spec.coef, spec.mesh, spec.regime).n_unknowns
+        rows, pairing = _adjoint_march(spec, vT, F=F, pairing_out=np.empty((J, n)))
         ref_rows, ref_pairing = _reference_adjoint(spec, vT, F)
         assert np.array_equal(rows, ref_rows)
         assert np.array_equal(pairing, ref_pairing)
@@ -704,7 +722,7 @@ class TestMarchingEngine:
         op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
         vTs = _draws(spec, 4, 5)
         fs = _draws(spec, 5, 5)
-        rows, _ = _adjoint_march(spec, vTs, F_const=fs)
+        rows, _ = _adjoint_march(spec, vTs, _constant_block(pde_solver._Stepper(spec), fs))
         assert rows.shape == (5, spec.time_steps + 1, spec.mesh.nodes.size)
         for i in range(5):
             F = lambda t, x, f=op.restrict(fs[i]): f
@@ -750,12 +768,19 @@ class TestMarchingEngine:
         fs = np.ones((2, spec.mesh.nodes.size))
         fs[1, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite march: the source"):
-            _adjoint_march(spec, np.zeros_like(fs), F_const=fs)
+            _adjoint_march(spec, np.zeros_like(fs), _constant_block(pde_solver._Stepper(spec), fs))
 
     def test_nonfinite_potential_raises(self):
         spec = make_spec(N=16, M=8, c=lambda t, x: np.where(x > 0.5, np.nan, 0.0))
         with pytest.raises(ValueError, match="potential c is not finite"):
             solve_forward(spec, np.zeros(spec.mesh.nodes.size))
+
+
+def _constant_block(st, nodal):
+    """A nodal source constant in time as the engine takes it: its rows on
+    the unknown nodes broadcast over the substeps, first stride zero."""
+    rows = st.op.restrict(nodal)
+    return np.broadcast_to(rows, st.tau.shape + rows.shape)
 
 
 # --------------------------------------------------------------------------------
@@ -869,8 +894,9 @@ class TestInPlaceEngine:
         shape = (n,) if S is None else (S, n)
         u = rng.standard_normal(shape)
         g = rng.standard_normal((J,) + shape)
-        # no forcing, forcing substep by substep, and the whole block at once
-        for forcing, load in ((None, None), (g, g.__getitem__), (g, g)):
+        const = np.broadcast_to(g[0], g.shape)
+        # no forcing, forcing constant in time, and forcing substep by substep
+        for forcing, load in ((None, None), (const, const), (g, g)):
             rows = np.zeros(shape[:-1] + (spec.time_steps + 1, spec.mesh.nodes.size))
 
             def closed(m, state):
@@ -901,15 +927,17 @@ class TestInPlaceEngine:
         for kw, ref_kw in (
             ({}, {}),
             ({"F": F}, {"F": F}),
-            ({"F_const": F_const}, {"F_const": op.restrict(F_const)}),
+            ({"F": _constant_block(st, F_const)}, {"F_const": op.restrict(F_const)}),
         ):
-            rows, pairing = _adjoint_march(spec, vT, keep_pairing=True, stepper=st, **kw)
+            rows, pairing = _adjoint_march(
+                spec, vT, stepper=st, pairing_out=np.empty((J,) + shape), **kw
+            )
             want_rows, want_pairing = _old_backward(spec, v, **ref_kw)
             assert rows.shape == shape[:-1] + (spec.time_steps + 1, nodal[-1])
             assert np.array_equal(rows, want_rows)
             assert np.array_equal(pairing, want_pairing)
             skipped, kept = _adjoint_march(
-                spec, vT, keep_pairing=True, stepper=st, keep_rows=False, **kw
+                spec, vT, stepper=st, keep_rows=False, pairing_out=np.empty((J,) + shape), **kw
             )
             assert skipped is None and np.array_equal(kept, want_pairing)
 
@@ -939,6 +967,29 @@ class TestInPlaceEngine:
         got = st.solve_L(0, rhs)
         assert np.array_equal(rhs, before)
         assert np.array_equal(got, _old_solve_L(steps[0][1], pad, before.copy()))
+
+
+class TestConstantSource:
+    @pytest.mark.parametrize("N,regime,scheme,c", IN_PLACE_CASES[:4])
+    def test_deposited_once_per_distinct_L(self, N, regime, scheme, c, monkeypatch):
+        spec = _spec_for(N, regime, scheme, c)
+        st = pde_solver._Stepper(spec)
+        J = st.tau.size
+        distinct = J if c is not None else {Scheme.CRANK_NICOLSON: 2, Scheme.BACKWARD_EULER: 1}[scheme]
+        assert len(set(st.factor_of)) == distinct
+        solved = []
+        solve_L = st.solve_L
+        monkeypatch.setattr(st, "solve_L", lambda j, rhs: solved.append(j) or solve_L(j, rhs))
+        rng = np.random.default_rng(N)
+        vTs, fs = st.op.embed(rng.standard_normal((2, 3, st.op.n_unknowns)))
+        const = _constant_block(st, fs)
+        want = _old_backward(spec, st.op.restrict(vTs), F_const=st.op.restrict(fs))[0]
+        rows, _ = _adjoint_march(spec, vTs, const, stepper=st)
+        assert len(solved) == distinct and np.array_equal(rows, want)
+        # the same source given substep by substep is deposited at every substep
+        solved.clear()
+        rows, _ = _adjoint_march(spec, vTs, np.ascontiguousarray(const), stepper=st)
+        assert len(solved) == J and np.array_equal(rows, want)
 
 
 class TestScheduleTable:

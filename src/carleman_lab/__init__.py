@@ -22,14 +22,11 @@ from .coefficients import (
 from .weights import (
     CarlemanWeights,
     PsiFunction,
-    build_psi,
     build_weights,
     default_omega_prime,
     eval_theta_time,
-    eval_weight,
 )
 from .pde_solver import (
-    BoundaryRegime,
     LeftBoundary,
     Mesh,
     ProblemSpec,
@@ -52,7 +49,6 @@ from .functionals import (
     hardy_ratio,
     spacetime_weighted_integral,
     spacetime_weighted_integrals,
-    weighted_norm,
 )
 from .carleman import (
     CarlemanParams,

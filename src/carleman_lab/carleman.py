@@ -28,12 +28,10 @@ from .functionals import (
     _WeightedQuadrature,
 )
 from .pde_solver import (
-    Direction,
     ProblemSpec,
     Trajectory,
     _adjoint_march,
     _Stepper,
-    solve_adjoint,
     trapezoid_time_weights,
 )
 from .sampling import (
@@ -41,7 +39,7 @@ from .sampling import (
     STREAM_TERMINAL,
     sample_fields,
 )
-from .weights import CarlemanWeights, build_weights, default_omega_prime, time_factor
+from .weights import CarlemanWeights, PsiFunction, default_omega_prime, time_factor
 
 __all__ = [
     "CarlemanParams",
@@ -84,7 +82,6 @@ class CarlemanReport:
     rhs_local: float
     ratio: float
     params: CarlemanParams
-    sample_id: int = 0
     degenerate: bool = False
 
     @property
@@ -97,66 +94,50 @@ class CarlemanReport:
 
 
 def carleman_sides(
-    spec: ProblemSpec,
-    v_T: np.ndarray,
-    F,
+    traj: Trajectory,
+    source: Optional[np.ndarray],
+    omega: tuple,
     weights: CarlemanWeights,
     params: CarlemanParams,
-    sample_id: int = 0,
     zero_order_exponent: float = 5.0 / 3.0,
-    traj: Optional[Trajectory] = None,
 ) -> CarlemanReport:
-    """Solve the backward problem and evaluate the four weighted integrals.
+    """The four weighted integrals of a backward solution v and its source f.
 
-    The left side carries (s*lam)*sigma on the gradient and
-    (s*lam)**q * sigma**q (q = 5/3 by default) on the zero-order term; the
-    right side carries the plain weighted source plus (s*lam)**3 * sigma**3
-    localized on the control region.
+    ``traj`` is v, marched by the caller, and ``source`` is f on the same
+    ``(M+1) x (N+1)`` grid, or None for no source.  A source constant in
+    time may be one row broadcast over the time levels (``np.broadcast_to``):
+    its zero first stride makes the integral read that row alone.  The left
+    side carries (s*lam)*sigma on the gradient and (s*lam)**q * sigma**q
+    (q = 5/3 by default) on the zero-order term; the right side carries the
+    plain weighted source plus (s*lam)**3 * sigma**3 localized on the
+    control region ``omega``.
     """
-    if traj is None:
-        if isinstance(F, Trajectory):
-            raise ValueError(
-                "pass the backward trajectory explicitly when the source is "
-                "given as a grid field"
-            )
-        traj = solve_adjoint(spec, v_T, F=F)
+    if source is not None and np.shape(source) != traj.values.shape:
+        raise ValueError("the source and the trajectory must share one grid")
     s, lam = params.s, params.lam
     sl = s * lam
     q = zero_order_exponent
     grid = (_abscissae(traj.mesh, traj.T, traj.values.shape[0] - 1, weights), weights, s)
     grad = _WeightedQuadrature(*grid, 1.0, "a_vx_sq")
     zero = _WeightedQuadrature(*grid, q, "v_sq")
-    local = _WeightedQuadrature(*grid, 3.0, "v_sq", Region.Q_OMEGA, spec.omega)
+    local = _WeightedQuadrature(*grid, 3.0, "v_sq", Region.Q_OMEGA, omega)
     lhs_grad = sl * grad.integral(traj.values)
     lhs_zero = sl**q * zero.integral(traj.values)
-    if F is None:
+    if source is None:
         rhs_source = 0.0
     else:
-        f = _field_on_grid(F, traj).values
-        # a source broadcast over the time steps needs only its first row
-        source = _WeightedQuadrature(
+        f = np.asarray(source, dtype=float)
+        rhs_source = _WeightedQuadrature(
             *grid, 0.0, "source_sq", time_constant=f.strides[0] == 0
-        )
-        rhs_source = source.integral(f)
+        ).integral(f)
     rhs_local = sl**3 * local.integral(traj.values)
     denom = rhs_source + rhs_local
     degenerate = denom < DEGENERATE_DENOMINATOR
     return CarlemanReport(
         lhs_grad, lhs_zero, rhs_source, rhs_local,
         float("nan") if degenerate else (lhs_grad + lhs_zero) / denom,
-        params, sample_id, degenerate=degenerate,
+        params, degenerate=degenerate,
     )
-
-
-def _field_on_grid(F, traj: Trajectory) -> Trajectory:
-    if isinstance(F, Trajectory):
-        return F
-    vals = np.empty_like(traj.values)
-    ts = traj.times
-    xs = traj.mesh.nodes
-    for m, t in enumerate(ts):
-        vals[m] = np.asarray(F(t, xs), dtype=float) * np.ones_like(xs)
-    return Trajectory(vals, traj.mesh, traj.T, traj.direction)
 
 
 def stable_s0(weights: CarlemanWeights) -> float:
@@ -199,12 +180,13 @@ def carleman_sweep(
     With ``s_relative`` the entries of ``s_grid`` multiply the per-lambda
     stable threshold.  Backward solves are shared across (s, lambda) because
     the trajectories do not depend on the weight parameters; all samples are
-    marched together in one batched backward solve.  Conversely the weight
-    grids do not depend on the sample, so each (s, lambda) point builds its
-    four grids once and shares them across the samples' ``carleman_sides``
-    calls.  Degenerate samples and non-finite ratios are excluded from the
-    per-point statistics; ``empirical_C`` is NaN when every sample at every
-    point is excluded.
+    marched together in one batched backward solve.  The profile psi does
+    not depend on lambda, so one is built for the whole sweep.  Conversely
+    the weight grids do not depend on the sample, so each (s, lambda) point
+    builds its four grids once and shares them across the samples'
+    ``carleman_sides`` calls.  Degenerate samples and non-finite ratios are
+    excluded from the per-point statistics; ``empirical_C`` is NaN when
+    every sample at every point is excluded.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -225,20 +207,16 @@ def carleman_sweep(
     )
     v_rows, _ = _adjoint_march(spec, vt_fields, source, stepper=st)
     del st, source
-    trajectories = [Trajectory(r, spec.mesh, spec.T, Direction.BACKWARD) for r in v_rows]
-    f_trajs = [
-        Trajectory(np.broadcast_to(f, v_rows[0].shape), spec.mesh, spec.T, Direction.BACKWARD)
-        for f in f_fields
-    ]
+    trajectories = [Trajectory(r, spec.mesh, spec.T) for r in v_rows]
+    f_rows = [np.broadcast_to(f, v_rows[0].shape) for f in f_fields]
 
     rows = []
     summaries = []
     excluded = 0
     empirical = 0.0
+    psi = PsiFunction(spec.coef, omega_prime[0], omega_prime[1], bridge_degree)
     for lam in lambda_grid:
-        wts = build_weights(
-            spec.coef, lam, spec.T, omega_prime[0], omega_prime[1], bridge_degree
-        )
+        wts = CarlemanWeights(psi, lam, spec.T)
         s0 = stable_s0(wts)
         for si, s_entry in enumerate(s_grid):
             s = s_entry * s0 if s_relative else s_entry
@@ -246,16 +224,13 @@ def carleman_sweep(
             ratios = []
             with wts.shared_grids():
                 reports = [
-                    carleman_sides(
-                        spec, vt_fields[i], f_trajs[i], wts, params, sample_id=i,
-                        zero_order_exponent=zero_order_exponent, traj=trajectories[i],
-                    )
-                    for i in range(n_samples)
+                    carleman_sides(traj, f, spec.omega, wts, params, zero_order_exponent)
+                    for traj, f in zip(trajectories, f_rows)
                 ]
-            for rep in reports:
+            for i, rep in enumerate(reports):
                 rows.append(
                     {
-                        "sample": rep.sample_id,
+                        "sample": i,
                         "s": s,
                         "lambda": lam,
                         "lhs_grad": rep.lhs_grad,
@@ -489,6 +464,10 @@ def identity_residual(
         raise ValueError(
             "the identity check needs a coefficient with an analytic second "
             "derivative; tabulated coefficients are not smooth enough"
+        )
+    if resolution < 2:
+        raise ValueError(
+            f"the identity check needs resolution >= 2 (an interior time level), got {resolution}"
         )
     s, lam = params.s, params.lam
     T = weights.T

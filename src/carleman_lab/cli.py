@@ -34,8 +34,6 @@ from .coefficients import Regime, classify, coefficient_from_descriptor, make_po
 from .control import synthesize_null_control
 from .functionals import HardyCase, WeightedNorms, aux_hardy_b, aux_hardy_p, hardy_ratios
 from .pde_solver import (
-    BoundaryRegime,
-    Direction,
     LeftBoundary,
     ProblemSpec,
     Scheme,
@@ -52,6 +50,7 @@ from .pde_solver import (
 )
 from .sampling import (
     GENERATOR_NAME,
+    MAX_SEED,
     STREAM_CONTROL,
     STREAM_INITIAL,
     STREAM_TERMINAL,
@@ -185,12 +184,13 @@ def validate_config(cfg: dict) -> list[str]:
     check_number("mesh_grading", 1.0, 4.0)
     check_number("time_steps", 1, MAX_SIZE, integer=True)
     check_number("n_samples", 1, MAX_SIZE, integer=True)
-    check_number("seed", 0, integer=True)
+    check_number("seed", 0, MAX_SEED, integer=True)
     check_number("epsilon", 0, strict_lo=True)
     check_number("s", 0, strict_lo=True)
     check_number("lambda", 0, strict_lo=True)
     check_number("zero_order_exponent", 0, strict_lo=True)
-    check_number("resolution", 2, MAX_SIZE, integer=True)
+    # the coarse half of the identity check needs an interior time level
+    check_number("resolution", 4, MAX_SIZE, integer=True)
     check_number("cg_max_iter", 1, MAX_SIZE, integer=True)
     check_number("cg_tol", 0, strict_lo=True)
     check_number("grid_size", 64, MAX_SIZE, integer=True)
@@ -342,6 +342,8 @@ def _env_seed():
         seed = -1
     if seed < 0:
         raise ValueError(f"CARLEMAN_LAB_SEED: must be a non-negative integer, got {env!r}")
+    if seed > MAX_SEED:
+        raise ValueError(f"CARLEMAN_LAB_SEED: must be <= {MAX_SEED}, got {env!r}")
     return seed
 
 
@@ -363,26 +365,21 @@ def _mesh_and_omega(cfg: dict):
 def _build_problem(cfg: dict, coef, report):
     mesh, omega = _mesh_and_omega(cfg)
     boundary = cfg.get("boundary", "auto")
-    override = False
-    if boundary == "auto":
-        regime = boundary_regime_for(report)
-    else:
-        regime = BoundaryRegime(LeftBoundary(boundary))
-        override = True
+    # an explicit boundary is kept as given, so the spec skips its band check
+    auto = boundary == "auto"
     scheme = Scheme(cfg.get("scheme", DEFAULT_SCHEME))
     c_const = cfg.get("potential_const")
     c = None if c_const in (None, 0) else (lambda t, x, v=float(c_const): v)
     return ProblemSpec(
         T=float(cfg.get("T", DEFAULT_T)),
         coef=coef,
-        regime=regime,
+        regime=boundary_regime_for(report) if auto else LeftBoundary(boundary),
         mesh=mesh,
         time_steps=int(cfg.get("time_steps", DEFAULT_TIME_STEPS)),
         omega=omega,
         c=c,
         scheme=scheme,
-        hypothesis=report,
-        boundary_override=override,
+        hypothesis=report if auto else None,
     )
 
 
@@ -553,7 +550,7 @@ def _exp_lemma_checks(cfg, seed, log, outdir):
     params = CarlemanParams(s, lam)
     resolution = int(cfg.get("resolution", 256))
     threshold = float(cfg.get("residual_threshold", 1e-3))
-    dirichlet = spec.regime.left is LeftBoundary.DIRICHLET_ZERO
+    dirichlet = spec.regime is LeftBoundary.DIRICHLET_ZERO
     fields = standard_identity_fields(spec.T, dirichlet)
     rows = []
     ok_resid = True
@@ -665,8 +662,7 @@ def _exp_null_control(cfg, seed, log, outdir):
         "converged": result.converged,
         "epsilon": epsilon,
     }
-    ctraj = Trajectory(vals, spec.mesh, spec.T, Direction.FORWARD)
-    trajectory_to_binary(ctraj, outdir / "control.bin")
+    trajectory_to_binary(Trajectory(vals, spec.mesh, spec.T), outdir / "control.bin")
     mask = omega_node_mask(spec.mesh, spec.omega)
     support_ok = bool(np.all(vals[:, ~mask] == 0.0))
     invariants = [
@@ -706,13 +702,11 @@ def _exp_convergence(cfg, seed, log, outdir):
         spec = ProblemSpec(
             T=T,
             coef=coef,
-            regime=BoundaryRegime(LeftBoundary.DIRICHLET_ZERO),
+            regime=LeftBoundary.DIRICHLET_ZERO,
             mesh=mesh,
             time_steps=M,
             omega=omega,
             scheme=Scheme.CRANK_NICOLSON,
-            hypothesis=None,
-            boundary_override=True,
         )
         u0 = exact(0.0, mesh.nodes)
         # the source on every (substep time, unknown node) pair, evaluated once

@@ -25,7 +25,6 @@ __all__ = [
     "Region",
     "HardyCase",
     "HardyReport",
-    "weighted_norm",
     "spacetime_weighted_integral",
     "spacetime_weighted_integrals",
     "hardy_ratio",
@@ -77,11 +76,6 @@ class WeightedNorms:
                 max(self.l2_sq(u) + self.h1a_semi_sq(u) + self.l2_sq(lap), 0.0)
             )
         raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def weighted_norm(mesh, coef: DegeneracyCoefficient, kind: str, u) -> float:
-    """Convenience wrapper over :class:`WeightedNorms`."""
-    return WeightedNorms(mesh, coef).norm(kind, u)
 
 
 class Region(Enum):

@@ -49,11 +49,9 @@ _dgttrf, _dgttrs = _flapack.dgttrf, _flapack.dgttrs
 __all__ = [
     "Mesh",
     "LeftBoundary",
-    "BoundaryRegime",
     "Scheme",
     "ProblemSpec",
     "Trajectory",
-    "Direction",
     "DiffusionOperator",
     "build_mesh",
     "assemble_diffusion",
@@ -120,24 +118,19 @@ def build_mesh(N: int, grading_exponent: float = 2.0) -> Mesh:
 
 
 class LeftBoundary(Enum):
+    """Left boundary condition; the right boundary always pins the value to 0."""
+
     DIRICHLET_ZERO = "dirichlet_zero"
     ZERO_FLUX = "zero_flux"
 
 
-@dataclass(frozen=True)
-class BoundaryRegime:
-    """Left boundary condition; the right boundary always pins the value to 0."""
-
-    left: LeftBoundary
-
-
-def boundary_regime_for(hypothesis: HypothesisReport) -> BoundaryRegime:
+def boundary_regime_for(hypothesis: HypothesisReport) -> LeftBoundary:
     """Conventional pairing: value condition for the weak band, flux condition
     for the strong band."""
     if hypothesis.regime is Regime.WDC:
-        return BoundaryRegime(LeftBoundary.DIRICHLET_ZERO)
+        return LeftBoundary.DIRICHLET_ZERO
     if hypothesis.regime is Regime.SDC:
-        return BoundaryRegime(LeftBoundary.ZERO_FLUX)
+        return LeftBoundary.ZERO_FLUX
     raise ValueError("cannot choose a boundary regime for an inadmissible coefficient")
 
 
@@ -146,25 +139,24 @@ class Scheme(Enum):
     CRANK_NICOLSON = "crank_nicolson"
 
 
-class Direction(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
 @dataclass
 class ProblemSpec:
-    """Everything needed to march one trajectory."""
+    """Everything needed to march one trajectory.
+
+    Given a ``hypothesis`` (the coefficient's certified band), the spec
+    checks that ``regime`` is the band's conventional boundary condition;
+    without one, any regime is taken as given.
+    """
 
     T: float
     coef: DegeneracyCoefficient
-    regime: BoundaryRegime
+    regime: LeftBoundary
     mesh: Mesh
     time_steps: int
     omega: tuple[float, float]
     c: Optional[Callable] = None  # potential c(t, x), bounded; None means 0
     scheme: Scheme = Scheme.CRANK_NICOLSON
     hypothesis: Optional[HypothesisReport] = None
-    boundary_override: bool = False
 
     def __post_init__(self):
         if self.T <= 0:
@@ -174,14 +166,12 @@ class ProblemSpec:
         a, b = self.omega
         if not 0.0 < a < b < 1.0:
             raise ValueError(f"omega must satisfy 0 < a < b < 1, got {self.omega}")
-        if self.hypothesis is not None and not self.boundary_override:
-            expect = boundary_regime_for(self.hypothesis)
-            if expect != self.regime:
-                raise ValueError(
-                    f"boundary regime {self.regime.left.value} conflicts with the "
-                    f"certified band {self.hypothesis.regime.value}; pass "
-                    "boundary_override=True to keep it"
-                )
+        band = self.hypothesis
+        if band is not None and boundary_regime_for(band) is not self.regime:
+            raise ValueError(
+                f"boundary regime {self.regime.value} conflicts with the certified "
+                f"band {band.regime.value}; leave hypothesis unset to keep it"
+            )
 
     @property
     def dt(self) -> float:
@@ -199,7 +189,6 @@ class Trajectory:
     values: np.ndarray  # (M+1, N+1)
     mesh: Mesh
     T: float
-    direction: Direction
 
     @property
     def times(self) -> np.ndarray:
@@ -214,7 +203,7 @@ class DiffusionOperator:
     positive semidefinite in the measure-weighted inner product.
     """
 
-    def __init__(self, coef: DegeneracyCoefficient, mesh: Mesh, regime: BoundaryRegime):
+    def __init__(self, coef: DegeneracyCoefficient, mesh: Mesh, regime: LeftBoundary):
         nodes = mesh.nodes
         n_nodes = nodes.size
         faces = mesh.faces
@@ -224,7 +213,7 @@ class DiffusionOperator:
             raise ValueError("coefficient must be positive at every interior face")
         cond = a_faces / h
 
-        zero_flux = regime.left is LeftBoundary.ZERO_FLUX
+        zero_flux = regime is LeftBoundary.ZERO_FLUX
         start = 0 if zero_flux else 1
         idx = np.arange(start, n_nodes - 1)  # unknown node indices
         # every unknown node collects the conductances of its two faces (only
@@ -275,7 +264,7 @@ class DiffusionOperator:
 
 
 def assemble_diffusion(
-    coef: DegeneracyCoefficient, mesh: Mesh, regime: BoundaryRegime
+    coef: DegeneracyCoefficient, mesh: Mesh, regime: LeftBoundary
 ) -> DiffusionOperator:
     """Assemble the flux-form stiffness with pointwise face evaluation of a."""
     return DiffusionOperator(coef, mesh, regime)
@@ -613,7 +602,7 @@ def solve_forward(
         rows[m, st.cols] = state
 
     st.forward(u, g, closed)
-    return Trajectory(rows, mesh, spec.T, Direction.FORWARD)
+    return Trajectory(rows, mesh, spec.T)
 
 
 def _adjoint_march(
@@ -658,7 +647,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
     discrete duality pairing with forward solutions holds to rounding.
     """
     rows, _ = _adjoint_march(spec, v_T, F=F)
-    return Trajectory(rows, spec.mesh, spec.T, Direction.BACKWARD)
+    return Trajectory(rows, spec.mesh, spec.T)
 
 
 def energy_reports(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray:

@@ -22,10 +22,18 @@ STREAM_CONTROL = 4
 
 DEFAULT_MODES = 16
 
+# Philox is keyed by a 64-bit seed word
+MAX_SEED = 2**64 - 1
+
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream) backed by counter-based Philox."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
+    """Independent generator for (seed, stream) backed by counter-based Philox.
+
+    Seeds outside [0, MAX_SEED] raise: reduced to 64 bits, each would draw
+    the samples of a seed inside the range."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must lie in [0, {MAX_SEED}], got {seed}")
+    key = np.array([np.uint64(seed), np.uint64(stream)])
     return np.random.Generator(np.random.Philox(key=key))
 
 

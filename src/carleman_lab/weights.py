@@ -23,10 +23,8 @@ from .coefficients import DegeneracyCoefficient, coefficient_from_descriptor
 __all__ = [
     "PsiFunction",
     "CarlemanWeights",
-    "build_psi",
     "build_weights",
     "eval_theta_time",
-    "eval_weight",
     "time_factor",
     "default_omega_prime",
     "weights_config",
@@ -39,24 +37,16 @@ UNDERFLOW_EXPONENT = -700.0
 
 # Gauss-Legendre nodes per panel of the profile integrals
 QUAD_POINTS = 12
-
-_GL_CACHE: dict = {}
-
-
-def _gauss_nodes(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_POINTS)
 
 
-def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Gauss-Legendre integral of f over each [lo_i, hi_i] (vectorized)."""
-    nodes, wts = _gauss_nodes(n)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ wts)
+    return half * (vals @ _GL_WEIGHTS)
 
 
 # Smallest halving interval of the singular first gap.  Below it the geometric
@@ -65,36 +55,36 @@ def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 _SINGULAR_FLOOR = 1e-150
 
 
-def _singular_gap(f, b: float, n: int) -> float:
+def _singular_gap(f, b: float) -> float:
     """Integral of f over (0, b] with an integrable singularity at 0.
 
-    Gauss panels with n nodes on the halving intervals (b/2^(k+1), b/2^k]
-    run down to about 1e-150, and the geometric tail I_K r/(1 - r), with
+    Gauss panels on the halving intervals (b/2^(k+1), b/2^k] run down to
+    about 1e-150, and the geometric tail I_K r/(1 - r), with
     r = I_K/I_(K-1), closes the sum.  The tail is exact for f = c y^p, and
     for f ~ c y^p once the panels reach the floor (the bisection sequence
     QUADPACK's QAGS extrapolates).  A non-finite panel, or a ratio r outside
     (0, 1) or within rounding of 1 (a 1/y singularity), is not integrable.
     """
-    nodes, wts = _gauss_nodes(n)
     hi = b * 0.5 ** np.arange(max(2, math.ceil(math.log2(b / _SINGULAR_FLOOR))) + 1)
     half = 0.25 * hi
     with np.errstate(all="ignore"):
-        vals = f(((0.75 * hi)[:, None] + half[:, None] * nodes).ravel()).reshape(-1, n)
+        pts = (0.75 * hi)[:, None] + half[:, None] * _GL_NODES
+        vals = f(pts.ravel()).reshape(pts.shape)
         # the rule as 2 f_0 + sum_i w_i (f_i - f_0): its weights sum to 2
         # exactly, so a constant integrand (a = x) gives b to the last bit
-        panels = half * (2.0 * vals[:, 0] + (vals - vals[:, :1]) @ wts)
+        panels = half * (2.0 * vals[:, 0] + (vals - vals[:, :1]) @ _GL_WEIGHTS)
         r = panels[-1] / panels[-2]
     if not (np.all(np.isfinite(panels)) and 0.0 < r < 1.0 - 1e-12):
         raise ValueError("integrand not integrable near the degenerate endpoint")
     return math.fsum(panels) + float(panels[-1] * r / (1.0 - r))
 
 
-def _cumulative_from(f, start: float, xs: np.ndarray, singular_start: bool, n: int):
+def _cumulative_from(f, start: float, xs: np.ndarray, singular_start: bool):
     """Cumulative integral of f from `start` to each sorted abscissa in xs.
 
-    Every gap is a Gauss-Legendre panel with n nodes, except a leading gap
-    with an integrable singularity at `start` = 0, which is summed over
-    halving intervals by :func:`_singular_gap`.
+    Every gap is a Gauss-Legendre panel, except a leading gap with an
+    integrable singularity at `start` = 0, which is summed over halving
+    intervals by :func:`_singular_gap`.
     """
     out = np.zeros_like(xs)
     if xs.size == 0:
@@ -102,12 +92,12 @@ def _cumulative_from(f, start: float, xs: np.ndarray, singular_start: bool, n: i
     first = 0.0
     if xs[0] > start:
         if singular_start:
-            first = _singular_gap(f, float(xs[0]), n)
+            first = _singular_gap(f, float(xs[0]))
         else:
-            first = float(_segment_integrals(f, np.array([start]), xs[:1], n)[0])
+            first = float(_segment_integrals(f, np.array([start]), xs[:1])[0])
     out[0] = first
     if xs.size > 1:
-        segs = _segment_integrals(f, xs[:-1], xs[1:], n)
+        segs = _segment_integrals(f, xs[:-1], xs[1:])
         out[1:] = first + np.cumsum(segs)
     return out
 
@@ -236,7 +226,7 @@ class PsiFunction:
         ``beta_prime``) to each entry of xs, in any order.  Repeated entries
         share one value: a zero-width panel at 0 would evaluate 0/a(0)."""
         uniq, inverse = np.unique(xs, return_inverse=True)
-        return _cumulative_from(self._integrand, start, uniq, start == 0.0, QUAD_POINTS)[inverse]
+        return _cumulative_from(self._integrand, start, uniq, start == 0.0)[inverse]
 
     def _derivative(self, x, k: int, branch) -> np.ndarray:
         """k-th derivative: ``branch(x, a, a', ...)`` (the coefficient and its
@@ -306,16 +296,6 @@ class PsiFunction:
         x0, x1 = xs[i - 1], xs[i]
         v0, v1 = vals[i - 1], vals[i]
         return float(x0 - v0 * (x1 - x0) / (v1 - v0))
-
-
-def build_psi(
-    coef: DegeneracyCoefficient,
-    alpha_prime: float,
-    beta_prime: float,
-    bridge_degree: int = 5,
-) -> PsiFunction:
-    """Construct the sign-changing space profile for a coefficient and window."""
-    return PsiFunction(coef, alpha_prime, beta_prime, bridge_degree)
 
 
 def time_factor(ts, T: float):
@@ -467,7 +447,9 @@ class CarlemanWeights:
         return out
 
     def weight(self, t, x, s: float, k: float):
-        """Pointwise weight; broadcasts a scalar t against an array of x."""
+        """exp(2*s*phi(t,x)) * sigma(t,x)**k, from :meth:`weight_grid`: exactly
+        zero at t in {0, T} and wherever the exponent drops below -700.  A
+        scalar t broadcasts against an array of x and vice versa."""
         grid = self.weight_grid(np.atleast_1d(t), np.atleast_1d(x), s, k)
         if np.isscalar(t) and np.isscalar(x):
             return float(grid[0, 0])
@@ -587,14 +569,7 @@ def build_weights(
     bridge_degree: int = 5,
 ) -> CarlemanWeights:
     """Build the full weight bundle for one coefficient and window."""
-    psi = build_psi(coef, alpha_prime, beta_prime, bridge_degree)
-    return CarlemanWeights(psi, lam, T)
-
-
-def eval_weight(w: CarlemanWeights, t, x, s: float, k: float):
-    """exp(2*s*phi(t,x)) * sigma(t,x)**k, computed in log space; exactly zero
-    at t in {0, T} and whenever the exponent drops below -700."""
-    return w.weight(t, x, s, k)
+    return CarlemanWeights(PsiFunction(coef, alpha_prime, beta_prime, bridge_degree), lam, T)
 
 
 def weights_config(w: CarlemanWeights) -> dict:

@@ -45,7 +45,7 @@ from carleman_lab.sampling import (
     STREAM_TERMINAL,
     sample_fields,
 )
-from carleman_lab.weights import build_weights, eval_weight
+from carleman_lab.weights import build_weights
 
 
 def spec_for(gamma, N, M, T, omega=(0.3, 0.7), scheme=Scheme.CRANK_NICOLSON):
@@ -232,17 +232,16 @@ class TestAcceptance:
             )
 
         def run(N, M):
-            from carleman_lab.pde_solver import BoundaryRegime, LeftBoundary
+            from carleman_lab.pde_solver import LeftBoundary
 
             mesh = build_mesh(N, 1.0)
             spec = ProblemSpec(
                 T=1.0,
                 coef=coef,
-                regime=BoundaryRegime(LeftBoundary.DIRICHLET_ZERO),
+                regime=LeftBoundary.DIRICHLET_ZERO,
                 mesh=mesh,
                 time_steps=M,
                 omega=(0.3, 0.7),
-                boundary_override=True,
             )
             traj = solve_forward(spec, exact(0.0, mesh.nodes), source=source)
             tw = np.full(M + 1, 1.0 / M)
@@ -372,8 +371,8 @@ class TestAcceptance:
         neg = bool(np.all(phi_vals < 0.0))
 
         xs = np.linspace(0, 1, 101)
-        zero_at_ends = np.all(eval_weight(wts, 0.0, xs, 2.0, 1.5) == 0.0) and np.all(
-            eval_weight(wts, 1.0, xs, 2.0, 1.5) == 0.0
+        zero_at_ends = np.all(wts.weight(0.0, xs, 2.0, 1.5) == 0.0) and np.all(
+            wts.weight(1.0, xs, 2.0, 1.5) == 0.0
         )
 
         stitch = 0.0

@@ -24,7 +24,7 @@ from carleman_lab.coefficients import classify, make_power_coefficient
 from carleman_lab.functionals import WeightedNorms
 from carleman_lab.pde_solver import ProblemSpec, boundary_regime_for, build_mesh, solve_adjoint
 from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
-from carleman_lab.weights import _cumulative_from, build_psi, build_weights, time_factor
+from carleman_lab.weights import PsiFunction, _cumulative_from, build_weights, time_factor
 
 GAMMAS = [0.5, 1.0, 1.5]
 
@@ -60,7 +60,7 @@ def ref_value(psi, x):
         if np.any(mask):
             xs = x[mask]
             order = np.argsort(xs)
-            vals = _cumulative_from(psi._integrand, start, xs[order], singular, 12)
+            vals = _cumulative_from(psi._integrand, start, xs[order], singular)
             tmp = np.empty_like(vals)
             tmp[order] = vals
             out[mask] = tmp if sign > 0 else -tmp
@@ -242,7 +242,7 @@ class TestProfileDerivatives:
             np.linspace(0.0, 1.0, 401)[:0:-1],
             [ap * (1.0 + 1e-12), bp * (1.0 - 1e-12), 0.5],
         ])
-        psi = build_psi(make_power_coefficient(gamma), ap, bp, bridge_degree=degree)
+        psi = PsiFunction(make_power_coefficient(gamma), ap, bp, bridge_degree=degree)
         for name, ref in (("value", ref_value), ("d1", ref_d1), ("d2", ref_d2),
                           ("d3", ref_d3)):
             assert same_bits(getattr(psi, name)(x), ref(psi, x)), name
@@ -253,8 +253,8 @@ def test_repeated_abscissae_share_one_value():
     # running sum carried to every later left-branch value
     x = np.array([0.0, 0.1, 0.2, 0.5, 0.7, 0.9])
     repeat = [0, 0, 1, 2, 2, 3, 4, 5, 5]
-    once = build_psi(make_power_coefficient(1.0), 0.4, 0.6).value(x)
-    twice = build_psi(make_power_coefficient(1.0), 0.4, 0.6).value(x[repeat])
+    once = PsiFunction(make_power_coefficient(1.0), 0.4, 0.6).value(x)
+    twice = PsiFunction(make_power_coefficient(1.0), 0.4, 0.6).value(x[repeat])
     assert same_bits(twice, once[repeat])
     # a = x: the left branch is psi(x) = x
     assert np.allclose(once[:3], x[:3], atol=1e-13)

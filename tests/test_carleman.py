@@ -19,7 +19,6 @@ from carleman_lab.carleman import (
 )
 from carleman_lab.coefficients import classify, make_power_coefficient
 from carleman_lab.pde_solver import (
-    Direction,
     ProblemSpec,
     Trajectory,
     _adjoint_march,
@@ -32,7 +31,7 @@ from carleman_lab.pde_solver import (
 from carleman_lab import functionals
 from carleman_lab.functionals import _clipped_cell_lengths, _clipped_node_quadrature
 from carleman_lab.sampling import STREAM_SOURCE, STREAM_TERMINAL, sample_fields
-from carleman_lab.weights import CarlemanWeights, build_weights
+from carleman_lab.weights import CarlemanWeights, PsiFunction, build_weights
 
 
 def make_spec(gamma=0.5, N=64, M=48, T=2.0, omega=(0.3, 0.7)):
@@ -115,6 +114,16 @@ class TestIdentityResidual:
         with pytest.raises(ValueError, match="time endpoints"):
             identity_residual(bad, wts, CarlemanParams(1.0, 1.0), 32)
 
+    def test_needs_an_interior_time_level(self):
+        # resolution 1 keeps only the two endpoint levels, where theta is
+        # zero, so every term would vanish and the residual would read 0.0
+        wts = build_weights(make_power_coefficient(1.0), 1.0, 2.0, 0.4, 0.6)
+        f = standard_identity_fields(2.0, True)[0]
+        params = CarlemanParams(1.0, 1.0)
+        with pytest.raises(ValueError, match="resolution >= 2"):
+            identity_residual(f, wts, params, 1)
+        assert identity_residual(f, wts, params, 2) > 0.0
+
 
 class TestTransform:
     def test_zero_trajectory(self):
@@ -153,7 +162,6 @@ class TestTransform:
         norms = []
         for N in (48, 96):
             spec = make_spec(gamma=1.0, N=N, M=N)
-            spec.boundary_override = True
             wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
             vt = np.sin(np.pi * spec.mesh.nodes)
             traj = solve_adjoint(spec, vt)
@@ -222,7 +230,7 @@ class TestBoundarySignTerms:
         got = boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
         assert len(got) == 5
         for r, bt in zip(rows, got):
-            wt = transform_to_w(Trajectory(r, spec.mesh, spec.T, Direction.BACKWARD), wts, params)
+            wt = transform_to_w(Trajectory(r, spec.mesh, spec.T), wts, params)
             one = boundary_sign_term(wt, wts, params)
             assert (bt.term, bt.scale) == (one.term, one.scale)
             assert (bt.term, bt.scale) == _full_boundary_term(wt, wts, params)
@@ -244,14 +252,23 @@ class TestBoundarySignTerms:
         assert calls == [1.0]
 
 
+def _sides(spec, vt, F, wts, params):
+    """carleman_sides of the backward solution from vt under the source F, a
+    callable (t, x) -> value, with F sampled on every time level."""
+    traj = solve_adjoint(spec, vt, F=F)
+    nodes = spec.mesh.nodes
+    f = np.array([np.asarray(F(t, nodes), dtype=float) * np.ones_like(nodes) for t in traj.times])
+    return carleman_sides(traj, f, spec.omega, wts, params)
+
+
 class TestCarlemanSides:
     def test_zero_sample_degenerate(self):
         spec = make_spec()
         wts = build_weights(spec.coef, 2.0, spec.T, 0.4, 0.6)
         rep = carleman_sides(
-            spec,
-            np.zeros(spec.mesh.nodes.size),
+            solve_adjoint(spec, np.zeros(spec.mesh.nodes.size)),
             None,
+            spec.omega,
             wts,
             CarlemanParams(stable_s0(wts), 2.0),
         )
@@ -268,8 +285,8 @@ class TestCarlemanSides:
         F1 = lambda t, x: np.interp(x, spec.mesh.nodes, f_row)
         F2 = lambda t, x: 2.0 * np.interp(x, spec.mesh.nodes, f_row)
         zero_vt = np.zeros(spec.mesh.nodes.size)
-        r1 = carleman_sides(spec, zero_vt, F1, wts, params)
-        r2 = carleman_sides(spec, zero_vt, F2, wts, params)
+        r1 = _sides(spec, zero_vt, F1, wts, params)
+        r2 = _sides(spec, zero_vt, F2, wts, params)
         assert r2.rhs_source == pytest.approx(4.0 * r1.rhs_source, rel=1e-12)
         assert r2.ratio == pytest.approx(r1.ratio, rel=1e-8)
 
@@ -282,7 +299,7 @@ class TestCarlemanSides:
             params = CarlemanParams(stable_s0(wts), 2.0)
             vt = np.sin(np.pi * spec.mesh.nodes)
             F = lambda t, x: np.sin(2 * np.pi * x)
-            rep = carleman_sides(spec, vt, F, wts, params)
+            rep = _sides(spec, vt, F, wts, params)
             assert math.isfinite(rep.ratio)
             vals.append(rep.ratio)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.10
@@ -296,14 +313,14 @@ class TestCarlemanSides:
         F = lambda t, x: np.interp(x, spec.mesh.nodes, f_row)
         traj = solve_adjoint(spec, vt, F=F)
         shape = traj.values.shape
-        broadcast = Trajectory(np.broadcast_to(f_row, shape), spec.mesh, spec.T, traj.direction)
-        tiled = Trajectory(np.tile(f_row, (shape[0], 1)), spec.mesh, spec.T, traj.direction)
+        broadcast = np.broadcast_to(f_row, shape)
+        tiled = np.tile(f_row, (shape[0], 1))
         for s_rel in (1.0, 16.0):
             params = CarlemanParams(s_rel * stable_s0(wts), 2.0)
             calls = [
-                lambda: carleman_sides(spec, vt, F, wts, params),
-                lambda: carleman_sides(spec, vt, broadcast, wts, params, traj=traj),
-                lambda: carleman_sides(spec, vt, tiled, wts, params, traj=traj),
+                lambda: _sides(spec, vt, F, wts, params),
+                lambda: carleman_sides(traj, broadcast, spec.omega, wts, params),
+                lambda: carleman_sides(traj, tiled, spec.omega, wts, params),
             ]
             outside = [call() for call in calls]
             with wts.shared_grids():
@@ -316,7 +333,39 @@ class TestCarlemanSides:
             assert outside[0] == outside[2]
 
 
+    def test_source_must_share_the_trajectory_grid(self):
+        spec = make_spec(N=24, M=16)
+        wts = build_weights(spec.coef, 2.0, spec.T, 0.4, 0.6)
+        traj = solve_adjoint(spec, np.sin(np.pi * spec.mesh.nodes))
+        params = CarlemanParams(stable_s0(wts), 2.0)
+        for f in (spec.mesh.nodes, np.ones((spec.time_steps, spec.mesh.nodes.size))):
+            with pytest.raises(ValueError, match="share one grid"):
+                carleman_sides(traj, f, spec.omega, wts, params)
+
+
 class TestSweep:
+    def test_one_profile_per_sweep(self, monkeypatch):
+        # psi does not depend on lambda: one profile, one weight bundle per lambda
+        profiles, bundles = [], []
+        original_psi, original_weights = PsiFunction.__init__, CarlemanWeights.__init__
+
+        def psi_init(self, *args, **kwargs):
+            profiles.append(args)
+            original_psi(self, *args, **kwargs)
+
+        def weights_init(self, psi, lam, T):
+            bundles.append((id(psi), lam))
+            original_weights(self, psi, lam, T)
+
+        monkeypatch.setattr(PsiFunction, "__init__", psi_init)
+        monkeypatch.setattr(CarlemanWeights, "__init__", weights_init)
+        spec = make_spec(N=24, M=16, T=10.0, omega=(0.02, 0.95))
+        carleman_sweep(spec, 2, [1.0, 2.0], [2.0, 3.0, 4.0], seed=1,
+                       omega_prime=(0.05, 0.9), s_relative=True)
+        assert len(profiles) == 1
+        assert [lam for _, lam in bundles] == [2.0, 3.0, 4.0]
+        assert len({psi for psi, _ in bundles}) == 1
+
     def test_single_point_single_sample(self):
         spec = make_spec(N=32, M=32, T=10.0, omega=(0.02, 0.95))
         res = carleman_sweep(
@@ -532,10 +581,10 @@ class TestSweep:
         with wts.shared_grids():
             grids = {id(functionals._abscissae(spec.mesh, spec.T, 16, wts)) for _ in range(3)}
             for _ in range(4):
-                carleman_sides(spec, vt, None, wts, params, traj=traj)
+                carleman_sides(traj, None, spec.omega, wts, params)
         assert len(grids) == 1 and len(built) == 1
         built.clear()
-        carleman_sides(spec, vt, None, wts, params, traj=traj)
+        carleman_sides(traj, None, spec.omega, wts, params)
         assert len(built) == 1
 
     def test_non_finite_ratio_is_not_valid(self):
@@ -575,7 +624,7 @@ class TestHorizonCheck:
         params = CarlemanParams(1.0, 1.0)
         wts = build_weights(spec.coef, 1.0, 1.0, 0.4, 0.6)
         rows, _ = _adjoint_march(spec, sample_fields(0, STREAM_TERMINAL, 2, spec.mesh.nodes))
-        traj = Trajectory(rows[0], spec.mesh, spec.T, Direction.BACKWARD)
+        traj = Trajectory(rows[0], spec.mesh, spec.T)
         with pytest.raises(ValueError, match="trajectory and weights disagree on the horizon"):
             if check == "transform_to_w":
                 transform_to_w(traj, wts, params)

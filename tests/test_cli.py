@@ -207,7 +207,12 @@ class TestValidation:
             ("carleman_sweep", "mesh_n", 1e300, "mesh_n: must be <= 1000000, got 1e+300"),
             ("lemma_checks", "resolution", float("inf"),
              "resolution: must be a finite number, got inf"),
-            ("lemma_checks", "resolution", 1, "resolution: must be >= 2, got 1"),
+            ("lemma_checks", "resolution", 1, "resolution: must be >= 4, got 1"),
+            ("lemma_checks", "resolution", 3, "resolution: must be >= 4, got 3"),
+            ("energy", "seed", 2**64,
+             "seed: must be <= 18446744073709551615, got 18446744073709551616"),
+            ("energy", "seed", 2.0**64,
+             "seed: must be <= 18446744073709551615, got 1.8446744073709552e+19"),
             ("lemma_checks", "time_steps", 2e6, "time_steps: must be <= 1000000, got 2000000.0"),
             ("lemma_checks", "residual_threshold", 0, "residual_threshold: must be > 0, got 0"),
             ("energy", "n_samples", 1e7, "n_samples: must be <= 1000000, got 10000000.0"),
@@ -307,6 +312,20 @@ class TestValidation:
             "mesh_n": 128.0, "time_steps": 16.0, "n_samples": 2.0, "seed": 3.0,
         }
         assert validate_config(cfg) == []
+
+    def test_seed_accepts_the_cap(self, tmp_path):
+        # Philox is keyed by the seed's low 64 bits, so 2**64 - 1 is the
+        # largest seed that draws samples of its own
+        cfg = {
+            "experiment": "energy",
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "mesh_n": 16, "time_steps": 8, "n_samples": 2, "seed": 2**64 - 1,
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert validate_config(cfg) == []
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["seed"] == 2**64 - 1
 
     def test_size_fields_accept_the_cap(self):
         cfg = base_classify_config("out")
@@ -508,6 +527,20 @@ class TestMain:
         assert main(["run", path]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 123
+
+    def test_env_seed_cap(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_classify_config(str(out)))
+        monkeypatch.setenv("CARLEMAN_LAB_SEED", str(2**64 - 1))
+        assert main(["run", path]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == 2**64 - 1
+        capsys.readouterr()
+        monkeypatch.setenv("CARLEMAN_LAB_SEED", str(2**64))
+        message = ("config error: CARLEMAN_LAB_SEED: must be <= 18446744073709551615, "
+                   "got '18446744073709551616'")
+        for command in ("run", "validate"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == message
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
     def test_env_seed_override_malformed(self, tmp_path, monkeypatch, capsys, value):
@@ -726,7 +759,7 @@ class TestMain:
 
 def test_convergence_errors_match_a_per_row_loop(tmp_path):
     from carleman_lab.cli import _exp_convergence
-    from carleman_lab.pde_solver import BoundaryRegime, LeftBoundary, solve_forward
+    from carleman_lab.pde_solver import LeftBoundary, solve_forward
 
     cfg = {"experiment": "convergence", "spatial_n": [16, 32], "temporal_m": [8, 16],
            "spatial_time_steps": 512, "temporal_mesh_n": 48, "T": 0.75}
@@ -749,8 +782,8 @@ def test_convergence_errors_match_a_per_row_loop(tmp_path):
 
     def error(N, M):
         mesh = build_mesh(N, 1.0)
-        spec = ProblemSpec(T=0.75, coef=coef, regime=BoundaryRegime(LeftBoundary.DIRICHLET_ZERO),
-                           mesh=mesh, time_steps=M, omega=(0.3, 0.7), boundary_override=True)
+        spec = ProblemSpec(T=0.75, coef=coef, regime=LeftBoundary.DIRICHLET_ZERO,
+                           mesh=mesh, time_steps=M, omega=(0.3, 0.7))
         traj = solve_forward(spec, exact(0.0, mesh.nodes), source=source)
         err_sq = 0.0
         tw = trapezoid_time_weights(spec.T, M)

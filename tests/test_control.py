@@ -14,7 +14,6 @@ from carleman_lab.control import (
 )
 from carleman_lab.functionals import WeightedNorms
 from carleman_lab.pde_solver import (
-    BoundaryRegime,
     LeftBoundary,
     ProblemSpec,
     Scheme,
@@ -178,8 +177,8 @@ def _allocating_gram(dual, v):
 def _engine_spec(N, left, scheme):
     return ProblemSpec(
         T=0.5, coef=make_power_coefficient(0.5 if left is LeftBoundary.DIRICHLET_ZERO else 1.5),
-        regime=BoundaryRegime(left), mesh=build_mesh(N, 2.0), time_steps=N,
-        omega=(0.3, 0.7), scheme=scheme, boundary_override=True,
+        regime=left, mesh=build_mesh(N, 2.0), time_steps=N,
+        omega=(0.3, 0.7), scheme=scheme,
     )
 
 

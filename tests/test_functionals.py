@@ -18,9 +18,8 @@ from carleman_lab.functionals import (
     hardy_ratios,
     spacetime_weighted_integral,
     spacetime_weighted_integrals,
-    weighted_norm,
 )
-from carleman_lab.pde_solver import Direction, Trajectory, build_mesh
+from carleman_lab.pde_solver import Trajectory, build_mesh
 from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
 from carleman_lab.weights import build_weights
 
@@ -31,7 +30,7 @@ class TestWeightedNorms:
         coef = make_power_coefficient(0.5)
         z = np.zeros(mesh.nodes.size)
         for kind in ("L2", "H1a", "H2a"):
-            assert weighted_norm(mesh, coef, kind, z) == 0.0
+            assert WeightedNorms(mesh, coef).norm(kind, z) == 0.0
 
     def test_gradient_seminorm_closed_form(self):
         # a = x, u = x(1-x): integral of x (1-2x)^2 = 1/2 - 4/3 + 1 = 1/6
@@ -65,13 +64,13 @@ class TestWeightedNorms:
     def test_unknown_kind_rejected(self):
         mesh = build_mesh(16, 1.0)
         with pytest.raises(ValueError, match="unknown norm"):
-            weighted_norm(mesh, make_power_coefficient(0.5), "H3", np.zeros(17))
+            WeightedNorms(mesh, make_power_coefficient(0.5)).norm("H3", np.zeros(17))
 
 
 def _traj_of(field, mesh, T, M):
     ts = np.linspace(0.0, T, M + 1)
     vals = np.array([field(t, mesh.nodes) for t in ts])
-    return Trajectory(vals, mesh, T, Direction.FORWARD)
+    return Trajectory(vals, mesh, T)
 
 
 class TestSpacetimeIntegral:

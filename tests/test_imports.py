@@ -1,8 +1,12 @@
 """Import cost: a run loads only the scipy subpackages it computes with, and
-takes LAPACK's tridiagonal routines from scipy's wrapper module alone."""
+takes LAPACK's tridiagonal routines from scipy's wrapper module alone.  And
+every exported name resolves, so a deletion cannot leave a stale export."""
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +18,23 @@ import carleman_lab
 from carleman_lab import pde_solver
 
 SRC = str(Path(carleman_lab.__file__).resolve().parent.parent)
+MODULES = sorted(m.name for m in pkgutil.iter_modules(carleman_lab.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"carleman_lab.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_every_package_import_resolves():
+    tree = ast.parse(Path(carleman_lab.__file__).read_text(encoding="utf-8"))
+    imports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imports) > 40
+    for module, name in imports:
+        assert hasattr(importlib.import_module(f"carleman_lab.{module}"), name), (module, name)
+        assert hasattr(carleman_lab, name), name
 
 SCRIPT = r"""
 import json, sys, tempfile

@@ -9,8 +9,6 @@ from scipy.linalg import solve_banded
 from carleman_lab import pde_solver
 from carleman_lab.coefficients import DegeneracyCoefficient, classify, make_power_coefficient
 from carleman_lab.pde_solver import (
-    BoundaryRegime,
-    Direction,
     LeftBoundary,
     ProblemSpec,
     Scheme,
@@ -29,8 +27,8 @@ from carleman_lab.pde_solver import (
     trapezoid_time_weights,
 )
 
-WEAK = BoundaryRegime(LeftBoundary.DIRICHLET_ZERO)
-STRONG = BoundaryRegime(LeftBoundary.ZERO_FLUX)
+WEAK = LeftBoundary.DIRICHLET_ZERO
+STRONG = LeftBoundary.ZERO_FLUX
 
 
 def formal_unit_coefficient():
@@ -153,7 +151,6 @@ class TestForwardSolve:
         spec = make_spec()
         traj = solve_forward(spec, np.zeros(spec.mesh.nodes.size))
         assert np.all(traj.values == 0.0)
-        assert traj.direction is Direction.FORWARD
 
     def test_dirichlet_rows_exact_zero(self):
         spec = make_spec()
@@ -190,7 +187,7 @@ class TestForwardSolve:
             mesh = build_mesh(N, 2.0)
             spec = ProblemSpec(
                 T=1.0, coef=coef, regime=WEAK, mesh=mesh, time_steps=16,
-                omega=(0.3, 0.7), boundary_override=True,
+                omega=(0.3, 0.7),
             )
 
             def forcing(t, x):
@@ -257,7 +254,6 @@ class TestAdjointSolve:
         spec = make_spec()
         traj = solve_adjoint(spec, np.zeros(spec.mesh.nodes.size))
         assert np.all(traj.values == 0.0)
-        assert traj.direction is Direction.BACKWARD
 
     def test_time_reversal_consistency(self):
         # without a potential the palindromic schedule is self-adjoint, so the
@@ -305,7 +301,7 @@ class TestAdjointSolve:
         mesh = build_mesh(96, 2.0)
         spec = ProblemSpec(
             T=1.0, coef=coef, regime=WEAK, mesh=mesh, time_steps=64,
-            omega=(0.3, 0.7), boundary_override=True,
+            omega=(0.3, 0.7),
         )
         op = assemble_diffusion(coef, mesh, spec.regime)
         f = np.sin(np.pi * mesh.nodes)
@@ -490,18 +486,18 @@ class TestSpecValidation:
                 time_steps=4, omega=(0.3, 0.7), hypothesis=rep,
             )
 
-    def test_override_flag_allows_mismatch(self):
+    def test_no_hypothesis_keeps_any_regime(self):
+        # the band check runs exactly when a hypothesis is given
         coef = make_power_coefficient(0.5)
-        rep = classify(coef)
         spec = ProblemSpec(
             T=1.0, coef=coef, regime=STRONG, mesh=build_mesh(16, 1.0),
-            time_steps=4, omega=(0.3, 0.7), hypothesis=rep, boundary_override=True,
+            time_steps=4, omega=(0.3, 0.7),
         )
         assert spec.regime is STRONG
 
     def test_regime_for_bands(self):
-        assert boundary_regime_for(classify(make_power_coefficient(0.5))).left is LeftBoundary.DIRICHLET_ZERO
-        assert boundary_regime_for(classify(make_power_coefficient(1.5))).left is LeftBoundary.ZERO_FLUX
+        assert boundary_regime_for(classify(make_power_coefficient(0.5))) is LeftBoundary.DIRICHLET_ZERO
+        assert boundary_regime_for(classify(make_power_coefficient(1.5))) is LeftBoundary.ZERO_FLUX
 
     def test_omega_validation(self):
         coef = make_power_coefficient(0.5)
@@ -519,7 +515,7 @@ class TestSpecValidation:
 def _reference_assembly(op, coef, mesh, regime):
     """(diag, off) of the stiffness, accumulated face by face."""
     cond = np.asarray(coef.eval(mesh.faces), dtype=float) / mesh.spacings
-    start = 0 if regime.left is LeftBoundary.ZERO_FLUX else 1
+    start = 0 if regime is LeftBoundary.ZERO_FLUX else 1
     n = op.n_unknowns
     diag = np.zeros(n)
     off = np.zeros(max(n - 1, 0))
@@ -737,7 +733,7 @@ class TestMarchingEngine:
         coef = make_power_coefficient(1.0)
         spec = ProblemSpec(
             T=1.0, coef=coef, regime=regime, mesh=build_mesh(N, 2.0), time_steps=6,
-            omega=(0.3, 0.7), scheme=scheme, boundary_override=True,
+            omega=(0.3, 0.7), scheme=scheme,
         )
         op = assemble_diffusion(coef, spec.mesh, regime)
         assert op.n_unknowns == n_unknowns
@@ -865,7 +861,7 @@ def _spec_for(N, regime, scheme, c=None):
     coef = make_power_coefficient(1.0 if N < 8 else 0.5)
     return ProblemSpec(
         T=1.0, coef=coef, regime=regime, mesh=build_mesh(N, 2.0), time_steps=7,
-        omega=(0.3, 0.7), scheme=scheme, c=c, boundary_override=True,
+        omega=(0.3, 0.7), scheme=scheme, c=c,
     )
 
 

@@ -8,7 +8,6 @@ from carleman_lab.coefficients import make_power_coefficient
 from carleman_lab.control import _DualOperator
 from carleman_lab.functionals import _clipped_node_quadrature
 from carleman_lab.pde_solver import (
-    BoundaryRegime,
     LeftBoundary,
     ProblemSpec,
     Scheme,
@@ -30,12 +29,11 @@ def problems(draw):
     spec = ProblemSpec(
         T=draw(st.floats(0.1, 2.0)),
         coef=make_power_coefficient(draw(gammas)),
-        regime=BoundaryRegime(draw(st.sampled_from(list(LeftBoundary)))),
+        regime=draw(st.sampled_from(list(LeftBoundary))),
         mesh=build_mesh(draw(st.integers(4, 24)), draw(st.floats(1.0, 3.0))),
         time_steps=draw(st.integers(1, 24)),
         omega=(0.3, 0.7),
         scheme=draw(st.sampled_from(list(Scheme))),
-        boundary_override=True,
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return spec, rng

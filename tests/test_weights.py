@@ -4,11 +4,10 @@ import pytest
 from carleman_lab.coefficients import make_example_coefficient, make_power_coefficient
 from carleman_lab.weights import (
     CarlemanWeights,
-    build_psi,
+    PsiFunction,
     build_weights,
     default_omega_prime,
     eval_theta_time,
-    eval_weight,
     weights_config,
     weights_from_config,
 )
@@ -17,31 +16,31 @@ from carleman_lab.weights import (
 class TestPsiBranches:
     def test_linear_coefficient_left_branch(self):
         # integrand y/a = 1, so the profile equals x left of the window
-        psi = build_psi(make_power_coefficient(1.0), 0.3, 0.7)
+        psi = PsiFunction(make_power_coefficient(1.0), 0.3, 0.7)
         xs = np.linspace(0.0, 0.3, 7)
         assert np.allclose(psi.value(xs), xs, atol=1e-13)
 
     def test_weak_power_closed_form(self):
         # closed form x^{2-gamma}/(2-gamma) against the quadrature
-        psi = build_psi(make_power_coefficient(0.5), 0.3, 0.7)
+        psi = PsiFunction(make_power_coefficient(0.5), 0.3, 0.7)
         assert psi.value(np.array([0.25]))[0] == pytest.approx(
             0.25**1.5 / 1.5, abs=1e-9
         )
 
     def test_linear_coefficient_right_branch(self):
-        psi = build_psi(make_power_coefficient(1.0), 0.3, 0.7)
+        psi = PsiFunction(make_power_coefficient(1.0), 0.3, 0.7)
         assert psi.value(np.array([1.0]))[0] == pytest.approx(-0.3, abs=1e-12)
 
     def test_profile_endpoints(self):
         for gamma in (0.5, 1.0, 1.5):
-            psi = build_psi(make_power_coefficient(gamma), 0.35, 0.65)
+            psi = PsiFunction(make_power_coefficient(gamma), 0.35, 0.65)
             assert psi.value(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-14)
             assert psi.value(np.array([psi.beta_prime]))[0] == pytest.approx(0.0, abs=1e-12)
             assert psi.psi_alpha > 0.0
             assert psi.psi_one < 0.0
 
     def test_branch_derivative_matches_finite_difference(self):
-        psi = build_psi(make_power_coefficient(0.5), 0.3, 0.7)
+        psi = PsiFunction(make_power_coefficient(0.5), 0.3, 0.7)
         for x in (0.1, 0.2, 0.8, 0.9):
             h = 1e-6
             fd = (psi.value(np.array([x + h]))[0] - psi.value(np.array([x - h]))[0]) / (2 * h)
@@ -49,7 +48,7 @@ class TestPsiBranches:
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="alpha_prime"):
-            build_psi(make_power_coefficient(0.5), 0.7, 0.3)
+            PsiFunction(make_power_coefficient(0.5), 0.7, 0.3)
 
     def test_nonintegrable_coefficient_rejected(self):
         from carleman_lab.coefficients import DegeneracyCoefficient
@@ -60,7 +59,7 @@ class TestPsiBranches:
             eval_deriv=lambda x: 2.0 * np.asarray(x, float),
         )
         with pytest.raises(ValueError, match="not integrable"):
-            build_psi(bad, 0.3, 0.7)
+            PsiFunction(bad, 0.3, 0.7)
 
 
 class TestSingularFirstGap:
@@ -69,7 +68,7 @@ class TestSingularFirstGap:
 
     @staticmethod
     def first_gap(coef, b):
-        return build_psi(coef, 0.35, 0.65).value(np.array([b]))[0]
+        return PsiFunction(coef, 0.35, 0.65).value(np.array([b]))[0]
 
     @pytest.mark.parametrize("b", [0.3, 1e-3, 1.9e-6])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 1.9, 1.99])
@@ -125,7 +124,7 @@ class TestSingularFirstGap:
 
         bad = DegeneracyCoefficient(label="bad", eval=a, eval_deriv=lambda x: 2.0 * x)
         with pytest.raises(ValueError, match="not integrable"):
-            build_psi(bad, alpha_prime, 0.7)
+            PsiFunction(bad, alpha_prime, 0.7)
 
 
 class TestBridgeStitching:
@@ -139,7 +138,7 @@ class TestBridgeStitching:
                 continue
             a_p = rng.uniform(0.15, 0.45)
             b_p = rng.uniform(a_p + 0.15, 0.9)
-            psi = build_psi(make_power_coefficient(gamma), a_p, b_p)
+            psi = PsiFunction(make_power_coefficient(gamma), a_p, b_p)
             eps = 1e-9
             for joint in (a_p, b_p):
                 lo = np.array([joint - eps])
@@ -151,7 +150,7 @@ class TestBridgeStitching:
                 assert abs(psi.d2(hi)[0] - psi.d2(lo)[0]) < 1e-4 * (1.0 + abs(psi.d2(lo)[0]))
 
     def test_exact_join_mismatch_is_rounding_level(self):
-        psi = build_psi(make_power_coefficient(0.5), 0.3, 0.7)
+        psi = PsiFunction(make_power_coefficient(0.5), 0.3, 0.7)
         span = psi.beta_prime - psi.alpha_prime
         from numpy.polynomial import polynomial as P
 
@@ -172,14 +171,14 @@ class TestBridgeStitching:
     def test_sign_change_lies_at_the_window_edge(self):
         # the profile crosses zero exactly where the right branch starts
         for gamma in (0.5, 1.0, 1.5):
-            psi = build_psi(make_power_coefficient(gamma), 0.3, 0.7)
+            psi = PsiFunction(make_power_coefficient(gamma), 0.3, 0.7)
             z = psi.sign_change_location()
             assert psi.alpha_prime < z <= psi.beta_prime + 1e-6
 
     def test_alternative_bridge_matches_joins(self):
         # the degree-7 joining rule also matches value and two derivatives
         # and additionally kills the third derivative at both ends
-        psi = build_psi(make_power_coefficient(1.0), 0.4, 0.6, bridge_degree=7)
+        psi = PsiFunction(make_power_coefficient(1.0), 0.4, 0.6, bridge_degree=7)
         eps = 1e-7
         for joint in (0.4, 0.6):
             lo, hi = np.array([joint - eps]), np.array([joint + eps])
@@ -187,7 +186,7 @@ class TestBridgeStitching:
             assert abs(psi.d1(hi)[0] - psi.d1(lo)[0]) < 1e-5
             assert abs(psi.d2(hi)[0] - psi.d2(lo)[0]) < 1e-4
         with pytest.raises(ValueError, match="degree"):
-            build_psi(make_power_coefficient(1.0), 0.4, 0.6, bridge_degree=6)
+            PsiFunction(make_power_coefficient(1.0), 0.4, 0.6, bridge_degree=6)
 
     def test_sweep_constant_insensitive_to_bridge(self):
         # the joining rule is a construction choice; the empirical sweep
@@ -237,15 +236,15 @@ class TestWeightEvaluation:
 
     def test_exact_zero_at_time_endpoints(self, weights):
         xs = np.linspace(0, 1, 11)
-        assert np.all(eval_weight(weights, 0.0, xs, 2.0, 1.5) == 0.0)
-        assert np.all(eval_weight(weights, 1.0, xs, 2.0, 1.5) == 0.0)
+        assert np.all(weights.weight(0.0, xs, 2.0, 1.5) == 0.0)
+        assert np.all(weights.weight(1.0, xs, 2.0, 1.5) == 0.0)
 
     def test_plain_weight_lies_in_unit_interval(self, weights):
         rng = np.random.default_rng(0)
         t = rng.uniform(0.05, 0.95, 50)
         x = rng.uniform(0.0, 1.0, 50)
         for ti, xi in zip(t, x):
-            v = eval_weight(weights, float(ti), float(xi), 1.0, 0.0)
+            v = weights.weight(float(ti), float(xi), 1.0, 0.0)
             assert 0.0 <= v < 1.0
 
     def test_shared_grids_build_each_grid_once(self, weights):
@@ -323,7 +322,7 @@ class TestWeightEvaluation:
                 out[interior] = np.where(expo > -700.0, np.exp(expo), 0.0)
             return out
 
-        psi = build_psi(make_power_coefficient(gamma), 0.3, 0.7)
+        psi = PsiFunction(make_power_coefficient(gamma), 0.3, 0.7)
         for T in (0.5, 2.0, 10.0):
             for lam in (1.0, 2.0, 4.0):
                 w = CarlemanWeights(psi, lam, T)
@@ -337,7 +336,7 @@ class TestWeightEvaluation:
 
     def test_underflow_clamp(self, weights):
         # enormous s pushes the exponent below -700: exact zero, no subnormals
-        assert eval_weight(weights, 0.5, 0.5, 1e6, 0.0) == 0.0
+        assert weights.weight(0.5, 0.5, 1e6, 0.0) == 0.0
 
     def test_extended_precision_oracle(self, weights):
         # 50-digit evaluation of the closed formula at a branch point
@@ -352,22 +351,22 @@ class TestWeightEvaluation:
         phi = theta * (eta - mpmath.e ** (3 * lam * sup))
         sigma = theta * eta
         expected = float(mpmath.e ** (2 * s * phi) * sigma**k)
-        got = eval_weight(weights, t, x, s, k)
+        got = weights.weight(t, x, s, k)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_s(self, weights):
         # phi < 0 makes the weight nonincreasing in s pointwise
         xs = np.linspace(0, 1, 21)
-        w1 = eval_weight(weights, 0.4, xs, 1.0, 0.0)
-        w2 = eval_weight(weights, 0.4, xs, 2.0, 0.0)
+        w1 = weights.weight(0.4, xs, 1.0, 0.0)
+        w2 = weights.weight(0.4, xs, 2.0, 0.0)
         assert np.all(w2 <= w1 + 1e-300)
 
     def test_sigma_power_factorization(self, weights):
         # weight(k) / weight(0) = sigma^k wherever both are positive
         t, xs = 0.45, np.linspace(0.05, 0.95, 17)
         k = 1.7
-        wk = eval_weight(weights, t, xs, 1.0, k)
-        w0 = eval_weight(weights, t, xs, 1.0, 0.0)
+        wk = weights.weight(t, xs, 1.0, k)
+        w0 = weights.weight(t, xs, 1.0, 0.0)
         sigma = weights.sigma(t, xs)
         mask = (wk > 0) & (w0 > 0)
         assert np.allclose(wk[mask] / w0[mask], sigma[mask] ** k, rtol=1e-10)
@@ -393,9 +392,9 @@ class TestWeightEvaluation:
 
     def test_parameter_validation(self, weights):
         with pytest.raises(ValueError, match="s must be positive"):
-            eval_weight(weights, 0.5, 0.5, -1.0, 0.0)
+            weights.weight(0.5, 0.5, -1.0, 0.0)
         with pytest.raises(ValueError, match="k must be"):
-            eval_weight(weights, 0.5, 0.5, 1.0, -0.5)
+            weights.weight(0.5, 0.5, 1.0, -0.5)
         with pytest.raises(ValueError, match="lambda"):
             CarlemanWeights(weights.psi, -1.0, 1.0)
 

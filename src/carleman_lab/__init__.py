@@ -17,7 +17,6 @@ from .coefficients import (
     make_example_coefficient,
     make_power_coefficient,
     make_table_coefficient,
-    monotone_ratio_check,
 )
 from .weights import (
     CarlemanWeights,
@@ -42,13 +41,11 @@ from .pde_solver import (
 from .functionals import (
     HardyCase,
     HardyReport,
-    Region,
     WeightedNorms,
     aux_hardy_b,
     aux_hardy_p,
     hardy_ratio,
     spacetime_weighted_integral,
-    spacetime_weighted_integrals,
 )
 from .carleman import (
     CarlemanParams,

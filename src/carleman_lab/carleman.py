@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .functionals import (
-    Region,
     WeightedNorms,
     _abscissae,
     _check_horizon,
@@ -84,13 +83,17 @@ class CarlemanReport:
     params: CarlemanParams
     degenerate: bool = False
 
-    @property
-    def lhs(self) -> float:
-        return self.lhs_grad + self.lhs_zero
 
-    @property
-    def rhs(self) -> float:
-        return self.rhs_source + self.rhs_local
+def _power(base: float, exponent: float, name: str, params: CarlemanParams) -> float:
+    """``base**exponent``, or a ValueError naming s, lambda and the power
+    ``name**exponent`` when it overflows double precision."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ValueError(
+            f"{name}**{exponent:g} overflows double precision at "
+            f"s={params.s:g}, lambda={params.lam:g}"
+        ) from None
 
 
 def carleman_sides(
@@ -120,17 +123,17 @@ def carleman_sides(
     grid = (_abscissae(traj.mesh, traj.T, traj.values.shape[0] - 1, weights), weights, s)
     grad = _WeightedQuadrature(*grid, 1.0, "a_vx_sq")
     zero = _WeightedQuadrature(*grid, q, "v_sq")
-    local = _WeightedQuadrature(*grid, 3.0, "v_sq", Region.Q_OMEGA, omega)
+    local = _WeightedQuadrature(*grid, 3.0, "v_sq", omega)
     lhs_grad = sl * grad.integral(traj.values)
-    lhs_zero = sl**q * zero.integral(traj.values)
+    lhs_zero = _power(sl, q, "(s*lambda)", params) * zero.integral(traj.values)
     if source is None:
         rhs_source = 0.0
     else:
         f = np.asarray(source, dtype=float)
         rhs_source = _WeightedQuadrature(
-            *grid, 0.0, "source_sq", time_constant=f.strides[0] == 0
+            *grid, 0.0, "v_sq", time_constant=f.strides[0] == 0
         ).integral(f)
-    rhs_local = sl**3 * local.integral(traj.values)
+    rhs_local = _power(sl, 3, "(s*lambda)", params) * local.integral(traj.values)
     denom = rhs_source + rhs_local
     degenerate = denom < DEGENERATE_DENOMINATOR
     return CarlemanReport(
@@ -218,7 +221,7 @@ def carleman_sweep(
     for lam in lambda_grid:
         wts = CarlemanWeights(psi, lam, spec.T)
         s0 = stable_s0(wts)
-        for si, s_entry in enumerate(s_grid):
+        for s_entry in s_grid:
             s = s_entry * s0 if s_relative else s_entry
             params = CarlemanParams(s, lam)
             ratios = []
@@ -256,7 +259,6 @@ def carleman_sweep(
             summaries.append(
                 {
                     "s": s,
-                    "s_index": si,
                     "lambda": lam,
                     "s0": s0,
                     "max_ratio": mx,
@@ -470,6 +472,7 @@ def identity_residual(
             f"the identity check needs resolution >= 2 (an interior time level), got {resolution}"
         )
     s, lam = params.s, params.lam
+    s3 = _power(s, 3, "s", params)
     T = weights.T
     ts, xs, tw, xw = _grids(weights, resolution)
 
@@ -511,7 +514,7 @@ def identity_residual(
 
     t1 = 0.5 * s * integrate(_tx(th2, em) * wv * wv)
     t2 = -2.0 * s * s * integrate(_tx(th1 * th, lam * lam * eta * eta * c2) * wv * wv)
-    t3 = s**3 * integrate(
+    t3 = s3 * integrate(
         _tx(th**3, lam**3 * eta**3 * (2.0 * lam * c2 * c2 + c5)) * wv * wv
     )
     a_phi_x_xx_a = _tx(

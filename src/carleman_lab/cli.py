@@ -242,10 +242,11 @@ def validate_config(cfg: dict) -> list[str]:
             )
             if not ok:
                 errors.append(f"{name}: must be [a, b] with 0 < a < b < 1, got {v!r}")
-    if "omega" in cfg and "omega_prime" in cfg and not errors:
-        o, op = cfg["omega"], cfg["omega_prime"]
+    if "omega_prime" in cfg and not errors:
+        # checked against the omega the runners use, given or default
+        o, op = cfg.get("omega", DEFAULT_OMEGA), cfg["omega_prime"]
         if not (o[0] < op[0] < op[1] < o[1]):
-            errors.append("omega_prime: must be compactly contained in omega")
+            errors.append(f"omega_prime: must be compactly contained in omega {list(o)}")
     mesh_fields_ok = not any(e.startswith(("mesh_n:", "mesh_grading:", "omega:")) for e in errors)
     if EXPERIMENTS[exp].builds_spec and mesh_fields_ok:
         mesh, omega = _mesh_and_omega(cfg)
@@ -436,7 +437,7 @@ def _exp_hardy(cfg, seed, log, outdir):
     n_samples = _n_samples(cfg)
     case = HardyCase.CASE_A if rep.regime is Regime.WDC else HardyCase.CASE_B
     draws = sample_fields(seed, STREAM_TERMINAL, n_samples, mesh.nodes)
-    reports = hardy_ratios(coef, mesh, draws, case, hypothesis=rep)
+    reports = hardy_ratios(coef, mesh, draws, case)
     rows = [
         {"sample": i, "case": r.case.value, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
         for i, r in enumerate(reports)
@@ -449,7 +450,7 @@ def _exp_hardy(cfg, seed, log, outdir):
             ("p", aux_hardy_p(coef), HardyCase.AUX_P),
             ("b", aux_hardy_b(coef), HardyCase.AUX_B),
         ):
-            aux_reports = hardy_ratios(aux, mesh, draws, case_aux, hypothesis=rep)
+            aux_reports = hardy_ratios(aux, mesh, draws, case_aux)
             aux_rows.extend(
                 {"aux": label, "sample": i, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
                 for i, r in enumerate(aux_reports)
@@ -501,17 +502,6 @@ def _exp_carleman_sweep(cfg, seed, log, outdir):
         zero_order_exponent=float(cfg.get("zero_order_exponent", 5.0 / 3.0)),
     )
     header = ["sample", "s", "lambda", "lhs_grad", "lhs_zero", "rhs_source", "rhs_local", "ratio"]
-    srows = [
-        {
-            "s": p["s"],
-            "lambda": p["lambda"],
-            "s0": p["s0"],
-            "max_ratio": p["max_ratio"],
-            "median_ratio": p["median_ratio"],
-            "n_valid": p["n_valid"],
-        }
-        for p in res.summary["per_point"]
-    ]
     log(
         "sweep: empirical_C=%.6g excluded=%d"
         % (res.summary["empirical_C"], res.summary["excluded_count"])
@@ -520,7 +510,7 @@ def _exp_carleman_sweep(cfg, seed, log, outdir):
         "carleman_sweep.csv": (header, res.rows),
         "carleman_summary.csv": (
             ["s", "lambda", "s0", "max_ratio", "median_ratio", "n_valid"],
-            srows,
+            res.summary["per_point"],
         ),
     }
     results = {

@@ -20,13 +20,11 @@ __all__ = [
     "Regime",
     "DegeneracyCoefficient",
     "HypothesisReport",
-    "MonotoneCheck",
     "make_power_coefficient",
     "make_example_coefficient",
     "make_table_coefficient",
     "coefficient_from_descriptor",
     "classify",
-    "monotone_ratio_check",
 ]
 
 # Grid points within 1e-9 of K_est = 1 are treated as the exact boundary case so
@@ -70,17 +68,6 @@ class HypothesisReport:
     neighborhood_radius: float
     grid_size: int
     boundary_case: bool = False
-
-
-@dataclass(frozen=True)
-class MonotoneCheck:
-    """Boolean verdict of a monotonicity scan, carrying the first violating abscissa."""
-
-    ok: bool
-    violating_x: Optional[float] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def make_power_coefficient(gamma: float) -> DegeneracyCoefficient:
@@ -226,12 +213,6 @@ def coefficient_from_descriptor(desc: dict) -> DegeneracyCoefficient:
     raise ValueError(f"unknown coefficient descriptor kind {kind!r}")
 
 
-def _ratio_grid(grid_size: int) -> np.ndarray:
-    # Log spacing: the ratio x a'/a attains its extremes near the degenerate
-    # endpoint for the built-in families; uniform grids miss it.
-    return np.logspace(-8.0, 0.0, grid_size)
-
-
 def classify(
     coef: DegeneracyCoefficient,
     grid_size: int = 2048,
@@ -260,7 +241,9 @@ def classify(
             grid_size=grid_size,
         )
 
-    x = _ratio_grid(grid_size)
+    # Log spacing: the ratio x a'/a attains its extremes near the degenerate
+    # endpoint for the built-in families; uniform grids miss it.
+    x = np.logspace(-8.0, 0.0, grid_size)
     with np.errstate(all="ignore"):
         a = np.asarray(coef.eval(x), dtype=float)
         da = np.asarray(coef.eval_deriv(x), dtype=float)
@@ -310,34 +293,3 @@ def classify(
             return report(Regime.SDC, theta_min)
         return violation()
     return violation()
-
-
-def monotone_ratio_check(
-    coef: DegeneracyCoefficient, r: float, grid_size: int = 1024
-) -> MonotoneCheck:
-    """Scan whether x -> x**r / a(x) is nondecreasing on (0, 1].
-
-    Also asserts the uniform bound x**2 / a(x) <= 1 / a(1) on the grid.  The
-    scan runs in log space to survive the huge dynamic range near x = 0.
-    Returns a falsy result carrying the first violating x.
-    """
-    x = _ratio_grid(grid_size)
-    with np.errstate(all="ignore"):
-        a = np.asarray(coef.eval(x), dtype=float)
-    keep = a > 0.0
-    xs, az = x[keep], a[keep]
-    g = r * np.log(xs) - np.log(az)
-    diffs = np.diff(g)
-    tol = 1e-10 * (1.0 + np.max(np.abs(g)))
-    bad = np.nonzero(diffs < -tol)[0]
-    if bad.size:
-        return MonotoneCheck(False, float(xs[bad[0] + 1]))
-
-    a_one = float(np.asarray(coef.eval(np.array([1.0]))).ravel()[0])
-    if a_one > 0.0:
-        bound = 1.0 / a_one
-        q = xs * xs / az
-        over = np.nonzero(q > bound * (1.0 + 1e-10))[0]
-        if over.size:
-            return MonotoneCheck(False, float(xs[over[0]]))
-    return MonotoneCheck(True, None)

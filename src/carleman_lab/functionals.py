@@ -1,7 +1,7 @@
 """Weighted norms, space-time quadrature against the exponential weights, and
 Hardy-type ratio evaluation.
 
-Space integrals clip trapezoid cells exactly at region boundaries, so any
+Space integrals clip trapezoid cells exactly at interval ends, so any
 partition of [0, 1] reproduces the full integral to rounding.  The integrand
 (a/x^2) w^2 of the Hardy ratio is extended by its limit at the degenerate
 node when it exists and otherwise loses the first cell.
@@ -16,17 +16,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .coefficients import DegeneracyCoefficient, HypothesisReport, classify
+from .coefficients import DegeneracyCoefficient
 from .pde_solver import trapezoid_time_weights
 from .weights import CarlemanWeights
 
 __all__ = [
     "WeightedNorms",
-    "Region",
     "HardyCase",
     "HardyReport",
     "spacetime_weighted_integral",
-    "spacetime_weighted_integrals",
     "hardy_ratio",
     "hardy_ratios",
     "aux_hardy_p",
@@ -78,36 +76,11 @@ class WeightedNorms:
         raise ValueError(f"unknown norm kind {kind!r}")
 
 
-class Region(Enum):
-    Q = "Q"
-    Q_OMEGA = "Q_omega"
-    Q_OMEGA_PRIME = "Q_omega_prime"
-    LEFT_OF_ALPHA_PRIME = "left_of_alpha_prime"
-    RIGHT_OF_BETA_PRIME = "right_of_beta_prime"
-
-
-def _region_interval(region: Region, weights: CarlemanWeights, omega) -> tuple:
-    if region is Region.Q:
-        return (0.0, 1.0)
-    if region is Region.Q_OMEGA:
-        if omega is None:
-            raise ValueError("region Q_omega needs the omega interval")
-        return tuple(omega)
-    ap, bp = weights.psi.alpha_prime, weights.psi.beta_prime
-    if region is Region.Q_OMEGA_PRIME:
-        return (ap, bp)
-    if region is Region.LEFT_OF_ALPHA_PRIME:
-        return (0.0, ap)
-    if region is Region.RIGHT_OF_BETA_PRIME:
-        return (bp, 1.0)
-    raise ValueError(f"unknown region {region!r}")
-
-
 def _clipped_node_quadrature(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Per-node weights of the trapezoid rule restricted to [lo, hi].
 
     Each cell integrates its linear interpolant exactly over the clipped
-    part, so complementary regions add up to the full-interval rule.
+    part, so complementary intervals add up to the full-interval rule.
     """
     w = np.zeros(nodes.size)
     x0 = nodes[:-1]
@@ -173,17 +146,18 @@ class _WeightedQuadrature:
     """The sample-independent half of :func:`spacetime_weighted_integral`.
 
     Folds the trapezoid time weights ``tw``, the clipped space quadrature
-    ``xw`` of the region and the weight grid ``w`` = exp(2*s*phi)*sigma**k
-    for one (s, k) into one grid G[m, i] = tw[m]*w[m, i]*xw[i] on the
+    ``xw`` of ``interval`` (None: [0, 1]) and the weight grid ``w`` =
+    exp(2*s*phi)*sigma**k for one (s, k) into one grid
+    G[m, i] = tw[m]*w[m, i]*xw[i] on the
     abscissae of the integrand: nodes, or faces for ``a_vx_sq``, whose
     ``xw`` also absorbs a/h**2.  G is cut to the box of its nonzero entries
-    (the time endpoints, the underflow clamp and the outside of the region
+    (the time endpoints, the underflow clamp and the outside of the interval
     drop out), and an integral is one pass sum(G*u*u) over the box, where u
     is the trajectory's values or, for ``a_vx_sq``, their face differences.
     A ``time_constant`` quadrature keeps only the column sums of G and
     integrates the first row of a field that does not depend on time.
     While :meth:`CarlemanWeights.shared_grids` is open, each folded grid is
-    built once per (s, k, integrand, region) and shared.  ``grid`` is the
+    built once per (s, k, integrand, interval) and shared.  ``grid`` is the
     :func:`_abscissae` of the trajectories, which callers build once for all
     the requests of one call.
     """
@@ -195,14 +169,13 @@ class _WeightedQuadrature:
         s: float,
         k: float,
         integrand: str,
-        region: Region = Region.Q,
-        omega=None,
+        interval: Optional[tuple] = None,
         time_constant: bool = False,
     ):
-        lo, hi = _region_interval(region, weights, omega)
+        lo, hi = (0.0, 1.0) if interval is None else interval
         mesh = grid.mesh
         nodes = mesh.nodes
-        if integrand in ("v_sq", "source_sq"):
+        if integrand == "v_sq":
             xs = nodes
         elif integrand == "a_vx_sq":
             xs = grid.faces
@@ -257,53 +230,24 @@ def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool
     return rows, cols, grid
 
 
-def spacetime_weighted_integrals(
-    stack,
-    weights: CarlemanWeights,
-    s: float,
-    k: float,
-    integrand: str,
-    region: Region = Region.Q,
-    omega=None,
-) -> np.ndarray:
-    """:func:`spacetime_weighted_integral` of every trajectory in ``stack``.
-
-    The trajectories must share one mesh and time grid; the folded
-    quadrature grid is built once and contracted against each sample in
-    turn, so no stack of products is ever held.
-    """
-    stack = list(stack)
-    if not stack:
-        raise ValueError("need at least one trajectory")
-    first = stack[0]
-    shape = first.values.shape
-    if any(t.mesh is not first.mesh or t.values.shape != shape or t.T != first.T
-           for t in stack):
-        raise ValueError("trajectories must share one mesh and time grid")
-    grid = _abscissae(first.mesh, first.T, shape[0] - 1, weights)
-    quad = _WeightedQuadrature(grid, weights, s, k, integrand, region, omega)
-    return np.array([quad.integral(t.values) for t in stack])
-
-
 def spacetime_weighted_integral(
     traj,
     weights: CarlemanWeights,
     s: float,
     k: float,
     integrand: str,
-    region: Region = Region.Q,
-    omega=None,
+    interval: Optional[tuple] = None,
 ) -> float:
-    """Tensor trapezoid of exp(2*s*phi)*sigma**k times a quadratic field.
+    """Tensor trapezoid of exp(2*s*phi)*sigma**k times a quadratic field over
+    [0, T] x ``interval`` (None: [0, 1]).
 
-    ``integrand`` selects the field: ``v_sq`` and ``source_sq`` square the
-    nodal values, ``a_vx_sq`` squares the face gradients against the
-    coefficient.  Endpoint rows contribute nothing because the weight
-    vanishes at t in {0, T}.
+    ``integrand`` selects the field: ``v_sq`` squares the nodal values,
+    ``a_vx_sq`` squares the face gradients against the coefficient.
+    Endpoint rows contribute nothing because the weight vanishes at
+    t in {0, T}.
     """
-    return float(
-        spacetime_weighted_integrals([traj], weights, s, k, integrand, region, omega)[0]
-    )
+    grid = _abscissae(traj.mesh, traj.T, traj.values.shape[0] - 1, weights)
+    return _WeightedQuadrature(grid, weights, s, k, integrand, interval).integral(traj.values)
 
 
 class HardyCase(Enum):
@@ -320,8 +264,6 @@ class HardyReport:
     ratio: float
     case: HardyCase
     violation: bool = False
-    theta_used: Optional[float] = None
-    monotonicity_ok: Optional[bool] = None
 
 
 def aux_hardy_p(coef: DegeneracyCoefficient) -> DegeneracyCoefficient:
@@ -364,24 +306,17 @@ def aux_hardy_b(coef: DegeneracyCoefficient) -> DegeneracyCoefficient:
     )
 
 
-def _monotone_on_grid(vals: np.ndarray, nondecreasing: bool) -> bool:
-    d = np.diff(vals)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(vals))))
-    return bool(np.all(d >= -tol)) if nondecreasing else bool(np.all(d <= tol))
-
-
 def hardy_ratios(
     coef_or_aux: DegeneracyCoefficient,
     mesh,
     ws: np.ndarray,
     case: HardyCase,
-    hypothesis: Optional[HypothesisReport] = None,
 ) -> list[HardyReport]:
     """:func:`hardy_ratio` of every row of the ``(S, N+1)`` stack ``ws``.
 
-    The coefficient values and the monotonicity probe are computed once for
-    the stack; both integrals are row sums over the stack, each summed in the
-    order of the one-sample sum.
+    The coefficient values are computed once for the stack; both integrals
+    are row sums over the stack, each summed in the order of the one-sample
+    sum.
     """
     ws = np.asarray(ws, dtype=float)
     nodes = mesh.nodes
@@ -410,7 +345,6 @@ def hardy_ratios(
     grad = np.diff(ws, axis=-1) / mesh.spacings
     rhs = np.sum(a_faces * grad * grad * mesh.spacings, axis=-1)
 
-    theta_used, mono_ok = _hardy_monotonicity(coef_or_aux, case, hypothesis)
     reports = []
     for lhs_i, rhs_i, scale_i in zip(lhs.tolist(), rhs.tolist(), scale.tolist()):
         violation = False
@@ -428,50 +362,8 @@ def hardy_ratios(
             ratio=ratio,
             case=case,
             violation=violation,
-            theta_used=theta_used,
-            monotonicity_ok=mono_ok,
         ))
     return reports
-
-
-def _hardy_monotonicity(coef_or_aux, case: HardyCase, hypothesis) -> tuple:
-    """(theta_used, monotonicity_ok) of the case's power comparison, probed on
-    a log grid."""
-    theta_used = None
-    mono_ok = None
-    probe = np.logspace(-6, 0, 257)
-    with np.errstate(all="ignore"):
-        avals = np.asarray(coef_or_aux.eval(probe), dtype=float)
-    if case is HardyCase.CASE_A:
-        if hypothesis is None:
-            hypothesis = classify(coef_or_aux, grid_size=512)
-        k_est = hypothesis.K_est if math.isfinite(hypothesis.K_est) else 1.0
-        theta_used = min(k_est + 0.01, 0.999)
-        mono_ok = _monotone_on_grid(avals / probe**theta_used, nondecreasing=False)
-    elif case is HardyCase.CASE_B:
-        if hypothesis is not None and hypothesis.theta_hyp is not None:
-            theta_used = hypothesis.theta_hyp
-            near = probe <= 0.1
-            mono_ok = _monotone_on_grid(
-                (avals / probe**theta_used)[near], nondecreasing=True
-            )
-    elif case is HardyCase.AUX_P:
-        # exponent (4 + theta)/3 lies in (1, 2) for theta in (0, 1)
-        theta = hypothesis.theta_hyp if hypothesis and hypothesis.theta_hyp else 0.99
-        theta_used = (4.0 + theta) / 3.0
-        near = probe <= 0.1
-        mono_ok = _monotone_on_grid(
-            (avals / probe**theta_used)[near], nondecreasing=True
-        )
-    elif case is HardyCase.AUX_B:
-        # exponent theta/2 + 1 lies in (1, 3/2) for theta in (0, 1)
-        theta = hypothesis.theta_hyp if hypothesis and hypothesis.theta_hyp else 0.99
-        theta_used = theta / 2.0 + 1.0
-        near = probe <= 0.1
-        mono_ok = _monotone_on_grid(
-            (avals / probe**theta_used)[near], nondecreasing=True
-        )
-    return theta_used, mono_ok
 
 
 def hardy_ratio(
@@ -479,13 +371,10 @@ def hardy_ratio(
     mesh,
     w: np.ndarray,
     case: HardyCase,
-    hypothesis: Optional[HypothesisReport] = None,
 ) -> HardyReport:
     """Ratio of the weighted zero-order integral to the gradient integral.
 
-    Case A requires w(0) = 0 and checks that a/x^theta is nonincreasing for a
-    theta just above the certified band; case B and the auxiliary cases
-    require w(1) = 0 and check nondecrease near zero.  The one-sample case of
-    :func:`hardy_ratios`.
+    Case A requires w(0) = 0; case B and the auxiliary cases require
+    w(1) = 0.  The one-sample case of :func:`hardy_ratios`.
     """
-    return hardy_ratios(coef_or_aux, mesh, np.asarray(w)[None], case, hypothesis)[0]
+    return hardy_ratios(coef_or_aux, mesh, np.asarray(w)[None], case)[0]

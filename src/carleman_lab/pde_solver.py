@@ -63,7 +63,6 @@ __all__ = [
     "substep_times",
     "trapezoid_time_weights",
     "omega_node_mask",
-    "trajectory_to_csv",
     "trajectory_to_binary",
     "trajectory_from_binary",
 ]
@@ -176,10 +175,6 @@ class ProblemSpec:
     @property
     def dt(self) -> float:
         return self.T / self.time_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.time_steps + 1)
 
 
 @dataclass
@@ -746,18 +741,6 @@ def energy_report(spec: ProblemSpec, u0: np.ndarray, h=None) -> float:
 # export formats
 
 _BIN_HEADER = struct.Struct("<qqd")
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Rows (t, x, value), deterministic shortest round-trip formatting."""
-    times = traj.times
-    nodes = traj.mesh.nodes
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,value\n")
-        for m, t in enumerate(times):
-            row = traj.values[m]
-            for i, x in enumerate(nodes):
-                fh.write(f"{t:.17g},{x:.17g},{row[i]:.17g}\n")
 
 
 def trajectory_to_binary(traj: Trajectory, path) -> None:

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .coefficients import DegeneracyCoefficient, coefficient_from_descriptor
+from .coefficients import DegeneracyCoefficient
 
 __all__ = [
     "PsiFunction",
@@ -27,8 +27,6 @@ __all__ = [
     "eval_theta_time",
     "time_factor",
     "default_omega_prime",
-    "weights_config",
-    "weights_from_config",
 ]
 
 # Exponents below this underflow double precision; the weighted integrands are
@@ -570,27 +568,3 @@ def build_weights(
 ) -> CarlemanWeights:
     """Build the full weight bundle for one coefficient and window."""
     return CarlemanWeights(PsiFunction(coef, alpha_prime, beta_prime, bridge_degree), lam, T)
-
-
-def weights_config(w: CarlemanWeights) -> dict:
-    """JSON-serializable description of a weight bundle."""
-    return {
-        "lambda": w.lam,
-        "T": w.T,
-        "alpha_prime": w.psi.alpha_prime,
-        "beta_prime": w.psi.beta_prime,
-        "bridge_degree": w.psi.bridge_degree,
-        "coefficient": w.coef.descriptor,
-    }
-
-
-def weights_from_config(cfg: dict) -> CarlemanWeights:
-    coef = coefficient_from_descriptor(cfg["coefficient"])
-    return build_weights(
-        coef,
-        cfg["lambda"],
-        cfg["T"],
-        cfg["alpha_prime"],
-        cfg["beta_prime"],
-        cfg.get("bridge_degree", 5),
-    )

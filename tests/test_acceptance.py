@@ -151,9 +151,8 @@ class TestAcceptance:
 
     def test_04_hardy_ratios(self):
         coef = make_power_coefficient(0.5)
-        hyp = classify(coef)
         mesh = build_mesh(2048, 2.0)
-        analytic = hardy_ratio(coef, mesh, mesh.nodes.copy(), HardyCase.CASE_A, hypothesis=hyp)
+        analytic = hardy_ratio(coef, mesh, mesh.nodes.copy(), HardyCase.CASE_A)
         ok = abs(analytic.ratio - 1.0) < 1e-6
 
         maxima = {}
@@ -161,7 +160,7 @@ class TestAcceptance:
             m = build_mesh(N, 2.0)
             draws = sample_fields(11, STREAM_TERMINAL, 100, m.nodes)
             maxima[N] = max(
-                hardy_ratio(coef, m, draws[i], HardyCase.CASE_A, hypothesis=hyp).ratio
+                hardy_ratio(coef, m, draws[i], HardyCase.CASE_A).ratio
                 for i in range(100)
             )
         drift = abs(maxima[512] - maxima[256]) / maxima[256]
@@ -169,7 +168,6 @@ class TestAcceptance:
 
         # auxiliary profiles on the unit-ratio path of the linear coefficient
         lin = make_power_coefficient(1.0)
-        lin_hyp = classify(lin)
         aux_detail = []
         for label, aux, case in (
             ("p", aux_hardy_p(lin), HardyCase.AUX_P),
@@ -180,7 +178,7 @@ class TestAcceptance:
                 m = build_mesh(N, 2.0)
                 draws = sample_fields(11, STREAM_TERMINAL, 100, m.nodes)
                 amax[N] = max(
-                    hardy_ratio(aux, m, draws[i], case, hypothesis=lin_hyp).ratio
+                    hardy_ratio(aux, m, draws[i], case).ratio
                     for i in range(100)
                 )
             adrift = abs(amax[512] - amax[256]) / amax[256]

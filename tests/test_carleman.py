@@ -530,20 +530,21 @@ class TestSweep:
             assert len(calls) == 4 * n_samples * points
             assert len(set(calls)) == 4 * points
 
-    @pytest.mark.parametrize("integrand, region, k", [
-        ("v_sq", functionals.Region.Q, 5.0 / 3.0),
-        ("v_sq", functionals.Region.Q_OMEGA, 3.0),
-        ("a_vx_sq", functionals.Region.Q, 1.0),
-        ("source_sq", functionals.Region.Q, 0.0),
+    @pytest.mark.parametrize("integrand, on_omega, k", [
+        ("v_sq", False, 5.0 / 3.0),
+        ("v_sq", True, 3.0),
+        ("a_vx_sq", False, 1.0),
+        ("v_sq", False, 0.0),
     ])
-    def test_folded_grid_unchanged(self, integrand, region, k):
+    def test_folded_grid_unchanged(self, integrand, on_omega, k):
         # the grid folded from the shared abscissae is the grid folded from a
         # time grid and faces built for the request
         spec = make_spec(gamma=1.5, N=24, M=16, T=10.0, omega=(0.02, 0.95))
         wts = build_weights(spec.coef, 2.0, spec.T, 0.05, 0.9)
         s = stable_s0(wts)
         mesh, T, M = spec.mesh, spec.T, spec.time_steps
-        lo, hi = (0.0, 1.0) if region is functionals.Region.Q else spec.omega
+        interval = spec.omega if on_omega else None
+        lo, hi = spec.omega if on_omega else (0.0, 1.0)
         ts = np.linspace(0.0, T, M + 1)
         if integrand == "a_vx_sq":
             xw = (_clipped_cell_lengths(mesh.nodes, lo, hi) * spec.coef.eval(mesh.faces)
@@ -557,8 +558,7 @@ class TestSweep:
         for shared in (False, True):
             with wts.shared_grids() if shared else contextlib.nullcontext():
                 grid = functionals._abscissae(mesh, T, M, wts)
-                quad = functionals._WeightedQuadrature(grid, wts, s, k, integrand, region,
-                                                       spec.omega)
+                quad = functionals._WeightedQuadrature(grid, wts, s, k, integrand, interval)
             assert (quad.rows, quad.cols) == want[:2]
             assert np.array_equal(quad.grid, want[2])
 

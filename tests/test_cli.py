@@ -119,6 +119,46 @@ class TestValidation:
         }
         assert any("omega_prime" in e for e in validate_config(cfg))
 
+    @pytest.mark.parametrize("exp, fields", [
+        ("carleman_sweep", {"lambda_grid": [2.0], "s_grid": [1.0]}),
+        ("lemma_checks", {"resolution": 16}),
+    ])
+    def test_omega_prime_outside_default_omega_exit_2(self, tmp_path, capsys, exp, fields):
+        # no omega given: the runners use the default [0.3, 0.7], which does
+        # not hold omega_prime, so the sign change would leave the control region
+        cfg = {
+            "experiment": exp,
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "omega_prime": [0.75, 0.9],
+            "mesh_n": 16,
+            "time_steps": 16,
+            "n_samples": 2,
+            **fields,
+        }
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "omega_prime: must be compactly contained in omega [0.3, 0.7]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exp, fields", [
+        ("carleman_sweep", {"lambda_grid": [2.0], "s_grid": [1.0]}),
+        ("lemma_checks", {"resolution": 16}),
+    ])
+    def test_omega_prime_inside_default_omega_validates(self, exp, fields):
+        # the check against the default omega [0.3, 0.7] rejects no
+        # omega_prime that it holds
+        cfg = {
+            "experiment": exp,
+            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+            "omega_prime": [0.35, 0.65],
+            "mesh_n": 16,
+            "time_steps": 16,
+            "n_samples": 2,
+            **fields,
+        }
+        assert validate_config(cfg) == []
+
     def test_sweep_requires_grids(self):
         cfg = {
             "experiment": "carleman_sweep",
@@ -586,6 +626,34 @@ class TestMain:
         out = tmp_path / "out"
         assert run_experiment(base_classify_config(str(out)), out) == 1
         assert (out / "run.log").read_text().splitlines()[-2:] == ["started", line]
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("cfg, line", [
+        (
+            {"experiment": "carleman_sweep", "T": 10.0, "omega": [0.02, 0.95],
+             "omega_prime": [0.05, 0.9], "lambda_grid": [2.0], "s_grid": [1e300],
+             "s_relative": True},
+            "(s*lambda)**1.66667 overflows double precision at s=",
+        ),
+        (
+            {"experiment": "lemma_checks", "T": 2.0, "omega_prime": [0.4, 0.6],
+             "resolution": 16, "s": 1e300},
+            "s**3 overflows double precision at s=1e+300, lambda=1",
+        ),
+    ], ids=["carleman_sweep", "lemma_checks"])
+    def test_overflowing_power_of_s_is_named(self, tmp_path, cfg, line):
+        cfg = {
+            "coefficient": {"kind": "power", "params": {"gamma": 1.0}},
+            "mesh_n": 16,
+            "time_steps": 16,
+            "n_samples": 2,
+            **cfg,
+        }
+        assert validate_config(cfg) == []
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: " + line)
         assert not (out / "summary.json").exists()
 
     def test_nan_ratios_fail_the_valid_sample_invariant(self, tmp_path):

@@ -8,7 +8,6 @@ from carleman_lab.coefficients import (
     make_example_coefficient,
     make_power_coefficient,
     make_table_coefficient,
-    monotone_ratio_check,
 )
 
 
@@ -155,23 +154,36 @@ class TestClassify:
             assert np.all(np.diff(vals) >= -1e-9 * np.max(np.abs(vals)))
 
 
-class TestMonotoneRatioCheck:
-    def test_weak_power_large_exponent(self):
-        assert monotone_ratio_check(make_power_coefficient(0.5), 2.0)
+class TestCertifiedRatioBound:
+    # K_est bounds x a'/a from above, so a(x)/x**K_est does not increase on
+    # (0, 1]: the comparison the Hardy-type step draws from the certificate
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_power_coefficient(0.5),
+            lambda: make_power_coefficient(1.0),
+            lambda: make_power_coefficient(1.5),
+            lambda: make_example_coefficient("power_minus_x", theta=0.5),
+            lambda: make_example_coefficient("power_plus_x", theta=1.5),
+            lambda: make_example_coefficient("power_cos", gamma=0.4, alpha=1.0),
+        ],
+        ids=["power_0.5", "power_1.0", "power_1.5", "power_minus_x", "power_plus_x",
+             "power_cos"],
+    )
+    def test_a_over_power_of_bound_nonincreasing(self, make):
+        coef = make()
+        rep = classify(coef)
+        assert rep.regime is not Regime.VIOLATION
+        x = np.logspace(-8, 0, 1001)
+        vals = coef.eval(x) / x**rep.K_est
+        assert np.all(np.diff(vals) <= 1e-9 * np.max(np.abs(vals)))
 
-    def test_weak_power_small_exponent_fails(self):
-        check = monotone_ratio_check(make_power_coefficient(0.5), 0.25)
-        assert not check
-        assert check.violating_x is not None
-
-    def test_strong_power_constant_ratio(self):
-        assert monotone_ratio_check(make_power_coefficient(1.5), 1.5)
-
-    def test_square_over_a_bound(self):
-        # x^2/a(x) <= 1/a(1) must hold on the grid for admissible coefficients
-        for gamma in (0.5, 1.0, 1.5):
-            coef = make_power_coefficient(gamma)
-            assert monotone_ratio_check(coef, max(2.0, gamma))
+    def test_exponent_below_the_bound_breaks_monotonicity(self):
+        coef = make_power_coefficient(0.5)
+        rep = classify(coef)
+        x = np.logspace(-8, 0, 1001)
+        vals = coef.eval(x) / x ** (0.5 * rep.K_est)
+        assert np.all(np.diff(vals) > 0.0)
 
 
 class TestDescriptors:

@@ -23,7 +23,6 @@ from carleman_lab.pde_solver import (
     solve_forward,
     trajectory_from_binary,
     trajectory_to_binary,
-    trajectory_to_csv,
     trapezoid_time_weights,
 )
 
@@ -457,15 +456,6 @@ class TestStackedStiffness:
 
 
 class TestExportFormats:
-    def test_csv_rows(self, tmp_path):
-        spec = make_spec(N=8, M=4)
-        traj = solve_forward(spec, np.sin(np.pi * spec.mesh.nodes))
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,x,value"
-        assert len(lines) == 1 + 5 * 9
-
     def test_binary_round_trip(self, tmp_path):
         spec = make_spec(N=8, M=4)
         traj = solve_forward(spec, np.sin(np.pi * spec.mesh.nodes))

@@ -8,8 +8,6 @@ from carleman_lab.weights import (
     build_weights,
     default_omega_prime,
     eval_theta_time,
-    weights_config,
-    weights_from_config,
 )
 
 
@@ -400,13 +398,5 @@ class TestWeightEvaluation:
 
 
 class TestConfigRoundTrip:
-    def test_weights_config_round_trip(self):
-        w = build_weights(make_example_coefficient("power_cos", gamma=0.5, alpha=1.0), 2.0, 3.0, 0.25, 0.75)
-        cfg = weights_config(w)
-        clone = weights_from_config(cfg)
-        xs = np.linspace(0, 1, 9)
-        assert np.allclose(clone.eta(xs), w.eta(xs), rtol=1e-12)
-        assert clone.T == w.T and clone.lam == w.lam
-
     def test_default_window_placement(self):
         assert default_omega_prime((0.2, 0.6)) == (0.3, 0.5)

@@ -24,6 +24,7 @@ from .functionals import (
     _abscissae,
     _check_horizon,
     _clipped_node_quadrature,
+    _integrals,
     _WeightedQuadrature,
 )
 from .pde_solver import (
@@ -69,6 +70,9 @@ class CarlemanParams:
     def __post_init__(self):
         if self.s <= 0 or self.lam <= 0:
             raise ValueError("both parameters must be strictly positive")
+        for name, value in (("s", self.s), ("lambda", self.lam)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,9 @@ def carleman_sides(
     grad = _WeightedQuadrature(*grid, 1.0, "a_vx_sq")
     zero = _WeightedQuadrature(*grid, q, "v_sq")
     local = _WeightedQuadrature(*grid, 3.0, "v_sq", omega)
-    lhs_grad = sl * grad.integral(traj.values)
-    lhs_zero = _power(sl, q, "(s*lambda)", params) * zero.integral(traj.values)
+    grad_sum, zero_sum, local_sum = _integrals(traj.values, (grad, zero, local))
+    lhs_grad = sl * grad_sum
+    lhs_zero = _power(sl, q, "(s*lambda)", params) * zero_sum
     if source is None:
         rhs_source = 0.0
     else:
@@ -133,7 +138,7 @@ def carleman_sides(
         rhs_source = _WeightedQuadrature(
             *grid, 0.0, "v_sq", time_constant=f.strides[0] == 0
         ).integral(f)
-    rhs_local = _power(sl, 3, "(s*lambda)", params) * local.integral(traj.values)
+    rhs_local = _power(sl, 3, "(s*lambda)", params) * local_sum
     denom = rhs_source + rhs_local
     degenerate = denom < DEGENERATE_DENOMINATOR
     return CarlemanReport(
@@ -155,10 +160,25 @@ def stable_s0(weights: CarlemanWeights) -> float:
     exponent is 128*(exp(lam*sup)-1)/lam, bounded for every admissible
     configuration.
     """
-    T = weights.T
-    theta_mid = (T * T / 4.0) ** -4
-    eta_max = math.exp(2.0 * weights.lam * weights.psi_sup)
-    return max(1.0, 4.0 / (theta_mid * weights.lam * eta_max))
+    T, lam = weights.T, weights.lam
+    try:
+        theta_mid = (T * T / 4.0) ** -4
+    except (ZeroDivisionError, OverflowError):
+        theta_mid = math.inf
+    if not 0.0 < theta_mid < math.inf:
+        raise ValueError(
+            f"theta(T/2) = (T*T/4)**-4 is not representable in double precision at T={T:g}"
+        )
+    # exp(2*lam*sup psi) < c3, which the weights hold as a finite double
+    eta_max = math.exp(2.0 * lam * weights.psi_sup)
+    activation = theta_mid * lam * eta_max
+    s0 = 4.0 / activation if activation > 0.0 else math.inf
+    if not math.isfinite(s0):
+        raise ValueError(
+            f"s0 = 4/(theta(T/2)*lambda*exp(2*lambda*sup psi)) overflows double "
+            f"precision at T={T:g}, lambda={lam:g}"
+        )
+    return max(1.0, s0)
 
 
 @dataclass
@@ -223,6 +243,11 @@ def carleman_sweep(
         s0 = stable_s0(wts)
         for s_entry in s_grid:
             s = s_entry * s0 if s_relative else s_entry
+            if not math.isfinite(s):
+                raise ValueError(
+                    f"s = s_grid entry {s_entry:g} * s0 {s0:g} overflows double precision "
+                    f"at lambda={lam:g}"
+                )
             params = CarlemanParams(s, lam)
             ratios = []
             with wts.shared_grids():
@@ -473,6 +498,7 @@ def identity_residual(
         )
     s, lam = params.s, params.lam
     s3 = _power(s, 3, "s", params)
+    lam3 = _power(lam, 3, "lambda", params)
     T = weights.T
     ts, xs, tw, xw = _grids(weights, resolution)
 
@@ -515,7 +541,7 @@ def identity_residual(
     t1 = 0.5 * s * integrate(_tx(th2, em) * wv * wv)
     t2 = -2.0 * s * s * integrate(_tx(th1 * th, lam * lam * eta * eta * c2) * wv * wv)
     t3 = s3 * integrate(
-        _tx(th**3, lam**3 * eta**3 * (2.0 * lam * c2 * c2 + c5)) * wv * wv
+        _tx(th**3, lam3 * eta**3 * (2.0 * lam * c2 * c2 + c5)) * wv * wv
     )
     a_phi_x_xx_a = _tx(
         th, lam * eta * (lam * c1 * (lam * c2 + c1p) + lam * c3x + a * c1pp)

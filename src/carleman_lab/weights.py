@@ -13,6 +13,7 @@ closed with a geometric tail.  The time factor blows up at both ends of
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,6 +33,16 @@ __all__ = [
 # Exponents below this underflow double precision; the weighted integrands are
 # zero there to machine accuracy anyway.
 UNDERFLOW_EXPONENT = -700.0
+
+# The grid kernels (build, fold, contraction) work in row blocks of about
+# this many bytes, so a block and its scratch stay in a core's L2 cache and
+# a desk-size grid (129 x 129) is one block.
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(n_cols: int) -> int:
+    """Rows per block of a float grid with ``n_cols`` columns."""
+    return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
 
 # Gauss-Legendre nodes per panel of the profile integrals
 QUAD_POINTS = 12
@@ -327,6 +338,40 @@ def default_omega_prime(omega) -> tuple[float, float]:
     return (a + q, b - q)
 
 
+class _GridMemory:
+    """The grid memory of one :meth:`CarlemanWeights.shared_grids` block.
+
+    ``reuse`` holds the buffers the previous block kept, in the order it
+    took them.  The block's i-th request takes the i-th of them when it is
+    large enough and fresh memory otherwise, so a block that makes the same
+    requests as the one before maps no new memory.
+    """
+
+    def __init__(self, reuse: list):
+        self.reuse = reuse
+        self.taken: list = []
+
+    def take(self, shape) -> np.ndarray:
+        n = math.prod(shape)
+        i = len(self.taken)
+        buf = None
+        if i < len(self.reuse):
+            buf, self.reuse[i] = self.reuse[i], None
+            if buf.size < n:
+                buf = None  # dropped before its replacement is mapped
+        if buf is None:
+            buf = np.empty(n)
+        self.taken.append(buf)
+        return buf[:n].reshape(shape)
+
+    def unheld(self) -> list:
+        """The buffers taken in the block that nothing else references."""
+        counts = [sys.getrefcount(b) for b in self.taken]
+        probe = [np.empty(0)]
+        idle = [sys.getrefcount(b) for b in probe][0]
+        return [b for b, n in zip(self.taken, counts) if n <= idle]
+
+
 class CarlemanWeights:
     """Weight bundle for fixed profile, lambda and horizon.
 
@@ -336,17 +381,24 @@ class CarlemanWeights:
     """
 
     def __init__(self, psi: PsiFunction, lam: float, T: float):
-        if lam <= 0.0:
+        if not lam > 0.0:
             raise ValueError(f"lambda must be positive, got {lam}")
-        if T <= 0.0:
+        if not T > 0.0:
             raise ValueError(f"T must be positive, got {T}")
         self.psi = psi
         self.lam = float(lam)
         self.T = float(T)
         self.coef = psi.coef
         self.psi_sup = psi.psi_sup
-        self.c3 = float(np.exp(3.0 * self.lam * self.psi_sup))
+        with np.errstate(over="ignore"):
+            self.c3 = float(np.exp(3.0 * self.lam * self.psi_sup))
+        if not math.isfinite(self.c3):
+            raise ValueError(
+                f"exp(3*lambda*sup psi) overflows double precision at lambda={self.lam:g}"
+            )
         self._shared: dict | None = None
+        self._memory: _GridMemory | None = None
+        self._kept: list = []
 
     # -- scalar/array component evaluators ----------------------------------------
     def theta_time(self, t) -> np.ndarray:
@@ -389,14 +441,34 @@ class CarlemanWeights:
         Inside the block :meth:`weight_grid` returns one read-only array per
         distinct (ts, xs, s, k), and :meth:`shared` keeps one value per key,
         so callers that evaluate the same integrals for many samples share
-        the grids instead of rebuilding them.  The grids are dropped when the
-        block closes.
+        the grids instead of rebuilding them.
+
+        The grids of a block, raw and folded, live in flat buffers that the
+        block keeps when it closes; the next block on this instance builds
+        its grids in them (see :meth:`grid_buffer`), so a sweep holds one
+        point's grids at a time and maps no new memory from one point to the
+        next.  A grid handed out inside the block is therefore valid until
+        the block closes.  A buffer that something still references then is
+        left to its holder and not reused.  A block opened inside another
+        one takes fresh memory and keeps none.
         """
-        outer, self._shared = self._shared, {}
+        outer = self._shared, self._memory
+        self._shared = {}
+        self._memory = _GridMemory(self._kept if outer[0] is None else [])
+        self._kept = []
         try:
             yield self
         finally:
-            self._shared = outer
+            memory = self._memory
+            self._shared, self._memory = outer
+            if outer[0] is None:
+                self._kept = memory.unheld()
+
+    def grid_buffer(self, shape) -> np.ndarray:
+        """Uninitialised float memory of ``shape`` for one grid: from the
+        buffers of the open :meth:`shared_grids` block, or fresh outside a
+        block."""
+        return np.empty(shape) if self._memory is None else self._memory.take(shape)
 
     def shared(self, key, build):
         """``build()``, kept under ``key`` while :meth:`shared_grids` is open.
@@ -415,33 +487,67 @@ class CarlemanWeights:
         return value
 
     def _build_grid(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> np.ndarray:
-        out = np.zeros((ts.size, xs.size))
+        """exp(2*s*phi + k*log(sigma)) in :meth:`grid_buffer` memory, built in
+        row blocks with the operations, and so the bits, of
+        exp(2*s*outer(theta, eta - c3) + k*log(sigma)) clamped at -700.
+
+        A row whose largest exponent lies below the clamp is zero and is
+        not built.  That exponent comes from the same rounded operations on
+        the row's largest space factors; rounding is monotone, so it bounds
+        every entry of the row, and a unit margin is kept on top.
+        """
+        out = self.grid_buffer((ts.size, xs.size))
         rows = np.flatnonzero((ts > 0.0) & (ts < self.T))
         if rows.size == 0:
+            out[...] = 0.0
             return out
-        # the exponent is built in place in the interior rows of ``out`` (in a
-        # buffer when those rows are not contiguous), in the same operation
-        # order as exp(2*s*outer(theta, eta - c3) + k*log(sigma))
-        contiguous = rows[-1] - rows[0] + 1 == rows.size
-        expo = out[rows[0] : rows[-1] + 1] if contiguous else np.empty((rows.size, xs.size))
         ti = ts[rows]
         # g stays here rather than coming from time_factor: k*log(sigma) adds
         # -4*log(g), which rounds differently from log(g**-4)
         g = ti * (self.T - ti)
         eta = self.eta(xs)
-        np.multiply.outer(g**-4, eta - self.c3, out=expo)
-        expo *= 2.0 * s
+        theta = g**-4
+        em = eta - self.c3
+        two_s = 2.0 * s
+        top = theta * em.max() * two_s
         if k > 0.0:
-            log_sigma = np.add.outer(-4.0 * np.log(g), np.log(eta))
-            log_sigma *= k
-            expo += log_sigma
-            del log_sigma
-        keep = expo > UNDERFLOW_EXPONENT
-        np.exp(expo, out=expo, where=keep)
-        np.logical_not(keep, out=keep)
-        expo[keep] = 0.0
-        if not contiguous:
-            out[rows] = expo
+            log_g = -4.0 * np.log(g)
+            log_eta = np.log(eta)
+            top += (log_g + log_eta.max()) * k
+        # positions in theta of the rows to build, and their grid rows
+        live = (~(top < UNDERFLOW_EXPONENT - 1.0)).nonzero()[0]
+        rows = rows[live]
+        step = block_rows(xs.size)
+        mask = np.empty((min(step, rows.size), xs.size), dtype=bool)
+        if k > 0.0:
+            scratch = np.empty(mask.shape)
+        # runs of rows consecutive in the grid; the rows before each run and
+        # after the last are zero
+        cuts = []
+        if rows.size and rows[-1] - rows[0] + 1 != rows.size:
+            cuts = ((rows[1:] - rows[:-1] != 1).nonzero()[0] + 1).tolist()
+        done = 0
+        for j0, j1 in zip([0, *cuts], [*cuts, rows.size]):
+            if j0 == j1:
+                continue
+            first, p0 = int(rows[j0]), int(live[j0])
+            out[done:first] = 0.0
+            done = first + j1 - j0
+            for a in range(0, j1 - j0, step):
+                n = min(step, j1 - j0 - a)
+                o = out[first + a : first + a + n]
+                p = p0 + a
+                np.multiply(theta[p : p + n, None], em, out=o)
+                o *= two_s
+                if k > 0.0:
+                    t = scratch[:n]
+                    np.add(log_g[p : p + n, None], log_eta, out=t)
+                    t *= k
+                    o += t
+                keep = np.greater(o, UNDERFLOW_EXPONENT, out=mask[:n])
+                np.exp(o, out=o, where=keep)
+                np.copyto(o, 0.0, where=np.logical_not(keep, out=keep))
+        out[done:] = 0.0
         return out
 
     def weight(self, t, x, s: float, k: float):

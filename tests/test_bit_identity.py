@@ -4,27 +4,55 @@ Each formula of the weight layer is written once: the time factor in
 ``weights.time_factor``, the profile's branch dispatch in
 ``PsiFunction._derivative``, the conjugated operator parts in
 ``carleman._l_plus``/``_l_minus`` and the flux Laplacian in
-``WeightedNorms.flux_laplacian``.  The reference functions below are the
+``WeightedNorms.flux_laplacian``.  The grid kernels work in row blocks: the
+weight-grid build ``CarlemanWeights._build_grid`` and the fold
+``functionals._fold`` must keep the bits of their whole-grid bodies, and the
+blocked contraction ``functionals._integrals`` must stay within rounding of
+the whole-grid three-operand einsum.  The reference functions below are the
 bodies these replaced, kept verbatim in arithmetic, and every comparison is
-``np.array_equal`` on the bits.
+``np.array_equal`` on the bits unless it says otherwise.
 """
+
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from carleman_lab import functionals
 from carleman_lab.carleman import (
     CarlemanParams,
     _grids,
+    carleman_sides,
     identity_residual,
+    stable_s0,
     standard_identity_fields,
     transform_to_w,
 )
 from carleman_lab.coefficients import classify, make_power_coefficient
-from carleman_lab.functionals import WeightedNorms
-from carleman_lab.pde_solver import ProblemSpec, boundary_regime_for, build_mesh, solve_adjoint
+from carleman_lab.functionals import (
+    WeightedNorms,
+    _clipped_cell_lengths,
+    _clipped_node_quadrature,
+)
+from carleman_lab.pde_solver import (
+    ProblemSpec,
+    Trajectory,
+    boundary_regime_for,
+    build_mesh,
+    solve_adjoint,
+    trapezoid_time_weights,
+)
 from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
-from carleman_lab.weights import PsiFunction, _cumulative_from, build_weights, time_factor
+from carleman_lab.weights import (
+    UNDERFLOW_EXPONENT,
+    PsiFunction,
+    _cumulative_from,
+    block_rows,
+    build_weights,
+    time_factor,
+)
 
 GAMMAS = [0.5, 1.0, 1.5]
 
@@ -207,6 +235,62 @@ def ref_identity_residual(field, weights, params, resolution):
     return abs(lhs - total) / denom
 
 
+def ref_build_grid(weights, ts, xs, s, k):
+    out = np.zeros((ts.size, xs.size))
+    rows = np.flatnonzero((ts > 0.0) & (ts < weights.T))
+    if rows.size == 0:
+        return out
+    contiguous = rows[-1] - rows[0] + 1 == rows.size
+    expo = out[rows[0] : rows[-1] + 1] if contiguous else np.empty((rows.size, xs.size))
+    ti = ts[rows]
+    g = ti * (weights.T - ti)
+    eta = weights.eta(xs)
+    np.multiply.outer(g**-4, eta - weights.c3, out=expo)
+    expo *= 2.0 * s
+    if k > 0.0:
+        log_sigma = np.add.outer(-4.0 * np.log(g), np.log(eta))
+        log_sigma *= k
+        expo += log_sigma
+        del log_sigma
+    keep = expo > UNDERFLOW_EXPONENT
+    np.exp(expo, out=expo, where=keep)
+    np.logical_not(keep, out=keep)
+    expo[keep] = 0.0
+    if not contiguous:
+        out[rows] = expo
+    return out
+
+
+def ref_fold(wgrid, tw, xw, time_constant):
+    live = wgrid != 0.0
+    live &= (tw != 0.0)[:, None]
+    live &= (xw != 0.0)[None, :]
+    rows = np.flatnonzero(live.any(axis=1))
+    cols = np.flatnonzero(live.any(axis=0))
+    if rows.size == 0:
+        rows = cols = slice(0, 0)
+    else:
+        rows = slice(rows[0], rows[-1] + 1)
+        cols = slice(cols[0], cols[-1] + 1)
+    grid = wgrid[rows, cols] * tw[rows, None]
+    grid *= xw[None, cols]
+    if time_constant:
+        grid = grid.sum(axis=0)
+    grid.flags.writeable = False
+    return rows, cols, grid
+
+
+def ref_integral(quad, vals):
+    rows = 0 if quad.time_constant else quad.rows
+    if quad.integrand == "a_vx_sq":
+        v = vals[rows, quad.cols.start : quad.cols.stop + 1]
+        u = np.subtract(v[..., 1:], v[..., :-1])
+    else:
+        u = vals[rows, quad.cols]
+    spec = "i,i,i->" if quad.time_constant else "mi,mi,mi->"
+    return float(np.einsum(spec, quad.grid, u, u))
+
+
 # -- comparisons ------------------------------------------------------------------
 
 
@@ -303,3 +387,179 @@ class TestConjugatedOperator:
         for field in standard_identity_fields(2.0, gamma < 1.0):
             got = identity_residual(field, weights, params, 48)
             assert same_bits(got, ref_identity_residual(field, weights, params, 48))
+
+
+# -- row-blocked grid kernels -----------------------------------------------------
+
+T_SWEEP = 10.0
+OMEGA = (0.02, 0.95)
+
+
+def _time_grids(N):
+    """The uniform time grid of N steps, and one whose interior rows are
+    interleaved with endpoint and outside rows (not contiguous)."""
+    uniform = np.linspace(0.0, T_SWEEP, N + 1)
+    mixed = uniform[::-1].copy()
+    mixed[N // 3] = 0.0
+    mixed[N // 2] = T_SWEEP
+    mixed[2 * N // 3] = 1.5 * T_SWEEP
+    return uniform, mixed
+
+
+def _space_weights(mesh, coef, faces, interval):
+    lo, hi = interval
+    if faces:
+        return (_clipped_cell_lengths(mesh.nodes, lo, hi) * coef.eval(mesh.faces)
+                / mesh.spacings**2)
+    return _clipped_node_quadrature(mesh.nodes, lo, hi)
+
+
+class TestGridKernels:
+    @pytest.mark.parametrize("N", [16, 128, 512])
+    @pytest.mark.parametrize("lam", [2.0, 4.0])
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_build_and_fold_keep_their_bits(self, gamma, lam, N):
+        wts = build_weights(make_power_coefficient(gamma), lam, T_SWEEP, 0.05, 0.9)
+        mesh = build_mesh(N, 2.0)
+        s0 = stable_s0(wts)
+        tw = trapezoid_time_weights(T_SWEEP, N)
+        for s_rel in (1.0, 16.0):
+            s = s_rel * s0
+            for ts in _time_grids(N):
+                # every block reuses the memory of the one before, so each
+                # build also runs over the previous grids' bits
+                with wts.shared_grids():
+                    for faces in (False, True):
+                        xs = mesh.faces if faces else mesh.nodes
+                        for k in (0.0, 1.0, 5.0 / 3.0, 3.0):
+                            want = ref_build_grid(wts, ts, xs, s, k)
+                            assert same_bits(wts.weight_grid(ts, xs, s, k), want)
+                            assert same_bits(wts._build_grid(ts, xs, s, k), want)
+                            if ts[0] != 0.0 or k not in (0.0, 1.0):
+                                continue
+                            for interval in ((0.0, 1.0), OMEGA):
+                                xw = _space_weights(mesh, wts.coef, faces, interval)
+                                for tc in (False, True):
+                                    got = functionals._fold(want, tw, xw, tc, wts.grid_buffer)
+                                    ref = ref_fold(want, tw, xw, tc)
+                                    assert got[:2] == ref[:2]
+                                    assert same_bits(got[2], ref[2])
+                want = ref_build_grid(wts, ts, mesh.nodes, 0.5 * s, 0.0)
+                assert same_bits(wts.exp_s_phi_grid(ts, mesh.nodes, s), want)
+
+    def test_fold_of_unusual_grids(self):
+        rng = np.random.default_rng(5)
+        n_rows, n_cols = 300, 2000
+        wgrid = rng.uniform(0.0, 2.0, (n_rows, n_cols))
+        # zero rows and columns inside the box, and a box that starts and
+        # ends inside a row block
+        wgrid[:7] = wgrid[250:] = 0.0
+        wgrid[100:140] = 0.0
+        wgrid[:, :3] = wgrid[:, 40:45] = 0.0
+        tw = rng.uniform(0.5, 1.0, n_rows)
+        tw[[0, 9, -1]] = 0.0
+        xw = rng.uniform(0.5, 1.0, n_cols)
+        xw[[5, 60, -1]] = 0.0
+        assert block_rows(n_cols) < 40
+        for grid in (wgrid, np.zeros_like(wgrid), wgrid[:1]):
+            for tc in (False, True):
+                got = functionals._fold(grid, tw[: grid.shape[0]], xw, tc)
+                ref = ref_fold(grid, tw[: grid.shape[0]], xw, tc)
+                assert got[:2] == ref[:2]
+                assert same_bits(got[2], ref[2])
+
+    @pytest.mark.parametrize("N", [16, 512])
+    def test_blocked_contraction_matches_the_whole_grid_einsum(self, N):
+        wts = build_weights(make_power_coefficient(1.5), 2.0, T_SWEEP, 0.05, 0.9)
+        mesh = build_mesh(N, 2.0)
+        vals = sample_fields(4, STREAM_TERMINAL, N + 1, mesh.nodes)
+        grid = functionals._abscissae(mesh, T_SWEEP, N, wts)
+        source = np.broadcast_to(vals[3], vals.shape)
+        for s_rel in (1.0, 16.0):
+            s = s_rel * stable_s0(wts)
+            quads = [
+                functionals._WeightedQuadrature(grid, wts, s, 1.0, "a_vx_sq"),
+                functionals._WeightedQuadrature(grid, wts, s, 5.0 / 3.0, "v_sq"),
+                functionals._WeightedQuadrature(grid, wts, s, 3.0, "v_sq", OMEGA),
+                functionals._WeightedQuadrature(grid, wts, s, 1.0, "a_vx_sq", OMEGA),
+            ]
+            got = functionals._integrals(vals, quads)
+            for q, value in zip(quads, got):
+                assert value == pytest.approx(ref_integral(q, vals), rel=1e-13, abs=0.0)
+                assert q.integral(vals) == value
+            # the time-constant source keeps its bits
+            for integrand in ("v_sq", "a_vx_sq"):
+                q = functionals._WeightedQuadrature(grid, wts, s, 0.0, integrand,
+                                                    time_constant=True)
+                assert same_bits(functionals._integrals(source, (q,))[0],
+                                 ref_integral(q, source))
+
+    def test_boxes_inside_row_blocks(self):
+        # boxes of either integrand that start and end inside a row block,
+        # overlapping ones and an empty one, against one field
+        rng = np.random.default_rng(9)
+        vals = rng.standard_normal((400, 1001))
+        step = block_rows(1001)
+        assert step < 100
+
+        def quad(rows, cols, integrand):
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            return SimpleNamespace(rows=rows, cols=cols, integrand=integrand,
+                                   time_constant=False, grid=rng.uniform(0.0, 1.0, shape))
+
+        quads = [
+            quad(slice(step // 2, 3 * step + 5), slice(3, 950), "v_sq"),
+            quad(slice(step + 1, step + 4), slice(10, 20), "v_sq"),
+            quad(slice(7, 390), slice(0, 1000), "a_vx_sq"),
+            quad(slice(2 * step - 3, 2 * step + 3), slice(955, 1001), "v_sq"),
+            quad(slice(0, 0), slice(0, 0), "a_vx_sq"),
+        ]
+        got = functionals._integrals(vals, quads)
+        for q, value in zip(quads, got):
+            assert value == pytest.approx(ref_integral(q, vals), rel=1e-13, abs=0.0)
+            assert functionals._integrals(vals, (q,)) == [value]
+        assert got[-1] == 0.0
+
+    def test_second_block_takes_no_new_grid_memory(self):
+        spec = ProblemSpec(
+            T=T_SWEEP, coef=make_power_coefficient(1.5),
+            regime=boundary_regime_for(classify(make_power_coefficient(1.5))),
+            mesh=build_mesh(256, 2.0), time_steps=256, omega=OMEGA,
+            hypothesis=classify(make_power_coefficient(1.5)),
+        )
+        wts = build_weights(spec.coef, 2.0, T_SWEEP, 0.05, 0.9)
+        vals = sample_fields(2, STREAM_TERMINAL, 257, spec.mesh.nodes)
+        traj = Trajectory(vals, spec.mesh, T_SWEEP)
+        source = np.broadcast_to(vals[0], vals.shape)
+        s0 = stable_s0(wts)
+        grid_bytes = vals.nbytes
+
+        def point(s_rel):
+            params = CarlemanParams(s_rel * s0, 2.0)
+            tracemalloc.start()
+            try:
+                with wts.shared_grids():
+                    report = carleman_sides(traj, source, spec.omega, wts, params)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return report, peak
+
+        first, first_peak = point(1.0)
+        # a larger s shrinks every box, so each grid fits its old buffer
+        second, second_peak = point(2.0)
+        assert first_peak > 6 * grid_bytes
+        assert second_peak < grid_bytes
+        assert second == carleman_sides(traj, source, spec.omega, wts,
+                                        CarlemanParams(2.0 * s0, 2.0))
+
+    def test_held_grid_is_not_reused(self):
+        wts = build_weights(make_power_coefficient(0.5), 2.0, T_SWEEP, 0.05, 0.9)
+        ts, xs = np.linspace(0.0, T_SWEEP, 65), np.linspace(0.0, 1.0, 33)
+        with wts.shared_grids():
+            held = wts.weight_grid(ts, xs, 3.0, 1.0)
+        want = held.copy()
+        with wts.shared_grids():
+            other = wts.weight_grid(ts, xs, 5.0, 3.0)
+            assert not np.shares_memory(other, held)
+        assert same_bits(held, want)

@@ -55,6 +55,14 @@ class TestParams:
         with pytest.raises(ValueError):
             CarlemanParams(1.0, -2.0)
 
+    @pytest.mark.parametrize("s, lam, name", [
+        (math.inf, 1.0, "s"), (math.nan, 1.0, "s"), (1.0, math.inf, "lambda"),
+        (1.0, math.nan, "lambda"),
+    ])
+    def test_rejects_non_finite(self, s, lam, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CarlemanParams(s, lam)
+
 
 class TestIdentityResidual:
     def test_zero_field(self):
@@ -508,9 +516,9 @@ class TestSweep:
             calls.append((self.lam, s, k))
             return original_call(self, ts, xs, s, k)
 
-        def folded(wgrid, tw, xw, time_constant):
+        def folded(wgrid, tw, xw, time_constant, empty):
             folds.append(time_constant)
-            return original_fold(wgrid, tw, xw, time_constant)
+            return original_fold(wgrid, tw, xw, time_constant, empty)
 
         monkeypatch.setattr(CarlemanWeights, "weight_grid", called)
         monkeypatch.setattr(functionals, "_fold", folded)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -652,6 +653,56 @@ class TestMain:
         assert validate_config(cfg) == []
         out = tmp_path / "out"
         assert run_experiment(cfg, out) == 1
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.startswith("error: " + line)
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("cfg, line", [
+        (
+            {"experiment": "lemma_checks", "T": 2.0, "omega_prime": [0.4, 0.6],
+             "resolution": 16, "lambda": 1e150},
+            "exp(3*lambda*sup psi) overflows double precision at lambda=1e+150",
+        ),
+        (
+            {"experiment": "carleman_sweep", "T": 10.0, "omega": [0.02, 0.95],
+             "omega_prime": [0.05, 0.9], "lambda_grid": [1e200], "s_grid": [1.0]},
+            "exp(3*lambda*sup psi) overflows double precision at lambda=1e+200",
+        ),
+        (
+            {"experiment": "carleman_sweep", "T": 10.0, "omega": [0.02, 0.95],
+             "omega_prime": [0.05, 0.9], "lambda_grid": [2.0], "s_grid": [1e308],
+             "s_relative": True},
+            "s = s_grid entry 1e+308 * s0 ",
+        ),
+        (
+            {"experiment": "carleman_sweep", "T": 1e-300, "omega": [0.02, 0.95],
+             "omega_prime": [0.05, 0.9], "lambda_grid": [2.0], "s_grid": [1.0],
+             "s_relative": False},
+            "theta(T/2) = (T*T/4)**-4 is not representable in double precision at T=1e-300",
+        ),
+        (
+            {"experiment": "carleman_sweep", "T": 1e300, "omega": [0.02, 0.95],
+             "omega_prime": [0.05, 0.9], "lambda_grid": [2.0], "s_grid": [1.0],
+             "s_relative": False},
+            "theta(T/2) = (T*T/4)**-4 is not representable in double precision at T=1e+300",
+        ),
+    ], ids=["lemma_checks_lambda", "carleman_sweep_lambda", "carleman_sweep_s_inf",
+            "tiny_horizon", "huge_horizon"])
+    def test_unrepresentable_parameter_is_named(self, tmp_path, cfg, line):
+        # a legal but extreme lambda, s or T exits 1 with a message naming the
+        # quantity that left double precision, and warns about nothing
+        cfg = {
+            "coefficient": {"kind": "power", "params": {"gamma": 1.0}},
+            "mesh_n": 16,
+            "time_steps": 16,
+            "n_samples": 2,
+            **cfg,
+        }
+        assert validate_config(cfg) == []
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_experiment(cfg, out) == 1
         last = (out / "run.log").read_text().splitlines()[-1]
         assert last.startswith("error: " + line)
         assert not (out / "summary.json").exists()

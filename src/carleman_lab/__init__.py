@@ -23,7 +23,6 @@ from .weights import (
     PsiFunction,
     build_weights,
     default_omega_prime,
-    eval_theta_time,
 )
 from .pde_solver import (
     LeftBoundary,
@@ -50,7 +49,6 @@ from .functionals import (
 from .carleman import (
     CarlemanParams,
     CarlemanReport,
-    boundary_sign_term,
     carleman_sides,
     carleman_sweep,
     identity_residual,
@@ -61,10 +59,7 @@ from .carleman import (
 )
 from .control import (
     ControlResult,
-    dual_functional,
-    dual_gradient,
     synthesize_null_control,
-    verify_control,
 )
 
 __version__ = "0.1.0"

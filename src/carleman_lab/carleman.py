@@ -53,7 +53,6 @@ __all__ = [
     "stable_s0",
     "transform_to_w",
     "identity_residual",
-    "boundary_sign_term",
     "boundary_sign_terms",
     "observability_ratio",
     "standard_identity_fields",
@@ -92,12 +91,15 @@ def _power(base: float, exponent: float, name: str, params: CarlemanParams) -> f
     """``base**exponent``, or a ValueError naming s, lambda and the power
     ``name**exponent`` when it overflows double precision."""
     try:
-        return base**exponent
+        value = base**exponent
     except OverflowError:
+        value = math.inf
+    if value == math.inf:
         raise ValueError(
             f"{name}**{exponent:g} overflows double precision at "
             f"s={params.s:g}, lambda={params.lam:g}"
-        ) from None
+        )
+    return value
 
 
 def carleman_sides(
@@ -250,6 +252,7 @@ def carleman_sweep(
                 )
             params = CarlemanParams(s, lam)
             ratios = []
+            degenerate = nonfinite = 0
             with wts.shared_grids():
                 reports = [
                     carleman_sides(traj, f, spec.omega, wts, params, zero_order_exponent)
@@ -268,10 +271,13 @@ def carleman_sweep(
                         "ratio": rep.ratio,
                     }
                 )
-                if rep.degenerate or not math.isfinite(rep.ratio):
-                    excluded += 1
+                if rep.degenerate:
+                    degenerate += 1
+                elif not math.isfinite(rep.ratio):
+                    nonfinite += 1
                 else:
                     ratios.append(rep.ratio)
+            excluded += degenerate + nonfinite
             if ratios:
                 mx = float(np.max(ratios))
                 # np.median's value without its import of numpy.ma
@@ -289,6 +295,8 @@ def carleman_sweep(
                     "max_ratio": mx,
                     "median_ratio": med,
                     "n_valid": len(ratios),
+                    "n_degenerate": degenerate,
+                    "n_nonfinite": nonfinite,
                 }
             )
 
@@ -501,6 +509,14 @@ def identity_residual(
     lam3 = _power(lam, 3, "lambda", params)
     T = weights.T
     ts, xs, tw, xw = _grids(weights, resolution)
+    # endpoint rows: the field's fifth-power envelope beats every blow-up, so
+    # all weighted rows vanish in the limit, where theta is zero
+    th, th1, th2 = time_factor(ts, T)
+    # the largest factors: eta**3, and (s*lam*theta*eta)**3 in the s**3 term,
+    # where eta peaks at exp(2*lam*sup psi) < c3
+    eta_sup = math.exp(2.0 * lam * weights.psi_sup)
+    _power(eta_sup, 3, "eta", params)
+    _power(s * lam * float(th.max()) * eta_sup, 3, "(s*lambda*theta*eta)", params)
 
     wv = np.asarray(field.w(ts[:, None], xs[None, :]), dtype=float)
     scale = float(np.max(np.abs(wv))) + 1e-300
@@ -521,9 +537,6 @@ def identity_residual(
     c1, c1p, c1pp = comp["c1"], comp["c1p"], comp["c1pp"]
     c2, c3x, c4, c5 = comp["c2"], comp["c3x"], comp["c4"], comp["c5"]
     em = eta - weights.c3
-    # endpoint rows: the field's fifth-power envelope beats every blow-up, so
-    # all weighted rows vanish in the limit, where theta is zero
-    th, th1, th2 = time_factor(ts, T)
 
     def integrate(f):
         return float(np.einsum("m,mi,i->", tw, f, xw))
@@ -568,7 +581,6 @@ class WTransform:
     w: np.ndarray  # (M+1, N+1)
     l_plus: np.ndarray  # (M-1, N-1) interior evaluations
     l_minus: np.ndarray
-    params: CarlemanParams
     mesh: object
     T: float
 
@@ -596,7 +608,7 @@ def transform_to_w(
     l_plus = _l_plus(w[inner, inner], a_wx_x, th, th1, em, comp, params)
     del a_wx_x
     l_minus, _ = _l_minus(w[inner, inner], wt, wx, th, comp, params)
-    return WTransform(w, l_plus, l_minus, params, mesh, v_traj.T)
+    return WTransform(w, l_plus, l_minus, mesh, v_traj.T)
 
 
 @dataclass(frozen=True)
@@ -606,10 +618,12 @@ class BoundaryTerm:
 
 
 def _boundary_sign(mesh, T: float, M: int, weights: CarlemanWeights, params: CarlemanParams):
-    """The sample-independent half of :func:`boundary_sign_term`: returns
-    ``term(w)``, the boundary term of a conjugated field w on the
-    ``(M+1) x (N+1)`` grid, which reads only the columns 0, 1, -2 and -1 of
-    w (so it may be given just those four)."""
+    """``term(w)``: the boundary flux term -s * int (a^2 phi_x w_x^2)
+    |_{x=0}^{x=1} dt of a conjugated field w on the ``(M+1) x (N+1)`` grid,
+    from one-sided gradients at the ends; it reads only the columns 0, 1, -2
+    and -1 of w (so it may be given just those four).  The profile slope is
+    negative at x = 1 and the degenerate factor kills the x = 0 trace, so the
+    term is nonnegative up to discretization noise."""
     _check_horizon(T, weights)
     s = params.s
     lam = params.lam
@@ -637,18 +651,6 @@ def _boundary_sign(mesh, T: float, M: int, weights: CarlemanWeights, params: Car
     return term
 
 
-def boundary_sign_term(
-    wt: WTransform, weights: CarlemanWeights, params: CarlemanParams
-) -> BoundaryTerm:
-    """Discrete boundary flux term -s * int (a^2 phi_x w_x^2) |_{x=0}^{x=1} dt.
-
-    One-sided gradients approximate w_x at the endpoints; the profile slope is
-    negative at x = 1 and the degenerate factor kills the x = 0 trace, so the
-    term is nonnegative up to discretization noise.
-    """
-    return _boundary_sign(wt.mesh, wt.T, wt.w.shape[0] - 1, weights, params)(wt.w)
-
-
 # the columns of w that the boundary term reads
 _EDGE_COLUMNS = [0, 1, -2, -1]
 
@@ -656,8 +658,9 @@ _EDGE_COLUMNS = [0, 1, -2, -1]
 def boundary_sign_terms(
     rows: np.ndarray, mesh, T: float, weights: CarlemanWeights, params: CarlemanParams
 ) -> list:
-    """``boundary_sign_term(transform_to_w(v))`` of every backward trajectory
-    v in the ``(S, M+1, N+1)`` stack ``rows``, with the same bits.
+    """The boundary term of ``transform_to_w(v).w`` for every backward
+    trajectory v in the ``(S, M+1, N+1)`` stack ``rows``, with the bits of
+    the term of the whole conjugated field.
 
     exp(s*phi) does not depend on the sample, so it is built once, and of
     each conjugated field w = exp(s*phi)*v only the four edge columns the
@@ -702,7 +705,10 @@ def observability_ratio(
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     all_ratios = _observability_ratios(spec, vt_fields)
     ratios = [r for r in all_ratios if not math.isnan(r)]
-    constant = float(np.max(ratios)) if ratios else float("nan")
-    return ObservabilityReport(
-        constant=constant, ratios=ratios, excluded_count=len(all_ratios) - len(ratios)
-    )
+    if not ratios:
+        raise ValueError(
+            f"every sample's control-region energy is below {DEGENERATE_DENOMINATOR:g} "
+            f"at T={spec.T:g}, time_steps={spec.time_steps}"
+        )
+    excluded = len(all_ratios) - len(ratios)
+    return ObservabilityReport(float(np.max(ratios)), ratios, excluded)

@@ -293,7 +293,7 @@ def validate_config(cfg: dict) -> list[str]:
                 * (max(int(m) for m in cfg.get("temporal_m", DEFAULT_TEMPORAL_M)) + 1),
             )
 
-    for name in ("lambda_grid", "s_grid", "epsilon_grid"):
+    for name in ("lambda_grid", "s_grid"):
         if name in cfg:
             v = cfg[name]
             if not isinstance(v, (list, tuple)) or not v:
@@ -363,7 +363,10 @@ def _mesh_and_omega(cfg: dict):
     return mesh, tuple(cfg.get("omega", DEFAULT_OMEGA))
 
 
-def _build_problem(cfg: dict, coef, report):
+def _build_problem(cfg: dict) -> ProblemSpec:
+    """The problem of a config, its coefficient certified by ``classify``."""
+    coef = coefficient_from_descriptor(cfg["coefficient"])
+    report = classify(coef)
     mesh, omega = _mesh_and_omega(cfg)
     boundary = cfg.get("boundary", "auto")
     # an explicit boundary is kept as given, so the spec skips its band check
@@ -471,9 +474,7 @@ def _exp_hardy(cfg, seed, log, outdir):
 
 
 def _exp_energy(cfg, seed, log, outdir):
-    coef = coefficient_from_descriptor(cfg["coefficient"])
-    rep = classify(coef)
-    spec = _build_problem(cfg, coef, rep)
+    spec = _build_problem(cfg)
     n_samples = _n_samples(cfg)
     u0s = sample_fields(seed, STREAM_INITIAL, n_samples, spec.mesh.nodes)
     hs = sample_fields(seed, STREAM_CONTROL, n_samples, spec.mesh.nodes)
@@ -487,9 +488,7 @@ def _exp_energy(cfg, seed, log, outdir):
 
 
 def _exp_carleman_sweep(cfg, seed, log, outdir):
-    coef = coefficient_from_descriptor(cfg["coefficient"])
-    rep = classify(coef)
-    spec = _build_problem(cfg, coef, rep)
+    spec = _build_problem(cfg)
     omega_prime = tuple(cfg["omega_prime"]) if "omega_prime" in cfg else None
     res = carleman_sweep(
         spec,
@@ -521,22 +520,24 @@ def _exp_carleman_sweep(cfg, seed, log, outdir):
     all_finite = all(
         math.isfinite(r["ratio"]) or math.isnan(r["ratio"]) for r in res.rows
     )
-    valid_everywhere = all(p["n_valid"] >= 1 for p in res.summary["per_point"])
+    invalid = "; ".join(
+        f"s={p['s']:g}, lambda={p['lambda']:g}: {p['n_degenerate']} degenerate "
+        f"denominators, {p['n_nonfinite']} non-finite ratios"
+        for p in res.summary["per_point"] if p["n_valid"] < 1
+    )
     invariants = [
         ("no infinite ratios", all_finite, ""),
-        ("every (s, lambda) point has a valid sample", valid_everywhere, ""),
+        ("every (s, lambda) point has a valid sample", not invalid, invalid),
     ]
     return tables, results, invariants
 
 
 def _exp_lemma_checks(cfg, seed, log, outdir):
-    coef = coefficient_from_descriptor(cfg["coefficient"])
-    rep = classify(coef)
-    spec = _build_problem(cfg, coef, rep)
+    spec = _build_problem(cfg)
     omega_prime = tuple(cfg.get("omega_prime", default_omega_prime(spec.omega)))
     lam = float(cfg.get("lambda", 1.0))
     s = float(cfg.get("s", 1.0))
-    wts = build_weights(coef, lam, spec.T, omega_prime[0], omega_prime[1])
+    wts = build_weights(spec.coef, lam, spec.T, omega_prime[0], omega_prime[1])
     params = CarlemanParams(s, lam)
     resolution = int(cfg.get("resolution", 256))
     threshold = float(cfg.get("residual_threshold", 1e-3))
@@ -590,9 +591,7 @@ def _exp_lemma_checks(cfg, seed, log, outdir):
 
 
 def _exp_observability(cfg, seed, log, outdir):
-    coef = coefficient_from_descriptor(cfg["coefficient"])
-    rep = classify(coef)
-    spec = _build_problem(cfg, coef, rep)
+    spec = _build_problem(cfg)
     n_samples = _n_samples(cfg)
     obs = observability_ratio(spec, n_samples=n_samples, seed=seed)
     # scale invariance probe: doubling the sample leaves the ratio unchanged
@@ -615,9 +614,7 @@ def _exp_observability(cfg, seed, log, outdir):
 
 
 def _exp_null_control(cfg, seed, log, outdir):
-    coef = coefficient_from_descriptor(cfg["coefficient"])
-    rep = classify(coef)
-    spec = _build_problem(cfg, coef, rep)
+    spec = _build_problem(cfg)
     modes = cfg.get("u0_modes", [1.0])
     xs = spec.mesh.nodes
     u0 = np.zeros_like(xs)
@@ -631,7 +628,7 @@ def _exp_null_control(cfg, seed, log, outdir):
         cg_tol=float(cfg.get("cg_tol", 1e-8)),
         cg_max_iter=int(cfg.get("cg_max_iter", 500)),
     )
-    norms = WeightedNorms(spec.mesh, coef)
+    norms = WeightedNorms(spec.mesh, spec.coef)
     u0_norm = norms.norm("L2", u0)
     # u0 = 0 on the mesh leaves the relative norm undefined, which fails the check
     rel = result.terminal_norm / u0_norm if u0_norm > 0 else float("nan")
@@ -670,7 +667,6 @@ def _exp_null_control(cfg, seed, log, outdir):
 def _exp_convergence(cfg, seed, log, outdir):
     # manufactured problem on a = x with value-pinned boundaries
     coef = make_power_coefficient(1.0)
-    rep = classify(coef)
     T = float(cfg.get("T", DEFAULT_T))
     omega = tuple(cfg.get("omega", DEFAULT_OMEGA))
 

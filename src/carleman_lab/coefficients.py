@@ -54,9 +54,6 @@ class DegeneracyCoefficient:
     eval_deriv2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     descriptor: dict = field(default_factory=dict, compare=False)
 
-    def __call__(self, x):
-        return self.eval(x)
-
 
 @dataclass(frozen=True)
 class HypothesisReport:

@@ -15,15 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .pde_solver import ProblemSpec, _adjoint_march, _Stepper, solve_forward
+from .pde_solver import ProblemSpec, _adjoint_march, _Stepper
 
 __all__ = [
     "SpaceTimeControl",
     "ControlResult",
     "synthesize_null_control",
-    "verify_control",
-    "dual_functional",
-    "dual_gradient",
 ]
 
 MIN_PENALTY = 1e-14
@@ -71,16 +68,13 @@ class _DualOperator:
         self._outside = ~st.omega
         self._pairing = np.empty((st.tau.size, self.op.n_unknowns))
 
-    def adjoint_pairing(self, v_unknown: np.ndarray, keep_initial: bool = False, out=None):
-        """(initial adjoint state or None, per-substep pairing profiles), the
-        profiles written into ``out`` when it is given, else a fresh block."""
-        st = self.stepper
-        pairing = np.empty((st.tau.size,) + v_unknown.shape) if out is None else out
-        rows, _ = _adjoint_march(
-            self.spec, self.op.embed(v_unknown), stepper=st, keep_rows=keep_initial,
-            pairing_out=pairing,
+    def adjoint_pairing(self, v_unknown: np.ndarray) -> np.ndarray:
+        """The per-substep pairing profiles, in the block this operator keeps."""
+        _adjoint_march(
+            self.spec, self.op.embed(v_unknown), stepper=self.stepper, keep_rows=False,
+            pairing_out=self._pairing,
         )
-        return (self.op.restrict(rows[0]) if keep_initial else None), pairing
+        return self._pairing
 
     def control_from_pairing(self, pairing: np.ndarray) -> np.ndarray:
         """The control of a pairing block: the block itself, set to +0.0 off
@@ -93,7 +87,7 @@ class _DualOperator:
         return self.stepper.forward(u0_unknown, ctrl)
 
     def gram_apply(self, v_unknown: np.ndarray) -> np.ndarray:
-        _, pairing = self.adjoint_pairing(v_unknown, out=self._pairing)
+        pairing = self.adjoint_pairing(v_unknown)
         ctrl = self.control_from_pairing(pairing)
         lam_v = self.forward_terminal(np.zeros_like(v_unknown), ctrl)
         return lam_v + self.epsilon * v_unknown
@@ -159,7 +153,7 @@ def synthesize_null_control(
     atol = cg_tol * min(np.sqrt(op.inner(rhs, rhs)), op.norm(u0_unknown))
     v_hat, iters, converged = _cg(dual.gram_apply, rhs, op.inner, atol, cg_max_iter)
 
-    _, pairing = dual.adjoint_pairing(v_hat)
+    pairing = dual.adjoint_pairing(v_hat)
     ctrl = dual.control_from_pairing(pairing)
     control = SpaceTimeControl(
         sample_times=dual.stepper.t_sample,
@@ -179,39 +173,3 @@ def synthesize_null_control(
         converged=converged,
         v_T=op.embed(v_hat),
     )
-
-
-def verify_control(spec: ProblemSpec, u0: np.ndarray, control: SpaceTimeControl) -> float:
-    """One forward solve with the synthesized control; returns the terminal norm."""
-    st = _Stepper(spec)
-    op = st.op
-    traj = solve_forward(spec, u0, control=op.restrict(control.values), stepper=st)
-    return op.norm(op.restrict(traj.values[-1]))
-
-
-def dual_functional(
-    spec: ProblemSpec, u0: np.ndarray, epsilon: float, v_T: np.ndarray
-) -> float:
-    """Value of the penalized dual functional at terminal adjoint data v_T."""
-    dual = _DualOperator(spec, epsilon)
-    op = dual.op
-    v_unknown = op.restrict(v_T)
-    v0, pairing = dual.adjoint_pairing(v_unknown, keep_initial=True)
-    ctrl = dual.control_from_pairing(pairing)
-    u0_unknown = op.restrict(u0)
-    return (
-        0.5 * dual.control_cost(ctrl)
-        + 0.5 * epsilon * op.inner(v_unknown, v_unknown)
-        + op.inner(u0_unknown, v0)
-    )
-
-
-def dual_gradient(
-    spec: ProblemSpec, u0: np.ndarray, epsilon: float, v_T: np.ndarray
-) -> np.ndarray:
-    """Gradient of the dual functional in the mesh-weighted inner product."""
-    dual = _DualOperator(spec, epsilon)
-    op = dual.op
-    v_unknown = op.restrict(v_T)
-    grad = dual.gram_apply(v_unknown) + dual.forward_terminal(op.restrict(u0), None)
-    return op.embed(grad)

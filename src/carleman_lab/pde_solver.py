@@ -699,14 +699,20 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
         if m:
             full[:, st.cols] = cur
             np.maximum(h1_sup, h1a_sq(full), out=h1_sup)
-            du = (cur - prev) / k
-            np.add(ut_sq, k * np.sum(W * du * du, axis=-1), out=ut_sq)
+            with np.errstate(over="ignore"):  # checked once the march is done
+                du = (cur - prev) / k
+                np.add(ut_sq, k * np.sum(W * du * du, axis=-1), out=ut_sq)
             prev[...] = cur
         Au = op.apply(cur)
         np.add(au_sq, tw[m] * np.sum(W * Au * Au, axis=-1), out=au_sq)
 
     closed(0, u)
     st.forward(u, load, closed)
+    if not np.all(np.isfinite(ut_sq)):
+        raise ValueError(
+            f"the time-derivative energy, a sum of k*|(u(t+k)-u(t))/k|**2, overflows "
+            f"double precision at T={spec.T:g}, time_steps={spec.time_steps}"
+        )
     lhs = h1_sup + ut_sq + au_sq
 
     # data energy, then the control energy of each substep added in order

@@ -42,20 +42,14 @@ def sine_coefficients(rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(DEFAULT_MODES) / (n * n)
 
 
-def sine_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = np.arange(1, coeffs.size + 1, dtype=float)
-    return np.sin(np.pi * np.outer(x, n)) @ coeffs
-
-
 def sample_fields(seed: int, stream: int, count: int, x: np.ndarray) -> np.ndarray:
     """(count, len(x)) array of independent sine-series draws."""
     rng = stream_rng(seed, stream)
     x = np.asarray(x, dtype=float)
     basis = np.sin(np.pi * np.outer(x, np.arange(1, DEFAULT_MODES + 1, dtype=float)))
     out = np.empty((count, x.size))
-    # one matvec per draw, as in sine_series: a single matmul would sum in
-    # another order and move every sampled value
+    # one matvec per draw: a single matmul would sum in another order and
+    # move every sampled value
     for i in range(count):
         out[i] = basis @ sine_coefficients(rng)
     return out

@@ -25,7 +25,6 @@ __all__ = [
     "PsiFunction",
     "CarlemanWeights",
     "build_weights",
-    "eval_theta_time",
     "time_factor",
     "default_omega_prime",
 ]
@@ -322,14 +321,6 @@ def time_factor(ts, T: float):
     return th, th1, th2
 
 
-def eval_theta_time(t: float, T: float) -> float:
-    """Time blow-up factor 1/[t(T-t)]^4 on the open interval (0, T)."""
-    t = float(t)
-    if t <= 0.0 or t >= T:
-        raise ValueError(f"singular endpoint: t must lie in (0, {T}), got {t}")
-    return float(time_factor(np.array([t]), T)[0][0])
-
-
 def default_omega_prime(omega) -> tuple[float, float]:
     """Inner window compactly contained in the control region: trim a quarter
     of the width from each side."""
@@ -375,9 +366,10 @@ class _GridMemory:
 class CarlemanWeights:
     """Weight bundle for fixed profile, lambda and horizon.
 
-    Exposes the time factor, the space factor eta = exp(lam*(sup+psi)), their
-    product sigma, the negative exponent phi = theta*(eta - exp(3*lam*sup)),
-    and the underflow-safe product exp(2*s*phi)*sigma**k.
+    Exposes the space factor eta = exp(lam*(sup+psi)) and, on tensor grids,
+    the underflow-safe product exp(2*s*phi)*sigma**k, where sigma =
+    theta*eta, phi = theta*(eta - exp(3*lam*sup)) and theta is
+    :func:`time_factor`.
     """
 
     def __init__(self, psi: PsiFunction, lam: float, T: float):
@@ -400,21 +392,9 @@ class CarlemanWeights:
         self._memory: _GridMemory | None = None
         self._kept: list = []
 
-    # -- scalar/array component evaluators ----------------------------------------
-    def theta_time(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t <= 0.0) or np.any(t >= self.T):
-            raise ValueError("singular endpoint: theta_time needs t in (0, T)")
-        return time_factor(t, self.T)[0]
-
+    # -- space factor --------------------------------------------------------------
     def eta(self, x) -> np.ndarray:
         return np.exp(self.lam * (self.psi_sup + self.psi.value(x)))
-
-    def sigma(self, t, x) -> np.ndarray:
-        return self.theta_time(t) * self.eta(x)
-
-    def phi(self, t, x) -> np.ndarray:
-        return self.theta_time(t) * (self.eta(x) - self.c3)
 
     # -- weight grids --------------------------------------------------------------
     def weight_grid(self, ts, xs, s: float, k: float) -> np.ndarray:
@@ -549,19 +529,6 @@ class CarlemanWeights:
                 np.copyto(o, 0.0, where=np.logical_not(keep, out=keep))
         out[done:] = 0.0
         return out
-
-    def weight(self, t, x, s: float, k: float):
-        """exp(2*s*phi(t,x)) * sigma(t,x)**k, from :meth:`weight_grid`: exactly
-        zero at t in {0, T} and wherever the exponent drops below -700.  A
-        scalar t broadcasts against an array of x and vice versa."""
-        grid = self.weight_grid(np.atleast_1d(t), np.atleast_1d(x), s, k)
-        if np.isscalar(t) and np.isscalar(x):
-            return float(grid[0, 0])
-        if np.isscalar(t):
-            return grid[0]
-        if np.isscalar(x):
-            return grid[:, 0]
-        return grid
 
     def exp_s_phi_grid(self, ts, xs, s: float) -> np.ndarray:
         """exp(s*phi) on the tensor grid, zero at t in {0, T} and below underflow:

@@ -1,0 +1,83 @@
+"""Reference definitions the tests compare the package against.
+
+Each is the plain pointwise or one-sample form of something the package
+computes on grids or in batches.  No run of the lab needs them, so they
+live beside the tests that use them.
+"""
+
+import numpy as np
+
+from carleman_lab.carleman import BoundaryTerm, CarlemanParams, WTransform, _boundary_sign
+from carleman_lab.control import _DualOperator
+from carleman_lab.pde_solver import ProblemSpec, _adjoint_march
+from carleman_lab.weights import CarlemanWeights, time_factor
+
+
+# -- pointwise weight components (reference for weights.CarlemanWeights) ----------
+def theta_time(w: CarlemanWeights, t) -> np.ndarray:
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t <= 0.0) or np.any(t >= w.T):
+        raise ValueError("singular endpoint: theta_time needs t in (0, T)")
+    return time_factor(t, w.T)[0]
+
+
+def sigma(w: CarlemanWeights, t, x) -> np.ndarray:
+    return theta_time(w, t) * w.eta(x)
+
+
+def phi(w: CarlemanWeights, t, x) -> np.ndarray:
+    return theta_time(w, t) * (w.eta(x) - w.c3)
+
+
+# -- one sine series (reference for sampling.sample_fields) -----------------------
+def sine_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    n = np.arange(1, coeffs.size + 1, dtype=float)
+    return np.sin(np.pi * np.outer(x, n)) @ coeffs
+
+
+# -- one boundary term (reference for carleman.boundary_sign_terms) ---------------
+def boundary_sign_term(
+    wt: WTransform, weights: CarlemanWeights, params: CarlemanParams
+) -> BoundaryTerm:
+    """Discrete boundary flux term -s * int (a^2 phi_x w_x^2) |_{x=0}^{x=1} dt.
+
+    One-sided gradients approximate w_x at the endpoints; the profile slope is
+    negative at x = 1 and the degenerate factor kills the x = 0 trace, so the
+    term is nonnegative up to discretization noise.
+    """
+    return _boundary_sign(wt.mesh, wt.T, wt.w.shape[0] - 1, weights, params)(wt.w)
+
+
+# -- the penalized dual functional (reference for control.synthesize_null_control)
+def dual_functional(
+    spec: ProblemSpec, u0: np.ndarray, epsilon: float, v_T: np.ndarray
+) -> float:
+    """Value of the penalized dual functional at terminal adjoint data v_T."""
+    dual = _DualOperator(spec, epsilon)
+    op = dual.op
+    v_unknown = op.restrict(v_T)
+    st = dual.stepper
+    rows, pairing = _adjoint_march(
+        spec, op.embed(v_unknown), stepper=st,
+        pairing_out=np.empty((st.tau.size,) + v_unknown.shape),
+    )
+    v0 = op.restrict(rows[0])
+    ctrl = dual.control_from_pairing(pairing)
+    u0_unknown = op.restrict(u0)
+    return (
+        0.5 * dual.control_cost(ctrl)
+        + 0.5 * epsilon * op.inner(v_unknown, v_unknown)
+        + op.inner(u0_unknown, v0)
+    )
+
+
+def dual_gradient(
+    spec: ProblemSpec, u0: np.ndarray, epsilon: float, v_T: np.ndarray
+) -> np.ndarray:
+    """Gradient of the dual functional in the mesh-weighted inner product."""
+    dual = _DualOperator(spec, epsilon)
+    op = dual.op
+    v_unknown = op.restrict(v_T)
+    grad = dual.gram_apply(v_unknown) + dual.forward_terminal(op.restrict(u0), None)
+    return op.embed(grad)

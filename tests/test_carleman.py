@@ -7,7 +7,6 @@ import pytest
 from carleman_lab.carleman import (
     CarlemanParams,
     _observability_ratios,
-    boundary_sign_term,
     boundary_sign_terms,
     carleman_sides,
     carleman_sweep,
@@ -32,6 +31,7 @@ from carleman_lab import functionals
 from carleman_lab.functionals import _clipped_cell_lengths, _clipped_node_quadrature
 from carleman_lab.sampling import STREAM_SOURCE, STREAM_TERMINAL, sample_fields
 from carleman_lab.weights import CarlemanWeights, PsiFunction, build_weights
+from oracles import boundary_sign_term
 
 
 def make_spec(gamma=0.5, N=64, M=48, T=2.0, omega=(0.3, 0.7)):

@@ -9,7 +9,6 @@ import pytest
 from carleman_lab.carleman import (
     CarlemanParams,
     _observability_ratios,
-    boundary_sign_term,
     transform_to_w,
 )
 from carleman_lab import cli, pde_solver
@@ -27,6 +26,7 @@ from carleman_lab.pde_solver import (
 )
 from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
 from carleman_lab.weights import build_weights
+from oracles import boundary_sign_term
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -686,8 +686,28 @@ class TestMain:
              "s_relative": False},
             "theta(T/2) = (T*T/4)**-4 is not representable in double precision at T=1e+300",
         ),
+        (
+            {"experiment": "lemma_checks", "T": 2.0, "omega_prime": [0.4, 0.6],
+             "resolution": 32, "lambda": 500},
+            "eta**3 overflows double precision at s=1, lambda=500",
+        ),
+        (
+            {"experiment": "lemma_checks", "T": 2.0, "omega_prime": [0.4, 0.6],
+             "resolution": 32, "lambda": 270},
+            "(s*lambda*theta*eta)**3 overflows double precision at s=1, lambda=270",
+        ),
+        (
+            {"experiment": "energy", "T": 1e-300},
+            "the time-derivative energy, a sum of k*|(u(t+k)-u(t))/k|**2, overflows double "
+            "precision at T=1e-300, time_steps=16",
+        ),
+        (
+            {"experiment": "observability", "T": 1e-300},
+            "every sample's control-region energy is below 1e-300 at T=1e-300, time_steps=16",
+        ),
     ], ids=["lemma_checks_lambda", "carleman_sweep_lambda", "carleman_sweep_s_inf",
-            "tiny_horizon", "huge_horizon"])
+            "tiny_horizon", "huge_horizon", "identity_eta_cube", "identity_s3_term",
+            "energy_tiny_horizon", "observability_tiny_horizon"])
     def test_unrepresentable_parameter_is_named(self, tmp_path, cfg, line):
         # a legal but extreme lambda, s or T exits 1 with a message naming the
         # quantity that left double precision, and warns about nothing
@@ -729,6 +749,42 @@ class TestMain:
         assert summary["results"]["excluded_count"] == 2
         failed = [i["name"] for i in summary["invariants"] if not i["passed"]]
         assert failed == ["every (s, lambda) point has a valid sample"]
+
+    @pytest.mark.parametrize("cfg, detail", [
+        (
+            {"gamma": 1.5, "omega_prime": [0.05, 0.0500001], "lambda_grid": [2.0, 4.0],
+             "s_grid": [1, 2, 4, 8, 16]},
+            "; ".join(
+                [f"s={s}, lambda=2: 2 degenerate denominators, 0 non-finite ratios"
+                 for s in ("12543.4", "25086.8")]
+                + [f"s={s}, lambda=4: 2 degenerate denominators, 0 non-finite ratios"
+                   for s in ("1.57336", "3.14673", "6.29345", "12.5869", "25.1738")]
+            ),
+        ),
+        (
+            {"gamma": 0.5, "omega_prime": [0.05, 0.9], "lambda_grid": [2.0],
+             "s_grid": [1.0], "s_relative": False, "zero_order_exponent": float("nan")},
+            "s=1, lambda=2: 0 degenerate denominators, 2 non-finite ratios",
+        ),
+    ], ids=["degenerate", "non_finite"])
+    def test_sweep_names_each_point_without_a_valid_sample(self, tmp_path, cfg, detail):
+        gamma = cfg.pop("gamma")
+        cfg = {
+            "experiment": "carleman_sweep",
+            "coefficient": {"kind": "power", "params": {"gamma": gamma}},
+            "T": 10.0, "mesh_n": 16, "time_steps": 16, "omega": [0.02, 0.95],
+            "n_samples": 2, "seed": 42, "s_relative": True, **cfg,
+        }
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 1
+        invariant = json.loads((out / "summary.json").read_text())["invariants"][1]
+        assert invariant == {
+            "name": "every (s, lambda) point has a valid sample", "passed": False,
+            "detail": detail,
+        }
+        assert (out / "run.log").read_text().splitlines()[-1] == (
+            f"invariant [every (s, lambda) point has a valid sample]: FAIL {detail}"
+        )
 
     def test_classify_violation_exit_1(self, tmp_path):
         out = tmp_path / "out"

@@ -6,9 +6,9 @@ from carleman_lab.sampling import (
     STREAM_TERMINAL,
     sample_fields,
     sine_coefficients,
-    sine_series,
     stream_rng,
 )
+from oracles import sine_series
 
 
 @pytest.mark.parametrize("n, count", [(512, 50), (128, 20), (512, 20), (96, 1)])

@@ -7,8 +7,9 @@ from carleman_lab.weights import (
     PsiFunction,
     build_weights,
     default_omega_prime,
-    eval_theta_time,
+    time_factor,
 )
+from oracles import phi, sigma, theta_time
 
 
 class TestPsiBranches:
@@ -213,18 +214,18 @@ class TestBridgeStitching:
 
 class TestTimeFactor:
     def test_quarter_power_at_midpoint(self):
-        assert eval_theta_time(0.5, 1.0) == pytest.approx(256.0, rel=1e-14)
+        assert time_factor(np.array([0.5]), 1.0)[0][0] == pytest.approx(256.0, rel=1e-14)
 
     def test_unit_product(self):
-        assert eval_theta_time(1.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+        assert time_factor(np.array([1.0]), 2.0)[0][0] == pytest.approx(1.0, rel=1e-14)
 
     def test_near_endpoint_value(self):
-        assert eval_theta_time(0.1, 1.0) == pytest.approx(0.09**-4, rel=1e-12)
+        assert time_factor(np.array([0.1]), 1.0)[0][0] == pytest.approx(0.09**-4, rel=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, -0.5, 2.0])
     def test_singular_endpoints(self, t):
-        with pytest.raises(ValueError, match="singular endpoint"):
-            eval_theta_time(t, 1.0)
+        for part in time_factor(np.array([t]), 1.0):
+            assert part[0] == 0.0
 
 
 class TestWeightEvaluation:
@@ -234,15 +235,15 @@ class TestWeightEvaluation:
 
     def test_exact_zero_at_time_endpoints(self, weights):
         xs = np.linspace(0, 1, 11)
-        assert np.all(weights.weight(0.0, xs, 2.0, 1.5) == 0.0)
-        assert np.all(weights.weight(1.0, xs, 2.0, 1.5) == 0.0)
+        assert np.all(weights.weight_grid(0.0, xs, 2.0, 1.5) == 0.0)
+        assert np.all(weights.weight_grid(1.0, xs, 2.0, 1.5) == 0.0)
 
     def test_plain_weight_lies_in_unit_interval(self, weights):
         rng = np.random.default_rng(0)
         t = rng.uniform(0.05, 0.95, 50)
         x = rng.uniform(0.0, 1.0, 50)
         for ti, xi in zip(t, x):
-            v = weights.weight(float(ti), float(xi), 1.0, 0.0)
+            v = weights.weight_grid(ti, xi, 1.0, 0.0)[0, 0]
             assert 0.0 <= v < 1.0
 
     def test_shared_grids_build_each_grid_once(self, weights):
@@ -334,7 +335,7 @@ class TestWeightEvaluation:
 
     def test_underflow_clamp(self, weights):
         # enormous s pushes the exponent below -700: exact zero, no subnormals
-        assert weights.weight(0.5, 0.5, 1e6, 0.0) == 0.0
+        assert weights.weight_grid(0.5, 0.5, 1e6, 0.0)[0, 0] == 0.0
 
     def test_extended_precision_oracle(self, weights):
         # 50-digit evaluation of the closed formula at a branch point
@@ -349,34 +350,34 @@ class TestWeightEvaluation:
         phi = theta * (eta - mpmath.e ** (3 * lam * sup))
         sigma = theta * eta
         expected = float(mpmath.e ** (2 * s * phi) * sigma**k)
-        got = weights.weight(t, x, s, k)
+        got = weights.weight_grid(t, x, s, k)[0, 0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_s(self, weights):
         # phi < 0 makes the weight nonincreasing in s pointwise
         xs = np.linspace(0, 1, 21)
-        w1 = weights.weight(0.4, xs, 1.0, 0.0)
-        w2 = weights.weight(0.4, xs, 2.0, 0.0)
+        w1 = weights.weight_grid(0.4, xs, 1.0, 0.0)
+        w2 = weights.weight_grid(0.4, xs, 2.0, 0.0)
         assert np.all(w2 <= w1 + 1e-300)
 
     def test_sigma_power_factorization(self, weights):
         # weight(k) / weight(0) = sigma^k wherever both are positive
         t, xs = 0.45, np.linspace(0.05, 0.95, 17)
         k = 1.7
-        wk = weights.weight(t, xs, 1.0, k)
-        w0 = weights.weight(t, xs, 1.0, 0.0)
-        sigma = weights.sigma(t, xs)
+        wk = weights.weight_grid(t, xs, 1.0, k)[0]
+        w0 = weights.weight_grid(t, xs, 1.0, 0.0)[0]
+        sig = sigma(weights, t, xs)
         mask = (wk > 0) & (w0 > 0)
-        assert np.allclose(wk[mask] / w0[mask], sigma[mask] ** k, rtol=1e-10)
+        assert np.allclose(wk[mask] / w0[mask], sig[mask] ** k, rtol=1e-10)
 
     def test_phi_negative_everywhere(self, weights):
         rng = np.random.default_rng(3)
         t = rng.uniform(1e-3, 1.0 - 1e-3, 1000)
         x = rng.uniform(0.0, 1.0, 1000)
         for ti in (0.25, 0.5, 0.75):
-            assert np.all(weights.phi(ti, x) < 0.0)
+            assert np.all(phi(weights, ti, x) < 0.0)
         vals = np.array(
-            [weights.phi(float(ti), np.array([xi]))[0] for ti, xi in zip(t[:100], x[:100])]
+            [phi(weights, float(ti), np.array([xi]))[0] for ti, xi in zip(t[:100], x[:100])]
         )
         assert np.all(vals < 0.0)
 
@@ -385,14 +386,14 @@ class TestWeightEvaluation:
         eta = weights.eta(xs)
         assert np.all(eta >= 1.0 - 1e-12)
         t = 0.37
-        sigma = weights.sigma(t, xs)
-        assert np.all(sigma >= weights.theta_time(t) - 1e-12)
+        sig = sigma(weights, t, xs)
+        assert np.all(sig >= theta_time(weights, t) - 1e-12)
 
     def test_parameter_validation(self, weights):
         with pytest.raises(ValueError, match="s must be positive"):
-            weights.weight(0.5, 0.5, -1.0, 0.0)
+            weights.weight_grid(0.5, 0.5, -1.0, 0.0)
         with pytest.raises(ValueError, match="k must be"):
-            weights.weight(0.5, 0.5, 1.0, -0.5)
+            weights.weight_grid(0.5, 0.5, 1.0, -0.5)
         with pytest.raises(ValueError, match="lambda"):
             CarlemanWeights(weights.psi, -1.0, 1.0)
 

@@ -1,6 +1,6 @@
 """List the functions of the package that no experiment run enters.
 
-    python tools/unreached.py [CONFIG ...]
+    python tools/unreached.py [--check] [CONFIG ...]
 
 Each config (default: every ``configs/*.json`` of this checkout) runs once,
 all in this one process, through ``cli.run_experiment`` with this
@@ -11,13 +11,21 @@ or method defined in ``src/carleman_lab`` (nested ones included, lambdas and
 comprehensions left out) whose code no run entered, as ``path:line
 qualified.name``, then counts them.
 
+``--check`` compares the report with ``tools/unreached_allowed.txt``, which
+lists each function that may stay unreached as ``path qualified.name #
+reason``, one line per definition.  It names every unreached function the
+list lacks and every listed one that is now reached or gone; the list is
+written for a run over all shipped configs.
+
 Exit status: 0 when every config ran (whatever the experiments' own exit
-statuses), 2 on a usage error.
+statuses) and, with ``--check``, the report matches the list; 1 when it
+does not; 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import inspect
 import io
@@ -30,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = ROOT / "src" / "carleman_lab"
+ALLOWED = Path(__file__).resolve().parent / "unreached_allowed.txt"
 
 
 def _defined_functions(path: Path) -> list[types.CodeType]:
@@ -86,10 +95,40 @@ def unreached(configs: list[Path]) -> tuple[list[int], list[str]]:
     return codes, lines
 
 
+def read_allowed(path: Path) -> tuple[list[str], list[str]]:
+    """(``path qualname`` of every entry, the lines that lack a reason)."""
+    entries, bad = [], []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        name, _, reason = line.partition(" # ")
+        if len(name.split()) != 2 or not reason.strip():
+            bad.append(line)
+        else:
+            entries.append(" ".join(name.split()))
+    return entries, bad
+
+
+def check(lines: list[str], allowed: list[str], bad: list[str]) -> list[str]:
+    """One message per mismatch between the report and the allow list."""
+    found = collections.Counter()
+    for line in lines:
+        where, name = line.split(" ", 1)
+        found[f"{where.rsplit(':', 1)[0]} {name}"] += 1
+    listed = collections.Counter(allowed)
+    return (
+        [f"no reason given: {line}" for line in bad]
+        + [f"unreached and not listed: {name}" for name in sorted(found - listed)]
+        + [f"listed but reached or gone: {name}" for name in sorted(listed - found)]
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("configs", nargs="*", type=Path,
                         help="JSON configs (default: configs/*.json)")
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare the report with {ALLOWED.name}")
     args = parser.parse_args(argv)
     configs = args.configs or sorted((ROOT / "configs").glob("*.json"))
     missing = [str(c) for c in configs if not c.is_file()]
@@ -102,7 +141,13 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     print(f"{len(lines)} functions unreached by {len(configs)} configs")
-    return 0
+    if not args.check:
+        return 0
+    problems = check(lines, *read_allowed(ALLOWED))
+    for problem in problems:
+        print(problem)
+    print(f"{ALLOWED.name}: {'ok' if not problems else f'{len(problems)} mismatches'}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ or plain backward Euler.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
+import glob
 import math
 import os
 import struct
@@ -21,30 +21,50 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import DegeneracyCoefficient, HypothesisReport, Regime
 
+# numpy's wheel ships its OpenBLAS here, and importing numpy has loaded it
+_NUMPY_LIBS = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs")
 
-def _load_flapack():
-    """scipy's f2py LAPACK wrapper module, loaded from its file.
 
-    ``import scipy.linalg`` would also load every decomposition and scipy's
-    array-API shim (which imports ``numpy.f2py``, ``numpy.testing`` and
-    ``numpy.ma``); the marches need only two routines of this one module.
+def _load_lapack(where: str = _NUMPY_LIBS) -> tuple:
+    """LAPACK's ``dgttrf`` and ``dgttrs`` from the OpenBLAS in ``where``.
+
+    By default that is the library numpy already runs on, so the marches add
+    no second BLAS to the process.  Its LAPACK is built with 64-bit integers
+    and exports the Fortran routines as ``scipy_<name>_64_``: every argument
+    goes by reference, the integers (pivots included) as int64.
     """
-    where = os.path.join(scipy.__path__[0], "linalg")
-    found = importlib.machinery.PathFinder.find_spec("_flapack", [where])
-    if found is None:
-        raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
-    module = importlib.util.module_from_spec(found)
-    found.loader.exec_module(module)
-    return module
+    found = sorted(glob.glob(os.path.join(where, "libscipy_openblas64_*.so")))
+    if not found:
+        raise ImportError(f"numpy's OpenBLAS libscipy_openblas64_*.so not found in {where}")
+    # a solve takes microseconds: keep the interpreter lock through the call
+    # rather than release and retake it around each one
+    lib = ctypes.PyDLL(found[0])
+    trf, trs = lib.scipy_dgttrf_64_, lib.scipy_dgttrs_64_
+    trf.restype = trs.restype = None
+    return trf, trs
 
 
-_flapack = _load_flapack()
-_dgttrf, _dgttrs = _flapack.dgttrf, _flapack.dgttrs
+_trf, _trs = _load_lapack()
+# solve with L itself, not its transpose; TRANS is declared one character
+# long, so the length Fortran may append for it is never read, nor passed
+_TRANS = ctypes.byref(ctypes.c_char(b"N"))
+
+
+def _int(value: int):
+    """A Fortran integer argument: a reference to an int64."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _ref(a: np.ndarray):
+    """A Fortran array argument: a reference to the memory of the C-contiguous
+    array a, whose buffer it holds.  Taken once and passed as is, it costs a
+    call no conversion."""
+    return ctypes.byref((ctypes.c_char * 0).from_buffer(a))
+
 
 __all__ = [
     "Mesh",
@@ -310,10 +330,6 @@ def omega_node_mask(mesh: Mesh, omega: tuple[float, float]) -> np.ndarray:
     return (mesh.nodes > a) & (mesh.nodes < b)
 
 
-# scipy's dgttrf/dgttrs wrappers reject systems of fewer unknowns
-_LAPACK_MIN_N = 3
-
-
 def _require_finite(state: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(state)):
         raise ValueError(f"non-finite march: {what} produced NaN or inf")
@@ -332,22 +348,20 @@ class _Stepper:
     ``dgttrf`` factors and ``dgttrs`` solves: both run the same elimination as
     the ``dgtsv`` behind ``solve_banded((1, 1), ...)``, and the step matrices
     are strictly diagonally dominant, so no pivot is taken and every solve is
-    bit-identical to factoring from scratch.  Systems below three unknowns are
-    padded with decoupled identity rows in L and R, which leaves the
-    eliminations of the real rows unchanged.
+    bit-identical to factoring from scratch.
 
     States are single ``(n,)`` vectors or sample-major ``(S, n)`` blocks.  A
-    march keeps its state in one flat buffer of ``S*p + 2`` doubles, with p
-    the unknowns plus padding: a zero, the p values of each sample in turn,
-    a zero.  The interior seen as ``(S, p)`` and transposed is the Fortran
-    ``(p, S)`` operand that ``dgttrs`` overwrites in place, eliminating each
-    column exactly as it would a lone vector.  R is one product of its
-    ``(3, p)`` stencil coefficients (zero wherever a window reaches into a
+    march keeps its state in one flat buffer of ``S*n + 2`` doubles: a zero,
+    the n values of each sample in turn, a zero.  The interior seen as
+    ``(S, n)`` and transposed is the Fortran ``(n, S)`` operand that
+    ``dgttrs`` overwrites in place, eliminating each column exactly as it
+    would a lone vector; a march binds the routine's arguments to it once per
+    distinct L, so a solve is one foreign call.  R is one product of its
+    ``(3, n)`` stencil coefficients (zero wherever a window reaches into a
     neighbouring sample or an end zero), broadcast over the samples, with the
-    length-3 windows of the buffer seen as ``(3, S, p)``, then two sums in
-    the order ``(Rd u + ro u+) + ro u-``.  So a
-    substep allocates nothing, and its floor is the latency-bound recurrence
-    of ``dgttrs`` itself, about two thirds of its time at n = 255.
+    length-3 windows of the buffer seen as ``(3, S, n)``, then two sums in
+    the order ``(Rd u + ro u+) + ro u-``.  So a substep allocates nothing,
+    and its floor is the latency-bound recurrence of ``dgttrs`` itself.
 
     A forcing is a ``(J, ...)`` block whose row j drives substep j; one that
     is constant in time is one row broadcast over J (``np.broadcast_to``),
@@ -370,10 +384,10 @@ class _Stepper:
         self.omega = omega_node_mask(spec.mesh, spec.omega)[idx]
         W = self.op.weights
         n = self.op.n_unknowns
-        self.width = max(n, _LAPACK_MIN_N)  # unknowns plus identity padding
         self.factor_of = []  # substep -> index of its distinct L
         self.tau_w = []  # tau * W, the weight of a substep's forcing
-        self._L = []  # substep -> factored L
+        self._factors = []  # distinct L -> references to its factors
+        self._L = []  # substep -> references to its factored L
         self._R = []  # substep -> stencil coefficients of R
         built: dict = {}  # key of L -> (factor index, factored L, tau*W, R coefficients)
         for t, tau_j, th in zip(t_sample, tau, implicit):
@@ -407,34 +421,43 @@ class _Stepper:
         self._tau_runs.append(J)
 
     def _factor(self, Ld: np.ndarray, Lo: np.ndarray) -> tuple:
-        pad = self.width - Ld.size
-        if pad:
-            Ld = np.concatenate((Ld, np.ones(pad)))
-            Lo = np.concatenate((Lo, np.zeros(pad)))
-        dl, d, du, du2, ipiv, info = _dgttrf(Lo, Ld, Lo)
-        if info != 0:
+        """Factor the tridiagonal L with ``dgttrf``, overwriting Ld and Lo;
+        references to its factors dl, d, du, du2 and the pivots."""
+        n = Ld.size
+        factors = tuple(map(_ref, (
+            Lo, Ld, Lo.copy(), np.empty(max(n - 2, 1)), np.empty(n, dtype=np.int64)
+        )))
+        info = ctypes.c_int64()
+        _trf(_int(n), *factors, ctypes.byref(info))
+        if info.value != 0:
             raise ValueError("singular step matrix: time step or potential pathological")
-        return dl, d, du, du2, ipiv
+        self._factors.append(factors)
+        return factors
+
+    def _solves(self, inner: np.ndarray, factors: list) -> list:
+        """``dgttrs`` arguments that solve with each of ``factors`` in place
+        on ``inner``, the ``(S, n)`` interior of a march buffer."""
+        S, n = inner.shape
+        head = (_TRANS, _int(n), _int(S))
+        tail = (_ref(inner), _int(n), ctypes.byref(ctypes.c_int64()))
+        return [head + f + tail for f in factors]
 
     def _stencil(self, Rd: np.ndarray, Ro: np.ndarray) -> np.ndarray:
-        """Coefficients of u[i-1], u[i], u[i+1] in (R u)[i], identity on the
-        padding, shaped ``(3, 1, p)`` to broadcast over a march's samples."""
+        """Coefficients of u[i-1], u[i], u[i+1] in (R u)[i], shaped
+        ``(3, 1, n)`` to broadcast over a march's samples."""
         n = Rd.size
-        coef = np.zeros((3, 1, self.width))
-        coef[0, 0, 1:n] = Ro
-        coef[1] = 1.0
-        coef[1, 0, :n] = Rd
-        coef[2, 0, : n - 1] = Ro
+        coef = np.zeros((3, 1, n))
+        coef[0, 0, 1:] = Ro
+        coef[1, 0] = Rd
+        coef[2, 0, :-1] = Ro
         return coef
 
     def _buffer(self, shape: tuple) -> tuple:
         """A zeroed march buffer for states of ``shape``: (the flat buffer, its
-        ``(S, p)`` interior, the view of the unknowns in ``shape``)."""
-        buf = np.zeros(math.prod(shape[:-1]) * self.width + 2)
-        inner = buf[1:-1].reshape(-1, self.width)
-        # a view for every shape used: (S, n) keeps the slice's shape and
-        # (n,) drops its unit axis
-        return buf, inner, inner[:, : shape[-1]].reshape(shape)
+        ``(S, n)`` interior, the interior in ``shape``)."""
+        buf = np.zeros(math.prod(shape) + 2)
+        inner = buf[1:-1].reshape(-1, shape[-1])
+        return buf, inner, inner.reshape(shape)
 
     def _apply_R(self, buf: np.ndarray, inner: np.ndarray):
         """In-place ``apply_R(j)``: the interior of buf becomes R_j times it."""
@@ -455,7 +478,8 @@ class _Stepper:
         """L_j^{-1} rhs for an (n,) vector or an (S, n) block."""
         _, inner, x = self._buffer(rhs.shape)
         x[...] = rhs
-        _dgttrs(*self._L[j], inner.T, "N", 1)
+        (args,) = self._solves(inner, [self._L[j]])
+        _trs(*args)
         return x
 
     def _forcing_rows(self, g: np.ndarray) -> list:
@@ -495,14 +519,15 @@ class _Stepper:
         buf, inner, state = self._buffer(u.shape)
         state[...] = u
         apply_R = self._apply_R(buf, inner)
-        b = inner.T
+        bound = self._solves(inner, self._factors)
+        solves = [bound[f] for f in self.factor_of]
         adds = None if load is None else self._forcing_rows(load)
         m = 1
         for j, closes in enumerate(self.closes):
             apply_R(j)
             if adds is not None and adds[j] is not None:
                 np.add(state, adds[j], out=state)
-            _dgttrs(*self._L[j], b, "N", 1)
+            _trs(*solves[j])
             if closed is not None and closes:
                 closed(m, state)
                 m += 1
@@ -530,10 +555,11 @@ class _Stepper:
         buf, inner, z = self._buffer(v.shape)
         np.multiply(W, v, out=z)
         apply_R = self._apply_R(buf, inner)
-        b = inner.T
+        bound = self._solves(inner, self._factors)
+        solves = [bound[f] for f in self.factor_of]
         m = self.spec.time_steps - 1
         for j in range(len(self.closes) - 1, -1, -1):
-            _dgttrs(*self._L[j], b, "N", 1)
+            _trs(*solves[j])
             if pairing is not None:
                 pairing[j] = z
             apply_R(j)

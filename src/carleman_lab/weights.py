@@ -308,16 +308,24 @@ class PsiFunction:
 
 def time_factor(ts, T: float):
     """(theta, theta', theta'') on the time grid ts, with theta = 1/[t(T-t)]^4;
-    exactly zero wherever t is not in (0, T)."""
+    exactly zero wherever t is not in (0, T).  A horizon T at which theta
+    underflows to zero or a factor overflows on the grid is a ValueError
+    naming T."""
     ts = np.asarray(ts, dtype=float)
     th, th1, th2 = np.zeros((3,) + ts.shape)
     inner = (ts > 0.0) & (ts < T)
     t = ts[inner]
-    g = t * (T - t)
-    gp = T - 2.0 * t
-    th[inner] = g**-4
-    th1[inner] = -4.0 * gp * g**-5
-    th2[inner] = 20.0 * gp * gp * g**-6 + 8.0 * g**-5
+    with np.errstate(all="ignore"):  # checked below
+        g = t * (T - t)
+        gp = T - 2.0 * t
+        th[inner] = g**-4
+        th1[inner] = -4.0 * gp * g**-5
+        th2[inner] = 20.0 * gp * gp * g**-6 + 8.0 * g**-5
+    if not (np.all(th[inner] > 0.0) and np.all(np.isfinite((th, th1, th2)))):
+        raise ValueError(
+            f"theta = [t(T-t)]**-4 and its first two time derivatives are not "
+            f"representable in double precision on the time grid at T={T:g}"
+        )
     return th, th1, th2
 
 

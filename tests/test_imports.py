@@ -1,12 +1,14 @@
-"""Import cost: a run loads only the scipy subpackages it computes with, and
-takes LAPACK's tridiagonal routines from scipy's wrapper module alone.  And
-every exported name resolves, so a deletion cannot leave a stale export."""
+"""Import cost: a run of a shipped config loads no scipy, and takes LAPACK's
+tridiagonal routines from the OpenBLAS numpy already runs on.  And every
+exported name resolves, so a deletion cannot leave a stale export."""
 
 import ast
+import ctypes
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,22 +44,13 @@ from pathlib import Path
 
 from carleman_lab import cli
 
-common = {
-    "coefficient": {"kind": "power", "params": {"gamma": 1.5}},
-    "mesh_n": 16, "time_steps": 16, "n_samples": 2, "seed": 3,
-}
-sweep = {**common, "experiment": "carleman_sweep", "T": 10.0, "omega": [0.02, 0.95],
-         "omega_prime": [0.05, 0.9], "lambda_grid": [2.0], "s_grid": [1, 2]}
-lemma = {**common, "experiment": "lemma_checks", "T": 2.0, "omega": [0.3, 0.7],
-         "omega_prime": [0.4, 0.6], "resolution": 32, "residual_threshold": 1.0}
-control = {**common, "experiment": "null_control", "T": 0.5, "omega": [0.3, 0.7],
-           "coefficient": {"kind": "power", "params": {"gamma": 0.5}}, "epsilon": 1e-4}
 codes = []
 with tempfile.TemporaryDirectory() as tmp:
-    for i, cfg in enumerate((sweep, lemma, control)):
-        assert cli.validate_config(cfg) == []
+    for i, path in enumerate(sys.argv[1:]):
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        assert cli.validate_config(cfg) == [], path
         codes.append(cli.run_experiment(cfg, Path(tmp) / str(i)))
-loaded = sorted(m for m in sys.modules if m.startswith(("scipy.", "numpy.")))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy"))
 
 from carleman_lab.coefficients import classify, make_table_coefficient
 
@@ -70,43 +63,40 @@ print(json.dumps({
     "interpolate": "scipy.interpolate" in sys.modules,
 }))
 """
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
-def _run(script, pythonpath):
+def _run(script, pythonpath, args=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(pythonpath + [env.get("PYTHONPATH", "")])
     env.pop("CARLEMAN_LAB_SEED", None)
     return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+        timeout=300,
     )
 
 
-def test_runs_leave_integrate_and_interpolate_unloaded():
-    proc = _run(SCRIPT, [SRC])
+def test_shipped_configs_leave_scipy_unloaded():
+    # no shipped config uses a tabulated coefficient, the one kind that needs scipy
+    assert len(CONFIGS) == 11
+    assert not any('"table"' in path.read_text(encoding="utf-8") for path in CONFIGS)
+    proc = _run(SCRIPT, [SRC], [str(path) for path in CONFIGS])
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0, 0, 0]
-    for name in (
-        "scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.optimize",
-        # the package scipy.linalg and what its import drags in
-        "scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing", "numpy.ma",
-    ):
+    assert report["codes"] == [0] * len(CONFIGS)
+    assert [m for m in report["loaded"] if m.split(".")[0] == "scipy"] == []
+    # nor what an import of scipy.linalg would drag in
+    for name in ("numpy.f2py", "numpy.testing", "numpy.ma"):
         assert name not in report["loaded"]
     # a tabulated coefficient still loads its interpolant on demand
     assert report["interpolate"]
     assert report["table"] == "SDC"
 
 
-def test_missing_lapack_module_fails_loudly(tmp_path):
-    # a scipy without linalg/_flapack: no fallback, an ImportError naming
-    # the directory searched
-    stub = tmp_path / "scipy"
-    (stub / "linalg").mkdir(parents=True)
-    (stub / "__init__.py").write_text("")
-    proc = _run("import carleman_lab", [str(tmp_path), SRC])
-    assert proc.returncode == 1
-    assert "ImportError" in proc.stderr
-    assert str(stub / "linalg") in proc.stderr
+def test_missing_lapack_library_fails_loudly(tmp_path):
+    # no fallback: an ImportError naming the directory searched
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        pde_solver._load_lapack(str(tmp_path))
 
 
 def _dominant_system(rng, n):
@@ -115,24 +105,41 @@ def _dominant_system(rng, n):
     return off_l, diag, off_u
 
 
-@pytest.mark.parametrize("n", [3, 17, 255])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 255])
 @pytest.mark.parametrize("nrhs", [None, 1, 7])
 def test_lapack_routines_match_scipy_linalg(n, nrhs):
     from scipy.linalg import lapack
 
     rng = np.random.default_rng(n * 10 + (nrhs or 0))
     system = _dominant_system(rng, n)
-    ours = pde_solver._dgttrf(*system)
-    ref = lapack.dgttrf(*system)
-    assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
-    shape = (n,) if nrhs is None else (n, nrhs)
-    b = rng.standard_normal(shape)
-    x, info = pde_solver._dgttrs(*ours[:5], b)
-    x_ref, info_ref = lapack.dgttrs(*ref[:5], b)
-    assert info == info_ref == 0
-    assert np.array_equal(x, x_ref)
-    # in place on a Fortran-ordered operand, as the marches call it
-    bf = np.asfortranarray(b.reshape(n, -1))
-    out, _ = pde_solver._dgttrs(*ours[:5], bf, "N", 1)
-    assert np.shares_memory(out, bf)
-    assert np.array_equal(bf, x_ref.reshape(n, -1))
+    # None is one (n,) vector, the operand of a single-sample march
+    b = rng.standard_normal((n,) if nrhs is None else (n, nrhs))
+    cols = b.reshape(n, -1)
+    # scipy's wrappers take three unknowns or more: below that the reference
+    # solves the system padded with decoupled identity rows
+    pad = max(0, 3 - n)
+    padded = [np.concatenate((a, np.full(pad, float(k == 1)))) for k, a in enumerate(system)]
+    ref = lapack.dgttrf(*padded)
+    assert ref[-1] == 0
+    x_ref, info = lapack.dgttrs(*ref[:5], np.concatenate((cols, np.zeros((pad, cols.shape[1])))))
+    assert info == 0
+
+    ours = [a.copy() for a in system] + [np.empty(max(n - 2, 1)), np.empty(n, dtype=np.int64)]
+    info = ctypes.c_int64(-1)
+    pde_solver._trf(pde_solver._int(n), *map(pde_solver._ref, ours), ctypes.byref(info))
+    assert info.value == 0
+    for got, want in zip(ours[:3], ref[:3]):
+        assert np.array_equal(got, want[: got.size])
+    assert np.array_equal(ours[3][: max(n - 2, 0)], ref[3][: max(n - 2, 0)])
+    assert np.array_equal(ours[4], ref[4][:n])  # 1-based pivots, none taken
+
+    # in place on a row-major (nrhs, n) block, whose memory is the Fortran
+    # (n, nrhs) operand, as the marches call it
+    x = np.ascontiguousarray(cols.T)
+    info.value = -1
+    pde_solver._trs(
+        pde_solver._TRANS, pde_solver._int(n), pde_solver._int(x.shape[0]),
+        *map(pde_solver._ref, ours + [x]), pde_solver._int(n), ctypes.byref(info),
+    )
+    assert info.value == 0
+    assert np.array_equal(x.T, x_ref[:n])

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from carleman_lab import pde_solver
 from carleman_lab.coefficients import DegeneracyCoefficient, classify, make_power_coefficient
@@ -775,14 +775,15 @@ def _constant_block(st, nodal):
 
 def _old_engine(spec):
     """Per substep: (substep, factored L, R diagonal, R off-diagonal, tau*W),
-    and the number of padding rows, as the allocating engine built them."""
+    and the number of padding rows, as the allocating engine built them
+    (scipy's LAPACK wrappers take three unknowns or more)."""
     op, steps = _reference_steps(spec)
     pad = max(0, 3 - op.n_unknowns)
     out = []
     for sub, Lb, Rd, Ro in steps:
         Ld = np.concatenate((Lb[1], np.ones(pad)))
         Lo = np.concatenate((Lb[0, 1:], np.zeros(pad)))
-        factors = pde_solver._dgttrf(Lo, Ld, Lo)[:5]
+        factors = lapack.dgttrf(Lo, Ld, Lo)[:5]
         out.append((sub, factors, Rd, Ro, sub.tau * op.weights))
     return out, pad
 
@@ -791,7 +792,7 @@ def _old_solve_L(factors, pad, rhs):
     b = rhs.T
     if pad:
         b = np.concatenate((b, np.zeros((pad,) + b.shape[1:])))
-    x, _ = pde_solver._dgttrs(*factors, b, overwrite_b=1)
+    x, _ = lapack.dgttrs(*factors, b, overwrite_b=1)
     return (x[: x.shape[0] - pad] if pad else x).T
 
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +229,17 @@ class TestTimeFactor:
     def test_singular_endpoints(self, t):
         for part in time_factor(np.array([t]), 1.0):
             assert part[0] == 0.0
+
+    @pytest.mark.parametrize("T", [1e300, 1e100, 1e-300])
+    def test_unrepresentable_horizon_is_named(self, T):
+        # at T = 1e300 t(T-t) overflows and theta'' is NaN, at 1e100 theta
+        # underflows to 0 with finite derivatives, at 1e-300 t(T-t)
+        # underflows and theta is infinite; each is an error naming T, with
+        # no warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"on the time grid at T={T:g}") + "$"):
+                time_factor(np.linspace(0.0, T, 33), T)
 
 
 class TestWeightEvaluation:

@@ -87,18 +87,15 @@ class CarlemanReport:
     degenerate: bool = False
 
 
-def _power(base: float, exponent: float, name: str, params: CarlemanParams) -> float:
-    """``base**exponent``, or a ValueError naming s, lambda and the power
-    ``name**exponent`` when it overflows double precision."""
+def _power(base: float, exponent: float, name: str, at: str) -> float:
+    """``base**exponent``, or a ValueError naming the power ``name**exponent``
+    and ``at``, the parameter values it overflows double precision at."""
     try:
         value = base**exponent
     except OverflowError:
         value = math.inf
     if value == math.inf:
-        raise ValueError(
-            f"{name}**{exponent:g} overflows double precision at "
-            f"s={params.s:g}, lambda={params.lam:g}"
-        )
+        raise ValueError(f"{name}**{exponent:g} overflows double precision at {at}")
     return value
 
 
@@ -124,6 +121,7 @@ def carleman_sides(
     if source is not None and np.shape(source) != traj.values.shape:
         raise ValueError("the source and the trajectory must share one grid")
     s, lam = params.s, params.lam
+    at = f"s={s:g}, lambda={lam:g}"
     sl = s * lam
     q = zero_order_exponent
     grid = (_abscissae(traj.mesh, traj.T, traj.values.shape[0] - 1, weights), weights, s)
@@ -132,7 +130,7 @@ def carleman_sides(
     local = _WeightedQuadrature(*grid, 3.0, "v_sq", omega)
     grad_sum, zero_sum, local_sum = _integrals(traj.values, (grad, zero, local))
     lhs_grad = sl * grad_sum
-    lhs_zero = _power(sl, q, "(s*lambda)", params) * zero_sum
+    lhs_zero = _power(sl, q, "(s*lambda)", at) * zero_sum
     if source is None:
         rhs_source = 0.0
     else:
@@ -140,7 +138,7 @@ def carleman_sides(
         rhs_source = _WeightedQuadrature(
             *grid, 0.0, "v_sq", time_constant=f.strides[0] == 0
         ).integral(f)
-    rhs_local = _power(sl, 3, "(s*lambda)", params) * local_sum
+    rhs_local = _power(sl, 3, "(s*lambda)", at) * local_sum
     denom = rhs_source + rhs_local
     degenerate = denom < DEGENERATE_DENOMINATOR
     return CarlemanReport(
@@ -352,7 +350,12 @@ def _time_envelope(T: float):
     orders to spare, so every integrand in the identity is twice continuously
     differentiable up to the endpoints and the trapezoid rule keeps its
     second-order accuracy."""
-    peak = (T * T / 4.0) ** 7
+    try:
+        peak = (T * T / 4.0) ** 7
+    except OverflowError:
+        raise ValueError(
+            f"the time envelope's peak (T*T/4)**7 overflows double precision at T={T:g}"
+        ) from None
 
     def q(t):
         g = t * (T - t)
@@ -505,18 +508,22 @@ def identity_residual(
             f"the identity check needs resolution >= 2 (an interior time level), got {resolution}"
         )
     s, lam = params.s, params.lam
-    s3 = _power(s, 3, "s", params)
-    lam3 = _power(lam, 3, "lambda", params)
+    at = f"s={s:g}, lambda={lam:g}"
+    s3 = _power(s, 3, "s", at)
+    lam3 = _power(lam, 3, "lambda", at)
     T = weights.T
     ts, xs, tw, xw = _grids(weights, resolution)
     # endpoint rows: the field's fifth-power envelope beats every blow-up, so
     # all weighted rows vanish in the limit, where theta is zero
     th, th1, th2 = time_factor(ts, T)
-    # the largest factors: eta**3, and (s*lam*theta*eta)**3 in the s**3 term,
-    # where eta peaks at exp(2*lam*sup psi) < c3
+    # the largest factors: theta**3, which only T sets, eta**3, and
+    # (s*lam*theta*eta)**3 in the s**3 term, where eta peaks at
+    # exp(2*lam*sup psi) < c3
+    th_sup = float(th.max())
+    _power(th_sup, 3, "theta", f"T={T:g}")
     eta_sup = math.exp(2.0 * lam * weights.psi_sup)
-    _power(eta_sup, 3, "eta", params)
-    _power(s * lam * float(th.max()) * eta_sup, 3, "(s*lambda*theta*eta)", params)
+    _power(eta_sup, 3, "eta", at)
+    _power(s * lam * th_sup * eta_sup, 3, "(s*lambda*theta*eta)", at)
 
     wv = np.asarray(field.w(ts[:, None], xs[None, :]), dtype=float)
     scale = float(np.max(np.abs(wv))) + 1e-300
@@ -684,13 +691,13 @@ def _observability_ratios(spec: ProblemSpec, vt_fields: np.ndarray) -> list:
     """Initial-time energy over the control-region space-time energy of the
     source-free backward solve from each terminal draw in the stack; NaN
     where the control-region energy is degenerate."""
-    rows, _ = _adjoint_march(spec, vt_fields)
-    vols = spec.mesh.volumes
+    st = _Stepper(spec)
+    rows, _ = _adjoint_march(spec, vt_fields, stepper=st)
+    nums = st.op.norms.l2_sq(rows[:, 0]).tolist()
     xw_omega = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
     tw = trapezoid_time_weights(spec.T, spec.time_steps)
     ratios = []
-    for r in rows:
-        num = float(np.sum(vols * r[0] * r[0]))
+    for num, r in zip(nums, rows):
         den = float(np.einsum("m,mi,i->", tw, r * r, xw_omega))
         ratios.append(num / den if den >= DEGENERATE_DENOMINATOR else float("nan"))
     return ratios

@@ -700,7 +700,7 @@ def _exp_convergence(cfg, seed, log, outdir):
         f = source(st.t_sample[:, None], st.xs_unknown[None, :])
         traj = solve_forward(spec, u0, source=f, stepper=st)
         diff = traj.values - exact(traj.times[:, None], mesh.nodes[None, :])
-        rowsums = np.sum(mesh.volumes * diff * diff, axis=-1)
+        rowsums = st.op.norms.l2_sq(diff)
         # added left to right, as a loop over the time rows would
         err_sq = np.cumsum(trapezoid_time_weights(T, M) * rowsums)[-1]
         return math.sqrt(err_sq)

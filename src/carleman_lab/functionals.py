@@ -1,5 +1,6 @@
-"""Weighted norms, space-time quadrature against the exponential weights, and
-Hardy-type ratio evaluation.
+"""Space-time quadrature against the exponential weights and Hardy-type
+ratio evaluation; the weighted norms, defined beside the mesh in
+``pde_solver``, are re-exported here.
 
 Space integrals clip trapezoid cells exactly at interval ends, so any
 partition of [0, 1] reproduces the full integral to rounding.  The integrand
@@ -9,7 +10,6 @@ node when it exists and otherwise loses the first cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .coefficients import DegeneracyCoefficient
-from .pde_solver import trapezoid_time_weights
+from .pde_solver import WeightedNorms, trapezoid_time_weights
 from .weights import CarlemanWeights, block_rows
 
 __all__ = [
@@ -30,50 +30,6 @@ __all__ = [
     "aux_hardy_p",
     "aux_hardy_b",
 ]
-
-
-class WeightedNorms:
-    """Discrete norms built on the degenerate coefficient.
-
-    The first-order norm squares the plain norm plus the face-weighted
-    gradient seminorm; the second-order norm adds the flux Laplacian.
-    """
-
-    def __init__(self, mesh, coef: DegeneracyCoefficient):
-        self.mesh = mesh
-        self.coef = coef
-        self.a_faces = np.asarray(coef.eval(mesh.faces), dtype=float)
-        self.volumes = mesh.volumes
-        self.spacings = mesh.spacings
-
-    def l2_sq(self, u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(np.sum(self.volumes * u * u))
-
-    def h1a_semi_sq(self, u: np.ndarray) -> float:
-        grad = np.diff(np.asarray(u, dtype=float)) / self.spacings
-        return float(np.sum(self.a_faces * grad * grad * self.spacings))
-
-    def flux_laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Interior values of (a u_x)_x along the last axis of u (one nodal
-        vector or a stack of them); boundary entries are zero-padded."""
-        u = np.asarray(u, dtype=float)
-        flux = self.a_faces * np.diff(u) / self.spacings
-        out = np.zeros_like(u)
-        out[..., 1:-1] = np.diff(flux) / self.volumes[1:-1]
-        return out
-
-    def norm(self, kind: str, u: np.ndarray) -> float:
-        if kind == "L2":
-            return math.sqrt(max(self.l2_sq(u), 0.0))
-        if kind == "H1a":
-            return math.sqrt(max(self.l2_sq(u) + self.h1a_semi_sq(u), 0.0))
-        if kind == "H2a":
-            lap = self.flux_laplacian(u)
-            return math.sqrt(
-                max(self.l2_sq(u) + self.h1a_semi_sq(u) + self.l2_sq(lap), 0.0)
-            )
-        raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def _clipped_node_quadrature(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -426,8 +382,8 @@ def hardy_ratios(
             raise ValueError(f"case {case.value} needs w(1) = 0")
 
     a_nodes = np.asarray(coef_or_aux.eval(nodes), dtype=float)
-    a_faces = np.asarray(coef_or_aux.eval(mesh.faces), dtype=float)
-    vols = mesh.volumes
+    norms = WeightedNorms(mesh, coef_or_aux)
+    vols = norms.volumes
     with np.errstate(all="ignore"):
         f = a_nodes / nodes**2 * ws * ws
     # degenerate node: limit when the boundary constraint kills it, else drop
@@ -437,8 +393,7 @@ def hardy_ratios(
         lhs = np.sum(vols * f, axis=-1)
     else:
         lhs = np.sum(vols[1:] * f[:, 1:], axis=-1)
-    grad = np.diff(ws, axis=-1) / mesh.spacings
-    rhs = np.sum(a_faces * grad * grad * mesh.spacings, axis=-1)
+    rhs = norms.h1a_semi_sq(ws)
 
     reports = []
     for lhs_i, rhs_i, scale_i in zip(lhs.tolist(), rhs.tolist(), scale.tolist()):

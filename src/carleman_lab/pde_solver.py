@@ -68,6 +68,7 @@ def _ref(a: np.ndarray):
 
 __all__ = [
     "Mesh",
+    "WeightedNorms",
     "LeftBoundary",
     "Scheme",
     "ProblemSpec",
@@ -124,6 +125,52 @@ class Mesh:
         w[-1] = 0.5 * h[-1]
         w[1:-1] = 0.5 * (h[:-1] + h[1:])
         return w
+
+
+class WeightedNorms:
+    """Discrete norms built on the degenerate coefficient.
+
+    The first-order norm squares the plain norm plus the face-weighted
+    gradient seminorm; the second-order norm adds the flux Laplacian.  The
+    squared forms reduce along the last axis, so a stack of nodal vectors
+    gets one value per row, each with the bits of that row alone.
+    """
+
+    def __init__(self, mesh, coef: DegeneracyCoefficient):
+        self.mesh = mesh
+        self.coef = coef
+        self.a_faces = np.asarray(coef.eval(mesh.faces), dtype=float)
+        self.volumes = mesh.volumes
+        self.spacings = mesh.spacings
+
+    def l2_sq(self, u: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        return np.sum(self.volumes * u * u, axis=-1)
+
+    def h1a_semi_sq(self, u: np.ndarray):
+        grad = np.diff(np.asarray(u, dtype=float), axis=-1) / self.spacings
+        return np.sum(self.a_faces * grad * grad * self.spacings, axis=-1)
+
+    def flux_laplacian(self, u: np.ndarray) -> np.ndarray:
+        """Interior values of (a u_x)_x along the last axis of u (one nodal
+        vector or a stack of them); boundary entries are zero-padded."""
+        u = np.asarray(u, dtype=float)
+        flux = self.a_faces * np.diff(u) / self.spacings
+        out = np.zeros_like(u)
+        out[..., 1:-1] = np.diff(flux) / self.volumes[1:-1]
+        return out
+
+    def norm(self, kind: str, u: np.ndarray) -> float:
+        if kind == "L2":
+            return math.sqrt(max(self.l2_sq(u), 0.0))
+        if kind == "H1a":
+            return math.sqrt(max(self.l2_sq(u) + self.h1a_semi_sq(u), 0.0))
+        if kind == "H2a":
+            lap = self.flux_laplacian(u)
+            return math.sqrt(
+                max(self.l2_sq(u) + self.h1a_semi_sq(u) + self.l2_sq(lap), 0.0)
+            )
+        raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def build_mesh(N: int, grading_exponent: float = 2.0) -> Mesh:
@@ -215,18 +262,17 @@ class DiffusionOperator:
     nodes, together with the node measure.
 
     The operator acting on nodal vectors is W^{-1} S, self-adjoint and
-    positive semidefinite in the measure-weighted inner product.
+    positive semidefinite in the measure-weighted inner product.  ``norms``
+    holds the nodal forms on the same face values of the coefficient.
     """
 
     def __init__(self, coef: DegeneracyCoefficient, mesh: Mesh, regime: LeftBoundary):
-        nodes = mesh.nodes
-        n_nodes = nodes.size
-        faces = mesh.faces
-        h = mesh.spacings
-        a_faces = np.asarray(coef.eval(faces), dtype=float)
+        n_nodes = mesh.nodes.size
+        self.norms = WeightedNorms(mesh, coef)
+        a_faces = self.norms.a_faces
         if np.any(a_faces <= 0.0) or not np.all(np.isfinite(a_faces)):
             raise ValueError("coefficient must be positive at every interior face")
-        cond = a_faces / h
+        cond = a_faces / self.norms.spacings
 
         zero_flux = regime is LeftBoundary.ZERO_FLUX
         start = 0 if zero_flux else 1
@@ -243,8 +289,7 @@ class DiffusionOperator:
         self.node_index = idx
         self.diag = diag
         self.off = off
-        self.weights = mesh.volumes[idx]
-        self.a_faces = a_faces
+        self.weights = self.norms.volumes[idx]
 
     @property
     def n_unknowns(self) -> int:
@@ -343,8 +388,10 @@ class _Stepper:
     controls and sources at ``t_sample[j]``, lasts ``tau[j]`` and ends a
     step when ``closes[j]``.  ``omega`` masks the control region's unknowns.
 
-    With c = None the key of L is (tau, th), so a schedule has at most two
-    factorizations; with a potential every substep has its own.  LAPACK
+    The key of L is (tau, th, the values of c at the substep, or None
+    without c), so substeps built from the same data share one
+    factorization, one R and one tau*W: at most two per schedule unless c
+    varies in time.  LAPACK
     ``dgttrf`` factors and ``dgttrs`` solves: both run the same elimination as
     the ``dgtsv`` behind ``solve_banded((1, 1), ...)``, and the step matrices
     are strictly diagonally dominant, so no pivot is taken and every solve is
@@ -391,16 +438,15 @@ class _Stepper:
         self._R = []  # substep -> stencil coefficients of R
         built: dict = {}  # key of L -> (factor index, factored L, tau*W, R coefficients)
         for t, tau_j, th in zip(t_sample, tau, implicit):
-            # with a potential every substep gets a fresh key, hence its own factor
-            key = (tau_j, th) if spec.c is None else len(built)
+            cvals = None
+            if spec.c is not None:
+                cvals = np.asarray(spec.c(t, self.xs_unknown), dtype=float) * np.ones(n)
+                if not np.all(np.isfinite(cvals)):
+                    raise ValueError(f"potential c is not finite at t = {t:.17g}")
+            # L and R are functions of these data alone
+            key = (tau_j, th, None if cvals is None else cvals.tobytes())
             if key not in built:
-                g_diag = self.op.diag
-                if spec.c is not None:
-                    cvals = np.asarray(spec.c(t, self.xs_unknown), dtype=float)
-                    cvals = cvals * np.ones(n)
-                    if not np.all(np.isfinite(cvals)):
-                        raise ValueError(f"potential c is not finite at t = {t:.17g}")
-                    g_diag = g_diag + W * cvals
+                g_diag = self.op.diag if cvals is None else self.op.diag + W * cvals
                 built[key] = (
                     len(built),
                     self._factor(W + th * tau_j * g_diag, th * tau_j * self.op.off),
@@ -703,14 +749,11 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
         load = g if g.ndim == 3 else np.broadcast_to(g, st.tau.shape + g.shape)
 
     W = op.weights
-    hsp = mesh.spacings
-    vols = mesh.volumes
-    faces_a = op.a_faces
+    norms = op.norms
     k = spec.dt
 
     def h1a_sq(full):
-        grad = np.diff(full, axis=-1) / hsp
-        return np.sum(vols * full * full, axis=-1) + np.sum(faces_a * grad * grad * hsp, axis=-1)
+        return norms.l2_sq(full) + norms.h1a_semi_sq(full)
 
     # the sup and both time integrals, one time row of every sample at a time
     tw = trapezoid_time_weights(spec.T, spec.time_steps)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestIdentityResidual:
         with pytest.raises(ValueError, match="resolution >= 2"):
             identity_residual(f, wts, params, 1)
         assert identity_residual(f, wts, params, 2) > 0.0
+
+    @pytest.mark.parametrize("T", [3e22, 1e40, 1e100])
+    def test_envelope_overflow_names_T(self, T):
+        msg = f"the time envelope's peak (T*T/4)**7 overflows double precision at T={T:g}"
+        with pytest.raises(ValueError, match="^" + re.escape(msg) + "$"):
+            standard_identity_fields(T, True)
+
+    @pytest.mark.parametrize("T", [1e-20, 1e-18])
+    def test_theta_cube_overflow_names_T_not_s_or_lambda(self, T):
+        # theta is representable on the grid, its cube is not, whatever s and lambda are
+        wts = build_weights(make_power_coefficient(1.0), 1.0, T, 0.4, 0.6)
+        f = standard_identity_fields(T, True)[0]
+        msg = f"theta**3 overflows double precision at T={T:g}"
+        with pytest.raises(ValueError, match="^" + re.escape(msg) + "$"):
+            identity_residual(f, wts, CarlemanParams(1.0, 1.0), 32)
 
 
 class TestTransform:

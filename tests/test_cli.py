@@ -709,6 +709,16 @@ class TestMain:
             "in double precision on the time grid at T=1e-300",
         ),
         (
+            {"experiment": "lemma_checks", "T": 1e40, "omega_prime": [0.4, 0.6],
+             "resolution": 32},
+            "the time envelope's peak (T*T/4)**7 overflows double precision at T=1e+40",
+        ),
+        (
+            {"experiment": "lemma_checks", "T": 1e-20, "omega_prime": [0.4, 0.6],
+             "resolution": 32},
+            "theta**3 overflows double precision at T=1e-20",
+        ),
+        (
             {"experiment": "energy", "T": 1e-300},
             "the time-derivative energy, a sum of k*|(u(t+k)-u(t))/k|**2, overflows double "
             "precision at T=1e-300, time_steps=16",
@@ -719,7 +729,8 @@ class TestMain:
         ),
     ], ids=["lemma_checks_lambda", "carleman_sweep_lambda", "carleman_sweep_s_inf",
             "tiny_horizon", "huge_horizon", "identity_eta_cube", "identity_s3_term",
-            "identity_huge_horizon", "identity_tiny_horizon", "energy_tiny_horizon", "observability_tiny_horizon"])
+            "identity_huge_horizon", "identity_tiny_horizon", "identity_envelope_overflow",
+            "identity_theta_cube", "energy_tiny_horizon", "observability_tiny_horizon"])
     def test_unrepresentable_parameter_is_named(self, tmp_path, cfg, line):
         # a legal but extreme lambda, s or T exits 1 with a message naming the
         # quantity that left double precision, and warns about nothing

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from carleman_lab import coefficients, functionals
+import carleman_lab
+from carleman_lab import coefficients, functionals, pde_solver
 from carleman_lab.coefficients import (
     DegeneracyCoefficient,
     make_power_coefficient,
@@ -58,6 +59,22 @@ class TestWeightedNorms:
         xs = mesh.nodes[1:-1]
         exact = np.pi * np.cos(np.pi * xs) - np.pi**2 * xs * np.sin(np.pi * xs)
         assert np.max(np.abs(lap[1:-1] - exact)) < 2e-2
+
+    @pytest.mark.parametrize("N", [2, 7, 64, 300])
+    def test_stack_rows_have_the_bits_of_one_row(self, N):
+        mesh = build_mesh(N, 2.0)
+        norms = WeightedNorms(mesh, make_power_coefficient(0.5))
+        stack = np.random.default_rng(N).standard_normal((5, mesh.nodes.size))
+        for form in (norms.l2_sq, norms.h1a_semi_sq):
+            got = form(stack)
+            assert got.shape == (5,)
+            assert got.tolist() == [float(form(row)) for row in stack]
+            # a strided stack, as a column of time rows is, sums the same
+            rows = np.stack([stack, stack], axis=1)[:, 0]
+            assert form(rows).tolist() == got.tolist()
+
+    def test_one_class_three_import_paths(self):
+        assert carleman_lab.WeightedNorms is WeightedNorms is pde_solver.WeightedNorms
 
     def test_unknown_kind_rejected(self):
         mesh = build_mesh(16, 1.0)

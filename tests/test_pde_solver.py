@@ -101,6 +101,20 @@ class TestAssembly:
         assert op.diag[0] == pytest.approx(face / h, rel=1e-12)
         assert op.off[0] == pytest.approx(-face / h, rel=1e-12)
 
+    @pytest.mark.parametrize("regime", [WEAK, STRONG])
+    def test_coefficient_evaluated_once_on_the_faces(self, regime):
+        base = make_power_coefficient(0.5)
+        calls = []
+        coef = DegeneracyCoefficient(
+            label="counted", eval=lambda x: calls.append(np.size(x)) or base.eval(x),
+            eval_deriv=base.eval_deriv,
+        )
+        mesh = build_mesh(16, 2.0)
+        op = assemble_diffusion(coef, mesh, regime)
+        assert calls == [mesh.faces.size]
+        assert np.array_equal(op.norms.a_faces, base.eval(mesh.faces))
+        assert np.array_equal(op.weights, mesh.volumes[op.node_index])
+
     def test_weak_regime_eliminates_origin(self):
         mesh = build_mesh(8, 1.0)
         op = assemble_diffusion(make_power_coefficient(0.5), mesh, WEAK)
@@ -857,12 +871,19 @@ def _spec_for(N, regime, scheme, c=None):
 
 
 POTENTIAL = lambda t, x: 0.3 + 0.2 * np.sin(2 * np.pi * x) * np.cos(t)  # noqa: E731
+# constant in time: the CLI's potential_const, and one that varies in space
+CONST_POTENTIAL = lambda t, x, v=0.5: v  # noqa: E731
+SPACE_POTENTIAL = lambda t, x: 0.3 + 0.2 * np.sin(2 * np.pi * x)  # noqa: E731
 
 IN_PLACE_CASES = [
     pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, None, id="cn"),
     pytest.param(24, WEAK, Scheme.BACKWARD_EULER, None, id="be"),
     pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, POTENTIAL, id="cn-potential"),
     pytest.param(24, WEAK, Scheme.BACKWARD_EULER, POTENTIAL, id="be-potential"),
+    pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, CONST_POTENTIAL, id="cn-const-potential"),
+    pytest.param(24, WEAK, Scheme.BACKWARD_EULER, CONST_POTENTIAL, id="be-const-potential"),
+    pytest.param(24, WEAK, Scheme.CRANK_NICOLSON, SPACE_POTENTIAL, id="cn-space-potential"),
+    pytest.param(24, STRONG, Scheme.BACKWARD_EULER, SPACE_POTENTIAL, id="be-space-potential"),
     pytest.param(2, WEAK, Scheme.CRANK_NICOLSON, None, id="n1"),
     pytest.param(2, STRONG, Scheme.CRANK_NICOLSON, POTENTIAL, id="n2-strong"),
     pytest.param(3, WEAK, Scheme.BACKWARD_EULER, None, id="n2-weak"),
@@ -957,13 +978,14 @@ class TestInPlaceEngine:
 
 
 class TestConstantSource:
-    @pytest.mark.parametrize("N,regime,scheme,c", IN_PLACE_CASES[:4])
+    @pytest.mark.parametrize("N,regime,scheme,c", IN_PLACE_CASES[:8])
     def test_deposited_once_per_distinct_L(self, N, regime, scheme, c, monkeypatch):
         spec = _spec_for(N, regime, scheme, c)
         st = pde_solver._Stepper(spec)
         J = st.tau.size
-        distinct = J if c is not None else {Scheme.CRANK_NICOLSON: 2, Scheme.BACKWARD_EULER: 1}[scheme]
-        assert len(set(st.factor_of)) == distinct
+        # a potential constant in time shares the step matrices as none does
+        distinct = J if c is POTENTIAL else {Scheme.CRANK_NICOLSON: 2, Scheme.BACKWARD_EULER: 1}[scheme]
+        assert len(set(st.factor_of)) == len(st._factors) == distinct
         solved = []
         solve_L = st.solve_L
         monkeypatch.setattr(st, "solve_L", lambda j, rhs: solved.append(j) or solve_L(j, rhs))
@@ -980,7 +1002,10 @@ class TestConstantSource:
 
 
 class TestScheduleTable:
-    @pytest.mark.parametrize("c", [None, POTENTIAL], ids=["plain", "potential"])
+    @pytest.mark.parametrize(
+        "c", [None, POTENTIAL, CONST_POTENTIAL, SPACE_POTENTIAL],
+        ids=["plain", "potential", "const-potential", "space-potential"],
+    )
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 97])
     @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
     def test_columns_match_substep_objects(self, scheme, M, c):
@@ -990,9 +1015,18 @@ class TestScheduleTable:
         assert st.t_sample.tolist() == [sub.t_sample for sub in subs]
         assert st.tau.tolist() == [sub.tau for sub in subs]
         assert list(st.closes) == [sub.closes for sub in subs]
-        keys = [(sub.tau, sub.implicit) for sub in subs] if c is None else list(range(len(subs)))
+        # one step matrix per (tau, th, values of c at the sample time)
+        xs = st.xs_unknown
+        keys = [
+            (sub.tau, sub.implicit,
+             None if c is None else tuple(np.broadcast_to(c(sub.t_sample, xs), xs.shape)))
+            for sub in subs
+        ]
         distinct = list(dict.fromkeys(keys))
         assert st.factor_of == [distinct.index(key) for key in keys]
+        assert len(st._factors) == len(distinct)
+        if c is POTENTIAL:
+            assert len(distinct) == len(subs)
         assert len(st._L) == len(st._R) == len(st.tau_w) == len(subs)
         for tw, sub in zip(st.tau_w, subs):
             assert np.array_equal(tw, sub.tau * st.op.weights)

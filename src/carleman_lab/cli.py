@@ -68,19 +68,69 @@ MAX_GRID_ENTRIES = 50_000_000
 # Upper bound of sum |c_n| for the initial state sum c_n sin(n pi x), so the
 # squares in its norms and in the CG inner products stay finite.
 MAX_AMPLITUDE = 1e100
+# The default of a field that a config must give.
+REQUIRED = "required"
 
-# The value of each optional field that a config leaves out, one name per
-# default, read by validate_config's checks and by the runners alike.
-DEFAULT_T = 1.0
-DEFAULT_MESH_N = 128
-DEFAULT_HARDY_MESH_N = 512
-DEFAULT_TIME_STEPS = 128
-DEFAULT_OMEGA = (0.3, 0.7)
-DEFAULT_SCHEME = "crank_nicolson"
-DEFAULT_SPATIAL_N = (32, 64, 128)
-DEFAULT_SPATIAL_TIME_STEPS = 512
-DEFAULT_TEMPORAL_M = (8, 16, 32)
-DEFAULT_TEMPORAL_MESH_N = 512
+
+class Field(NamedTuple):
+    kind: str  # number, integer, flag, text, choice, interval, grid, sizes, modes or coefficient
+    readers: tuple  # the experiments whose runners read the field
+    default: object = None  # REQUIRED, a value, or None where the runner derives one
+    lo: float | None = None  # least value (number, integer) or entry (sizes)
+    hi: float | None = None  # greatest value or entry
+    strict_lo: bool = False  # the least value itself is out of bounds
+    choices: tuple = ()  # the values a choice may take
+
+
+# the experiments that march a ProblemSpec built by _build_problem
+MARCHING = ("energy", "carleman_sweep", "lemma_checks", "observability", "null_control")
+_SAMPLING = ("hardy", "energy", "carleman_sweep", "lemma_checks", "observability")
+_ALL = ("classify", "hardy", *MARCHING, "convergence")
+
+# The config schema, in the order validate_config reports bad fields.  A
+# runner reads an optional field through _value, which falls back on the
+# experiment's own default (Experiment.defaults) and then on the one here.
+FIELDS = {
+    "experiment": Field("choice", _ALL, REQUIRED, choices=_ALL),
+    "coefficient": Field("coefficient", ("classify", "hardy", *MARCHING), REQUIRED),
+    "T": Field("number", (*MARCHING, "convergence"), 1.0, 0, strict_lo=True),
+    "mesh_n": Field("integer", ("hardy", *MARCHING), 128, 8, MAX_SIZE),
+    "mesh_grading": Field("number", ("hardy", *MARCHING), 2.0, 1.0, 4.0),
+    "time_steps": Field("integer", MARCHING, 128, 1, MAX_SIZE),
+    "n_samples": Field("integer", _SAMPLING, None, 1, MAX_SIZE),
+    "seed": Field("integer", _ALL, 0, 0, MAX_SEED),
+    "epsilon": Field("number", ("null_control",), 1e-6, 0, strict_lo=True),
+    "s": Field("number", ("lemma_checks",), 1.0, 0, strict_lo=True),
+    "lambda": Field("number", ("lemma_checks",), 1.0, 0, strict_lo=True),
+    "zero_order_exponent": Field("number", ("carleman_sweep",), 5.0 / 3.0, 0, strict_lo=True),
+    # the coarse half of the identity check needs an interior time level
+    "resolution": Field("integer", ("lemma_checks",), 256, 4, MAX_SIZE),
+    "cg_max_iter": Field("integer", ("null_control",), 500, 1, MAX_SIZE),
+    "cg_tol": Field("number", ("null_control",), 1e-8, 0, strict_lo=True),
+    "grid_size": Field("integer", ("classify",), 2048, 64, MAX_SIZE),
+    "spatial_time_steps": Field("integer", ("convergence",), 512, 1, MAX_SIZE),
+    "temporal_mesh_n": Field("integer", ("convergence",), 512, 8, MAX_SIZE),
+    "terminal_threshold_rel": Field("number", ("null_control",), 1e-2, 0, strict_lo=True),
+    "residual_threshold": Field("number", ("lemma_checks",), 1e-3, 0, strict_lo=True),
+    "zero_neighborhood": Field("number", ("classify",), 0.01, 0, 0.5, strict_lo=True),
+    "potential_const": Field("number", MARCHING, 0.0),
+    "min_spatial_order": Field("number", ("convergence",), 1.0),
+    "min_temporal_order": Field("number", ("convergence",), 1.8),
+    "s_relative": Field("flag", ("carleman_sweep",), True),
+    "output_dir": Field("text", _ALL, "out"),
+    "u0_modes": Field("modes", ("null_control",), (1.0,)),
+    "spatial_n": Field("sizes", ("convergence",), (32, 64, 128), 8, MAX_SIZE),
+    "temporal_m": Field("sizes", ("convergence",), (8, 16, 32), 1, MAX_SIZE),
+    "omega": Field("interval", (*MARCHING, "convergence"), (0.3, 0.7)),
+    # None: the middle half of omega (default_omega_prime)
+    "omega_prime": Field("interval", ("carleman_sweep", "lemma_checks")),
+    "lambda_grid": Field("grid", ("carleman_sweep",), REQUIRED),
+    "s_grid": Field("grid", ("carleman_sweep",), REQUIRED),
+    "boundary": Field("choice", MARCHING, "auto", choices=("auto", "dirichlet_zero", "zero_flux")),
+    "scheme": Field(
+        "choice", MARCHING, "crank_nicolson", choices=("crank_nicolson", "backward_euler")
+    ),
+}
 
 
 def _fmt(v) -> str:
@@ -133,193 +183,148 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _field_errors(name: str, f: Field, v) -> list[str]:
+    """The messages on one given value, checked by its field's kind and bounds;
+    a value that passes every check of its kind falls through to []."""
+    if f.kind in ("number", "integer"):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            return [f"{name}: must be a number, got {v!r}"]
+        if isinstance(v, float) and not math.isfinite(v):
+            return [f"{name}: must be a finite number, got {v}"]
+        # runners truncate with int(), so 16.7 would run as 16 under the hash of 16.7
+        if f.kind == "integer" and v != int(v):
+            return [f"{name}: must be an integer, got {v}"]
+        if f.lo is not None and (v <= f.lo if f.strict_lo else v < f.lo):
+            return [f"{name}: must be {'>' if f.strict_lo else '>='} {f.lo}, got {v}"]
+        if f.hi is not None and v > f.hi:
+            return [f"{name}: must be <= {f.hi}, got {v}"]
+    if f.kind == "flag" and not isinstance(v, bool):
+        return [f"{name}: must be true or false, got {v!r}"]
+    if f.kind == "text" and not isinstance(v, str):
+        return [f"{name}: must be a string, got {v!r}"]
+    if f.kind == "choice" and v not in f.choices:
+        return [f"{name}: must be {', '.join(f.choices[:-1])} or {f.choices[-1]}, got {v!r}"]
+    if f.kind == "interval" and not (
+        isinstance(v, (list, tuple)) and len(v) == 2
+        and all(isinstance(e, (int, float)) for e in v) and 0.0 < v[0] < v[1] < 1.0
+    ):
+        return [f"{name}: must be [a, b] with 0 < a < b < 1, got {v!r}"]
+    if f.kind == "grid":
+        if not isinstance(v, (list, tuple)) or not v:
+            return [f"{name}: must be a nonempty list"]
+        if not all(isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0 for e in v):
+            return [f"{name}: entries must be positive numbers"]
+        if any(isinstance(e, float) and not math.isfinite(e) for e in v):
+            return [f"{name}: entries must be finite numbers, got {v}"]
+    if f.kind == "sizes":
+        if not isinstance(v, list) or len(v) < 2:
+            return [f"{name}: must be a list of at least two sizes, got {v!r}"]
+        entry = f._replace(kind="integer")  # bounds each size
+        errors = [e for i, n in enumerate(v) for e in _field_errors(f"{name}[{i}]", entry, n)]
+        if not errors and any(int(a) >= int(b) for a, b in zip(v, v[1:])):
+            errors.append(f"{name}: sizes must increase, got {v}")
+        return errors
+    if f.kind == "modes":
+        if not isinstance(v, list) or not v or len(v) > MAX_SIZE:
+            return [f"{name}: must be a list of 1 to {MAX_SIZE} numbers, got {v!r}"]
+        entry = Field("number", ())  # any finite number
+        errors = [e for i, c in enumerate(v) for e in _field_errors(f"{name}[{i}]", entry, c)]
+        if errors:
+            return errors
+        amplitude = sum(abs(c) for c in v)
+        if amplitude == 0.0:
+            return [f"{name}: needs a nonzero coefficient (u0 = 0 has no relative terminal norm)"]
+        if amplitude > MAX_AMPLITUDE:
+            return [f"{name}: the sum of absolute coefficients must be <= {MAX_AMPLITUDE:g}, "
+                    f"got {amplitude:g}"]
+    if f.kind == "coefficient":
+        if not isinstance(v, dict) or "kind" not in v:
+            return [f"{name}: must be an object with a 'kind' field"]
+        try:
+            coefficient_from_descriptor(v)
+        except (KeyError, ValueError, TypeError) as exc:
+            return [f"{name}: {exc}"]
+    return []
+
+
 def validate_config(cfg: dict) -> list[str]:
-    """Field-level validation; returns a list of error messages."""
-    errors = []
+    """Field-level validation; returns a list of error messages: one per key
+    the experiment's runner does not read, one per bad field in the order of
+    FIELDS, then one per broken rule joining several fields."""
+    if not isinstance(cfg, dict):
+        return [f"config: must be a JSON object, got {type(cfg).__name__}"]
     exp = cfg.get("experiment")
     if exp is None:
-        errors.append("experiment: missing (one of %s)" % ", ".join(EXPERIMENTS))
-        return errors
-    if exp not in EXPERIMENTS:
-        errors.append(f"experiment: unknown value {exp!r}")
-        return errors
+        return ["experiment: missing (one of %s)" % ", ".join(EXPERIMENTS)]
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
+        return [f"experiment: unknown value {exp!r}"]
 
-    if exp != "convergence":
-        coef = cfg.get("coefficient")
-        if coef is None:
-            errors.append("coefficient: missing descriptor")
-        elif not isinstance(coef, dict) or "kind" not in coef:
-            errors.append("coefficient: must be an object with a 'kind' field")
+    fields = [name for name, f in FIELDS.items() if exp in f.readers]
+    errors = []
+    unread = [name for name in cfg if name not in fields]
+    if unread:
+        import difflib  # on the error path only, which alone pays its import
+    for name in unread:
+        close = difflib.get_close_matches(name, fields, n=1)
+        hint = f" (did you mean {close[0]}?)" if close else ""
+        errors.append(f"{name}: not a field of {exp}{hint}")
+    # the keys that are not fields of exp or not valid, which no joint rule reads
+    bad = set(unread)
+    for name in fields:
+        if name in cfg:
+            field_errors = _field_errors(name, FIELDS[name], cfg[name])
+        elif FIELDS[name].default is REQUIRED:
+            field_errors = [f"{name}: required for {exp}"]
         else:
-            try:
-                coefficient_from_descriptor(coef)
-            except (KeyError, ValueError, TypeError) as exc:
-                errors.append(f"coefficient: {exc}")
+            continue
+        if field_errors:
+            bad.add(name)
+            errors += field_errors
 
-    def check_value(label, v, lo=None, hi=None, strict_lo=False, integer=False) -> bool:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            errors.append(f"{label}: must be a number, got {v!r}")
-            return False
-        if isinstance(v, float) and not math.isfinite(v):
-            errors.append(f"{label}: must be a finite number, got {v}")
-            return False
-        # runners truncate with int(), so 16.7 would run as 16 under the hash of 16.7
-        if integer and v != int(v):
-            errors.append(f"{label}: must be an integer, got {v}")
-            return False
-        if lo is not None and (v <= lo if strict_lo else v < lo):
-            errors.append(f"{label}: must be {'>' if strict_lo else '>='} {lo}, got {v}")
-            return False
-        if hi is not None and v > hi:
-            errors.append(f"{label}: must be <= {hi}, got {v}")
-            return False
-        return True
+    def ok(*names) -> bool:
+        return bad.isdisjoint(names)
 
-    def check_number(name, lo=None, hi=None, strict_lo=False, integer=False):
-        if name in cfg:
-            check_value(name, cfg[name], lo, hi, strict_lo, integer)
+    def size(name) -> int:
+        """A size field's value, or the largest of a list of sizes."""
+        v = _value(cfg, name)
+        return max(map(int, v)) if isinstance(v, (list, tuple)) else int(v)
 
-    check_number("T", 0, strict_lo=True)
-    check_number("mesh_n", 8, MAX_SIZE, integer=True)
-    check_number("mesh_grading", 1.0, 4.0)
-    check_number("time_steps", 1, MAX_SIZE, integer=True)
-    check_number("n_samples", 1, MAX_SIZE, integer=True)
-    check_number("seed", 0, MAX_SEED, integer=True)
-    check_number("epsilon", 0, strict_lo=True)
-    check_number("s", 0, strict_lo=True)
-    check_number("lambda", 0, strict_lo=True)
-    check_number("zero_order_exponent", 0, strict_lo=True)
-    # the coarse half of the identity check needs an interior time level
-    check_number("resolution", 4, MAX_SIZE, integer=True)
-    check_number("cg_max_iter", 1, MAX_SIZE, integer=True)
-    check_number("cg_tol", 0, strict_lo=True)
-    check_number("grid_size", 64, MAX_SIZE, integer=True)
-    check_number("spatial_time_steps", 1, MAX_SIZE, integer=True)
-    check_number("temporal_mesh_n", 8, MAX_SIZE, integer=True)
-    check_number("terminal_threshold_rel", 0, strict_lo=True)
-    check_number("residual_threshold", 0, strict_lo=True)
-    check_number("zero_neighborhood", 0, 0.5, strict_lo=True)
-    check_number("potential_const")
-    check_number("min_spatial_order")
-    check_number("min_temporal_order")
-    if "s_relative" in cfg and not isinstance(cfg["s_relative"], bool):
-        errors.append(f"s_relative: must be true or false, got {cfg['s_relative']!r}")
-    if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
-        errors.append(f"output_dir: must be a string, got {cfg['output_dir']!r}")
-    if "u0_modes" in cfg:
-        v = cfg["u0_modes"]
-        if not isinstance(v, list) or not v or len(v) > MAX_SIZE:
-            errors.append(f"u0_modes: must be a list of 1 to {MAX_SIZE} numbers, got {v!r}")
-        elif all([check_value(f"u0_modes[{i}]", e) for i, e in enumerate(v)]):
-            amplitude = sum(abs(e) for e in v)
-            if amplitude == 0.0:
-                errors.append(
-                    "u0_modes: needs a nonzero coefficient (u0 = 0 has no relative terminal norm)"
-                )
-            elif amplitude > MAX_AMPLITUDE:
-                errors.append(
-                    f"u0_modes: the sum of absolute coefficients must be <= {MAX_AMPLITUDE:g}, "
-                    f"got {amplitude:g}"
-                )
-    for name, lo in (("spatial_n", 8), ("temporal_m", 1)):
-        if name in cfg:
-            v = cfg[name]
-            if not isinstance(v, list) or len(v) < 2:
-                errors.append(f"{name}: must be a list of at least two sizes, got {v!r}")
-            elif all([check_value(f"{name}[{i}]", e, lo, MAX_SIZE, integer=True)
-                      for i, e in enumerate(v)]):
-                if any(int(a) >= int(b) for a, b in zip(v, v[1:])):
-                    errors.append(f"{name}: sizes must increase, got {v}")
+    def cap(names: tuple, formula: str, entries: Callable) -> None:
+        # entries() reads the named fields, so it runs once they are all valid
+        if ok(*names) and (n := entries()) > MAX_GRID_ENTRIES:
+            errors.append(f"{', '.join(names)}: {formula} must be <= {MAX_GRID_ENTRIES}, got {n}")
 
-    for name in ("omega", "omega_prime"):
-        if name in cfg:
-            v = cfg[name]
-            ok = (
-                isinstance(v, (list, tuple))
-                and len(v) == 2
-                and all(isinstance(e, (int, float)) for e in v)
-                and 0.0 < v[0] < v[1] < 1.0
-            )
-            if not ok:
-                errors.append(f"{name}: must be [a, b] with 0 < a < b < 1, got {v!r}")
-    if "omega_prime" in cfg and not errors:
+    if "omega_prime" in cfg and ok("omega", "omega_prime"):
         # checked against the omega the runners use, given or default
-        o, op = cfg.get("omega", DEFAULT_OMEGA), cfg["omega_prime"]
+        o, op = _value(cfg, "omega"), cfg["omega_prime"]
         if not (o[0] < op[0] < op[1] < o[1]):
             errors.append(f"omega_prime: must be compactly contained in omega {list(o)}")
-    mesh_fields_ok = not any(e.startswith(("mesh_n:", "mesh_grading:", "omega:")) for e in errors)
-    if EXPERIMENTS[exp].builds_spec and mesh_fields_ok:
-        mesh, omega = _mesh_and_omega(cfg)
-        if not omega_node_mask(mesh, omega).any():
-            errors.append(
-                f"omega: {list(omega)} holds no mesh node "
-                f"(mesh_n={mesh.n_cells}, mesh_grading={mesh.grading_exponent:g})"
-            )
-
-    def check_entries(fields: str, formula: str, entries: int) -> None:
-        if entries > MAX_GRID_ENTRIES:
-            errors.append(f"{fields}: {formula} must be <= {MAX_GRID_ENTRIES}, got {entries}")
-
-    def sizes_ok(*names) -> bool:
-        return not any(e.startswith(names) for e in errors)
-
-    if EXPERIMENTS[exp].builds_spec and sizes_ok("mesh_n:", "time_steps:", "n_samples:"):
-        mesh_n = int(cfg.get("mesh_n", DEFAULT_MESH_N))
-        time_steps = int(cfg.get("time_steps", DEFAULT_TIME_STEPS))
-        check_entries(
-            "mesh_n, time_steps, n_samples",
-            "(mesh_n+1)*(time_steps+1)*max(1, n_samples)",
-            (mesh_n + 1) * (time_steps + 1) * max(1, _n_samples(cfg)),
-        )
-    if exp == "hardy" and sizes_ok("mesh_n:", "n_samples:"):
-        check_entries(
-            "mesh_n, n_samples",
-            "(mesh_n+1)*n_samples",
-            (int(cfg.get("mesh_n", DEFAULT_HARDY_MESH_N)) + 1) * _n_samples(cfg),
-        )
+    if exp in MARCHING:
+        if ok("mesh_n", "mesh_grading", "omega"):
+            mesh, omega = _mesh(cfg), tuple(_value(cfg, "omega"))
+            if not omega_node_mask(mesh, omega).any():
+                errors.append(
+                    f"omega: {list(omega)} holds no mesh node "
+                    f"(mesh_n={mesh.n_cells}, mesh_grading={mesh.grading_exponent:g})"
+                )
+        cap(("mesh_n", "time_steps", "n_samples"), "(mesh_n+1)*(time_steps+1)*max(1, n_samples)",
+            lambda: (size("mesh_n") + 1) * (size("time_steps") + 1)
+            * max(1, size("n_samples") if "n_samples" in fields else 0))
+    if exp == "hardy":
+        cap(("mesh_n", "n_samples"), "(mesh_n+1)*n_samples",
+            lambda: (size("mesh_n") + 1) * size("n_samples"))
     if exp == "convergence":
-        if sizes_ok("spatial_n", "spatial_time_steps:"):
-            check_entries(
-                "spatial_n, spatial_time_steps",
-                "(max(spatial_n)+1)*(spatial_time_steps+1)",
-                (max(int(n) for n in cfg.get("spatial_n", DEFAULT_SPATIAL_N)) + 1)
-                * (int(cfg.get("spatial_time_steps", DEFAULT_SPATIAL_TIME_STEPS)) + 1),
-            )
-        if sizes_ok("temporal_m", "temporal_mesh_n:"):
-            check_entries(
-                "temporal_mesh_n, temporal_m",
-                "(temporal_mesh_n+1)*(max(temporal_m)+1)",
-                (int(cfg.get("temporal_mesh_n", DEFAULT_TEMPORAL_MESH_N)) + 1)
-                * (max(int(m) for m in cfg.get("temporal_m", DEFAULT_TEMPORAL_M)) + 1),
-            )
-
-    for name in ("lambda_grid", "s_grid"):
-        if name in cfg:
-            v = cfg[name]
-            if not isinstance(v, (list, tuple)) or not v:
-                errors.append(f"{name}: must be a nonempty list")
-            elif not all(isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0
-                         for e in v):
-                errors.append(f"{name}: entries must be positive numbers")
-            elif any(isinstance(e, float) and not math.isfinite(e) for e in v):
-                errors.append(f"{name}: entries must be finite numbers, got {v}")
-    if exp == "carleman_sweep":
-        if "lambda_grid" not in cfg:
-            errors.append("lambda_grid: required for carleman_sweep")
-        if "s_grid" not in cfg:
-            errors.append("s_grid: required for carleman_sweep")
-
-    if "boundary" in cfg and cfg["boundary"] not in ("auto", "dirichlet_zero", "zero_flux"):
-        errors.append(f"boundary: must be auto, dirichlet_zero or zero_flux, got {cfg['boundary']!r}")
-    if "scheme" in cfg and cfg["scheme"] not in ("crank_nicolson", "backward_euler"):
-        errors.append(f"scheme: must be crank_nicolson or backward_euler, got {cfg['scheme']!r}")
-    if EXPERIMENTS[exp].builds_spec and sizes_ok("potential_const", "T:", "time_steps:", "scheme"):
+        cap(("spatial_n", "spatial_time_steps"), "(max(spatial_n)+1)*(spatial_time_steps+1)",
+            lambda: (size("spatial_n") + 1) * (size("spatial_time_steps") + 1))
+        cap(("temporal_mesh_n", "temporal_m"), "(temporal_mesh_n+1)*(max(temporal_m)+1)",
+            lambda: (size("temporal_mesh_n") + 1) * (size("temporal_m") + 1))
+    if exp in MARCHING and ok("potential_const", "T", "time_steps", "scheme"):
         # a step matrix W + th*tau*(S + W*c) has a positive, strictly dominant
         # diagonal iff 1 + th*tau*c > 0; th*tau is dt/2 (Crank-Nicolson) or dt
-        scheme = cfg.get("scheme", DEFAULT_SCHEME)
+        scheme = _value(cfg, "scheme")
         bound = -1 if scheme == "backward_euler" else -2
-        least = bound * int(cfg.get("time_steps", DEFAULT_TIME_STEPS)) / cfg.get("T", DEFAULT_T)
-        if cfg.get("potential_const", 0) <= least:
+        least = bound * size("time_steps") / _value(cfg, "T")
+        if _value(cfg, "potential_const") <= least:
             errors.append(
                 f"potential_const: potential_const*T/time_steps must be > {bound} for {scheme} "
                 f"(step matrices keep a positive, strictly dominant diagonal), "
@@ -348,41 +353,35 @@ def _env_seed():
     return seed
 
 
-def _effective_seed(cfg: dict) -> int:
-    env = _env_seed()
-    return env if env is not None else int(cfg.get("seed", 0))
+def _value(cfg: dict, name: str):
+    """A field of the config, or its default: the experiment's own, else the schema's."""
+    if name in cfg:
+        return cfg[name]
+    return EXPERIMENTS[cfg["experiment"]].defaults.get(name, FIELDS[name].default)
 
 
-def _n_samples(cfg: dict) -> int:
-    """The configured sample count, or the experiment's default."""
-    return int(cfg.get("n_samples", EXPERIMENTS[cfg["experiment"]].n_samples))
-
-
-def _mesh_and_omega(cfg: dict):
-    mesh = build_mesh(int(cfg.get("mesh_n", DEFAULT_MESH_N)), float(cfg.get("mesh_grading", 2.0)))
-    return mesh, tuple(cfg.get("omega", DEFAULT_OMEGA))
+def _mesh(cfg: dict):
+    return build_mesh(int(_value(cfg, "mesh_n")), float(_value(cfg, "mesh_grading")))
 
 
 def _build_problem(cfg: dict) -> ProblemSpec:
     """The problem of a config, its coefficient certified by ``classify``."""
     coef = coefficient_from_descriptor(cfg["coefficient"])
     report = classify(coef)
-    mesh, omega = _mesh_and_omega(cfg)
-    boundary = cfg.get("boundary", "auto")
+    boundary = _value(cfg, "boundary")
     # an explicit boundary is kept as given, so the spec skips its band check
     auto = boundary == "auto"
-    scheme = Scheme(cfg.get("scheme", DEFAULT_SCHEME))
-    c_const = cfg.get("potential_const")
-    c = None if c_const in (None, 0) else (lambda t, x, v=float(c_const): v)
+    c_const = _value(cfg, "potential_const")
+    c = None if c_const == 0 else (lambda t, x, v=float(c_const): v)
     return ProblemSpec(
-        T=float(cfg.get("T", DEFAULT_T)),
+        T=float(_value(cfg, "T")),
         coef=coef,
         regime=boundary_regime_for(report) if auto else LeftBoundary(boundary),
-        mesh=mesh,
-        time_steps=int(cfg.get("time_steps", DEFAULT_TIME_STEPS)),
-        omega=omega,
+        mesh=_mesh(cfg),
+        time_steps=int(_value(cfg, "time_steps")),
+        omega=tuple(_value(cfg, "omega")),
         c=c,
-        scheme=scheme,
+        scheme=Scheme(_value(cfg, "scheme")),
         hypothesis=report if auto else None,
     )
 
@@ -396,8 +395,8 @@ def _exp_classify(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(
         coef,
-        grid_size=int(cfg.get("grid_size", 2048)),
-        zero_neighborhood=float(cfg.get("zero_neighborhood", 0.01)),
+        grid_size=int(_value(cfg, "grid_size")),
+        zero_neighborhood=float(_value(cfg, "zero_neighborhood")),
     )
     log(f"classified {coef.label}: regime={rep.regime.value} K_est={rep.K_est:.12g}")
     rows = [
@@ -436,8 +435,8 @@ def _exp_classify(cfg, seed, log, outdir):
 def _exp_hardy(cfg, seed, log, outdir):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
-    mesh, _ = _mesh_and_omega({"mesh_n": DEFAULT_HARDY_MESH_N, **cfg})
-    n_samples = _n_samples(cfg)
+    mesh = _mesh(cfg)
+    n_samples = int(_value(cfg, "n_samples"))
     case = HardyCase.CASE_A if rep.regime is Regime.WDC else HardyCase.CASE_B
     draws = sample_fields(seed, STREAM_TERMINAL, n_samples, mesh.nodes)
     reports = hardy_ratios(coef, mesh, draws, case)
@@ -475,7 +474,7 @@ def _exp_hardy(cfg, seed, log, outdir):
 
 def _exp_energy(cfg, seed, log, outdir):
     spec = _build_problem(cfg)
-    n_samples = _n_samples(cfg)
+    n_samples = int(_value(cfg, "n_samples"))
     u0s = sample_fields(seed, STREAM_INITIAL, n_samples, spec.mesh.nodes)
     hs = sample_fields(seed, STREAM_CONTROL, n_samples, spec.mesh.nodes)
     ratios = energy_reports(spec, u0s, hs).tolist()
@@ -489,16 +488,16 @@ def _exp_energy(cfg, seed, log, outdir):
 
 def _exp_carleman_sweep(cfg, seed, log, outdir):
     spec = _build_problem(cfg)
-    omega_prime = tuple(cfg["omega_prime"]) if "omega_prime" in cfg else None
+    omega_prime = _value(cfg, "omega_prime")
     res = carleman_sweep(
         spec,
-        n_samples=_n_samples(cfg),
+        n_samples=int(_value(cfg, "n_samples")),
         s_grid=list(cfg["s_grid"]),
         lambda_grid=list(cfg["lambda_grid"]),
         seed=seed,
-        omega_prime=omega_prime,
-        s_relative=bool(cfg.get("s_relative", True)),
-        zero_order_exponent=float(cfg.get("zero_order_exponent", 5.0 / 3.0)),
+        omega_prime=None if omega_prime is None else tuple(omega_prime),
+        s_relative=bool(_value(cfg, "s_relative")),
+        zero_order_exponent=float(_value(cfg, "zero_order_exponent")),
     )
     header = ["sample", "s", "lambda", "lhs_grad", "lhs_zero", "rhs_source", "rhs_local", "ratio"]
     log(
@@ -535,12 +534,12 @@ def _exp_carleman_sweep(cfg, seed, log, outdir):
 def _exp_lemma_checks(cfg, seed, log, outdir):
     spec = _build_problem(cfg)
     omega_prime = tuple(cfg.get("omega_prime", default_omega_prime(spec.omega)))
-    lam = float(cfg.get("lambda", 1.0))
-    s = float(cfg.get("s", 1.0))
+    lam = float(_value(cfg, "lambda"))
+    s = float(_value(cfg, "s"))
     wts = build_weights(spec.coef, lam, spec.T, omega_prime[0], omega_prime[1])
     params = CarlemanParams(s, lam)
-    resolution = int(cfg.get("resolution", 256))
-    threshold = float(cfg.get("residual_threshold", 1e-3))
+    resolution = int(_value(cfg, "resolution"))
+    threshold = float(_value(cfg, "residual_threshold"))
     dirichlet = spec.regime is LeftBoundary.DIRICHLET_ZERO
     fields = standard_identity_fields(spec.T, dirichlet)
     rows = []
@@ -561,7 +560,7 @@ def _exp_lemma_checks(cfg, seed, log, outdir):
         )
         log(f"identity residual [{f.name}]: {fine:.3e} (coarse {coarse:.3e})")
 
-    n_samples = _n_samples(cfg)
+    n_samples = int(_value(cfg, "n_samples"))
     vts = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     trajs, _ = _adjoint_march(spec, vts)
     sign_rows = []
@@ -592,7 +591,7 @@ def _exp_lemma_checks(cfg, seed, log, outdir):
 
 def _exp_observability(cfg, seed, log, outdir):
     spec = _build_problem(cfg)
-    n_samples = _n_samples(cfg)
+    n_samples = int(_value(cfg, "n_samples"))
     obs = observability_ratio(spec, n_samples=n_samples, seed=seed)
     # scale invariance probe: doubling the sample leaves the ratio unchanged
     vt = sample_fields(seed, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
@@ -615,24 +614,24 @@ def _exp_observability(cfg, seed, log, outdir):
 
 def _exp_null_control(cfg, seed, log, outdir):
     spec = _build_problem(cfg)
-    modes = cfg.get("u0_modes", [1.0])
+    modes = _value(cfg, "u0_modes")
     xs = spec.mesh.nodes
     u0 = np.zeros_like(xs)
     for n, c in enumerate(modes, start=1):
         u0 += c * np.sin(n * np.pi * xs)
-    epsilon = float(cfg.get("epsilon", 1e-6))
+    epsilon = float(_value(cfg, "epsilon"))
     result = synthesize_null_control(
         spec,
         u0,
         epsilon,
-        cg_tol=float(cfg.get("cg_tol", 1e-8)),
-        cg_max_iter=int(cfg.get("cg_max_iter", 500)),
+        cg_tol=float(_value(cfg, "cg_tol")),
+        cg_max_iter=int(_value(cfg, "cg_max_iter")),
     )
     norms = WeightedNorms(spec.mesh, spec.coef)
     u0_norm = norms.norm("L2", u0)
     # u0 = 0 on the mesh leaves the relative norm undefined, which fails the check
     rel = result.terminal_norm / u0_norm if u0_norm > 0 else float("nan")
-    threshold = float(cfg.get("terminal_threshold_rel", 1e-2))
+    threshold = float(_value(cfg, "terminal_threshold_rel"))
     log(
         f"null control: terminal={result.terminal_norm:.6g} rel={rel:.6g} "
         f"iters={result.cg_iterations} converged={result.converged}"
@@ -667,8 +666,8 @@ def _exp_null_control(cfg, seed, log, outdir):
 def _exp_convergence(cfg, seed, log, outdir):
     # manufactured problem on a = x with value-pinned boundaries
     coef = make_power_coefficient(1.0)
-    T = float(cfg.get("T", DEFAULT_T))
-    omega = tuple(cfg.get("omega", DEFAULT_OMEGA))
+    T = float(_value(cfg, "T"))
+    omega = tuple(_value(cfg, "omega"))
 
     pi = np.pi
 
@@ -705,16 +704,16 @@ def _exp_convergence(cfg, seed, log, outdir):
         err_sq = np.cumsum(trapezoid_time_weights(T, M) * rowsums)[-1]
         return math.sqrt(err_sq)
 
-    spatial_n = [int(n) for n in cfg.get("spatial_n", DEFAULT_SPATIAL_N)]
-    m_fixed = int(cfg.get("spatial_time_steps", DEFAULT_SPATIAL_TIME_STEPS))
+    spatial_n = [int(n) for n in _value(cfg, "spatial_n")]
+    m_fixed = int(_value(cfg, "spatial_time_steps"))
     sp_errors = [run(n, m_fixed) for n in spatial_n]
     sp_orders = [
         math.log(sp_errors[i] / sp_errors[i + 1]) / math.log(spatial_n[i + 1] / spatial_n[i])
         for i in range(len(sp_errors) - 1)
     ]
 
-    temporal_m = [int(m) for m in cfg.get("temporal_m", DEFAULT_TEMPORAL_M)]
-    n_fixed = int(cfg.get("temporal_mesh_n", DEFAULT_TEMPORAL_MESH_N))
+    temporal_m = [int(m) for m in _value(cfg, "temporal_m")]
+    n_fixed = int(_value(cfg, "temporal_mesh_n"))
     tm_errors = [run(n_fixed, m) for m in temporal_m]
     tm_orders = [
         math.log(tm_errors[i] / tm_errors[i + 1]) / math.log(temporal_m[i + 1] / temporal_m[i])
@@ -731,8 +730,8 @@ def _exp_convergence(cfg, seed, log, outdir):
     ]
     tables = {"convergence.csv": (["study", "size", "error"], rows)}
     results = {"spatial_orders": sp_orders, "temporal_orders": tm_orders}
-    min_spatial = float(cfg.get("min_spatial_order", 1.0))
-    min_temporal = float(cfg.get("min_temporal_order", 1.8))
+    min_spatial = float(_value(cfg, "min_spatial_order"))
+    min_temporal = float(_value(cfg, "min_temporal_order"))
     invariants = [
         (
             f"observed spatial order >= {min_spatial}",
@@ -751,31 +750,29 @@ def _exp_convergence(cfg, seed, log, outdir):
 class Experiment(NamedTuple):
     run: Callable  # (cfg, seed, log, outdir) -> (tables, results, invariants)
     anchor: str  # behavioral description recorded in each summary
-    builds_spec: bool  # marches a ProblemSpec built by _build_problem
-    n_samples: int = 0  # default sample count; 0 when no samples are drawn
+    defaults: dict  # the experiment's own defaults, over those of FIELDS
 
 
 EXPERIMENTS = {
     "classify": Experiment(
-        _exp_classify, "degeneracy-band certification of the diffusion coefficient", False
+        _exp_classify, "degeneracy-band certification of the diffusion coefficient", {}
     ),
-    "hardy": Experiment(_exp_hardy, "weighted Hardy-type ratio estimation", False, 50),
-    "energy": Experiment(_exp_energy, "trajectory-energy to data-energy ratio", True, 20),
+    "hardy": Experiment(
+        _exp_hardy, "weighted Hardy-type ratio estimation", {"mesh_n": 512, "n_samples": 50}
+    ),
+    "energy": Experiment(_exp_energy, "trajectory-energy to data-energy ratio", {"n_samples": 20}),
     "carleman_sweep": Experiment(
-        _exp_carleman_sweep, "weighted observability-type inequality sweep", True, 10
+        _exp_carleman_sweep, "weighted observability-type inequality sweep", {"n_samples": 10}
     ),
     "lemma_checks": Experiment(
-        _exp_lemma_checks, "conjugated-operator identity and boundary-sign checks", True, 10
+        _exp_lemma_checks, "conjugated-operator identity and boundary-sign checks",
+        {"n_samples": 10},
     ),
     "observability": Experiment(
-        _exp_observability, "empirical observability constant", True, 20
+        _exp_observability, "empirical observability constant", {"n_samples": 20}
     ),
-    "null_control": Experiment(
-        _exp_null_control, "penalized dual null-control synthesis", True
-    ),
-    "convergence": Experiment(
-        _exp_convergence, "manufactured-solution convergence orders", False
-    ),
+    "null_control": Experiment(_exp_null_control, "penalized dual null-control synthesis", {}),
+    "convergence": Experiment(_exp_convergence, "manufactured-solution convergence orders", {}),
 }
 
 
@@ -784,10 +781,11 @@ EXPERIMENTS = {
 
 def run_experiment(cfg: dict, outdir: Path) -> int:
     try:
-        seed = _effective_seed(cfg)
+        env_seed = _env_seed()
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    seed = int(_value(cfg, "seed")) if env_seed is None else env_seed
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -869,7 +867,7 @@ def main(argv=None) -> int:
         print("config ok")
         return 0
 
-    outdir = Path(args.out) if args.out else Path(cfg.get("output_dir", "out"))
+    outdir = Path(args.out) if args.out else Path(_value(cfg, "output_dir"))
     return run_experiment(cfg, outdir)
 
 

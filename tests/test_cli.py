@@ -46,6 +46,17 @@ def base_classify_config(out):
     }
 
 
+def base_config(exp, **fields):
+    """A config of experiment exp with the fields it requires, then the given
+    ones: each experiment's config holds only fields its runner reads."""
+    cfg = {"experiment": exp}
+    if exp != "convergence":
+        cfg["coefficient"] = {"kind": "power", "params": {"gamma": 0.5}}
+    if exp == "carleman_sweep":
+        cfg.update(lambda_grid=[2.0], s_grid=[1.0])
+    return {**cfg, **fields}
+
+
 def _default_edge_cases():
     """(base config, field, the runner's default, then a setting of another
     field that keeps the check passing and one that fails it) for every
@@ -56,32 +67,34 @@ def _default_edge_cases():
     energy = {"experiment": "energy", "n_samples": 1, **coef}
     hardy = {"experiment": "hardy", **coef}
     conv = {"experiment": "convergence"}
-    n = cli.DEFAULT_MESH_N + 1
-    m = cli.DEFAULT_TIME_STEPS + 1
-    hn = cli.DEFAULT_HARDY_MESH_N + 1
-    sn = max(cli.DEFAULT_SPATIAL_N) + 1
-    sm = cli.DEFAULT_SPATIAL_TIME_STEPS + 1
-    tn = cli.DEFAULT_TEMPORAL_MESH_N + 1
+
+    def default(base, name):
+        return cli._value({"experiment": base["experiment"]}, name)
+
+    n = default(energy, "mesh_n") + 1
+    m = default(energy, "time_steps") + 1
+    hn = default(hardy, "mesh_n") + 1
+    sn = max(default(conv, "spatial_n")) + 1
+    sm = default(conv, "spatial_time_steps") + 1
+    tn = default(conv, "temporal_mesh_n") + 1
     # Crank-Nicolson needs potential_const > -2*time_steps/T
-    least = -2 * cli.DEFAULT_TIME_STEPS / cli.DEFAULT_T
-    return [
-        (energy, "mesh_n", cli.DEFAULT_MESH_N,
-         {"time_steps": cap // n - 1}, {"time_steps": cap // n}),
-        (energy, "time_steps", cli.DEFAULT_TIME_STEPS,
-         {"mesh_n": cap // m - 1}, {"mesh_n": cap // m}),
-        (energy, "T", cli.DEFAULT_T,
-         {"potential_const": least + 1}, {"potential_const": least}),
-        (energy, "scheme", cli.DEFAULT_SCHEME,
-         {"potential_const": least + 1}, {"potential_const": least}),
-        (hardy, "mesh_n", cli.DEFAULT_HARDY_MESH_N,
-         {"n_samples": cap // hn}, {"n_samples": cap // hn + 1}),
-        (conv, "spatial_n", list(cli.DEFAULT_SPATIAL_N),
+    least = -2 * default(energy, "time_steps") / default(energy, "T")
+    cases = [
+        (energy, "mesh_n", {"time_steps": cap // n - 1}, {"time_steps": cap // n}),
+        (energy, "time_steps", {"mesh_n": cap // m - 1}, {"mesh_n": cap // m}),
+        (energy, "T", {"potential_const": least + 1}, {"potential_const": least}),
+        (energy, "scheme", {"potential_const": least + 1}, {"potential_const": least}),
+        (hardy, "mesh_n", {"n_samples": cap // hn}, {"n_samples": cap // hn + 1}),
+        (conv, "spatial_n",
          {"spatial_time_steps": cap // sn - 1}, {"spatial_time_steps": cap // sn}),
-        (conv, "spatial_time_steps", cli.DEFAULT_SPATIAL_TIME_STEPS,
+        (conv, "spatial_time_steps",
          {"spatial_n": [8, cap // sm - 1]}, {"spatial_n": [8, cap // sm]}),
-        (conv, "temporal_mesh_n", cli.DEFAULT_TEMPORAL_MESH_N,
+        (conv, "temporal_mesh_n",
          {"temporal_m": [8, cap // tn - 1]}, {"temporal_m": [8, cap // tn]}),
     ]
+    # a list default as the config would give it
+    return [(base, name, json.loads(json.dumps(default(base, name))), fits, exceeds)
+            for base, name, fits, exceeds in cases]
 
 
 class TestValidation:
@@ -174,14 +187,7 @@ class TestValidation:
     )
     def test_omega_without_mesh_node(self, exp):
         # (i/8)^2 jumps from 0.766 to 1 across omega
-        cfg = {
-            "experiment": exp,
-            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
-            "mesh_n": 8,
-            "omega": [0.98, 0.99],
-            "lambda_grid": [2.0],
-            "s_grid": [1.0],
-        }
+        cfg = base_config(exp, mesh_n=8, omega=[0.98, 0.99])
         assert validate_config(cfg) == [
             "omega: [0.98, 0.99] holds no mesh node (mesh_n=8, mesh_grading=2)"
         ]
@@ -224,14 +230,8 @@ class TestValidation:
     )
     def test_non_finite_number_exit_2(self, tmp_path, capsys, field, value, message):
         # JSON Infinity/NaN parse to floats; each must be a field-level error
-        cfg = {
-            "experiment": "null_control" if field == "epsilon" else "carleman_sweep",
-            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
-            "lambda_grid": [2.0],
-            "s_grid": [1.0],
-            "output_dir": str(tmp_path / "out"),
-            field: value,
-        }
+        exp = "null_control" if field == "epsilon" else "carleman_sweep"
+        cfg = base_config(exp, output_dir=str(tmp_path / "out"), **{field: value})
         path = write_config(tmp_path, cfg)
         for command in ("validate", "run"):
             assert main([command, path]) == 2
@@ -301,14 +301,7 @@ class TestValidation:
         ],
     )
     def test_field_error_exit_2(self, tmp_path, capsys, exp, field, value, message):
-        cfg = {
-            "experiment": exp,
-            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
-            "lambda_grid": [2.0],
-            "s_grid": [1.0],
-            "output_dir": str(tmp_path / "out"),
-            field: value,
-        }
+        cfg = base_config(exp, **{"output_dir": str(tmp_path / "out"), field: value})
         path = write_config(tmp_path, cfg)
         for command in ("validate", "run"):
             assert main([command, path]) == 2
@@ -334,12 +327,7 @@ class TestValidation:
     )
     def test_non_integral_size_exits_2(self, tmp_path, capsys, exp, field, value, message):
         # the runners truncate with int(), while the config hash keeps the float
-        cfg = {
-            "experiment": exp,
-            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
-            "output_dir": str(tmp_path / "out"),
-            field: value,
-        }
+        cfg = base_config(exp, output_dir=str(tmp_path / "out"), **{field: value})
         path = write_config(tmp_path, cfg)
         for command in ("validate", "run"):
             assert main([command, path]) == 2
@@ -368,10 +356,14 @@ class TestValidation:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["seed"] == 2**64 - 1
 
-    def test_size_fields_accept_the_cap(self):
-        cfg = base_classify_config("out")
-        cfg.update(grid_size=1_000_000, cg_max_iter=1_000_000, spatial_n=[8, 1_000_000])
-        assert validate_config(cfg) == []
+    @pytest.mark.parametrize("exp, sizes", [
+        ("classify", {"grid_size": 1_000_000}),
+        ("null_control", {"cg_max_iter": 1_000_000}),
+        # 1000001 * 49 entries, within the cap
+        ("convergence", {"spatial_n": [8, 1_000_000], "spatial_time_steps": 48}),
+    ], ids=["grid_size", "cg_max_iter", "spatial_n"])
+    def test_size_fields_accept_the_cap(self, exp, sizes):
+        assert validate_config(base_config(exp, **sizes)) == []
 
     @pytest.mark.parametrize(
         "exp, sizes, entries",
@@ -383,14 +375,7 @@ class TestValidation:
         ],
     )
     def test_grid_entries_cap_exit_2(self, tmp_path, capsys, exp, sizes, entries):
-        cfg = {
-            "experiment": exp,
-            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
-            "lambda_grid": [2.0],
-            "s_grid": [1.0],
-            "output_dir": str(tmp_path / "out"),
-            **sizes,
-        }
+        cfg = base_config(exp, output_dir=str(tmp_path / "out"), **sizes)
         message = (
             "config error: mesh_n, time_steps, n_samples: "
             f"(mesh_n+1)*(time_steps+1)*max(1, n_samples) must be <= 50000000, got {entries}"
@@ -424,11 +409,7 @@ class TestValidation:
         ],
     )
     def test_hardy_and_convergence_entries_cap_exit_2(self, tmp_path, capsys, cfg, message):
-        cfg = {
-            "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
-            "output_dir": str(tmp_path / "out"),
-            **cfg,
-        }
+        cfg = base_config(cfg.pop("experiment"), output_dir=str(tmp_path / "out"), **cfg)
         path = write_config(tmp_path, cfg)
         for command in ("validate", "run"):
             assert main([command, path]) == 2
@@ -523,6 +504,118 @@ class TestValidation:
             for tiny in (False, True):
                 for cfg in workloads.configs(name, 0, tiny):
                     assert validate_config(cfg) == [], (name, tiny, cfg["experiment"])
+
+    @pytest.mark.parametrize("cfg, message", [
+        ([], "config: must be a JSON object, got list"),
+        ("x", "config: must be a JSON object, got str"),
+        ({"experiment": ["a"]}, "experiment: unknown value ['a']"),
+        ({"experiment": {"a": 1}}, "experiment: unknown value {'a': 1}"),
+    ], ids=["list", "string", "experiment_list", "experiment_object"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, monkeypatch, cfg, message):
+        # run would write to the default output_dir "out" under the cwd
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("time_step", 4, "time_step: not a field of null_control (did you mean time_steps?)"),
+        ("lamda", 3, "lamda: not a field of null_control"),
+        ("epsilon_grid", [1e-4],
+         "epsilon_grid: not a field of null_control (did you mean epsilon?)"),
+    ])
+    def test_key_no_runner_reads_exits_2(self, tmp_path, capsys, key, value, message):
+        path = CONFIGS[0].parent / "null_control.json"
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        cfg.update({"output_dir": str(tmp_path / "out"), key: value})
+        path = write_config(tmp_path, cfg)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_omega_prime_containment_is_reported_beside_other_errors(self):
+        cfg = base_config("carleman_sweep", mesh_n="x", omega=[0.3, 0.7], omega_prime=[0.1, 0.2])
+        assert validate_config(cfg) == [
+            "mesh_n: must be a number, got 'x'",
+            "omega_prime: must be compactly contained in omega [0.3, 0.7]",
+        ]
+        # an invalid omega holds nothing, so only its own line is given
+        assert validate_config({**cfg, "omega": [0.7, 0.3]}) == [
+            "mesh_n: must be a number, got 'x'",
+            "omega: must be [a, b] with 0 < a < b < 1, got [0.7, 0.3]",
+        ]
+
+
+class RecordingConfig(dict):
+    """A config that records the name of every field looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# the sizes of a shipped config's fields in a quick run
+TINY_SIZES = {
+    "mesh_n": 16, "time_steps": 16, "n_samples": 2, "resolution": 32, "s_grid": [1],
+    "lambda_grid": [2.0], "spatial_n": [16, 32], "temporal_m": [8, 16],
+    "spatial_time_steps": 64, "temporal_mesh_n": 64,
+}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_runner_reads_exactly_its_schema_fields(tmp_path, monkeypatch, path):
+    # a field listed for an experiment whose runner ignores it, or a field a
+    # runner reads but the schema does not give it, fails here
+    monkeypatch.delenv("CARLEMAN_LAB_SEED", raising=False)
+    shipped = json.loads(path.read_text(encoding="utf-8"))
+    cfg = RecordingConfig({k: TINY_SIZES.get(k, v) for k, v in shipped.items()})
+    assert run_experiment(cfg, tmp_path) in (0, 1)
+    exp = cfg["experiment"]
+    # main reads output_dir when no --out is given
+    assert cfg.read | {"output_dir"} == {n for n, f in cli.FIELDS.items() if exp in f.readers}
+
+
+def _readme_schema_rows():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration schema\n", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in block.splitlines() if line.startswith("| `")]
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_readme_schema_matches_the_table():
+    names, defaults, readers = [], {}, {}
+    for field, default, read_by, _ in _readme_schema_rows():
+        name = field.strip("`")
+        names.append(name)
+        defaults[name] = default
+        readers[name] = set()
+        for token in read_by.split(", "):
+            groups = {"all": set(EXPERIMENTS), "marching": set(cli.MARCHING)}
+            readers[name] |= groups.get(token, {token.strip("`")})
+    assert names == list(cli.FIELDS)
+    for name, field in cli.FIELDS.items():
+        parts = [] if field.default is None else [
+            "required" if field.default is cli.REQUIRED else f"`{json.dumps(field.default)}`"
+        ]
+        parts += [f"`{exp}`: `{json.dumps(e.defaults[name])}`"
+                  for exp, e in EXPERIMENTS.items() if name in e.defaults]
+        assert defaults[name] == ("; ".join(parts) or "—"), name
+        assert readers[name] == set(field.readers), name
 
 
 class TestMain:

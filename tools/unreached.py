@@ -3,9 +3,10 @@
     python tools/unreached.py [--check] [CONFIG ...]
 
 Each config (default: every ``configs/*.json`` of this checkout) runs once,
-all in this one process, through ``cli.run_experiment`` with this
-checkout's ``src`` first on the import path, ``CARLEMAN_LAB_SEED`` unset
-and its outputs in a temporary directory.  ``sys.settrace`` records the code
+all in this one process, as a user runs it: through ``cli.main(["run",
+CONFIG, "--out", DIR])``, which validates the config before running it, with
+this checkout's ``src`` first on the import path, ``CARLEMAN_LAB_SEED``
+unset and DIR in a temporary directory.  ``sys.settrace`` records the code
 object of every call while the configs run.  The report names each function
 or method defined in ``src/carleman_lab`` (nested ones included, lambdas and
 comprehensions left out) whose code no run entered, as ``path:line
@@ -29,7 +30,6 @@ import collections
 import contextlib
 import inspect
 import io
-import json
 import os
 import sys
 import tempfile
@@ -81,8 +81,7 @@ def unreached(configs: list[Path]) -> tuple[list[int], list[str]]:
 
             with contextlib.redirect_stdout(io.StringIO()):
                 for i, config in enumerate(configs):
-                    cfg = json.loads(config.read_text(encoding="utf-8"))
-                    codes.append(cli.run_experiment(cfg, Path(tmp) / str(i)))
+                    codes.append(cli.main(["run", str(config), "--out", str(Path(tmp) / str(i))]))
         finally:
             sys.settrace(None)
 

@@ -685,6 +685,8 @@ class ObservabilityReport:
     constant: float
     ratios: list
     excluded_count: int
+    # |r(v) - r(2v)| / |r(v)| for the first draw v: the ratio has degree 0
+    scale_invariance_error: float
 
 
 def _observability_ratios(spec: ProblemSpec, vt_fields: np.ndarray) -> list:
@@ -708,9 +710,13 @@ def observability_ratio(
 ) -> ObservabilityReport:
     """Empirical observability constant: the largest ratio of the initial-time
     energy to the control-region energy over seeded source-free backward
-    solves, all marched as one batch."""
+    solves, all marched as one batch together with twice the first draw,
+    whose ratio should equal the first draw's."""
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
-    all_ratios = _observability_ratios(spec, vt_fields)
+    # each row of a stack marches with the bits it would have alone
+    all_ratios = _observability_ratios(spec, np.vstack([vt_fields, 2.0 * vt_fields[:1]]))
+    doubled = all_ratios.pop()
+    scale_err = abs(all_ratios[0] - doubled) / max(abs(all_ratios[0]), 1e-300)
     ratios = [r for r in all_ratios if not math.isnan(r)]
     if not ratios:
         raise ValueError(
@@ -718,4 +724,4 @@ def observability_ratio(
             f"at T={spec.T:g}, time_steps={spec.time_steps}"
         )
     excluded = len(all_ratios) - len(ratios)
-    return ObservabilityReport(float(np.max(ratios)), ratios, excluded)
+    return ObservabilityReport(float(np.max(ratios)), ratios, excluded, scale_err)

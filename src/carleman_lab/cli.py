@@ -1,7 +1,7 @@
 """Experiment runner behind a JSON configuration interface.
 
-Every experiment writes machine-readable CSV tables, a summary JSON carrying
-the config hash and the seed, and a human-readable log.  Exit status 0 means
+Every run writes machine-readable CSV tables, a summary JSON carrying the
+config hash and the seed, and a human-readable log.  Exit status 0 means
 all asserted invariants of the experiment passed, 1 names the violated
 invariant, 2 flags an invalid configuration.  All randomness flows from one
 seed through named counter-based generator streams, so identical
@@ -23,7 +23,6 @@ import numpy as np
 
 from .carleman import (
     CarlemanParams,
-    _observability_ratios,
     boundary_sign_terms,
     carleman_sweep,
     identity_residual,
@@ -31,7 +30,7 @@ from .carleman import (
     standard_identity_fields,
 )
 from .coefficients import Regime, classify, coefficient_from_descriptor, make_power_coefficient
-from .control import synthesize_null_control
+from .control import MIN_PENALTY, synthesize_null_control
 from .functionals import HardyCase, WeightedNorms, aux_hardy_b, aux_hardy_p, hardy_ratios
 from .pde_solver import (
     LeftBoundary,
@@ -99,7 +98,8 @@ FIELDS = {
     "time_steps": Field("integer", MARCHING, 128, 1, MAX_SIZE),
     "n_samples": Field("integer", _SAMPLING, None, 1, MAX_SIZE),
     "seed": Field("integer", _ALL, 0, 0, MAX_SEED),
-    "epsilon": Field("number", ("null_control",), 1e-6, 0, strict_lo=True),
+    # synthesize_null_control refuses a penalty below MIN_PENALTY
+    "epsilon": Field("number", ("null_control",), 1e-6, MIN_PENALTY),
     "s": Field("number", ("lemma_checks",), 1.0, 0, strict_lo=True),
     "lambda": Field("number", ("lemma_checks",), 1.0, 0, strict_lo=True),
     "zero_order_exponent": Field("number", ("carleman_sweep",), 5.0 / 3.0, 0, strict_lo=True),
@@ -121,7 +121,7 @@ FIELDS = {
     "u0_modes": Field("modes", ("null_control",), (1.0,)),
     "spatial_n": Field("sizes", ("convergence",), (32, 64, 128), 8, MAX_SIZE),
     "temporal_m": Field("sizes", ("convergence",), (8, 16, 32), 1, MAX_SIZE),
-    "omega": Field("interval", (*MARCHING, "convergence"), (0.3, 0.7)),
+    "omega": Field("interval", MARCHING, (0.3, 0.7)),
     # None: the middle half of omega (default_omega_prime)
     "omega_prime": Field("interval", ("carleman_sweep", "lemma_checks")),
     "lambda_grid": Field("grid", ("carleman_sweep",), REQUIRED),
@@ -133,50 +133,40 @@ FIELDS = {
 }
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-# rows of a float table formatted at a time, which bounds the text held
+# rows of a table formatted at a time, which bounds the text held
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv_columns(rows: np.ndarray) -> list:
-    """(format, texts, data) per column of a 2-d float table: a column that
-    repeats its values has each distinct bit pattern formatted once (texts)
-    and indexed by data; any other column keeps its floats as data."""
-    cols = []
-    for col in rows.T:
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write a table given as {header: column}, the columns of one length:
+    each a numpy array or list of numbers, or a list of strings.  A number
+    is written as %.17g of its float, which is also how an integer below
+    2**53 reads.  A column that repeats its values has each distinct bit
+    pattern formatted once, and the rows go out one block at a time."""
+    cols = []  # (format, texts, data): data indexes texts, or is the column itself
+    for col in columns.values():
+        # a list's first entry tells text from numbers: no pass over an array's entries
+        if not isinstance(col, np.ndarray) and len(col) and isinstance(col[0], str):
+            cols.append(("%s", None, np.array(col, dtype=object)))
+            continue
         col = np.ascontiguousarray(col, dtype=float)
         # keyed by bits, so -0.0 and 0.0 keep their own text
         uniq, index = np.unique(col.view(np.uint64), return_inverse=True)
         if 2 * uniq.size <= col.size:
-            texts = np.array([_fmt(v) for v in uniq.view(float).tolist()], dtype=object)
+            texts = np.array(["%.17g" % v for v in uniq.view(float).tolist()], dtype=object)
             cols.append(("%s", texts, index))
         else:
             cols.append(("%.17g", None, col))
-    return cols
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write dict rows, or the rows of a 2-d float array in header order."""
+    n = len(cols[0][2])
+    line = ",".join(f for f, _, _ in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            # the same text as _fmt gives each float, one block of rows at a time
-            cols = _csv_columns(rows)
-            line = ",".join(f for f, _, _ in cols) + "\n"
-            for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
-                hi = min(lo + _CSV_BLOCK_ROWS, len(rows))
-                block = np.empty((hi - lo, len(cols)), dtype=object)
-                for j, (_, texts, data) in enumerate(cols):
-                    block[:, j] = data[lo:hi] if texts is None else texts[data[lo:hi]]
-                fh.write(line * (hi - lo) % tuple(block.ravel().tolist()))
-            return
-        for row in rows:
-            fh.write(",".join(_fmt(row[h]) for h in header) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n)
+            block = np.empty((hi - lo, len(cols)), dtype=object)
+            for j, (_, texts, data) in enumerate(cols):
+                block[:, j] = data[lo:hi] if texts is None else texts[data[lo:hi]]
+            fh.write(line * (hi - lo) % tuple(block.ravel().tolist()))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -388,10 +378,11 @@ def _build_problem(cfg: dict) -> ProblemSpec:
 
 # --------------------------------------------------------------------------------
 # experiments: each returns (tables, results, invariants)
-# tables: {filename: (header, rows)}; invariants: list of (name, passed, detail)
+# tables: {filename: {header: column}} (_write_csv), or a Trajectory for a .bin
+# grid; invariants: list of (name, passed, detail)
 
 
-def _exp_classify(cfg, seed, log, outdir):
+def _exp_classify(cfg, seed, log):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(
         coef,
@@ -399,22 +390,16 @@ def _exp_classify(cfg, seed, log, outdir):
         zero_neighborhood=float(_value(cfg, "zero_neighborhood")),
     )
     log(f"classified {coef.label}: regime={rep.regime.value} K_est={rep.K_est:.12g}")
-    rows = [
-        {
-            "label": coef.label,
-            "K_est": rep.K_est,
-            "regime": rep.regime.value,
-            "theta_hyp": rep.theta_hyp if rep.theta_hyp is not None else float("nan"),
-            "boundary_case": int(rep.boundary_case),
-            "grid_size": rep.grid_size,
-            "neighborhood_radius": rep.neighborhood_radius,
-        }
-    ]
     tables = {
-        "classify.csv": (
-            ["label", "K_est", "regime", "theta_hyp", "boundary_case", "grid_size", "neighborhood_radius"],
-            rows,
-        )
+        "classify.csv": {
+            "label": [coef.label],
+            "K_est": [rep.K_est],
+            "regime": [rep.regime.value],
+            "theta_hyp": [rep.theta_hyp if rep.theta_hyp is not None else float("nan")],
+            "boundary_case": [int(rep.boundary_case)],
+            "grid_size": [rep.grid_size],
+            "neighborhood_radius": [rep.neighborhood_radius],
+        }
     }
     results = {
         "regime": rep.regime.value,
@@ -432,7 +417,7 @@ def _exp_classify(cfg, seed, log, outdir):
     return tables, results, invariants
 
 
-def _exp_hardy(cfg, seed, log, outdir):
+def _exp_hardy(cfg, seed, log):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     mesh = _mesh(cfg)
@@ -440,30 +425,32 @@ def _exp_hardy(cfg, seed, log, outdir):
     case = HardyCase.CASE_A if rep.regime is Regime.WDC else HardyCase.CASE_B
     draws = sample_fields(seed, STREAM_TERMINAL, n_samples, mesh.nodes)
     reports = hardy_ratios(coef, mesh, draws, case)
-    rows = [
-        {"sample": i, "case": r.case.value, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
-        for i, r in enumerate(reports)
-    ]
     ratios = [r.ratio for r in reports]
     violations = sum(r.violation for r in reports)
-    aux_rows = []
-    if rep.boundary_case:
-        for label, aux, case_aux in (
-            ("p", aux_hardy_p(coef), HardyCase.AUX_P),
-            ("b", aux_hardy_b(coef), HardyCase.AUX_B),
-        ):
-            aux_reports = hardy_ratios(aux, mesh, draws, case_aux)
-            aux_rows.extend(
-                {"aux": label, "sample": i, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
-                for i, r in enumerate(aux_reports)
-            )
-            violations += sum(r.violation for r in aux_reports)
-    log(f"hardy ratios over {n_samples} draws: max={max(ratios):.6g}")
     tables = {
-        "hardy.csv": (["sample", "case", "lhs", "rhs", "ratio"], rows),
+        "hardy.csv": {
+            "sample": list(range(n_samples)),
+            "case": [r.case.value for r in reports],
+            "lhs": [r.lhs for r in reports],
+            "rhs": [r.rhs for r in reports],
+            "ratio": ratios,
+        }
     }
-    if aux_rows:
-        tables["hardy_aux.csv"] = (["aux", "sample", "lhs", "rhs", "ratio"], aux_rows)
+    if rep.boundary_case:
+        # every p row, then every b row
+        aux = [
+            *hardy_ratios(aux_hardy_p(coef), mesh, draws, HardyCase.AUX_P),
+            *hardy_ratios(aux_hardy_b(coef), mesh, draws, HardyCase.AUX_B),
+        ]
+        violations += sum(r.violation for r in aux)
+        tables["hardy_aux.csv"] = {
+            "aux": ["p"] * n_samples + ["b"] * n_samples,
+            "sample": list(range(n_samples)) * 2,
+            "lhs": [r.lhs for r in aux],
+            "rhs": [r.rhs for r in aux],
+            "ratio": [r.ratio for r in aux],
+        }
+    log(f"hardy ratios over {n_samples} draws: max={max(ratios):.6g}")
     results = {"max_ratio": max(ratios), "violations": violations, "case": case.value}
     invariants = [
         ("no Hardy violations", violations == 0, f"{violations} flagged"),
@@ -472,21 +459,20 @@ def _exp_hardy(cfg, seed, log, outdir):
     return tables, results, invariants
 
 
-def _exp_energy(cfg, seed, log, outdir):
+def _exp_energy(cfg, seed, log):
     spec = _build_problem(cfg)
     n_samples = int(_value(cfg, "n_samples"))
     u0s = sample_fields(seed, STREAM_INITIAL, n_samples, spec.mesh.nodes)
     hs = sample_fields(seed, STREAM_CONTROL, n_samples, spec.mesh.nodes)
     ratios = energy_reports(spec, u0s, hs).tolist()
-    rows = [{"sample": i, "ratio": r} for i, r in enumerate(ratios)]
     log(f"energy ratios: max={max(ratios):.6g}")
-    tables = {"energy.csv": (["sample", "ratio"], rows)}
+    tables = {"energy.csv": {"sample": list(range(n_samples)), "ratio": ratios}}
     results = {"max_ratio": max(ratios)}
     invariants = [("all energy ratios finite", all(map(math.isfinite, ratios)), "")]
     return tables, results, invariants
 
 
-def _exp_carleman_sweep(cfg, seed, log, outdir):
+def _exp_carleman_sweep(cfg, seed, log):
     spec = _build_problem(cfg)
     omega_prime = _value(cfg, "omega_prime")
     res = carleman_sweep(
@@ -499,17 +485,18 @@ def _exp_carleman_sweep(cfg, seed, log, outdir):
         s_relative=bool(_value(cfg, "s_relative")),
         zero_order_exponent=float(_value(cfg, "zero_order_exponent")),
     )
-    header = ["sample", "s", "lambda", "lhs_grad", "lhs_zero", "rhs_source", "rhs_local", "ratio"]
     log(
         "sweep: empirical_C=%.6g excluded=%d"
         % (res.summary["empirical_C"], res.summary["excluded_count"])
     )
+    points = res.summary["per_point"]
     tables = {
-        "carleman_sweep.csv": (header, res.rows),
-        "carleman_summary.csv": (
-            ["s", "lambda", "s0", "max_ratio", "median_ratio", "n_valid"],
-            res.summary["per_point"],
-        ),
+        # every key of a row, in its order
+        "carleman_sweep.csv": {k: [r[k] for r in res.rows] for k in res.rows[0]},
+        "carleman_summary.csv": {
+            k: [p[k] for p in points]
+            for k in ("s", "lambda", "s0", "max_ratio", "median_ratio", "n_valid")
+        },
     }
     results = {
         "empirical_C": res.summary["empirical_C"],
@@ -522,7 +509,7 @@ def _exp_carleman_sweep(cfg, seed, log, outdir):
     invalid = "; ".join(
         f"s={p['s']:g}, lambda={p['lambda']:g}: {p['n_degenerate']} degenerate "
         f"denominators, {p['n_nonfinite']} non-finite ratios"
-        for p in res.summary["per_point"] if p["n_valid"] < 1
+        for p in points if p["n_valid"] < 1
     )
     invariants = [
         ("no infinite ratios", all_finite, ""),
@@ -531,9 +518,10 @@ def _exp_carleman_sweep(cfg, seed, log, outdir):
     return tables, results, invariants
 
 
-def _exp_lemma_checks(cfg, seed, log, outdir):
+def _exp_lemma_checks(cfg, seed, log):
     spec = _build_problem(cfg)
-    omega_prime = tuple(cfg.get("omega_prime", default_omega_prime(spec.omega)))
+    omega_prime = _value(cfg, "omega_prime")
+    omega_prime = tuple(default_omega_prime(spec.omega) if omega_prime is None else omega_prime)
     lam = float(_value(cfg, "lambda"))
     s = float(_value(cfg, "s"))
     wts = build_weights(spec.coef, lam, spec.T, omega_prime[0], omega_prime[1])
@@ -542,46 +530,36 @@ def _exp_lemma_checks(cfg, seed, log, outdir):
     threshold = float(_value(cfg, "residual_threshold"))
     dirichlet = spec.regime is LeftBoundary.DIRICHLET_ZERO
     fields = standard_identity_fields(spec.T, dirichlet)
-    rows = []
-    ok_resid = True
+    fine, coarse = [], []
     for f in fields:
-        coarse = identity_residual(f, wts, params, resolution // 2)
-        fine = identity_residual(f, wts, params, resolution)
-        decreasing = fine < coarse
-        ok_resid = ok_resid and fine < threshold and decreasing
-        rows.append(
-            {
-                "field": f.name,
-                "resolution": resolution,
-                "residual": fine,
-                "residual_half_resolution": coarse,
-                "decreasing": int(decreasing),
-            }
-        )
-        log(f"identity residual [{f.name}]: {fine:.3e} (coarse {coarse:.3e})")
+        coarse.append(identity_residual(f, wts, params, resolution // 2))
+        fine.append(identity_residual(f, wts, params, resolution))
+        log(f"identity residual [{f.name}]: {fine[-1]:.3e} (coarse {coarse[-1]:.3e})")
+    decreasing = [int(r < c) for r, c in zip(fine, coarse)]
+    ok_resid = all(r < threshold for r in fine) and all(decreasing)
 
     n_samples = int(_value(cfg, "n_samples"))
     vts = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     trajs, _ = _adjoint_march(spec, vts)
-    sign_rows = []
-    ok_sign = True
-    for i, bt in enumerate(boundary_sign_terms(trajs, spec.mesh, spec.T, wts, params)):
-        passed = bt.term >= -1e-8 * bt.scale
-        ok_sign = ok_sign and passed
-        sign_rows.append(
-            {"sample": i, "term": bt.term, "scale": bt.scale, "passed": int(passed)}
-        )
+    terms = boundary_sign_terms(trajs, spec.mesh, spec.T, wts, params)
+    passed = [int(bt.term >= -1e-8 * bt.scale) for bt in terms]
+    ok_sign = all(passed)
     tables = {
-        "identity_residuals.csv": (
-            ["field", "resolution", "residual", "residual_half_resolution", "decreasing"],
-            rows,
-        ),
-        "boundary_sign.csv": (["sample", "term", "scale", "passed"], sign_rows),
+        "identity_residuals.csv": {
+            "field": [f.name for f in fields],
+            "resolution": [resolution] * len(fields),
+            "residual": fine,
+            "residual_half_resolution": coarse,
+            "decreasing": decreasing,
+        },
+        "boundary_sign.csv": {
+            "sample": list(range(n_samples)),
+            "term": [bt.term for bt in terms],
+            "scale": [bt.scale for bt in terms],
+            "passed": passed,
+        },
     }
-    results = {
-        "max_residual": max(r["residual"] for r in rows),
-        "min_sign_term": min(r["term"] for r in sign_rows),
-    }
+    results = {"max_residual": max(fine), "min_sign_term": min(bt.term for bt in terms)}
     invariants = [
         (f"identity residual < {threshold:g} and decreasing", ok_resid, ""),
         ("boundary term nonnegative within tolerance", ok_sign, ""),
@@ -589,17 +567,13 @@ def _exp_lemma_checks(cfg, seed, log, outdir):
     return tables, results, invariants
 
 
-def _exp_observability(cfg, seed, log, outdir):
+def _exp_observability(cfg, seed, log):
     spec = _build_problem(cfg)
     n_samples = int(_value(cfg, "n_samples"))
     obs = observability_ratio(spec, n_samples=n_samples, seed=seed)
-    # scale invariance probe: doubling the sample leaves the ratio unchanged
-    vt = sample_fields(seed, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
-    r1, r2 = _observability_ratios(spec, np.stack([vt, 2.0 * vt]))
-    scale_err = abs(r1 - r2) / max(abs(r1), 1e-300)
+    scale_err = obs.scale_invariance_error
     log(f"observability constant: {obs.constant:.6g} (excluded {obs.excluded_count})")
-    rows = [{"sample": i, "ratio": r} for i, r in enumerate(obs.ratios)]
-    tables = {"observability.csv": (["sample", "ratio"], rows)}
+    tables = {"observability.csv": {"sample": list(range(len(obs.ratios))), "ratio": obs.ratios}}
     results = {
         "constant": obs.constant,
         "excluded_count": obs.excluded_count,
@@ -612,7 +586,7 @@ def _exp_observability(cfg, seed, log, outdir):
     return tables, results, invariants
 
 
-def _exp_null_control(cfg, seed, log, outdir):
+def _exp_null_control(cfg, seed, log):
     spec = _build_problem(cfg)
     modes = _value(cfg, "u0_modes")
     xs = spec.mesh.nodes
@@ -638,8 +612,10 @@ def _exp_null_control(cfg, seed, log, outdir):
     )
     vals = result.control.values
     js, ix = np.nonzero(vals)
-    ctrl_rows = np.column_stack((result.control.sample_times[js], xs[ix], vals[js, ix]))
-    tables = {"control.csv": (["t", "x", "value"], ctrl_rows)}
+    tables = {
+        "control.csv": {"t": result.control.sample_times[js], "x": xs[ix], "value": vals[js, ix]},
+        "control.bin": Trajectory(vals, spec.mesh, spec.T),
+    }
     results = {
         "terminal_norm": result.terminal_norm,
         "terminal_rel": rel,
@@ -648,7 +624,6 @@ def _exp_null_control(cfg, seed, log, outdir):
         "converged": result.converged,
         "epsilon": epsilon,
     }
-    trajectory_to_binary(Trajectory(vals, spec.mesh, spec.T), outdir / "control.bin")
     mask = omega_node_mask(spec.mesh, spec.omega)
     support_ok = bool(np.all(vals[:, ~mask] == 0.0))
     invariants = [
@@ -663,11 +638,10 @@ def _exp_null_control(cfg, seed, log, outdir):
     return tables, results, invariants
 
 
-def _exp_convergence(cfg, seed, log, outdir):
+def _exp_convergence(cfg, seed, log):
     # manufactured problem on a = x with value-pinned boundaries
     coef = make_power_coefficient(1.0)
     T = float(_value(cfg, "T"))
-    omega = tuple(_value(cfg, "omega"))
 
     pi = np.pi
 
@@ -690,7 +664,7 @@ def _exp_convergence(cfg, seed, log, outdir):
             regime=LeftBoundary.DIRICHLET_ZERO,
             mesh=mesh,
             time_steps=M,
-            omega=omega,
+            omega=(0.3, 0.7),  # the study has no control; no output reads it
             scheme=Scheme.CRANK_NICOLSON,
         )
         u0 = exact(0.0, mesh.nodes)
@@ -721,14 +695,13 @@ def _exp_convergence(cfg, seed, log, outdir):
     ]
     log(f"spatial orders: {['%.3f' % o for o in sp_orders]}")
     log(f"temporal orders: {['%.3f' % o for o in tm_orders]}")
-    rows = [
-        {"study": "spatial", "size": n, "error": e}
-        for n, e in zip(spatial_n, sp_errors)
-    ] + [
-        {"study": "temporal", "size": m, "error": e}
-        for m, e in zip(temporal_m, tm_errors)
-    ]
-    tables = {"convergence.csv": (["study", "size", "error"], rows)}
+    tables = {
+        "convergence.csv": {
+            "study": ["spatial"] * len(spatial_n) + ["temporal"] * len(temporal_m),
+            "size": spatial_n + temporal_m,
+            "error": sp_errors + tm_errors,
+        }
+    }
     results = {"spatial_orders": sp_orders, "temporal_orders": tm_orders}
     min_spatial = float(_value(cfg, "min_spatial_order"))
     min_temporal = float(_value(cfg, "min_temporal_order"))
@@ -748,7 +721,7 @@ def _exp_convergence(cfg, seed, log, outdir):
 
 
 class Experiment(NamedTuple):
-    run: Callable  # (cfg, seed, log, outdir) -> (tables, results, invariants)
+    run: Callable  # (cfg, seed, log) -> ({file: {header: column} | Trajectory}, results, invariants)
     anchor: str  # behavioral description recorded in each summary
     defaults: dict  # the experiment's own defaults, over those of FIELDS
 
@@ -780,6 +753,8 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: dict, outdir: Path) -> int:
+    """Run a validated config and write what it returns into outdir: its
+    tables, summary.json and run.log.  No other function opens an output file."""
     try:
         env_seed = _env_seed()
     except ValueError as exc:
@@ -792,46 +767,50 @@ def run_experiment(cfg: dict, outdir: Path) -> int:
         print(f"config error: output directory not writable: {exc}", file=sys.stderr)
         return 2
     log_lines: list[str] = []
-
-    def log(msg: str):
-        log_lines.append(msg)
+    log = log_lines.append
 
     exp = cfg["experiment"]
     log(f"experiment: {exp}")
     log(f"seed: {seed} (generator {GENERATOR_NAME})")
     try:
-        tables, results, invariants = EXPERIMENTS[exp].run(cfg, seed, log, outdir)
+        files, results, invariants = EXPERIMENTS[exp].run(cfg, seed, log)
     except (ValueError, ArithmeticError, MemoryError) as exc:
         log(f"error: {str(exc) or type(exc).__name__}")
-        (outdir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-        print("\n".join(log_lines))
-        return 1
+        files, failed = {}, None
+    else:
+        failed = [name for name, ok, _ in invariants if not ok]
+        for name, ok, detail in invariants:
+            log(f"invariant [{name}]: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
+        summary = {
+            "experiment": exp,
+            "anchor": EXPERIMENTS[exp].anchor,
+            "seed": seed,
+            "generator": GENERATOR_NAME,
+            "config_sha256": _config_hash(cfg),
+            "results": results,
+            "invariants": [
+                {"name": name, "passed": ok, "detail": detail}
+                for name, ok, detail in invariants
+            ],
+            "status": "pass" if not failed else "fail",
+        }
+        files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    files["run.log"] = "\n".join(log_lines) + "\n"
 
-    for fname, (header, rows) in tables.items():
-        _write_csv(outdir / fname, header, rows)
-
-    failed = [name for name, ok, _ in invariants if not ok]
-    for name, ok, detail in invariants:
-        log(f"invariant [{name}]: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
-
-    summary = {
-        "experiment": exp,
-        "anchor": EXPERIMENTS[exp].anchor,
-        "seed": seed,
-        "generator": GENERATOR_NAME,
-        "config_sha256": _config_hash(cfg),
-        "results": results,
-        "invariants": [
-            {"name": name, "passed": ok, "detail": detail}
-            for name, ok, detail in invariants
-        ],
-        "status": "pass" if not failed else "fail",
-    }
-    with open(outdir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    (outdir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    try:
+        for fname, content in files.items():
+            if isinstance(content, Trajectory):
+                trajectory_to_binary(content, outdir / fname)
+            elif isinstance(content, dict):
+                _write_csv(outdir / fname, content)
+            else:
+                (outdir / fname).write_text(content, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"config error: output directory not writable: {exc}", file=sys.stderr)
+        return 2
     print("\n".join(log_lines))
+    if failed is None:
+        return 1
     if failed:
         print(f"FAILED invariants: {'; '.join(failed)}", file=sys.stderr)
         return 1

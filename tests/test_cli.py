@@ -298,6 +298,10 @@ class TestValidation:
             ("carleman_sweep", "s_relative", 1, "s_relative: must be true or false, got 1"),
             ("carleman_sweep", "lambda_grid", [True], "lambda_grid: entries must be positive numbers"),
             ("classify", "output_dir", 5, "output_dir: must be a string, got 5"),
+            # below control.MIN_PENALTY, where the synthesis refuses to run
+            ("null_control", "epsilon", 1e-15, "epsilon: must be >= 1e-14, got 1e-15"),
+            # the manufactured study has no control region
+            ("convergence", "omega", [0.3, 0.7], "omega: not a field of convergence"),
         ],
     )
     def test_field_error_exit_2(self, tmp_path, capsys, exp, field, value, message):
@@ -648,6 +652,18 @@ class TestMain:
         assert (out / "classify.csv").exists()
         assert (out / "run.log").exists()
 
+    def test_failed_write_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "classify.csv").mkdir(parents=True)
+        path = write_config(tmp_path, base_classify_config(str(out)))
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"config error: output directory not writable: [Errno 21] Is a directory: "
+            f"'{out / 'classify.csv'}'"
+        ]
+        assert captured.out == ""
+
     def test_out_flag_overrides_config(self, tmp_path):
         other = tmp_path / "elsewhere"
         path = write_config(tmp_path, base_classify_config(str(tmp_path / "ignored")))
@@ -694,7 +710,7 @@ class TestMain:
         "exc", [FloatingPointError("overflow encountered in exp"), OverflowError("math range error")]
     )
     def test_arithmetic_error_exit_1(self, tmp_path, monkeypatch, exc):
-        def fails(cfg, seed, log, outdir):
+        def fails(cfg, seed, log):
             log("started")
             raise exc
 
@@ -712,7 +728,7 @@ class TestMain:
         ],
     )
     def test_memory_error_exit_1(self, tmp_path, monkeypatch, exc, line):
-        def fails(cfg, seed, log, outdir):
+        def fails(cfg, seed, log):
             log("started")
             raise exc
 
@@ -1056,8 +1072,9 @@ def test_convergence_errors_match_a_per_row_loop(tmp_path):
            "spatial_time_steps": 512, "temporal_mesh_n": 48, "T": 0.75}
     # 513 time rows: at this length a BLAS dot of the row sums already
     # rounds differently from the left-to-right sum
-    tables, _, _ = _exp_convergence(cfg, 0, lambda msg: None, tmp_path)
-    got = [(r["size"], r["error"]) for r in tables["convergence.csv"][1]]
+    tables, _, _ = _exp_convergence(cfg, 0, lambda msg: None)
+    table = tables["convergence.csv"]
+    got = list(zip(table["size"], table["error"]))
 
     # the callable source sampled per substep and one error row per time level
     coef = make_power_coefficient(1.0)
@@ -1087,17 +1104,17 @@ def test_convergence_errors_match_a_per_row_loop(tmp_path):
     assert got == expected
 
 
-# substep schedules a run builds: one per marching engine, 13 for the pass
+# substep schedules a run builds: one per marching engine, 12 for the pass
 SCHEDULE_BUILDS = {
     "carleman_sweep_strong": 1, "carleman_sweep_weak": 1, "classify_strong": 0,
     "classify_weak": 0, "convergence": 6, "energy": 1, "hardy_boundary_case": 0,
-    "hardy_weak": 0, "lemma_checks": 1, "null_control": 1, "observability": 2,
+    "hardy_weak": 0, "lemma_checks": 1, "null_control": 1, "observability": 1,
 }
 
 
 def test_schedule_builds_cover_the_shipped_configs():
     assert sorted(SCHEDULE_BUILDS) == [p.stem for p in CONFIGS]
-    assert sum(SCHEDULE_BUILDS.values()) == 13
+    assert sum(SCHEDULE_BUILDS.values()) == 12
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
@@ -1150,13 +1167,18 @@ def test_float_table_text_matches_per_value_format(tmp_path, monkeypatch, block_
     t = np.repeat([0.0, -0.0, 0.1, 1.0 / 3.0], 3)
     x = np.tile([-0.0, 0.25, 1e-300], 4)
     v = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, 0.1, 0.2, 0.3, 2.0 / 3.0])
-    rows = np.column_stack((t, x, v))
-    cli._write_csv(tmp_path / "t.csv", ["t", "x", "value"], rows)
-    want = "t,x,value\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in rows.tolist())
+    # a text column, and integers given as a list, beside the float arrays
+    label = ["a", "b", "a", "c"] * 3
+    n = list(range(12))
+    cli._write_csv(tmp_path / "t.csv", {"t": t, "label": label, "x": x, "value": v, "n": n})
+    want = "t,label,x,value,n\n" + "".join(
+        f"{a:.17g},{s},{b:.17g},{c:.17g},{i}\n"
+        for a, s, b, c, i in zip(t.tolist(), label, x.tolist(), v.tolist(), n)
+    )
     assert (tmp_path / "t.csv").read_text() == want
-    assert "\n0,-0,0\n" in want and "\n-0,-0,inf\n" in want
-    cli._write_csv(tmp_path / "e.csv", ["t", "x", "value"], rows[:0])
-    assert (tmp_path / "e.csv").read_text() == "t,x,value\n"
+    assert "\n0,a,-0,0,0\n" in want and "\n-0,c,-0,inf,3\n" in want
+    cli._write_csv(tmp_path / "e.csv", {"t": t[:0], "label": [], "x": x[:0], "value": v[:0]})
+    assert (tmp_path / "e.csv").read_text() == "t,label,x,value\n"
 
 
 def test_null_control_on_zero_data_fails_its_check(tmp_path):

@@ -183,8 +183,17 @@ def stable_s0(weights: CarlemanWeights) -> float:
 
 @dataclass
 class SweepResult:
-    rows: list  # one dict per (sample, s, lambda)
+    # one entry per (s, lambda, sample), samples innermost: the sample index,
+    # s, lambda, the four sides of carleman_sides and the ratio
+    table: dict
+    # one entry per (s, lambda) point: s, lambda, s0, the max and median of
+    # its valid ratios, and n_valid, n_degenerate and n_nonfinite
+    points: dict
     summary: dict
+
+
+# the columns of carleman_sides' report that the sweep table keeps
+_SIDES = ("lhs_grad", "lhs_zero", "rhs_source", "rhs_local", "ratio")
 
 
 def carleman_sweep(
@@ -233,15 +242,15 @@ def carleman_sweep(
     trajectories = [Trajectory(r, spec.mesh, spec.T) for r in v_rows]
     f_rows = [np.broadcast_to(f, v_rows[0].shape) for f in f_fields]
 
-    rows = []
-    summaries = []
-    excluded = 0
-    empirical = 0.0
+    n_points = len(lambda_grid) * len(s_grid)
+    point = np.empty((3, n_points))  # s, lambda and s0 of each point
+    sides = np.empty((len(_SIDES), n_points, n_samples))
+    degenerate = np.empty((n_points, n_samples), dtype=bool)
     psi = PsiFunction(spec.coef, omega_prime[0], omega_prime[1], bridge_degree)
-    for lam in lambda_grid:
+    for m, lam in enumerate(lambda_grid):
         wts = CarlemanWeights(psi, lam, spec.T)
         s0 = stable_s0(wts)
-        for s_entry in s_grid:
+        for j, s_entry in enumerate(s_grid):
             s = s_entry * s0 if s_relative else s_entry
             if not math.isfinite(s):
                 raise ValueError(
@@ -249,54 +258,42 @@ def carleman_sweep(
                     f"at lambda={lam:g}"
                 )
             params = CarlemanParams(s, lam)
-            ratios = []
-            degenerate = nonfinite = 0
+            p = m * len(s_grid) + j
+            point[:, p] = s, lam, s0
             with wts.shared_grids():
-                reports = [
-                    carleman_sides(traj, f, spec.omega, wts, params, zero_order_exponent)
-                    for traj, f in zip(trajectories, f_rows)
-                ]
-            for i, rep in enumerate(reports):
-                rows.append(
-                    {
-                        "sample": i,
-                        "s": s,
-                        "lambda": lam,
-                        "lhs_grad": rep.lhs_grad,
-                        "lhs_zero": rep.lhs_zero,
-                        "rhs_source": rep.rhs_source,
-                        "rhs_local": rep.rhs_local,
-                        "ratio": rep.ratio,
-                    }
-                )
-                if rep.degenerate:
-                    degenerate += 1
-                elif not math.isfinite(rep.ratio):
-                    nonfinite += 1
-                else:
-                    ratios.append(rep.ratio)
-            excluded += degenerate + nonfinite
-            if ratios:
-                mx = float(np.max(ratios))
-                # np.median's value without its import of numpy.ma
-                ordered = sorted(ratios)
-                k = len(ordered) // 2
-                med = float(ordered[k] if len(ordered) % 2 else (ordered[k - 1] + ordered[k]) / 2)
-                empirical = max(empirical, mx)
-            else:
-                mx = med = float("nan")
-            summaries.append(
-                {
-                    "s": s,
-                    "lambda": lam,
-                    "s0": s0,
-                    "max_ratio": mx,
-                    "median_ratio": med,
-                    "n_valid": len(ratios),
-                    "n_degenerate": degenerate,
-                    "n_nonfinite": nonfinite,
-                }
-            )
+                for i, (traj, f) in enumerate(zip(trajectories, f_rows)):
+                    rep = carleman_sides(traj, f, spec.omega, wts, params, zero_order_exponent)
+                    sides[:, p, i] = (
+                        rep.lhs_grad, rep.lhs_zero, rep.rhs_source, rep.rhs_local, rep.ratio
+                    )
+                    degenerate[p, i] = rep.degenerate
+
+    ratio = sides[-1]
+    valid = np.isfinite(ratio)  # a degenerate sample's ratio is NaN
+    n_valid = np.count_nonzero(valid, axis=1)
+    # each point's valid ratios first and in order, for the max and for
+    # np.median's value without its import of numpy.ma
+    ordered = np.sort(np.where(valid, ratio, np.inf), axis=1)
+    at, k = np.arange(n_points), n_valid // 2
+    middle = np.where(n_valid % 2, ordered[at, k], (ordered[at, k - 1] + ordered[at, k]) / 2)
+    none = n_valid == 0
+    n_degenerate = np.count_nonzero(degenerate, axis=1)
+    table = {
+        "sample": np.tile(np.arange(n_samples), n_points),
+        "s": np.repeat(point[0], n_samples),
+        "lambda": np.repeat(point[1], n_samples),
+        **dict(zip(_SIDES, sides.reshape(len(_SIDES), -1))),
+    }
+    points = {
+        "s": point[0],
+        "lambda": point[1],
+        "s0": point[2],
+        "max_ratio": np.where(none, np.nan, ordered[at, n_valid - 1]),
+        "median_ratio": np.where(none, np.nan, middle),
+        "n_valid": n_valid,
+        "n_degenerate": n_degenerate,
+        "n_nonfinite": n_samples - n_valid - n_degenerate,
+    }
 
     config = {
         "T": spec.T,
@@ -317,13 +314,12 @@ def carleman_sweep(
         json.dumps(config, sort_keys=True).encode("utf-8")
     ).hexdigest()
     summary = {
-        "empirical_C": empirical if excluded < len(rows) else float("nan"),
-        "excluded_count": excluded,
-        "per_point": summaries,
+        "empirical_C": float(ratio[valid].max()) if valid.any() else float("nan"),
+        "excluded_count": int(np.count_nonzero(~valid)),
         "config_sha256": digest,
         "config": config,
     }
-    return SweepResult(rows=rows, summary=summary)
+    return SweepResult(table, points, summary)
 
 
 # --------------------------------------------------------------------------------
@@ -513,7 +509,7 @@ def identity_residual(
     lam3 = _power(lam, 3, "lambda", at)
     T = weights.T
     ts, xs, tw, xw = _grids(weights, resolution)
-    # endpoint rows: the field's fifth-power envelope beats every blow-up, so
+    # endpoint rows: the field's seventh-power envelope beats every blow-up, so
     # all weighted rows vanish in the limit, where theta is zero
     th, th1, th2 = time_factor(ts, T)
     # the largest factors: theta**3, which only T sets, eta**3, and
@@ -618,91 +614,66 @@ def transform_to_w(
     return WTransform(w, l_plus, l_minus, mesh, v_traj.T)
 
 
-@dataclass(frozen=True)
-class BoundaryTerm:
-    term: float
-    scale: float
-
-
-def _boundary_sign(mesh, T: float, M: int, weights: CarlemanWeights, params: CarlemanParams):
-    """``term(w)``: the boundary flux term -s * int (a^2 phi_x w_x^2)
-    |_{x=0}^{x=1} dt of a conjugated field w on the ``(M+1) x (N+1)`` grid,
-    from one-sided gradients at the ends; it reads only the columns 0, 1, -2
-    and -1 of w (so it may be given just those four).  The profile slope is
-    negative at x = 1 and the degenerate factor kills the x = 0 trace, so the
-    term is nonnegative up to discretization noise."""
-    _check_horizon(T, weights)
-    s = params.s
-    lam = params.lam
-    ts = np.linspace(0.0, T, M + 1)
-    tw = trapezoid_time_weights(T, M)
-    h = mesh.spacings
-    comp = weights.space_composites(np.array([mesh.nodes[0], mesh.nodes[-1]]))
-    a = comp["a"]
-    c1 = comp["c1"]
-    eta = comp["eta"]
-    th = time_factor(ts, weights.T)[0]
-    # the factors of a^2 phi_x at each end, in the order they multiply w_x^2
-    at_one = th * lam * eta[1] * a[1] * c1[1]
-    at_zero = th * lam * eta[0] * a[0] * c1[0]
-
-    def term(w: np.ndarray) -> BoundaryTerm:
-        wx0 = (w[:, 1] - w[:, 0]) / h[0]
-        wx1 = (w[:, -1] - w[:, -2]) / h[-1]
-        at1 = at_one * wx1 * wx1
-        at0 = at_zero * wx0 * wx0
-        value = -s * float(np.dot(tw, at1 - at0))
-        scale = s * float(np.dot(tw, np.abs(at1) + np.abs(at0))) + 1e-300
-        return BoundaryTerm(term=value, scale=scale)
-
-    return term
-
-
 # the columns of w that the boundary term reads
 _EDGE_COLUMNS = [0, 1, -2, -1]
 
 
 def boundary_sign_terms(
     rows: np.ndarray, mesh, T: float, weights: CarlemanWeights, params: CarlemanParams
-) -> list:
-    """The boundary term of ``transform_to_w(v).w`` for every backward
-    trajectory v in the ``(S, M+1, N+1)`` stack ``rows``, with the bits of
-    the term of the whole conjugated field.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(term, scale)``, one entry per backward trajectory v in the
+    ``(S, M+1, N+1)`` stack ``rows``: the boundary flux term
+    -s * int (a^2 phi_x w_x^2) |_{x=0}^{x=1} dt of w = exp(s*phi)*v from
+    one-sided gradients at the ends, with the bits of the term of the whole
+    conjugated field ``transform_to_w(v).w``, and the sum of the magnitudes
+    of its two ends that a tolerance on its sign scales with.  The profile
+    slope is negative at x = 1 and the degenerate factor kills the x = 0
+    trace, so the term is nonnegative up to discretization noise.
 
     exp(s*phi) does not depend on the sample, so it is built once, and of
-    each conjugated field w = exp(s*phi)*v only the four edge columns the
-    boundary term reads are formed.
+    each w only the four edge columns the term reads are formed.
     """
+    _check_horizon(T, weights)
+    s, lam = params.s, params.lam
     M = rows.shape[-2] - 1
-    term = _boundary_sign(mesh, T, M, weights, params)
     ts = np.linspace(0.0, T, M + 1)
-    E = weights.exp_s_phi_grid(ts, mesh.nodes, params.s)[:, _EDGE_COLUMNS]
-    return [term(E * r[:, _EDGE_COLUMNS]) for r in rows]
+    tw = trapezoid_time_weights(T, M)
+    h = mesh.spacings
+    comp = weights.space_composites(np.array([mesh.nodes[0], mesh.nodes[-1]]))
+    a, c1, eta = comp["a"], comp["c1"], comp["eta"]
+    th = time_factor(ts, weights.T)[0]
+    w = weights.exp_s_phi_grid(ts, mesh.nodes, s)[:, _EDGE_COLUMNS] * rows[:, :, _EDGE_COLUMNS]
+    wx0 = (w[..., 1] - w[..., 0]) / h[0]
+    wx1 = (w[..., 3] - w[..., 2]) / h[-1]
+    at1 = th * lam * eta[1] * a[1] * c1[1] * wx1 * wx1
+    at0 = th * lam * eta[0] * a[0] * c1[0] * wx0 * wx0
+    # one dot per row: a stacked product or einsum rounds differently
+    term = -s * np.array([np.dot(tw, d) for d in at1 - at0])
+    scale = s * np.array([np.dot(tw, m) for m in np.abs(at1) + np.abs(at0)]) + 1e-300
+    return term, scale
 
 
 @dataclass
 class ObservabilityReport:
     constant: float
-    ratios: list
+    ratios: np.ndarray  # one per draw, NaN where a draw is excluded
     excluded_count: int
     # |r(v) - r(2v)| / |r(v)| for the first draw v: the ratio has degree 0
     scale_invariance_error: float
 
 
-def _observability_ratios(spec: ProblemSpec, vt_fields: np.ndarray) -> list:
+def _observability_ratios(spec: ProblemSpec, vt_fields: np.ndarray) -> np.ndarray:
     """Initial-time energy over the control-region space-time energy of the
     source-free backward solve from each terminal draw in the stack; NaN
     where the control-region energy is degenerate."""
     st = _Stepper(spec)
     rows, _ = _adjoint_march(spec, vt_fields, stepper=st)
-    nums = st.op.norms.l2_sq(rows[:, 0]).tolist()
+    nums = st.op.norms.l2_sq(rows[:, 0])
     xw_omega = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
     tw = trapezoid_time_weights(spec.T, spec.time_steps)
-    ratios = []
-    for num, r in zip(nums, rows):
-        den = float(np.einsum("m,mi,i->", tw, r * r, xw_omega))
-        ratios.append(num / den if den >= DEGENERATE_DENOMINATOR else float("nan"))
-    return ratios
+    dens = np.array([np.einsum("m,mi,i->", tw, r * r, xw_omega) for r in rows])
+    # a NaN denominator gives NaN without a floating-point warning
+    return nums / np.where(dens >= DEGENERATE_DENOMINATOR, dens, np.nan)
 
 
 def observability_ratio(
@@ -711,17 +682,17 @@ def observability_ratio(
     """Empirical observability constant: the largest ratio of the initial-time
     energy to the control-region energy over seeded source-free backward
     solves, all marched as one batch together with twice the first draw,
-    whose ratio should equal the first draw's."""
+    whose ratio should equal the first draw's.  An excluded draw keeps its
+    index, with ratio NaN."""
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     # each row of a stack marches with the bits it would have alone
-    all_ratios = _observability_ratios(spec, np.vstack([vt_fields, 2.0 * vt_fields[:1]]))
-    doubled = all_ratios.pop()
-    scale_err = abs(all_ratios[0] - doubled) / max(abs(all_ratios[0]), 1e-300)
-    ratios = [r for r in all_ratios if not math.isnan(r)]
-    if not ratios:
+    ratios = _observability_ratios(spec, np.vstack([vt_fields, 2.0 * vt_fields[:1]]))
+    ratios, doubled = ratios[:-1], ratios[-1]
+    scale_err = float(abs(ratios[0] - doubled) / max(abs(ratios[0]), 1e-300))
+    valid = ratios[~np.isnan(ratios)]
+    if not valid.size:
         raise ValueError(
             f"every sample's control-region energy is below {DEGENERATE_DENOMINATOR:g} "
             f"at T={spec.T:g}, time_steps={spec.time_steps}"
         )
-    excluded = len(all_ratios) - len(ratios)
-    return ObservabilityReport(float(np.max(ratios)), ratios, excluded, scale_err)
+    return ObservabilityReport(float(valid.max()), ratios, ratios.size - valid.size, scale_err)

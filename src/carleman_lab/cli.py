@@ -135,14 +135,20 @@ FIELDS = {
 
 # rows of a table formatted at a time, which bounds the text held
 _CSV_BLOCK_ROWS = 4096
+# least length of a numeric column that is searched for repeated values:
+# np.unique costs about 10 us a column and %.17g about 0.4 us a value, so
+# below some 32 entries formatting every value is faster even for a
+# constant column
+_CSV_DEDUPE_MIN_ROWS = 32
 
 
 def _write_csv(path: Path, columns: dict) -> None:
     """Write a table given as {header: column}, the columns of one length:
     each a numpy array or list of numbers, or a list of strings.  A number
     is written as %.17g of its float, which is also how an integer below
-    2**53 reads.  A column that repeats its values has each distinct bit
-    pattern formatted once, and the rows go out one block at a time."""
+    2**53 reads.  A column of at least _CSV_DEDUPE_MIN_ROWS entries that
+    repeats its values has each distinct bit pattern formatted once, and the
+    rows go out one block at a time."""
     cols = []  # (format, texts, data): data indexes texts, or is the column itself
     for col in columns.values():
         # a list's first entry tells text from numbers: no pass over an array's entries
@@ -150,13 +156,14 @@ def _write_csv(path: Path, columns: dict) -> None:
             cols.append(("%s", None, np.array(col, dtype=object)))
             continue
         col = np.ascontiguousarray(col, dtype=float)
-        # keyed by bits, so -0.0 and 0.0 keep their own text
-        uniq, index = np.unique(col.view(np.uint64), return_inverse=True)
-        if 2 * uniq.size <= col.size:
-            texts = np.array(["%.17g" % v for v in uniq.view(float).tolist()], dtype=object)
-            cols.append(("%s", texts, index))
-        else:
-            cols.append(("%.17g", None, col))
+        if col.size >= _CSV_DEDUPE_MIN_ROWS:
+            # keyed by bits, so -0.0 and 0.0 keep their own text
+            uniq, index = np.unique(col.view(np.uint64), return_inverse=True)
+            if 2 * uniq.size <= col.size:
+                texts = np.array(["%.17g" % v for v in uniq.view(float).tolist()], dtype=object)
+                cols.append(("%s", texts, index))
+                continue
+        cols.append(("%.17g", None, col))
     n = len(cols[0][2])
     line = ",".join(f for f, _, _ in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -382,6 +389,13 @@ def _build_problem(cfg: dict) -> ProblemSpec:
 # grid; invariants: list of (name, passed, detail)
 
 
+def _max_evaluable(ratios: np.ndarray) -> float:
+    """The largest ratio that is not NaN, a NaN marking a sample with nothing
+    to evaluate; NaN when no sample has a ratio."""
+    evaluable = ratios[~np.isnan(ratios)]
+    return float(evaluable.max()) if evaluable.size else float("nan")
+
+
 def _exp_classify(cfg, seed, log):
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(
@@ -424,37 +438,34 @@ def _exp_hardy(cfg, seed, log):
     n_samples = int(_value(cfg, "n_samples"))
     case = HardyCase.CASE_A if rep.regime is Regime.WDC else HardyCase.CASE_B
     draws = sample_fields(seed, STREAM_TERMINAL, n_samples, mesh.nodes)
-    reports = hardy_ratios(coef, mesh, draws, case)
-    ratios = [r.ratio for r in reports]
-    violations = sum(r.violation for r in reports)
+    main = hardy_ratios(coef, mesh, draws, case)
+    ratios = main["ratio"]
+    violations = int(np.count_nonzero(main["violation"]))
+    written = ("lhs", "rhs", "ratio")
     tables = {
         "hardy.csv": {
-            "sample": list(range(n_samples)),
-            "case": [r.case.value for r in reports],
-            "lhs": [r.lhs for r in reports],
-            "rhs": [r.rhs for r in reports],
-            "ratio": ratios,
+            "sample": np.arange(n_samples),
+            "case": [case.value] * n_samples,
+            **{k: main[k] for k in written},
         }
     }
     if rep.boundary_case:
         # every p row, then every b row
-        aux = [
-            *hardy_ratios(aux_hardy_p(coef), mesh, draws, HardyCase.AUX_P),
-            *hardy_ratios(aux_hardy_b(coef), mesh, draws, HardyCase.AUX_B),
-        ]
-        violations += sum(r.violation for r in aux)
+        p = hardy_ratios(aux_hardy_p(coef), mesh, draws, HardyCase.AUX_P)
+        b = hardy_ratios(aux_hardy_b(coef), mesh, draws, HardyCase.AUX_B)
+        aux = {k: np.concatenate([p[k], b[k]]) for k in p}
+        violations += int(np.count_nonzero(aux["violation"]))
         tables["hardy_aux.csv"] = {
             "aux": ["p"] * n_samples + ["b"] * n_samples,
-            "sample": list(range(n_samples)) * 2,
-            "lhs": [r.lhs for r in aux],
-            "rhs": [r.rhs for r in aux],
-            "ratio": [r.ratio for r in aux],
+            "sample": np.tile(np.arange(n_samples), 2),
+            **{k: aux[k] for k in written},
         }
-    log(f"hardy ratios over {n_samples} draws: max={max(ratios):.6g}")
-    results = {"max_ratio": max(ratios), "violations": violations, "case": case.value}
+    max_ratio = _max_evaluable(ratios)
+    log(f"hardy ratios over {n_samples} draws: max={max_ratio:.6g}")
+    results = {"max_ratio": max_ratio, "violations": violations, "case": case.value}
     invariants = [
         ("no Hardy violations", violations == 0, f"{violations} flagged"),
-        ("all ratios finite", all(map(math.isfinite, ratios)), ""),
+        ("all ratios finite", bool(np.isfinite(ratios).all()), ""),
     ]
     return tables, results, invariants
 
@@ -464,11 +475,12 @@ def _exp_energy(cfg, seed, log):
     n_samples = int(_value(cfg, "n_samples"))
     u0s = sample_fields(seed, STREAM_INITIAL, n_samples, spec.mesh.nodes)
     hs = sample_fields(seed, STREAM_CONTROL, n_samples, spec.mesh.nodes)
-    ratios = energy_reports(spec, u0s, hs).tolist()
-    log(f"energy ratios: max={max(ratios):.6g}")
-    tables = {"energy.csv": {"sample": list(range(n_samples)), "ratio": ratios}}
-    results = {"max_ratio": max(ratios)}
-    invariants = [("all energy ratios finite", all(map(math.isfinite, ratios)), "")]
+    ratios = energy_reports(spec, u0s, hs)
+    max_ratio = _max_evaluable(ratios)
+    log(f"energy ratios: max={max_ratio:.6g}")
+    tables = {"energy.csv": {"sample": np.arange(n_samples), "ratio": ratios}}
+    results = {"max_ratio": max_ratio}
+    invariants = [("all energy ratios finite", bool(np.isfinite(ratios).all()), "")]
     return tables, results, invariants
 
 
@@ -489,13 +501,11 @@ def _exp_carleman_sweep(cfg, seed, log):
         "sweep: empirical_C=%.6g excluded=%d"
         % (res.summary["empirical_C"], res.summary["excluded_count"])
     )
-    points = res.summary["per_point"]
+    p = res.points
     tables = {
-        # every key of a row, in its order
-        "carleman_sweep.csv": {k: [r[k] for r in res.rows] for k in res.rows[0]},
+        "carleman_sweep.csv": res.table,
         "carleman_summary.csv": {
-            k: [p[k] for p in points]
-            for k in ("s", "lambda", "s0", "max_ratio", "median_ratio", "n_valid")
+            k: p[k] for k in ("s", "lambda", "s0", "max_ratio", "median_ratio", "n_valid")
         },
     }
     results = {
@@ -503,16 +513,15 @@ def _exp_carleman_sweep(cfg, seed, log):
         "excluded_count": res.summary["excluded_count"],
         "sweep_config_sha256": res.summary["config_sha256"],
     }
-    all_finite = all(
-        math.isfinite(r["ratio"]) or math.isnan(r["ratio"]) for r in res.rows
-    )
     invalid = "; ".join(
-        f"s={p['s']:g}, lambda={p['lambda']:g}: {p['n_degenerate']} degenerate "
-        f"denominators, {p['n_nonfinite']} non-finite ratios"
-        for p in points if p["n_valid"] < 1
+        f"s={s:g}, lambda={lam:g}: {degenerate} degenerate denominators, "
+        f"{nonfinite} non-finite ratios"
+        for s, lam, degenerate, nonfinite in zip(
+            *(p[k][p["n_valid"] < 1] for k in ("s", "lambda", "n_degenerate", "n_nonfinite"))
+        )
     )
     invariants = [
-        ("no infinite ratios", all_finite, ""),
+        ("no infinite ratios", not np.isinf(res.table["ratio"]).any(), ""),
         ("every (s, lambda) point has a valid sample", not invalid, invalid),
     ]
     return tables, results, invariants
@@ -541,9 +550,8 @@ def _exp_lemma_checks(cfg, seed, log):
     n_samples = int(_value(cfg, "n_samples"))
     vts = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     trajs, _ = _adjoint_march(spec, vts)
-    terms = boundary_sign_terms(trajs, spec.mesh, spec.T, wts, params)
-    passed = [int(bt.term >= -1e-8 * bt.scale) for bt in terms]
-    ok_sign = all(passed)
+    term, scale = boundary_sign_terms(trajs, spec.mesh, spec.T, wts, params)
+    passed = term >= -1e-8 * scale
     tables = {
         "identity_residuals.csv": {
             "field": [f.name for f in fields],
@@ -553,16 +561,16 @@ def _exp_lemma_checks(cfg, seed, log):
             "decreasing": decreasing,
         },
         "boundary_sign.csv": {
-            "sample": list(range(n_samples)),
-            "term": [bt.term for bt in terms],
-            "scale": [bt.scale for bt in terms],
+            "sample": np.arange(n_samples),
+            "term": term,
+            "scale": scale,
             "passed": passed,
         },
     }
-    results = {"max_residual": max(fine), "min_sign_term": min(bt.term for bt in terms)}
+    results = {"max_residual": max(fine), "min_sign_term": float(term.min())}
     invariants = [
         (f"identity residual < {threshold:g} and decreasing", ok_resid, ""),
-        ("boundary term nonnegative within tolerance", ok_sign, ""),
+        ("boundary term nonnegative within tolerance", bool(passed.all()), ""),
     ]
     return tables, results, invariants
 
@@ -573,7 +581,7 @@ def _exp_observability(cfg, seed, log):
     obs = observability_ratio(spec, n_samples=n_samples, seed=seed)
     scale_err = obs.scale_invariance_error
     log(f"observability constant: {obs.constant:.6g} (excluded {obs.excluded_count})")
-    tables = {"observability.csv": {"sample": list(range(len(obs.ratios))), "ratio": obs.ratios}}
+    tables = {"observability.csv": {"sample": np.arange(n_samples), "ratio": obs.ratios}}
     results = {
         "constant": obs.constant,
         "excluded_count": obs.excluded_count,

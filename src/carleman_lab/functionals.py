@@ -362,12 +362,16 @@ def hardy_ratios(
     mesh,
     ws: np.ndarray,
     case: HardyCase,
-) -> list[HardyReport]:
-    """:func:`hardy_ratio` of every row of the ``(S, N+1)`` stack ``ws``.
+) -> dict:
+    """:func:`hardy_ratio` of every row of the ``(S, N+1)`` stack ``ws``, as
+    the columns ``lhs``, ``rhs``, ``ratio`` and ``violation``, one entry per
+    row.
 
     The coefficient values are computed once for the stack; both integrals
     are row sums over the stack, each summed in the order of the one-sample
-    sum.
+    sum.  A row with a zero gradient integral is a violation, ratio inf, when
+    its left side is not zero too, and has nothing to evaluate otherwise,
+    ratio NaN.
     """
     ws = np.asarray(ws, dtype=float)
     nodes = mesh.nodes
@@ -395,25 +399,11 @@ def hardy_ratios(
         lhs = np.sum(vols[1:] * f[:, 1:], axis=-1)
     rhs = norms.h1a_semi_sq(ws)
 
-    reports = []
-    for lhs_i, rhs_i, scale_i in zip(lhs.tolist(), rhs.tolist(), scale.tolist()):
-        violation = False
-        if rhs_i <= 0.0:
-            if lhs_i > 1e-14 * (1.0 + scale_i) ** 2:
-                violation = True
-                ratio = float("inf")
-            else:
-                ratio = 0.0
-        else:
-            ratio = lhs_i / rhs_i
-        reports.append(HardyReport(
-            lhs=lhs_i,
-            rhs=rhs_i,
-            ratio=ratio,
-            case=case,
-            violation=violation,
-        ))
-    return reports
+    dead = rhs <= 0.0
+    violation = dead & (lhs > 1e-14 * (1.0 + scale) ** 2)
+    # a NaN denominator gives NaN without a floating-point warning
+    ratio = np.where(violation, np.inf, lhs / np.where(dead, np.nan, rhs))
+    return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "violation": violation}
 
 
 def hardy_ratio(
@@ -425,6 +415,10 @@ def hardy_ratio(
     """Ratio of the weighted zero-order integral to the gradient integral.
 
     Case A requires w(0) = 0; case B and the auxiliary cases require
-    w(1) = 0.  The one-sample case of :func:`hardy_ratios`.
+    w(1) = 0.  Entry 0 of :func:`hardy_ratios` of the one-row stack.
     """
-    return hardy_ratios(coef_or_aux, mesh, np.asarray(w)[None], case)[0]
+    cols = hardy_ratios(coef_or_aux, mesh, np.asarray(w)[None], case)
+    return HardyReport(
+        float(cols["lhs"][0]), float(cols["rhs"][0]), float(cols["ratio"][0]), case,
+        bool(cols["violation"][0]),
+    )

@@ -720,7 +720,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
 def energy_reports(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray:
     """:func:`energy_report` of every sample in the ``(S, N+1)`` stack ``u0s``,
     under the time-constant nodal controls ``h_rows`` (one row per sample) or
-    none; one ratio per sample.
+    none; one ratio per sample, NaN for a sample whose data energy is zero.
 
     The samples march together as one ``(S, n)`` block, and every step is
     reduced across the whole stack as the march closes it, so no trajectory
@@ -794,7 +794,7 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
     dead = rhs <= 0.0
     if np.any(lhs[dead] > 1e-12):
         raise ValueError("inconsistent energy report: zero data but nonzero trajectory")
-    return np.where(dead, 0.0, lhs / np.where(dead, 1.0, rhs))
+    return lhs / np.where(dead, np.nan, rhs)
 
 
 def energy_report(spec: ProblemSpec, u0: np.ndarray, h=None) -> float:

@@ -7,9 +7,10 @@ live beside the tests that use them.
 
 import numpy as np
 
-from carleman_lab.carleman import BoundaryTerm, CarlemanParams, WTransform, _boundary_sign
+from carleman_lab.carleman import CarlemanParams, WTransform
 from carleman_lab.control import _DualOperator
-from carleman_lab.pde_solver import ProblemSpec, _adjoint_march
+from carleman_lab.functionals import _check_horizon
+from carleman_lab.pde_solver import ProblemSpec, _adjoint_march, trapezoid_time_weights
 from carleman_lab.weights import CarlemanWeights, time_factor
 
 
@@ -39,14 +40,35 @@ def sine_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 # -- one boundary term (reference for carleman.boundary_sign_terms) ---------------
 def boundary_sign_term(
     wt: WTransform, weights: CarlemanWeights, params: CarlemanParams
-) -> BoundaryTerm:
-    """Discrete boundary flux term -s * int (a^2 phi_x w_x^2) |_{x=0}^{x=1} dt.
+) -> tuple[float, float]:
+    """(term, scale): the discrete boundary flux term
+    -s * int (a^2 phi_x w_x^2) |_{x=0}^{x=1} dt from the whole conjugated
+    field, and the sum of the magnitudes of its two ends.
 
     One-sided gradients approximate w_x at the endpoints; the profile slope is
     negative at x = 1 and the degenerate factor kills the x = 0 trace, so the
     term is nonnegative up to discretization noise.
     """
-    return _boundary_sign(wt.mesh, wt.T, wt.w.shape[0] - 1, weights, params)(wt.w)
+    _check_horizon(wt.T, weights)
+    s, lam = params.s, params.lam
+    xs = wt.mesh.nodes
+    M = wt.w.shape[0] - 1
+    ts = np.linspace(0.0, wt.T, M + 1)
+    tw = trapezoid_time_weights(wt.T, M)
+    h = wt.mesh.spacings
+    wx0 = (wt.w[:, 1] - wt.w[:, 0]) / h[0]
+    wx1 = (wt.w[:, -1] - wt.w[:, -2]) / h[-1]
+    comp = weights.space_composites(np.array([xs[0], xs[-1]]))
+    a, c1, eta = comp["a"], comp["c1"], comp["eta"]
+    th = np.zeros(M + 1)
+    inner = (ts > 0.0) & (ts < wt.T)
+    g = ts[inner] * (weights.T - ts[inner])
+    th[inner] = g**-4
+    at1 = th * lam * eta[1] * a[1] * c1[1] * wx1 * wx1
+    at0 = th * lam * eta[0] * a[0] * c1[0] * wx0 * wx0
+    term = -s * float(np.dot(tw, at1 - at0))
+    scale = s * float(np.dot(tw, np.abs(at1) + np.abs(at0))) + 1e-300
+    return term, scale
 
 
 # -- the penalized dual functional (reference for control.synthesize_null_control)

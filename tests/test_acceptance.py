@@ -98,8 +98,8 @@ class TestAcceptance:
             vts = sample_fields(5, STREAM_TERMINAL, 50, spec.mesh.nodes)
             for i in range(50):
                 traj = solve_adjoint(spec, vts[i])
-                bt = boundary_sign_term(transform_to_w(traj, wts, params), wts, params)
-                worst = min(worst, bt.term / bt.scale if bt.scale > 0 else 0.0)
+                term, scale = boundary_sign_term(transform_to_w(traj, wts, params), wts, params)
+                worst = min(worst, term / scale if scale > 0 else 0.0)
         report(
             worst >= -1e-8,
             "criterion 2 (boundary flux sign)",
@@ -125,17 +125,13 @@ class TestAcceptance:
                     omega_prime=(0.05, 0.9),
                     s_relative=True,
                 )
-                finite = all(
-                    math.isfinite(r["ratio"]) for r in res.rows
-                ) and res.summary["excluded_count"] == 0
+                finite = bool(np.isfinite(res.table["ratio"]).all()) and (
+                    res.summary["excluded_count"] == 0
+                )
                 all_ok = all_ok and finite
                 if N == 128:
                     for lam in (2.0, 4.0):
-                        maxima = [
-                            p["max_ratio"]
-                            for p in res.summary["per_point"]
-                            if p["lambda"] == lam
-                        ]
+                        maxima = res.points["max_ratio"][res.points["lambda"] == lam]
                         for i in range(len(maxima) - 1):
                             if maxima[i + 1] > 1.2 * maxima[i]:
                                 all_ok = False

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from carleman_lab import carleman
 from carleman_lab.carleman import (
     CarlemanParams,
+    CarlemanReport,
     _observability_ratios,
     boundary_sign_terms,
     carleman_sides,
@@ -202,8 +204,8 @@ class TestBoundarySign:
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
         traj = solve_adjoint(spec, np.zeros(spec.mesh.nodes.size))
         wt = transform_to_w(traj, wts, CarlemanParams(1.0, 1.0))
-        bt = boundary_sign_term(wt, wts, CarlemanParams(1.0, 1.0))
-        assert bt.term == 0.0
+        term, _ = boundary_sign_term(wt, wts, CarlemanParams(1.0, 1.0))
+        assert term == 0.0
 
     @pytest.mark.parametrize("gamma", [0.5, 1.5])
     def test_nonnegative_over_draws(self, gamma):
@@ -214,50 +216,25 @@ class TestBoundarySign:
         for i in range(8):
             traj = solve_adjoint(spec, vts[i])
             wt = transform_to_w(traj, wts, params)
-            bt = boundary_sign_term(wt, wts, params)
-            assert bt.term >= -1e-8 * bt.scale
-
-
-def _full_boundary_term(wt, weights, params):
-    """The boundary term as computed from the whole conjugated field before
-    its sample-independent factors were hoisted."""
-    s, lam = params.s, params.lam
-    xs = wt.mesh.nodes
-    M = wt.w.shape[0] - 1
-    ts = np.linspace(0.0, wt.T, M + 1)
-    tw = trapezoid_time_weights(wt.T, M)
-    h = wt.mesh.spacings
-    wx0 = (wt.w[:, 1] - wt.w[:, 0]) / h[0]
-    wx1 = (wt.w[:, -1] - wt.w[:, -2]) / h[-1]
-    comp = weights.space_composites(np.array([xs[0], xs[-1]]))
-    a, c1, eta = comp["a"], comp["c1"], comp["eta"]
-    th = np.zeros(M + 1)
-    inner = (ts > 0.0) & (ts < wt.T)
-    g = ts[inner] * (weights.T - ts[inner])
-    th[inner] = g**-4
-    at1 = th * lam * eta[1] * a[1] * c1[1] * wx1 * wx1
-    at0 = th * lam * eta[0] * a[0] * c1[0] * wx0 * wx0
-    term = -s * float(np.dot(tw, at1 - at0))
-    scale = s * float(np.dot(tw, np.abs(at1) + np.abs(at0))) + 1e-300
-    return term, scale
+            term, scale = boundary_sign_term(wt, wts, params)
+            assert term >= -1e-8 * scale
 
 
 class TestBoundarySignTerms:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("s", [1.0, 50.0])
-    def test_stack_equals_the_per_sample_transform(self, gamma, s):
-        spec = make_spec(gamma=gamma, N=40, M=32)
+    @pytest.mark.parametrize("M", [16, 128, 513])
+    def test_stack_equals_the_per_sample_transform(self, gamma, s, M):
+        spec = make_spec(gamma=gamma, N=40, M=M)
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
         params = CarlemanParams(s, 1.0)
         vts = sample_fields(11, STREAM_TERMINAL, 5, spec.mesh.nodes)
         rows, _ = _adjoint_march(spec, vts)
-        got = boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
-        assert len(got) == 5
-        for r, bt in zip(rows, got):
+        term, scale = boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
+        assert term.shape == scale.shape == (5,)
+        for i, r in enumerate(rows):
             wt = transform_to_w(Trajectory(r, spec.mesh, spec.T), wts, params)
-            one = boundary_sign_term(wt, wts, params)
-            assert (bt.term, bt.scale) == (one.term, one.scale)
-            assert (bt.term, bt.scale) == _full_boundary_term(wt, wts, params)
+            assert (term[i], scale[i]) == boundary_sign_term(wt, wts, params)
 
     def test_transform_calls_replaced_by_one_weight(self, monkeypatch):
         # one exp(s*phi) grid for the whole stack, and no full transform
@@ -395,7 +372,8 @@ class TestSweep:
         res = carleman_sweep(
             spec, 1, [1.0], [2.0], seed=3, omega_prime=(0.05, 0.9), s_relative=True
         )
-        assert len(res.rows) == 1
+        assert all(col.shape == (1,) for col in res.table.values())
+        assert all(col.shape == (1,) for col in res.points.values())
         assert res.summary["excluded_count"] == 0
         assert math.isfinite(res.summary["empirical_C"])
 
@@ -404,7 +382,9 @@ class TestSweep:
         kw = dict(s_grid=[1.0, 2.0], lambda_grid=[2.0], seed=11, omega_prime=(0.05, 0.9), s_relative=True)
         r1 = carleman_sweep(spec, 3, **kw)
         r2 = carleman_sweep(spec, 3, **kw)
-        assert r1.rows == r2.rows
+        assert r1.table.keys() == r2.table.keys()
+        for k in r1.table:
+            assert r1.table[k].tobytes() == r2.table[k].tobytes()
         assert r1.summary["config_sha256"] == r2.summary["config_sha256"]
 
     @pytest.mark.parametrize("n_samples", [3, 4])
@@ -414,10 +394,11 @@ class TestSweep:
             spec, n_samples, [1.0, 2.0], [2.0], seed=5, omega_prime=(0.05, 0.9),
             s_relative=True,
         )
-        for point in res.summary["per_point"]:
-            ratios = [r["ratio"] for r in res.rows if r["s"] == point["s"]]
-            assert point["n_valid"] == n_samples
-            assert point["median_ratio"] == float(np.median(ratios))
+        p = res.points
+        for s, n_valid, median in zip(p["s"], p["n_valid"], p["median_ratio"]):
+            ratios = res.table["ratio"][res.table["s"] == s]
+            assert n_valid == n_samples
+            assert median == float(np.median(ratios))
 
     def test_validates_arguments(self):
         spec = make_spec(N=32, M=32)
@@ -432,7 +413,44 @@ class TestSweep:
         spec = make_spec(gamma=1.5, N=32, M=32)
         res = carleman_sweep(spec, 3, [1e6], [50.0], seed=0, s_relative=False)
         assert res.summary["excluded_count"] == 3
+        assert res.points["n_degenerate"].tolist() == [3]
         assert math.isnan(res.summary["empirical_C"])
+
+    def test_point_statistics_over_the_valid_samples(self, monkeypatch):
+        # prescribed reports, in call order: per point the max and median
+        # of the valid ratios and the three counts, as a per-point loop of
+        # np.max and np.median gives them
+        nan, inf = math.nan, math.inf
+        ratios = [
+            [3.0, nan, 1.0, inf, 2.0],  # one degenerate, one infinite
+            [nan] * 5,  # every sample degenerate
+            [4.0, 1.0, nan, 2.0, 5.0],  # one NaN ratio, an even count left
+        ]
+        degenerate = [[False, True, False, False, False], [True] * 5, [False] * 5]
+        reports = iter(
+            CarlemanReport(1.0, 2.0, 3.0, 4.0, r, CarlemanParams(1.0, 1.0), d)
+            for row, flags in zip(ratios, degenerate) for r, d in zip(row, flags)
+        )
+        monkeypatch.setattr(carleman, "carleman_sides", lambda *args: next(reports))
+        spec = make_spec(N=16, M=8)
+        res = carleman_sweep(spec, 5, [1.0, 2.0, 3.0], [2.0], seed=0, s_relative=False)
+        assert next(reports, None) is None
+        table, p = res.table, res.points
+        assert table["sample"].tolist() == list(range(5)) * 3
+        assert table["s"].tolist() == [1.0] * 5 + [2.0] * 5 + [3.0] * 5
+        assert table["lambda"].tolist() == [2.0] * 15
+        np.testing.assert_array_equal(table["ratio"], np.ravel(ratios))
+        assert table["rhs_local"].tolist() == [4.0] * 15
+        assert p["n_valid"].tolist() == [3, 0, 4]
+        assert p["n_degenerate"].tolist() == [1, 5, 0]
+        assert p["n_nonfinite"].tolist() == [1, 0, 1]
+        np.testing.assert_array_equal(p["max_ratio"], [3.0, nan, 5.0])
+        np.testing.assert_array_equal(p["median_ratio"], [2.0, nan, 3.0])
+        assert p["median_ratio"][[0, 2]].tolist() == [
+            float(np.median([3.0, 1.0, 2.0])), float(np.median([4.0, 1.0, 2.0, 5.0]))
+        ]
+        assert res.summary["empirical_C"] == 5.0
+        assert res.summary["excluded_count"] == 8
 
     @pytest.mark.parametrize("gamma", [0.5, 1.5])
     def test_batched_matches_per_sample_formula(self, gamma):
@@ -482,13 +500,12 @@ class TestSweep:
                     })
         assert res.summary["excluded_count"] == 0
         # the folded grids sum in another order: rounding-level drift only
-        assert len(res.rows) == len(ref)
-        for row, want in zip(res.rows, ref):
-            assert (row["sample"], row["s"], row["lambda"]) == (
-                want["sample"], want["s"], want["lambda"]
-            )
-            for key in ("lhs_grad", "lhs_zero", "rhs_source", "rhs_local", "ratio"):
-                assert row[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
+        assert list(res.table) == list(ref[0])
+        assert all(col.shape == (len(ref),) for col in res.table.values())
+        for key in ("sample", "s", "lambda"):
+            assert res.table[key].tolist() == [want[key] for want in ref]
+        for key in ("lhs_grad", "lhs_zero", "rhs_source", "rhs_local", "ratio"):
+            assert res.table[key] == pytest.approx([want[key] for want in ref], rel=1e-12, abs=0.0)
 
     def test_weight_grids_built_once_per_point(self, monkeypatch):
         # every sample still asks for its four grids, but each (s, lambda)
@@ -619,9 +636,13 @@ class TestSweep:
             spec, 3, [1.0, 2.0], [2.0], seed=1, omega_prime=(0.05, 0.9),
             s_relative=True, zero_order_exponent=float("nan"),
         )
-        assert all(math.isnan(r["ratio"]) for r in res.rows)
-        assert res.summary["excluded_count"] == len(res.rows) == 6
-        assert [p["n_valid"] for p in res.summary["per_point"]] == [0, 0]
+        assert np.isnan(res.table["ratio"]).all()
+        assert res.summary["excluded_count"] == res.table["ratio"].size == 6
+        assert res.points["n_valid"].tolist() == [0, 0]
+        assert res.points["n_nonfinite"].tolist() == [3, 3]
+        assert res.points["n_degenerate"].tolist() == [0, 0]
+        assert np.isnan(res.points["max_ratio"]).all()
+        assert np.isnan(res.points["median_ratio"]).all()
         assert math.isnan(res.summary["empirical_C"])
 
     def test_zero_order_exponent_variant_bounded(self):
@@ -633,8 +654,7 @@ class TestSweep:
                 spec, 3, [1.0, 4.0], [2.0], seed=5, omega_prime=(0.05, 0.9),
                 s_relative=True, zero_order_exponent=2.0,
             )
-            ratios = [r["ratio"] for r in res.rows]
-            assert all(math.isfinite(r) for r in ratios)
+            assert np.isfinite(res.table["ratio"]).all()
 
 
 class TestHorizonCheck:
@@ -689,7 +709,7 @@ class TestObservability:
             vals = solve_adjoint(spec, vt).values
             num = float(np.sum(spec.mesh.volumes * vals[0] * vals[0]))
             ref.append(num / float(np.einsum("m,mi,i->", tw, vals * vals, xw)))
-        assert rep.ratios == ref
+        assert rep.ratios.tolist() == ref
         assert rep.constant == max(ref)
         assert rep.excluded_count == 0
 

@@ -11,7 +11,7 @@ from carleman_lab.carleman import (
     _observability_ratios,
     transform_to_w,
 )
-from carleman_lab import cli, pde_solver
+from carleman_lab import carleman, cli, pde_solver
 from carleman_lab.cli import EXPERIMENTS, main, run_experiment, validate_config
 from carleman_lab.coefficients import classify, make_power_coefficient
 from carleman_lab.functionals import _clipped_node_quadrature
@@ -1160,23 +1160,40 @@ def test_control_csv_matches_row_by_row_format(tmp_path):
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 4096])
-def test_float_table_text_matches_per_value_format(tmp_path, monkeypatch, block_rows):
-    # repeated columns are formatted once per bit pattern, so -0.0 and 0.0
-    # keep their own text; the rows are written in blocks
+@pytest.mark.parametrize("repeats", [1, 2 * cli._CSV_DEDUPE_MIN_ROWS])
+def test_float_table_text_matches_per_value_format(tmp_path, monkeypatch, block_rows, repeats):
+    # repeated columns of at least _CSV_DEDUPE_MIN_ROWS entries are formatted
+    # once per bit pattern, so -0.0 and 0.0 keep their own text; shorter
+    # ones value by value; the rows are written in blocks
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-    t = np.repeat([0.0, -0.0, 0.1, 1.0 / 3.0], 3)
-    x = np.tile([-0.0, 0.25, 1e-300], 4)
-    v = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, 0.1, 0.2, 0.3, 2.0 / 3.0])
+    unique = np.unique
+    searched = []
+
+    def counted(a, *args, **kwargs):
+        searched.append(len(a))
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    t = np.repeat([0.0, -0.0, 0.1, 1.0 / 3.0], 3 * repeats)
+    x = np.tile([-0.0, 0.25, 1e-300], 4 * repeats)
+    v = np.tile(
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, 0.1, 0.2, 0.3, 2.0 / 3.0], repeats
+    )
     # a text column, and integers given as a list, beside the float arrays
-    label = ["a", "b", "a", "c"] * 3
-    n = list(range(12))
+    label = ["a", "b", "a", "c"] * 3 * repeats
+    n = list(range(12 * repeats))
     cli._write_csv(tmp_path / "t.csv", {"t": t, "label": label, "x": x, "value": v, "n": n})
     want = "t,label,x,value,n\n" + "".join(
         f"{a:.17g},{s},{b:.17g},{c:.17g},{i}\n"
         for a, s, b, c, i in zip(t.tolist(), label, x.tolist(), v.tolist(), n)
     )
     assert (tmp_path / "t.csv").read_text() == want
-    assert "\n0,a,-0,0,0\n" in want and "\n-0,c,-0,inf,3\n" in want
+    assert "\n0,a,-0,0,0\n" in want
+    assert {row.split(",")[0] for row in want.splitlines()[1:]} == {
+        "0", "-0", "0.10000000000000001", "0.33333333333333331"
+    }
+    # the four numeric columns are searched for repeats only when long
+    assert searched == ([] if repeats == 1 else [12 * repeats] * 4)
     cli._write_csv(tmp_path / "e.csv", {"t": t[:0], "label": [], "x": x[:0], "value": v[:0]})
     assert (tmp_path / "e.csv").read_text() == "t,label,x,value\n"
 
@@ -1248,8 +1265,9 @@ def test_lemma_sign_terms_match_per_sample(tmp_path):
     params = CarlemanParams(1.0, 1.0)
     ref = []
     for vt in sample_fields(5, STREAM_TERMINAL, 4, spec.mesh.nodes):
-        bt = boundary_sign_term(transform_to_w(solve_adjoint(spec, vt), wts, params), wts, params)
-        ref.append((bt.term, bt.scale))
+        ref.append(
+            boundary_sign_term(transform_to_w(solve_adjoint(spec, vt), wts, params), wts, params)
+        )
     assert got == ref
 
 
@@ -1281,5 +1299,78 @@ def test_observability_probe_matches_per_sample(tmp_path):
     assert [float(line.split(",")[1]) for line in lines] == [one_ratio(v) for v in vts]
     vt = sample_fields(7, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
     r1, r2 = one_ratio(vt), one_ratio(2.0 * vt)
-    assert _observability_ratios(spec, np.stack([vt, 2.0 * vt])) == [r1, r2]
+    assert _observability_ratios(spec, np.stack([vt, 2.0 * vt])).tolist() == [r1, r2]
     assert summary["results"]["scale_invariance_error"] == abs(r1 - r2) / max(abs(r1), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "exp, fields, invariant",
+    [
+        ("energy", {"mesh_n": 16, "time_steps": 8}, "all energy ratios finite"),
+        ("hardy", {"mesh_n": 16}, "all ratios finite"),
+    ],
+)
+def test_zero_data_sample_reads_nan(tmp_path, monkeypatch, exp, fields, invariant):
+    # a sample with nothing to evaluate reads nan, never 0: the finite check
+    # fails by name and max_ratio is taken over the other samples
+    cfg = base_config(exp, n_samples=3, **fields)
+
+    def ratios(outdir):
+        lines = (outdir / f"{exp}.csv").read_text().splitlines()
+        col = lines[0].split(",").index("ratio")
+        return [line.split(",")[col] for line in lines[1:]]
+
+    assert run_experiment(cfg, tmp_path / "clean") == 0
+    clean = [float(r) for r in ratios(tmp_path / "clean")]
+    draw = cli.sample_fields
+
+    def zero_at_1(*args):
+        fields = draw(*args)
+        fields[1] = 0.0
+        return fields
+
+    monkeypatch.setattr(cli, "sample_fields", zero_at_1)
+    assert run_experiment(cfg, tmp_path / "zero") == 1
+    got = ratios(tmp_path / "zero")
+    assert got[1] == "nan" and [float(got[0]), float(got[2])] == [clean[0], clean[2]]
+    summary = json.loads((tmp_path / "zero" / "summary.json").read_text())
+    assert [i["name"] for i in summary["invariants"] if not i["passed"]] == [invariant]
+    assert summary["results"]["max_ratio"] == max(clean[0], clean[2])
+
+
+def test_excluded_observability_draw_keeps_its_index(tmp_path, monkeypatch):
+    # a zero terminal draw at index 1 has no control-region energy: its row
+    # reads nan, and every later draw keeps its own sample index and ratio
+    cfg = {
+        "experiment": "observability",
+        "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
+        "T": 1.0,
+        "mesh_n": 40,
+        "time_steps": 40,
+        "omega": [0.3, 0.7],
+        "n_samples": 4,
+        "seed": 7,
+    }
+    spec = _gamma_spec(0.5, 40, 1.0, (0.3, 0.7))
+    clean = carleman.observability_ratio(spec, n_samples=4, seed=7).ratios
+    draw = carleman.sample_fields
+
+    def zero_at_1(*args):
+        fields = draw(*args)
+        fields[1] = 0.0
+        return fields
+
+    monkeypatch.setattr(carleman, "sample_fields", zero_at_1)
+    rep = carleman.observability_ratio(spec, n_samples=4, seed=7)
+    assert np.isnan(rep.ratios[1]) and rep.excluded_count == 1
+    assert rep.ratios[[0, 2, 3]].tolist() == clean[[0, 2, 3]].tolist()
+    assert rep.constant == max(clean[[0, 2, 3]])
+
+    assert run_experiment(cfg, tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["results"]["excluded_count"] == 1
+    rows = [line.split(",") for line in (tmp_path / "observability.csv").read_text().splitlines()]
+    assert rows[0] == ["sample", "ratio"]
+    assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+    assert rows[2][1] == "nan"
+    assert [float(rows[i][1]) for i in (1, 3, 4)] == clean[[0, 2, 3]].tolist()

@@ -197,7 +197,9 @@ class TestHardyRatio:
         coef = make_power_coefficient(0.5)
         mesh = build_mesh(64, 2.0)
         rep = hardy_ratio(coef, mesh, np.zeros(mesh.nodes.size), HardyCase.CASE_A)
-        assert rep.lhs == rep.rhs == rep.ratio == 0.0
+        # nothing to evaluate: NaN, never a ratio of 0.0
+        assert rep.lhs == rep.rhs == 0.0
+        assert math.isnan(rep.ratio)
         assert not rep.violation
 
     def test_case_b_refinement_converged(self):
@@ -292,10 +294,17 @@ class TestStackedHardy:
         draws = sample_fields(11, STREAM_TERMINAL, 7, mesh.nodes)
         draws[3] = 0.0  # zero gradient: both integrals vanish
         stacked = hardy_ratios(target, mesh, draws, case)
-        assert len(stacked) == 7
-        assert stacked[3].ratio == 0.0 and not stacked[3].violation
+        assert list(stacked) == ["lhs", "rhs", "ratio", "violation"]
+        assert all(col.shape == (7,) for col in stacked.values())
+        assert math.isnan(stacked["ratio"][3]) and not stacked["violation"][3]
         for i in range(7):
-            assert stacked[i] == hardy_ratio(target, mesh, draws[i], case)
+            one = hardy_ratio(target, mesh, draws[i], case)
+            assert one.case is case
+            # NaN equals NaN here: the zero row's ratio
+            np.testing.assert_array_equal(
+                [stacked[k][i] for k in ("lhs", "rhs", "ratio")], [one.lhs, one.rhs, one.ratio]
+            )
+            assert stacked["violation"][i] == one.violation
 
     def test_needs_no_certificate(self, monkeypatch):
         # classify is the one certifier of the ratio bound: the Hardy
@@ -307,9 +316,9 @@ class TestStackedHardy:
         monkeypatch.setattr(functionals, "classify", refuse, raising=False)
         mesh = build_mesh(32, 2.0)
         draws = sample_fields(11, STREAM_TERMINAL, 3, mesh.nodes)
-        reports = hardy_ratios(make_power_coefficient(0.5), mesh, draws, HardyCase.CASE_A)
-        assert len(reports) == 3
-        assert all(math.isfinite(r.ratio) and not r.violation for r in reports)
+        cols = hardy_ratios(make_power_coefficient(0.5), mesh, draws, HardyCase.CASE_A)
+        assert cols["ratio"].shape == (3,)
+        assert np.isfinite(cols["ratio"]).all() and not cols["violation"].any()
 
     def test_one_bad_row_rejects_the_stack(self):
         coef = make_power_coefficient(0.5)

@@ -94,6 +94,10 @@ def make_power_coefficient(gamma: float) -> DegeneracyCoefficient:
     )
 
 
+# the x**theta + sigma*x kinds: sigma and the open theta interval
+_POWER_X = {"power_minus_x": (-1.0, 0.0, 1.0), "power_plus_x": (1.0, 1.0, 2.0)}
+
+
 def make_example_coefficient(kind: str, **params) -> DegeneracyCoefficient:
     """Named non-power coefficients with analytic derivatives.
 
@@ -134,39 +138,24 @@ def make_example_coefficient(kind: str, **params) -> DegeneracyCoefficient:
         desc = {"kind": "power_cos", "params": {"gamma": gamma, "alpha": alpha}}
         return DegeneracyCoefficient(label, a, da, d2a, desc)
 
-    if kind == "power_minus_x":
+    if kind in _POWER_X:
+        sigma, lo, hi = _POWER_X[kind]
         theta = params["theta"]
-        if not 0.0 < theta < 1.0:
-            raise ValueError(f"power_minus_x requires theta in (0, 1), got {theta}")
+        if not lo < theta < hi:
+            raise ValueError(f"{kind} requires theta in ({lo:g}, {hi:g}), got {theta}")
 
         def a(x):
-            return np.power(x, theta) - np.asarray(x, dtype=float)
+            return np.power(x, theta) + sigma * np.asarray(x, dtype=float)
 
         def da(x):
-            return theta * np.power(x, theta - 1.0) - 1.0
+            return theta * np.power(x, theta - 1.0) + sigma
 
         def d2a(x):
             return theta * (theta - 1.0) * np.power(x, theta - 2.0)
 
-        desc = {"kind": "power_minus_x", "params": {"theta": theta}}
-        return DegeneracyCoefficient(f"x^{theta:g}-x", a, da, d2a, desc)
-
-    if kind == "power_plus_x":
-        theta = params["theta"]
-        if not 1.0 < theta < 2.0:
-            raise ValueError(f"power_plus_x requires theta in (1, 2), got {theta}")
-
-        def a(x):
-            return np.power(x, theta) + np.asarray(x, dtype=float)
-
-        def da(x):
-            return theta * np.power(x, theta - 1.0) + 1.0
-
-        def d2a(x):
-            return theta * (theta - 1.0) * np.power(x, theta - 2.0)
-
-        desc = {"kind": "power_plus_x", "params": {"theta": theta}}
-        return DegeneracyCoefficient(f"x^{theta:g}+x", a, da, d2a, desc)
+        label = f"x^{theta:g}{'-' if sigma < 0 else '+'}x"
+        desc = {"kind": kind, "params": {"theta": theta}}
+        return DegeneracyCoefficient(label, a, da, d2a, desc)
 
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
@@ -198,16 +187,53 @@ def make_table_coefficient(x, a, label: str = "table") -> DegeneracyCoefficient:
     return DegeneracyCoefficient(label, interp, d1, d2, desc)
 
 
+# The keys each descriptor kind reads: at the top level, then in "params".
+_DESCRIPTOR_KEYS = {
+    "power": (("kind", "params"), ("gamma",)),
+    "power_cos": (("kind", "params"), ("gamma", "alpha")),
+    "power_minus_x": (("kind", "params"), ("theta",)),
+    "power_plus_x": (("kind", "params"), ("theta",)),
+    "table": (("kind", "x", "a"), ()),
+}
+
+
+def _check_keys(where: str, given: dict, read: tuple, nested: tuple = ()) -> None:
+    """Raise on the first key of ``given`` outside ``read``, naming the
+    closest key of ``read`` or of the ``nested`` params it could have meant."""
+    for name in given:
+        if name not in read:
+            import difflib  # on the error path only, which alone pays its import
+
+            close = difflib.get_close_matches(name, (*read, *nested), n=1)
+            at = "params." if close and close[0] not in read else ""
+            hint = f" (did you mean {at}{close[0]}?)" if close else ""
+            raise ValueError(f"{name!r} is not a key of {where}{hint}")
+
+
 def coefficient_from_descriptor(desc: dict) -> DegeneracyCoefficient:
-    """Rebuild a coefficient from its JSON descriptor."""
+    """Rebuild a coefficient from its JSON descriptor.  A key the kind does
+    not read, or a boolean where a number belongs, is a ValueError."""
     kind = desc.get("kind")
+    if not (isinstance(kind, str) and kind in _DESCRIPTOR_KEYS):
+        raise ValueError(f"unknown coefficient descriptor kind {kind!r}")
+    top, names = _DESCRIPTOR_KEYS[kind]
+    _check_keys(f"a {kind} descriptor", desc, top, names)
+    if kind == "table":
+        given = [(k, v) for k in ("x", "a") if isinstance(desc[k], list) for v in desc[k]]
+    else:
+        params = desc["params"]
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, got {params!r}")
+        _check_keys(f"{kind} params", params, names)
+        given = params.items()
+    for name, v in given:
+        if isinstance(v, bool):
+            raise ValueError(f"{name} must be a number, got {v!r}")
     if kind == "power":
-        return make_power_coefficient(desc["params"]["gamma"])
-    if kind in ("power_cos", "power_minus_x", "power_plus_x"):
-        return make_example_coefficient(kind, **desc["params"])
+        return make_power_coefficient(params["gamma"])
     if kind == "table":
         return make_table_coefficient(desc["x"], desc["a"])
-    raise ValueError(f"unknown coefficient descriptor kind {kind!r}")
+    return make_example_coefficient(kind, **params)
 
 
 def classify(

@@ -434,9 +434,8 @@ class _Stepper:
         self.factor_of = []  # substep -> index of its distinct L
         self.tau_w = []  # tau * W, the weight of a substep's forcing
         self._factors = []  # distinct L -> references to its factors
-        self._L = []  # substep -> references to its factored L
         self._R = []  # substep -> stencil coefficients of R
-        built: dict = {}  # key of L -> (factor index, factored L, tau*W, R coefficients)
+        built: dict = {}  # key of L -> (factor index, tau*W, R coefficients)
         for t, tau_j, th in zip(t_sample, tau, implicit):
             cvals = None
             if spec.c is not None:
@@ -447,17 +446,16 @@ class _Stepper:
             key = (tau_j, th, None if cvals is None else cvals.tobytes())
             if key not in built:
                 g_diag = self.op.diag if cvals is None else self.op.diag + W * cvals
+                self._factor(W + th * tau_j * g_diag, th * tau_j * self.op.off)
                 built[key] = (
                     len(built),
-                    self._factor(W + th * tau_j * g_diag, th * tau_j * self.op.off),
                     tau_j * W,
                     self._stencil(
                         W - (1.0 - th) * tau_j * g_diag, -(1.0 - th) * tau_j * self.op.off
                     ),
                 )
-            f, L, tw, R = built[key]
+            f, tw, R = built[key]
             self.factor_of.append(f)
-            self._L.append(L)
             self.tau_w.append(tw)
             self._R.append(R)
         self._weighted = None  # scratch of _forcing_rows, made by the first forcing
@@ -466,9 +464,10 @@ class _Stepper:
         self._tau_runs = [j for j in range(1, J) if tau[j] != tau[j - 1]]
         self._tau_runs.append(J)
 
-    def _factor(self, Ld: np.ndarray, Lo: np.ndarray) -> tuple:
-        """Factor the tridiagonal L with ``dgttrf``, overwriting Ld and Lo;
-        references to its factors dl, d, du, du2 and the pivots."""
+    def _factor(self, Ld: np.ndarray, Lo: np.ndarray) -> None:
+        """Factor the tridiagonal L with ``dgttrf``, overwriting Ld and Lo,
+        and append references to its factors dl, d, du, du2 and the pivots
+        to ``_factors``."""
         n = Ld.size
         factors = tuple(map(_ref, (
             Lo, Ld, Lo.copy(), np.empty(max(n - 2, 1)), np.empty(n, dtype=np.int64)
@@ -478,7 +477,6 @@ class _Stepper:
         if info.value != 0:
             raise ValueError("singular step matrix: time step or potential pathological")
         self._factors.append(factors)
-        return factors
 
     def _solves(self, inner: np.ndarray, factors: list) -> list:
         """``dgttrs`` arguments that solve with each of ``factors`` in place
@@ -524,7 +522,7 @@ class _Stepper:
         """L_j^{-1} rhs for an (n,) vector or an (S, n) block."""
         _, inner, x = self._buffer(rhs.shape)
         x[...] = rhs
-        (args,) = self._solves(inner, [self._L[j]])
+        (args,) = self._solves(inner, [self._factors[self.factor_of[j]]])
         _trs(*args)
         return x
 

@@ -177,19 +177,14 @@ class PsiFunction:
 
         self._integrand = integrand
 
-        a_ap = float(np.asarray(coef.eval(np.array([alpha_prime]))).ravel()[0])
-        da_ap = float(np.asarray(coef.eval_deriv(np.array([alpha_prime]))).ravel()[0])
-        a_bp = float(np.asarray(coef.eval(np.array([beta_prime]))).ravel()[0])
-        da_bp = float(np.asarray(coef.eval_deriv(np.array([beta_prime]))).ravel()[0])
-        if a_ap <= 0 or a_bp <= 0:
+        joints = np.array([self.alpha_prime, self.beta_prime])
+        if np.any(np.asarray(coef.eval(joints), dtype=float) <= 0):
             raise ValueError("coefficient must be positive at the window edges")
 
         self.psi_alpha = float(self._running_integral(np.array([alpha_prime]), 0.0)[0])
-        # branch derivatives at the joints
-        d1_l = alpha_prime / a_ap
-        d2_l = (a_ap - alpha_prime * da_ap) / a_ap**2
-        d1_r = -beta_prime / a_bp
-        d2_r = -(a_bp - beta_prime * da_bp) / a_bp**2
+        # branch derivatives at the joints: alpha' ends the left branch and
+        # beta' starts the right one, so no bridge is read
+        (d1_l, d1_r), (d2_l, d2_r) = self.d1(joints), self.d2(joints)
         L = self._span
         bridge = _hermite_bridge(
             self.psi_alpha, L * d1_l, L * L * d2_l, 0.0, L * d1_r, L * L * d2_r,
@@ -289,21 +284,6 @@ class PsiFunction:
         return self._derivative(
             x, 3, lambda x, a, da, d2a: (-x * d2a * a - 2.0 * da * (a - x * da)) / a**3
         )
-
-    def sign_change_location(self, n: int = 20001) -> float:
-        """Abscissa where the profile turns negative (the right window edge,
-        up to bridge wiggle)."""
-        xs = np.linspace(self.alpha_prime, 1.0, n)
-        vals = self.value(xs)
-        neg = np.nonzero(vals < 0.0)[0]
-        if neg.size == 0:
-            return 1.0
-        i = neg[0]
-        if i == 0:
-            return float(xs[0])
-        x0, x1 = xs[i - 1], xs[i]
-        v0, v1 = vals[i - 1], vals[i]
-        return float(x0 - v0 * (x1 - x0) / (v1 - v0))
 
 
 def time_factor(ts, T: float):
@@ -568,34 +548,23 @@ class CarlemanWeights:
         eta = self.eta(xs)
         a = np.asarray(coef.eval(xs), dtype=float)
         pos = xs > 0.0
-        left, mid, right = psi._masks(xs)
-        c1 = np.zeros(n)
-        c1p = np.zeros(n)
+        left, mid, _ = psi._masks(xs)
+        # +1 on the left branch and -1 on the right, where a*psi' = sign*x;
+        # the bridge entries and the x = 0 limits are overwritten below
+        sign = np.where(left, 1.0, -1.0)
         c1pp = np.zeros(n)
-        c2 = np.zeros(n)
-        c3x = np.zeros(n)
-        c4 = np.zeros(n)
-        c5 = np.zeros(n)
         ap = np.zeros(n)
         with np.errstate(all="ignore"):
             ap[pos] = np.asarray(coef.eval_deriv(xs[pos]), dtype=float)
-            # branches: a*psi' = +-x exactly
-            lb = left & pos
-            c1[left] = xs[left]  # at x=0 this is 0, the exact limit
-            c1p[left] = 1.0
-            c1pp[left] = 0.0
-            c1[right] = -xs[right]
-            c1p[right] = -1.0
-            c1pp[right] = 0.0
-            branch = (lb | right)
-            c2[branch] = xs[branch] ** 2 / a[branch]
+            c1 = sign * xs
+            c1p = sign.copy()
+            c2 = xs**2 / a
             # a*(x^2/a)' = x*(2a - x a')/a = x*(2 - x a'/a)
-            c3x[branch] = xs[branch] * (2.0 - xs[branch] * ap[branch] / a[branch])
-            c4[lb] = xs[lb] * ap[lb]
-            c4[right] = -xs[right] * ap[right]
-            # (a psi')(a psi'^2)' = +-(x^2/a)*(2 - x a'/a) on the branches
-            c5[lb] = c2[lb] * (2.0 - xs[lb] * ap[lb] / a[lb])
-            c5[right] = -c2[right] * (2.0 - xs[right] * ap[right] / a[right])
+            q = 2.0 - xs * ap / a
+            c3x = xs * q
+            c4 = c1 * ap
+            # (a psi')(a psi'^2)' = sign*(x^2/a)*(2 - x a'/a)
+            c5 = (sign * c2) * q
             if np.any(mid):
                 xm = xs[mid]
                 am = a[mid]

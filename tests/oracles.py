@@ -11,7 +11,7 @@ from carleman_lab.carleman import CarlemanParams, WTransform
 from carleman_lab.control import _DualOperator
 from carleman_lab.functionals import _check_horizon
 from carleman_lab.pde_solver import ProblemSpec, _adjoint_march, trapezoid_time_weights
-from carleman_lab.weights import CarlemanWeights, time_factor
+from carleman_lab.weights import CarlemanWeights, PsiFunction, time_factor
 
 
 # -- pointwise weight components (reference for weights.CarlemanWeights) ----------
@@ -28,6 +28,23 @@ def sigma(w: CarlemanWeights, t, x) -> np.ndarray:
 
 def phi(w: CarlemanWeights, t, x) -> np.ndarray:
     return theta_time(w, t) * (w.eta(x) - w.c3)
+
+
+# -- the profile's zero crossing (reference for weights.PsiFunction) --------------
+def sign_change_location(psi: PsiFunction, n: int = 20001) -> float:
+    """Abscissa where the profile turns negative (the right window edge,
+    up to bridge wiggle)."""
+    xs = np.linspace(psi.alpha_prime, 1.0, n)
+    vals = psi.value(xs)
+    neg = np.nonzero(vals < 0.0)[0]
+    if neg.size == 0:
+        return 1.0
+    i = neg[0]
+    if i == 0:
+        return float(xs[0])
+    x0, x1 = xs[i - 1], xs[i]
+    v0, v1 = vals[i - 1], vals[i]
+    return float(x0 - v0 * (x1 - x0) / (v1 - v0))
 
 
 # -- one sine series (reference for sampling.sample_fields) -----------------------

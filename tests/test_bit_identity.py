@@ -2,7 +2,10 @@
 
 Each formula of the weight layer is written once: the time factor in
 ``weights.time_factor``, the profile's branch dispatch in
-``PsiFunction._derivative``, the conjugated operator parts in
+``PsiFunction._derivative`` (which also gives the bridge's joint slopes), the
+branch composites in ``CarlemanWeights.space_composites`` through one sign
+array, the x**theta +- x coefficients through one set of closures, the
+conjugated operator parts in
 ``carleman._l_plus``/``_l_minus`` and the flux Laplacian in
 ``WeightedNorms.flux_laplacian``.  The grid kernels work in row blocks: the
 weight-grid build ``CarlemanWeights._build_grid`` and the fold
@@ -30,7 +33,13 @@ from carleman_lab.carleman import (
     standard_identity_fields,
     transform_to_w,
 )
-from carleman_lab.coefficients import classify, make_power_coefficient
+from carleman_lab.coefficients import (
+    DegeneracyCoefficient,
+    classify,
+    make_example_coefficient,
+    make_power_coefficient,
+    make_table_coefficient,
+)
 from carleman_lab.functionals import (
     WeightedNorms,
     _clipped_cell_lengths,
@@ -49,6 +58,7 @@ from carleman_lab.weights import (
     UNDERFLOW_EXPONENT,
     PsiFunction,
     _cumulative_from,
+    _hermite_bridge,
     block_rows,
     build_weights,
     time_factor,
@@ -149,6 +159,111 @@ def ref_d3(psi, x):
         xi = (x[mid] - psi.alpha_prime) / span
         out[mid] = P.polyval(xi, P.polyder(psi._bridge[0], 3)) / span**3
     return out
+
+
+def ref_joint_slopes(coef, alpha_prime, beta_prime):
+    a_ap = float(np.asarray(coef.eval(np.array([alpha_prime]))).ravel()[0])
+    da_ap = float(np.asarray(coef.eval_deriv(np.array([alpha_prime]))).ravel()[0])
+    a_bp = float(np.asarray(coef.eval(np.array([beta_prime]))).ravel()[0])
+    da_bp = float(np.asarray(coef.eval_deriv(np.array([beta_prime]))).ravel()[0])
+    d1_l = alpha_prime / a_ap
+    d2_l = (a_ap - alpha_prime * da_ap) / a_ap**2
+    d1_r = -beta_prime / a_bp
+    d2_r = -(a_bp - beta_prime * da_bp) / a_bp**2
+    return d1_l, d2_l, d1_r, d2_r
+
+
+def ref_space_composites(weights, xs):
+    psi = weights.psi
+    coef = weights.coef
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    n = xs.size
+    eta = weights.eta(xs)
+    a = np.asarray(coef.eval(xs), dtype=float)
+    pos = xs > 0.0
+    left, mid, right = psi._masks(xs)
+    c1 = np.zeros(n)
+    c1p = np.zeros(n)
+    c1pp = np.zeros(n)
+    c2 = np.zeros(n)
+    c3x = np.zeros(n)
+    c4 = np.zeros(n)
+    c5 = np.zeros(n)
+    ap = np.zeros(n)
+    with np.errstate(all="ignore"):
+        ap[pos] = np.asarray(coef.eval_deriv(xs[pos]), dtype=float)
+        lb = left & pos
+        c1[left] = xs[left]
+        c1p[left] = 1.0
+        c1pp[left] = 0.0
+        c1[right] = -xs[right]
+        c1p[right] = -1.0
+        c1pp[right] = 0.0
+        branch = (lb | right)
+        c2[branch] = xs[branch] ** 2 / a[branch]
+        c3x[branch] = xs[branch] * (2.0 - xs[branch] * ap[branch] / a[branch])
+        c4[lb] = xs[lb] * ap[lb]
+        c4[right] = -xs[right] * ap[right]
+        c5[lb] = c2[lb] * (2.0 - xs[lb] * ap[lb] / a[lb])
+        c5[right] = -c2[right] * (2.0 - xs[right] * ap[right] / a[right])
+        if np.any(mid):
+            xm = xs[mid]
+            am = a[mid]
+            apm = ap[mid]
+            p1 = psi.d1(xm)
+            p2 = psi.d2(xm)
+            p3 = psi.d3(xm) if coef.eval_deriv2 is not None else None
+            a2m = (
+                np.asarray(coef.eval_deriv2(xm), dtype=float)
+                if coef.eval_deriv2 is not None
+                else None
+            )
+            c1[mid] = am * p1
+            c1p[mid] = apm * p1 + am * p2
+            if p3 is not None:
+                c1pp[mid] = a2m * p1 + 2.0 * apm * p2 + am * p3
+            else:
+                c1pp[mid] = np.nan
+            c2[mid] = am * p1 * p1
+            c3x[mid] = am * (apm * p1 * p1 + 2.0 * am * p1 * p2)
+            c4[mid] = apm * am * p1
+            c5[mid] = (am * p1) * (apm * p1 * p1 + 2.0 * am * p1 * p2)
+    at0 = ~pos
+    for arr in (c1, c2, c3x, c4, c5):
+        arr[at0] = 0.0
+    c1p[at0] = 1.0
+    c1pp[at0] = 0.0
+    ap[at0] = np.where(np.isfinite(ap[at0]), ap[at0], 0.0)
+    return {
+        "eta": eta, "a": a, "ap": ap, "c1": c1, "c1p": c1p, "c1pp": c1pp,
+        "c2": c2, "c3x": c3x, "c4": c4, "c5": c5,
+    }
+
+
+def ref_power_minus_x(theta):
+    def a(x):
+        return np.power(x, theta) - np.asarray(x, dtype=float)
+
+    def da(x):
+        return theta * np.power(x, theta - 1.0) - 1.0
+
+    def d2a(x):
+        return theta * (theta - 1.0) * np.power(x, theta - 2.0)
+
+    return a, da, d2a
+
+
+def ref_power_plus_x(theta):
+    def a(x):
+        return np.power(x, theta) + np.asarray(x, dtype=float)
+
+    def da(x):
+        return theta * np.power(x, theta - 1.0) + 1.0
+
+    def d2a(x):
+        return theta * (theta - 1.0) * np.power(x, theta - 2.0)
+
+    return a, da, d2a
 
 
 def ref_flux_laplacian(norms, u):
@@ -331,6 +446,100 @@ class TestProfileDerivatives:
         for name, ref in (("value", ref_value), ("d1", ref_d1), ("d2", ref_d2),
                           ("d3", ref_d3)):
             assert same_bits(getattr(psi, name)(x), ref(psi, x)), name
+
+
+def _coefficient(name):
+    """The coefficients whose branch formulas are compared: every kind, the
+    table's interpolant, and one without a second derivative (c1pp = NaN in
+    the bridge)."""
+    kind, _, arg = name.partition(":")
+    if kind == "power":
+        return make_power_coefficient(float(arg))
+    if kind == "table":
+        xt = np.linspace(0.0, 1.0, 33)
+        return make_table_coefficient(xt, xt**0.7)
+    if kind == "no_d2a":
+        c = make_power_coefficient(0.5)
+        return DegeneracyCoefficient("x^0.5 without a''", c.eval, c.eval_deriv)
+    if kind == "power_cos":
+        gamma, alpha = map(float, arg.split(","))
+        return make_example_coefficient(kind, gamma=gamma, alpha=alpha)
+    return make_example_coefficient(kind, theta=float(arg))
+
+
+COEFFICIENTS = [
+    "power:0.3", "power:0.5", "power:1.0", "power:1.5", "power:1.9",
+    "power_cos:0.5,1.0", "power_cos:1.5,1.0", "power_minus_x:0.5", "power_plus_x:1.5",
+    "table", "no_d2a",
+]
+WINDOWS = [(0.4, 0.6), (0.05, 0.9)]
+
+
+def _abscissae(ap, bp):
+    return np.concatenate([
+        [0.0, 1e-12, ap, bp, 1.0],
+        np.linspace(0.0, 1.0, 301)[::-1],
+        [ap * (1.0 + 1e-12), ap * (1.0 - 1e-12), bp * (1.0 - 1e-12), bp * (1.0 + 1e-12)],
+    ])
+
+
+class TestBranchFormulas:
+    @pytest.mark.parametrize("degree", [5, 7])
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("name", COEFFICIENTS)
+    def test_joint_slopes(self, name, window, degree):
+        coef = _coefficient(name)
+        psi = PsiFunction(coef, *window, bridge_degree=degree)
+        d1_l, d2_l, d1_r, d2_r = ref_joint_slopes(coef, *window)
+        joints = np.array(window)
+        assert same_bits(psi.d1(joints), [d1_l, d1_r])
+        assert same_bits(psi.d2(joints), [d2_l, d2_r])
+        L = window[1] - window[0]
+        bridge = _hermite_bridge(
+            psi.psi_alpha, L * d1_l, L * L * d2_l, 0.0, L * d1_r, L * L * d2_r,
+            degree=degree,
+        )
+        assert same_bits(psi._bridge[0], bridge)
+
+    @pytest.mark.parametrize("degree", [5, 7])
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("name", COEFFICIENTS)
+    def test_space_composites(self, name, window, degree):
+        weights = build_weights(_coefficient(name), 2.0, 1.0, *window, bridge_degree=degree)
+        xs = _abscissae(*window)
+        got = weights.space_composites(xs)
+        want = ref_space_composites(weights, xs)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert same_bits(got[key], want[key]), key
+        assert np.isnan(got["c1pp"][(xs > window[0]) & (xs < window[1])]).all() == (
+            name == "no_d2a"
+        )
+
+    @pytest.mark.parametrize("kind, theta, ref, sign", [
+        ("power_minus_x", 0.2, ref_power_minus_x, "-"),
+        ("power_minus_x", 0.5, ref_power_minus_x, "-"),
+        ("power_minus_x", 0.9, ref_power_minus_x, "-"),
+        ("power_plus_x", 1.1, ref_power_plus_x, "+"),
+        ("power_plus_x", 1.5, ref_power_plus_x, "+"),
+        ("power_plus_x", 1.9, ref_power_plus_x, "+"),
+    ])
+    def test_power_x_family(self, kind, theta, ref, sign):
+        coef = make_example_coefficient(kind, theta=theta)
+        assert coef.label == f"x^{theta:g}{sign}x"
+        assert coef.descriptor == {"kind": kind, "params": {"theta": theta}}
+        x = _abscissae(0.4, 0.6)
+        with np.errstate(all="ignore"):
+            for got, want in zip((coef.eval, coef.eval_deriv, coef.eval_deriv2), ref(theta)):
+                assert same_bits(got(x), want(x))
+                assert got(0.3) == want(0.3)
+
+    def test_the_two_kinds_share_one_set_of_closures(self):
+        minus = make_example_coefficient("power_minus_x", theta=0.5)
+        plus = make_example_coefficient("power_plus_x", theta=1.5)
+        for f, g in ((minus.eval, plus.eval), (minus.eval_deriv, plus.eval_deriv),
+                     (minus.eval_deriv2, plus.eval_deriv2)):
+            assert f.__code__ is g.__code__
 
 
 def test_repeated_abscissae_share_one_value():

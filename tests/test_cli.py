@@ -13,7 +13,7 @@ from carleman_lab.carleman import (
 )
 from carleman_lab import carleman, cli, pde_solver
 from carleman_lab.cli import EXPERIMENTS, main, run_experiment, validate_config
-from carleman_lab.coefficients import classify, make_power_coefficient
+from carleman_lab.coefficients import classify, coefficient_from_descriptor, make_power_coefficient
 from carleman_lab.functionals import _clipped_node_quadrature
 from carleman_lab.pde_solver import (
     ProblemSpec,
@@ -113,6 +113,44 @@ class TestValidation:
             {"experiment": "classify", "coefficient": {"kind": "power", "params": {"gamma": 3.0}}}
         )
         assert any("coefficient" in e for e in errs)
+
+    @pytest.mark.parametrize("coefficient, error", [
+        ({"kind": "power_cos", "params": {"gamma": 0.5, "alpah": 1.0}},
+         "'alpah' is not a key of power_cos params (did you mean alpha?)"),
+        ({"kind": "power", "gama": 1, "params": {"gamma": 0.5}},
+         "'gama' is not a key of a power descriptor (did you mean params.gamma?)"),
+        ({"kind": "power", "params": {"gamma": 0.5, "beta": 3}},
+         "'beta' is not a key of power params"),
+        ({"kind": "power", "params": {"gamma": True}}, "gamma must be a number, got True"),
+        ({"kind": "power_plus_x", "params": {"theta": 1.5}, "label": "t"},
+         "'label' is not a key of a power_plus_x descriptor"),
+        ({"kind": "table", "x": [0.0, 0.3, 0.6, 1.0], "a": [0.0, 0.3, True, 1.0]},
+         "a must be a number, got True"),
+        ({"kind": "power", "params": [0.5]}, "params must be an object, got [0.5]"),
+    ], ids=["typo_in_params", "param_at_top", "unread_param", "boolean_param",
+            "unread_top_key", "boolean_table_entry", "params_not_object"])
+    def test_unread_descriptor_key_or_boolean_exit_2(self, tmp_path, capsys, coefficient, error):
+        cfg = {"experiment": "classify", "coefficient": coefficient}
+        assert validate_config(cfg) == [f"coefficient: {error}"]
+        assert main(["validate", write_config(tmp_path, cfg)]) == 2
+        assert f"coefficient: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coefficient, stored", [
+        ({"kind": "power", "params": {"gamma": 1.5}},
+         {"kind": "power", "params": {"gamma": 1.5}}),
+        ({"kind": "power_cos", "params": {"gamma": 0.5}},
+         {"kind": "power_cos", "params": {"gamma": 0.5, "alpha": 0.0}}),
+        ({"kind": "power_minus_x", "params": {"theta": 0.5}},
+         {"kind": "power_minus_x", "params": {"theta": 0.5}}),
+        ({"params": {"theta": 1.5}, "kind": "power_plus_x"},
+         {"kind": "power_plus_x", "params": {"theta": 1.5}}),
+        ({"kind": "table", "x": [0, 0.5, 0.75, 1], "a": [0, 0.5, 0.75, 1]},
+         {"kind": "table", "x": [0.0, 0.5, 0.75, 1.0], "a": [0.0, 0.5, 0.75, 1.0]}),
+    ], ids=["power", "power_cos", "power_minus_x", "power_plus_x", "table"])
+    def test_valid_descriptor_is_stored_as_before(self, coefficient, stored):
+        assert validate_config({"experiment": "classify", "coefficient": coefficient}) == []
+        got = coefficient_from_descriptor(coefficient).descriptor
+        assert json.dumps(got) == json.dumps(stored)
 
     def test_bad_omega(self):
         cfg = {

@@ -1028,7 +1028,7 @@ class TestScheduleTable:
         assert len(st._factors) == len(distinct)
         if c is POTENTIAL:
             assert len(distinct) == len(subs)
-        assert len(st._L) == len(st._R) == len(st.tau_w) == len(subs)
+        assert len(st.factor_of) == len(st._R) == len(st.tau_w) == len(subs)
         for tw, sub in zip(st.tau_w, subs):
             assert np.array_equal(tw, sub.tau * st.op.weights)
         ts, taus = pde_solver.substep_times(spec)

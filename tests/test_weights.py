@@ -12,7 +12,7 @@ from carleman_lab.weights import (
     default_omega_prime,
     time_factor,
 )
-from oracles import phi, sigma, theta_time
+from oracles import phi, sigma, sign_change_location, theta_time
 
 
 class TestPsiBranches:
@@ -174,7 +174,7 @@ class TestBridgeStitching:
         # the profile crosses zero exactly where the right branch starts
         for gamma in (0.5, 1.0, 1.5):
             psi = PsiFunction(make_power_coefficient(gamma), 0.3, 0.7)
-            z = psi.sign_change_location()
+            z = sign_change_location(psi)
             assert psi.alpha_prime < z <= psi.beta_prime + 1e-6
 
     def test_alternative_bridge_matches_joins(self):

@@ -39,7 +39,6 @@ from .pde_solver import (
 )
 from .functionals import (
     HardyCase,
-    HardyReport,
     WeightedNorms,
     aux_hardy_b,
     aux_hardy_p,

@@ -662,18 +662,17 @@ class ObservabilityReport:
     scale_invariance_error: float
 
 
-def _observability_ratios(spec: ProblemSpec, vt_fields: np.ndarray) -> np.ndarray:
-    """Initial-time energy over the control-region space-time energy of the
-    source-free backward solve from each terminal draw in the stack; NaN
-    where the control-region energy is degenerate."""
+def _observability_energies(spec: ProblemSpec, vt_fields: np.ndarray) -> tuple:
+    """``(initial, control)``: the initial-time energy and the control-region
+    space-time energy of the source-free backward solve from each terminal
+    draw in the stack."""
     st = _Stepper(spec)
     rows, _ = _adjoint_march(spec, vt_fields, stepper=st)
     nums = st.op.norms.l2_sq(rows[:, 0])
     xw_omega = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
     tw = trapezoid_time_weights(spec.T, spec.time_steps)
     dens = np.array([np.einsum("m,mi,i->", tw, r * r, xw_omega) for r in rows])
-    # a NaN denominator gives NaN without a floating-point warning
-    return nums / np.where(dens >= DEGENERATE_DENOMINATOR, dens, np.nan)
+    return nums, dens
 
 
 def observability_ratio(
@@ -682,17 +681,23 @@ def observability_ratio(
     """Empirical observability constant: the largest ratio of the initial-time
     energy to the control-region energy over seeded source-free backward
     solves, all marched as one batch together with twice the first draw,
-    whose ratio should equal the first draw's.  An excluded draw keeps its
+    whose ratio should equal the first draw's.  A draw either of whose
+    energies is below ``DEGENERATE_DENOMINATOR`` is excluded: it keeps its
     index, with ratio NaN."""
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     # each row of a stack marches with the bits it would have alone
-    ratios = _observability_ratios(spec, np.vstack([vt_fields, 2.0 * vt_fields[:1]]))
+    nums, dens = _observability_energies(spec, np.vstack([vt_fields, 2.0 * vt_fields[:1]]))
+    low_num, low_den = nums < DEGENERATE_DENOMINATOR, dens < DEGENERATE_DENOMINATOR
+    # a NaN operand gives NaN without a floating-point warning
+    ratios = np.where(low_num, np.nan, nums) / np.where(low_den, np.nan, dens)
     ratios, doubled = ratios[:-1], ratios[-1]
     scale_err = float(abs(ratios[0] - doubled) / max(abs(ratios[0]), 1e-300))
     valid = ratios[~np.isnan(ratios)]
     if not valid.size:
+        what = ("initial" if low_num[:-1].all() else
+                "control-region" if low_den[:-1].all() else "initial or control-region")
         raise ValueError(
-            f"every sample's control-region energy is below {DEGENERATE_DENOMINATOR:g} "
+            f"every sample's {what} energy is below {DEGENERATE_DENOMINATOR:g} "
             f"at T={spec.T:g}, time_steps={spec.time_steps}"
         )
     return ObservabilityReport(float(valid.max()), ratios, ratios.size - valid.size, scale_err)

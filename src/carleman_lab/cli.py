@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .carleman import (
+    DEGENERATE_DENOMINATOR,
     CarlemanParams,
     boundary_sign_terms,
     carleman_sweep,
@@ -31,18 +32,18 @@ from .carleman import (
 )
 from .coefficients import Regime, classify, coefficient_from_descriptor, make_power_coefficient
 from .control import MIN_PENALTY, synthesize_null_control
-from .functionals import HardyCase, WeightedNorms, aux_hardy_b, aux_hardy_p, hardy_ratios
+from .functionals import HardyCase, WeightedNorms, aux_hardy_b, aux_hardy_p, hardy_ratio
 from .pde_solver import (
     LeftBoundary,
     ProblemSpec,
     Scheme,
     Trajectory,
-    _adjoint_march,
     _Stepper,
     boundary_regime_for,
     build_mesh,
-    energy_reports,
+    energy_report,
     omega_node_mask,
+    solve_adjoint,
     solve_forward,
     trajectory_to_binary,
     trapezoid_time_weights,
@@ -239,7 +240,7 @@ def _field_errors(name: str, f: Field, v) -> list[str]:
             return [f"{name}: must be an object with a 'kind' field"]
         try:
             coefficient_from_descriptor(v)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             return [f"{name}: {exc}"]
     return []
 
@@ -296,6 +297,11 @@ def validate_config(cfg: dict) -> list[str]:
         o, op = _value(cfg, "omega"), cfg["omega_prime"]
         if not (o[0] < op[0] < op[1] < o[1]):
             errors.append(f"omega_prime: must be compactly contained in omega {list(o)}")
+    if exp in ("carleman_sweep", "lemma_checks") and ok("coefficient"):
+        # the weight profile integrates y/a(y) up to x = 1
+        if coefficient_from_descriptor(cfg["coefficient"]).eval(np.array([1.0]))[0] == 0.0:
+            errors.append("coefficient: a(1) = 0, so the weight profile's integral of "
+                          "y/a(y) diverges at x = 1")
     if exp in MARCHING:
         if ok("mesh_n", "mesh_grading", "omega"):
             mesh, omega = _mesh(cfg), tuple(_value(cfg, "omega"))
@@ -438,7 +444,7 @@ def _exp_hardy(cfg, seed, log):
     n_samples = int(_value(cfg, "n_samples"))
     case = HardyCase.CASE_A if rep.regime is Regime.WDC else HardyCase.CASE_B
     draws = sample_fields(seed, STREAM_TERMINAL, n_samples, mesh.nodes)
-    main = hardy_ratios(coef, mesh, draws, case)
+    main = hardy_ratio(coef, mesh, draws, case)
     ratios = main["ratio"]
     violations = int(np.count_nonzero(main["violation"]))
     written = ("lhs", "rhs", "ratio")
@@ -451,8 +457,8 @@ def _exp_hardy(cfg, seed, log):
     }
     if rep.boundary_case:
         # every p row, then every b row
-        p = hardy_ratios(aux_hardy_p(coef), mesh, draws, HardyCase.AUX_P)
-        b = hardy_ratios(aux_hardy_b(coef), mesh, draws, HardyCase.AUX_B)
+        p = hardy_ratio(aux_hardy_p(coef), mesh, draws, HardyCase.AUX_P)
+        b = hardy_ratio(aux_hardy_b(coef), mesh, draws, HardyCase.AUX_B)
         aux = {k: np.concatenate([p[k], b[k]]) for k in p}
         violations += int(np.count_nonzero(aux["violation"]))
         tables["hardy_aux.csv"] = {
@@ -475,7 +481,7 @@ def _exp_energy(cfg, seed, log):
     n_samples = int(_value(cfg, "n_samples"))
     u0s = sample_fields(seed, STREAM_INITIAL, n_samples, spec.mesh.nodes)
     hs = sample_fields(seed, STREAM_CONTROL, n_samples, spec.mesh.nodes)
-    ratios = energy_reports(spec, u0s, hs)
+    ratios = energy_report(spec, u0s, hs)
     max_ratio = _max_evaluable(ratios)
     log(f"energy ratios: max={max_ratio:.6g}")
     tables = {"energy.csv": {"sample": np.arange(n_samples), "ratio": ratios}}
@@ -549,8 +555,12 @@ def _exp_lemma_checks(cfg, seed, log):
 
     n_samples = int(_value(cfg, "n_samples"))
     vts = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
-    trajs, _ = _adjoint_march(spec, vts)
+    trajs = solve_adjoint(spec, vts).values
     term, scale = boundary_sign_terms(trajs, spec.mesh, spec.T, wts, params)
+    # scale carries a 1e-300 floor; below that, exp(s*phi) underflowed at the
+    # ends and the sign check would pass on nothing
+    if np.any(scale - 1e-300 < DEGENERATE_DENOMINATOR):
+        raise ValueError(f"boundary term underflows at s={s:g}, lambda={lam:g}")
     passed = term >= -1e-8 * scale
     tables = {
         "identity_residuals.csv": {

@@ -188,6 +188,7 @@ def make_table_coefficient(x, a, label: str = "table") -> DegeneracyCoefficient:
 
 
 # The keys each descriptor kind reads: at the top level, then in "params".
+# Every key is required but the optional ones.
 _DESCRIPTOR_KEYS = {
     "power": (("kind", "params"), ("gamma",)),
     "power_cos": (("kind", "params"), ("gamma", "alpha")),
@@ -195,11 +196,13 @@ _DESCRIPTOR_KEYS = {
     "power_plus_x": (("kind", "params"), ("theta",)),
     "table": (("kind", "x", "a"), ()),
 }
+_OPTIONAL_KEYS = ("alpha",)
 
 
 def _check_keys(where: str, given: dict, read: tuple, nested: tuple = ()) -> None:
     """Raise on the first key of ``given`` outside ``read``, naming the
-    closest key of ``read`` or of the ``nested`` params it could have meant."""
+    closest key of ``read`` or of the ``nested`` params it could have meant,
+    then on the first required key of ``read`` missing from ``given``."""
     for name in given:
         if name not in read:
             import difflib  # on the error path only, which alone pays its import
@@ -208,11 +211,15 @@ def _check_keys(where: str, given: dict, read: tuple, nested: tuple = ()) -> Non
             at = "params." if close and close[0] not in read else ""
             hint = f" (did you mean {at}{close[0]}?)" if close else ""
             raise ValueError(f"{name!r} is not a key of {where}{hint}")
+    for name in read:
+        if name not in given and name not in _OPTIONAL_KEYS:
+            raise ValueError(f"missing key {name!r} of {where}")
 
 
 def coefficient_from_descriptor(desc: dict) -> DegeneracyCoefficient:
     """Rebuild a coefficient from its JSON descriptor.  A key the kind does
-    not read, or a boolean where a number belongs, is a ValueError."""
+    not read, a missing key, or a boolean where a number belongs, is a
+    ValueError."""
     kind = desc.get("kind")
     if not (isinstance(kind, str) and kind in _DESCRIPTOR_KEYS):
         raise ValueError(f"unknown coefficient descriptor kind {kind!r}")

@@ -10,7 +10,6 @@ node when it exists and otherwise loses the first cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -23,10 +22,8 @@ from .weights import CarlemanWeights, block_rows
 __all__ = [
     "WeightedNorms",
     "HardyCase",
-    "HardyReport",
     "spacetime_weighted_integral",
     "hardy_ratio",
-    "hardy_ratios",
     "aux_hardy_p",
     "aux_hardy_b",
 ]
@@ -308,15 +305,6 @@ class HardyCase(Enum):
     AUX_B = "AuxiliaryB"
 
 
-@dataclass(frozen=True)
-class HardyReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    case: HardyCase
-    violation: bool = False
-
-
 def aux_hardy_p(coef: DegeneracyCoefficient) -> DegeneracyCoefficient:
     """Auxiliary profile (a(x) * x^4)^(1/3) used on the K = 1 path."""
 
@@ -357,21 +345,21 @@ def aux_hardy_b(coef: DegeneracyCoefficient) -> DegeneracyCoefficient:
     )
 
 
-def hardy_ratios(
+def hardy_ratio(
     coef_or_aux: DegeneracyCoefficient,
     mesh,
     ws: np.ndarray,
     case: HardyCase,
 ) -> dict:
-    """:func:`hardy_ratio` of every row of the ``(S, N+1)`` stack ``ws``, as
-    the columns ``lhs``, ``rhs``, ``ratio`` and ``violation``, one entry per
-    row.
+    """Ratio of the weighted zero-order integral to the gradient integral of
+    every row of the ``(S, N+1)`` stack ``ws``, as the columns ``lhs``,
+    ``rhs``, ``ratio`` and ``violation``, one entry per row.
 
-    The coefficient values are computed once for the stack; both integrals
-    are row sums over the stack, each summed in the order of the one-sample
-    sum.  A row with a zero gradient integral is a violation, ratio inf, when
-    its left side is not zero too, and has nothing to evaluate otherwise,
-    ratio NaN.
+    Case A requires w(0) = 0; case B and the auxiliary cases require
+    w(1) = 0.  The coefficient values are computed once for the stack; both
+    integrals are row sums over the stack.  A row with a zero gradient
+    integral is a violation, ratio inf, when its left side is not zero too,
+    and has nothing to evaluate otherwise, ratio NaN.
     """
     ws = np.asarray(ws, dtype=float)
     nodes = mesh.nodes
@@ -404,21 +392,3 @@ def hardy_ratios(
     # a NaN denominator gives NaN without a floating-point warning
     ratio = np.where(violation, np.inf, lhs / np.where(dead, np.nan, rhs))
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "violation": violation}
-
-
-def hardy_ratio(
-    coef_or_aux: DegeneracyCoefficient,
-    mesh,
-    w: np.ndarray,
-    case: HardyCase,
-) -> HardyReport:
-    """Ratio of the weighted zero-order integral to the gradient integral.
-
-    Case A requires w(0) = 0; case B and the auxiliary cases require
-    w(1) = 0.  Entry 0 of :func:`hardy_ratios` of the one-row stack.
-    """
-    cols = hardy_ratios(coef_or_aux, mesh, np.asarray(w)[None], case)
-    return HardyReport(
-        float(cols["lhs"][0]), float(cols["rhs"][0]), float(cols["ratio"][0]), case,
-        bool(cols["violation"][0]),
-    )

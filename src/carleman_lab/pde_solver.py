@@ -80,7 +80,6 @@ __all__ = [
     "solve_forward",
     "solve_adjoint",
     "energy_report",
-    "energy_reports",
     "substep_times",
     "trapezoid_time_weights",
     "omega_node_mask",
@@ -248,13 +247,13 @@ class ProblemSpec:
 class Trajectory:
     """Space-time field on the uniform step grid, boundary rows included."""
 
-    values: np.ndarray  # (M+1, N+1)
+    values: np.ndarray  # (M+1, N+1), or (S, M+1, N+1) for a stack of samples
     mesh: Mesh
     T: float
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.values.shape[0])
+        return np.linspace(0.0, self.T, self.values.shape[-2])
 
 
 class DiffusionOperator:
@@ -706,7 +705,10 @@ def _adjoint_march(
 
 
 def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
-    """March the backward problem from terminal data v_T with source F.
+    """March the backward problem from terminal data v_T with source F: one
+    nodal vector, or an ``(S, N+1)`` stack of samples marched together, whose
+    trajectory values are then ``(S, M+1, N+1)``; ``F`` as in
+    :func:`_adjoint_march`.
 
     Implemented as the exact transpose of ``solve_forward``'s step map, so the
     discrete duality pairing with forward solutions holds to rounding.
@@ -715,24 +717,21 @@ def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
     return Trajectory(rows, spec.mesh, spec.T)
 
 
-def energy_reports(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray:
-    """:func:`energy_report` of every sample in the ``(S, N+1)`` stack ``u0s``,
-    under the time-constant nodal controls ``h_rows`` (one row per sample) or
-    none; one ratio per sample, NaN for a sample whose data energy is zero.
+def energy_report(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray:
+    """Ratio of the trajectory energy to the data energy of every sample in
+    the ``(S, N+1)`` stack ``u0s``, under the time-constant nodal controls
+    ``h_rows`` (one row per sample), which act only inside omega, or none;
+    one ratio per sample, NaN for a sample whose data energy is zero.
+
+    Numerator: sup_t of the weighted first-order norm squared plus the time
+    integrals of |u_t|^2 and |(a u_x)_x|^2.  Denominator: the same first-order
+    norm of u0 plus the control energy on the control cylinder.
 
     The samples march together as one ``(S, n)`` block, and every step is
     reduced across the whole stack as the march closes it, so no trajectory
     is stored.
     """
     st = _Stepper(spec)
-    return _energy_ratios(st, u0s, None if h_rows is None else st.op.restrict(h_rows))
-
-
-def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
-    """Energy ratios of the ``(S, N+1)`` stack u0s under the control g on the
-    unknown nodes, which acts only inside omega: None, one ``(S, n)`` block
-    for every substep, or ``(J, S, n)`` per-substep blocks."""
-    spec = st.spec
     op = st.op
     mesh = spec.mesh
     u0s = np.asarray(u0s, dtype=float)
@@ -741,10 +740,10 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
     u = np.ascontiguousarray(op.restrict(u0s))
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
-    load = None
-    if g is not None:
-        g = np.where(st.omega, g, 0.0)
-        load = g if g.ndim == 3 else np.broadcast_to(g, st.tau.shape + g.shape)
+    g = load = None
+    if h_rows is not None:
+        g = np.where(st.omega, op.restrict(h_rows), 0.0)
+        load = np.broadcast_to(g, st.tau.shape + g.shape)
 
     W = op.weights
     norms = op.norms
@@ -785,29 +784,13 @@ def _energy_ratios(st: _Stepper, u0s, g) -> np.ndarray:
     # data energy, then the control energy of each substep added in order
     terms = [h1a_sq(u0s)]
     if g is not None:
-        ctrl_sq = np.sum(W * g * g, axis=-1)
-        terms.extend(st.tau[:, None] * ctrl_sq)
+        terms.extend(st.tau[:, None] * np.sum(W * g * g, axis=-1))
     rhs = np.cumsum(np.array(terms), axis=0)[-1]
 
     dead = rhs <= 0.0
     if np.any(lhs[dead] > 1e-12):
         raise ValueError("inconsistent energy report: zero data but nonzero trajectory")
     return lhs / np.where(dead, np.nan, rhs)
-
-
-def energy_report(spec: ProblemSpec, u0: np.ndarray, h=None) -> float:
-    """Ratio of the trajectory energy to the data energy.
-
-    Numerator: sup_t of the weighted first-order norm squared plus the time
-    integrals of |u_t|^2 and |(a u_x)_x|^2.  Denominator: the same first-order
-    norm of u0 plus the control energy on the control cylinder.  ``h`` is a
-    callable (t, x) -> value or per-substep samples aligned with
-    ``substep_times``, sampled on the schedule once; the one-sample case of
-    :func:`energy_reports`.
-    """
-    st = _Stepper(spec)
-    g = None if h is None else _schedule_samples(h, st)[:, None, :]
-    return float(_energy_ratios(st, np.asarray(u0, dtype=float)[None], g)[0])
 
 
 # --------------------------------------------------------------------------------

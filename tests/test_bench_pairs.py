@@ -1,0 +1,80 @@
+"""tools/bench_pairs.py on canned run results: the summary per workload and
+metric, and the exit status of main.  No benchmark is started."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+
+def canned(run_s, setup_s=0.2, peak=40.0, correct=True):
+    values = {"run_s": run_s, "cpu_s": run_s, "setup_s": setup_s, "peak_rss_mb": peak}
+    return {"correct": correct, "metrics": {k: {"value": v} for k, v in values.items()}}
+
+
+def test_summary_per_workload_and_metric():
+    results = {
+        "desk_configs": {
+            "parent": [canned(r) for r in (1.0, 2.0, 3.0, 4.0, 5.0)],
+            # faster in 4 of 5 pairs, setup 30 % slower, peak 10 % higher
+            "child": [canned(r, 0.26, 44.0) for r in (0.9, 1.9, 3.1, 3.9, 4.9)],
+        },
+    }
+    rows = {r["metric"]: r for r in bench_pairs.summarize(results, END_TO_END)}
+    assert list(rows) == ["run_s", "cpu_s", "setup_s", "peak_rss_mb"]
+    run = rows["run_s"]
+    assert (run["parent_median"], run["parent_iqr"], run["child_median"]) == (3.0, 2.0, 3.1)
+    assert run["ratio"] == pytest.approx(3.1 / 3.0)
+    assert (run["wins"], run["pairs"], run["past_bound"]) == (4, 5, False)
+    assert rows["setup_s"]["wins"] == 0 and rows["setup_s"]["past_bound"]
+    assert rows["peak_rss_mb"]["past_bound"] and rows["peak_rss_mb"]["parent_iqr"] == 0.0
+    table = bench_pairs.format_rows(list(rows.values())).splitlines()
+    assert len(table) == 5 and table[0].split() == [
+        "workload", "metric", "parent", "iqr", "child", "ratio", "won"]
+    assert table[1].split()[-1] == "4/5"
+    assert [line.endswith("PAST") for line in table[1:]] == [False, False, True, True]
+
+
+def test_one_pair_has_no_spread():
+    rows = bench_pairs.summarize({"w": {"parent": [canned(2.0)], "child": [canned(1.0)]}},
+                                 END_TO_END)
+    assert rows[0]["parent_iqr"] == 0.0 and rows[0]["wins"] == 1
+
+
+def _checkout(tmp_path, name):
+    root = tmp_path / name
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("raise SystemExit('not run')\n")
+    shutil.copy(ROOT / "BENCHMARK.json", root / "BENCHMARK.json")
+    return root
+
+
+@pytest.mark.parametrize("correct, code", [(True, 0), (False, 1)])
+def test_main_alternates_and_exits_1_on_an_incorrect_run(
+        tmp_path, monkeypatch, capsys, correct, code):
+    parent, child = _checkout(tmp_path, "parent"), _checkout(tmp_path, "child")
+    calls = []
+
+    def fake_run(root, workload, seconds):
+        calls.append((root.name, workload))
+        return canned(1.0, correct=correct or len(calls) != 3)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = [str(parent), str(child), "--pairs", "2", "--workload", "desk_configs"]
+    assert bench_pairs.main(argv) == code
+    assert calls == [("parent", "desk_configs"), ("child", "desk_configs"),
+                     ("child", "desk_configs"), ("parent", "desk_configs")]
+    captured = capsys.readouterr()
+    if correct:
+        assert "desk_configs" in captured.out and "PAST" not in captured.out
+    else:
+        assert "desk_configs: child run of pair 2 is not correct" in captured.err

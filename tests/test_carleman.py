@@ -9,7 +9,7 @@ from carleman_lab import carleman
 from carleman_lab.carleman import (
     CarlemanParams,
     CarlemanReport,
-    _observability_ratios,
+    _observability_energies,
     boundary_sign_terms,
     carleman_sides,
     carleman_sweep,
@@ -716,6 +716,6 @@ class TestObservability:
     def test_zero_draw_is_degenerate(self):
         spec = make_spec(N=32, M=32, T=1.0)
         vt = sample_fields(0, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
-        r, zero = _observability_ratios(spec, np.stack([vt, np.zeros_like(vt)]))
-        assert math.isfinite(r)
-        assert math.isnan(zero)
+        nums, dens = _observability_energies(spec, np.stack([vt, np.zeros_like(vt)]))
+        assert nums[0] > 0.0 and dens[0] > 0.0
+        assert nums[1] == dens[1] == 0.0

@@ -8,7 +8,7 @@ import pytest
 
 from carleman_lab.carleman import (
     CarlemanParams,
-    _observability_ratios,
+    _observability_energies,
     transform_to_w,
 )
 from carleman_lab import carleman, cli, pde_solver
@@ -134,6 +134,35 @@ class TestValidation:
         assert validate_config(cfg) == [f"coefficient: {error}"]
         assert main(["validate", write_config(tmp_path, cfg)]) == 2
         assert f"coefficient: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coefficient, error", [
+        ({"kind": "power"}, "missing key 'params' of a power descriptor"),
+        ({"kind": "power_cos", "params": {"alpha": 1.0}}, "missing key 'gamma' of power_cos params"),
+        ({"kind": "table", "a": [0.0, 0.3, 0.6, 1.0]}, "missing key 'x' of a table descriptor"),
+    ], ids=["power_params", "power_cos_gamma", "table_x"])
+    def test_missing_descriptor_key_is_named_exit_2(self, tmp_path, capsys, coefficient, error):
+        cfg = {"experiment": "classify", "coefficient": coefficient}
+        assert validate_config(cfg) == [f"coefficient: {error}"]
+        assert main(["validate", write_config(tmp_path, cfg)]) == 2
+        assert f"coefficient: {error}" in capsys.readouterr().err
+
+    def test_weight_on_a_coefficient_vanishing_at_one_exit_2(self, tmp_path, capsys):
+        # a = x^theta - x has a(1) = 0: the profile's integral of y/a(y)
+        # diverges at x = 1, so no weight can be built on it
+        cfg = json.loads((CONFIGS[0].parent / "carleman_sweep_weak.json").read_text())
+        cfg.update(coefficient={"kind": "power_minus_x", "params": {"theta": 0.5}},
+                   mesh_n=32, time_steps=32, n_samples=4)
+        error = ("coefficient: a(1) = 0, so the weight profile's integral of y/a(y) "
+                 "diverges at x = 1")
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
+        assert not out.exists()
+        assert validate_config(base_config("lemma_checks", coefficient=cfg["coefficient"])) == [
+            error]
+        # the experiments that build no weight keep accepting the kind
+        for exp in ("classify", "hardy", "energy", "observability", "null_control"):
+            assert validate_config(base_config(exp, coefficient=cfg["coefficient"])) == []
 
     @pytest.mark.parametrize("coefficient, stored", [
         ({"kind": "power", "params": {"gamma": 1.5}},
@@ -897,6 +926,20 @@ class TestMain:
         assert last.startswith("error: " + line)
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("name, fields, code, line", [
+        ("lemma_checks.json", {"s": 1e4}, 1, "error: boundary term underflows at s=10000, lambda=1"),
+        ("observability.json", {"scheme": "backward_euler", "T": 2000}, 1,
+         "error: every sample's initial energy is below 1e-300 at T=2000, time_steps=128"),
+    ], ids=["lemma_boundary_scale", "observability_initial_energy"])
+    def test_underflowed_gate_data_fail_by_name(self, tmp_path, name, fields, code, line):
+        # a gate whose data underflowed to zero would pass on nothing: the
+        # boundary term's scale and every draw's initial energy are 0 here
+        cfg = {**json.loads((CONFIGS[0].parent / name).read_text()), **fields}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == code
+        assert (out / "run.log").read_text().splitlines()[-1] == line
+        assert not (out / "summary.json").exists()
+
     def test_nan_ratios_fail_the_valid_sample_invariant(self, tmp_path):
         # run_experiment does not validate: a NaN exponent reaches the sweep,
         # whose ratios are then all NaN and none is a valid sample
@@ -1337,7 +1380,8 @@ def test_observability_probe_matches_per_sample(tmp_path):
     assert [float(line.split(",")[1]) for line in lines] == [one_ratio(v) for v in vts]
     vt = sample_fields(7, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
     r1, r2 = one_ratio(vt), one_ratio(2.0 * vt)
-    assert _observability_ratios(spec, np.stack([vt, 2.0 * vt])).tolist() == [r1, r2]
+    nums, dens = _observability_energies(spec, np.stack([vt, 2.0 * vt]))
+    assert (nums / dens).tolist() == [r1, r2]
     assert summary["results"]["scale_invariance_error"] == abs(r1 - r2) / max(abs(r1), 1e-300)
 
 

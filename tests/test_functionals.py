@@ -15,7 +15,6 @@ from carleman_lab.functionals import (
     aux_hardy_b,
     aux_hardy_p,
     hardy_ratio,
-    hardy_ratios,
     spacetime_weighted_integral,
 )
 from carleman_lab.pde_solver import Trajectory, build_mesh
@@ -189,18 +188,18 @@ class TestHardyRatio:
         # a = x^{1/2}, w = x: both integrals equal 2/3
         coef = make_power_coefficient(0.5)
         mesh = build_mesh(2048, 2.0)
-        rep = hardy_ratio(coef, mesh, mesh.nodes.copy(), HardyCase.CASE_A)
-        assert rep.ratio == pytest.approx(1.0, abs=1e-6)
-        assert rep.lhs == pytest.approx(2.0 / 3.0, abs=1e-5)
+        rep = hardy_ratio(coef, mesh, mesh.nodes[None], HardyCase.CASE_A)
+        assert rep["ratio"][0] == pytest.approx(1.0, abs=1e-6)
+        assert rep["lhs"][0] == pytest.approx(2.0 / 3.0, abs=1e-5)
 
     def test_zero_field(self):
         coef = make_power_coefficient(0.5)
         mesh = build_mesh(64, 2.0)
-        rep = hardy_ratio(coef, mesh, np.zeros(mesh.nodes.size), HardyCase.CASE_A)
+        rep = hardy_ratio(coef, mesh, np.zeros((1, mesh.nodes.size)), HardyCase.CASE_A)
         # nothing to evaluate: NaN, never a ratio of 0.0
-        assert rep.lhs == rep.rhs == 0.0
-        assert math.isnan(rep.ratio)
-        assert not rep.violation
+        assert rep["lhs"][0] == rep["rhs"][0] == 0.0
+        assert math.isnan(rep["ratio"][0])
+        assert not rep["violation"][0]
 
     def test_case_b_refinement_converged(self):
         # oracle: the ratio agrees across two resolutions
@@ -209,7 +208,7 @@ class TestHardyRatio:
         for N in (256, 512):
             mesh = build_mesh(N, 2.0)
             w = 1.0 - mesh.nodes
-            vals.append(hardy_ratio(coef, mesh, w, HardyCase.CASE_B).ratio)
+            vals.append(hardy_ratio(coef, mesh, w[None], HardyCase.CASE_B)["ratio"][0])
         assert all(math.isfinite(v) for v in vals)
         assert vals[0] == pytest.approx(vals[1], rel=2e-2)
 
@@ -217,9 +216,9 @@ class TestHardyRatio:
         coef = make_power_coefficient(0.5)
         mesh = build_mesh(64, 2.0)
         with pytest.raises(ValueError, match="w\\(0\\) = 0"):
-            hardy_ratio(coef, mesh, np.ones(mesh.nodes.size), HardyCase.CASE_A)
+            hardy_ratio(coef, mesh, np.ones((1, mesh.nodes.size)), HardyCase.CASE_A)
         with pytest.raises(ValueError, match="w\\(1\\) = 0"):
-            hardy_ratio(coef, mesh, np.ones(mesh.nodes.size), HardyCase.CASE_B)
+            hardy_ratio(coef, mesh, np.ones((1, mesh.nodes.size)), HardyCase.CASE_B)
 
     def test_violation_flag(self):
         # contrived profile that is positive at the nodes but vanishes at
@@ -234,9 +233,9 @@ class TestHardyRatio:
         fake = DegeneracyCoefficient("spiky", spiky, lambda x: np.ones_like(x))
         w = np.ones(mesh.nodes.size)
         w[-1] = 0.0
-        rep = hardy_ratio(fake, mesh, w, HardyCase.CASE_B)
-        assert rep.violation
-        assert math.isinf(rep.ratio)
+        rep = hardy_ratio(fake, mesh, w[None], HardyCase.CASE_B)
+        assert rep["violation"][0]
+        assert math.isinf(rep["ratio"][0])
 
     def test_auxiliary_profiles(self):
         # K = 1 path: p = (a x^4)^(1/3) and b = sqrt(a) x for the linear
@@ -249,11 +248,9 @@ class TestHardyRatio:
         assert np.allclose(b.eval(xs), xs**1.5)
         mesh = build_mesh(256, 2.0)
         draws = sample_fields(11, STREAM_TERMINAL, 10, mesh.nodes)
-        for i in range(10):
-            rp = hardy_ratio(p, mesh, draws[i], HardyCase.AUX_P)
-            rb = hardy_ratio(b, mesh, draws[i], HardyCase.AUX_B)
-            assert math.isfinite(rp.ratio) and not rp.violation
-            assert math.isfinite(rb.ratio) and not rb.violation
+        for rep in (hardy_ratio(p, mesh, draws, HardyCase.AUX_P),
+                    hardy_ratio(b, mesh, draws, HardyCase.AUX_B)):
+            assert np.isfinite(rep["ratio"]).all() and not rep["violation"].any()
 
     def test_square_over_coefficient_bound(self):
         # x^2/a(x) <= 1/a(1) on grids for the admissible family
@@ -268,11 +265,7 @@ class TestHardyRatio:
         for N in (128, 256):
             mesh = build_mesh(N, 2.0)
             draws = sample_fields(11, STREAM_TERMINAL, 30, mesh.nodes)
-            ratios = [
-                hardy_ratio(coef, mesh, draws[i], HardyCase.CASE_A).ratio
-                for i in range(30)
-            ]
-            maxima.append(max(ratios))
+            maxima.append(max(hardy_ratio(coef, mesh, draws, HardyCase.CASE_A)["ratio"]))
         assert abs(maxima[1] - maxima[0]) / maxima[0] < 0.10
 
 
@@ -293,30 +286,28 @@ class TestStackedHardy:
         mesh = build_mesh(96, grading)
         draws = sample_fields(11, STREAM_TERMINAL, 7, mesh.nodes)
         draws[3] = 0.0  # zero gradient: both integrals vanish
-        stacked = hardy_ratios(target, mesh, draws, case)
+        stacked = hardy_ratio(target, mesh, draws, case)
         assert list(stacked) == ["lhs", "rhs", "ratio", "violation"]
         assert all(col.shape == (7,) for col in stacked.values())
         assert math.isnan(stacked["ratio"][3]) and not stacked["violation"][3]
+        # each row of a stack gives the bits it would have alone
         for i in range(7):
-            one = hardy_ratio(target, mesh, draws[i], case)
-            assert one.case is case
-            # NaN equals NaN here: the zero row's ratio
-            np.testing.assert_array_equal(
-                [stacked[k][i] for k in ("lhs", "rhs", "ratio")], [one.lhs, one.rhs, one.ratio]
-            )
-            assert stacked["violation"][i] == one.violation
+            one = hardy_ratio(target, mesh, draws[i:i + 1], case)
+            for k in stacked:
+                # NaN equals NaN here: the zero row's ratio
+                np.testing.assert_array_equal(stacked[k][i], one[k][0])
 
     def test_needs_no_certificate(self, monkeypatch):
         # classify is the one certifier of the ratio bound: the Hardy
         # ratios compute their two integrals and nothing else
         def refuse(*args, **kwargs):
-            raise AssertionError("hardy_ratios must not classify")
+            raise AssertionError("hardy_ratio must not classify")
 
         monkeypatch.setattr(coefficients, "classify", refuse)
         monkeypatch.setattr(functionals, "classify", refuse, raising=False)
         mesh = build_mesh(32, 2.0)
         draws = sample_fields(11, STREAM_TERMINAL, 3, mesh.nodes)
-        cols = hardy_ratios(make_power_coefficient(0.5), mesh, draws, HardyCase.CASE_A)
+        cols = hardy_ratio(make_power_coefficient(0.5), mesh, draws, HardyCase.CASE_A)
         assert cols["ratio"].shape == (3,)
         assert np.isfinite(cols["ratio"]).all() and not cols["violation"].any()
 
@@ -326,6 +317,6 @@ class TestStackedHardy:
         ws = sample_fields(11, STREAM_TERMINAL, 3, mesh.nodes)
         ws[2, 0] = 1.0
         with pytest.raises(ValueError, match="case A needs w"):
-            hardy_ratios(coef, mesh, ws, HardyCase.CASE_A)
+            hardy_ratio(coef, mesh, ws, HardyCase.CASE_A)
         with pytest.raises(ValueError, match="must match the mesh"):
-            hardy_ratios(coef, mesh, ws[:, 1:], HardyCase.CASE_A)
+            hardy_ratio(coef, mesh, ws[:, 1:], HardyCase.CASE_A)

@@ -17,7 +17,6 @@ from carleman_lab.pde_solver import (
     boundary_regime_for,
     build_mesh,
     energy_report,
-    energy_reports,
     omega_node_mask,
     solve_adjoint,
     solve_forward,
@@ -336,14 +335,14 @@ class TestEnergyReport:
     def test_zero_data(self):
         spec = make_spec()
         # nothing to evaluate: NaN, never a ratio of 0.0
-        assert math.isnan(energy_report(spec, np.zeros(spec.mesh.nodes.size)))
+        assert math.isnan(energy_report(spec, np.zeros((1, spec.mesh.nodes.size)))[0])
 
     def test_finite_and_mesh_stable(self):
         vals = []
         for N in (128, 256):
             spec = make_spec(N=N, M=N)
             u0 = np.sin(np.pi * spec.mesh.nodes)
-            vals.append(energy_report(spec, u0))
+            vals.append(energy_report(spec, u0[None])[0])
         assert all(math.isfinite(v) and v > 0 for v in vals)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.05
 
@@ -353,10 +352,7 @@ class TestEnergyReport:
         spec = make_spec(N=64, M=48)
         u0s = sample_fields(21, STREAM_INITIAL, 10, spec.mesh.nodes)
         hs = sample_fields(21, STREAM_CONTROL, 10, spec.mesh.nodes)
-        ratios = []
-        for i in range(10):
-            h = lambda t, x, row=hs[i]: np.interp(x, spec.mesh.nodes, row)
-            ratios.append(energy_report(spec, u0s[i], h))
+        ratios = energy_report(spec, u0s, hs)
         assert all(math.isfinite(r) for r in ratios)
         assert max(ratios) < 20.0
 
@@ -374,20 +370,19 @@ class TestStackedEnergy:
     def test_matches_per_sample_reports(self, gamma, scheme):
         spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
         u0s, hs = self.draws(spec)
-        free = energy_reports(spec, u0s)
-        controlled = energy_reports(spec, u0s, hs)
+        free = energy_report(spec, u0s)
+        controlled = energy_report(spec, u0s, hs)
+        # each row of a stack marches with the bits it would have alone
         for i in range(len(u0s)):
-            h = lambda t, x, row=hs[i]: np.interp(x, spec.mesh.nodes, row)
-            assert free[i] == pytest.approx(energy_report(spec, u0s[i]), rel=1e-12)
-            assert controlled[i] == pytest.approx(energy_report(spec, u0s[i], h), rel=1e-12)
+            assert free[i] == energy_report(spec, u0s[i:i + 1])[0]
+            assert controlled[i] == energy_report(spec, u0s[i:i + 1], hs[i:i + 1])[0]
 
     def test_with_potential(self):
         spec = make_spec(N=32, M=16, c=lambda t, x: 0.5 + 0.0 * x)
         u0s, hs = self.draws(spec, 3)
-        got = energy_reports(spec, u0s, hs)
+        got = energy_report(spec, u0s, hs)
         for i in range(3):
-            h = lambda t, x, row=hs[i]: np.interp(x, spec.mesh.nodes, row)
-            assert got[i] == pytest.approx(energy_report(spec, u0s[i], h), rel=1e-12)
+            assert got[i] == energy_report(spec, u0s[i:i + 1], hs[i:i + 1])[0]
 
     def test_zero_data_gives_nan_per_sample(self):
         spec = make_spec(N=32, M=16)
@@ -395,7 +390,7 @@ class TestStackedEnergy:
         u0s[1] = 0.0
         # a control that lives only outside omega carries no energy
         hs[1] = np.where(omega_node_mask(spec.mesh, spec.omega), 0.0, 1.0)
-        got = energy_reports(spec, u0s, hs)
+        got = energy_report(spec, u0s, hs)
         assert math.isnan(got[1])
         assert got[0] > 0.0 and got[2] > 0.0
 
@@ -418,14 +413,14 @@ class TestStackedEnergy:
 
         monkeypatch.setattr(pde_solver._Stepper, "forward", leaky)
         with pytest.raises(ValueError, match="zero data but nonzero trajectory"):
-            energy_reports(spec, u0s)
+            energy_report(spec, u0s)
 
     def test_non_finite_data_rejected(self):
         spec = make_spec(N=16, M=8)
         u0s = np.zeros((2, spec.mesh.nodes.size))
         u0s[1, 5] = np.nan
         with pytest.raises(ValueError, match="initial data must be finite"):
-            energy_reports(spec, u0s)
+            energy_report(spec, u0s)
 
     def test_peak_memory_stays_well_under_the_rows_block(self):
         spec = make_spec(N=128, M=128)
@@ -434,7 +429,7 @@ class TestStackedEnergy:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            energy_reports(spec, u0s, hs)
+            energy_report(spec, u0s, hs)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

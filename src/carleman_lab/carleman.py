@@ -109,17 +109,18 @@ def carleman_sides(
 ) -> CarlemanReport:
     """The four weighted integrals of a backward solution v and its source f.
 
-    ``traj`` is v, marched by the caller, and ``source`` is f on the same
-    ``(M+1) x (N+1)`` grid, or None for no source.  A source constant in
-    time may be one row broadcast over the time levels (``np.broadcast_to``):
-    its zero first stride makes the integral read that row alone.  The left
+    ``traj`` is v, marched by the caller, and ``source`` is f, constant in
+    time: one nodal row ``(N+1,)``, or None for no source.  The left
     side carries (s*lam)*sigma on the gradient and (s*lam)**q * sigma**q
     (q = 5/3 by default) on the zero-order term; the right side carries the
     plain weighted source plus (s*lam)**3 * sigma**3 localized on the
     control region ``omega``.
     """
-    if source is not None and np.shape(source) != traj.values.shape:
-        raise ValueError("the source and the trajectory must share one grid")
+    if source is not None and np.shape(source) != traj.values.shape[1:]:
+        raise ValueError(
+            f"the source must be one nodal row {traj.values.shape[1:]}, constant in time; "
+            f"got shape {np.shape(source)}"
+        )
     s, lam = params.s, params.lam
     at = f"s={s:g}, lambda={lam:g}"
     sl = s * lam
@@ -131,13 +132,10 @@ def carleman_sides(
     grad_sum, zero_sum, local_sum = _integrals(traj.values, (grad, zero, local))
     lhs_grad = sl * grad_sum
     lhs_zero = _power(sl, q, "(s*lambda)", at) * zero_sum
-    if source is None:
-        rhs_source = 0.0
-    else:
-        f = np.asarray(source, dtype=float)
-        rhs_source = _WeightedQuadrature(
-            *grid, 0.0, "v_sq", time_constant=f.strides[0] == 0
-        ).integral(f)
+    # the column sums of the source's folded grid against its one row
+    rhs_source = 0.0 if source is None else _WeightedQuadrature(
+        *grid, 0.0, "v_sq", time_constant=True
+    ).integral(np.asarray(source, dtype=float)[None])
     rhs_local = _power(sl, 3, "(s*lambda)", at) * local_sum
     denom = rhs_source + rhs_local
     degenerate = denom < DEGENERATE_DENOMINATOR
@@ -212,7 +210,8 @@ def carleman_sweep(
     With ``s_relative`` the entries of ``s_grid`` multiply the per-lambda
     stable threshold.  Backward solves are shared across (s, lambda) because
     the trajectories do not depend on the weight parameters; all samples are
-    marched together in one batched backward solve.  The profile psi does
+    marched together in one batched backward solve, each with its sampled
+    source, one nodal row constant in time.  The profile psi does
     not depend on lambda, so one is built for the whole sweep.  Conversely
     the weight grids do not depend on the sample, so each (s, lambda) point
     builds its four grids once and shares them across the samples'
@@ -231,16 +230,8 @@ def carleman_sweep(
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, nodes)
     f_fields = sample_fields(seed, STREAM_SOURCE, n_samples, nodes)
 
-    # the sampled sources do not depend on time: each is one row broadcast
-    # over the substeps and the time steps, never a tiled copy
-    st = _Stepper(spec)
-    source = np.broadcast_to(
-        st.op.restrict(f_fields), st.tau.shape + (n_samples, st.op.n_unknowns)
-    )
-    v_rows, _ = _adjoint_march(spec, vt_fields, source, stepper=st)
-    del st, source
+    v_rows, _ = _adjoint_march(spec, vt_fields, f_fields)
     trajectories = [Trajectory(r, spec.mesh, spec.T) for r in v_rows]
-    f_rows = [np.broadcast_to(f, v_rows[0].shape) for f in f_fields]
 
     n_points = len(lambda_grid) * len(s_grid)
     point = np.empty((3, n_points))  # s, lambda and s0 of each point
@@ -261,7 +252,7 @@ def carleman_sweep(
             p = m * len(s_grid) + j
             point[:, p] = s, lam, s0
             with wts.shared_grids():
-                for i, (traj, f) in enumerate(zip(trajectories, f_rows)):
+                for i, (traj, f) in enumerate(zip(trajectories, f_fields)):
                     rep = carleman_sides(traj, f, spec.omega, wts, params, zero_order_exponent)
                     sides[:, p, i] = (
                         rep.lhs_grad, rep.lhs_zero, rep.rhs_source, rep.rhs_local, rep.ratio

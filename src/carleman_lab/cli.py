@@ -374,8 +374,6 @@ def _build_problem(cfg: dict) -> ProblemSpec:
     boundary = _value(cfg, "boundary")
     # an explicit boundary is kept as given, so the spec skips its band check
     auto = boundary == "auto"
-    c_const = _value(cfg, "potential_const")
-    c = None if c_const == 0 else (lambda t, x, v=float(c_const): v)
     return ProblemSpec(
         T=float(_value(cfg, "T")),
         coef=coef,
@@ -383,7 +381,7 @@ def _build_problem(cfg: dict) -> ProblemSpec:
         mesh=_mesh(cfg),
         time_steps=int(_value(cfg, "time_steps")),
         omega=tuple(_value(cfg, "omega")),
-        c=c,
+        c=float(_value(cfg, "potential_const")),
         scheme=Scheme(_value(cfg, "scheme")),
         hypothesis=report if auto else None,
     )

@@ -18,7 +18,7 @@ import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -219,7 +219,7 @@ class ProblemSpec:
     mesh: Mesh
     time_steps: int
     omega: tuple[float, float]
-    c: Optional[Callable] = None  # potential c(t, x), bounded; None means 0
+    c: Union[float, np.ndarray] = 0.0  # potential c(x): a number or one per mesh node
     scheme: Scheme = Scheme.CRANK_NICOLSON
     hypothesis: Optional[HypothesisReport] = None
 
@@ -228,6 +228,16 @@ class ProblemSpec:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.time_steps < 1:
             raise ValueError("need at least one time step")
+        c = np.array(np.nan if callable(self.c) else self.c, dtype=float)
+        if c.shape not in ((), self.mesh.nodes.shape) or not np.all(np.isfinite(c)):
+            got = f"shape {c.shape}" if c.ndim else repr(self.c)
+            raise ValueError(
+                f"potential c must be a finite number or {self.mesh.nodes.size} finite values, "
+                f"one per mesh node, constant in time; got {got}"
+            )
+        # keep a read-only copy of what was checked: the caller's array may change
+        c.flags.writeable = False
+        self.c = c if c.ndim else float(c)
         a, b = self.omega
         if not 0.0 < a < b < 1.0:
             raise ValueError(f"omega must satisfy 0 < a < b < 1, got {self.omega}")
@@ -383,14 +393,13 @@ class _Stepper:
     """The marching engine: substep matrices L = W + th*tau*G and
     R = W - (1-th)*tau*G with G = S + W*diag(c), each distinct L factored once.
 
-    Every caller reads the schedule off the engine: substep j samples c,
+    Every caller reads the schedule off the engine: substep j samples forward
     controls and sources at ``t_sample[j]``, lasts ``tau[j]`` and ends a
     step when ``closes[j]``.  ``omega`` masks the control region's unknowns.
 
-    The key of L is (tau, th, the values of c at the substep, or None
-    without c), so substeps built from the same data share one
-    factorization, one R and one tau*W: at most two per schedule unless c
-    varies in time.  LAPACK
+    c does not depend on time, so L and R are functions of (tau, th) alone:
+    substeps of one length and implicit weight share one factorization, one
+    R and one tau*W, at most two per schedule.  LAPACK
     ``dgttrf`` factors and ``dgttrs`` solves: both run the same elimination as
     the ``dgtsv`` behind ``solve_banded((1, 1), ...)``, and the step matrices
     are strictly diagonally dominant, so no pivot is taken and every solve is
@@ -409,14 +418,13 @@ class _Stepper:
     the order ``(Rd u + ro u+) + ro u-``.  So a substep allocates nothing,
     and its floor is the latency-bound recurrence of ``dgttrs`` itself.
 
-    A forcing is a ``(J, ...)`` block whose row j drives substep j; one that
-    is constant in time is one row broadcast over J (``np.broadcast_to``),
-    so its first stride is zero and it is never materialized.  The engine
-    owns the forcing weight tau*W and reads that stride: a forward march
-    weights its forcing up front, one product per run of equal substep
-    lengths (one row per run for a constant forcing), into a scratch block
-    kept for the stepper's next march, and a backward march deposits a
-    constant source once per distinct L.
+    A forward forcing is a ``(J, ...)`` block whose row j drives substep j;
+    one constant in time is one row broadcast over J (``np.broadcast_to``),
+    never materialized.  The engine owns the forcing weight tau*W: a forward
+    march weights its forcing up front, one product per run of equal substep
+    lengths (one row per run for a zero-stride block), into a scratch block
+    kept for the stepper's next march; a backward march's source is constant
+    in time, deposited once per distinct L.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -429,22 +437,16 @@ class _Stepper:
         self.xs_unknown = spec.mesh.nodes[idx]
         self.omega = omega_node_mask(spec.mesh, spec.omega)[idx]
         W = self.op.weights
-        n = self.op.n_unknowns
+        c = np.broadcast_to(spec.c, spec.mesh.nodes.shape)
+        g_diag = self.op.diag + W * self.op.restrict(c)
         self.factor_of = []  # substep -> index of its distinct L
         self.tau_w = []  # tau * W, the weight of a substep's forcing
         self._factors = []  # distinct L -> references to its factors
         self._R = []  # substep -> stencil coefficients of R
-        built: dict = {}  # key of L -> (factor index, tau*W, R coefficients)
-        for t, tau_j, th in zip(t_sample, tau, implicit):
-            cvals = None
-            if spec.c is not None:
-                cvals = np.asarray(spec.c(t, self.xs_unknown), dtype=float) * np.ones(n)
-                if not np.all(np.isfinite(cvals)):
-                    raise ValueError(f"potential c is not finite at t = {t:.17g}")
-            # L and R are functions of these data alone
-            key = (tau_j, th, None if cvals is None else cvals.tobytes())
+        built: dict = {}  # (tau, th) -> (factor index, tau*W, R coefficients)
+        for key in zip(tau, implicit):
             if key not in built:
-                g_diag = self.op.diag if cvals is None else self.op.diag + W * cvals
+                tau_j, th = key
                 self._factor(W + th * tau_j * g_diag, th * tau_j * self.op.off)
                 built[key] = (
                     len(built),
@@ -582,19 +584,19 @@ class _Stepper:
     def backward(self, v: np.ndarray, source=None, pairing=None, rows=None) -> None:
         """Transposed march from terminal data v.
 
-        ``source`` is None or a ``(J, ...)`` block: after substep j's
-        transposed step the deposit tau_j*L_j^{-1}(W*source[j]) is subtracted
-        (raw tau*W*source leaves a first-order residue on stiff source modes,
-        the L-solve restores the scheme's order), computed once per distinct
-        L for a zero-stride source.  ``pairing[j]`` receives the profile that
-        pairs with substep-j forcing; ``rows`` receives the state at every
-        step start m = M-1..0.
+        ``source`` is None or the rows of a source constant in time on the
+        unknown nodes, ``(n,)`` shared by every sample or one per sample in
+        v's shape: after substep j's transposed step the deposit
+        tau_j*L_j^{-1}(W*source) is subtracted (raw tau*W*source leaves a
+        first-order residue on stiff source modes, the L-solve restores the
+        scheme's order), computed once per distinct L.  ``pairing[j]``
+        receives the profile that pairs with substep-j forcing; ``rows``
+        receives the state at every step start m = M-1..0.
         """
         W = self.op.weights
-        const = source is not None and source.strides[0] == 0
-        if const:
-            WF = W * source[0]
-            deposits: dict = {}  # factor index -> deposit of the constant source
+        if source is not None:
+            WF = W * source
+            deposits: dict = {}  # factor index -> deposit of the source
         buf, inner, z = self._buffer(v.shape)
         np.multiply(W, v, out=z)
         apply_R = self._apply_R(buf, inner)
@@ -607,9 +609,7 @@ class _Stepper:
                 pairing[j] = z
             apply_R(j)
             if source is not None:
-                if not const:
-                    dep = self.tau_w[j] * self.solve_L(j, W * source[j])
-                elif (dep := deposits.get(self.factor_of[j])) is None:
+                if (dep := deposits.get(self.factor_of[j])) is None:
                     dep = deposits[self.factor_of[j]] = self.tau_w[j] * self.solve_L(j, WF)
                 np.subtract(z, dep, out=z)
             if rows is not None and (j == 0 or self.closes[j - 1]):
@@ -685,30 +685,33 @@ def _adjoint_march(
 
     ``v_T`` is one nodal vector, giving ``(M+1, N+1)`` rows, or an ``(S, N+1)``
     stack of samples marched together, giving ``(S, M+1, N+1)`` rows.  ``F``
-    is a callable (t, x) -> value shared by every sample, or a ``(J, ...)``
-    block of per-substep samples on the unknown nodes, whose rows are
-    ``(n,)`` (shared) or ``(S, n)`` (one per sample); a source constant in
-    time is one row broadcast over J.
+    is a source constant in time: one nodal row ``(N+1,)`` shared by every
+    sample, or one per sample in ``v_T``'s shape.
     """
     st = stepper if stepper is not None else _Stepper(spec)
     v = st.op.restrict(v_T)
     if not np.all(np.isfinite(v)):
         raise ValueError("terminal data must be finite")
+    if F is not None and np.shape(F) not in (spec.mesh.nodes.shape, np.shape(v_T)):
+        raise ValueError(
+            f"the adjoint source F must be one nodal row {spec.mesh.nodes.shape} or "
+            f"one per sample {np.shape(v_T)}, constant in time; got shape {np.shape(F)}"
+        )
     M = spec.time_steps
     rows = None
     if keep_rows:
         rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
         rows[..., M, st.cols] = v
-    source = None if F is None else _schedule_samples(F, st)
-    st.backward(v, source, pairing_out, rows)
+    st.backward(v, None if F is None else st.op.restrict(F), pairing_out, rows)
     return rows, pairing_out
 
 
 def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
-    """March the backward problem from terminal data v_T with source F: one
-    nodal vector, or an ``(S, N+1)`` stack of samples marched together, whose
-    trajectory values are then ``(S, M+1, N+1)``; ``F`` as in
-    :func:`_adjoint_march`.
+    """March the backward problem from terminal data v_T with the source F,
+    constant in time.  v_T is one nodal vector, or an ``(S, N+1)`` stack of
+    samples marched together, whose trajectory values are then
+    ``(S, M+1, N+1)``; F is None, one nodal row shared by every sample, or
+    one row per sample in v_T's shape.
 
     Implemented as the exact transpose of ``solve_forward``'s step map, so the
     discrete duality pairing with forward solutions holds to rounding.

@@ -740,7 +740,7 @@ class TestGridKernels:
         wts = build_weights(spec.coef, 2.0, T_SWEEP, 0.05, 0.9)
         vals = sample_fields(2, STREAM_TERMINAL, 257, spec.mesh.nodes)
         traj = Trajectory(vals, spec.mesh, T_SWEEP)
-        source = np.broadcast_to(vals[0], vals.shape)
+        source = vals[0]
         s0 = stable_s0(wts)
         grid_bytes = vals.nbytes
 

@@ -1,12 +1,15 @@
 """Smoke test of tools/compare_outputs.py: the tree against itself on two
-shrunk shipped configs, and the drift report on a perturbed table."""
+shrunk shipped configs and on a shrunk benchmark workload, and the drift
+report on a perturbed table."""
 
 import importlib.util
 import json
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -55,3 +58,38 @@ def test_drift_is_reported_per_numeric_column():
     ) == ["values: max rel drift 0.333"]
     log = compare_outputs.compare_file("run.log", b"a\nb\n", b"a\nc\n")
     assert log == ["lines: 1 cells differ"]
+
+
+def test_workload_configs_run_under_both_trees(monkeypatch, tmp_path, capsys):
+    # the control workload at seed 3, shrunk as the benchmark's smoke test
+    # shrinks it: two null-control configs
+    real = compare_outputs._workloads()
+    shrunk = SimpleNamespace(
+        WORKLOADS=real.WORKLOADS,
+        configs=lambda name, seed: real.configs(name, seed, tiny=True),
+    )
+    monkeypatch.setattr(compare_outputs, "_workloads", lambda: shrunk)
+    src = str(ROOT / "src")
+    assert compare_outputs.main([src, src, "--workload", "control_eps_256", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "control_eps_256-0-null_control.json: exit 0 / 0, identical" in out
+    assert "control_eps_256-1-null_control.json: exit 0 / 0, identical" in out
+    paths = compare_outputs.workload_configs("control_eps_256", 3, tmp_path)
+    cfgs = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
+    assert [(c["seed"], c["epsilon"], c["mesh_n"]) for c in cfgs] == [(3, 1e-4, 16), (3, 1e-6, 16)]
+
+
+def test_workload_usage_errors(capsys):
+    src = str(ROOT / "src")
+    for argv in (
+        [src, src, "--workload", "no_such_workload"],
+        [src, src, "configs/energy.json", "--workload", "desk_configs"],
+        [src, src, "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            compare_outputs.main(argv)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'no_such_workload'" in err
+    assert "give configs or --workload, not both" in err
+    assert "--seed needs --workload" in err

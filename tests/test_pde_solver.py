@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -38,17 +39,19 @@ def formal_unit_coefficient():
     )
 
 
-def make_spec(gamma=0.5, N=64, M=48, T=1.0, omega=(0.3, 0.7), scheme=Scheme.CRANK_NICOLSON, c=None):
+def make_spec(gamma=0.5, N=64, M=48, T=1.0, omega=(0.3, 0.7), scheme=Scheme.CRANK_NICOLSON, c=0.0):
+    """The spec of the arguments; a callable c(x) is taken at the mesh nodes."""
     coef = make_power_coefficient(gamma)
     rep = classify(coef)
+    mesh = build_mesh(N, 2.0)
     return ProblemSpec(
         T=T,
         coef=coef,
         regime=boundary_regime_for(rep),
-        mesh=build_mesh(N, 2.0),
+        mesh=mesh,
         time_steps=M,
         omega=omega,
-        c=c,
+        c=c(mesh.nodes) if callable(c) else c,
         scheme=scheme,
         hypothesis=rep,
     )
@@ -184,7 +187,7 @@ class TestForwardSolve:
         assert all(norms[i + 1] <= norms[i] + 1e-13 for i in range(len(norms) - 1))
 
     def test_maximum_principle_backward_euler(self):
-        spec = make_spec(scheme=Scheme.BACKWARD_EULER, c=lambda t, x: 0.5)
+        spec = make_spec(scheme=Scheme.BACKWARD_EULER, c=0.5)
         u0 = np.sin(np.pi * spec.mesh.nodes)  # nonnegative data
         traj = solve_forward(spec, u0)
         assert traj.values.min() >= -1e-13
@@ -295,7 +298,7 @@ class TestAdjointSolve:
 
     def test_duality_with_potential(self):
         # the transpose property is exact also with a bounded potential
-        spec = make_spec(c=lambda t, x: 0.3 + 0.2 * np.sin(2 * np.pi * x) * np.cos(t))
+        spec = make_spec(c=SPACE_POTENTIAL)
         op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
         rng = np.random.default_rng(9)
         u0 = rng.standard_normal(spec.mesh.nodes.size)
@@ -305,6 +308,20 @@ class TestAdjointSolve:
         lhs = op.inner(op.restrict(fwd.values[-1]), op.restrict(vT))
         rhs = op.inner(op.restrict(u0), op.restrict(adj.values[0]))
         assert abs(lhs - rhs) / (abs(lhs) + abs(rhs)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(64,), (66,), (2, 65), (3, 64), (49, 65), (49, 3, 65)])
+    def test_source_neither_a_row_nor_one_per_sample_raises(self, shape):
+        spec = make_spec(N=64, M=48)
+        vts = np.vstack([np.sin(np.pi * spec.mesh.nodes)] * 3)
+        with pytest.raises(ValueError, match=(
+            r"the adjoint source F must be one nodal row \(65,\) or one per sample "
+            rf"\(3, 65\), constant in time; got shape {re.escape(str(shape))}"
+        )):
+            solve_adjoint(spec, vts, F=np.ones(shape))
+        # nor is a callable, nor a stack of rows for a lone terminal vector
+        for F in (lambda t, x: np.ones_like(x), np.ones((1, 65))):
+            with pytest.raises(ValueError, match="the adjoint source F must be one nodal row"):
+                solve_adjoint(spec, vts[0], F=F)
 
     def test_adjoint_source_second_order(self):
         # stationary check: with terminal data equal to the stationary profile
@@ -326,7 +343,7 @@ class TestAdjointSolve:
             e[j] = 1.0
             dense[:, j] = op.apply(e)
         v_star = np.linalg.solve(dense, -op.restrict(f))
-        traj = solve_adjoint(spec, op.embed(v_star), F=lambda t, x: np.sin(np.pi * x))
+        traj = solve_adjoint(spec, op.embed(v_star), F=f)
         mid = traj.values[spec.time_steps // 2]
         assert np.max(np.abs(op.restrict(mid) - v_star)) < 1e-8
 
@@ -378,7 +395,7 @@ class TestStackedEnergy:
             assert controlled[i] == energy_report(spec, u0s[i:i + 1], hs[i:i + 1])[0]
 
     def test_with_potential(self):
-        spec = make_spec(N=32, M=16, c=lambda t, x: 0.5 + 0.0 * x)
+        spec = make_spec(N=32, M=16, c=0.5)
         u0s, hs = self.draws(spec, 3)
         got = energy_report(spec, u0s, hs)
         for i in range(3):
@@ -443,13 +460,12 @@ class TestStackedEnergy:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            st = pde_solver._Stepper(spec)
-            _adjoint_march(spec, vts, _constant_block(st, fs), stepper=st, keep_rows=False)
+            _adjoint_march(spec, vts, fs, keep_rows=False)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the source is one row per sample broadcast over the substeps: a
-        # copy of the (J, 20, n) block alone would be 2.6 MB
+        # the source is one row per sample: a copy of it for each of the
+        # substeps, a (J, 20, n) block, would be 2.6 MB alone
         assert peak < rows_bytes / 4, peak
 
 
@@ -507,6 +523,43 @@ class TestSpecValidation:
                 time_steps=4, omega=(0.0, 0.7),
             )
 
+    @pytest.mark.parametrize("c,got", [
+        (lambda t, x: 0.5, "<function"),
+        (None, "None"),
+        (math.inf, "inf"),
+        (np.full(17, np.nan), "shape (17,)"),
+        (np.ones(16), "shape (16,)"),
+        (np.ones((2, 17)), "shape (2, 17)"),
+    ], ids=["callable", "none", "inf", "nan-row", "short-row", "time-rows"])
+    def test_potential_must_be_a_finite_nodal_constant(self, c, got):
+        with pytest.raises(ValueError, match=(
+            r"potential c must be a finite number or 17 finite values, one per mesh "
+            rf"node, constant in time; got {re.escape(got)}"
+        )):
+            ProblemSpec(
+                T=1.0, coef=make_power_coefficient(0.5), regime=WEAK, mesh=build_mesh(16, 1.0),
+                time_steps=4, omega=(0.3, 0.7), c=c,
+            )
+
+    def test_potential_is_kept_as_checked(self):
+        mesh = build_mesh(16, 1.0)
+        for c in (0.0, -0.25, 2, np.float32(0.5)):
+            spec = ProblemSpec(
+                T=1.0, coef=make_power_coefficient(0.5), regime=WEAK, mesh=mesh,
+                time_steps=4, omega=(0.3, 0.7), c=c,
+            )
+            assert type(spec.c) is float and spec.c == c
+        # a nodal row is copied: a NaN put into the caller's array later is
+        # not marched
+        c = np.full(17, 0.5)
+        spec = ProblemSpec(
+            T=1.0, coef=make_power_coefficient(0.5), regime=WEAK, mesh=mesh,
+            time_steps=4, omega=(0.3, 0.7), c=c,
+        )
+        c[5] = np.nan
+        assert np.array_equal(spec.c, np.full(17, 0.5)) and not spec.c.flags.writeable
+        assert np.all(np.isfinite(solve_forward(spec, np.sin(np.pi * mesh.nodes)).values))
+
 
 # --------------------------------------------------------------------------------
 # the factor-once marching engine against a per-substep solve_banded reference
@@ -535,7 +588,7 @@ class _Substep:
     t0: float
     tau: float
     implicit: float  # 1.0 backward Euler, 0.5 Crank-Nicolson
-    t_sample: float  # where c, controls and sources are sampled
+    t_sample: float  # where forward controls and sources are sampled
     closes: bool = True  # ends on a step boundary t = m * dt
 
 
@@ -560,13 +613,11 @@ def _reference_steps(spec):
     """Per substep: (substep, banded L, R diagonal, R off-diagonal)."""
     op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
     W, n = op.weights, op.n_unknowns
-    xs = spec.mesh.nodes[op.node_index]
+    # the potential, constant in time, on the unknown nodes
+    c = np.broadcast_to(spec.c, spec.mesh.nodes.shape)[op.node_index]
+    gd = op.diag + W * c
     steps = []
     for sub in _reference_schedule(spec):
-        c = np.zeros(n)
-        if spec.c is not None:
-            c = np.asarray(spec.c(sub.t_sample, xs), dtype=float) * np.ones(n)
-        gd = op.diag + W * c
         th = sub.implicit
         Lb = np.zeros((3, n))
         Lb[0, 1:] = th * sub.tau * op.off
@@ -612,10 +663,10 @@ def _reference_forward(spec, u0, control=None, source=None):
 
 
 def _reference_adjoint(spec, vT, F=None):
-    """Transposed march: (rows, pairing) with one solve_banded per solve."""
+    """Transposed march from vT under the nodal source row F, constant in
+    time: (rows, pairing) with one solve_banded per solve."""
     op, steps = _reference_steps(spec)
     W = op.weights
-    xs = spec.mesh.nodes[op.node_index]
     M = spec.time_steps
     v = op.restrict(vT)
     rows = np.zeros((M + 1, spec.mesh.nodes.size))
@@ -629,8 +680,7 @@ def _reference_adjoint(spec, vT, F=None):
         pairing[j] = y
         z = _apply(Rd, Ro, y)
         if F is not None:
-            Fj = F(sub.t_sample, xs) * np.ones_like(xs)
-            z = z - sub.tau * W * solve_banded((1, 1), Lb, W * Fj)
+            z = z - sub.tau * W * solve_banded((1, 1), Lb, W * op.restrict(F))
         t_acc -= sub.tau
         if m >= 0 and abs(t_acc - m * spec.dt) < 1e-12 * max(1.0, spec.T):
             rows[m] = op.embed(z / W)
@@ -696,7 +746,7 @@ class TestMarchingEngine:
     def test_adjoint_bit_identical(self, scheme, gamma):
         spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
         vT = _draws(spec, 2)[0]
-        F = lambda t, x: np.cos(np.pi * x) * (2.0 - t)
+        F = np.cos(np.pi * spec.mesh.nodes)
         J = pde_solver.substep_times(spec)[0].size
         n = assemble_diffusion(spec.coef, spec.mesh, spec.regime).n_unknowns
         rows, pairing = _adjoint_march(spec, vT, F=F, pairing_out=np.empty((J, n)))
@@ -706,8 +756,7 @@ class TestMarchingEngine:
 
     @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
     def test_potential_bit_identical(self, scheme):
-        c = lambda t, x: 0.3 + 0.2 * np.sin(2 * np.pi * x) * np.cos(t)
-        spec = make_spec(N=40, M=24, scheme=scheme, c=c)
+        spec = make_spec(N=40, M=24, scheme=scheme, c=SPACE_POTENTIAL)
         u0, vT = _draws(spec, 3, 2)
         assert np.array_equal(solve_forward(spec, u0).values, _reference_forward(spec, u0))
         assert np.array_equal(solve_adjoint(spec, vT).values, _reference_adjoint(spec, vT)[0])
@@ -715,15 +764,13 @@ class TestMarchingEngine:
     @pytest.mark.parametrize("scheme,gamma", ENGINE_CASES)
     def test_batched_adjoint_matches_per_sample(self, scheme, gamma):
         spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
-        op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
         vTs = _draws(spec, 4, 5)
         fs = _draws(spec, 5, 5)
-        rows, _ = _adjoint_march(spec, vTs, _constant_block(pde_solver._Stepper(spec), fs))
+        rows, _ = _adjoint_march(spec, vTs, fs)
         assert rows.shape == (5, spec.time_steps + 1, spec.mesh.nodes.size)
         for i in range(5):
-            F = lambda t, x, f=op.restrict(fs[i]): f
-            assert np.array_equal(rows[i], _reference_adjoint(spec, vTs[i], F)[0])
-            assert np.array_equal(rows[i], solve_adjoint(spec, vTs[i], F=F).values)
+            assert np.array_equal(rows[i], _reference_adjoint(spec, vTs[i], fs[i])[0])
+            assert np.array_equal(rows[i], solve_adjoint(spec, vTs[i], F=fs[i]).values)
 
     @pytest.mark.parametrize(
         "N,regime,n_unknowns", [(2, WEAK, 1), (2, STRONG, 2), (3, WEAK, 2)]
@@ -738,7 +785,7 @@ class TestMarchingEngine:
         op = assemble_diffusion(coef, spec.mesh, regime)
         assert op.n_unknowns == n_unknowns
         u0, vT = _draws(spec, 6, 2)
-        F = lambda t, x: np.ones_like(x)
+        F = np.ones(spec.mesh.nodes.size)
         fwd = solve_forward(spec, u0)
         adj = solve_adjoint(spec, vT)
         lhs = op.inner(op.restrict(fwd.values[-1]), op.restrict(vT))
@@ -759,24 +806,16 @@ class TestMarchingEngine:
             ValueError, match="non-finite march: the control or source"
         ):
             solve_forward(spec, u0, control=lambda t, x: np.full_like(x, np.inf))
-        with pytest.raises(ValueError, match="non-finite march: the source"):
-            solve_adjoint(spec, u0, F=late_nan)
         fs = np.ones((2, spec.mesh.nodes.size))
         fs[1, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite march: the source"):
-            _adjoint_march(spec, np.zeros_like(fs), _constant_block(pde_solver._Stepper(spec), fs))
+            solve_adjoint(spec, u0, F=fs[1])
+        with pytest.raises(ValueError, match="non-finite march: the source"):
+            _adjoint_march(spec, np.zeros_like(fs), fs)
 
     def test_nonfinite_potential_raises(self):
-        spec = make_spec(N=16, M=8, c=lambda t, x: np.where(x > 0.5, np.nan, 0.0))
-        with pytest.raises(ValueError, match="potential c is not finite"):
-            solve_forward(spec, np.zeros(spec.mesh.nodes.size))
-
-
-def _constant_block(st, nodal):
-    """A nodal source constant in time as the engine takes it: its rows on
-    the unknown nodes broadcast over the substeps, first stride zero."""
-    rows = st.op.restrict(nodal)
-    return np.broadcast_to(rows, st.tau.shape + rows.shape)
+        with pytest.raises(ValueError, match="potential c must be a finite number"):
+            make_spec(N=16, M=8, c=lambda x: np.where(x > 0.5, np.nan, 0.0))
 
 
 # --------------------------------------------------------------------------------
@@ -831,9 +870,9 @@ def _old_forward(spec, u, g=None):
     return u, rows
 
 
-def _old_backward(spec, v, F=None, F_const=None):
+def _old_backward(spec, v, F=None):
     """(rows, pairing) of the allocating transposed loop with the deposits
-    of ``_adjoint_march``: per-substep F or a constant F_const."""
+    of ``_adjoint_march`` of the source rows F on the unknown nodes."""
     steps, pad = _old_engine(spec)
     st = pde_solver._Stepper(spec)
     W = st.op.weights
@@ -848,42 +887,42 @@ def _old_backward(spec, v, F=None, F_const=None):
         y = _old_solve_L(factors, pad, z)
         pairing[j] = y
         z = _old_apply_R(Rd, Ro, y)
-        if F_const is not None:
-            z = z - tw * _old_solve_L(factors, pad, W * F_const)
-        elif F is not None:
-            z = z - tw * _old_solve_L(factors, pad, W * F[j])
+        if F is not None:
+            z = z - tw * _old_solve_L(factors, pad, W * F)
         if j == 0 or steps[j - 1][0].closes:
             rows[..., m, st.cols] = z / W
             m -= 1
     return rows, pairing
 
 
-def _spec_for(N, regime, scheme, c=None):
+def _spec_for(N, regime, scheme, c=0.0):
+    """The spec of the arguments; a callable c(x) is taken at the mesh nodes."""
     coef = make_power_coefficient(1.0 if N < 8 else 0.5)
+    mesh = build_mesh(N, 2.0)
     return ProblemSpec(
-        T=1.0, coef=coef, regime=regime, mesh=build_mesh(N, 2.0), time_steps=7,
-        omega=(0.3, 0.7), scheme=scheme, c=c,
+        T=1.0, coef=coef, regime=regime, mesh=mesh, time_steps=7,
+        omega=(0.3, 0.7), scheme=scheme, c=c(mesh.nodes) if callable(c) else c,
     )
 
 
-POTENTIAL = lambda t, x: 0.3 + 0.2 * np.sin(2 * np.pi * x) * np.cos(t)  # noqa: E731
-# constant in time: the CLI's potential_const, and one that varies in space
-CONST_POTENTIAL = lambda t, x, v=0.5: v  # noqa: E731
-SPACE_POTENTIAL = lambda t, x: 0.3 + 0.2 * np.sin(2 * np.pi * x)  # noqa: E731
+# potentials, constant in time: the CLI's potential_const, and one that
+# varies in space
+CONST_POTENTIAL = 0.5
+SPACE_POTENTIAL = lambda x: 0.3 + 0.2 * np.sin(2 * np.pi * x)  # noqa: E731
 
 IN_PLACE_CASES = [
-    pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, None, id="cn"),
-    pytest.param(24, WEAK, Scheme.BACKWARD_EULER, None, id="be"),
-    pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, POTENTIAL, id="cn-potential"),
-    pytest.param(24, WEAK, Scheme.BACKWARD_EULER, POTENTIAL, id="be-potential"),
+    pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, 0.0, id="cn"),
+    pytest.param(24, WEAK, Scheme.BACKWARD_EULER, 0.0, id="be"),
+    pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, SPACE_POTENTIAL, id="cn-potential"),
+    pytest.param(24, WEAK, Scheme.BACKWARD_EULER, SPACE_POTENTIAL, id="be-potential"),
     pytest.param(24, STRONG, Scheme.CRANK_NICOLSON, CONST_POTENTIAL, id="cn-const-potential"),
     pytest.param(24, WEAK, Scheme.BACKWARD_EULER, CONST_POTENTIAL, id="be-const-potential"),
     pytest.param(24, WEAK, Scheme.CRANK_NICOLSON, SPACE_POTENTIAL, id="cn-space-potential"),
     pytest.param(24, STRONG, Scheme.BACKWARD_EULER, SPACE_POTENTIAL, id="be-space-potential"),
-    pytest.param(2, WEAK, Scheme.CRANK_NICOLSON, None, id="n1"),
-    pytest.param(2, STRONG, Scheme.CRANK_NICOLSON, POTENTIAL, id="n2-strong"),
-    pytest.param(3, WEAK, Scheme.BACKWARD_EULER, None, id="n2-weak"),
-    pytest.param(3, STRONG, Scheme.CRANK_NICOLSON, None, id="n3"),
+    pytest.param(2, WEAK, Scheme.CRANK_NICOLSON, 0.0, id="n1"),
+    pytest.param(2, STRONG, Scheme.CRANK_NICOLSON, SPACE_POTENTIAL, id="n2-strong"),
+    pytest.param(3, WEAK, Scheme.BACKWARD_EULER, 0.0, id="n2-weak"),
+    pytest.param(3, STRONG, Scheme.CRANK_NICOLSON, 0.0, id="n3"),
 ]
 
 
@@ -926,12 +965,13 @@ class TestInPlaceEngine:
         nodal = shape[:-1] + (spec.mesh.nodes.size,)
         vT = op.embed(rng.standard_normal(shape))
         v = op.restrict(vT)
-        F = rng.standard_normal((J, n))
-        F_const = op.embed(rng.standard_normal(shape))
+        # a source row shared by every sample, and one row per sample
+        shared = op.embed(rng.standard_normal(n))
+        F = op.embed(rng.standard_normal(shape))
         for kw, ref_kw in (
             ({}, {}),
-            ({"F": F}, {"F": F}),
-            ({"F": _constant_block(st, F_const)}, {"F_const": op.restrict(F_const)}),
+            ({"F": shared}, {"F": op.restrict(shared)}),
+            ({"F": F}, {"F": op.restrict(F)}),
         ):
             rows, pairing = _adjoint_march(
                 spec, vT, stepper=st, pairing_out=np.empty((J,) + shape), **kw
@@ -979,28 +1019,28 @@ class TestConstantSource:
         spec = _spec_for(N, regime, scheme, c)
         st = pde_solver._Stepper(spec)
         J = st.tau.size
-        # a potential constant in time shares the step matrices as none does
-        distinct = J if c is POTENTIAL else {Scheme.CRANK_NICOLSON: 2, Scheme.BACKWARD_EULER: 1}[scheme]
+        # a potential shares the step matrices as none does
+        distinct = {Scheme.CRANK_NICOLSON: 2, Scheme.BACKWARD_EULER: 1}[scheme]
         assert len(set(st.factor_of)) == len(st._factors) == distinct
         solved = []
         solve_L = st.solve_L
         monkeypatch.setattr(st, "solve_L", lambda j, rhs: solved.append(j) or solve_L(j, rhs))
         rng = np.random.default_rng(N)
         vTs, fs = st.op.embed(rng.standard_normal((2, 3, st.op.n_unknowns)))
-        const = _constant_block(st, fs)
-        want = _old_backward(spec, st.op.restrict(vTs), F_const=st.op.restrict(fs))[0]
-        rows, _ = _adjoint_march(spec, vTs, const, stepper=st)
+        want = _old_backward(spec, st.op.restrict(vTs), F=st.op.restrict(fs))[0]
+        rows, _ = _adjoint_march(spec, vTs, fs, stepper=st)
         assert len(solved) == distinct and np.array_equal(rows, want)
-        # the same source given substep by substep is deposited at every substep
+        # a source given substep by substep is refused by name, before any solve
         solved.clear()
-        rows, _ = _adjoint_march(spec, vTs, np.ascontiguousarray(const), stepper=st)
-        assert len(solved) == J and np.array_equal(rows, want)
+        with pytest.raises(ValueError, match="the adjoint source F must be one nodal row"):
+            _adjoint_march(spec, vTs, np.stack([fs] * J), stepper=st)
+        assert not solved
 
 
 class TestScheduleTable:
     @pytest.mark.parametrize(
-        "c", [None, POTENTIAL, CONST_POTENTIAL, SPACE_POTENTIAL],
-        ids=["plain", "potential", "const-potential", "space-potential"],
+        "c", [0.0, CONST_POTENTIAL, SPACE_POTENTIAL],
+        ids=["plain", "const-potential", "space-potential"],
     )
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 97])
     @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
@@ -1011,18 +1051,11 @@ class TestScheduleTable:
         assert st.t_sample.tolist() == [sub.t_sample for sub in subs]
         assert st.tau.tolist() == [sub.tau for sub in subs]
         assert list(st.closes) == [sub.closes for sub in subs]
-        # one step matrix per (tau, th, values of c at the sample time)
-        xs = st.xs_unknown
-        keys = [
-            (sub.tau, sub.implicit,
-             None if c is None else tuple(np.broadcast_to(c(sub.t_sample, xs), xs.shape)))
-            for sub in subs
-        ]
+        # one step matrix per (tau, th): the potential does not vary in time
+        keys = [(sub.tau, sub.implicit) for sub in subs]
         distinct = list(dict.fromkeys(keys))
         assert st.factor_of == [distinct.index(key) for key in keys]
         assert len(st._factors) == len(distinct)
-        if c is POTENTIAL:
-            assert len(distinct) == len(subs)
         assert len(st.factor_of) == len(st._R) == len(st.tau_w) == len(subs)
         for tw, sub in zip(st.tau_w, subs):
             assert np.array_equal(tw, sub.tau * st.op.weights)

@@ -1,10 +1,13 @@
 """Run experiment configs under two source trees and compare what they write.
 
     python tools/compare_outputs.py BASE_SRC NEW_SRC [CONFIG ...]
+    python tools/compare_outputs.py BASE_SRC NEW_SRC --workload NAME [--seed N]
 
-Each config (default: every ``configs/*.json`` of this checkout) runs once
-per tree as ``python -m carleman_lab.cli run CONFIG --out DIR`` in a fresh
-subprocess with that tree's ``src`` directory on ``PYTHONPATH`` and
+Each config (default: every ``configs/*.json`` of this checkout; with
+``--workload``, the configs of one pass of that benchmark workload at seed N,
+default 0, as ``perfbench/workloads.py`` builds them) runs once per tree as
+``python -m carleman_lab.cli run CONFIG --out DIR`` in a fresh subprocess
+with that tree's ``src`` directory on ``PYTHONPATH`` and
 ``CARLEMAN_LAB_SEED`` unset.  For every output file the report says
 ``identical`` or, where the bytes differ, the largest relative drift
 |a - b| / max(|a|, |b|) of each numeric column: CSV columns by header,
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -32,6 +36,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BIN_HEADER = struct.Struct("<qqd")
+
+
+def _workloads():
+    """The benchmark's ``perfbench/workloads.py`` module."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_configs(name: str, seed: int, where: Path) -> list[Path]:
+    """The configs of one pass of the benchmark workload ``name`` at ``seed``,
+    written to ``where`` as ``<name>-<index>-<experiment>.json``."""
+    paths = []
+    for i, cfg in enumerate(_workloads().configs(name, seed)):
+        path = where / f"{name}-{i}-{cfg['experiment']}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        paths.append(path)
+    return paths
 
 
 def run_config(src: Path, config: Path, out: Path) -> int:
@@ -152,7 +177,14 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="src directory of the new tree")
     parser.add_argument("configs", nargs="*", type=Path,
                         help="JSON configs (default: configs/*.json)")
+    parser.add_argument("--workload", choices=sorted(_workloads().WORKLOADS),
+                        help="run the configs of one pass of this benchmark workload")
+    parser.add_argument("--seed", type=int, help="the workload's seed (default 0)")
     args = parser.parse_args(argv)
+    if args.workload and args.configs:
+        parser.error("give configs or --workload, not both")
+    if args.seed is not None and not args.workload:
+        parser.error("--seed needs --workload")
     configs = args.configs or sorted((ROOT / "configs").glob("*.json"))
     for src in (args.base, args.new):
         if not (src / "carleman_lab").is_dir():
@@ -160,6 +192,9 @@ def main(argv=None) -> int:
             return 2
     all_same = True
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        if args.workload:
+            seed = 0 if args.seed is None else args.seed
+            configs = workload_configs(args.workload, seed, Path(tmp))
         for i, config in enumerate(configs):
             outs = [Path(tmp) / f"{i}-{side}" / "out" for side in ("base", "new")]
             codes = []

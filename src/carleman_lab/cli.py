@@ -38,13 +38,13 @@ from .pde_solver import (
     ProblemSpec,
     Scheme,
     Trajectory,
-    _Stepper,
     boundary_regime_for,
     build_mesh,
     energy_report,
     omega_node_mask,
     solve_adjoint,
     solve_forward,
+    substep_times,
     trajectory_to_binary,
     trapezoid_time_weights,
 )
@@ -684,12 +684,11 @@ def _exp_convergence(cfg, seed, log):
             scheme=Scheme.CRANK_NICOLSON,
         )
         u0 = exact(0.0, mesh.nodes)
-        # the source on every (substep time, unknown node) pair, evaluated once
-        st = _Stepper(spec)
-        f = source(st.t_sample[:, None], st.xs_unknown[None, :])
-        traj = solve_forward(spec, u0, source=f, stepper=st)
+        # the source on every (substep time, mesh node) pair, evaluated once
+        f = source(substep_times(spec)[0][:, None], mesh.nodes[None, :])
+        traj = solve_forward(spec, u0, source=f)
         diff = traj.values - exact(traj.times[:, None], mesh.nodes[None, :])
-        rowsums = st.op.norms.l2_sq(diff)
+        rowsums = WeightedNorms(mesh, coef).l2_sq(diff)
         # added left to right, as a loop over the time rows would
         err_sq = np.cumsum(trapezoid_time_weights(T, M) * rowsums)[-1]
         return math.sqrt(err_sq)

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .carleman import DEGENERATE_DENOMINATOR
 from .pde_solver import ProblemSpec, _adjoint_march, _Stepper
 
 __all__ = [
@@ -106,8 +107,6 @@ def _cg(apply_A, b, inner, atol: float, max_iter: int):
     r = b.copy()
     p = r.copy()
     rs = inner(r, r)
-    if rs == 0.0:
-        return x, 0, True
     for it in range(1, max_iter + 1):
         Ap = apply_A(p)
         denom = inner(p, Ap)
@@ -138,7 +137,9 @@ def synthesize_null_control(
     the free terminal state and of the initial state, so a problem that
     grows cannot loosen the tolerance.  The control is the restriction of
     the optimal adjoint profile to the control-region nodes; the returned
-    terminal norm comes from an explicit forward verification solve.
+    terminal norm comes from an explicit forward verification solve.  An
+    initial or free terminal state whose energy is below
+    ``DEGENERATE_DENOMINATOR`` is refused.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -150,6 +151,10 @@ def synthesize_null_control(
     op = dual.op
     u0_unknown = op.restrict(u0)
     rhs = -dual.forward_terminal(u0_unknown, None)  # minus the free terminal state
+    for what, state in (("initial", u0_unknown), ("free terminal", rhs)):
+        if op.inner(state, state) < DEGENERATE_DENOMINATOR:
+            raise ValueError(f"the {what} state's energy is below {DEGENERATE_DENOMINATOR:g} "
+                             f"at T={spec.T:g}, time_steps={spec.time_steps}")
     atol = cg_tol * min(np.sqrt(op.inner(rhs, rhs)), op.norm(u0_unknown))
     v_hat, iters, converged = _cg(dual.gram_apply, rhs, op.inner, atol, cg_max_iter)
 

@@ -389,13 +389,20 @@ def _require_finite(state: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite march: {what} produced NaN or inf")
 
 
+def _require_shape(what: str, field, shapes: tuple, allowed: str) -> None:
+    """Refuse by name a forcing ``field`` of none of ``shapes``; None passes."""
+    if field is not None and np.shape(field) not in shapes:
+        got = f"shape {np.shape(field)}" if np.ndim(field) else repr(field)
+        raise ValueError(f"{what} must be {allowed}; got {got}")
+
+
 class _Stepper:
     """The marching engine: substep matrices L = W + th*tau*G and
     R = W - (1-th)*tau*G with G = S + W*diag(c), each distinct L factored once.
 
-    Every caller reads the schedule off the engine: substep j samples forward
-    controls and sources at ``t_sample[j]``, lasts ``tau[j]`` and ends a
-    step when ``closes[j]``.  ``omega`` masks the control region's unknowns.
+    Every caller reads the schedule off the engine: substep j is sampled at
+    ``t_sample[j]``, lasts ``tau[j]`` and ends a step when ``closes[j]``.
+    ``omega`` masks the control region's unknowns.
 
     c does not depend on time, so L and R are functions of (tau, th) alone:
     substeps of one length and implicit weight share one factorization, one
@@ -418,13 +425,13 @@ class _Stepper:
     the order ``(Rd u + ro u+) + ro u-``.  So a substep allocates nothing,
     and its floor is the latency-bound recurrence of ``dgttrs`` itself.
 
-    A forward forcing is a ``(J, ...)`` block whose row j drives substep j;
-    one constant in time is one row broadcast over J (``np.broadcast_to``),
-    never materialized.  The engine owns the forcing weight tau*W: a forward
-    march weights its forcing up front, one product per run of equal substep
-    lengths (one row per run for a zero-stride block), into a scratch block
-    kept for the stepper's next march; a backward march's source is constant
-    in time, deposited once per distinct L.
+    A forward forcing is constant in time, in the state's shape, or a
+    ``(J,) + state shape`` block whose row j drives substep j.  The engine
+    owns the forcing weight tau*W: a forward march weights its forcing up
+    front, one product per run of equal substep lengths (one row per run for
+    a constant one), into a scratch block kept for the stepper's next march;
+    a backward march's source is constant in time, deposited once per
+    distinct L.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -434,7 +441,6 @@ class _Stepper:
         self.t_sample, self.tau = np.array(t_sample), np.array(tau)
         idx = self.op.node_index
         self.cols = slice(idx[0], idx[-1] + 1)  # unknown nodes within a nodal row
-        self.xs_unknown = spec.mesh.nodes[idx]
         self.omega = omega_node_mask(spec.mesh, spec.omega)[idx]
         W = self.op.weights
         c = np.broadcast_to(spec.c, spec.mesh.nodes.shape)
@@ -527,46 +533,44 @@ class _Stepper:
         _trs(*args)
         return x
 
-    def _forcing_rows(self, g: np.ndarray) -> list:
-        """Per substep j, the row tau_j*W*g[j] it adds to the state, or None
-        where g[j] is all zero (adding +0.0 would turn a -0.0 entry of the
-        state into +0.0).  The rows live in a scratch block the stepper keeps
-        for its next call, made by one product per run of substeps of one
-        length (three for Crank-Nicolson); a zero-stride g gets one row per
-        run."""
-        const = g.strides[0] == 0
-        shape = (len(self._tau_runs) if const else len(g),) + g.shape[1:]
+    def _forcing_rows(self, g: np.ndarray, const: bool) -> list:
+        """Per substep j, the row tau_j*W*g_j it adds to the state, or None
+        where g_j is all zero (adding +0.0 would turn a -0.0 entry of the
+        state into +0.0); g_j is g itself when ``const`` and g[j] otherwise.
+        The rows live in a scratch block the stepper keeps for its next call,
+        made by one product per run of substeps of one length (three for
+        Crank-Nicolson); a constant g gets one row per run."""
+        shape = (len(self._tau_runs),) + g.shape if const else g.shape
         if self._weighted is None or self._weighted.shape != shape:
             self._weighted = np.empty(shape)
         rows = []
         start = 0
         for r, stop in enumerate(self._tau_runs):
             if const:
-                np.multiply(self.tau_w[start], g[0], out=self._weighted[r])
+                np.multiply(self.tau_w[start], g, out=self._weighted[r])
                 rows += [self._weighted[r]] * (stop - start)
             else:
                 np.multiply(self.tau_w[start], g[start:stop], out=self._weighted[start:stop])
             start = stop
         if const:
-            # only the one row is tested: the broadcast block is never copied
-            return rows if g[0].any() else [None] * len(g)
+            return rows if g.any() else [None] * len(rows)
         live = g.reshape(len(g), -1).any(axis=1).tolist()
         return [row if keep else None for row, keep in zip(self._weighted, live)]
 
     def forward(self, u: np.ndarray, load=None, closed=None) -> np.ndarray:
         """March u over the whole schedule and return the final state.
 
-        ``load`` is None or a ``(J, ...)`` forcing block, whose row g = load[j]
-        enters substep j's right-hand side as tau*W*g; ``closed(m, state)`` is
-        called at the end of every step m = 1..M with the live state, which
-        it must not keep.
+        ``load`` is None, a forcing g constant in time in u's shape, or a
+        ``(J,) + u.shape`` block of rows g = load[j]; g enters substep j's
+        right-hand side as tau_j*W*g.  ``closed(m, state)`` is called at the
+        end of every step m = 1..M with the live state, which it must not keep.
         """
         buf, inner, state = self._buffer(u.shape)
         state[...] = u
         apply_R = self._apply_R(buf, inner)
         bound = self._solves(inner, self._factors)
         solves = [bound[f] for f in self.factor_of]
-        adds = None if load is None else self._forcing_rows(load)
+        adds = None if load is None else self._forcing_rows(load, load.ndim == u.ndim)
         m = 1
         for j, closes in enumerate(self.closes):
             apply_R(j)
@@ -618,49 +622,38 @@ class _Stepper:
         _require_finite(z, "the source")
 
 
-def _schedule_samples(field, st: _Stepper) -> np.ndarray:
-    """The ``(J, n)`` block of a field's samples at every substep of the
-    schedule, from a callable (t, x) -> value; an array is taken as that
-    block already."""
-    if callable(field):
-        xs = st.xs_unknown
-        return np.stack([np.asarray(field(t, xs), dtype=float) * np.ones_like(xs)
-                         for t in st.t_sample])
-    return np.asarray(field, dtype=float)
-
-
 def solve_forward(
     spec: ProblemSpec,
     u0: np.ndarray,
     control=None,
     source=None,
-    stepper: Optional[_Stepper] = None,
 ) -> Trajectory:
     """March the controlled forward problem from u0.
 
     ``control`` acts only through the nodes strictly inside omega (sharp
-    indicator); ``source`` is an unrestricted right-hand side.  Either may be
-    a callable (t, x) -> value or a ``(J, n)`` array of per-substep samples
-    on the unknown nodes, aligned with ``substep_times``.  Both are gathered
-    into one block of per-substep forcing before the march.  ``stepper``
-    reuses a factored engine for ``spec``.
+    indicator); ``source`` is an unrestricted right-hand side.  Each is None,
+    one nodal row ``(N+1,)`` constant in time, or a nodal block ``(J, N+1)``
+    whose row j drives substep j, at time ``substep_times(spec)[0][j]``; any
+    other shape, a callable included, is refused by name.
     """
-    st = stepper if stepper is not None else _Stepper(spec)
+    st = _Stepper(spec)
     op = st.op
     mesh = spec.mesh
+    row, block = mesh.nodes.shape, (st.tau.size,) + mesh.nodes.shape
+    for name, field in (("control", control), ("source", source)):
+        _require_shape(f"the forward {name}", field, (row, block),
+                       f"one nodal row {row}, constant in time, or one per substep {block}")
     u = op.restrict(u0)
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
     rows = np.zeros((spec.time_steps + 1, mesh.nodes.size))
     rows[0, st.cols] = u
 
-    g = None
-    if control is not None or source is not None:
-        g = np.zeros((st.tau.size, u.size))
-        if control is not None:
-            g += np.where(st.omega, _schedule_samples(control, st), 0.0)
-        if source is not None:
-            g += _schedule_samples(source, st)
+    g = None  # on the unknowns: the control inside omega plus the source
+    for field, inside in ((control, st.omega), (source, True)):
+        if field is not None:
+            # summed onto +0.0, so a -0.0 entry adds +0.0 to the state
+            g = (0.0 if g is None else g) + np.where(inside, op.restrict(field), 0.0)
 
     def closed(m, state):
         rows[m, st.cols] = state
@@ -692,11 +685,9 @@ def _adjoint_march(
     v = st.op.restrict(v_T)
     if not np.all(np.isfinite(v)):
         raise ValueError("terminal data must be finite")
-    if F is not None and np.shape(F) not in (spec.mesh.nodes.shape, np.shape(v_T)):
-        raise ValueError(
-            f"the adjoint source F must be one nodal row {spec.mesh.nodes.shape} or "
-            f"one per sample {np.shape(v_T)}, constant in time; got shape {np.shape(F)}"
-        )
+    row, per_sample = spec.mesh.nodes.shape, np.shape(v_T)
+    _require_shape("the adjoint source F", F, (row, per_sample),
+                   f"one nodal row {row} or one per sample {per_sample}, constant in time")
     M = spec.time_steps
     rows = None
     if keep_rows:
@@ -730,9 +721,9 @@ def energy_report(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray
     integrals of |u_t|^2 and |(a u_x)_x|^2.  Denominator: the same first-order
     norm of u0 plus the control energy on the control cylinder.
 
-    The samples march together as one ``(S, n)`` block, and every step is
-    reduced across the whole stack as the march closes it, so no trajectory
-    is stored.
+    The samples march together as one ``(S, n)`` block, forced by their
+    control rows as they are, and every step is reduced across the whole
+    stack as the march closes it, so no trajectory is stored.
     """
     st = _Stepper(spec)
     op = st.op
@@ -743,10 +734,9 @@ def energy_report(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray
     u = np.ascontiguousarray(op.restrict(u0s))
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
-    g = load = None
-    if h_rows is not None:
-        g = np.where(st.omega, op.restrict(h_rows), 0.0)
-        load = np.broadcast_to(g, st.tau.shape + g.shape)
+    _require_shape("the controls h_rows", h_rows, (u0s.shape,),
+                   f"one nodal row per sample {u0s.shape}, constant in time")
+    g = None if h_rows is None else np.where(st.omega, op.restrict(h_rows), 0.0)
 
     W = op.weights
     norms = op.norms
@@ -776,7 +766,7 @@ def energy_report(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray
         np.add(au_sq, tw[m] * np.sum(W * Au * Au, axis=-1), out=au_sq)
 
     closed(0, u)
-    st.forward(u, load, closed)
+    st.forward(u, g, closed)
     if not np.all(np.isfinite(ut_sq)):
         raise ValueError(
             f"the time-derivative energy, a sum of k*|(u(t+k)-u(t))/k|**2, overflows "

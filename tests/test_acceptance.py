@@ -33,6 +33,7 @@ from carleman_lab.pde_solver import (
     build_mesh,
     solve_adjoint,
     solve_forward,
+    substep_times,
 )
 from carleman_lab.sampling import (
     STREAM_CONTROL,
@@ -224,7 +225,9 @@ class TestAcceptance:
                 time_steps=M,
                 omega=(0.3, 0.7),
             )
-            traj = solve_forward(spec, exact(0.0, mesh.nodes), source=source)
+            # the source at every substep time on the mesh nodes
+            f = np.stack([source(t, mesh.nodes) for t in substep_times(spec)[0]])
+            traj = solve_forward(spec, exact(0.0, mesh.nodes), source=f)
             tw = np.full(M + 1, 1.0 / M)
             tw[0] *= 0.5
             tw[-1] *= 0.5

@@ -35,6 +35,7 @@ def test_summary_per_workload_and_metric():
     assert (run["parent_median"], run["parent_iqr"], run["child_median"]) == (3.0, 2.0, 3.1)
     assert run["ratio"] == pytest.approx(3.1 / 3.0)
     assert (run["wins"], run["pairs"], run["past_bound"]) == (4, 5, False)
+    assert not any(r["gain"] for r in rows.values())
     assert rows["setup_s"]["wins"] == 0 and rows["setup_s"]["past_bound"]
     assert rows["peak_rss_mb"]["past_bound"] and rows["peak_rss_mb"]["parent_iqr"] == 0.0
     table = bench_pairs.format_rows(list(rows.values())).splitlines()
@@ -44,10 +45,55 @@ def test_summary_per_workload_and_metric():
     assert [line.endswith("PAST") for line in table[1:]] == [False, False, True, True]
 
 
+PARENT_RUNS = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, IQR 0.045
+
+
+@pytest.mark.parametrize("child_runs, gain", [
+    # 9 of 10 pairs won, median 0.1 below the parent's, IQR 0.045
+    ([r - 0.1 for r in PARENT_RUNS[:9]] + [2.0], True),
+    # 8 of 10 won (a tie counts for neither side), the same gap
+    ([r - 0.1 for r in PARENT_RUNS[:8]] + [PARENT_RUNS[8], 2.0], False),
+    # 10 of 10 won, the gap just over the IQR
+    ([r - 0.046 for r in PARENT_RUNS], True),
+    # 10 of 10 won, the gap not over the IQR
+    ([r - 0.044 for r in PARENT_RUNS], False),
+])
+def test_gain_needs_nine_in_ten_wins_and_a_gap_past_the_iqr(child_runs, gain):
+    results = {"w": {"parent": [canned(r) for r in PARENT_RUNS],
+                     "child": [canned(r) for r in child_runs]}}
+    row = bench_pairs.summarize(results, END_TO_END)[0]
+    assert row["metric"] == "run_s" and row["parent_iqr"] == pytest.approx(0.045)
+    assert row["gain"] is gain
+    line = bench_pairs.format_rows([row]).splitlines()[1]
+    assert line.endswith("GAIN") is gain and "PAST" not in line
+
+
+def test_gain_of_a_higher_is_better_metric():
+    higher = [{"name": "run_s", "better": "higher", "bound": 0.25}]
+    up = {"w": {"parent": [canned(r) for r in PARENT_RUNS],
+                "child": [canned(r + 0.1) for r in PARENT_RUNS]}}
+    down = {"w": {"parent": [canned(r) for r in PARENT_RUNS],
+                  "child": [canned(r - 0.1) for r in PARENT_RUNS]}}
+    assert bench_pairs.summarize(up, higher)[0]["gain"]
+    assert not bench_pairs.summarize(down, higher)[0]["gain"]
+
+
 def test_one_pair_has_no_spread():
     rows = bench_pairs.summarize({"w": {"parent": [canned(2.0)], "child": [canned(1.0)]}},
                                  END_TO_END)
     assert rows[0]["parent_iqr"] == 0.0 and rows[0]["wins"] == 1
+    assert not rows[0]["gain"]
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 9])
+def test_gain_needs_ten_pairs(pairs):
+    # every pair won, by far more than the parent's IQR, but too few pairs
+    results = {"w": {"parent": [canned(r) for r in PARENT_RUNS[:pairs]],
+                     "child": [canned(r - 0.5) for r in PARENT_RUNS[:pairs]]}}
+    row = bench_pairs.summarize(results, END_TO_END)[0]
+    assert row["wins"] == row["pairs"] == pairs
+    assert row["parent_median"] - row["child_median"] > row["parent_iqr"]
+    assert not row["gain"]
 
 
 def _checkout(tmp_path, name):

@@ -11,9 +11,12 @@ conjugated operator parts in
 weight-grid build ``CarlemanWeights._build_grid`` and the fold
 ``functionals._fold`` must keep the bits of their whole-grid bodies, and the
 blocked contraction ``functionals._integrals`` must stay within rounding of
-the whole-grid three-operand einsum.  The reference functions below are the
-bodies these replaced, kept verbatim in arithmetic, and every comparison is
-``np.array_equal`` on the bits unless it says otherwise.
+the whole-grid three-operand einsum.  ``solve_forward`` takes its forcing
+as nodal rows or per-substep nodal blocks and must keep the bits of the
+gather it replaced, which sampled callables on the unknown nodes.  The
+reference functions below are the bodies these replaced, kept verbatim in
+arithmetic, and every comparison is ``np.array_equal`` on the bits unless it
+says otherwise.
 """
 
 import tracemalloc
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from carleman_lab import functionals
+from carleman_lab import functionals, pde_solver
 from carleman_lab.carleman import (
     CarlemanParams,
     _grids,
@@ -47,10 +50,13 @@ from carleman_lab.functionals import (
 )
 from carleman_lab.pde_solver import (
     ProblemSpec,
+    Scheme,
     Trajectory,
     boundary_regime_for,
     build_mesh,
     solve_adjoint,
+    solve_forward,
+    substep_times,
     trapezoid_time_weights,
 )
 from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
@@ -405,6 +411,42 @@ def ref_integral(quad, vals):
         u = vals[rows, quad.cols]
     spec = "i,i,i->" if quad.time_constant else "mi,mi,mi->"
     return float(np.einsum(spec, quad.grid, u, u))
+
+
+def ref_schedule_samples(field, t_sample, xs_unknown):
+    """The ``(J, n)`` block of a field's samples at every substep of the
+    schedule, from a callable (t, x) -> value; an array is taken as that
+    block already."""
+    if callable(field):
+        xs = xs_unknown
+        return np.stack([np.asarray(field(t, xs), dtype=float) * np.ones_like(xs)
+                         for t in t_sample])
+    return np.asarray(field, dtype=float)
+
+
+def ref_solve_forward(spec, u0, control=None, source=None):
+    """Trajectory rows of ``solve_forward`` with its forcing gathered into
+    one ``(J, n)`` block on the unknown nodes before the march."""
+    st = pde_solver._Stepper(spec)
+    op = st.op
+    xs_unknown = spec.mesh.nodes[op.node_index]
+    u = op.restrict(u0)
+    rows = np.zeros((spec.time_steps + 1, spec.mesh.nodes.size))
+    rows[0, st.cols] = u
+
+    g = None
+    if control is not None or source is not None:
+        g = np.zeros((st.tau.size, u.size))
+        if control is not None:
+            g += np.where(st.omega, ref_schedule_samples(control, st.t_sample, xs_unknown), 0.0)
+        if source is not None:
+            g += ref_schedule_samples(source, st.t_sample, xs_unknown)
+
+    def closed(m, state):
+        rows[m, st.cols] = state
+
+    st.forward(u, g, closed)
+    return rows
 
 
 # -- comparisons ------------------------------------------------------------------
@@ -773,3 +815,82 @@ class TestGridKernels:
             other = wts.weight_grid(ts, xs, 5.0, 3.0)
             assert not np.shares_memory(other, held)
         assert same_bits(held, want)
+
+
+def _forward_spec(scheme):
+    coef = make_power_coefficient(0.5)
+    rep = classify(coef)
+    return ProblemSpec(
+        T=1.0, coef=coef, regime=boundary_regime_for(rep), mesh=build_mesh(40, 2.0),
+        time_steps=24, omega=(0.3, 0.7), scheme=scheme, hypothesis=rep,
+    )
+
+
+def _control(t, x):
+    return np.cos(3.0 * t) * x
+
+
+def _source(t, x):
+    return np.sin(np.pi * x) * (1.0 + t)
+
+
+SCHEMES = [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER]
+
+
+class TestForwardForcing:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_nodal_blocks_against_sampled_callables(self, scheme):
+        spec = _forward_spec(scheme)
+        x, ts = spec.mesh.nodes, substep_times(spec)[0]
+        u0 = sample_fields(1, STREAM_TERMINAL, 1, x)[0]
+        control, source = _control(ts[:, None], x), _source(ts[:, None], x)
+        for kw, ref_kw in (
+            ({"control": control, "source": source}, {"control": _control, "source": _source}),
+            ({"control": control}, {"control": _control}),
+            ({"source": source}, {"source": _source}),
+            ({}, {}),
+        ):
+            assert same_bits(solve_forward(spec, u0, **kw).values,
+                             ref_solve_forward(spec, u0, **ref_kw))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_zero_rows_add_nothing(self, scheme):
+        # all-zero rows, -0.0 ones among them, against the same rows gathered
+        # on the unknown nodes
+        spec = _forward_spec(scheme)
+        x, ts = spec.mesh.nodes, substep_times(spec)[0]
+        idx = pde_solver._Stepper(spec).op.node_index
+        u0 = sample_fields(2, STREAM_TERMINAL, 1, x)[0]
+        control, source = _control(ts[:, None], x), _source(ts[:, None], x)
+        control[::3] = 0.0
+        control[4] = -0.0
+        source[1::3] = -0.0
+        source[6] = 0.0
+        for kw in ({"control": control, "source": source}, {"control": control},
+                   {"source": source}, {"source": -np.zeros_like(source)}):
+            ref_kw = {name: block[:, idx] for name, block in kw.items()}
+            assert same_bits(solve_forward(spec, u0, **kw).values,
+                             ref_solve_forward(spec, u0, **ref_kw))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_constant_row_against_its_tiling(self, scheme):
+        spec = _forward_spec(scheme)
+        x, ts = spec.mesh.nodes, substep_times(spec)[0]
+        idx = pde_solver._Stepper(spec).op.node_index
+        u0 = sample_fields(3, STREAM_TERMINAL, 1, x)[0]
+        row = sample_fields(4, STREAM_TERMINAL, 1, x)[0]
+        block = _source(ts[:, None], x)
+        for value in (row, np.zeros_like(row), -np.zeros_like(row)):
+            tiled = np.tile(value, (ts.size, 1))
+            gathered = value[idx]
+            for kw, tiled_kw, ref_kw in (
+                ({"control": value}, {"control": tiled},
+                 {"control": lambda t, x: gathered}),
+                ({"source": value}, {"source": tiled}, {"source": lambda t, x: gathered}),
+                # a constant control beside a per-substep source
+                ({"control": value, "source": block}, {"control": tiled, "source": block},
+                 {"control": lambda t, x: gathered, "source": _source}),
+            ):
+                got = solve_forward(spec, u0, **kw).values
+                assert same_bits(got, solve_forward(spec, u0, **tiled_kw).values)
+                assert same_bits(got, ref_solve_forward(spec, u0, **ref_kw))

@@ -1157,7 +1157,8 @@ def test_convergence_errors_match_a_per_row_loop(tmp_path):
     table = tables["convergence.csv"]
     got = list(zip(table["size"], table["error"]))
 
-    # the callable source sampled per substep and one error row per time level
+    # the source sampled row by row at every substep time, and one error row
+    # per time level
     coef = make_power_coefficient(1.0)
     pi = np.pi
 
@@ -1173,7 +1174,8 @@ def test_convergence_errors_match_a_per_row_loop(tmp_path):
         mesh = build_mesh(N, 1.0)
         spec = ProblemSpec(T=0.75, coef=coef, regime=LeftBoundary.DIRICHLET_ZERO,
                            mesh=mesh, time_steps=M, omega=(0.3, 0.7))
-        traj = solve_forward(spec, exact(0.0, mesh.nodes), source=source)
+        f = np.stack([source(t, mesh.nodes) for t in substep_times(spec)[0]])
+        traj = solve_forward(spec, exact(0.0, mesh.nodes), source=f)
         err_sq = 0.0
         tw = trapezoid_time_weights(spec.T, M)
         for m, t in enumerate(traj.times):
@@ -1185,17 +1187,19 @@ def test_convergence_errors_match_a_per_row_loop(tmp_path):
     assert got == expected
 
 
-# substep schedules a run builds: one per marching engine, 12 for the pass
+# substep schedules a run builds: one per marching engine, and one more for
+# each of the six convergence runs, whose source is sampled at
+# substep_times; 18 for the pass
 SCHEDULE_BUILDS = {
     "carleman_sweep_strong": 1, "carleman_sweep_weak": 1, "classify_strong": 0,
-    "classify_weak": 0, "convergence": 6, "energy": 1, "hardy_boundary_case": 0,
+    "classify_weak": 0, "convergence": 12, "energy": 1, "hardy_boundary_case": 0,
     "hardy_weak": 0, "lemma_checks": 1, "null_control": 1, "observability": 1,
 }
 
 
 def test_schedule_builds_cover_the_shipped_configs():
     assert sorted(SCHEDULE_BUILDS) == [p.stem for p in CONFIGS]
-    assert sum(SCHEDULE_BUILDS.values()) == 12
+    assert sum(SCHEDULE_BUILDS.values()) == 18
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
@@ -1280,7 +1284,7 @@ def test_float_table_text_matches_per_value_format(tmp_path, monkeypatch, block_
 
 
 def test_null_control_on_zero_data_fails_its_check(tmp_path):
-    # run_experiment without validation: u0 = 0 has no relative terminal norm
+    # run_experiment without validation: u0 = 0 has nothing to steer
     cfg = {
         "experiment": "null_control",
         "coefficient": {"kind": "power", "params": {"gamma": 0.5}},
@@ -1289,9 +1293,25 @@ def test_null_control_on_zero_data_fails_its_check(tmp_path):
         "u0_modes": [0.0],
     }
     assert run_experiment(cfg, tmp_path) == 1
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert np.isnan(summary["results"]["terminal_rel"])
-    assert summary["status"] == "fail"
+    log = (tmp_path / "run.log").read_text().splitlines()
+    assert log[-1] == "error: the initial state's energy is below 1e-300 at T=1, time_steps=16"
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("change,line", [
+    ({"T": 1e308}, "the free terminal state's energy is below 1e-300 at T=1e+308, time_steps=96"),
+    ({"potential_const": 1e308},
+     "the free terminal state's energy is below 1e-300 at T=0.5, time_steps=96"),
+    ({"u0_modes": [1e-300]}, "the initial state's energy is below 1e-300 at T=0.5, time_steps=96"),
+], ids=["T", "potential_const", "u0_modes"])
+def test_null_control_with_underflowed_energy_names_it(tmp_path, change, line):
+    # at the shipped sizes these passed with 0 CG iterations and a zero
+    # terminal norm, or failed only through a NaN relative norm
+    cfg = json.loads((CONFIGS[0].parent / "null_control.json").read_text(encoding="utf-8"))
+    cfg.update(change)
+    assert validate_config(cfg) == []
+    assert run_experiment(cfg, tmp_path) == 1
+    assert (tmp_path / "run.log").read_text().splitlines()[-1] == f"error: {line}"
 
 
 def test_growing_problem_fails_the_cg_check(tmp_path):

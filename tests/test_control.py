@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,11 +37,30 @@ def make_spec(gamma=0.5, N=64, M=64, T=0.5, omega=(0.3, 0.7)):
 
 class TestSynthesis:
     def test_zero_initial_state(self):
+        # nothing to steer: conjugate gradients would converge at 0 iterations
         spec = make_spec(N=32, M=32)
-        res = synthesize_null_control(spec, np.zeros(spec.mesh.nodes.size), 1e-6)
-        assert res.terminal_norm == 0.0
-        assert res.cg_iterations <= 1
-        assert np.all(res.control.values == 0.0)
+        with pytest.raises(ValueError, match=(
+            r"the initial state's energy is below 1e-300 at T=0.5, time_steps=32"
+        )):
+            synthesize_null_control(spec, np.zeros(spec.mesh.nodes.size), 1e-6)
+
+    @pytest.mark.parametrize("what,T,c,scale", [
+        ("initial", 0.5, 0.0, 1e-300),
+        ("free terminal", 1e308, 0.0, 1.0),
+        ("free terminal", 0.5, 1e308, 1.0),
+    ], ids=["tiny-data", "huge-T", "huge-potential"])
+    def test_underflowed_energy_is_refused(self, what, T, c, scale):
+        coef = make_power_coefficient(0.5)
+        rep = classify(coef)
+        spec = ProblemSpec(
+            T=T, coef=coef, regime=boundary_regime_for(rep), mesh=build_mesh(32, 2.0),
+            time_steps=32, omega=(0.3, 0.7), c=c, hypothesis=rep,
+        )
+        u0 = scale * np.sin(np.pi * spec.mesh.nodes)
+        with pytest.raises(ValueError, match=re.escape(
+            f"the {what} state's energy is below 1e-300 at T={T:g}, time_steps=32"
+        )):
+            synthesize_null_control(spec, u0, 1e-6)
 
     def test_steers_terminal_state_down(self):
         spec = make_spec()
@@ -55,7 +75,8 @@ class TestSynthesis:
         u0 = np.sin(np.pi * spec.mesh.nodes)
         res = synthesize_null_control(spec, u0, 1e-6)
         op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
-        traj = solve_forward(spec, u0, control=op.restrict(res.control.values))
+        # the control's nodal per-substep values, as they are
+        traj = solve_forward(spec, u0, control=res.control.values)
         assert op.norm(op.restrict(traj.values[-1])) == pytest.approx(
             res.terminal_norm, abs=1e-12
         )

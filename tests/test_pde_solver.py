@@ -57,6 +57,13 @@ def make_spec(gamma=0.5, N=64, M=48, T=1.0, omega=(0.3, 0.7), scheme=Scheme.CRAN
     )
 
 
+def _on_schedule(spec, field):
+    """The ``(J, N+1)`` block of a field (t, x) -> value sampled at every
+    substep time on the mesh nodes: the per-substep forcing solve_forward
+    takes."""
+    return np.stack([field(t, spec.mesh.nodes) for t in pde_solver.substep_times(spec)[0]])
+
+
 class TestMesh:
     def test_uniform_nodes(self):
         assert np.allclose(build_mesh(4, 1.0).nodes, [0, 0.25, 0.5, 0.75, 1.0])
@@ -208,7 +215,9 @@ class TestForwardSolve:
             def forcing(t, x):
                 return x * (1.0 - x) - t * (1.0 - 4.0 * x)
 
-            traj = solve_forward(spec, np.zeros(mesh.nodes.size), source=forcing)
+            traj = solve_forward(
+                spec, np.zeros(mesh.nodes.size), source=_on_schedule(spec, forcing)
+            )
             exact = spec.T * mesh.nodes * (1.0 - mesh.nodes)
             err = np.sqrt(np.sum(mesh.volumes * (traj.values[-1] - exact) ** 2))
             errs.append(err)
@@ -239,7 +248,9 @@ class TestForwardSolve:
                 T=1.0, coef=coef, regime=boundary_regime_for(rep), mesh=mesh,
                 time_steps=256, omega=(0.3, 0.7), hypothesis=rep,
             )
-            traj = solve_forward(spec, exact(0.0, mesh.nodes), source=source)
+            with np.errstate(divide="ignore"):  # x = 0 is pinned, not an unknown
+                f = _on_schedule(spec, source)
+            traj = solve_forward(spec, exact(0.0, mesh.nodes), source=f)
             tw = np.full(257, 1 / 256)
             tw[0] *= 0.5
             tw[-1] *= 0.5
@@ -253,15 +264,35 @@ class TestForwardSolve:
 
     def test_control_masked_to_omega(self):
         spec = make_spec()
-        traj = solve_forward(
-            spec, np.zeros(spec.mesh.nodes.size), control=lambda t, x: np.ones_like(x)
-        )
+        x = spec.mesh.nodes
+        traj = solve_forward(spec, np.zeros(x.size), control=np.ones_like(x))
         # acting only through omega: solution must not be identically zero,
         # and switching the control off outside omega changes nothing
         assert np.max(np.abs(traj.values[-1])) > 0.0
         masked = lambda t, x: np.where((x > 0.3) & (x < 0.7), 1.0, 0.0)
-        traj2 = solve_forward(spec, np.zeros(spec.mesh.nodes.size), control=masked)
+        traj2 = solve_forward(spec, np.zeros(x.size), control=_on_schedule(spec, masked))
         assert np.allclose(traj.values, traj2.values, atol=1e-14)
+
+    @pytest.mark.parametrize("what", ["callable", "unknowns", "wrong-J", "3-d"])
+    @pytest.mark.parametrize("name", ["control", "source"])
+    def test_forcing_neither_a_row_nor_a_block_raises(self, name, what, monkeypatch):
+        spec = make_spec(N=16, M=8)
+        J = pde_solver.substep_times(spec)[0].size
+        n = assemble_diffusion(spec.coef, spec.mesh, spec.regime).n_unknowns
+        field, got = {
+            "callable": (lambda t, x: np.ones_like(x), "<function"),
+            "unknowns": (np.ones((J, n)), f"shape ({J}, {n})"),
+            "wrong-J": (np.ones((J + 1, 17)), f"shape ({J + 1}, 17)"),
+            "3-d": (np.ones((J, 2, 17)), f"shape ({J}, 2, 17)"),
+        }[what]
+        marched = []
+        monkeypatch.setattr(pde_solver._Stepper, "forward", lambda *a: marched.append(a))
+        with pytest.raises(ValueError, match=(
+            rf"the forward {name} must be one nodal row \(17,\), constant in time, or one "
+            rf"per substep \({J}, 17\); got {re.escape(got)}"
+        )):
+            solve_forward(spec, np.zeros(17), **{name: field})
+        assert not marched
 
 
 class TestAdjointSolve:
@@ -438,6 +469,16 @@ class TestStackedEnergy:
         u0s[1, 5] = np.nan
         with pytest.raises(ValueError, match="initial data must be finite"):
             energy_report(spec, u0s)
+
+    @pytest.mark.parametrize("shape", [(17,), (3, 17), (2, 15), (9, 2, 17)])
+    def test_controls_not_one_row_per_sample_raise(self, shape):
+        spec = make_spec(N=16, M=8)
+        u0s = np.ones((2, 17))
+        with pytest.raises(ValueError, match=(
+            r"the controls h_rows must be one nodal row per sample \(2, 17\), constant in "
+            rf"time; got shape {re.escape(str(shape))}"
+        )):
+            energy_report(spec, u0s, np.ones(shape))
 
     def test_peak_memory_stays_well_under_the_rows_block(self):
         spec = make_spec(N=128, M=128)
@@ -717,18 +758,21 @@ class TestMarchingEngine:
         u0 = _draws(spec, 1)[0]
         control = lambda t, x: np.cos(3.0 * t) * x
         source = lambda t, x: np.sin(np.pi * x) * (1.0 + t)
-        got = solve_forward(spec, u0, control=control, source=source).values
+        got = solve_forward(
+            spec, u0, control=_on_schedule(spec, control), source=_on_schedule(spec, source)
+        ).values
         assert np.array_equal(got, _reference_forward(spec, u0, control, source))
         assert np.array_equal(solve_forward(spec, u0).values, _reference_forward(spec, u0))
 
     @pytest.mark.parametrize("scheme,gamma", ENGINE_CASES)
     def test_forward_sample_arrays_bit_identical(self, scheme, gamma):
-        # per-substep sample arrays, with all-zero forcing rows (one of them
-        # -0.0) that must add nothing, against callables reading the same rows
+        # per-substep nodal sample arrays, with all-zero forcing rows (one of
+        # them -0.0) that must add nothing, against callables reading the same
+        # rows on the unknown nodes
         spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
         u0 = _draws(spec, 7)[0]
         op = assemble_diffusion(spec.coef, spec.mesh, spec.regime)
-        xs = spec.mesh.nodes[op.node_index]
+        xs = spec.mesh.nodes
         ts = np.array([sub.t_sample for sub in _reference_schedule(spec)])
         control = np.cos(3.0 * ts)[:, None] * xs
         source = np.sin(np.pi * xs) * (1.0 + ts)[:, None]
@@ -738,7 +782,8 @@ class TestMarchingEngine:
         row = {t: j for j, t in enumerate(ts.tolist())}
         got = solve_forward(spec, u0, control=control, source=source).values
         want = _reference_forward(
-            spec, u0, lambda t, x: control[row[t]], lambda t, x: source[row[t]]
+            spec, u0, lambda t, x: op.restrict(control[row[t]]),
+            lambda t, x: op.restrict(source[row[t]]),
         )
         assert np.array_equal(got, want)
 
@@ -801,11 +846,11 @@ class TestMarchingEngine:
         u0 = np.zeros(spec.mesh.nodes.size)
         late_nan = lambda t, x: np.full_like(x, np.nan if t > 0.5 else 1.0)
         with pytest.raises(ValueError, match="non-finite march: the control or source"):
-            solve_forward(spec, u0, source=late_nan)
+            solve_forward(spec, u0, source=_on_schedule(spec, late_nan))
         with np.errstate(invalid="ignore"), pytest.raises(
             ValueError, match="non-finite march: the control or source"
         ):
-            solve_forward(spec, u0, control=lambda t, x: np.full_like(x, np.inf))
+            solve_forward(spec, u0, control=np.full_like(u0, np.inf))
         fs = np.ones((2, spec.mesh.nodes.size))
         fs[1, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite march: the source"):
@@ -938,8 +983,9 @@ class TestInPlaceEngine:
         u = rng.standard_normal(shape)
         g = rng.standard_normal((J,) + shape)
         const = np.broadcast_to(g[0], g.shape)
-        # no forcing, forcing constant in time, and forcing substep by substep
-        for forcing, load in ((None, None), (const, const), (g, g)):
+        # no forcing, forcing constant in time (one row in u's shape), and
+        # forcing substep by substep
+        for forcing, load in ((None, None), (const, g[0]), (g, g)):
             rows = np.zeros(shape[:-1] + (spec.time_steps + 1, spec.mesh.nodes.size))
 
             def closed(m, state):

@@ -11,8 +11,11 @@ in even ones.  Each run's last JSON line on standard output is its result.
 Per workload and end-to-end metric of the parent's ``BENCHMARK.json`` the
 report gives the parent's median and interquartile range, the child's
 median, their ratio, the pairs the child won (a strictly better value than
-the parent's in the same pair) and ``PAST`` when the child's median is worse
-than the parent's by more than the metric's relative ``bound``.
+the parent's in the same pair), ``GAIN`` when the row meets the claim rule
+(at least ten pairs, the child won at least 9 in 10 of them, ties counting
+for neither, and its median is better than the parent's by more than the parent's
+interquartile range) and ``PAST`` when the child's median is worse than the
+parent's by more than the metric's relative ``bound``.
 
 Exit status: 0 when every run reported ``correct: true``; 1 when a run
 reported ``correct: false`` or gave no result; 2 on a usage error.
@@ -69,6 +72,7 @@ def summarize(results: dict, end_to_end: list) -> list:
             c_med = statistics.median(child)
             wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
             limit = p_med * (1 + metric["bound"] if lower else 1 - metric["bound"])
+            better_by = p_med - c_med if lower else c_med - p_med
             rows.append({
                 "workload": workload,
                 "metric": name,
@@ -78,6 +82,7 @@ def summarize(results: dict, end_to_end: list) -> list:
                 "ratio": c_med / p_med if p_med else float("nan"),
                 "wins": wins,
                 "pairs": len(child),
+                "gain": len(child) >= 10 and 10 * wins >= 9 * len(child) and better_by > q3 - q1,
                 "past_bound": c_med > limit if lower else c_med < limit,
             })
     return rows
@@ -91,7 +96,8 @@ def format_rows(rows: list) -> str:
         lines.append(
             f"{r['workload']:<18} {r['metric']:<12} {r['parent_median']:>10.4g} "
             f"{r['parent_iqr']:>10.3g} {r['child_median']:>10.4g} {r['ratio']:>7.3f} "
-            f"{r['wins']:>3}/{r['pairs']:<2}" + ("  PAST" if r["past_bound"] else "")
+            f"{r['wins']:>3}/{r['pairs']:<2}" + ("  GAIN" if r["gain"] else "")
+            + ("  PAST" if r["past_bound"] else "")
         )
     return "\n".join(lines)
 

@@ -83,7 +83,6 @@ class CarlemanReport:
     rhs_source: float
     rhs_local: float
     ratio: float
-    params: CarlemanParams
     degenerate: bool = False
 
 
@@ -142,7 +141,7 @@ def carleman_sides(
     return CarlemanReport(
         lhs_grad, lhs_zero, rhs_source, rhs_local,
         float("nan") if degenerate else (lhs_grad + lhs_zero) / denom,
-        params, degenerate=degenerate,
+        degenerate=degenerate,
     )
 
 
@@ -230,7 +229,7 @@ def carleman_sweep(
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, nodes)
     f_fields = sample_fields(seed, STREAM_SOURCE, n_samples, nodes)
 
-    v_rows, _ = _adjoint_march(spec, vt_fields, f_fields)
+    v_rows = _adjoint_march(spec, vt_fields, f_fields)
     trajectories = [Trajectory(r, spec.mesh, spec.T) for r in v_rows]
 
     n_points = len(lambda_grid) * len(s_grid)
@@ -658,7 +657,7 @@ def _observability_energies(spec: ProblemSpec, vt_fields: np.ndarray) -> tuple:
     space-time energy of the source-free backward solve from each terminal
     draw in the stack."""
     st = _Stepper(spec)
-    rows, _ = _adjoint_march(spec, vt_fields, stepper=st)
+    rows = _adjoint_march(spec, vt_fields, stepper=st)
     nums = st.op.norms.l2_sq(rows[:, 0])
     xw_omega = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)
     tw = trapezoid_time_weights(spec.T, spec.time_steps)

@@ -56,7 +56,7 @@ from .sampling import (
     STREAM_TERMINAL,
     sample_fields,
 )
-from .weights import build_weights, default_omega_prime
+from .weights import A_ONE_VANISHES, build_weights, default_omega_prime
 
 # Upper bound of every size and count field (mesh cells, time steps, samples,
 # resolutions, iterations): larger values exit 2 instead of reaching numpy.
@@ -300,8 +300,7 @@ def validate_config(cfg: dict) -> list[str]:
     if exp in ("carleman_sweep", "lemma_checks") and ok("coefficient"):
         # the weight profile integrates y/a(y) up to x = 1
         if coefficient_from_descriptor(cfg["coefficient"]).eval(np.array([1.0]))[0] == 0.0:
-            errors.append("coefficient: a(1) = 0, so the weight profile's integral of "
-                          "y/a(y) diverges at x = 1")
+            errors.append(A_ONE_VANISHES)
     if exp in MARCHING:
         if ok("mesh_n", "mesh_grading", "omega"):
             mesh, omega = _mesh(cfg), tuple(_value(cfg, "omega"))
@@ -626,10 +625,10 @@ def _exp_null_control(cfg, seed, log):
         f"null control: terminal={result.terminal_norm:.6g} rel={rel:.6g} "
         f"iters={result.cg_iterations} converged={result.converged}"
     )
-    vals = result.control.values
+    vals = result.values
     js, ix = np.nonzero(vals)
     tables = {
-        "control.csv": {"t": result.control.sample_times[js], "x": xs[ix], "value": vals[js, ix]},
+        "control.csv": {"t": result.sample_times[js], "x": xs[ix], "value": vals[js, ix]},
         "control.bin": Trajectory(vals, spec.mesh, spec.T),
     }
     results = {

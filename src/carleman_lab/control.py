@@ -10,6 +10,7 @@ minimizes it without ever forming a matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +20,6 @@ from .carleman import DEGENERATE_DENOMINATOR
 from .pde_solver import ProblemSpec, _adjoint_march, _Stepper
 
 __all__ = [
-    "SpaceTimeControl",
     "ControlResult",
     "synthesize_null_control",
 ]
@@ -28,21 +28,11 @@ MIN_PENALTY = 1e-14
 
 
 @dataclass
-class SpaceTimeControl:
-    """Per-substep control samples supported on the control-region nodes."""
-
-    sample_times: np.ndarray  # (J,)
-    taus: np.ndarray  # (J,)
-    values: np.ndarray  # (J, N+1) nodal samples, zero outside omega
-    omega: tuple
-
-
-@dataclass
 class ControlResult:
-    control: SpaceTimeControl
+    sample_times: np.ndarray  # (J,) substep sample times
+    values: np.ndarray  # (J, N+1) nodal control per substep, zero outside omega
     terminal_norm: float
     control_cost: float
-    epsilon: float
     cg_iterations: int
     converged: bool
     v_T: np.ndarray  # optimal terminal adjoint data (full nodal vector)
@@ -69,35 +59,24 @@ class _DualOperator:
         self._outside = ~st.omega
         self._pairing = np.empty((st.tau.size, self.op.n_unknowns))
 
-    def adjoint_pairing(self, v_unknown: np.ndarray) -> np.ndarray:
-        """The per-substep pairing profiles, in the block this operator keeps."""
+    def control(self, v_unknown: np.ndarray) -> np.ndarray:
+        """The control of terminal adjoint data: the per-substep pairing
+        profiles, marched into the block this operator keeps and set to +0.0
+        off the control-region nodes in place."""
         _adjoint_march(
             self.spec, self.op.embed(v_unknown), stepper=self.stepper, keep_rows=False,
             pairing_out=self._pairing,
         )
+        np.copyto(self._pairing, 0.0, where=self._outside)
         return self._pairing
-
-    def control_from_pairing(self, pairing: np.ndarray) -> np.ndarray:
-        """The control of a pairing block: the block itself, set to +0.0 off
-        the control-region nodes in place."""
-        np.copyto(pairing, 0.0, where=self._outside)
-        return pairing
 
     def forward_terminal(self, u0_unknown: np.ndarray, ctrl: Optional[np.ndarray]):
         # march with the (J, n) block of per-substep controls on the unknown nodes
         return self.stepper.forward(u0_unknown, ctrl)
 
     def gram_apply(self, v_unknown: np.ndarray) -> np.ndarray:
-        pairing = self.adjoint_pairing(v_unknown)
-        ctrl = self.control_from_pairing(pairing)
-        lam_v = self.forward_terminal(np.zeros_like(v_unknown), ctrl)
+        lam_v = self.forward_terminal(np.zeros_like(v_unknown), self.control(v_unknown))
         return lam_v + self.epsilon * v_unknown
-
-    def control_cost(self, ctrl: np.ndarray) -> float:
-        W = self.op.weights
-        return float(sum(
-            tau * np.dot(W * row, row) for tau, row in zip(self.stepper.tau, ctrl)
-        ))
 
 
 def _cg(apply_A, b, inner, atol: float, max_iter: int):
@@ -141,8 +120,8 @@ def synthesize_null_control(
     initial or free terminal state whose energy is below
     ``DEGENERATE_DENOMINATOR`` is refused.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if epsilon < MIN_PENALTY:
         raise ValueError(
             f"penalty underflow: epsilon={epsilon} is below {MIN_PENALTY}"
@@ -150,6 +129,8 @@ def synthesize_null_control(
     dual = _DualOperator(spec, epsilon)
     op = dual.op
     u0_unknown = op.restrict(u0)
+    if not np.all(np.isfinite(u0_unknown)):
+        raise ValueError("initial data must be finite")
     rhs = -dual.forward_terminal(u0_unknown, None)  # minus the free terminal state
     for what, state in (("initial", u0_unknown), ("free terminal", rhs)):
         if op.inner(state, state) < DEGENERATE_DENOMINATOR:
@@ -158,22 +139,16 @@ def synthesize_null_control(
     atol = cg_tol * min(np.sqrt(op.inner(rhs, rhs)), op.norm(u0_unknown))
     v_hat, iters, converged = _cg(dual.gram_apply, rhs, op.inner, atol, cg_max_iter)
 
-    pairing = dual.adjoint_pairing(v_hat)
-    ctrl = dual.control_from_pairing(pairing)
-    control = SpaceTimeControl(
-        sample_times=dual.stepper.t_sample,
-        taus=dual.stepper.tau,
-        values=op.embed(ctrl),
-        omega=spec.omega,
-    )
+    ctrl = dual.control(v_hat)
     u_T = dual.forward_terminal(u0_unknown, ctrl)
-    terminal_norm = op.norm(u_T)
-    cost = dual.control_cost(ctrl)
+    W = op.weights
     return ControlResult(
-        control=control,
-        terminal_norm=terminal_norm,
-        control_cost=cost,
-        epsilon=epsilon,
+        sample_times=dual.stepper.t_sample,
+        values=op.embed(ctrl),
+        terminal_norm=op.norm(u_T),
+        control_cost=float(sum(
+            tau * np.dot(W * row, row) for tau, row in zip(dual.stepper.tau, ctrl)
+        )),
         cg_iterations=iters,
         converged=converged,
         v_T=op.embed(v_hat),

@@ -671,10 +671,10 @@ def _adjoint_march(
     pairing_out=None,
 ):
     """Backward recursion that is the exact measure-weighted transpose of the
-    forward step map.  Returns (rows, pairing_out): rows holds the nodal
-    state at every step (None unless ``keep_rows``); ``pairing_out``, a
-    ``(J,) + v.shape`` array or None, receives pairing[j], the profile that
-    multiplies substep-j sources in the duality sum.
+    forward step map.  Returns the nodal state at every step, or None
+    unless ``keep_rows``; ``pairing_out``, a ``(J,) + v.shape`` array of the
+    caller's or None, receives pairing[j], the profile that multiplies
+    substep-j sources in the duality sum.
 
     ``v_T`` is one nodal vector, giving ``(M+1, N+1)`` rows, or an ``(S, N+1)``
     stack of samples marched together, giving ``(S, M+1, N+1)`` rows.  ``F``
@@ -694,7 +694,7 @@ def _adjoint_march(
         rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
         rows[..., M, st.cols] = v
     st.backward(v, None if F is None else st.op.restrict(F), pairing_out, rows)
-    return rows, pairing_out
+    return rows
 
 
 def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
@@ -707,7 +707,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: np.ndarray, F=None) -> Trajectory:
     Implemented as the exact transpose of ``solve_forward``'s step map, so the
     discrete duality pairing with forward solutions holds to rounding.
     """
-    rows, _ = _adjoint_march(spec, v_T, F=F)
+    rows = _adjoint_march(spec, v_T, F=F)
     return Trajectory(rows, spec.mesh, spec.T)
 
 

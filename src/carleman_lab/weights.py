@@ -43,6 +43,11 @@ def block_rows(n_cols: int) -> int:
     """Rows per block of a float grid with ``n_cols`` columns."""
     return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
 
+# The refusal of a coefficient vanishing at the right end, which the profile
+# integrates up to
+A_ONE_VANISHES = ("coefficient: a(1) = 0, so the weight profile's integral of "
+                  "y/a(y) diverges at x = 1")
+
 # Gauss-Legendre nodes per panel of the profile integrals
 QUAD_POINTS = 12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_POINTS)
@@ -165,6 +170,8 @@ class PsiFunction:
             raise ValueError(
                 f"need 0 < alpha_prime < beta_prime < 1, got ({alpha_prime}, {beta_prime})"
             )
+        if np.asarray(coef.eval(np.array([1.0])), dtype=float)[0] == 0.0:
+            raise ValueError(A_ONE_VANISHES)
         self.coef = coef
         self.alpha_prime = float(alpha_prime)
         self.beta_prime = float(beta_prime)

@@ -10,7 +10,12 @@ import numpy as np
 from carleman_lab.carleman import CarlemanParams, WTransform
 from carleman_lab.control import _DualOperator
 from carleman_lab.functionals import _check_horizon
-from carleman_lab.pde_solver import ProblemSpec, _adjoint_march, trapezoid_time_weights
+from carleman_lab.pde_solver import (
+    ProblemSpec,
+    _adjoint_march,
+    _Stepper,
+    trapezoid_time_weights,
+)
 from carleman_lab.weights import CarlemanWeights, PsiFunction, time_factor
 
 
@@ -93,19 +98,17 @@ def dual_functional(
     spec: ProblemSpec, u0: np.ndarray, epsilon: float, v_T: np.ndarray
 ) -> float:
     """Value of the penalized dual functional at terminal adjoint data v_T."""
-    dual = _DualOperator(spec, epsilon)
-    op = dual.op
+    st = _Stepper(spec)
+    op = st.op
     v_unknown = op.restrict(v_T)
-    st = dual.stepper
-    rows, pairing = _adjoint_march(
-        spec, op.embed(v_unknown), stepper=st,
-        pairing_out=np.empty((st.tau.size,) + v_unknown.shape),
-    )
+    pairing = np.empty((st.tau.size,) + v_unknown.shape)
+    rows = _adjoint_march(spec, op.embed(v_unknown), stepper=st, pairing_out=pairing)
     v0 = op.restrict(rows[0])
-    ctrl = dual.control_from_pairing(pairing)
+    ctrl = np.where(st.omega, pairing, 0.0)
+    cost = float(sum(tau * np.dot(op.weights * r, r) for tau, r in zip(st.tau, ctrl)))
     u0_unknown = op.restrict(u0)
     return (
-        0.5 * dual.control_cost(ctrl)
+        0.5 * cost
         + 0.5 * epsilon * op.inner(v_unknown, v_unknown)
         + op.inner(u0_unknown, v0)
     )

@@ -41,8 +41,11 @@ def test_summary_per_workload_and_metric():
     table = bench_pairs.format_rows(list(rows.values())).splitlines()
     assert len(table) == 5 and table[0].split() == [
         "workload", "metric", "parent", "iqr", "child", "ratio", "won"]
-    assert table[1].split()[-1] == "4/5"
+    assert table[1].split()[-2:] == ["4/5", "UNRESOLVED"]
     assert [line.endswith("PAST") for line in table[1:]] == [False, False, True, True]
+    # run_s and cpu_s spread 2.0 on a median of 3.0, past the 0.25 bound
+    assert [r["unresolved"] for r in rows.values()] == [True, True, False, False]
+    assert [line.endswith("UNRESOLVED") for line in table[1:]] == [True, True, False, False]
 
 
 PARENT_RUNS = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, IQR 0.045
@@ -94,6 +97,38 @@ def test_gain_needs_ten_pairs(pairs):
     assert row["wins"] == row["pairs"] == pairs
     assert row["parent_median"] - row["child_median"] > row["parent_iqr"]
     assert not row["gain"]
+
+
+WIDE_PARENT = [1.0, 1.2, 1.4, 1.6, 1.8]  # median 1.4, IQR 0.4, past 0.25 * 1.4
+
+
+@pytest.mark.parametrize("parent_runs, child_runs, unresolved", [
+    # the spread is wider than the bound and the runs overlap
+    (WIDE_PARENT, [r - 0.1 for r in WIDE_PARENT], True),
+    # the same spread, but every child run beats every parent run
+    (WIDE_PARENT, [r - 0.9 for r in WIDE_PARENT], False),
+    # the child's best run only ties the parent's worst: not every run beats
+    (WIDE_PARENT, [r - 0.8 for r in WIDE_PARENT], True),
+    # a spread inside the bound resolves however the runs overlap
+    (PARENT_RUNS, [r + 0.01 for r in PARENT_RUNS], False),
+])
+def test_unresolved_when_the_spread_is_wider_than_the_bound(parent_runs, child_runs, unresolved):
+    results = {"w": {"parent": [canned(r) for r in parent_runs],
+                     "child": [canned(r) for r in child_runs]}}
+    row = bench_pairs.summarize(results, END_TO_END)[0]
+    assert row["metric"] == "run_s" and row["unresolved"] is unresolved
+    line = bench_pairs.format_rows([row]).splitlines()[1]
+    assert ("UNRESOLVED" in line) is unresolved
+
+
+def test_unresolved_of_a_higher_is_better_metric():
+    higher = [{"name": "run_s", "better": "higher", "bound": 0.25}]
+    beat = {"w": {"parent": [canned(r) for r in WIDE_PARENT],
+                  "child": [canned(r + 0.9) for r in WIDE_PARENT]}}
+    overlap = {"w": {"parent": [canned(r) for r in WIDE_PARENT],
+                     "child": [canned(r + 0.1) for r in WIDE_PARENT]}}
+    assert not bench_pairs.summarize(beat, higher)[0]["unresolved"]
+    assert bench_pairs.summarize(overlap, higher)[0]["unresolved"]
 
 
 def _checkout(tmp_path, name):

@@ -19,6 +19,7 @@ arithmetic, and every comparison is ``np.array_equal`` on the bits unless it
 says otherwise.
 """
 
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -61,6 +62,7 @@ from carleman_lab.pde_solver import (
 )
 from carleman_lab.sampling import STREAM_TERMINAL, sample_fields
 from carleman_lab.weights import (
+    A_ONE_VANISHES,
     UNDERFLOW_EXPONENT,
     PsiFunction,
     _cumulative_from,
@@ -517,6 +519,17 @@ COEFFICIENTS = [
 WINDOWS = [(0.4, 0.6), (0.05, 0.9)]
 
 
+def _refused_at_one(name, build) -> bool:
+    """Whether the coefficient ``name`` vanishes at x = 1, having checked
+    that ``build`` then refuses it by name: the profile integrates y/a(y) up
+    to x = 1, so no weight is built on such a coefficient."""
+    if _coefficient(name).eval(np.array([1.0]))[0] != 0.0:
+        return False
+    with pytest.raises(ValueError, match=re.escape(A_ONE_VANISHES)):
+        build()
+    return True
+
+
 def _abscissae(ap, bp):
     return np.concatenate([
         [0.0, 1e-12, ap, bp, 1.0],
@@ -531,6 +544,8 @@ class TestBranchFormulas:
     @pytest.mark.parametrize("name", COEFFICIENTS)
     def test_joint_slopes(self, name, window, degree):
         coef = _coefficient(name)
+        if _refused_at_one(name, lambda: PsiFunction(coef, *window, bridge_degree=degree)):
+            return
         psi = PsiFunction(coef, *window, bridge_degree=degree)
         d1_l, d2_l, d1_r, d2_r = ref_joint_slopes(coef, *window)
         joints = np.array(window)
@@ -547,7 +562,12 @@ class TestBranchFormulas:
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("name", COEFFICIENTS)
     def test_space_composites(self, name, window, degree):
-        weights = build_weights(_coefficient(name), 2.0, 1.0, *window, bridge_degree=degree)
+        def build():
+            return build_weights(_coefficient(name), 2.0, 1.0, *window, bridge_degree=degree)
+
+        if _refused_at_one(name, build):
+            return
+        weights = build()
         xs = _abscissae(*window)
         got = weights.space_composites(xs)
         want = ref_space_composites(weights, xs)

@@ -231,7 +231,7 @@ class TestBoundarySignTerms:
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
         params = CarlemanParams(s, 1.0)
         vts = sample_fields(11, STREAM_TERMINAL, 5, spec.mesh.nodes)
-        rows, _ = _adjoint_march(spec, vts)
+        rows = _adjoint_march(spec, vts)
         term, scale = boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
         assert term.shape == scale.shape == (5,)
         # no case compares terms that underflowed to the +1e-300 floor alone
@@ -252,7 +252,7 @@ class TestBoundarySignTerms:
         monkeypatch.setattr(CarlemanWeights, "exp_s_phi_grid", counted)
         spec = make_spec(N=24, M=16)
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
-        rows, _ = _adjoint_march(spec, sample_fields(2, STREAM_TERMINAL, 6, spec.mesh.nodes))
+        rows = _adjoint_march(spec, sample_fields(2, STREAM_TERMINAL, 6, spec.mesh.nodes))
         boundary_sign_terms(rows, spec.mesh, spec.T, wts, CarlemanParams(1.0, 1.0))
         assert calls == [1.0]
 
@@ -439,7 +439,7 @@ class TestSweep:
         ]
         degenerate = [[False, True, False, False, False], [True] * 5, [False] * 5]
         reports = iter(
-            CarlemanReport(1.0, 2.0, 3.0, 4.0, r, CarlemanParams(1.0, 1.0), d)
+            CarlemanReport(1.0, 2.0, 3.0, 4.0, r, d)
             for row, flags in zip(ratios, degenerate) for r, d in zip(row, flags)
         )
         monkeypatch.setattr(carleman, "carleman_sides", lambda *args: next(reports))
@@ -476,7 +476,7 @@ class TestSweep:
 
         vts = sample_fields(seed, STREAM_TERMINAL, n, nodes)
         fs = sample_fields(seed, STREAM_SOURCE, n, nodes)
-        vals, _ = _adjoint_march(spec, vts, fs)
+        vals = _adjoint_march(spec, vts, fs)
         ts = np.linspace(0.0, spec.T, spec.time_steps + 1)
         tw = trapezoid_time_weights(spec.T, spec.time_steps)
         xw_q = _clipped_node_quadrature(nodes, 0.0, 1.0)
@@ -676,7 +676,7 @@ class TestHorizonCheck:
         spec = make_spec(N=32, M=32, T=2.0)
         params = CarlemanParams(1.0, 1.0)
         wts = build_weights(spec.coef, 1.0, 1.0, 0.4, 0.6)
-        rows, _ = _adjoint_march(spec, sample_fields(0, STREAM_TERMINAL, 2, spec.mesh.nodes))
+        rows = _adjoint_march(spec, sample_fields(0, STREAM_TERMINAL, 2, spec.mesh.nodes))
         traj = Trajectory(rows[0], spec.mesh, spec.T)
         with pytest.raises(ValueError, match="trajectory and weights disagree on the horizon"):
             if check == "transform_to_w":

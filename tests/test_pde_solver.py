@@ -794,7 +794,8 @@ class TestMarchingEngine:
         F = np.cos(np.pi * spec.mesh.nodes)
         J = pde_solver.substep_times(spec)[0].size
         n = assemble_diffusion(spec.coef, spec.mesh, spec.regime).n_unknowns
-        rows, pairing = _adjoint_march(spec, vT, F=F, pairing_out=np.empty((J, n)))
+        pairing = np.empty((J, n))
+        rows = _adjoint_march(spec, vT, F=F, pairing_out=pairing)
         ref_rows, ref_pairing = _reference_adjoint(spec, vT, F)
         assert np.array_equal(rows, ref_rows)
         assert np.array_equal(pairing, ref_pairing)
@@ -811,7 +812,7 @@ class TestMarchingEngine:
         spec = make_spec(gamma=gamma, N=40, M=24, scheme=scheme)
         vTs = _draws(spec, 4, 5)
         fs = _draws(spec, 5, 5)
-        rows, _ = _adjoint_march(spec, vTs, fs)
+        rows = _adjoint_march(spec, vTs, fs)
         assert rows.shape == (5, spec.time_steps + 1, spec.mesh.nodes.size)
         for i in range(5):
             assert np.array_equal(rows[i], _reference_adjoint(spec, vTs[i], fs[i])[0])
@@ -1019,16 +1020,14 @@ class TestInPlaceEngine:
             ({"F": shared}, {"F": op.restrict(shared)}),
             ({"F": F}, {"F": op.restrict(F)}),
         ):
-            rows, pairing = _adjoint_march(
-                spec, vT, stepper=st, pairing_out=np.empty((J,) + shape), **kw
-            )
+            pairing = np.empty((J,) + shape)
+            rows = _adjoint_march(spec, vT, stepper=st, pairing_out=pairing, **kw)
             want_rows, want_pairing = _old_backward(spec, v, **ref_kw)
             assert rows.shape == shape[:-1] + (spec.time_steps + 1, nodal[-1])
             assert np.array_equal(rows, want_rows)
             assert np.array_equal(pairing, want_pairing)
-            skipped, kept = _adjoint_march(
-                spec, vT, stepper=st, keep_rows=False, pairing_out=np.empty((J,) + shape), **kw
-            )
+            kept = np.empty((J,) + shape)
+            skipped = _adjoint_march(spec, vT, stepper=st, keep_rows=False, pairing_out=kept, **kw)
             assert skipped is None and np.array_equal(kept, want_pairing)
 
     def test_forcing_block_is_left_alone_and_reweighted_per_march(self):
@@ -1074,7 +1073,7 @@ class TestConstantSource:
         rng = np.random.default_rng(N)
         vTs, fs = st.op.embed(rng.standard_normal((2, 3, st.op.n_unknowns)))
         want = _old_backward(spec, st.op.restrict(vTs), F=st.op.restrict(fs))[0]
-        rows, _ = _adjoint_march(spec, vTs, fs, stepper=st)
+        rows = _adjoint_march(spec, vTs, fs, stepper=st)
         assert len(solved) == distinct and np.array_equal(rows, want)
         # a source given substep by substep is refused by name, before any solve
         solved.clear()

@@ -6,6 +6,7 @@ import pytest
 
 from carleman_lab.coefficients import make_example_coefficient, make_power_coefficient
 from carleman_lab.weights import (
+    A_ONE_VANISHES,
     CarlemanWeights,
     PsiFunction,
     build_weights,
@@ -52,6 +53,15 @@ class TestPsiBranches:
         with pytest.raises(ValueError, match="alpha_prime"):
             PsiFunction(make_power_coefficient(0.5), 0.7, 0.3)
 
+    def test_coefficient_vanishing_at_one_rejected(self):
+        # a = x^0.5 - x: left alone, psi_one and psi_sup come out as
+        # quadrature artefacts (-11.8 and 28.4 on this window)
+        coef = make_example_coefficient("power_minus_x", theta=0.5)
+        with pytest.raises(ValueError, match=re.escape(A_ONE_VANISHES)):
+            PsiFunction(coef, 0.4, 0.6)
+        with pytest.raises(ValueError, match=re.escape(A_ONE_VANISHES)):
+            build_weights(coef, 2.0, 1.0, 0.4, 0.6)
+
     def test_nonintegrable_coefficient_rejected(self):
         from carleman_lab.coefficients import DegeneracyCoefficient
 
@@ -95,19 +105,24 @@ class TestSingularFirstGap:
         ],
     )
     def test_extended_precision_reference(self, kind, params, b):
+        coef = make_example_coefficient(kind, **params)
+        if coef.eval(np.array([1.0]))[0] == 0.0:
+            # the left branch is finite, but the profile integrates up to x = 1
+            with pytest.raises(ValueError, match=re.escape(A_ONE_VANISHES)):
+                self.first_gap(coef, b)
+            return
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             p = mpmath.mpf(params.get("theta", params.get("gamma")))
             beta = mpmath.atan(mpmath.mpf(params.get("alpha", 0.0)))
             a = {
                 "power_plus_x": lambda y: y**p + y,
-                "power_minus_x": lambda y: y**p - y,
                 "power_cos": lambda y: y**p * mpmath.cos(beta * y),
             }[kind]
             top = mpmath.mpf(b)
             # breakpoints toward the singular endpoint keep tanh-sinh accurate
             expected = float(mpmath.quad(lambda y: y / a(y), [0, top / 1e6, top / 1e3, top]))
-        got = self.first_gap(make_example_coefficient(kind, **params), b)
+        got = self.first_gap(coef, b)
         assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(

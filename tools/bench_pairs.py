@@ -14,8 +14,11 @@ median, their ratio, the pairs the child won (a strictly better value than
 the parent's in the same pair), ``GAIN`` when the row meets the claim rule
 (at least ten pairs, the child won at least 9 in 10 of them, ties counting
 for neither, and its median is better than the parent's by more than the parent's
-interquartile range) and ``PAST`` when the child's median is worse than the
-parent's by more than the metric's relative ``bound``.
+interquartile range), ``UNRESOLVED`` when the parent's interquartile range
+is wider than the metric's relative ``bound`` of its median and not every
+child run is better than every parent run, so the spread hides a change of
+the size the bound allows, and ``PAST`` when the child's median is worse
+than the parent's by more than the metric's relative ``bound``.
 
 Exit status: 0 when every run reported ``correct: true``; 1 when a run
 reported ``correct: false`` or gave no result; 2 on a usage error.
@@ -73,6 +76,7 @@ def summarize(results: dict, end_to_end: list) -> list:
             wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
             limit = p_med * (1 + metric["bound"] if lower else 1 - metric["bound"])
             better_by = p_med - c_med if lower else c_med - p_med
+            all_beat = max(child) < min(parent) if lower else min(child) > max(parent)
             rows.append({
                 "workload": workload,
                 "metric": name,
@@ -83,6 +87,7 @@ def summarize(results: dict, end_to_end: list) -> list:
                 "wins": wins,
                 "pairs": len(child),
                 "gain": len(child) >= 10 and 10 * wins >= 9 * len(child) and better_by > q3 - q1,
+                "unresolved": q3 - q1 > metric["bound"] * p_med and not all_beat,
                 "past_bound": c_med > limit if lower else c_med < limit,
             })
     return rows
@@ -97,6 +102,7 @@ def format_rows(rows: list) -> str:
             f"{r['workload']:<18} {r['metric']:<12} {r['parent_median']:>10.4g} "
             f"{r['parent_iqr']:>10.3g} {r['child_median']:>10.4g} {r['ratio']:>7.3f} "
             f"{r['wins']:>3}/{r['pairs']:<2}" + ("  GAIN" if r["gain"] else "")
+            + ("  UNRESOLVED" if r["unresolved"] else "")
             + ("  PAST" if r["past_bound"] else "")
         )
     return "\n".join(lines)

@@ -28,6 +28,7 @@ from .functionals import (
     _WeightedQuadrature,
 )
 from .pde_solver import (
+    DEGENERATE_DENOMINATOR,
     ProblemSpec,
     Trajectory,
     _adjoint_march,
@@ -57,8 +58,6 @@ __all__ = [
     "observability_ratio",
     "standard_identity_fields",
 ]
-
-DEGENERATE_DENOMINATOR = 1e-300
 
 
 @dataclass(frozen=True)

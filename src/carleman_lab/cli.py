@@ -21,23 +21,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .carleman import (
-    DEGENERATE_DENOMINATOR,
-    CarlemanParams,
-    boundary_sign_terms,
-    carleman_sweep,
-    identity_residual,
-    observability_ratio,
-    standard_identity_fields,
-)
+# weights, functionals and carleman are imported in the runners that call
+# them, so a null-control, energy, convergence or classify run never loads them
 from .coefficients import Regime, classify, coefficient_from_descriptor, make_power_coefficient
 from .control import MIN_PENALTY, synthesize_null_control
-from .functionals import HardyCase, WeightedNorms, aux_hardy_b, aux_hardy_p, hardy_ratio
 from .pde_solver import (
+    DEGENERATE_DENOMINATOR,
     LeftBoundary,
     ProblemSpec,
     Scheme,
     Trajectory,
+    WeightedNorms,
     boundary_regime_for,
     build_mesh,
     energy_report,
@@ -56,7 +50,6 @@ from .sampling import (
     STREAM_TERMINAL,
     sample_fields,
 )
-from .weights import A_ONE_VANISHES, build_weights, default_omega_prime
 
 # Upper bound of every size and count field (mesh cells, time steps, samples,
 # resolutions, iterations): larger values exit 2 instead of reaching numpy.
@@ -298,6 +291,7 @@ def validate_config(cfg: dict) -> list[str]:
         if not (o[0] < op[0] < op[1] < o[1]):
             errors.append(f"omega_prime: must be compactly contained in omega {list(o)}")
     if exp in ("carleman_sweep", "lemma_checks") and ok("coefficient"):
+        from .weights import A_ONE_VANISHES  # for the weight-building experiments only
         # the weight profile integrates y/a(y) up to x = 1
         if coefficient_from_descriptor(cfg["coefficient"]).eval(np.array([1.0]))[0] == 0.0:
             errors.append(A_ONE_VANISHES)
@@ -435,6 +429,8 @@ def _exp_classify(cfg, seed, log):
 
 
 def _exp_hardy(cfg, seed, log):
+    from .functionals import HardyCase, aux_hardy_b, aux_hardy_p, hardy_ratio  # hardy runs only
+
     coef = coefficient_from_descriptor(cfg["coefficient"])
     rep = classify(coef)
     mesh = _mesh(cfg)
@@ -488,6 +484,8 @@ def _exp_energy(cfg, seed, log):
 
 
 def _exp_carleman_sweep(cfg, seed, log):
+    from .carleman import carleman_sweep  # sweep runs only
+
     spec = _build_problem(cfg)
     omega_prime = _value(cfg, "omega_prime")
     res = carleman_sweep(
@@ -531,6 +529,14 @@ def _exp_carleman_sweep(cfg, seed, log):
 
 
 def _exp_lemma_checks(cfg, seed, log):
+    from .carleman import (  # lemma_checks runs only
+        CarlemanParams,
+        boundary_sign_terms,
+        identity_residual,
+        standard_identity_fields,
+    )
+    from .weights import build_weights, default_omega_prime
+
     spec = _build_problem(cfg)
     omega_prime = _value(cfg, "omega_prime")
     omega_prime = tuple(default_omega_prime(spec.omega) if omega_prime is None else omega_prime)
@@ -583,6 +589,8 @@ def _exp_lemma_checks(cfg, seed, log):
 
 
 def _exp_observability(cfg, seed, log):
+    from .carleman import observability_ratio  # observability runs only
+
     spec = _build_problem(cfg)
     n_samples = int(_value(cfg, "n_samples"))
     obs = observability_ratio(spec, n_samples=n_samples, seed=seed)

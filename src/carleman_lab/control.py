@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .carleman import DEGENERATE_DENOMINATOR
-from .pde_solver import ProblemSpec, _adjoint_march, _Stepper
+from .pde_solver import DEGENERATE_DENOMINATOR, ProblemSpec, _adjoint_march, _Stepper
 
 __all__ = [
     "ControlResult",

@@ -87,6 +87,10 @@ __all__ = [
     "trajectory_from_binary",
 ]
 
+# an energy below this is taken as zero: the ratios and states built on it
+# are refused or excluded rather than divided by
+DEGENERATE_DENOMINATOR = 1e-300
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -384,9 +388,14 @@ def omega_node_mask(mesh: Mesh, omega: tuple[float, float]) -> np.ndarray:
     return (mesh.nodes > a) & (mesh.nodes < b)
 
 
-def _require_finite(state: np.ndarray, what: str) -> None:
+def _require_finite(state: np.ndarray, spec: ProblemSpec, forcing: Optional[str]) -> None:
+    """Refuse a march that ended in NaN or inf, naming the horizon and step
+    count that set its substeps and, only if the march has one, its forcing."""
     if not np.all(np.isfinite(state)):
-        raise ValueError(f"non-finite march: {what} produced NaN or inf")
+        cause = f"{forcing} produced" if forcing else "the unforced state reached"
+        raise ValueError(
+            f"non-finite march: {cause} NaN or inf at T={spec.T:g}, time_steps={spec.time_steps}"
+        )
 
 
 def _require_shape(what: str, field, shapes: tuple, allowed: str) -> None:
@@ -582,7 +591,7 @@ class _Stepper:
                 m += 1
         # every solve couples all unknowns, so a non-finite value met at any
         # substep is still present in the final state
-        _require_finite(state, "the control or source")
+        _require_finite(state, self.spec, None if load is None else "the control or source")
         return state
 
     def backward(self, v: np.ndarray, source=None, pairing=None, rows=None) -> None:
@@ -619,7 +628,7 @@ class _Stepper:
             if rows is not None and (j == 0 or self.closes[j - 1]):
                 rows[..., m, self.cols] = z / W
                 m -= 1
-        _require_finite(z, "the source")
+        _require_finite(z, self.spec, None if source is None else "the source")
 
 
 def solve_forward(

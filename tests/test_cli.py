@@ -1314,6 +1314,32 @@ def test_null_control_with_underflowed_energy_names_it(tmp_path, change, line):
     assert (tmp_path / "run.log").read_text().splitlines()[-1] == f"error: {line}"
 
 
+HUGE_T = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("name, change, line", [
+    ("null_control.json",
+     {"mesh_n": 16, "time_steps": 10, "T": HUGE_T, "omega": [1e-12, 0.999999999999],
+      "coefficient": {"kind": "power_minus_x", "params": {"theta": 0.05}}},
+     "the unforced state reached NaN or inf at T=1.79769e+308, time_steps=10"),
+    ("carleman_sweep_weak.json",
+     {"mesh_n": 16, "time_steps": 10, "T": HUGE_T, "omega": [5e-324, 0.93],
+      "s_grid": [1.797e308], "lambda_grid": [1.797e308], "n_samples": 1,
+      "coefficient": {"kind": "power", "params": {"gamma": 0.05}}},
+     "the source produced NaN or inf at T=1.79769e+308, time_steps=10"),
+], ids=["null_control_free_march", "carleman_sweep_sourced_march"])
+def test_overflowing_march_names_the_horizon(tmp_path, name, change, line):
+    # the null control's free march has no forcing to blame, and both runs
+    # name the T and time_steps that set the substeps
+    cfg = json.loads((CONFIGS[0].parent / name).read_text(encoding="utf-8"))
+    cfg.update(change)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert (out / "run.log").read_text().splitlines()[-1] == f"error: non-finite march: {line}"
+    assert not (out / "summary.json").exists()
+
+
 def test_growing_problem_fails_the_cg_check(tmp_path):
     # a potential inside the diagonal-dominance bound that makes the free
     # terminal state about 6e23 large: a stopping rule relative to that norm

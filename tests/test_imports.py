@@ -1,8 +1,8 @@
 """Import cost: a run of a shipped config loads no scipy, and takes LAPACK's
-tridiagonal routines from the OpenBLAS numpy already runs on.  And every
-exported name resolves, so a deletion cannot leave a stale export."""
+tridiagonal routines from the OpenBLAS numpy already runs on; a run loads no
+Carleman module it does not call.  And every exported name resolves, so a
+deletion cannot leave a stale export."""
 
-import ast
 import ctypes
 import importlib
 import json
@@ -22,6 +22,31 @@ from carleman_lab import pde_solver
 SRC = str(Path(carleman_lab.__file__).resolve().parent.parent)
 MODULES = sorted(m.name for m in pkgutil.iter_modules(carleman_lab.__path__))
 
+# pinned: every name the package exports, by the module that defines it; an
+# export dropped or moved changes the table
+EXPORTS = {
+    **dict.fromkeys(
+        ["DegeneracyCoefficient", "HypothesisReport", "Regime", "classify",
+         "coefficient_from_descriptor", "make_example_coefficient", "make_power_coefficient",
+         "make_table_coefficient"], "coefficients"),
+    **dict.fromkeys(
+        ["CarlemanWeights", "PsiFunction", "build_weights", "default_omega_prime"], "weights"),
+    **dict.fromkeys(
+        ["LeftBoundary", "Mesh", "ProblemSpec", "Scheme", "Trajectory", "WeightedNorms",
+         "assemble_diffusion", "boundary_regime_for", "build_mesh", "energy_report",
+         "solve_adjoint", "solve_forward"], "pde_solver"),
+    **dict.fromkeys(
+        ["HardyCase", "aux_hardy_b", "aux_hardy_p", "hardy_ratio",
+         "spacetime_weighted_integral"], "functionals"),
+    **dict.fromkeys(
+        ["CarlemanParams", "CarlemanReport", "carleman_sides", "carleman_sweep",
+         "identity_residual", "observability_ratio", "stable_s0", "standard_identity_fields",
+         "transform_to_w"], "carleman"),
+    **dict.fromkeys(["ControlResult", "synthesize_null_control"], "control"),
+}
+CARLEMAN_MODULES = ("carleman_lab.carleman", "carleman_lab.weights", "carleman_lab.functionals",
+                    "numpy.polynomial")
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_name_in_all_resolves(name):
@@ -30,14 +55,22 @@ def test_every_name_in_all_resolves(name):
 
 
 def test_every_package_import_resolves():
-    tree = ast.parse(Path(carleman_lab.__file__).read_text(encoding="utf-8"))
-    imports = [(node.module, alias.name) for node in tree.body
-               if isinstance(node, ast.ImportFrom) for alias in node.names]
-    # pinned: an export dropped with its import line changes the count
-    assert len(imports) == 40
-    for module, name in imports:
-        assert hasattr(importlib.import_module(f"carleman_lab.{module}"), name), (module, name)
-        assert hasattr(carleman_lab, name), name
+    assert len(EXPORTS) == 40
+    assert sorted(carleman_lab.__all__) == sorted(EXPORTS)
+    assert set(EXPORTS) <= set(dir(carleman_lab))
+    for name in MODULES:
+        importlib.import_module(f"carleman_lab.{name}")
+    # with every module loaded, a lookup imports nothing, so any entry it
+    # added to the package namespace would be a cached export
+    before = dict(vars(carleman_lab))
+    for name, module in EXPORTS.items():
+        assert getattr(carleman_lab, name) is getattr(
+            importlib.import_module(f"carleman_lab.{module}"), name), (module, name)
+    after = vars(carleman_lab)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+    with pytest.raises(AttributeError, match="no_such_export"):
+        carleman_lab.no_such_export
 
 SCRIPT = r"""
 import json, sys, tempfile
@@ -92,6 +125,37 @@ def test_shipped_configs_leave_scipy_unloaded():
     # a tabulated coefficient still loads its interpolant on demand
     assert report["interpolate"]
     assert report["table"] == "SDC"
+
+
+FOOTPRINT = r"""
+import json, sys
+
+import carleman_lab
+bare = sorted(m for m in sys.modules if m.startswith("carleman_lab."))
+from carleman_lab import cli
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"bare": bare, "code": code, "loaded": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("name, change, loads", [
+    ("null_control.json", {}, False),
+    ("classify_weak.json", {}, False),
+    ("carleman_sweep_weak.json", {"n_samples": 2, "s_grid": [1.0], "lambda_grid": [2.0]}, True),
+], ids=["null_control", "classify", "carleman_sweep"])
+def test_a_run_loads_the_carleman_modules_only_if_it_calls_them(tmp_path, name, change, loads):
+    cfg = json.loads((CONFIGS[0].parent / name).read_text(encoding="utf-8"))
+    cfg.update({k: 16 for k in ("mesh_n", "time_steps") if k in cfg}, **change)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = _run(FOOTPRINT, [SRC], [str(path), str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    # the package itself imports no submodule
+    assert report["bare"] == []
+    assert {m: m in report["loaded"] for m in CARLEMAN_MODULES} == dict.fromkeys(
+        CARLEMAN_MODULES, loads)
 
 
 def test_missing_lapack_library_fails_loudly(tmp_path):

@@ -859,6 +859,29 @@ class TestMarchingEngine:
         with pytest.raises(ValueError, match="non-finite march: the source"):
             _adjoint_march(spec, np.zeros_like(fs), fs)
 
+    def test_march_overflow_names_the_horizon(self):
+        # a free march names no forcing, since it has none; every march names
+        # the T and time_steps that set its substeps
+        huge = make_spec(N=16, M=8, T=1.7976931348623157e308)
+        u0 = np.sin(np.pi * huge.mesh.nodes)
+        free = ("non-finite march: the unforced state reached NaN or inf "
+                "at T=1.79769e+308, time_steps=8")
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=re.escape(free)):
+                solve_forward(huge, u0)
+            with pytest.raises(ValueError, match=re.escape(free)):
+                solve_adjoint(huge, u0)
+        spec = make_spec(N=16, M=8)
+        nan = np.full_like(u0, np.nan)
+        with pytest.raises(ValueError, match=re.escape(
+            "non-finite march: the control or source produced NaN or inf at T=1, time_steps=8"
+        )):
+            solve_forward(spec, np.zeros_like(u0), source=nan)
+        with pytest.raises(ValueError, match=re.escape(
+            "non-finite march: the source produced NaN or inf at T=1, time_steps=8"
+        )):
+            solve_adjoint(spec, u0, F=nan)
+
     def test_nonfinite_potential_raises(self):
         with pytest.raises(ValueError, match="potential c must be a finite number"):
             make_spec(N=16, M=8, c=lambda x: np.where(x > 0.5, np.nan, 0.0))

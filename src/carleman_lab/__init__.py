@@ -9,8 +9,9 @@ minimization.
 
 The package exports its public names lazily (PEP 562): ``import
 carleman_lab`` loads no submodule, and ``carleman_lab.<name>`` imports the
-one module that defines the name on first use.  So a null-control run never
-loads the Carleman modules (``weights``, ``functionals``, ``carleman``).
+module that defines the name on first use.  The Carleman modules
+(``weights``, ``functionals``, ``carleman``) load together once ``weights``
+or ``carleman`` is imported, and a null-control run loads none of them.
 Every lookup reads the module attribute afresh and stores nothing here, so
 whatever replaces a module attribute (a tracer, a test's monkeypatch) is
 seen through the package too.
@@ -87,7 +88,3 @@ def __getattr__(name: str):
         # is then imported by the import system itself
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

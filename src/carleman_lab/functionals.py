@@ -11,13 +11,17 @@ node when it exists and otherwise loses the first cell.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from .coefficients import DegeneracyCoefficient
-from .pde_solver import WeightedNorms, trapezoid_time_weights
-from .weights import CarlemanWeights, block_rows
+from .pde_solver import WeightedNorms, block_rows, trapezoid_time_weights
+
+# for annotations only: weights ends by importing carleman, which imports from
+# this module, so a run-time import here would close that cycle too early
+if TYPE_CHECKING:
+    from .weights import CarlemanWeights
 
 __all__ = [
     "WeightedNorms",

@@ -91,6 +91,16 @@ __all__ = [
 # are refused or excluded rather than divided by
 DEGENERATE_DENOMINATOR = 1e-300
 
+# The grid kernels (weight build, fold, contraction) work in row blocks of
+# about this many bytes, so a block and its scratch stay in a core's L2 cache
+# and a desk-size grid (129 x 129) is one block.
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(n_cols: int) -> int:
+    """Rows per block of a float grid with ``n_cols`` columns."""
+    return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
+
 
 @dataclass(frozen=True)
 class Mesh:

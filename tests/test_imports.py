@@ -57,7 +57,6 @@ def test_every_name_in_all_resolves(name):
 def test_every_package_import_resolves():
     assert len(EXPORTS) == 40
     assert sorted(carleman_lab.__all__) == sorted(EXPORTS)
-    assert set(EXPORTS) <= set(dir(carleman_lab))
     for name in MODULES:
         importlib.import_module(f"carleman_lab.{name}")
     # with every module loaded, a lookup imports nothing, so any entry it
@@ -129,12 +128,16 @@ def test_shipped_configs_leave_scipy_unloaded():
 
 FOOTPRINT = r"""
 import json, sys
+from pathlib import Path
 
 import carleman_lab
 bare = sorted(m for m in sys.modules if m.startswith("carleman_lab."))
 from carleman_lab import cli
+errors = cli.validate_config(json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")))
+validated = sorted(sys.modules)
 code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps({"bare": bare, "code": code, "loaded": sorted(sys.modules)}))
+print(json.dumps({"bare": bare, "errors": errors, "validated": validated, "code": code,
+                  "loaded": sorted(sys.modules)}))
 """
 
 
@@ -151,11 +154,66 @@ def test_a_run_loads_the_carleman_modules_only_if_it_calls_them(tmp_path, name, 
     proc = _run(FOOTPRINT, [SRC], [str(path), str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["code"] == 0
+    assert report["errors"] == [] and report["code"] == 0
     # the package itself imports no submodule
     assert report["bare"] == []
-    assert {m: m in report["loaded"] for m in CARLEMAN_MODULES} == dict.fromkeys(
-        CARLEMAN_MODULES, loads)
+    # the sweep's a(1) = 0 rule imports weights, so it holds the chain from
+    # validation on, before a pass (or the benchmark's tracer) starts
+    for stage in ("validated", "loaded"):
+        assert {m: m in report[stage] for m in CARLEMAN_MODULES} == dict.fromkeys(
+            CARLEMAN_MODULES, loads), stage
+
+
+CHAIN = {"carleman", "functionals", "weights"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_imports_first_and_the_chain_loads_together(name):
+    proc = _run(f"import json, sys, carleman_lab.{name}; print(json.dumps(sorted(sys.modules)))",
+                [SRC])
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.split(".")[1] for m in json.loads(proc.stdout) if m.startswith("carleman_lab.")}
+    # weights (and carleman, which imports it) bring the whole chain; the
+    # other modules, functionals included, load none of it but themselves
+    assert loaded & CHAIN == (CHAIN if name in ("carleman", "weights") else CHAIN & {name})
+
+
+TRACED = r"""
+import importlib, json, pkgutil, sys, tempfile
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import worker
+
+if sys.argv[3] == "preload":
+    import carleman_lab
+    for m in pkgutil.iter_modules(carleman_lab.__path__):
+        importlib.import_module(f"carleman_lab.{m.name}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = worker.measure(sys.argv[2], 3, 0.0, Path(tmp), trace=True, tiny=True)
+trace = out["trace"]
+print(json.dumps({
+    "errors": [p["errors"] for p in out["passes"]],
+    "missing": trace["missing"],
+    "calls": {name: t["calls"] for name, t in trace["totals"].items()},
+}))
+"""
+
+
+@pytest.mark.parametrize("workload", ["sweep_strong_512", "desk_configs"])
+def test_a_fresh_traced_worker_wraps_what_a_preloaded_one_does(workload):
+    # the benchmark's tracer wraps functions in the modules loaded when it
+    # installs, after set-up: a module first imported by a pass escapes it
+    perfbench = str(Path(SRC).parent / "perfbench")
+    reports = []
+    for mode in ("fresh", "preload"):
+        proc = _run(TRACED, [SRC], [perfbench, workload, mode])
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    fresh, preloaded = reports
+    assert fresh["errors"] == [[]] and fresh["missing"] == []
+    assert fresh["calls"]["carleman.carleman_sides"] > 0
+    assert fresh["calls"] == preloaded["calls"]
 
 
 def test_missing_lapack_library_fails_loudly(tmp_path):

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .functionals import (
-    WeightedNorms,
     _abscissae,
     _check_horizon,
     _clipped_node_quadrature,
@@ -31,6 +30,7 @@ from .pde_solver import (
     DEGENERATE_DENOMINATOR,
     ProblemSpec,
     Trajectory,
+    WeightedNorms,
     _adjoint_march,
     _Stepper,
     trapezoid_time_weights,

@@ -314,6 +314,12 @@ def validate_config(cfg: dict) -> list[str]:
             lambda: (size("spatial_n") + 1) * (size("spatial_time_steps") + 1))
         cap(("temporal_mesh_n", "temporal_m"), "(temporal_mesh_n+1)*(max(temporal_m)+1)",
             lambda: (size("temporal_mesh_n") + 1) * (size("temporal_m") + 1))
+    if exp in MARCHING and ok("T", "time_steps"):
+        T, steps = _value(cfg, "T"), size("time_steps")
+        if T / steps == 0.0:
+            # the step length the marches divide by would underflow to 0
+            errors.append(f"T: T/time_steps must be > 0, got T={T!r} over time_steps={steps}")
+            bad.add("T")
     if exp in MARCHING and ok("potential_const", "T", "time_steps", "scheme"):
         # a step matrix W + th*tau*(S + W*c) has a positive, strictly dominant
         # diagonal iff 1 + th*tau*c > 0; th*tau is dt/2 (Crank-Nicolson) or dt
@@ -624,8 +630,7 @@ def _exp_null_control(cfg, seed, log):
         cg_tol=float(_value(cfg, "cg_tol")),
         cg_max_iter=int(_value(cfg, "cg_max_iter")),
     )
-    norms = WeightedNorms(spec.mesh, spec.coef)
-    u0_norm = norms.norm("L2", u0)
+    u0_norm = math.sqrt(WeightedNorms(spec.mesh, spec.coef).l2_sq(u0))
     # u0 = 0 on the mesh leaves the relative norm undefined, which fails the check
     rel = result.terminal_norm / u0_norm if u0_norm > 0 else float("nan")
     threshold = float(_value(cfg, "terminal_threshold_rel"))

@@ -1,6 +1,5 @@
 """Space-time quadrature against the exponential weights and Hardy-type
-ratio evaluation; the weighted norms, defined beside the mesh in
-``pde_solver``, are re-exported here.
+ratio evaluation.
 
 Space integrals clip trapezoid cells exactly at interval ends, so any
 partition of [0, 1] reproduces the full integral to rounding.  The integrand
@@ -24,7 +23,6 @@ if TYPE_CHECKING:
     from .weights import CarlemanWeights
 
 __all__ = [
-    "WeightedNorms",
     "HardyCase",
     "spacetime_weighted_integral",
     "hardy_ratio",

@@ -141,12 +141,11 @@ class Mesh:
 
 
 class WeightedNorms:
-    """Discrete norms built on the degenerate coefficient.
+    """Discrete norms built on the degenerate coefficient: the squared plain
+    norm, the squared face-weighted gradient seminorm and the flux Laplacian.
 
-    The first-order norm squares the plain norm plus the face-weighted
-    gradient seminorm; the second-order norm adds the flux Laplacian.  The
-    squared forms reduce along the last axis, so a stack of nodal vectors
-    gets one value per row, each with the bits of that row alone.
+    The squared forms reduce along the last axis, so a stack of nodal
+    vectors gets one value per row, each with the bits of that row alone.
     """
 
     def __init__(self, mesh, coef: DegeneracyCoefficient):
@@ -172,18 +171,6 @@ class WeightedNorms:
         out = np.zeros_like(u)
         out[..., 1:-1] = np.diff(flux) / self.volumes[1:-1]
         return out
-
-    def norm(self, kind: str, u: np.ndarray) -> float:
-        if kind == "L2":
-            return math.sqrt(max(self.l2_sq(u), 0.0))
-        if kind == "H1a":
-            return math.sqrt(max(self.l2_sq(u) + self.h1a_semi_sq(u), 0.0))
-        if kind == "H2a":
-            lap = self.flux_laplacian(u)
-            return math.sqrt(
-                max(self.l2_sq(u) + self.h1a_semi_sq(u) + self.l2_sq(lap), 0.0)
-            )
-        raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def build_mesh(N: int, grading_exponent: float = 2.0) -> Mesh:
@@ -464,6 +451,16 @@ class _Stepper:
         W = self.op.weights
         c = np.broadcast_to(spec.c, spec.mesh.nodes.shape)
         g_diag = self.op.diag + W * self.op.restrict(c)
+        # L and R add multiples of tau*G to W: refuse a substep whose tau*G
+        # overflows before forming any (Python floats overflow to inf silently)
+        tau_max = float(max(tau))
+        g_max = float(max(np.max(np.abs(g_diag)), np.max(np.abs(self.op.off), initial=0.0)))
+        if tau_max * g_max > np.finfo(float).max:
+            raise ValueError(
+                f"step matrix overflow: a substep of length {tau_max:g} times the operator's "
+                f"largest entry {g_max:g} exceeds double precision "
+                f"at T={spec.T:g}, time_steps={spec.time_steps}"
+            )
         self.factor_of = []  # substep -> index of its distinct L
         self.tau_w = []  # tau * W, the weight of a substep's forcing
         self._factors = []  # distinct L -> references to its factors

@@ -1319,18 +1319,18 @@ HUGE_T = 1.7976931348623157e308
 
 @pytest.mark.parametrize("name, change, line", [
     ("null_control.json",
-     {"mesh_n": 16, "time_steps": 10, "T": HUGE_T, "omega": [1e-12, 0.999999999999],
-      "coefficient": {"kind": "power_minus_x", "params": {"theta": 0.05}}},
-     "the unforced state reached NaN or inf at T=1.79769e+308, time_steps=10"),
+     {"mesh_n": 16, "time_steps": 200, "scheme": "backward_euler", "potential_const": -399.8},
+     "the unforced state reached NaN or inf at T=0.5, time_steps=200"),
     ("carleman_sweep_weak.json",
-     {"mesh_n": 16, "time_steps": 10, "T": HUGE_T, "omega": [5e-324, 0.93],
-      "s_grid": [1.797e308], "lambda_grid": [1.797e308], "n_samples": 1,
-      "coefficient": {"kind": "power", "params": {"gamma": 0.05}}},
-     "the source produced NaN or inf at T=1.79769e+308, time_steps=10"),
+     {"mesh_n": 16, "time_steps": 1000, "scheme": "backward_euler", "potential_const": -99.99,
+      "s_grid": [1.0], "lambda_grid": [2.0], "n_samples": 1},
+     "the source produced NaN or inf at T=10, time_steps=1000"),
 ], ids=["null_control_free_march", "carleman_sweep_sourced_march"])
 def test_overflowing_march_names_the_horizon(tmp_path, name, change, line):
-    # the null control's free march has no forcing to blame, and both runs
-    # name the T and time_steps that set the substeps
+    # a potential just inside the diagonal-dominance bound grows the state by
+    # about 1/(1 + tau*c) a step, past double precision; the null control's
+    # free march has no forcing to blame, and both runs name the T and
+    # time_steps that set the substeps
     cfg = json.loads((CONFIGS[0].parent / name).read_text(encoding="utf-8"))
     cfg.update(change)
     out = tmp_path / "out"
@@ -1338,6 +1338,44 @@ def test_overflowing_march_names_the_horizon(tmp_path, name, change, line):
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
     assert (out / "run.log").read_text().splitlines()[-1] == f"error: non-finite march: {line}"
     assert not (out / "summary.json").exists()
+
+
+def _overflow(length, entry, steps):
+    return (f"error: step matrix overflow: a substep of length {length} times the operator's "
+            f"largest entry {entry} exceeds double precision at T=1.79769e+308, "
+            f"time_steps={steps}")
+
+
+@pytest.mark.parametrize("name, change, code, line", [
+    ("energy.json", {"T": 5e-324, "time_steps": 2, "n_samples": 2}, 2,
+     "config error: T: T/time_steps must be > 0, got T=5e-324 over time_steps=2"),
+    ("energy.json", {"T": HUGE_T, "time_steps": 1, "n_samples": 2}, 1,
+     _overflow("1.79769e+308", "19.7464", 1)),
+    ("energy.json", {"T": HUGE_T, "time_steps": 4, "n_samples": 2}, 1,
+     _overflow("4.49423e+307", "19.7464", 4)),
+    ("null_control.json",
+     {"time_steps": 10, "T": HUGE_T, "omega": [1e-12, 0.999999999999],
+      "coefficient": {"kind": "power_minus_x", "params": {"theta": 0.05}}}, 1,
+     _overflow("1.79769e+307", "253.772", 10)),
+    ("carleman_sweep_weak.json",
+     {"time_steps": 10, "T": HUGE_T, "omega": [5e-324, 0.93],
+      "s_grid": [1.797e308], "lambda_grid": [1.797e308], "n_samples": 1,
+      "coefficient": {"kind": "power", "params": {"gamma": 0.05}}}, 1,
+     _overflow("1.79769e+307", "255.105", 10)),
+], ids=["energy_underflow", "energy_1_step", "energy_4_steps", "null_control", "carleman_sweep"])
+def test_extreme_horizon_fails_by_name_before_numpy_warns(tmp_path, capsys, name, change, code,
+                                                           line):
+    # a step length of 0 divided the energy's time differences by zero, and an
+    # overflowing tau*G made the step matrices and then the march non-finite:
+    # each printed numpy's warning before the named error
+    cfg = json.loads((CONFIGS[0].parent / name).read_text(encoding="utf-8"))
+    cfg.update({"mesh_n": 16}, **change)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == code
+    lines = capsys.readouterr().err if code == 2 else (out / "run.log").read_text()
+    assert lines.splitlines()[-1] == line
 
 
 def test_growing_problem_fails_the_cg_check(tmp_path):

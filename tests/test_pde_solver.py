@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -861,16 +862,17 @@ class TestMarchingEngine:
 
     def test_march_overflow_names_the_horizon(self):
         # a free march names no forcing, since it has none; every march names
-        # the T and time_steps that set its substeps
-        huge = make_spec(N=16, M=8, T=1.7976931348623157e308)
-        u0 = np.sin(np.pi * huge.mesh.nodes)
+        # the T and time_steps that set its substeps.  The potential, just
+        # inside the backward-Euler bound, grows the state past double precision
+        growing = make_spec(N=16, M=200, c=-199.9, scheme=Scheme.BACKWARD_EULER)
+        u0 = np.sin(np.pi * growing.mesh.nodes)
         free = ("non-finite march: the unforced state reached NaN or inf "
-                "at T=1.79769e+308, time_steps=8")
+                "at T=1, time_steps=200")
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match=re.escape(free)):
-                solve_forward(huge, u0)
+                solve_forward(growing, u0)
             with pytest.raises(ValueError, match=re.escape(free)):
-                solve_adjoint(huge, u0)
+                solve_adjoint(growing, u0)
         spec = make_spec(N=16, M=8)
         nan = np.full_like(u0, np.nan)
         with pytest.raises(ValueError, match=re.escape(
@@ -881,6 +883,20 @@ class TestMarchingEngine:
             "non-finite march: the source produced NaN or inf at T=1, time_steps=8"
         )):
             solve_adjoint(spec, u0, F=nan)
+
+    def test_overflowing_step_matrix_is_refused_before_it_is_formed(self):
+        huge = make_spec(N=16, M=8, T=1.7976931348623157e308)
+        u0 = np.sin(np.pi * huge.mesh.nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for march in (solve_forward, solve_adjoint):
+                with pytest.raises(ValueError, match=r"^step matrix overflow: a substep of "
+                                   r"length 2\.24712e\+307 .* at T=1\.79769e\+308, time_steps=8$"):
+                    march(huge, u0)
+            # a substep whose tau*G is half the largest double is formed
+            op = pde_solver.assemble_diffusion(huge.coef, huge.mesh, huge.regime)
+            g_max = max(np.max(np.abs(op.diag)), np.max(np.abs(op.off)))
+            pde_solver._Stepper(make_spec(N=16, M=8, T=8 * (np.finfo(float).max / g_max / 2)))
 
     def test_nonfinite_potential_raises(self):
         with pytest.raises(ValueError, match="potential c must be a finite number"):

@@ -19,28 +19,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .functionals import (
-    _abscissae,
-    _check_horizon,
-    _clipped_node_quadrature,
-    _integrals,
-    _WeightedQuadrature,
-)
-from .pde_solver import (
-    DEGENERATE_DENOMINATOR,
-    ProblemSpec,
-    Trajectory,
-    WeightedNorms,
-    _adjoint_march,
-    _Stepper,
-    trapezoid_time_weights,
-)
+from .pde_solver import (DEGENERATE_DENOMINATOR, ProblemSpec, Trajectory, WeightedNorms,
+                         _adjoint_march, _clipped_node_quadrature, _Stepper,
+                         trapezoid_time_weights)
 from .sampling import (
     STREAM_SOURCE,
     STREAM_TERMINAL,
     sample_fields,
 )
-from .weights import CarlemanWeights, PsiFunction, default_omega_prime, time_factor
+from .weights import (CarlemanWeights, PsiFunction, _abscissae, _integrals, _WeightedQuadrature,
+                      default_omega_prime, time_factor)
 
 __all__ = [
     "CarlemanParams",
@@ -403,8 +391,8 @@ def standard_identity_fields(T: float, dirichlet_at_zero: bool) -> list[SpaceTim
 
 def _mapped_simpson(x_lo: float, x_hi: float, n: int, power: float = 1.0):
     """Composite Simpson weights for x = x_lo + (x_hi - x_lo) * u**power on a
-    uniform u-grid; the optional cubic map grades nodes toward x_lo."""
-    n = n + (n % 2)
+    uniform u-grid of n cells, n even; the optional cubic map grades nodes
+    toward x_lo."""
     u = np.arange(n + 1) / n
     span = x_hi - x_lo
     nodes = x_lo + span * u**power
@@ -413,6 +401,18 @@ def _mapped_simpson(x_lo: float, x_hi: float, n: int, power: float = 1.0):
     S[1:-1:2] = 4.0
     S[2:-1:2] = 2.0
     return nodes, S * dxdu / (3.0 * n)
+
+
+def _sections(resolution: int) -> tuple:
+    """Even cell counts of the left, bridge and right sections of the identity x-grid."""
+    n_side = max(resolution // 5, 8)
+    return tuple(n + n % 2 for n in (n_side, max(resolution - 2 * n_side, 8), n_side))
+
+
+def _grid_entries(resolution: int) -> int:
+    """Entries of one full grid of :func:`_grids`: the time levels times the
+    abscissae, n + 1 per section of n cells."""
+    return (resolution + 1) * (sum(_sections(resolution)) + 3)
 
 
 def _grids(weights: CarlemanWeights, resolution: int):
@@ -427,9 +427,7 @@ def _grids(weights: CarlemanWeights, resolution: int):
     jumps there and each section must integrate its own one-sided values.
     """
     ap, bp = weights.psi.alpha_prime, weights.psi.beta_prime
-    n_left = max(resolution // 5, 8)
-    n_right = max(resolution // 5, 8)
-    n_mid = max(resolution - n_left - n_right, 8)
+    n_left, n_mid, n_right = _sections(resolution)
     nudge = 1e-12
     left, wl = _mapped_simpson(0.0, ap, n_left, power=3.0)
     mid, wm = _mapped_simpson(ap * (1.0 + nudge), bp * (1.0 - nudge), n_mid)
@@ -582,10 +580,9 @@ def transform_to_w(
 ) -> WTransform:
     """Conjugate a backward trajectory and evaluate the split operators on the
     interior grid (centered differences in both variables)."""
-    _check_horizon(v_traj.T, weights)
     mesh = v_traj.mesh
     xs = mesh.nodes
-    ts = v_traj.times
+    ts = _abscissae(mesh, v_traj.T, v_traj.values.shape[-2] - 1, weights).ts
     w = weights.exp_s_phi_grid(ts, xs, params.s) * v_traj.values
 
     inner = slice(1, -1)
@@ -622,23 +619,20 @@ def boundary_sign_terms(
     exp(s*phi) does not depend on the sample, so it is built once, and of
     each w only the four edge columns the term reads are formed.
     """
-    _check_horizon(T, weights)
+    grid = _abscissae(mesh, T, rows.shape[-2] - 1, weights)
     s, lam = params.s, params.lam
-    M = rows.shape[-2] - 1
-    ts = np.linspace(0.0, T, M + 1)
-    tw = trapezoid_time_weights(T, M)
     h = mesh.spacings
     comp = weights.space_composites(np.array([mesh.nodes[0], mesh.nodes[-1]]))
     a, c1, eta = comp["a"], comp["c1"], comp["eta"]
-    th = time_factor(ts, weights.T)[0]
-    w = weights.exp_s_phi_grid(ts, mesh.nodes, s)[:, _EDGE_COLUMNS] * rows[:, :, _EDGE_COLUMNS]
+    th = time_factor(grid.ts, weights.T)[0]
+    w = weights.exp_s_phi_grid(grid.ts, mesh.nodes, s)[:, _EDGE_COLUMNS] * rows[:, :, _EDGE_COLUMNS]
     wx0 = (w[..., 1] - w[..., 0]) / h[0]
     wx1 = (w[..., 3] - w[..., 2]) / h[-1]
     at1 = th * lam * eta[1] * a[1] * c1[1] * wx1 * wx1
     at0 = th * lam * eta[0] * a[0] * c1[0] * wx0 * wx0
     # one dot per row: a stacked product or einsum rounds differently
-    term = -s * np.array([np.dot(tw, d) for d in at1 - at0])
-    scale = s * np.array([np.dot(tw, m) for m in np.abs(at1) + np.abs(at0)]) + 1e-300
+    term = -s * np.array([np.dot(grid.tw, d) for d in at1 - at0])
+    scale = s * np.array([np.dot(grid.tw, m) for m in np.abs(at1) + np.abs(at0)])
     return term, scale
 
 

@@ -91,17 +91,6 @@ __all__ = [
 # are refused or excluded rather than divided by
 DEGENERATE_DENOMINATOR = 1e-300
 
-# The grid kernels (weight build, fold, contraction) work in row blocks of
-# about this many bytes, so a block and its scratch stay in a core's L2 cache
-# and a desk-size grid (129 x 129) is one block.
-BLOCK_BYTES = 1 << 18
-
-
-def block_rows(n_cols: int) -> int:
-    """Rows per block of a float grid with ``n_cols`` columns."""
-    return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
-
-
 @dataclass(frozen=True)
 class Mesh:
     """Graded 1-d mesh on [0, 1] clustering nodes at the degenerate endpoint."""
@@ -383,6 +372,33 @@ def omega_node_mask(mesh: Mesh, omega: tuple[float, float]) -> np.ndarray:
     """Sharp indicator of nodes strictly inside the control region."""
     a, b = omega
     return (mesh.nodes > a) & (mesh.nodes < b)
+
+
+def _clipped_node_quadrature(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Per-node weights of the trapezoid rule restricted to [lo, hi].
+
+    Each cell integrates its linear interpolant exactly over the clipped
+    part, so complementary intervals add up to the full-interval rule.
+    """
+    w = np.zeros(nodes.size)
+    x0 = nodes[:-1]
+    x1 = nodes[1:]
+    h = x1 - x0
+    a = np.maximum(x0, lo)
+    # an empty clipped part [a, a] integrates to exactly 0
+    b = np.maximum(np.minimum(x1, hi), a)
+    # integrals of the two hat pieces over the clipped part of each cell
+    left_piece = ((x1 - a) ** 2 - (x1 - b) ** 2) / (2.0 * h)
+    right_piece = ((b - x0) ** 2 - (a - x0) ** 2) / (2.0 * h)
+    w[:-1] += left_piece
+    w[1:] += right_piece
+    return w
+
+
+def _clipped_cell_lengths(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    a = np.maximum(nodes[:-1], lo)
+    b = np.minimum(nodes[1:], hi)
+    return np.maximum(b - a, 0.0)
 
 
 def _require_finite(state: np.ndarray, spec: ProblemSpec, forcing: Optional[str]) -> None:

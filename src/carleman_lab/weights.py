@@ -8,6 +8,10 @@ integrals are numpy Gauss-Legendre panels; the integrable singularity of
 y/a(y) at the degenerate endpoint x = 0 is summed over halving intervals and
 closed with a geometric tail.  The time factor blows up at both ends of
 (0, T), so every weighted integrand vanishes there to machine precision.
+
+The weighted space-time integrals fold each weight grid, built once per sweep
+point in the memory of the point before, with their quadrature
+(:class:`_WeightedQuadrature`) and contract it in row blocks (:func:`_integrals`).
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .coefficients import DegeneracyCoefficient
-from .pde_solver import block_rows
+from .pde_solver import _clipped_cell_lengths, _clipped_node_quadrature, trapezoid_time_weights
 
 __all__ = [
     "PsiFunction",
@@ -38,6 +43,17 @@ UNDERFLOW_EXPONENT = -700.0
 # integrates up to
 A_ONE_VANISHES = ("coefficient: a(1) = 0, so the weight profile's integral of "
                   "y/a(y) diverges at x = 1")
+
+# The grid kernels (weight build, fold, contraction) work in row blocks of
+# about this many bytes, so a block and its scratch stay in a core's L2 cache
+# and a desk-size grid (129 x 129) is one block.
+BLOCK_BYTES = 1 << 18
+
+
+def block_rows(n_cols: int) -> int:
+    """Rows per block of a float grid with ``n_cols`` columns."""
+    return max(1, BLOCK_BYTES // (8 * max(n_cols, 1)))
+
 
 # Gauss-Legendre nodes per panel of the profile integrals
 QUAD_POINTS = 12
@@ -395,7 +411,7 @@ class CarlemanWeights:
             raise ValueError(f"k must be >= 0, got {k}")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return self.shared(
+        return self._memo(
             ("weight", float(s), float(k), ts.tobytes(), xs.tobytes()),
             lambda: self._build_grid(ts, xs, s, k),
         )
@@ -405,13 +421,13 @@ class CarlemanWeights:
         """Build each distinct grid once while the block is open.
 
         Inside the block :meth:`weight_grid` returns one read-only array per
-        distinct (ts, xs, s, k), and :meth:`shared` keeps one value per key,
+        distinct (ts, xs, s, k), and :meth:`_memo` keeps one value per key,
         so callers that evaluate the same integrals for many samples share
         the grids instead of rebuilding them.
 
         The grids of a block, raw and folded, live in flat buffers that the
         block keeps when it closes; the next block on this instance builds
-        its grids in them (see :meth:`grid_buffer`), so a sweep holds one
+        its grids in them (see :meth:`_grid_buffer`), so a sweep holds one
         point's grids at a time and maps no new memory from one point to the
         next.  A grid handed out inside the block is therefore valid until
         the block closes.  A buffer that something still references then is
@@ -430,13 +446,13 @@ class CarlemanWeights:
             if outer[0] is None:
                 self._kept = memory.unheld()
 
-    def grid_buffer(self, shape) -> np.ndarray:
+    def _grid_buffer(self, shape) -> np.ndarray:
         """Uninitialised float memory of ``shape`` for one grid: from the
         buffers of the open :meth:`shared_grids` block, or fresh outside a
         block."""
         return np.empty(shape) if self._memory is None else self._memory.take(shape)
 
-    def shared(self, key, build):
+    def _memo(self, key, build):
         """``build()``, kept under ``key`` while :meth:`shared_grids` is open.
 
         Inside the block the first request of a key builds the value and
@@ -453,7 +469,7 @@ class CarlemanWeights:
         return value
 
     def _build_grid(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> np.ndarray:
-        """exp(2*s*phi + k*log(sigma)) in :meth:`grid_buffer` memory, built in
+        """exp(2*s*phi + k*log(sigma)) in :meth:`_grid_buffer` memory, built in
         row blocks with the operations, and so the bits, of
         exp(2*s*outer(theta, eta - c3) + k*log(sigma)) clamped at -700.
 
@@ -462,7 +478,7 @@ class CarlemanWeights:
         the row's largest space factors; rounding is monotone, so it bounds
         every entry of the row, and a unit margin is kept on top.
         """
-        out = self.grid_buffer((ts.size, xs.size))
+        out = self._grid_buffer((ts.size, xs.size))
         rows = np.flatnonzero((ts > 0.0) & (ts < self.T))
         if rows.size == 0:
             out[...] = 0.0
@@ -472,9 +488,20 @@ class CarlemanWeights:
         # -4*log(g), which rounds differently from log(g**-4)
         g = ti * (self.T - ti)
         eta = self.eta(xs)
-        theta = g**-4
         em = eta - self.c3
         two_s = 2.0 * s
+        # the largest |2*s*theta*(eta - c3)| by the grid's rounded operations on
+        # its extreme factors, in Python floats, which raise or reach inf silently
+        try:
+            reach = float(g.min()) ** -4 * float(-em.min()) * float(two_s)
+        except (OverflowError, ZeroDivisionError):
+            reach = math.inf
+        if reach == math.inf:
+            raise ValueError(
+                f"the weight exponent 2*s*theta*(eta - c3) overflows double precision "
+                f"at s={s:g}, lambda={self.lam:g}"
+            )
+        theta = g**-4
         top = theta * em.max() * two_s
         if k > 0.0:
             log_g = -4.0 * np.log(g)
@@ -616,6 +643,214 @@ def build_weights(
 ) -> CarlemanWeights:
     """Build the full weight bundle for one coefficient and window."""
     return CarlemanWeights(PsiFunction(coef, alpha_prime, beta_prime, bridge_degree), lam, T)
+
+
+class _Abscissae(NamedTuple):
+    """The time levels and their trapezoid weights, the nodes and the faces
+    of a trajectory grid, and ``key``, the hashable part of every quadrature
+    key on it."""
+
+    mesh: object
+    ts: np.ndarray
+    tw: np.ndarray
+    faces: np.ndarray
+    key: tuple
+
+
+def _abscissae(mesh, T: float, M: int, weights: CarlemanWeights) -> _Abscissae:
+    """The abscissae of the ``(M+1) x (N+1)`` grid of ``mesh`` on [0, T],
+    which must be the horizon of ``weights``.
+
+    Built once per open :meth:`CarlemanWeights.shared_grids` block, so the
+    quadrature requests of every sample at one sweep point share one time
+    grid and one key, whose bytes are hashed once.
+    """
+    if abs(T - weights.T) > 1e-12 * max(1.0, weights.T):
+        raise ValueError("trajectory and weights disagree on the horizon")
+    key = (float(T), M, mesh.nodes.tobytes())
+
+    def build():
+        ts = np.linspace(0.0, T, M + 1)
+        tw = trapezoid_time_weights(T, M)
+        faces = mesh.faces
+        ts.flags.writeable = tw.flags.writeable = faces.flags.writeable = False
+        return _Abscissae(mesh, ts, tw, faces, key)
+
+    return weights._memo(("abscissae",) + key, build)
+
+
+class _WeightedQuadrature:
+    """The sample-independent half of a weighted space-time integral.
+
+    Folds the trapezoid time weights ``tw``, the clipped space quadrature
+    ``xw`` of ``interval`` (None: [0, 1]) and the weight grid ``w`` =
+    exp(2*s*phi)*sigma**k for one (s, k) into one grid
+    G[m, i] = tw[m]*w[m, i]*xw[i] on the
+    abscissae of the integrand: nodes, or faces for ``a_vx_sq``, whose
+    ``xw`` also absorbs a/h**2.  G is cut to the box ``rows`` x ``cols`` of
+    its nonzero entries (the time endpoints, the underflow clamp and the
+    outside of the interval drop out), and an integral is sum(G*u*u) over
+    the box (see :func:`_integrals`), where u is the trajectory's values or,
+    for ``a_vx_sq``, their face differences.  A ``time_constant``
+    quadrature, of ``v_sq`` only, keeps only the column sums of G and
+    integrates the first row of a field that does not depend on time.  While
+    :meth:`CarlemanWeights.shared_grids` is open, each folded grid is built
+    once per (s, k, integrand, interval) and shared.  ``grid`` is the
+    :func:`_abscissae` of the trajectories, which callers build once for all
+    the requests of one call.
+    """
+
+    def __init__(
+        self,
+        grid: _Abscissae,
+        weights: CarlemanWeights,
+        s: float,
+        k: float,
+        integrand: str,
+        interval: Optional[tuple] = None,
+        time_constant: bool = False,
+    ):
+        lo, hi = (0.0, 1.0) if interval is None else interval
+        mesh = grid.mesh
+        nodes = mesh.nodes
+        if integrand not in ("v_sq", "a_vx_sq"):
+            raise ValueError(f"unknown integrand {integrand!r}")
+        faces = integrand == "a_vx_sq"
+        if faces and time_constant:
+            raise ValueError("a time-constant quadrature integrates v_sq only")
+        self.integrand = integrand
+        self.time_constant = time_constant
+        wgrid = weights.weight_grid(grid.ts, grid.faces if faces else nodes, s, k)
+
+        def fold():
+            if faces:
+                a_faces = np.asarray(weights.coef.eval(grid.faces), dtype=float)
+                xw = _clipped_cell_lengths(nodes, lo, hi) * a_faces / mesh.spacings**2
+            else:
+                xw = _clipped_node_quadrature(nodes, lo, hi)
+            return _fold(wgrid, grid.tw, xw, time_constant, weights._grid_buffer)
+
+        key = ("quadrature", integrand, float(s), float(k), float(lo), float(hi),
+               time_constant) + grid.key
+        self.rows, self.cols, self.grid = weights._memo(key, fold)
+
+    def integral(self, vals) -> float:
+        return _integrals(vals, (self,))[0]
+
+
+def _integrals(vals, quads) -> list:
+    """sum(G*u*u) over the box of each of ``quads`` against one field's values.
+
+    The plane quadratures are integrated in one pass over row blocks of
+    ``vals``: per block, the values are squared once for all ``v_sq``
+    quadratures and the face differences once for all ``a_vx_sq`` ones, and
+    each folded grid meets its squares in one two-operand contraction; the
+    block sums add up in row order.  Blocks start at multiples of one block
+    height and the squares span every column, so each integral has the same
+    bits whichever quadratures share the pass.  A time-constant quadrature
+    integrates the first row's nodal values alone, as the sum of G*u*u.
+    """
+    vals = np.asarray(vals, dtype=float)
+    sums = [0.0] * len(quads)
+    # per integrand (False: nodes, True: faces): the first and last + 1 row
+    # of its boxes, then (index, first row, last row + 1, cols, G) of each
+    spans: dict = {}
+    for j, q in enumerate(quads):
+        r0, r1 = q.rows.start, q.rows.stop
+        if r0 == r1:
+            continue
+        if q.time_constant:
+            u = vals[0, q.cols]
+            sums[j] = float(np.einsum("i,i,i->", q.grid, u, u))
+        else:
+            span = spans.setdefault(q.integrand == "a_vx_sq", [r0, r1])
+            span[0], span[1] = min(span[0], r0), max(span[1], r1)
+            span.append((j, r0, r1, q.cols, q.grid))
+    if not spans:
+        return sums
+    n_cols = vals.shape[1]
+    step = block_rows(n_cols)
+    first = min(span[0] for span in spans.values()) // step * step
+    last = max(span[1] for span in spans.values())
+    scratch = np.empty(min(step, last - first) * n_cols)
+    for b0 in range(first, last, step):
+        b1 = b0 + step
+        for faces, (r0, r1, *group) in spans.items():
+            a, b = max(b0, r0), min(b1, r1)
+            if a >= b:
+                continue
+            v = vals[a:b]
+            if faces:
+                sq = scratch[: (b - a) * (n_cols - 1)].reshape(b - a, n_cols - 1)
+                np.subtract(v[:, 1:], v[:, :-1], out=sq)
+                np.square(sq, out=sq)
+            else:
+                sq = np.square(v, out=scratch[: (b - a) * n_cols].reshape(b - a, n_cols))
+            for j, q0, q1, cols, grid in group:
+                qa, qb = max(a, q0), min(b, q1)
+                if qa < qb:
+                    sums[j] += float(
+                        np.einsum("mi,mi->", grid[qa - q0 : qb - q0], sq[qa - a : qb - a, cols])
+                    )
+    return sums
+
+
+def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool,
+          empty=np.empty):
+    """(rows, cols, G) with G = tw[:, None]*wgrid*xw[None, :] on the box
+    rows x cols of its nonzero entries, or G's column sums over that box, in
+    ``empty(shape)`` memory.
+
+    Both passes over ``wgrid`` (finding the box, then folding it) go in row
+    blocks; G is formed as (wgrid*tw)*xw and the column sums add the rows in
+    order, so the bits are those of the whole-grid expressions.
+    """
+    n_rows, n_cols = wgrid.shape
+    step = block_rows(n_cols)
+    live_t = tw != 0.0
+    live_x = xw != 0.0
+    live_rows = np.empty(n_rows, dtype=bool)
+    live_cols = np.zeros(n_cols, dtype=bool)
+    mask = np.empty((min(step, n_rows), n_cols), dtype=bool)
+    for a in range(0, n_rows, step):
+        b = min(a + step, n_rows)
+        live = np.not_equal(wgrid[a:b], 0.0, out=mask[: b - a])
+        live &= live_t[a:b, None]
+        live &= live_x
+        live.any(axis=1, out=live_rows[a:b])
+        live_cols |= live.any(axis=0)
+    rows = np.flatnonzero(live_rows)
+    cols = np.flatnonzero(live_cols)
+    if rows.size == 0:
+        rows = cols = slice(0, 0)
+    else:
+        rows = slice(rows[0], rows[-1] + 1)
+        cols = slice(cols[0], cols[-1] + 1)
+    n_box = cols.stop - cols.start
+    step = block_rows(n_box)
+
+    def fold_rows(a, b, out):
+        np.multiply(wgrid[a:b, cols], tw[a:b, None], out=out)
+        out *= xw[None, cols]
+
+    if not time_constant:
+        grid = empty((rows.stop - rows.start, n_box))
+        for a in range(rows.start, rows.stop, step):
+            b = min(a + step, rows.stop)
+            fold_rows(a, b, grid[a - rows.start : b - rows.start])
+    else:
+        grid = empty((n_box,))
+        # the first row of every block after the first carries the sum so far
+        block = np.empty((min(step, rows.stop - rows.start) + 1, n_box))
+        carry = 0
+        for a in range(rows.start, rows.stop, step):
+            b = min(a + step, rows.stop)
+            fold_rows(a, b, block[carry : carry + b - a])
+            np.add.reduce(block[: carry + b - a], axis=0, out=grid)
+            block[0] = grid
+            carry = 1
+    grid.flags.writeable = False
+    return rows, cols, grid
 
 
 # The Carleman chain loads as one unit: the process that imports the weights,

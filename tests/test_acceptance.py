@@ -281,7 +281,7 @@ class TestAcceptance:
         vt = sample_fields(7, STREAM_TERMINAL, 1, spec.mesh.nodes)[0]
 
         def one_ratio(v):
-            from carleman_lab.functionals import _clipped_node_quadrature
+            from carleman_lab.pde_solver import _clipped_node_quadrature
 
             traj = solve_adjoint(spec, v)
             xw = _clipped_node_quadrature(spec.mesh.nodes, *spec.omega)

@@ -9,8 +9,8 @@ conjugated operator parts in
 ``carleman._l_plus``/``_l_minus`` and the flux Laplacian in
 ``WeightedNorms.flux_laplacian``.  The grid kernels work in row blocks: the
 weight-grid build ``CarlemanWeights._build_grid`` and the fold
-``functionals._fold`` must keep the bits of their whole-grid bodies, and the
-blocked contraction ``functionals._integrals`` must stay within rounding of
+``weights._fold`` must keep the bits of their whole-grid bodies, and the
+blocked contraction ``weights._integrals`` must stay within rounding of
 the whole-grid three-operand einsum.  ``solve_forward`` takes its forcing
 as nodal rows or per-substep nodal blocks and must keep the bits of the
 gather it replaced, which sampled callables on the unknown nodes.  The
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from carleman_lab import functionals, pde_solver
+from carleman_lab import pde_solver, weights
 from carleman_lab.carleman import (
     CarlemanParams,
     _grids,
@@ -44,15 +44,13 @@ from carleman_lab.coefficients import (
     make_power_coefficient,
     make_table_coefficient,
 )
-from carleman_lab.functionals import (
-    WeightedNorms,
-    _clipped_cell_lengths,
-    _clipped_node_quadrature,
-)
 from carleman_lab.pde_solver import (
     ProblemSpec,
     Scheme,
     Trajectory,
+    WeightedNorms,
+    _clipped_cell_lengths,
+    _clipped_node_quadrature,
     boundary_regime_for,
     build_mesh,
     solve_adjoint,
@@ -712,7 +710,7 @@ class TestGridKernels:
                             for interval in ((0.0, 1.0), OMEGA):
                                 xw = _space_weights(mesh, wts.coef, faces, interval)
                                 for tc in (False, True):
-                                    got = functionals._fold(want, tw, xw, tc, wts.grid_buffer)
+                                    got = weights._fold(want, tw, xw, tc, wts._grid_buffer)
                                     ref = ref_fold(want, tw, xw, tc)
                                     assert got[:2] == ref[:2]
                                     assert same_bits(got[2], ref[2])
@@ -735,7 +733,7 @@ class TestGridKernels:
         assert block_rows(n_cols) < 40
         for grid in (wgrid, np.zeros_like(wgrid), wgrid[:1]):
             for tc in (False, True):
-                got = functionals._fold(grid, tw[: grid.shape[0]], xw, tc)
+                got = weights._fold(grid, tw[: grid.shape[0]], xw, tc)
                 ref = ref_fold(grid, tw[: grid.shape[0]], xw, tc)
                 assert got[:2] == ref[:2]
                 assert same_bits(got[2], ref[2])
@@ -745,26 +743,23 @@ class TestGridKernels:
         wts = build_weights(make_power_coefficient(1.5), 2.0, T_SWEEP, 0.05, 0.9)
         mesh = build_mesh(N, 2.0)
         vals = sample_fields(4, STREAM_TERMINAL, N + 1, mesh.nodes)
-        grid = functionals._abscissae(mesh, T_SWEEP, N, wts)
+        grid = weights._abscissae(mesh, T_SWEEP, N, wts)
         source = np.broadcast_to(vals[3], vals.shape)
         for s_rel in (1.0, 16.0):
             s = s_rel * stable_s0(wts)
             quads = [
-                functionals._WeightedQuadrature(grid, wts, s, 1.0, "a_vx_sq"),
-                functionals._WeightedQuadrature(grid, wts, s, 5.0 / 3.0, "v_sq"),
-                functionals._WeightedQuadrature(grid, wts, s, 3.0, "v_sq", OMEGA),
-                functionals._WeightedQuadrature(grid, wts, s, 1.0, "a_vx_sq", OMEGA),
+                weights._WeightedQuadrature(grid, wts, s, 1.0, "a_vx_sq"),
+                weights._WeightedQuadrature(grid, wts, s, 5.0 / 3.0, "v_sq"),
+                weights._WeightedQuadrature(grid, wts, s, 3.0, "v_sq", OMEGA),
+                weights._WeightedQuadrature(grid, wts, s, 1.0, "a_vx_sq", OMEGA),
             ]
-            got = functionals._integrals(vals, quads)
+            got = weights._integrals(vals, quads)
             for q, value in zip(quads, got):
                 assert value == pytest.approx(ref_integral(q, vals), rel=1e-13, abs=0.0)
                 assert q.integral(vals) == value
             # the time-constant source keeps its bits
-            for integrand in ("v_sq", "a_vx_sq"):
-                q = functionals._WeightedQuadrature(grid, wts, s, 0.0, integrand,
-                                                    time_constant=True)
-                assert same_bits(functionals._integrals(source, (q,))[0],
-                                 ref_integral(q, source))
+            q = weights._WeightedQuadrature(grid, wts, s, 0.0, "v_sq", time_constant=True)
+            assert same_bits(weights._integrals(source, (q,))[0], ref_integral(q, source))
 
     def test_boxes_inside_row_blocks(self):
         # boxes of either integrand that start and end inside a row block,
@@ -786,10 +781,10 @@ class TestGridKernels:
             quad(slice(2 * step - 3, 2 * step + 3), slice(955, 1001), "v_sq"),
             quad(slice(0, 0), slice(0, 0), "a_vx_sq"),
         ]
-        got = functionals._integrals(vals, quads)
+        got = weights._integrals(vals, quads)
         for q, value in zip(quads, got):
             assert value == pytest.approx(ref_integral(q, vals), rel=1e-13, abs=0.0)
-            assert functionals._integrals(vals, (q,)) == [value]
+            assert weights._integrals(vals, (q,)) == [value]
         assert got[-1] == 0.0
 
     def test_second_block_takes_no_new_grid_memory(self):

@@ -26,11 +26,12 @@ from carleman_lab.pde_solver import (
     _adjoint_march,
     boundary_regime_for,
     build_mesh,
+    _clipped_cell_lengths,
+    _clipped_node_quadrature,
     solve_adjoint,
     trapezoid_time_weights,
 )
-from carleman_lab import functionals
-from carleman_lab.functionals import _clipped_cell_lengths, _clipped_node_quadrature
+from carleman_lab import functionals, weights
 from carleman_lab.sampling import STREAM_SOURCE, STREAM_TERMINAL, sample_fields
 from carleman_lab.weights import CarlemanWeights, PsiFunction, build_weights
 from oracles import boundary_sign_term
@@ -234,8 +235,8 @@ class TestBoundarySignTerms:
         rows = _adjoint_march(spec, vts)
         term, scale = boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
         assert term.shape == scale.shape == (5,)
-        # no case compares terms that underflowed to the +1e-300 floor alone
-        assert np.all(scale - 1e-300 >= carleman.DEGENERATE_DENOMINATOR), scale
+        # no case compares terms that underflowed
+        assert np.all(scale >= carleman.DEGENERATE_DENOMINATOR), scale
         for i, r in enumerate(rows):
             wt = transform_to_w(Trajectory(r, spec.mesh, spec.T), wts, params)
             assert (term[i], scale[i]) == boundary_sign_term(wt, wts, params)
@@ -552,7 +553,7 @@ class TestSweep:
         # still asks for its four weight grids
         calls, folds = [], []
         original_call = CarlemanWeights.weight_grid
-        original_fold = functionals._fold
+        original_fold = weights._fold
 
         def called(self, ts, xs, s, k):
             calls.append((self.lam, s, k))
@@ -563,7 +564,7 @@ class TestSweep:
             return original_fold(wgrid, tw, xw, time_constant, empty)
 
         monkeypatch.setattr(CarlemanWeights, "weight_grid", called)
-        monkeypatch.setattr(functionals, "_fold", folded)
+        monkeypatch.setattr(weights, "_fold", folded)
         spec = make_spec(N=24, M=16, T=10.0, omega=(0.02, 0.95))
         s_grid, lambda_grid = [1.0, 2.0, 4.0], [2.0, 3.0]
         points = len(s_grid) * len(lambda_grid)
@@ -599,24 +600,32 @@ class TestSweep:
         if integrand == "a_vx_sq":
             xw = (_clipped_cell_lengths(mesh.nodes, lo, hi) * spec.coef.eval(mesh.faces)
                   / mesh.spacings**2)
-            want = functionals._fold(wts.weight_grid(ts, mesh.faces, s, k),
-                                     trapezoid_time_weights(T, M), xw, False)
+            want = weights._fold(wts.weight_grid(ts, mesh.faces, s, k),
+                                 trapezoid_time_weights(T, M), xw, False)
         else:
-            want = functionals._fold(wts.weight_grid(ts, mesh.nodes, s, k),
-                                     trapezoid_time_weights(T, M),
-                                     _clipped_node_quadrature(mesh.nodes, lo, hi), False)
+            want = weights._fold(wts.weight_grid(ts, mesh.nodes, s, k),
+                                 trapezoid_time_weights(T, M),
+                                 _clipped_node_quadrature(mesh.nodes, lo, hi), False)
         for shared in (False, True):
             with wts.shared_grids() if shared else contextlib.nullcontext():
-                grid = functionals._abscissae(mesh, T, M, wts)
-                quad = functionals._WeightedQuadrature(grid, wts, s, k, integrand, interval)
+                grid = weights._abscissae(mesh, T, M, wts)
+                quad = weights._WeightedQuadrature(grid, wts, s, k, integrand, interval)
             assert (quad.rows, quad.cols) == want[:2]
             assert np.array_equal(quad.grid, want[2])
+
+    def test_a_time_constant_quadrature_is_of_values_only(self):
+        # only the source, one nodal row, is constant in time
+        spec = make_spec(N=24, M=16, T=10.0)
+        wts = build_weights(spec.coef, 2.0, spec.T, 0.05, 0.9)
+        grid = weights._abscissae(spec.mesh, spec.T, 16, wts)
+        with pytest.raises(ValueError, match="a time-constant quadrature integrates v_sq only"):
+            weights._WeightedQuadrature(grid, wts, 1.0, 0.0, "a_vx_sq", time_constant=True)
 
     def test_one_time_grid_per_point(self, monkeypatch):
         # inside a point's block every request of every sample shares one
         # abscissae bundle; outside, each call builds its own
         built = []
-        original = functionals._Abscissae
+        original = weights._Abscissae
 
         def counted(*args):
             built.append(args)
@@ -627,9 +636,9 @@ class TestSweep:
         params = CarlemanParams(stable_s0(wts), 2.0)
         vt = np.sin(np.pi * spec.mesh.nodes)
         traj = solve_adjoint(spec, vt)
-        monkeypatch.setattr(functionals, "_Abscissae", counted)
+        monkeypatch.setattr(weights, "_Abscissae", counted)
         with wts.shared_grids():
-            grids = {id(functionals._abscissae(spec.mesh, spec.T, 16, wts)) for _ in range(3)}
+            grids = {id(weights._abscissae(spec.mesh, spec.T, 16, wts)) for _ in range(3)}
             for _ in range(4):
                 carleman_sides(traj, None, spec.omega, wts, params)
         assert len(grids) == 1 and len(built) == 1

@@ -14,9 +14,9 @@ from carleman_lab.carleman import (
 from carleman_lab import carleman, cli, pde_solver
 from carleman_lab.cli import EXPERIMENTS, main, run_experiment, validate_config
 from carleman_lab.coefficients import classify, coefficient_from_descriptor, make_power_coefficient
-from carleman_lab.functionals import _clipped_node_quadrature
 from carleman_lab.pde_solver import (
     ProblemSpec,
+    _clipped_node_quadrature,
     boundary_regime_for,
     build_mesh,
     solve_adjoint,
@@ -412,6 +412,25 @@ class TestValidation:
             "mesh_n": 128.0, "time_steps": 16.0, "n_samples": 2.0, "seed": 3.0,
         }
         assert validate_config(cfg) == []
+
+    def test_resolution_is_capped_by_the_identity_grid(self):
+        # identity_residual holds about fifteen (resolution+1) x (abscissae)
+        # grids: the cap counts the abscissae _grids builds, and a resolution
+        # past it exits 2 by name instead of exhausting memory
+        wts = build_weights(make_power_coefficient(0.5), 1.0, 1.0, 0.4, 0.6)
+        for r in (4, 5, 39, 40, 41, 256, 1001):
+            ts, xs, _, _ = carleman._grids(wts, r)
+            assert carleman._grid_entries(r) == ts.size * xs.size
+        cap = cli.MAX_GRID_ENTRIES
+        base = {"experiment": "lemma_checks",
+                "coefficient": {"kind": "power", "params": {"gamma": 0.5}}}
+        fits = max(r for r in range(4, 10_000) if carleman._grid_entries(r) <= cap)
+        assert validate_config({**base, "resolution": fits}) == []
+        for r in (fits + 1, cli.MAX_SIZE):
+            assert validate_config({**base, "resolution": r}) == [
+                f"resolution: (resolution+1)*(abscissae of the identity grid) must be <= "
+                f"{cap}, got {carleman._grid_entries(r)}"
+            ]
 
     def test_seed_accepts_the_cap(self, tmp_path):
         # Philox is keyed by the seed's low 64 bits, so 2**64 - 1 is the

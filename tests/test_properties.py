@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from carleman_lab.coefficients import make_power_coefficient
 from carleman_lab.control import _DualOperator
-from carleman_lab.functionals import _clipped_node_quadrature
+from carleman_lab.pde_solver import _clipped_node_quadrature
 from carleman_lab.pde_solver import (
     LeftBoundary,
     ProblemSpec,

@@ -4,7 +4,8 @@ Configs for every experiment are drawn from ``cli.FIELDS`` (each field's
 kind, bounds and choices) at tiny sizes, with the extremes of s, lambda, T
 and omega mixed in, and each is run through ``cli.main``.  Whatever the
 config, ``main`` raises nothing and exits 0 with finite results, 1 with the
-reason in ``run.log``, or 2 with config errors alone on standard error.
+reason in ``run.log``, or 2 with config errors alone on standard error, and
+no ``RuntimeWarning`` escapes the run.
 """
 
 import contextlib
@@ -12,6 +13,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -118,8 +120,13 @@ def check_run(cfg: dict) -> None:
         path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
             code = cli.main(["run", str(path), "--out", str(out)])
+        # no RuntimeWarning escapes a run
+        escaped = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not escaped, f"exit {code} after warnings {escaped}"
         err = stderr.getvalue().splitlines()
         if code == 0:
             results = json.loads((out / "summary.json").read_text())["results"]

@@ -287,6 +287,23 @@ class TestWeightEvaluation:
         after = weights.weight_grid(ts, xs, 2.0, 1.5)
         assert after is not first and after.flags.writeable
 
+    def test_overflowing_exponent_is_named(self):
+        # at s = 1e300 the exponent 2*s*theta*(eta - c3) overflows: an error
+        # naming s and lambda before any grid arithmetic, with no warning
+        # first; the largest s whose exponents are finite still builds
+        wts = build_weights(make_power_coefficient(1.5), 8.05, 0.0274, 0.4, 0.6)
+        ts, xs = np.linspace(0.0, wts.T, 7), np.linspace(0.0, 1.0, 17)
+        g = ts[1:-1] * (wts.T - ts[1:-1])
+        edge = np.finfo(float).max / (g.min() ** -4 * -(wts.eta(xs) - wts.c3).min() * 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0.0, 1.0):
+                for s in (1e300, float(np.nextafter(edge, np.inf))):
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"overflows double precision at s={s:g}, lambda=8.05")):
+                        wts.weight_grid(ts, xs, s, k)
+                assert not wts.weight_grid(ts, xs, float(edge), k).any()
+
     def test_shared_keeps_one_value_per_key(self, weights):
         builds = []
 
@@ -294,12 +311,12 @@ class TestWeightEvaluation:
             builds.append(1)
             return np.arange(3.0)
 
-        assert weights.shared("key", build) is not weights.shared("key", build)
+        assert weights._memo("key", build) is not weights._memo("key", build)
         assert len(builds) == 2
         with weights.shared_grids():
-            first = weights.shared("key", build)
-            assert weights.shared("key", build) is first
-            assert weights.shared("other", build) is not first
+            first = weights._memo("key", build)
+            assert weights._memo("key", build) is first
+            assert weights._memo("other", build) is not first
             assert not first.flags.writeable
         assert len(builds) == 4
 

@@ -7,6 +7,9 @@ The conjugation replaces a backward solution v by w = exp(s*phi)*v, which
 vanishes at both time endpoints; the second-order operator splits into a
 symmetric part ``L+`` and a skew-ish part ``L-`` whose cross inner product
 expands into seven exactly computable integrals.
+
+Every kernel takes a trajectory, the weights and s; lambda lives in the
+weights (inside eta and c3), so it cannot disagree with them.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from .sampling import (
     STREAM_TERMINAL,
     sample_fields,
 )
-from .weights import (CarlemanWeights, PsiFunction, _abscissae, _integrals, _WeightedQuadrature,
-                      default_omega_prime, time_factor)
+from .weights import (CarlemanWeights, PsiFunction, _abscissae, _check_s, _integrals,
+                      _WeightedQuadrature, default_omega_prime, time_factor)
 
 __all__ = [
-    "CarlemanParams",
     "CarlemanReport",
     "WTransform",
     "SpaceTimeField",
@@ -46,19 +48,6 @@ __all__ = [
     "observability_ratio",
     "standard_identity_fields",
 ]
-
-
-@dataclass(frozen=True)
-class CarlemanParams:
-    s: float
-    lam: float
-
-    def __post_init__(self):
-        if self.s <= 0 or self.lam <= 0:
-            raise ValueError("both parameters must be strictly positive")
-        for name, value in (("s", self.s), ("lambda", self.lam)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -90,28 +79,27 @@ def carleman_sides(
     source: Optional[np.ndarray],
     omega: tuple,
     weights: CarlemanWeights,
-    params: CarlemanParams,
+    s: float,
     zero_order_exponent: float = 5.0 / 3.0,
 ) -> CarlemanReport:
     """The four weighted integrals of a backward solution v and its source f.
 
-    ``traj`` is v, marched by the caller, and ``source`` is f, constant in
-    time: one nodal row ``(N+1,)``, or None for no source.  The left
-    side carries (s*lam)*sigma on the gradient and (s*lam)**q * sigma**q
-    (q = 5/3 by default) on the zero-order term; the right side carries the
-    plain weighted source plus (s*lam)**3 * sigma**3 localized on the
-    control region ``omega``.
+    ``traj`` is v, one trajectory ``(M+1, N+1)`` marched by the caller, and
+    ``source`` is f, constant in time: one nodal row ``(N+1,)``, or None for
+    no source.  The left side carries (s*lam)*sigma on the gradient and
+    (s*lam)**q * sigma**q (q = 5/3 by default) on the zero-order term; the
+    right side carries the plain weighted source plus (s*lam)**3 * sigma**3
+    localized on the control region ``omega``.
     """
+    grid = (_abscissae(traj, weights), weights, s)
     if source is not None and np.shape(source) != traj.values.shape[1:]:
         raise ValueError(
             f"the source must be one nodal row {traj.values.shape[1:]}, constant in time; "
             f"got shape {np.shape(source)}"
         )
-    s, lam = params.s, params.lam
-    at = f"s={s:g}, lambda={lam:g}"
-    sl = s * lam
+    at = f"s={s:g}, lambda={weights.lam:g}"
+    sl = s * weights.lam
     q = zero_order_exponent
-    grid = (_abscissae(traj.mesh, traj.T, traj.values.shape[0] - 1, weights), weights, s)
     grad = _WeightedQuadrature(*grid, 1.0, "a_vx_sq")
     zero = _WeightedQuadrature(*grid, q, "v_sq")
     local = _WeightedQuadrature(*grid, 3.0, "v_sq", omega)
@@ -234,12 +222,11 @@ def carleman_sweep(
                     f"s = s_grid entry {s_entry:g} * s0 {s0:g} overflows double precision "
                     f"at lambda={lam:g}"
                 )
-            params = CarlemanParams(s, lam)
             p = m * len(s_grid) + j
             point[:, p] = s, lam, s0
             with wts.shared_grids():
                 for i, (traj, f) in enumerate(zip(trajectories, f_fields)):
-                    rep = carleman_sides(traj, f, spec.omega, wts, params, zero_order_exponent)
+                    rep = carleman_sides(traj, f, spec.omega, wts, s, zero_order_exponent)
                     sides[:, p, i] = (
                         rep.lhs_grad, rep.lhs_zero, rep.rhs_source, rep.rhs_local, rep.ratio
                     )
@@ -445,12 +432,12 @@ def _tx(trow, xrow):
 # The conjugated operator parts of both checks: identity_residual feeds them
 # exact derivatives, transform_to_w centered differences.  th and th1 are the
 # rows of theta and theta', comp and em = eta - exp(3*lam*sup psi) the
-# columns of the space composites.
+# columns of the space composites of ``weights``, whose lambda they read.
 
 
-def _l_plus(w, a_wx_x, th, th1, em, comp, params: CarlemanParams):
+def _l_plus(w, a_wx_x, th, th1, em, comp, weights: CarlemanWeights, s: float):
     """L+ w = -s*phi_t*w + s^2*a*phi_x^2*w + (a*w_x)_x."""
-    s, lam = params.s, params.lam
+    lam = weights.lam
     eta = comp["eta"]
     return (
         -s * _tx(th1, em) * w
@@ -459,9 +446,9 @@ def _l_plus(w, a_wx_x, th, th1, em, comp, params: CarlemanParams):
     )
 
 
-def _l_minus(w, w_t, w_x, th, comp, params: CarlemanParams):
+def _l_minus(w, w_t, w_x, th, comp, weights: CarlemanWeights, s: float):
     """(L- w, (a*phi_x)_x) with L- w = w_t - s*(a*phi_x)_x*w - 2*s*a*phi_x*w_x."""
-    s, lam = params.s, params.lam
+    lam = weights.lam
     eta = comp["eta"]
     a_phi_x_x = _tx(th, lam * eta * (lam * comp["c2"] + comp["c1p"]))
     l_minus = w_t - s * a_phi_x_x * w - 2.0 * s * _tx(th, lam * eta * comp["c1"]) * w_x
@@ -471,7 +458,7 @@ def _l_minus(w, w_t, w_x, th, comp, params: CarlemanParams):
 def identity_residual(
     field: SpaceTimeField,
     weights: CarlemanWeights,
-    params: CarlemanParams,
+    s: float,
     resolution: int = 256,
 ) -> float:
     """Relative quadrature residual of the exact cross-term expansion.
@@ -490,7 +477,8 @@ def identity_residual(
         raise ValueError(
             f"the identity check needs resolution >= 2 (an interior time level), got {resolution}"
         )
-    s, lam = params.s, params.lam
+    _check_s(s)
+    lam = weights.lam
     at = f"s={s:g}, lambda={lam:g}"
     s3 = _power(s, 3, "s", at)
     lam3 = _power(lam, 3, "lambda", at)
@@ -534,9 +522,9 @@ def identity_residual(
     # full grids are dropped once consumed, which bounds the peak
     a_wx_x = ap[None, :] * wx + a[None, :] * wxx
     del wxx
-    l_plus = _l_plus(wv, a_wx_x, th, th1, em, comp, params)
+    l_plus = _l_plus(wv, a_wx_x, th, th1, em, comp, weights, s)
     del a_wx_x
-    l_minus, a_phi_x_x = _l_minus(wv, wt, wx, th, comp, params)
+    l_minus, a_phi_x_x = _l_minus(wv, wt, wx, th, comp, weights, s)
     del wt
     lhs = integrate(l_plus * l_minus)
     del l_plus, l_minus
@@ -575,15 +563,13 @@ class WTransform:
     T: float
 
 
-def transform_to_w(
-    v_traj: Trajectory, weights: CarlemanWeights, params: CarlemanParams
-) -> WTransform:
-    """Conjugate a backward trajectory and evaluate the split operators on the
-    interior grid (centered differences in both variables)."""
+def transform_to_w(v_traj: Trajectory, weights: CarlemanWeights, s: float) -> WTransform:
+    """Conjugate one backward trajectory ``(M+1, N+1)`` and evaluate the split
+    operators on the interior grid (centered differences in both variables)."""
+    ts = _abscissae(v_traj, weights).ts
     mesh = v_traj.mesh
     xs = mesh.nodes
-    ts = _abscissae(mesh, v_traj.T, v_traj.values.shape[-2] - 1, weights).ts
-    w = weights.exp_s_phi_grid(ts, xs, params.s) * v_traj.values
+    w = weights.exp_s_phi_grid(ts, xs, s) * v_traj.values
 
     inner = slice(1, -1)
     comp = {name: v[inner] for name, v in weights.space_composites(xs).items()}
@@ -594,9 +580,9 @@ def transform_to_w(
     wt = (w[2:, inner] - w[:-2, inner]) / (2.0 * k)
     wx = (w[inner, 2:] - w[inner, :-2]) / (xs[2:] - xs[:-2])[None, :]
     a_wx_x = WeightedNorms(mesh, weights.coef).flux_laplacian(w)[inner, inner]
-    l_plus = _l_plus(w[inner, inner], a_wx_x, th, th1, em, comp, params)
+    l_plus = _l_plus(w[inner, inner], a_wx_x, th, th1, em, comp, weights, s)
     del a_wx_x
-    l_minus, _ = _l_minus(w[inner, inner], wt, wx, th, comp, params)
+    l_minus, _ = _l_minus(w[inner, inner], wt, wx, th, comp, weights, s)
     return WTransform(w, l_plus, l_minus, mesh, v_traj.T)
 
 
@@ -605,10 +591,10 @@ _EDGE_COLUMNS = [0, 1, -2, -1]
 
 
 def boundary_sign_terms(
-    rows: np.ndarray, mesh, T: float, weights: CarlemanWeights, params: CarlemanParams
+    traj: Trajectory, weights: CarlemanWeights, s: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(term, scale)``, one entry per backward trajectory v in the
-    ``(S, M+1, N+1)`` stack ``rows``: the boundary flux term
+    """``(term, scale)``, one entry per backward trajectory v of the
+    ``(S, M+1, N+1)`` stack ``traj`` that ``solve_adjoint`` marches: the boundary flux term
     -s * int (a^2 phi_x w_x^2) |_{x=0}^{x=1} dt of w = exp(s*phi)*v from
     one-sided gradients at the ends, with the bits of the term of the whole
     conjugated field ``transform_to_w(v).w``, and the sum of the magnitudes
@@ -619,8 +605,8 @@ def boundary_sign_terms(
     exp(s*phi) does not depend on the sample, so it is built once, and of
     each w only the four edge columns the term reads are formed.
     """
-    grid = _abscissae(mesh, T, rows.shape[-2] - 1, weights)
-    s, lam = params.s, params.lam
+    grid = _abscissae(traj, weights, stack=True)
+    mesh, rows, lam = traj.mesh, traj.values, weights.lam
     h = mesh.spacings
     comp = weights.space_composites(np.array([mesh.nodes[0], mesh.nodes[-1]]))
     a, c1, eta = comp["a"], comp["c1"], comp["eta"]

@@ -540,40 +540,33 @@ def _exp_carleman_sweep(cfg, seed, log):
 
 
 def _exp_lemma_checks(cfg, seed, log):
-    from .carleman import (  # lemma_checks runs only
-        CarlemanParams,
-        boundary_sign_terms,
-        identity_residual,
-        standard_identity_fields,
-    )
+    from .carleman import (boundary_sign_terms, identity_residual,  # lemma_checks runs only
+                           standard_identity_fields)
     from .weights import build_weights, default_omega_prime
 
     spec = _build_problem(cfg)
     omega_prime = _value(cfg, "omega_prime")
     omega_prime = tuple(default_omega_prime(spec.omega) if omega_prime is None else omega_prime)
-    lam = float(_value(cfg, "lambda"))
     s = float(_value(cfg, "s"))
-    wts = build_weights(spec.coef, lam, spec.T, omega_prime[0], omega_prime[1])
-    params = CarlemanParams(s, lam)
+    wts = build_weights(spec.coef, float(_value(cfg, "lambda")), spec.T, *omega_prime)
     resolution = int(_value(cfg, "resolution"))
     threshold = float(_value(cfg, "residual_threshold"))
     dirichlet = spec.regime is LeftBoundary.DIRICHLET_ZERO
     fields = standard_identity_fields(spec.T, dirichlet)
     fine, coarse = [], []
     for f in fields:
-        coarse.append(identity_residual(f, wts, params, resolution // 2))
-        fine.append(identity_residual(f, wts, params, resolution))
+        coarse.append(identity_residual(f, wts, s, resolution // 2))
+        fine.append(identity_residual(f, wts, s, resolution))
         log(f"identity residual [{f.name}]: {fine[-1]:.3e} (coarse {coarse[-1]:.3e})")
     decreasing = [int(r < c) for r, c in zip(fine, coarse)]
     ok_resid = all(r < threshold for r in fine) and all(decreasing)
 
     n_samples = int(_value(cfg, "n_samples"))
     vts = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
-    trajs = solve_adjoint(spec, vts).values
-    term, scale = boundary_sign_terms(trajs, spec.mesh, spec.T, wts, params)
+    term, scale = boundary_sign_terms(solve_adjoint(spec, vts), wts, s)
     # exp(s*phi) underflowed at the ends: the sign check would pass on nothing
     if np.any(scale < DEGENERATE_DENOMINATOR):
-        raise ValueError(f"boundary term underflows at s={s:g}, lambda={lam:g}")
+        raise ValueError(f"boundary term underflows at s={s:g}, lambda={wts.lam:g}")
     passed = term >= -1e-8 * scale
     tables = {
         "identity_residuals.csv": {

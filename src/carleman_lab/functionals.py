@@ -46,7 +46,7 @@ def spacetime_weighted_integral(
     """
     from .weights import _abscissae, _WeightedQuadrature  # the Carleman chain, on call
 
-    grid = _abscissae(traj.mesh, traj.T, traj.values.shape[0] - 1, weights)
+    grid = _abscissae(traj, weights)
     return _WeightedQuadrature(grid, weights, s, k, integrand, interval).integral(traj.values)
 
 

@@ -365,6 +365,12 @@ class _GridMemory:
         return [b for b, n in zip(self.taken, counts) if n <= idle]
 
 
+def _check_s(s: float) -> None:
+    """Refuse by name an s that is not a positive finite number."""
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
+
+
 class CarlemanWeights:
     """Weight bundle for fixed profile, lambda and horizon.
 
@@ -405,8 +411,7 @@ class CarlemanWeights:
         Rows with t in {0, T} are exactly zero (the limit of the product), and
         exponents below -700 flush to zero.
         """
-        if s <= 0.0:
-            raise ValueError(f"s must be positive, got {s}")
+        _check_s(s)
         if k < 0.0:
             raise ValueError(f"k must be >= 0, got {k}")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -473,10 +478,11 @@ class CarlemanWeights:
         row blocks with the operations, and so the bits, of
         exp(2*s*outer(theta, eta - c3) + k*log(sigma)) clamped at -700.
 
-        A row whose largest exponent lies below the clamp is zero and is
-        not built.  That exponent comes from the same rounded operations on
-        the row's largest space factors; rounding is monotone, so it bounds
-        every entry of the row, and a unit margin is kept on top.
+        A row whose largest exponent lies below the clamp (less a unit
+        margin) is zero and is not built, and one whose exponential overflows
+        is refused by name.  That exponent comes from the same rounded
+        operations on the row's largest space factors, eta's largest entry
+        and so eta - c3's; rounding is monotone, so it is exact.
         """
         out = self._grid_buffer((ts.size, xs.size))
         rows = np.flatnonzero((ts > 0.0) & (ts < self.T))
@@ -507,6 +513,13 @@ class CarlemanWeights:
             log_g = -4.0 * np.log(g)
             log_eta = np.log(eta)
             top += (log_g + log_eta.max()) * k
+            try:  # math.exp raises where np.exp would reach inf
+                math.exp(float(top.max()))
+            except OverflowError:
+                raise ValueError(
+                    f"the weight exp(2*s*phi)*sigma**k overflows double precision "
+                    f"at s={s:g}, lambda={self.lam:g}, k={k:g}"
+                ) from None
         # positions in theta of the rows to build, and their grid rows
         live = (~(top < UNDERFLOW_EXPONENT - 1.0)).nonzero()[0]
         rows = rows[live]
@@ -546,6 +559,7 @@ class CarlemanWeights:
     def exp_s_phi_grid(self, ts, xs, s: float) -> np.ndarray:
         """exp(s*phi) on the tensor grid, zero at t in {0, T} and below underflow:
         the weight grid of s/2 and k = 0."""
+        _check_s(s)
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         return self._build_grid(ts, xs, 0.5 * s, 0.0)
@@ -657,16 +671,22 @@ class _Abscissae(NamedTuple):
     key: tuple
 
 
-def _abscissae(mesh, T: float, M: int, weights: CarlemanWeights) -> _Abscissae:
-    """The abscissae of the ``(M+1) x (N+1)`` grid of ``mesh`` on [0, T],
-    which must be the horizon of ``weights``.
+def _abscissae(traj, weights: CarlemanWeights, stack: bool = False) -> _Abscissae:
+    """The abscissae of the trajectory grid of ``traj`` on [0, T], the
+    horizon of ``weights``: one trajectory ``(M+1, N+1)``, or with ``stack``
+    a stack ``(S, M+1, N+1)``; another shape is refused by name.
 
     Built once per open :meth:`CarlemanWeights.shared_grids` block, so the
     quadrature requests of every sample at one sweep point share one time
     grid and one key, whose bytes are hashed once.
     """
+    mesh, T, shape = traj.mesh, traj.T, np.shape(traj.values)
+    if len(shape) != 2 + stack or shape[-1] != mesh.nodes.size:
+        want = "a stack (S, M+1, N+1)" if stack else "one trajectory (M+1, N+1)"
+        raise ValueError(f"the values must be {want}, N+1 = {mesh.nodes.size}; got shape {shape}")
     if abs(T - weights.T) > 1e-12 * max(1.0, weights.T):
         raise ValueError("trajectory and weights disagree on the horizon")
+    M = shape[-2] - 1
     key = (float(T), M, mesh.nodes.tobytes())
 
     def build():

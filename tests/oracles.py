@@ -7,7 +7,7 @@ live beside the tests that use them.
 
 import numpy as np
 
-from carleman_lab.carleman import CarlemanParams, WTransform
+from carleman_lab.carleman import WTransform
 from carleman_lab.control import _DualOperator
 from carleman_lab.pde_solver import (
     ProblemSpec,
@@ -59,10 +59,8 @@ def sine_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # -- one boundary term (reference for carleman.boundary_sign_terms) ---------------
-def boundary_sign_term(
-    wt: WTransform, weights: CarlemanWeights, params: CarlemanParams
-) -> tuple[float, float]:
-    """(term, scale): the discrete boundary flux term
+def boundary_sign_term(wt: WTransform, weights: CarlemanWeights, s: float) -> tuple[float, float]:
+    """(term, scale) at s and the lambda of ``weights``: the discrete boundary flux term
     -s * int (a^2 phi_x w_x^2) |_{x=0}^{x=1} dt from the whole conjugated
     field, and the sum of the magnitudes of its two ends.
 
@@ -72,7 +70,7 @@ def boundary_sign_term(
     """
     if abs(wt.T - weights.T) > 1e-12 * max(1.0, weights.T):
         raise ValueError("trajectory and weights disagree on the horizon")
-    s, lam = params.s, params.lam
+    lam = weights.lam
     xs = wt.mesh.nodes
     M = wt.w.shape[0] - 1
     ts = np.linspace(0.0, wt.T, M + 1)

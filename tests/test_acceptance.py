@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from carleman_lab.carleman import (
-    CarlemanParams,
     carleman_sweep,
     identity_residual,
     observability_ratio,
@@ -70,7 +69,7 @@ class TestAcceptance:
         # 3 fields x 2 coefficients x both boundary families; the relative
         # residual at resolution 256 is below 1e-3 and shrinks from 128
         T = 2.0
-        params = CarlemanParams(1.0, 1.0)
+        s = 1.0
         worst = 0.0
         all_ok = True
         lines = []
@@ -78,8 +77,8 @@ class TestAcceptance:
             wts = build_weights(make_power_coefficient(gamma), 1.0, T, 0.4, 0.6)
             for dirichlet in (True, False):
                 for f in standard_identity_fields(T, dirichlet):
-                    coarse = identity_residual(f, wts, params, 128)
-                    fine = identity_residual(f, wts, params, 256)
+                    coarse = identity_residual(f, wts, s, 128)
+                    fine = identity_residual(f, wts, s, 256)
                     ok = fine < 1e-3 and (fine < coarse or fine < 1e-4)
                     all_ok = all_ok and ok
                     worst = max(worst, fine)
@@ -91,7 +90,7 @@ class TestAcceptance:
         )
 
     def test_02_boundary_term_sign(self):
-        params = CarlemanParams(1.0, 1.0)
+        s = 1.0
         worst = math.inf
         for gamma in (0.5, 1.5):
             spec = spec_for(gamma, 128, 128, 2.0)
@@ -99,7 +98,7 @@ class TestAcceptance:
             vts = sample_fields(5, STREAM_TERMINAL, 50, spec.mesh.nodes)
             for i in range(50):
                 traj = solve_adjoint(spec, vts[i])
-                term, scale = boundary_sign_term(transform_to_w(traj, wts, params), wts, params)
+                term, scale = boundary_sign_term(transform_to_w(traj, wts, s), wts, s)
                 worst = min(worst, term / scale if scale > 0 else 0.0)
         report(
             worst >= -1e-8,

@@ -29,7 +29,6 @@ from numpy.polynomial import polynomial as P
 
 from carleman_lab import pde_solver, weights
 from carleman_lab.carleman import (
-    CarlemanParams,
     _grids,
     carleman_sides,
     identity_residual,
@@ -279,8 +278,8 @@ def ref_flux_laplacian(norms, u):
     return out
 
 
-def ref_transform_parts(v_traj, weights, params):
-    s, lam = params.s, params.lam
+def ref_transform_parts(v_traj, weights, s):
+    lam = weights.lam
     mesh = v_traj.mesh
     xs = mesh.nodes
     ts = v_traj.times
@@ -308,8 +307,8 @@ def ref_transform_parts(v_traj, weights, params):
     return w, l_plus, l_minus
 
 
-def ref_identity_residual(field, weights, params, resolution):
-    s, lam = params.s, params.lam
+def ref_identity_residual(field, weights, s, resolution):
+    lam = weights.lam
     T = weights.T
     ts, xs, tw, xw = _grids(weights, resolution)
     wv = np.asarray(field.w(ts[:, None], xs[None, :]), dtype=float)
@@ -642,9 +641,8 @@ class TestConjugatedOperator:
         spec = _spec(gamma)
         traj = solve_adjoint(spec, sample_fields(1, STREAM_TERMINAL, 1, spec.mesh.nodes)[0])
         weights = build_weights(spec.coef, 1.5, spec.T, 0.4, 0.6)
-        params = CarlemanParams(s, 1.5)
-        got = transform_to_w(traj, weights, params)
-        w, l_plus, l_minus = ref_transform_parts(traj, weights, params)
+        got = transform_to_w(traj, weights, s)
+        w, l_plus, l_minus = ref_transform_parts(traj, weights, s)
         assert same_bits(got.w, w)
         assert same_bits(got.l_plus, l_plus)
         assert same_bits(got.l_minus, l_minus)
@@ -653,10 +651,9 @@ class TestConjugatedOperator:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_identity_residual(self, gamma, s):
         weights = build_weights(make_power_coefficient(gamma), 1.5, 2.0, 0.4, 0.6)
-        params = CarlemanParams(s, 1.5)
         for field in standard_identity_fields(2.0, gamma < 1.0):
-            got = identity_residual(field, weights, params, 48)
-            assert same_bits(got, ref_identity_residual(field, weights, params, 48))
+            got = identity_residual(field, weights, s, 48)
+            assert same_bits(got, ref_identity_residual(field, weights, s, 48))
 
 
 # -- row-blocked grid kernels -----------------------------------------------------
@@ -743,7 +740,7 @@ class TestGridKernels:
         wts = build_weights(make_power_coefficient(1.5), 2.0, T_SWEEP, 0.05, 0.9)
         mesh = build_mesh(N, 2.0)
         vals = sample_fields(4, STREAM_TERMINAL, N + 1, mesh.nodes)
-        grid = weights._abscissae(mesh, T_SWEEP, N, wts)
+        grid = weights._abscissae(Trajectory(vals, mesh, T_SWEEP), wts)
         source = np.broadcast_to(vals[3], vals.shape)
         for s_rel in (1.0, 16.0):
             s = s_rel * stable_s0(wts)
@@ -802,11 +799,10 @@ class TestGridKernels:
         grid_bytes = vals.nbytes
 
         def point(s_rel):
-            params = CarlemanParams(s_rel * s0, 2.0)
             tracemalloc.start()
             try:
                 with wts.shared_grids():
-                    report = carleman_sides(traj, source, spec.omega, wts, params)
+                    report = carleman_sides(traj, source, spec.omega, wts, s_rel * s0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -817,8 +813,7 @@ class TestGridKernels:
         second, second_peak = point(2.0)
         assert first_peak > 6 * grid_bytes
         assert second_peak < grid_bytes
-        assert second == carleman_sides(traj, source, spec.omega, wts,
-                                        CarlemanParams(2.0 * s0, 2.0))
+        assert second == carleman_sides(traj, source, spec.omega, wts, 2.0 * s0)
 
     def test_held_grid_is_not_reused(self):
         wts = build_weights(make_power_coefficient(0.5), 2.0, T_SWEEP, 0.05, 0.9)

@@ -7,7 +7,6 @@ import pytest
 
 from carleman_lab import carleman
 from carleman_lab.carleman import (
-    CarlemanParams,
     CarlemanReport,
     _observability_energies,
     boundary_sign_terms,
@@ -52,19 +51,81 @@ def make_spec(gamma=0.5, N=64, M=48, T=2.0, omega=(0.3, 0.7)):
 
 
 class TestParams:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            CarlemanParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            CarlemanParams(1.0, -2.0)
+    """s is checked where the weight grids are built, and lambda where the
+    weights are built, which every kernel reads it from."""
 
-    @pytest.mark.parametrize("s, lam, name", [
-        (math.inf, 1.0, "s"), (math.nan, 1.0, "s"), (1.0, math.inf, "lambda"),
-        (1.0, math.nan, "lambda"),
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("kernel", ["weight_grid", "exp_s_phi_grid", "identity_residual"])
+    def test_rejects_s(self, kernel, s):
+        # exp_s_phi_grid once returned an all-zero grid at NaN, all-ones
+        # interior rows at 0 and inf with an overflow warning at -1
+        wts = build_weights(make_power_coefficient(1.0), 1.0, 2.0, 0.4, 0.6)
+        ts, xs = np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 9)
+        call = {
+            "weight_grid": lambda: wts.weight_grid(ts, xs, s, 1.0),
+            "exp_s_phi_grid": lambda: wts.exp_s_phi_grid(ts, xs, s),
+            "identity_residual": lambda: identity_residual(
+                standard_identity_fields(2.0, True)[0], wts, s, 8
+            ),
+        }[kernel]
+        with pytest.raises(ValueError, match=f"^s must be positive and finite, got {s}$"):
+            call()
+
+    @pytest.mark.parametrize("lam, msg", [
+        (-2.0, "lambda must be positive, got -2.0"),
+        (math.inf, "exp(3*lambda*sup psi) overflows double precision at lambda=inf"),
+        (math.nan, "lambda must be positive, got nan"),
     ])
-    def test_rejects_non_finite(self, s, lam, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            CarlemanParams(s, lam)
+    def test_rejects_lambda(self, lam, msg):
+        with pytest.raises(ValueError, match="^" + re.escape(msg) + "$"):
+            build_weights(make_power_coefficient(1.0), lam, 2.0, 0.4, 0.6)
+
+
+class TestTrajectoryRank:
+    """Each kernel names the trajectory shape it takes: one (M+1, N+1)
+    trajectory, or for the boundary terms a stack (S, M+1, N+1)."""
+
+    ONE = "the values must be one trajectory (M+1, N+1), N+1 = 17; got shape "
+    STACK = "the values must be a stack (S, M+1, N+1), N+1 = 17; got shape "
+
+    def _setup(self):
+        spec = make_spec(N=16, M=16)
+        wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
+        stack = solve_adjoint(spec, sample_fields(3, STREAM_TERMINAL, 2, spec.mesh.nodes))
+        return spec, wts, stack, Trajectory(stack.values[0], spec.mesh, spec.T)
+
+    def test_carleman_sides_refuses_a_stack(self):
+        # S - 1 was read as M: four zero sides and a degenerate report
+        spec, wts, stack, _ = self._setup()
+        with pytest.raises(ValueError, match=re.escape(self.ONE + "(2, 17, 17)")):
+            carleman_sides(stack, None, spec.omega, wts, 1.0)
+
+    def test_transform_to_w_refuses_a_stack(self):
+        # numpy's broadcast error, which named no shape the kernel takes
+        _, wts, stack, _ = self._setup()
+        with pytest.raises(ValueError, match=re.escape(self.ONE + "(2, 17, 17)")):
+            transform_to_w(stack, wts, 1.0)
+
+    def test_boundary_sign_terms_refuses_one_trajectory(self):
+        # an IndexError on the stack axis
+        _, wts, stack, one = self._setup()
+        with pytest.raises(ValueError, match=re.escape(self.STACK + "(17, 17)")):
+            boundary_sign_terms(one, wts, 1.0)
+        term, scale = boundary_sign_terms(stack, wts, 1.0)
+        assert term.shape == scale.shape == (2,)
+
+    def test_node_axis_must_match_the_mesh(self):
+        # boundary_sign_terms read the edge columns of a grid one node short
+        # and returned a term
+        spec, wts, stack, one = self._setup()
+        short = Trajectory(stack.values[..., :-1], spec.mesh, spec.T)
+        with pytest.raises(ValueError, match=re.escape(self.STACK + "(2, 17, 16)")):
+            boundary_sign_terms(short, wts, 1.0)
+        short = Trajectory(one.values[:, :-1], spec.mesh, spec.T)
+        with pytest.raises(ValueError, match=re.escape(self.ONE + "(17, 16)")):
+            carleman_sides(short, None, spec.omega, wts, 1.0)
+        with pytest.raises(ValueError, match=re.escape(self.ONE + "(17, 16)")):
+            transform_to_w(short, wts, 1.0)
 
 
 class TestIdentityResidual:
@@ -82,15 +143,15 @@ class TestIdentityResidual:
             w_xx=lambda t, x: 0.0 * (t + x),
             dirichlet_at_zero=True,
         )
-        assert identity_residual(zf, wts, CarlemanParams(1.0, 1.0), 32) == 0.0
+        assert identity_residual(zf, wts, 1.0, 32) == 0.0
 
     def test_decreases_under_refinement(self):
         # one representative case; the acceptance suite covers the cross
         wts = build_weights(make_power_coefficient(1.0), 1.0, 2.0, 0.4, 0.6)
         f = standard_identity_fields(2.0, True)[0]
-        params = CarlemanParams(1.0, 1.0)
-        r64 = identity_residual(f, wts, params, 64)
-        r128 = identity_residual(f, wts, params, 128)
+        s = 1.0
+        r64 = identity_residual(f, wts, s, 64)
+        r128 = identity_residual(f, wts, s, 128)
         assert r128 < r64
 
     def test_boundary_violating_field_rejected(self):
@@ -108,7 +169,7 @@ class TestIdentityResidual:
             dirichlet_at_zero=True,
         )
         with pytest.raises(ValueError, match="value condition"):
-            identity_residual(bad, wts, CarlemanParams(1.0, 1.0), 32)
+            identity_residual(bad, wts, 1.0, 32)
 
     def test_nonvanishing_time_endpoint_rejected(self):
         from carleman_lab.carleman import SpaceTimeField
@@ -123,17 +184,17 @@ class TestIdentityResidual:
             dirichlet_at_zero=True,
         )
         with pytest.raises(ValueError, match="time endpoints"):
-            identity_residual(bad, wts, CarlemanParams(1.0, 1.0), 32)
+            identity_residual(bad, wts, 1.0, 32)
 
     def test_needs_an_interior_time_level(self):
         # resolution 1 keeps only the two endpoint levels, where theta is
         # zero, so every term would vanish and the residual would read 0.0
         wts = build_weights(make_power_coefficient(1.0), 1.0, 2.0, 0.4, 0.6)
         f = standard_identity_fields(2.0, True)[0]
-        params = CarlemanParams(1.0, 1.0)
+        s = 1.0
         with pytest.raises(ValueError, match="resolution >= 2"):
-            identity_residual(f, wts, params, 1)
-        assert identity_residual(f, wts, params, 2) > 0.0
+            identity_residual(f, wts, s, 1)
+        assert identity_residual(f, wts, s, 2) > 0.0
 
     @pytest.mark.parametrize("T", [3e22, 1e40, 1e100])
     def test_envelope_overflow_names_T(self, T):
@@ -148,7 +209,7 @@ class TestIdentityResidual:
         f = standard_identity_fields(T, True)[0]
         msg = f"theta**3 overflows double precision at T={T:g}"
         with pytest.raises(ValueError, match="^" + re.escape(msg) + "$"):
-            identity_residual(f, wts, CarlemanParams(1.0, 1.0), 32)
+            identity_residual(f, wts, 1.0, 32)
 
 
 class TestTransform:
@@ -156,7 +217,7 @@ class TestTransform:
         spec = make_spec()
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
         traj = solve_adjoint(spec, np.zeros(spec.mesh.nodes.size))
-        wt = transform_to_w(traj, wts, CarlemanParams(1.0, 1.0))
+        wt = transform_to_w(traj, wts, 1.0)
         assert np.all(wt.w == 0.0)
         assert np.all(wt.l_plus == 0.0)
         assert np.all(wt.l_minus == 0.0)
@@ -166,7 +227,7 @@ class TestTransform:
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
         vt = np.sin(np.pi * spec.mesh.nodes)
         traj = solve_adjoint(spec, vt)
-        wt = transform_to_w(traj, wts, CarlemanParams(1.0, 1.0))
+        wt = transform_to_w(traj, wts, 1.0)
         assert np.all(wt.w[0] == 0.0)
         assert np.all(wt.w[-1] == 0.0)
 
@@ -175,9 +236,9 @@ class TestTransform:
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
         vt = np.sin(np.pi * spec.mesh.nodes)
         traj = solve_adjoint(spec, vt)
-        params = CarlemanParams(1.0, 1.0)
-        wt = transform_to_w(traj, wts, params)
-        E = wts.exp_s_phi_grid(traj.times, spec.mesh.nodes, params.s)
+        s = 1.0
+        wt = transform_to_w(traj, wts, s)
+        E = wts.exp_s_phi_grid(traj.times, spec.mesh.nodes, s)
         mask = E > 1e-250
         recovered = np.where(mask, wt.w / np.where(mask, E, 1.0), 0.0)
         assert np.allclose(recovered[mask], traj.values[mask], rtol=1e-12, atol=1e-300)
@@ -191,7 +252,7 @@ class TestTransform:
             wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
             vt = np.sin(np.pi * spec.mesh.nodes)
             traj = solve_adjoint(spec, vt)
-            wt = transform_to_w(traj, wts, CarlemanParams(1.0, 1.0))
+            wt = transform_to_w(traj, wts, 1.0)
             resid = wt.l_plus + wt.l_minus
             scale = np.max(np.abs(wt.w)) + 1e-300
             norms.append(np.sqrt(np.mean(resid**2)) / scale)
@@ -203,20 +264,20 @@ class TestBoundarySign:
         spec = make_spec()
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
         traj = solve_adjoint(spec, np.zeros(spec.mesh.nodes.size))
-        wt = transform_to_w(traj, wts, CarlemanParams(1.0, 1.0))
-        term, _ = boundary_sign_term(wt, wts, CarlemanParams(1.0, 1.0))
+        wt = transform_to_w(traj, wts, 1.0)
+        term, _ = boundary_sign_term(wt, wts, 1.0)
         assert term == 0.0
 
     @pytest.mark.parametrize("gamma", [0.5, 1.5])
     def test_nonnegative_over_draws(self, gamma):
         spec = make_spec(gamma=gamma, N=64, M=64)
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
-        params = CarlemanParams(1.0, 1.0)
+        s = 1.0
         vts = sample_fields(5, STREAM_TERMINAL, 8, spec.mesh.nodes)
         for i in range(8):
             traj = solve_adjoint(spec, vts[i])
-            wt = transform_to_w(traj, wts, params)
-            term, scale = boundary_sign_term(wt, wts, params)
+            wt = transform_to_w(traj, wts, s)
+            term, scale = boundary_sign_term(wt, wts, s)
             assert term >= -1e-8 * scale
 
 
@@ -230,16 +291,15 @@ class TestBoundarySignTerms:
     def test_stack_equals_the_per_sample_transform(self, gamma, s, M):
         spec = make_spec(gamma=gamma, N=40, M=M)
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
-        params = CarlemanParams(s, 1.0)
         vts = sample_fields(11, STREAM_TERMINAL, 5, spec.mesh.nodes)
         rows = _adjoint_march(spec, vts)
-        term, scale = boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
+        term, scale = boundary_sign_terms(Trajectory(rows, spec.mesh, spec.T), wts, s)
         assert term.shape == scale.shape == (5,)
         # no case compares terms that underflowed
         assert np.all(scale >= carleman.DEGENERATE_DENOMINATOR), scale
         for i, r in enumerate(rows):
-            wt = transform_to_w(Trajectory(r, spec.mesh, spec.T), wts, params)
-            assert (term[i], scale[i]) == boundary_sign_term(wt, wts, params)
+            wt = transform_to_w(Trajectory(r, spec.mesh, spec.T), wts, s)
+            assert (term[i], scale[i]) == boundary_sign_term(wt, wts, s)
 
     def test_transform_calls_replaced_by_one_weight(self, monkeypatch):
         # one exp(s*phi) grid for the whole stack, and no full transform
@@ -253,16 +313,17 @@ class TestBoundarySignTerms:
         monkeypatch.setattr(CarlemanWeights, "exp_s_phi_grid", counted)
         spec = make_spec(N=24, M=16)
         wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
-        rows = _adjoint_march(spec, sample_fields(2, STREAM_TERMINAL, 6, spec.mesh.nodes))
-        boundary_sign_terms(rows, spec.mesh, spec.T, wts, CarlemanParams(1.0, 1.0))
+        boundary_sign_terms(
+            solve_adjoint(spec, sample_fields(2, STREAM_TERMINAL, 6, spec.mesh.nodes)), wts, 1.0
+        )
         assert calls == [1.0]
 
 
-def _sides(spec, vt, f, wts, params):
+def _sides(spec, vt, f, wts, s):
     """carleman_sides of the backward solution from vt under the source f,
     one nodal row constant in time."""
     traj = solve_adjoint(spec, vt, F=f)
-    return carleman_sides(traj, f, spec.omega, wts, params)
+    return carleman_sides(traj, f, spec.omega, wts, s)
 
 
 class TestCarlemanSides:
@@ -274,7 +335,7 @@ class TestCarlemanSides:
             None,
             spec.omega,
             wts,
-            CarlemanParams(stable_s0(wts), 2.0),
+            stable_s0(wts),
         )
         assert rep.degenerate
         assert math.isnan(rep.ratio)
@@ -284,11 +345,11 @@ class TestCarlemanSides:
         # 2, leaving the ratio invariant
         spec = make_spec(N=48, M=48)
         wts = build_weights(spec.coef, 2.0, spec.T, 0.4, 0.6)
-        params = CarlemanParams(stable_s0(wts), 2.0)
+        s = stable_s0(wts)
         f_row = np.sin(2 * np.pi * spec.mesh.nodes)
         zero_vt = np.zeros(spec.mesh.nodes.size)
-        r1 = _sides(spec, zero_vt, f_row, wts, params)
-        r2 = _sides(spec, zero_vt, 2.0 * f_row, wts, params)
+        r1 = _sides(spec, zero_vt, f_row, wts, s)
+        r2 = _sides(spec, zero_vt, 2.0 * f_row, wts, s)
         assert r2.rhs_source == pytest.approx(4.0 * r1.rhs_source, rel=1e-12)
         assert r2.ratio == pytest.approx(r1.ratio, rel=1e-8)
 
@@ -298,9 +359,9 @@ class TestCarlemanSides:
         for N in (64, 128):
             spec = make_spec(N=N, M=N, T=10.0, omega=(0.02, 0.95))
             wts = build_weights(spec.coef, 2.0, spec.T, 0.05, 0.9)
-            params = CarlemanParams(stable_s0(wts), 2.0)
+            s = stable_s0(wts)
             vt = np.sin(np.pi * spec.mesh.nodes)
-            rep = _sides(spec, vt, np.sin(2 * np.pi * spec.mesh.nodes), wts, params)
+            rep = _sides(spec, vt, np.sin(2 * np.pi * spec.mesh.nodes), wts, s)
             assert math.isfinite(rep.ratio)
             vals.append(rep.ratio)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.10
@@ -314,10 +375,10 @@ class TestCarlemanSides:
         traj = solve_adjoint(spec, vt, F=f_row)
         tiled = Trajectory(np.tile(f_row, (traj.values.shape[0], 1)), spec.mesh, spec.T)
         for s_rel in (1.0, 16.0):
-            params = CarlemanParams(s_rel * stable_s0(wts), 2.0)
+            s = s_rel * stable_s0(wts)
             calls = [
-                lambda: _sides(spec, vt, f_row, wts, params),
-                lambda: carleman_sides(traj, f_row, spec.omega, wts, params),
+                lambda: _sides(spec, vt, f_row, wts, s),
+                lambda: carleman_sides(traj, f_row, spec.omega, wts, s),
             ]
             outside = [call() for call in calls]
             with wts.shared_grids():
@@ -326,7 +387,7 @@ class TestCarlemanSides:
             # the source row goes through the column sums of its grid: the
             # integral of the row tiled over the time levels
             assert outside[1].rhs_source == pytest.approx(
-                functionals.spacetime_weighted_integral(tiled, wts, params.s, 0.0, "v_sq"),
+                functionals.spacetime_weighted_integral(tiled, wts, s, 0.0, "v_sq"),
                 rel=1e-13, abs=0.0,
             )
             assert outside[0] == outside[1]
@@ -336,10 +397,10 @@ class TestCarlemanSides:
         spec = make_spec(N=24, M=16)
         wts = build_weights(spec.coef, 2.0, spec.T, 0.4, 0.6)
         traj = solve_adjoint(spec, np.sin(np.pi * spec.mesh.nodes))
-        params = CarlemanParams(stable_s0(wts), 2.0)
+        s = stable_s0(wts)
         for f in (spec.mesh.nodes[1:], np.ones((spec.time_steps, spec.mesh.nodes.size))):
             with pytest.raises(ValueError, match="one nodal row"):
-                carleman_sides(traj, f, spec.omega, wts, params)
+                carleman_sides(traj, f, spec.omega, wts, s)
 
     def test_two_dimensional_source_raises_by_name(self):
         # a source on the trajectory's time levels, tiled or broadcast, is not
@@ -347,13 +408,13 @@ class TestCarlemanSides:
         spec = make_spec(N=24, M=16)
         wts = build_weights(spec.coef, 2.0, spec.T, 0.4, 0.6)
         traj = solve_adjoint(spec, np.sin(np.pi * spec.mesh.nodes))
-        params = CarlemanParams(stable_s0(wts), 2.0)
+        s = stable_s0(wts)
         row = np.cos(spec.mesh.nodes)
         for f in (np.tile(row, (17, 1)), np.broadcast_to(row, (17, 25)), row[None]):
             with pytest.raises(ValueError, match=re.escape(
                 f"the source must be one nodal row (25,), constant in time; got shape {f.shape}"
             )):
-                carleman_sides(traj, f, spec.omega, wts, params)
+                carleman_sides(traj, f, spec.omega, wts, s)
 
 
 class TestSweep:
@@ -606,9 +667,10 @@ class TestSweep:
             want = weights._fold(wts.weight_grid(ts, mesh.nodes, s, k),
                                  trapezoid_time_weights(T, M),
                                  _clipped_node_quadrature(mesh.nodes, lo, hi), False)
+        traj = Trajectory(np.zeros((M + 1, mesh.nodes.size)), mesh, T)
         for shared in (False, True):
             with wts.shared_grids() if shared else contextlib.nullcontext():
-                grid = weights._abscissae(mesh, T, M, wts)
+                grid = weights._abscissae(traj, wts)
                 quad = weights._WeightedQuadrature(grid, wts, s, k, integrand, interval)
             assert (quad.rows, quad.cols) == want[:2]
             assert np.array_equal(quad.grid, want[2])
@@ -617,7 +679,8 @@ class TestSweep:
         # only the source, one nodal row, is constant in time
         spec = make_spec(N=24, M=16, T=10.0)
         wts = build_weights(spec.coef, 2.0, spec.T, 0.05, 0.9)
-        grid = weights._abscissae(spec.mesh, spec.T, 16, wts)
+        traj = solve_adjoint(spec, np.sin(np.pi * spec.mesh.nodes))
+        grid = weights._abscissae(traj, wts)
         with pytest.raises(ValueError, match="a time-constant quadrature integrates v_sq only"):
             weights._WeightedQuadrature(grid, wts, 1.0, 0.0, "a_vx_sq", time_constant=True)
 
@@ -633,17 +696,17 @@ class TestSweep:
 
         spec = make_spec(N=24, M=16, T=10.0, omega=(0.02, 0.95))
         wts = build_weights(spec.coef, 2.0, spec.T, 0.05, 0.9)
-        params = CarlemanParams(stable_s0(wts), 2.0)
+        s = stable_s0(wts)
         vt = np.sin(np.pi * spec.mesh.nodes)
         traj = solve_adjoint(spec, vt)
         monkeypatch.setattr(weights, "_Abscissae", counted)
         with wts.shared_grids():
-            grids = {id(weights._abscissae(spec.mesh, spec.T, 16, wts)) for _ in range(3)}
+            grids = {id(weights._abscissae(traj, wts)) for _ in range(3)}
             for _ in range(4):
-                carleman_sides(traj, None, spec.omega, wts, params)
+                carleman_sides(traj, None, spec.omega, wts, s)
         assert len(grids) == 1 and len(built) == 1
         built.clear()
-        carleman_sides(traj, None, spec.omega, wts, params)
+        carleman_sides(traj, None, spec.omega, wts, s)
         assert len(built) == 1
 
     def test_non_finite_ratio_is_not_valid(self):
@@ -683,18 +746,18 @@ class TestHorizonCheck:
     @pytest.mark.parametrize("check", ["transform_to_w", "boundary_sign_term", "boundary_sign_terms"])
     def test_rejects_another_horizon(self, check):
         spec = make_spec(N=32, M=32, T=2.0)
-        params = CarlemanParams(1.0, 1.0)
+        s = 1.0
         wts = build_weights(spec.coef, 1.0, 1.0, 0.4, 0.6)
         rows = _adjoint_march(spec, sample_fields(0, STREAM_TERMINAL, 2, spec.mesh.nodes))
         traj = Trajectory(rows[0], spec.mesh, spec.T)
         with pytest.raises(ValueError, match="trajectory and weights disagree on the horizon"):
             if check == "transform_to_w":
-                transform_to_w(traj, wts, params)
+                transform_to_w(traj, wts, s)
             elif check == "boundary_sign_term":
                 own = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
-                boundary_sign_term(transform_to_w(traj, own, params), wts, params)
+                boundary_sign_term(transform_to_w(traj, own, s), wts, s)
             else:
-                boundary_sign_terms(rows, spec.mesh, spec.T, wts, params)
+                boundary_sign_terms(Trajectory(rows, spec.mesh, spec.T), wts, s)
 
 
 class TestObservability:

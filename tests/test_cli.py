@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from carleman_lab.carleman import (
-    CarlemanParams,
     _observability_energies,
     transform_to_w,
 )
@@ -1397,6 +1396,23 @@ def test_extreme_horizon_fails_by_name_before_numpy_warns(tmp_path, capsys, name
     assert lines.splitlines()[-1] == line
 
 
+def test_overflowing_weight_fails_by_name_before_numpy_warns(tmp_path):
+    # at T = 1e-30 and s = 1e-300 the exponent 2*s*theta*(eta - c3) is tiny
+    # but sigma**(5/3) exceeds the largest double: np.exp warned twice and
+    # the run failed on its valid-sample invariant without naming the cause
+    cfg = json.loads((CONFIGS[0].parent / "carleman_sweep_strong.json").read_text(encoding="utf-8"))
+    cfg.update(mesh_n=16, T=1e-30, time_steps=12, n_samples=2, s_grid=[1e-300],
+               s_relative=False, lambda_grid=[1])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert (out / "run.log").read_text().splitlines()[-1] == (
+        "error: the weight exp(2*s*phi)*sigma**k overflows double precision "
+        "at s=1e-300, lambda=1, k=1.66667"
+    )
+
+
 def test_growing_problem_fails_the_cg_check(tmp_path):
     # a potential inside the diagonal-dominance bound that makes the free
     # terminal state about 6e23 large: a stopping rule relative to that norm
@@ -1446,12 +1462,9 @@ def test_lemma_sign_terms_match_per_sample(tmp_path):
     # reference: one solve_adjoint per draw
     spec = _gamma_spec(1.0, 40, 2.0, (0.3, 0.7))
     wts = build_weights(spec.coef, 1.0, spec.T, 0.4, 0.6)
-    params = CarlemanParams(1.0, 1.0)
     ref = []
     for vt in sample_fields(5, STREAM_TERMINAL, 4, spec.mesh.nodes):
-        ref.append(
-            boundary_sign_term(transform_to_w(solve_adjoint(spec, vt), wts, params), wts, params)
-        )
+        ref.append(boundary_sign_term(transform_to_w(solve_adjoint(spec, vt), wts, 1.0), wts, 1.0))
     assert got == ref
 
 

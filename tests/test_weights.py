@@ -304,6 +304,29 @@ class TestWeightEvaluation:
                         wts.weight_grid(ts, xs, s, k)
                 assert not wts.weight_grid(ts, xs, float(edge), k).any()
 
+    def test_overflowing_weight_is_named(self):
+        # at a small s the exponent 2*s*theta*(eta - c3) is tiny, but
+        # k*log(sigma) passes the log of the largest double: an error naming
+        # s, lambda and k, with no warning first.  The largest k that builds
+        # reaches the largest double, so no weight that fits is refused.
+        wts = build_weights(make_power_coefficient(1.5), 1.0, 1.0, 0.4, 0.6)
+        ts, xs = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 17)
+        msg = "the weight exp(2*s*phi)*sigma**k overflows double precision at s=0.001, lambda=1, k="
+        lo, hi = 0.0, 1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            while np.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                try:
+                    wts.weight_grid(ts, xs, 1e-3, mid)
+                    lo = mid
+                except ValueError as err:
+                    assert str(err) == msg + f"{mid:g}"
+                    hi = mid
+            grid = wts.weight_grid(ts, xs, 1e-3, lo)
+        assert 0.0 < lo < hi < 1000.0
+        assert np.isfinite(grid).all() and grid.max() > 1e308
+
     def test_shared_keeps_one_value_per_key(self, weights):
         builds = []
 

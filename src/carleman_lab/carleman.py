@@ -84,14 +84,17 @@ def carleman_sides(
 ) -> CarlemanReport:
     """The four weighted integrals of a backward solution v and its source f.
 
-    ``traj`` is v, one trajectory ``(M+1, N+1)`` marched by the caller, and
+    ``traj`` is v, one trajectory ``(M+1, N+1)`` marched by the caller, or a
+    window of its levels that holds every level on which the four weights
+    can be nonzero (as ``carleman_sweep`` passes), with the same sides; and
     ``source`` is f, constant in time: one nodal row ``(N+1,)``, or None for
     no source.  The left side carries (s*lam)*sigma on the gradient and
     (s*lam)**q * sigma**q (q = 5/3 by default) on the zero-order term; the
     right side carries the plain weighted source plus (s*lam)**3 * sigma**3
     localized on the control region ``omega``.
     """
-    grid = (_abscissae(traj, weights), weights, s)
+    abscissae = _abscissae(traj, weights)
+    grid = (abscissae, weights, s)
     if source is not None and np.shape(source) != traj.values.shape[1:]:
         raise ValueError(
             f"the source must be one nodal row {traj.values.shape[1:]}, constant in time; "
@@ -103,7 +106,7 @@ def carleman_sides(
     grad = _WeightedQuadrature(*grid, 1.0, "a_vx_sq")
     zero = _WeightedQuadrature(*grid, q, "v_sq")
     local = _WeightedQuadrature(*grid, 3.0, "v_sq", omega)
-    grad_sum, zero_sum, local_sum = _integrals(traj.values, (grad, zero, local))
+    grad_sum, zero_sum, local_sum = _integrals(traj.values, (grad, zero, local), abscissae.first)
     lhs_grad = sl * grad_sum
     lhs_zero = _power(sl, q, "(s*lambda)", at) * zero_sum
     # the column sums of the source's folded grid against its one row
@@ -189,9 +192,20 @@ def carleman_sweep(
     not depend on lambda, so one is built for the whole sweep.  Conversely
     the weight grids do not depend on the sample, so each (s, lambda) point
     builds its four grids once and shares them across the samples'
-    ``carleman_sides`` calls.  Degenerate samples and non-finite ratios are
-    excluded from the per-point statistics; ``empirical_C`` is NaN when
-    every sample at every point is excluded.
+    ``carleman_sides`` calls.
+
+    The time blow-up of the weights flushes whole step levels near t = 0
+    and t = T to zero, and a level that no weight of a point can see adds
+    nothing to its integrals.  So each point has a window, the consecutive
+    levels of its weights' :meth:`~CarlemanWeights.visible_rows`; the march
+    keeps only the hull of the windows, and each point's ``carleman_sides``
+    calls and grids see only its own window, with the bits of the whole
+    trajectory.  One lambda's weights, and their grid pool, are dropped
+    before the next lambda's grids are built.
+
+    Degenerate samples and non-finite ratios are excluded from the
+    per-point statistics; ``empirical_C`` is NaN when every sample at every
+    point is excluded.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -203,29 +217,53 @@ def carleman_sweep(
     nodes = spec.mesh.nodes
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, nodes)
     f_fields = sample_fields(seed, STREAM_SOURCE, n_samples, nodes)
+    # the step matrices first, so that their refusals precede the weights'
+    st = _Stepper(spec)
 
-    v_rows = _adjoint_march(spec, vt_fields, f_fields)
-    trajectories = [Trajectory(r, spec.mesh, spec.T) for r in v_rows]
-
+    # per lambda its weights, per point its s and its window: the step
+    # levels on which any of the four weights of its carleman_sides calls
+    # can be nonzero
+    M, q = spec.time_steps, zero_order_exponent
+    ts, faces = np.linspace(0.0, spec.T, M + 1), spec.mesh.faces
     n_points = len(lambda_grid) * len(s_grid)
     point = np.empty((3, n_points))  # s, lambda and s0 of each point
-    sides = np.empty((len(_SIDES), n_points, n_samples))
-    degenerate = np.empty((n_points, n_samples), dtype=bool)
+    bundles, s_values, windows = [], [], []
     psi = PsiFunction(spec.coef, omega_prime[0], omega_prime[1], bridge_degree)
-    for m, lam in enumerate(lambda_grid):
+    for lam in lambda_grid:
         wts = CarlemanWeights(psi, lam, spec.T)
         s0 = stable_s0(wts)
-        for j, s_entry in enumerate(s_grid):
+        bundles.append(wts)
+        for s_entry in s_grid:
             s = s_entry * s0 if s_relative else s_entry
             if not math.isfinite(s):
                 raise ValueError(
                     f"s = s_grid entry {s_entry:g} * s0 {s0:g} overflows double precision "
                     f"at lambda={lam:g}"
                 )
-            p = m * len(s_grid) + j
-            point[:, p] = s, lam, s0
+            point[:, len(s_values)] = s, lam, s0
+            s_values.append(s)
+            seen = np.concatenate([wts.visible_rows(ts, xs, s, k) for xs, k in
+                                   ((faces, 1.0), (nodes, q), (nodes, 3.0), (nodes, 0.0))])
+            windows.append(range(seen.min(), seen.max() + 1) if seen.size else range(0))
+    # the march keeps the hull of the windows, and an empty window sits at its start
+    seen = [w for w in windows if w]
+    hull = range(min(w.start for w in seen), max(w.stop for w in seen)) if seen else range(0)
+    windows = [w if w else range(hull.start, hull.start) for w in windows]
+    v_rows = _adjoint_march(spec, vt_fields, f_fields, stepper=st, levels=hull)
+    if v_rows is None:
+        v_rows = np.empty((n_samples, 0, nodes.size))
+
+    sides = np.empty((len(_SIDES), n_points, n_samples))
+    degenerate = np.empty((n_points, n_samples), dtype=bool)
+    for m in range(len(lambda_grid)):
+        # a lambda's weights, and with them its grid pool, go before the next one's
+        wts, bundles[m] = bundles[m], None
+        for p in range(m * len(s_grid), (m + 1) * len(s_grid)):
+            s, window = s_values[p], windows[p]
+            cut = slice(window.start - hull.start, window.stop - hull.start)
             with wts.shared_grids():
-                for i, (traj, f) in enumerate(zip(trajectories, f_fields)):
+                for i, f in enumerate(f_fields):
+                    traj = Trajectory(v_rows[i, cut], spec.mesh, spec.T, window.start, M)
                     rep = carleman_sides(traj, f, spec.omega, wts, s, zero_order_exponent)
                     sides[:, p, i] = (
                         rep.lhs_grad, rep.lhs_zero, rep.rhs_source, rep.rhs_local, rep.ratio

@@ -63,7 +63,7 @@ class _DualOperator:
         profiles, marched into the block this operator keeps and set to +0.0
         off the control-region nodes in place."""
         _adjoint_march(
-            self.spec, self.op.embed(v_unknown), stepper=self.stepper, keep_rows=False,
+            self.spec, self.op.embed(v_unknown), stepper=self.stepper, levels=range(0),
             pairing_out=self._pairing,
         )
         np.copyto(self._pairing, 0.0, where=self._outside)

@@ -245,15 +245,29 @@ class ProblemSpec:
 
 @dataclass
 class Trajectory:
-    """Space-time field on the uniform step grid, boundary rows included."""
+    """Space-time field on the uniform grid of the M + 1 step levels of
+    [0, T], boundary rows included.
+
+    ``values`` holds all M + 1 levels by default, and M is read off its
+    shape.  A window holds only the consecutive levels ``first``,
+    ``first + 1``, ... of a march of M steps, and carries both numbers:
+    ``carleman_sweep`` keeps only the levels on which its weights can be
+    nonzero and hands each sample's window to ``carleman_sides``.
+    """
 
     values: np.ndarray  # (M+1, N+1), or (S, M+1, N+1) for a stack of samples
     mesh: Mesh
     T: float
+    first: int = 0  # the step level of the first row of values
+    M: Optional[int] = None  # the steps of the horizon; None: all levels are rows
+
+    def __post_init__(self):
+        if self.M is None and np.ndim(self.values) >= 2:
+            self.M = self.first + np.shape(self.values)[-2] - 1
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.values.shape[-2])
+        return np.linspace(0.0, self.T, self.M + 1)[self.first : self.first + self.values.shape[-2]]
 
 
 class DiffusionOperator:
@@ -617,7 +631,7 @@ class _Stepper:
         _require_finite(state, self.spec, None if load is None else "the control or source")
         return state
 
-    def backward(self, v: np.ndarray, source=None, pairing=None, rows=None) -> None:
+    def backward(self, v: np.ndarray, source=None, pairing=None, rows=None, first=0) -> None:
         """Transposed march from terminal data v.
 
         ``source`` is None or the rows of a source constant in time on the
@@ -626,8 +640,9 @@ class _Stepper:
         tau_j*L_j^{-1}(W*source) is subtracted (raw tau*W*source leaves a
         first-order residue on stiff source modes, the L-solve restores the
         scheme's order), computed once per distinct L.  ``pairing[j]``
-        receives the profile that pairs with substep-j forcing; ``rows``
-        receives the state at every step start m = M-1..0.
+        receives the profile that pairs with substep-j forcing; row m - first
+        of ``rows`` receives the state at step start m, for each m < M that
+        it has a row for.
         """
         W = self.op.weights
         if source is not None:
@@ -649,7 +664,8 @@ class _Stepper:
                     dep = deposits[self.factor_of[j]] = self.tau_w[j] * self.solve_L(j, WF)
                 np.subtract(z, dep, out=z)
             if rows is not None and (j == 0 or self.closes[j - 1]):
-                rows[..., m, self.cols] = z / W
+                if 0 <= m - first < rows.shape[-2]:
+                    np.divide(z, W, out=rows[..., m - first, self.cols])
                 m -= 1
         _require_finite(z, self.spec, None if source is None else "the source")
 
@@ -699,19 +715,23 @@ def _adjoint_march(
     v_T: np.ndarray,
     F=None,
     stepper: Optional[_Stepper] = None,
-    keep_rows=True,
+    levels: Optional[range] = None,
     pairing_out=None,
 ):
     """Backward recursion that is the exact measure-weighted transpose of the
-    forward step map.  Returns the nodal state at every step, or None
-    unless ``keep_rows``; ``pairing_out``, a ``(J,) + v.shape`` array of the
-    caller's or None, receives pairing[j], the profile that multiplies
-    substep-j sources in the duality sum.
+    forward step map.  Returns the nodal state at the step levels
+    ``levels``, a range of consecutive levels in 0..M (None: all M + 1; an
+    empty range keeps none and returns None); ``pairing_out``, a
+    ``(J,) + v.shape`` array of the caller's or None, receives pairing[j],
+    the profile that multiplies substep-j sources in the duality sum.  The
+    march runs the whole horizon whatever it keeps: ``carleman_sweep`` keeps
+    the window of levels its weights can see, the Gram operator none.
 
-    ``v_T`` is one nodal vector, giving ``(M+1, N+1)`` rows, or an ``(S, N+1)``
-    stack of samples marched together, giving ``(S, M+1, N+1)`` rows.  ``F``
-    is a source constant in time: one nodal row ``(N+1,)`` shared by every
-    sample, or one per sample in ``v_T``'s shape.
+    ``v_T`` is one nodal vector, giving ``(len(levels), N+1)`` rows, or an
+    ``(S, N+1)`` stack of samples marched together, giving
+    ``(S, len(levels), N+1)`` rows.  ``F`` is a source constant in time: one
+    nodal row ``(N+1,)`` shared by every sample, or one per sample in
+    ``v_T``'s shape.
     """
     st = stepper if stepper is not None else _Stepper(spec)
     v = st.op.restrict(v_T)
@@ -721,11 +741,13 @@ def _adjoint_march(
     _require_shape("the adjoint source F", F, (row, per_sample),
                    f"one nodal row {row} or one per sample {per_sample}, constant in time")
     M = spec.time_steps
+    levels = range(M + 1) if levels is None else levels
     rows = None
-    if keep_rows:
-        rows = np.zeros(v.shape[:-1] + (M + 1, spec.mesh.nodes.size))
-        rows[..., M, st.cols] = v
-    st.backward(v, None if F is None else st.op.restrict(F), pairing_out, rows)
+    if len(levels):
+        rows = np.zeros(v.shape[:-1] + (len(levels), spec.mesh.nodes.size))
+        if levels.stop == M + 1:
+            rows[..., -1, st.cols] = v
+    st.backward(v, None if F is None else st.op.restrict(F), pairing_out, rows, levels.start)
     return rows
 
 
@@ -825,7 +847,13 @@ _BIN_HEADER = struct.Struct("<qqd")
 
 
 def trajectory_to_binary(traj: Trajectory, path) -> None:
-    """Header (int64 N, int64 M, float64 T) then row-major doubles."""
+    """Header (int64 N, int64 M, float64 T) then row-major doubles.  N and M
+    are read off the shape, so a window of levels is refused by name."""
+    if traj.first != 0 or traj.values.shape[0] != traj.M + 1:
+        raise ValueError(
+            f"a binary trajectory holds all {traj.M + 1} step levels; got a window of "
+            f"{traj.values.shape[-2]} from level {traj.first}"
+        )
     M = traj.values.shape[0] - 1
     N = traj.values.shape[1] - 1
     with open(path, "wb") as fh:

@@ -371,6 +371,15 @@ def _check_s(s: float) -> None:
         raise ValueError(f"s must be positive and finite, got {s}")
 
 
+def _grid_args(ts, xs, s: float, k: float) -> tuple:
+    """(ts, xs) as 1-d float arrays, after refusing by name an s that is not
+    positive and finite or a negative k."""
+    _check_s(s)
+    if k < 0.0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return np.atleast_1d(np.asarray(ts, dtype=float)), np.atleast_1d(np.asarray(xs, dtype=float))
+
+
 class CarlemanWeights:
     """Weight bundle for fixed profile, lambda and horizon.
 
@@ -411,11 +420,7 @@ class CarlemanWeights:
         Rows with t in {0, T} are exactly zero (the limit of the product), and
         exponents below -700 flush to zero.
         """
-        _check_s(s)
-        if k < 0.0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        ts, xs = _grid_args(ts, xs, s, k)
         return self._memo(
             ("weight", float(s), float(k), ts.tobytes(), xs.tobytes()),
             lambda: self._build_grid(ts, xs, s, k),
@@ -473,22 +478,28 @@ class CarlemanWeights:
                 value.flags.writeable = False
         return value
 
-    def _build_grid(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> np.ndarray:
-        """exp(2*s*phi + k*log(sigma)) in :meth:`_grid_buffer` memory, built in
-        row blocks with the operations, and so the bits, of
-        exp(2*s*outer(theta, eta - c3) + k*log(sigma)) clamped at -700.
+    def visible_rows(self, ts, xs, s: float, k: float) -> np.ndarray:
+        """The indices into ts of the rows on which :meth:`weight_grid` of
+        (ts, xs, s, k) can be nonzero, after the same refusals: the rows it
+        builds.  Every other row of that grid is exactly zero."""
+        return self._visible(*_grid_args(ts, xs, s, k), s, k)[0]
+
+    def _visible(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> tuple:
+        """(rows, live, factors): the grid rows that may be nonzero, their
+        positions among the interior rows (t in (0, T)) and the factors the
+        build forms them from, (theta, eta - c3, -4*log(g), log(eta)) on the
+        interior rows and the columns (None for the logs at k = 0; no
+        factors when no row is interior).
 
         A row whose largest exponent lies below the clamp (less a unit
-        margin) is zero and is not built, and one whose exponential overflows
-        is refused by name.  That exponent comes from the same rounded
-        operations on the row's largest space factors, eta's largest entry
-        and so eta - c3's; rounding is monotone, so it is exact.
+        margin) is zero, and one whose exponential overflows is refused by
+        name.  That exponent comes from the same rounded operations on the
+        row's largest space factors, eta's largest entry and so eta - c3's;
+        rounding is monotone, so it is exact.
         """
-        out = self._grid_buffer((ts.size, xs.size))
         rows = np.flatnonzero((ts > 0.0) & (ts < self.T))
         if rows.size == 0:
-            out[...] = 0.0
-            return out
+            return rows, rows, None
         ti = ts[rows]
         # g stays here rather than coming from time_factor: k*log(sigma) adds
         # -4*log(g), which rounds differently from log(g**-4)
@@ -509,6 +520,7 @@ class CarlemanWeights:
             )
         theta = g**-4
         top = theta * em.max() * two_s
+        log_g = log_eta = None
         if k > 0.0:
             log_g = -4.0 * np.log(g)
             log_eta = np.log(eta)
@@ -520,9 +532,23 @@ class CarlemanWeights:
                     f"the weight exp(2*s*phi)*sigma**k overflows double precision "
                     f"at s={s:g}, lambda={self.lam:g}, k={k:g}"
                 ) from None
-        # positions in theta of the rows to build, and their grid rows
         live = (~(top < UNDERFLOW_EXPONENT - 1.0)).nonzero()[0]
-        rows = rows[live]
+        return rows[live], live, (theta, em, log_g, log_eta)
+
+    def _build_grid(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> np.ndarray:
+        """exp(2*s*phi + k*log(sigma)) in :meth:`_grid_buffer` memory, built in
+        row blocks with the operations, and so the bits, of
+        exp(2*s*outer(theta, eta - c3) + k*log(sigma)) clamped at -700, on
+        the rows of :meth:`_visible`; the others are zero.
+        """
+        out = self._grid_buffer((ts.size, xs.size))
+        # the grid rows to build, and their positions in theta
+        rows, live, factors = self._visible(ts, xs, s, k)
+        if factors is None:
+            out[...] = 0.0
+            return out
+        theta, em, log_g, log_eta = factors
+        two_s = 2.0 * s
         step = block_rows(xs.size)
         mask = np.empty((min(step, rows.size), xs.size), dtype=bool)
         if k > 0.0:
@@ -661,20 +687,24 @@ def build_weights(
 
 class _Abscissae(NamedTuple):
     """The time levels and their trapezoid weights, the nodes and the faces
-    of a trajectory grid, and ``key``, the hashable part of every quadrature
-    key on it."""
+    of a trajectory grid, the step level ``first`` of its first time row,
+    and ``key``, the hashable part of every quadrature key on it."""
 
     mesh: object
     ts: np.ndarray
     tw: np.ndarray
     faces: np.ndarray
+    first: int
     key: tuple
 
 
 def _abscissae(traj, weights: CarlemanWeights, stack: bool = False) -> _Abscissae:
     """The abscissae of the trajectory grid of ``traj`` on [0, T], the
     horizon of ``weights``: one trajectory ``(M+1, N+1)``, or with ``stack``
-    a stack ``(S, M+1, N+1)``; another shape is refused by name.
+    a stack ``(S, M+1, N+1)``; another shape is refused by name.  The time
+    levels and their weights are those of the whole horizon cut to the
+    trajectory's window of levels (see :class:`~carleman_lab.pde_solver.Trajectory`),
+    so a window's weights are bit for bit the whole trajectory's.
 
     Built once per open :meth:`CarlemanWeights.shared_grids` block, so the
     quadrature requests of every sample at one sweep point share one time
@@ -686,15 +716,17 @@ def _abscissae(traj, weights: CarlemanWeights, stack: bool = False) -> _Abscissa
         raise ValueError(f"the values must be {want}, N+1 = {mesh.nodes.size}; got shape {shape}")
     if abs(T - weights.T) > 1e-12 * max(1.0, weights.T):
         raise ValueError("trajectory and weights disagree on the horizon")
-    M = shape[-2] - 1
-    key = (float(T), M, mesh.nodes.tobytes())
+    M, first, stop = traj.M, traj.first, traj.first + shape[-2]
+    if not 0 <= first <= stop <= M + 1:
+        raise ValueError(f"the rows must be step levels within 0..{M}; got {first}..{stop - 1}")
+    key = (float(T), M, first, stop, mesh.nodes.tobytes())
 
     def build():
-        ts = np.linspace(0.0, T, M + 1)
-        tw = trapezoid_time_weights(T, M)
+        ts = np.linspace(0.0, T, M + 1)[first:stop]
+        tw = trapezoid_time_weights(T, M)[first:stop]
         faces = mesh.faces
         ts.flags.writeable = tw.flags.writeable = faces.flags.writeable = False
-        return _Abscissae(mesh, ts, tw, faces, key)
+        return _Abscissae(mesh, ts, tw, faces, first, key)
 
     return weights._memo(("abscissae",) + key, build)
 
@@ -740,6 +772,7 @@ class _WeightedQuadrature:
             raise ValueError("a time-constant quadrature integrates v_sq only")
         self.integrand = integrand
         self.time_constant = time_constant
+        self.first = grid.first
         wgrid = weights.weight_grid(grid.ts, grid.faces if faces else nodes, s, k)
 
         def fold():
@@ -755,20 +788,22 @@ class _WeightedQuadrature:
         self.rows, self.cols, self.grid = weights._memo(key, fold)
 
     def integral(self, vals) -> float:
-        return _integrals(vals, (self,))[0]
+        return _integrals(vals, (self,), self.first)[0]
 
 
-def _integrals(vals, quads) -> list:
+def _integrals(vals, quads, first: int = 0) -> list:
     """sum(G*u*u) over the box of each of ``quads`` against one field's values.
 
     The plane quadratures are integrated in one pass over row blocks of
     ``vals``: per block, the values are squared once for all ``v_sq``
     quadratures and the face differences once for all ``a_vx_sq`` ones, and
     each folded grid meets its squares in one two-operand contraction; the
-    block sums add up in row order.  Blocks start at multiples of one block
-    height and the squares span every column, so each integral has the same
-    bits whichever quadratures share the pass.  A time-constant quadrature
-    integrates the first row's nodal values alone, as the sum of G*u*u.
+    block sums add up in row order.  Blocks start at step levels that are
+    multiples of one block height, the first row of ``vals`` being level
+    ``first``, and the squares span every column, so each integral has the
+    same bits whichever quadratures share the pass and whichever window of
+    levels holds the box.  A time-constant quadrature integrates the first
+    row's nodal values alone, as the sum of G*u*u.
     """
     vals = np.asarray(vals, dtype=float)
     sums = [0.0] * len(quads)
@@ -790,10 +825,11 @@ def _integrals(vals, quads) -> list:
         return sums
     n_cols = vals.shape[1]
     step = block_rows(n_cols)
-    first = min(span[0] for span in spans.values()) // step * step
+    # the first block's start, as a row of vals
+    start = (min(span[0] for span in spans.values()) + first) // step * step - first
     last = max(span[1] for span in spans.values())
-    scratch = np.empty(min(step, last - first) * n_cols)
-    for b0 in range(first, last, step):
+    scratch = np.empty(min(step, last - start) * n_cols)
+    for b0 in range(start, last, step):
         b1 = b0 + step
         for faces, (r0, r1, *group) in spans.items():
             a, b = max(b0, r0), min(b1, r1)

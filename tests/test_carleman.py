@@ -1,6 +1,8 @@
 import contextlib
+import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -736,6 +738,115 @@ class TestSweep:
                 s_relative=True, zero_order_exponent=2.0,
             )
             assert np.isfinite(res.table["ratio"]).all()
+
+
+class TestSweepWindows:
+    """The sweep marches the whole horizon but keeps, and weighs, only the
+    step levels its weights can see, with the bits of whole trajectories."""
+
+    OMEGA_PRIME = (0.05, 0.9)
+
+    def _window(self, spec, s_grid, lambda_grid, s_relative):
+        # the hull of the visible rows of every request of every point
+        ts = np.linspace(0.0, spec.T, spec.time_steps + 1)
+        mesh, seen = spec.mesh, []
+        for lam in lambda_grid:
+            wts = build_weights(spec.coef, lam, spec.T, *self.OMEGA_PRIME)
+            for s in s_grid:
+                s = s * stable_s0(wts) if s_relative else s
+                for xs, k in ((mesh.faces, 1.0), (mesh.nodes, 5.0 / 3.0), (mesh.nodes, 3.0),
+                              (mesh.nodes, 0.0)):
+                    seen.extend(wts.visible_rows(ts, xs, s, k).tolist())
+        return range(min(seen), max(seen) + 1) if seen else range(0)
+
+    @pytest.mark.parametrize("gamma, N, M, T, s_grid, lambda_grid, s_relative", [
+        # a block is 63 rows at N = 512 and the window starts at level 54
+        (1.5, 512, 512, 10.0, [1.0, 16.0], [2.0, 4.0], True),
+        # the levels of T = 0.7 are not palindromic, and (s, lambda) =
+        # (0.1, 2) sees no level at all
+        (0.5, 32, 33, 0.7, [1e-3, 1e-2, 0.1], [1.0, 2.0], False),
+    ], ids=["N512", "T0.7_M33"])
+    def test_sweep_matches_per_sample_sides_on_whole_trajectories(
+            self, gamma, N, M, T, s_grid, lambda_grid, s_relative):
+        spec = make_spec(gamma=gamma, N=N, M=M, T=T, omega=(0.02, 0.95))
+        window = self._window(spec, s_grid, lambda_grid, s_relative)
+        step = weights.block_rows(N + 1)
+        assert 0 < window.start and window.start % step and window.stop < M + 1
+        n, seed = 2, 6
+        res = carleman_sweep(spec, n, s_grid, lambda_grid, seed, omega_prime=self.OMEGA_PRIME,
+                             s_relative=s_relative)
+        vts = sample_fields(seed, STREAM_TERMINAL, n, spec.mesh.nodes)
+        fs = sample_fields(seed, STREAM_SOURCE, n, spec.mesh.nodes)
+        vals = _adjoint_march(spec, vts, fs)
+        want = []
+        for lam in lambda_grid:
+            wts = build_weights(spec.coef, lam, spec.T, *self.OMEGA_PRIME)
+            for s in s_grid:
+                s = s * stable_s0(wts) if s_relative else s
+                for v, f in zip(vals, fs):
+                    rep = carleman_sides(Trajectory(v, spec.mesh, spec.T), f, spec.omega, wts, s)
+                    want.append([rep.lhs_grad, rep.lhs_zero, rep.rhs_source, rep.rhs_local,
+                                 rep.ratio])
+        got = np.array([res.table[key] for key in carleman._SIDES]).T
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_march_keeps_only_the_visible_rows(self, monkeypatch):
+        # the (S, M+1, N+1) block of every level was the sweep's largest array
+        spec = make_spec(gamma=1.5, N=256, M=256, T=10.0, omega=(0.02, 0.95))
+        s_grid, lambda_grid, n = [1.0, 2.0, 4.0, 8.0, 16.0], [2.0, 4.0], 20
+        window = self._window(spec, s_grid, lambda_grid, True)
+        kept = []
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                rows = _adjoint_march(*args, **kwargs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            kept.append((rows.shape, peak))
+            return rows
+
+        monkeypatch.setattr(carleman, "_adjoint_march", traced)
+        carleman_sweep(spec, n, s_grid, lambda_grid, seed=3, omega_prime=self.OMEGA_PRIME,
+                       s_relative=True)
+        ((shape, peak),) = kept
+        assert shape == (n, len(window), 257)
+        window_bytes, full_bytes = n * len(window) * 257 * 8, n * 257 * 257 * 8
+        assert window_bytes < 0.8 * full_bytes
+        assert peak < window_bytes + (full_bytes - window_bytes) / 2, peak
+
+    def test_a_sweep_that_sees_no_level_fails_its_valid_sample_invariant(self, tmp_path,
+                                                                          monkeypatch):
+        # at s = 1e10 every row of every weight underflows: the march keeps
+        # no level, every ratio is NaN and the run fails by name
+        from carleman_lab.cli import run_experiment
+
+        levels = []
+
+        def recorded(*args, **kwargs):
+            levels.append(kwargs["levels"])
+            return _adjoint_march(*args, **kwargs)
+
+        monkeypatch.setattr(carleman, "_adjoint_march", recorded)
+        cfg = {
+            "experiment": "carleman_sweep",
+            "coefficient": {"kind": "power", "params": {"gamma": 1.5}},
+            "T": 10.0, "mesh_n": 32, "time_steps": 32, "omega": [0.02, 0.95],
+            "omega_prime": list(self.OMEGA_PRIME), "lambda_grid": [2.0, 4.0],
+            "s_grid": [1e10, 1e12], "s_relative": False, "n_samples": 2,
+        }
+        out = tmp_path / "out"
+        assert run_experiment(cfg, out) == 1
+        assert levels == [range(0)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.isnan(summary["results"]["empirical_C"])
+        assert summary["results"]["excluded_count"] == 8
+        failed = [i["name"] for i in summary["invariants"] if not i["passed"]]
+        assert failed == ["every (s, lambda) point has a valid sample"]
+        assert (out / "run.log").read_text().splitlines()[-1].startswith(
+            "invariant [every (s, lambda) point has a valid sample]: FAIL "
+        )
 
 
 class TestHorizonCheck:

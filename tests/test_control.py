@@ -198,7 +198,7 @@ def _allocating_gram(dual, v):
     march that weights the control substep by substep."""
     op, st = dual.op, dual.stepper
     pairing = np.empty((st.tau.size, v.size))
-    _adjoint_march(dual.spec, op.embed(v), stepper=st, keep_rows=False, pairing_out=pairing)
+    _adjoint_march(dual.spec, op.embed(v), stepper=st, levels=range(0), pairing_out=pairing)
     ctrl = np.where(st.omega, pairing, 0.0)
     return st.forward(np.zeros_like(v), ctrl) + dual.epsilon * v
 

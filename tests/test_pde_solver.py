@@ -14,6 +14,7 @@ from carleman_lab.pde_solver import (
     LeftBoundary,
     ProblemSpec,
     Scheme,
+    Trajectory,
     _adjoint_march,
     assemble_diffusion,
     boundary_regime_for,
@@ -502,7 +503,7 @@ class TestStackedEnergy:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _adjoint_march(spec, vts, fs, keep_rows=False)
+            _adjoint_march(spec, vts, fs, levels=range(0))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -532,6 +533,19 @@ class TestExportFormats:
         back = trajectory_from_binary(path)
         assert back["N"] == 8 and back["M"] == 4 and back["T"] == spec.T
         assert np.array_equal(back["values"], traj.values)
+
+    def test_binary_refuses_a_window(self, tmp_path):
+        # N and M are read off the shape: a window of levels 1..3 of M = 4
+        # would be written as a whole trajectory of M = 2
+        spec = make_spec(N=8, M=4)
+        traj = solve_forward(spec, np.sin(np.pi * spec.mesh.nodes))
+        window = Trajectory(traj.values[1:4], spec.mesh, spec.T, first=1, M=4)
+        assert np.array_equal(window.times, traj.times[1:4])
+        path = tmp_path / "traj.bin"
+        with pytest.raises(ValueError, match=re.escape(
+                "a binary trajectory holds all 5 step levels; got a window of 3 from level 1")):
+            trajectory_to_binary(window, path)
+        assert not path.exists()
 
 
 class TestSpecValidation:
@@ -1066,7 +1080,7 @@ class TestInPlaceEngine:
             assert np.array_equal(rows, want_rows)
             assert np.array_equal(pairing, want_pairing)
             kept = np.empty((J,) + shape)
-            skipped = _adjoint_march(spec, vT, stepper=st, keep_rows=False, pairing_out=kept, **kw)
+            skipped = _adjoint_march(spec, vT, stepper=st, levels=range(0), pairing_out=kept, **kw)
             assert skipped is None and np.array_equal(kept, want_pairing)
 
     def test_forcing_block_is_left_alone_and_reweighted_per_march(self):

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carleman_lab.coefficients import make_example_coefficient, make_power_coefficient
+from carleman_lab.pde_solver import build_mesh
 from carleman_lab.weights import (
     A_ONE_VANISHES,
+    UNDERFLOW_EXPONENT,
     CarlemanWeights,
     PsiFunction,
     build_weights,
@@ -465,6 +468,57 @@ class TestWeightEvaluation:
             weights.weight_grid(0.5, 0.5, 1.0, -0.5)
         with pytest.raises(ValueError, match="lambda"):
             CarlemanWeights(weights.psi, -1.0, 1.0)
+
+
+# one profile per coefficient band: the property draws lambda, T and the grids
+_PROFILES = {gamma: PsiFunction(make_power_coefficient(gamma), 0.05, 0.9)
+             for gamma in (0.5, 1.5)}
+
+
+class TestVisibleRows:
+    """``visible_rows`` is the one row test of the grid build: every row the
+    build leaves nonzero is visible, so a window of the visible rows holds
+    all of a grid."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        gamma=st.sampled_from([0.5, 1.5]),
+        lam=st.floats(0.5, 6.0),
+        T=st.floats(0.2, 20.0),
+        M=st.integers(2, 64),
+        faces=st.booleans(),
+        k=st.one_of(st.sampled_from([0.0, 1.0, 5.0 / 3.0, 3.0]), st.floats(0.0, 4.0)),
+        log_s=st.floats(-8.0, 8.0),
+        # the row and the top exponent it is set to, within 1 of the clamp
+        near=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0),
+                                             st.floats(UNDERFLOW_EXPONENT - 2.0,
+                                                       UNDERFLOW_EXPONENT + 1.0))),
+    )
+    def test_every_nonzero_row_is_visible(self, gamma, lam, T, M, faces, k, log_s, near):
+        wts = CarlemanWeights(_PROFILES[gamma], lam, T)
+        mesh = build_mesh(24, 2.0)
+        xs = mesh.faces if faces else mesh.nodes
+        ts = np.linspace(0.0, T, M + 1)
+        s = 10.0**log_s
+        if near is not None:
+            # the s at which row r's top exponent, as the build forms it, is the target
+            r = 1 + int(near[0] * (M - 2))
+            g = ts[r] * (T - ts[r])
+            eta = wts.eta(xs)
+            log_part = k * (-4.0 * np.log(g) + np.log(eta).max()) if k > 0.0 else 0.0
+            at = (near[1] - log_part) / (2.0 * g**-4 * (eta - wts.c3).max())
+            s = at if 0.0 < at < np.inf else s
+        try:
+            visible = wts.visible_rows(ts, xs, s, k)
+        except ValueError as err:
+            # a refused request is refused by the build alike
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                wts.weight_grid(ts, xs, s, k)
+            return
+        grid = wts.weight_grid(ts, xs, s, k)
+        nonzero = np.flatnonzero(grid.any(axis=1))
+        assert np.isin(nonzero, visible).all()
+        assert ((ts[visible] > 0.0) & (ts[visible] < T)).all()
 
 
 class TestConfigRoundTrip:

@@ -198,10 +198,10 @@ def carleman_sweep(
     and t = T to zero, and a level that no weight of a point can see adds
     nothing to its integrals.  So each point has a window, the consecutive
     levels of its weights' :meth:`~CarlemanWeights.visible_rows`; the march
-    keeps only the hull of the windows, and each point's ``carleman_sides``
-    calls and grids see only its own window, with the bits of the whole
-    trajectory.  One lambda's weights, and their grid pool, are dropped
-    before the next lambda's grids are built.
+    keeps only the hull of the windows and stops at its lowest level, and
+    each point's ``carleman_sides`` calls and grids see only its own window,
+    with the bits of the whole trajectory.  One lambda's weights, and their
+    grid pool, are dropped before the next lambda's grids are built.
 
     Degenerate samples and non-finite ratios are excluded from the
     per-point statistics; ``empirical_C`` is NaN when every sample at every

@@ -643,6 +643,10 @@ class _Stepper:
         receives the profile that pairs with substep-j forcing; row m - first
         of ``rows`` receives the state at step start m, for each m < M that
         it has a row for.
+
+        With ``pairing``, or without ``rows``, the march runs every substep
+        down to t = 0.  Otherwise it ends once it has written level ``first``,
+        the lowest kept one, since the substeps below it change no row.
         """
         W = self.op.weights
         if source is not None:
@@ -654,7 +658,11 @@ class _Stepper:
         bound = self._solves(inner, self._factors)
         solves = [bound[f] for f in self.factor_of]
         m = self.spec.time_steps - 1
-        for j in range(len(self.closes) - 1, -1, -1):
+        # the first substep of the step that starts at the lowest kept level
+        end = 0
+        if rows is not None and pairing is None and first > 0:
+            end = int(np.flatnonzero(self.closes)[first - 1]) + 1
+        for j in range(len(self.closes) - 1, end - 1, -1):
             _trs(*solves[j])
             if pairing is not None:
                 pairing[j] = z
@@ -667,6 +675,8 @@ class _Stepper:
                 if 0 <= m - first < rows.shape[-2]:
                     np.divide(z, W, out=rows[..., m - first, self.cols])
                 m -= 1
+        # every solve couples all unknowns, so a non-finite value met at any
+        # substep is still present in the last state, the lowest kept row's
         _require_finite(z, self.spec, None if source is None else "the source")
 
 
@@ -723,9 +733,11 @@ def _adjoint_march(
     ``levels``, a range of consecutive levels in 0..M (None: all M + 1; an
     empty range keeps none and returns None); ``pairing_out``, a
     ``(J,) + v.shape`` array of the caller's or None, receives pairing[j],
-    the profile that multiplies substep-j sources in the duality sum.  The
-    march runs the whole horizon whatever it keeps: ``carleman_sweep`` keeps
-    the window of levels its weights can see, the Gram operator none.
+    the profile that multiplies substep-j sources in the duality sum.
+    Without ``pairing_out``, a march that keeps levels stops at the lowest:
+    ``carleman_sweep`` keeps the window of levels its weights can see and
+    marches no lower.  With it, the march runs the whole horizon: the Gram
+    operator keeps no level and reads every pairing profile.
 
     ``v_T`` is one nodal vector, giving ``(len(levels), N+1)`` rows, or an
     ``(S, N+1)`` stack of samples marched together, giving
@@ -848,22 +860,32 @@ _BIN_HEADER = struct.Struct("<qqd")
 
 def trajectory_to_binary(traj: Trajectory, path) -> None:
     """Header (int64 N, int64 M, float64 T) then row-major doubles.  N and M
-    are read off the shape, so a window of levels is refused by name."""
-    if traj.first != 0 or traj.values.shape[0] != traj.M + 1:
+    are read off the shape, so anything but one whole trajectory (M+1, N+1)
+    is refused by name: a stack of samples, or a window of levels."""
+    shape = np.shape(traj.values)
+    if len(shape) != 2:
+        raise ValueError(f"a binary trajectory is one trajectory (M+1, N+1); got shape {shape}")
+    if traj.first != 0 or shape[0] != traj.M + 1:
         raise ValueError(
             f"a binary trajectory holds all {traj.M + 1} step levels; got a window of "
-            f"{traj.values.shape[-2]} from level {traj.first}"
+            f"{shape[0]} from level {traj.first}"
         )
-    M = traj.values.shape[0] - 1
-    N = traj.values.shape[1] - 1
+    M, N = shape[0] - 1, shape[1] - 1
     with open(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(N, M, traj.T))
         fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
 
 
 def trajectory_from_binary(path) -> dict:
-    """Read the compact grid format back; the mesh travels separately."""
+    """Read the compact grid format back; the mesh travels separately.  A
+    payload that is not the (M+1)(N+1) doubles of its header is refused."""
     with open(path, "rb") as fh:
         N, M, T = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(M + 1, N + 1)
+        payload = fh.read()
+    if min(N, M) < 0 or len(payload) != 8 * (M + 1) * (N + 1):
+        raise ValueError(
+            f"a binary trajectory of N={N}, M={M} holds (M+1)(N+1) = {(M + 1) * (N + 1)} "
+            f"doubles, {8 * (M + 1) * (N + 1)} bytes; got {len(payload)} bytes"
+        )
+    data = np.frombuffer(payload, dtype="<f8").reshape(M + 1, N + 1)
     return {"N": int(N), "M": int(M), "T": float(T), "values": data}

@@ -798,14 +798,18 @@ def _integrals(vals, quads, first: int = 0) -> list:
     ``vals``: per block, the values are squared once for all ``v_sq``
     quadratures and the face differences once for all ``a_vx_sq`` ones, and
     each folded grid meets its squares in one two-operand contraction; the
-    block sums add up in row order.  Blocks start at step levels that are
-    multiples of one block height, the first row of ``vals`` being level
-    ``first``, and the squares span every column, so each integral has the
-    same bits whichever quadratures share the pass and whichever window of
-    levels holds the box.  A time-constant quadrature integrates the first
-    row's nodal values alone, as the sum of G*u*u.
+    block sums add up in row order.  A block's face differences are one
+    flat difference of its contiguous values, seen as rows of N + 1
+    entries: the last entry of a row pairs its last value with the next
+    row's first, and no face column reads it.  Blocks start at step levels
+    that are multiples of one block height, the first row of ``vals`` being
+    level ``first``, and the squares of a block are taken whatever box reads
+    them, so each integral has the same bits whichever quadratures share
+    the pass and whichever window of levels holds the box.  A time-constant
+    quadrature integrates the first row's nodal values alone, as the sum of
+    G*u*u.
     """
-    vals = np.asarray(vals, dtype=float)
+    vals = np.ascontiguousarray(vals, dtype=float)
     sums = [0.0] * len(quads)
     # per integrand (False: nodes, True: faces): the first and last + 1 row
     # of its boxes, then (index, first row, last row + 1, cols, G) of each
@@ -835,13 +839,14 @@ def _integrals(vals, quads, first: int = 0) -> list:
             a, b = max(b0, r0), min(b1, r1)
             if a >= b:
                 continue
-            v = vals[a:b]
+            flat = scratch[: (b - a) * n_cols]
             if faces:
-                sq = scratch[: (b - a) * (n_cols - 1)].reshape(b - a, n_cols - 1)
-                np.subtract(v[:, 1:], v[:, :-1], out=sq)
-                np.square(sq, out=sq)
+                v = vals[a:b].reshape(-1)
+                np.subtract(v[1:], v[:-1], out=flat[:-1])
+                np.square(flat[:-1], out=flat[:-1])
             else:
-                sq = np.square(v, out=scratch[: (b - a) * n_cols].reshape(b - a, n_cols))
+                np.square(vals[a:b].reshape(-1), out=flat)
+            sq = flat.reshape(b - a, n_cols)
             for j, q0, q1, cols, grid in group:
                 qa, qb = max(a, q0), min(b, q1)
                 if qa < qb:
@@ -855,7 +860,9 @@ def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool
           empty=np.empty):
     """(rows, cols, G) with G = tw[:, None]*wgrid*xw[None, :] on the box
     rows x cols of its nonzero entries, or G's column sums over that box, in
-    ``empty(shape)`` memory.
+    ``empty(shape)`` memory.  The box is that of wgrid's nonzero entries in
+    the columns where xw is nonzero: the trapezoid weights are positive, and
+    the weight grid is exactly zero on the levels t = 0 and t = T.
 
     Both passes over ``wgrid`` (finding the box, then folding it) go in row
     blocks; G is formed as (wgrid*tw)*xw and the column sums add the rows in
@@ -863,7 +870,6 @@ def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool
     """
     n_rows, n_cols = wgrid.shape
     step = block_rows(n_cols)
-    live_t = tw != 0.0
     live_x = xw != 0.0
     live_rows = np.empty(n_rows, dtype=bool)
     live_cols = np.zeros(n_cols, dtype=bool)
@@ -871,7 +877,6 @@ def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool
     for a in range(0, n_rows, step):
         b = min(a + step, n_rows)
         live = np.not_equal(wgrid[a:b], 0.0, out=mask[: b - a])
-        live &= live_t[a:b, None]
         live &= live_x
         live.any(axis=1, out=live_rows[a:b])
         live_cols |= live.any(axis=0)

@@ -777,12 +777,37 @@ class TestGridKernels:
             quad(slice(7, 390), slice(0, 1000), "a_vx_sq"),
             quad(slice(2 * step - 3, 2 * step + 3), slice(955, 1001), "v_sq"),
             quad(slice(0, 0), slice(0, 0), "a_vx_sq"),
+            # ends at the last face, next to the row-end entry of the flat
+            # face differences, which pairs a row with the next one
+            quad(slice(step - 2, 2 * step + 9), slice(990, 1000), "a_vx_sq"),
         ]
         got = weights._integrals(vals, quads)
         for q, value in zip(quads, got):
             assert value == pytest.approx(ref_integral(q, vals), rel=1e-13, abs=0.0)
             assert weights._integrals(vals, (q,)) == [value]
-        assert got[-1] == 0.0
+        assert got[-2] == 0.0
+
+    def test_non_contiguous_values(self):
+        # a column-sliced view and a Fortran-ordered copy give the sums of
+        # the C-ordered values
+        rng = np.random.default_rng(10)
+        wide = rng.standard_normal((300, 1003))
+        vals = np.ascontiguousarray(wide[:, 1:1002])
+        step = block_rows(1001)
+        quads = [
+            SimpleNamespace(rows=rows, cols=cols, integrand=integrand, time_constant=False,
+                            grid=rng.uniform(0.0, 1.0, (rows.stop - rows.start,
+                                                        cols.stop - cols.start)))
+            for rows, cols, integrand in (
+                (slice(5, 290), slice(0, 1000), "a_vx_sq"),
+                (slice(step - 1, step + 2), slice(997, 1000), "a_vx_sq"),
+                (slice(3, 2 * step), slice(0, 1001), "v_sq"),
+            )
+        ]
+        want = weights._integrals(vals, quads)
+        for other in (wide[:, 1:1002], np.asfortranarray(vals)):
+            assert not other.flags.c_contiguous
+            assert weights._integrals(other, quads) == want
 
     def test_second_block_takes_no_new_grid_memory(self):
         spec = ProblemSpec(

@@ -547,6 +547,31 @@ class TestExportFormats:
             trajectory_to_binary(window, path)
         assert not path.exists()
 
+    def test_binary_refuses_a_stack(self, tmp_path):
+        # a stack of S = M + 1 samples passed the window check, and its file
+        # could not be read back
+        mesh = build_mesh(4, 2.0)
+        stack = Trajectory(np.zeros((3, 3, 5)), mesh, 1.0)
+        path = tmp_path / "traj.bin"
+        with pytest.raises(ValueError, match=re.escape(
+                "a binary trajectory is one trajectory (M+1, N+1); got shape (3, 3, 5)")):
+            trajectory_to_binary(stack, path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="is one trajectory"):
+            trajectory_to_binary(Trajectory(np.zeros((2, 3, 5)), mesh, 1.0), path)
+
+    @pytest.mark.parametrize("payload", [45, 14, 16, 0])
+    def test_binary_reader_refuses_a_payload_of_another_size(self, tmp_path, payload):
+        path = tmp_path / "traj.bin"
+        path.write_bytes(pde_solver._BIN_HEADER.pack(4, 2, 1.0) + np.zeros(payload).tobytes())
+        with pytest.raises(ValueError, match=re.escape(
+                "a binary trajectory of N=4, M=2 holds (M+1)(N+1) = 15 doubles, 120 bytes; "
+                f"got {8 * payload} bytes")):
+            trajectory_from_binary(path)
+        path.write_bytes(pde_solver._BIN_HEADER.pack(4, 2, 1.0) + np.zeros(15).tobytes()[:-3])
+        with pytest.raises(ValueError, match="got 117 bytes"):
+            trajectory_from_binary(path)
+
 
 class TestSpecValidation:
     def test_boundary_regime_consistency(self):
@@ -1109,6 +1134,96 @@ class TestInPlaceEngine:
         got = st.solve_L(0, rhs)
         assert np.array_equal(rhs, before)
         assert np.array_equal(got, _old_solve_L(steps[0][1], pad, before.copy()))
+
+
+def _counting_trs(monkeypatch):
+    """Count the ``dgttrs`` calls of every march from here on."""
+    calls = []
+    trs = pde_solver._trs
+
+    def counted(*args):
+        calls.append(1)
+        return trs(*args)
+
+    monkeypatch.setattr(pde_solver, "_trs", counted)
+    return calls
+
+
+class TestWindowedMarch:
+    """Without a pairing to fill, a march that keeps a window of levels
+    stops at the window's lowest level."""
+
+    WINDOWS = [range(1, 9), range(5, 13), range(12, 13), range(0, 4), range(3, 4)]
+
+    @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
+    @pytest.mark.parametrize("S", [None, 3])
+    def test_window_rows_are_the_full_march_rows(self, scheme, S):
+        spec = make_spec(N=24, M=12, scheme=scheme)
+        vT = _draws(spec, 11, 1 if S is None else S)
+        vT = vT[0] if S is None else vT
+        F = _draws(spec, 12, 1)[0]
+        st = pde_solver._Stepper(spec)
+        for kw in ({}, {"F": F}):
+            full = _adjoint_march(spec, vT, stepper=st, **kw)
+            for levels in self.WINDOWS:
+                rows = _adjoint_march(spec, vT, stepper=st, levels=levels, **kw)
+                assert np.array_equal(rows, full[..., levels.start : levels.stop, :])
+
+    @pytest.mark.parametrize("scheme", [Scheme.CRANK_NICOLSON, Scheme.BACKWARD_EULER])
+    def test_solves_only_the_substeps_at_or_above_the_window(self, scheme, monkeypatch):
+        spec = make_spec(N=24, M=12, scheme=scheme)
+        st = pde_solver._Stepper(spec)
+        # the step that each substep belongs to
+        step_of = np.concatenate([[0], np.cumsum(st.closes)[:-1]])
+        vT = _draws(spec, 13, 2)
+        calls = _counting_trs(monkeypatch)
+        for levels in self.WINDOWS:
+            calls.clear()
+            _adjoint_march(spec, vT, stepper=st, levels=levels)
+            assert len(calls) == np.count_nonzero(step_of >= levels.start), levels
+        # a window that starts at level 0, and a march that keeps no level,
+        # run every substep
+        for levels in (range(0, 2), range(0)):
+            calls.clear()
+            _adjoint_march(spec, vT, stepper=st, levels=levels)
+            assert len(calls) == st.tau.size
+
+    def test_pairing_march_runs_every_substep(self, monkeypatch):
+        spec = make_spec(N=24, M=12)
+        st = pde_solver._Stepper(spec)
+        vT = _draws(spec, 14, 2)
+        J, n = st.tau.size, st.op.n_unknowns
+        want = np.empty((J, 2, n))
+        full = _adjoint_march(spec, vT, stepper=st, pairing_out=want)
+        calls = _counting_trs(monkeypatch)
+        for levels in (range(5, 9), range(0)):
+            calls.clear()
+            pairing = np.full((J, 2, n), np.nan)
+            rows = _adjoint_march(spec, vT, stepper=st, levels=levels, pairing_out=pairing)
+            assert len(calls) == J
+            assert np.array_equal(pairing, want)
+            if levels:
+                assert np.array_equal(rows, full[:, 5:9])
+
+    def test_non_finite_inside_the_window_is_refused(self):
+        spec = make_spec(N=16, M=8)
+        vT = _draws(spec, 15, 2)
+        F = np.ones((2, spec.mesh.nodes.size))
+        F[1, 3] = np.nan
+        with pytest.raises(ValueError, match=re.escape(
+            "non-finite march: the source produced NaN or inf at T=1, time_steps=8"
+        )):
+            _adjoint_march(spec, vT, F, levels=range(6, 8))
+        # the unforced state that overflows on its way down names no forcing;
+        # a window above the overflow stops before it, finite
+        growing = make_spec(N=16, M=200, c=-199.9, scheme=Scheme.BACKWARD_EULER)
+        u = np.sin(np.pi * growing.mesh.nodes)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=re.escape(
+                "non-finite march: the unforced state reached NaN or inf at T=1, time_steps=200"
+            )):
+                _adjoint_march(growing, u, levels=range(1, 201))
+            assert np.all(np.isfinite(_adjoint_march(growing, u, levels=range(195, 201))))
 
 
 class TestConstantSource:

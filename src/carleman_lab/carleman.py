@@ -200,8 +200,8 @@ def carleman_sweep(
     levels of its weights' :meth:`~CarlemanWeights.visible_rows`; the march
     keeps only the hull of the windows and stops at its lowest level, and
     each point's ``carleman_sides`` calls and grids see only its own window,
-    with the bits of the whole trajectory.  One lambda's weights, and their
-    grid pool, are dropped before the next lambda's grids are built.
+    with the bits of the whole trajectory.  A point's grids are dropped when
+    its block closes, so the sweep holds one point's grids at a time.
 
     Degenerate samples and non-finite ratios are excluded from the
     per-point statistics; ``empirical_C`` is NaN when every sample at every
@@ -255,9 +255,7 @@ def carleman_sweep(
 
     sides = np.empty((len(_SIDES), n_points, n_samples))
     degenerate = np.empty((n_points, n_samples), dtype=bool)
-    for m in range(len(lambda_grid)):
-        # a lambda's weights, and with them its grid pool, go before the next one's
-        wts, bundles[m] = bundles[m], None
+    for m, wts in enumerate(bundles):
         for p in range(m * len(s_grid), (m + 1) * len(s_grid)):
             s, window = s_values[p], windows[p]
             cut = slice(window.start - hull.start, window.stop - hull.start)

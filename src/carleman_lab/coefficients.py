@@ -10,6 +10,7 @@ coefficients additionally need a lower ratio bound near x = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -218,15 +219,19 @@ def _check_keys(where: str, given: dict, read: tuple, nested: tuple = ()) -> Non
 
 def coefficient_from_descriptor(desc: dict) -> DegeneracyCoefficient:
     """Rebuild a coefficient from its JSON descriptor.  A key the kind does
-    not read, a missing key, or a boolean where a number belongs, is a
-    ValueError."""
+    not read, a missing key, a table ``x`` or ``a`` that is not a list, or a
+    value other than a number (a boolean included) where a number belongs,
+    is a ValueError."""
     kind = desc.get("kind")
     if not (isinstance(kind, str) and kind in _DESCRIPTOR_KEYS):
         raise ValueError(f"unknown coefficient descriptor kind {kind!r}")
     top, names = _DESCRIPTOR_KEYS[kind]
     _check_keys(f"a {kind} descriptor", desc, top, names)
     if kind == "table":
-        given = [(k, v) for k in ("x", "a") if isinstance(desc[k], list) for v in desc[k]]
+        for k in ("x", "a"):
+            if not isinstance(desc[k], list):
+                raise ValueError(f"{k} must be a list of numbers, got {desc[k]!r}")
+        given = [(k, v) for k in ("x", "a") for v in desc[k]]
     else:
         params = desc["params"]
         if not isinstance(params, dict):
@@ -234,7 +239,7 @@ def coefficient_from_descriptor(desc: dict) -> DegeneracyCoefficient:
         _check_keys(f"{kind} params", params, names)
         given = params.items()
     for name, v in given:
-        if isinstance(v, bool):
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
             raise ValueError(f"{name} must be a number, got {v!r}")
     if kind == "power":
         return make_power_coefficient(params["gamma"])

@@ -878,10 +878,17 @@ def trajectory_to_binary(traj: Trajectory, path) -> None:
 
 def trajectory_from_binary(path) -> dict:
     """Read the compact grid format back; the mesh travels separately.  A
-    payload that is not the (M+1)(N+1) doubles of its header is refused."""
+    file shorter than its header, or a payload that is not the (M+1)(N+1)
+    doubles of its header, is refused."""
     with open(path, "rb") as fh:
-        N, M, T = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
+        header = fh.read(_BIN_HEADER.size)
         payload = fh.read()
+    if len(header) < _BIN_HEADER.size:
+        raise ValueError(
+            f"a binary trajectory starts with a {_BIN_HEADER.size}-byte header; "
+            f"got a file of {len(header)} bytes"
+        )
+    N, M, T = _BIN_HEADER.unpack(header)
     if min(N, M) < 0 or len(payload) != 8 * (M + 1) * (N + 1):
         raise ValueError(
             f"a binary trajectory of N={N}, M={M} holds (M+1)(N+1) = {(M + 1) * (N + 1)} "

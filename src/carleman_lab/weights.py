@@ -10,14 +10,13 @@ closed with a geometric tail.  The time factor blows up at both ends of
 (0, T), so every weighted integrand vanishes there to machine precision.
 
 The weighted space-time integrals fold each weight grid, built once per sweep
-point in the memory of the point before, with their quadrature
+point (:meth:`CarlemanWeights.shared_grids`), with their quadrature
 (:class:`_WeightedQuadrature`) and contract it in row blocks (:func:`_integrals`).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
@@ -331,40 +330,6 @@ def default_omega_prime(omega) -> tuple[float, float]:
     return (a + q, b - q)
 
 
-class _GridMemory:
-    """The grid memory of one :meth:`CarlemanWeights.shared_grids` block.
-
-    ``reuse`` holds the buffers the previous block kept, in the order it
-    took them.  The block's i-th request takes the i-th of them when it is
-    large enough and fresh memory otherwise, so a block that makes the same
-    requests as the one before maps no new memory.
-    """
-
-    def __init__(self, reuse: list):
-        self.reuse = reuse
-        self.taken: list = []
-
-    def take(self, shape) -> np.ndarray:
-        n = math.prod(shape)
-        i = len(self.taken)
-        buf = None
-        if i < len(self.reuse):
-            buf, self.reuse[i] = self.reuse[i], None
-            if buf.size < n:
-                buf = None  # dropped before its replacement is mapped
-        if buf is None:
-            buf = np.empty(n)
-        self.taken.append(buf)
-        return buf[:n].reshape(shape)
-
-    def unheld(self) -> list:
-        """The buffers taken in the block that nothing else references."""
-        counts = [sys.getrefcount(b) for b in self.taken]
-        probe = [np.empty(0)]
-        idle = [sys.getrefcount(b) for b in probe][0]
-        return [b for b, n in zip(self.taken, counts) if n <= idle]
-
-
 def _check_s(s: float) -> None:
     """Refuse by name an s that is not a positive finite number."""
     if not 0.0 < s < math.inf:
@@ -406,8 +371,6 @@ class CarlemanWeights:
                 f"exp(3*lambda*sup psi) overflows double precision at lambda={self.lam:g}"
             )
         self._shared: dict | None = None
-        self._memory: _GridMemory | None = None
-        self._kept: list = []
 
     # -- space factor --------------------------------------------------------------
     def eta(self, x) -> np.ndarray:
@@ -433,34 +396,16 @@ class CarlemanWeights:
         Inside the block :meth:`weight_grid` returns one read-only array per
         distinct (ts, xs, s, k), and :meth:`_memo` keeps one value per key,
         so callers that evaluate the same integrals for many samples share
-        the grids instead of rebuilding them.
-
-        The grids of a block, raw and folded, live in flat buffers that the
-        block keeps when it closes; the next block on this instance builds
-        its grids in them (see :meth:`_grid_buffer`), so a sweep holds one
-        point's grids at a time and maps no new memory from one point to the
-        next.  A grid handed out inside the block is therefore valid until
-        the block closes.  A buffer that something still references then is
-        left to its holder and not reused.  A block opened inside another
-        one takes fresh memory and keeps none.
+        the grids instead of rebuilding them.  The block keeps nothing when
+        it closes: a grid lives as long as something references it.  A block
+        opened inside another one has its own memo and restores the outer
+        one on exit.
         """
-        outer = self._shared, self._memory
-        self._shared = {}
-        self._memory = _GridMemory(self._kept if outer[0] is None else [])
-        self._kept = []
+        outer, self._shared = self._shared, {}
         try:
             yield self
         finally:
-            memory = self._memory
-            self._shared, self._memory = outer
-            if outer[0] is None:
-                self._kept = memory.unheld()
-
-    def _grid_buffer(self, shape) -> np.ndarray:
-        """Uninitialised float memory of ``shape`` for one grid: from the
-        buffers of the open :meth:`shared_grids` block, or fresh outside a
-        block."""
-        return np.empty(shape) if self._memory is None else self._memory.take(shape)
+            self._shared = outer
 
     def _memo(self, key, build):
         """``build()``, kept under ``key`` while :meth:`shared_grids` is open.
@@ -536,12 +481,12 @@ class CarlemanWeights:
         return rows[live], live, (theta, em, log_g, log_eta)
 
     def _build_grid(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> np.ndarray:
-        """exp(2*s*phi + k*log(sigma)) in :meth:`_grid_buffer` memory, built in
-        row blocks with the operations, and so the bits, of
+        """exp(2*s*phi + k*log(sigma)), built in row blocks with the
+        operations, and so the bits, of
         exp(2*s*outer(theta, eta - c3) + k*log(sigma)) clamped at -700, on
         the rows of :meth:`_visible`; the others are zero.
         """
-        out = self._grid_buffer((ts.size, xs.size))
+        out = np.empty((ts.size, xs.size))
         # the grid rows to build, and their positions in theta
         rows, live, factors = self._visible(ts, xs, s, k)
         if factors is None:
@@ -585,9 +530,7 @@ class CarlemanWeights:
     def exp_s_phi_grid(self, ts, xs, s: float) -> np.ndarray:
         """exp(s*phi) on the tensor grid, zero at t in {0, T} and below underflow:
         the weight grid of s/2 and k = 0."""
-        _check_s(s)
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        ts, xs = _grid_args(ts, xs, s, 0.0)
         return self._build_grid(ts, xs, 0.5 * s, 0.0)
 
     # -- branch-safe space composites ----------------------------------------------
@@ -781,7 +724,7 @@ class _WeightedQuadrature:
                 xw = _clipped_cell_lengths(nodes, lo, hi) * a_faces / mesh.spacings**2
             else:
                 xw = _clipped_node_quadrature(nodes, lo, hi)
-            return _fold(wgrid, grid.tw, xw, time_constant, weights._grid_buffer)
+            return _fold(wgrid, grid.tw, xw, time_constant)
 
         key = ("quadrature", integrand, float(s), float(k), float(lo), float(hi),
                time_constant) + grid.key
@@ -856,11 +799,10 @@ def _integrals(vals, quads, first: int = 0) -> list:
     return sums
 
 
-def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool,
-          empty=np.empty):
+def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool):
     """(rows, cols, G) with G = tw[:, None]*wgrid*xw[None, :] on the box
-    rows x cols of its nonzero entries, or G's column sums over that box, in
-    ``empty(shape)`` memory.  The box is that of wgrid's nonzero entries in
+    rows x cols of its nonzero entries, or G's column sums over that box.
+    The box is that of wgrid's nonzero entries in
     the columns where xw is nonzero: the trapezoid weights are positive, and
     the weight grid is exactly zero on the levels t = 0 and t = T.
 
@@ -895,12 +837,12 @@ def _fold(wgrid: np.ndarray, tw: np.ndarray, xw: np.ndarray, time_constant: bool
         out *= xw[None, cols]
 
     if not time_constant:
-        grid = empty((rows.stop - rows.start, n_box))
+        grid = np.empty((rows.stop - rows.start, n_box))
         for a in range(rows.start, rows.stop, step):
             b = min(a + step, rows.stop)
             fold_rows(a, b, grid[a - rows.start : b - rows.start])
     else:
-        grid = empty((n_box,))
+        grid = np.empty((n_box,))
         # the first row of every block after the first carries the sum so far
         block = np.empty((min(step, rows.stop - rows.start) + 1, n_box))
         carry = 0

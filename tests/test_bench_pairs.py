@@ -145,7 +145,8 @@ def test_main_alternates_and_exits_1_on_an_incorrect_run(
     parent, child = _checkout(tmp_path, "parent"), _checkout(tmp_path, "child")
     calls = []
 
-    def fake_run(root, workload, seconds):
+    def fake_run(root, workload, seconds, seed):
+        assert seed == bench_pairs.SEED == 3
         calls.append((root.name, workload))
         return canned(1.0, correct=correct or len(calls) != 3)
 
@@ -157,5 +158,30 @@ def test_main_alternates_and_exits_1_on_an_incorrect_run(
     captured = capsys.readouterr()
     if correct:
         assert "desk_configs" in captured.out and "PAST" not in captured.out
+        assert captured.out.splitlines()[0] == "--seed 3 --pairs 2 --seconds 6"
     else:
         assert "desk_configs: child run of pair 2 is not correct" in captured.err
+
+
+@pytest.mark.parametrize("argv, seed", [([], 3), (["--seed", "11"], 11)])
+def test_seed_reaches_the_benchmark_command(tmp_path, monkeypatch, capsys, argv, seed):
+    parent, child = _checkout(tmp_path, "parent"), _checkout(tmp_path, "child")
+    commands = []
+
+    class Done:
+        stdout = json.dumps(canned(1.0)) + "\n"
+        stderr = ""
+        returncode = 0
+
+    def fake_subprocess_run(cmd, cwd, **kwargs):
+        commands.append((Path(cwd).name, cmd))
+        return Done()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    args = [str(parent), str(child), "--pairs", "1", "--workload", "desk_configs", *argv]
+    assert bench_pairs.main(args) == 0
+    assert [name for name, _ in commands] == ["parent", "child"]
+    for _, cmd in commands:
+        assert cmd[1:] == ["perfbench/run.py", "--workload", "desk_configs", "--trace", "0",
+                           "--seed", str(seed), "--seconds", "6.0"]
+    assert capsys.readouterr().out.splitlines()[0] == f"--seed {seed} --pairs 1 --seconds 6"

@@ -622,9 +622,9 @@ class TestSweep:
             calls.append((self.lam, s, k))
             return original_call(self, ts, xs, s, k)
 
-        def folded(wgrid, tw, xw, time_constant, empty):
+        def folded(wgrid, tw, xw, time_constant):
             folds.append(time_constant)
-            return original_fold(wgrid, tw, xw, time_constant, empty)
+            return original_fold(wgrid, tw, xw, time_constant)
 
         monkeypatch.setattr(CarlemanWeights, "weight_grid", called)
         monkeypatch.setattr(weights, "_fold", folded)

@@ -135,6 +135,28 @@ class TestValidation:
         assert f"coefficient: {error}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("coefficient, error", [
+        ({"kind": "power", "params": {"gamma": "1.5"}}, "gamma must be a number, got '1.5'"),
+        ({"kind": "power", "params": {"gamma": None}}, "gamma must be a number, got None"),
+        ({"kind": "power_cos", "params": {"gamma": 0.5, "alpha": "z"}},
+         "alpha must be a number, got 'z'"),
+        ({"kind": "power_plus_x", "params": {"theta": [1.5]}},
+         "theta must be a number, got [1.5]"),
+        ({"kind": "table", "x": [0.0, 0.3, 0.6, 1.0], "a": [0, 1, 2, "x"]},
+         "a must be a number, got 'x'"),
+        ({"kind": "table", "x": "abcd", "a": [0.0, 0.3, 0.6, 1.0]},
+         "x must be a list of numbers, got 'abcd'"),
+        ({"kind": "table", "x": [0.0, 0.3, 0.6, 1.0], "a": 1.0},
+         "a must be a list of numbers, got 1.0"),
+    ], ids=["string_param", "null_param", "string_alpha", "list_theta", "string_table_entry",
+            "string_table_x", "number_table_a"])
+    def test_non_number_descriptor_value_is_named_exit_2(self, tmp_path, capsys, coefficient,
+                                                          error):
+        cfg = {"experiment": "classify", "coefficient": coefficient}
+        assert validate_config(cfg) == [f"coefficient: {error}"]
+        assert main(["validate", write_config(tmp_path, cfg)]) == 2
+        assert f"coefficient: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coefficient, error", [
         ({"kind": "power"}, "missing key 'params' of a power descriptor"),
         ({"kind": "power_cos", "params": {"alpha": 1.0}}, "missing key 'gamma' of power_cos params"),
         ({"kind": "table", "a": [0.0, 0.3, 0.6, 1.0]}, "missing key 'x' of a table descriptor"),

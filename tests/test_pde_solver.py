@@ -572,6 +572,14 @@ class TestExportFormats:
         with pytest.raises(ValueError, match="got 117 bytes"):
             trajectory_from_binary(path)
 
+    @pytest.mark.parametrize("size", [0, 2, 23])
+    def test_binary_reader_refuses_a_file_shorter_than_its_header(self, tmp_path, size):
+        path = tmp_path / "traj.bin"
+        path.write_bytes(pde_solver._BIN_HEADER.pack(4, 2, 1.0)[:size])
+        with pytest.raises(ValueError, match=re.escape(
+                f"a binary trajectory starts with a 24-byte header; got a file of {size} bytes")):
+            trajectory_from_binary(path)
+
 
 class TestSpecValidation:
     def test_boundary_regime_consistency(self):

@@ -346,6 +346,15 @@ class TestWeightEvaluation:
             assert not first.flags.writeable
         assert len(builds) == 4
 
+    def test_nested_block_has_its_own_memo_and_restores_the_outer(self, weights):
+        with weights.shared_grids():
+            outer = weights._memo("key", lambda: np.arange(3.0))
+            with weights.shared_grids():
+                inner = weights._memo("key", lambda: np.arange(3.0))
+                assert inner is not outer
+            assert weights._memo("key", lambda: np.arange(3.0)) is outer
+        assert weights._memo("key", lambda: np.arange(3.0)) is not outer
+
     @pytest.mark.parametrize("k", [0.0, 5.0 / 3.0, 3.0])
     @pytest.mark.parametrize("ordered", [True, False])
     def test_in_place_build_matches_formula(self, k, ordered):

@@ -1,12 +1,15 @@
 """Run the benchmark in two checkouts in alternating pairs and compare them.
 
     python tools/bench_pairs.py PARENT CHILD [--pairs 10] [--seconds 6] [--workload all]
+                                [--seed 3]
 
 PARENT and CHILD are the roots of two checkouts.  Each pair runs
-``perfbench/run.py --workload W --trace 0 --seed 3 --seconds S`` once in each
+``perfbench/run.py --workload W --trace 0 --seed N --seconds S`` once in each
 checkout, in turn: the parent first in odd pairs (1, 3, ...), the child first
 in even ones.  Each run's last JSON line on standard output is its result.
-``--workload all`` takes every workload of the parent's ``BENCHMARK.json``.
+``--workload all`` takes every workload of the parent's ``BENCHMARK.json``;
+``--seed`` (default 3) picks the inputs, so a round at another seed checks a
+result on inputs it was not tuned on.
 
 Per workload and end-to-end metric of the parent's ``BENCHMARK.json`` the
 report gives the parent's median and interquartile range, the child's
@@ -36,11 +39,11 @@ from pathlib import Path
 SEED = 3
 
 
-def run_once(root: Path, workload: str, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seconds: float, seed: int = SEED) -> dict:
     """The last JSON line of one benchmark run in the checkout ``root``, or
     ``{"correct": False}`` when the run printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0",
-           "--seed", str(SEED), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = [line for line in done.stdout.splitlines() if line.startswith("{")]
     if not lines:
@@ -115,6 +118,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--workload", default="all")
+    parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)
     for root in (args.parent, args.child):
         if not (root / "perfbench" / "run.py").is_file():
@@ -134,7 +138,7 @@ def main(argv=None) -> int:
             order = ("parent", "child") if pair % 2 else ("child", "parent")
             for side in order:
                 root = args.parent if side == "parent" else args.child
-                results[workload][side].append(run_once(root, workload, args.seconds))
+                results[workload][side].append(run_once(root, workload, args.seconds, args.seed))
             print(f"{workload}: pair {pair}/{args.pairs} done", file=sys.stderr, flush=True)
 
     wrong = [(w, side, i + 1) for w, runs in results.items() for side, rs in runs.items()
@@ -143,6 +147,7 @@ def main(argv=None) -> int:
         print(f"{workload}: {side} run of pair {pair} is not correct", file=sys.stderr)
     if wrong:
         return 1
+    print(f"--seed {args.seed} --pairs {args.pairs} --seconds {args.seconds:g}")
     print(format_rows(summarize(results, bench["end_to_end"])))
     return 0
 

@@ -74,91 +74,79 @@ def make_power_coefficient(gamma: float) -> DegeneracyCoefficient:
     gamma must lie in (0, 2); outside that range the ratio bound K < 2 cannot
     hold and the degenerate problem is not admissible.
     """
-    if not 0.0 < gamma < 2.0:
-        raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
+    return _power_x("power", gamma)
 
+
+# the x**t + sigma*x kinds: the name of t, sigma and the open interval of t
+_POWER_X = {
+    "power": ("gamma", 0.0, 0.0, 2.0),
+    "power_minus_x": ("theta", -1.0, 0.0, 1.0),
+    "power_plus_x": ("theta", 1.0, 1.0, 2.0),
+}
+
+
+def _power_x(kind: str, t: float) -> DegeneracyCoefficient:
+    name, sigma, lo, hi = _POWER_X[kind]
+    if not lo < t < hi:
+        raise ValueError(f"{kind} requires {name} in ({lo:g}, {hi:g}), got {t}")
+
+    # the sigma terms only where sigma != 0, so the pure power keeps its bits
     def a(x):
-        return np.power(x, gamma)
+        y = np.power(x, t)
+        return y + sigma * np.asarray(x, dtype=float) if sigma else y
 
     def da(x):
-        return gamma * np.power(x, gamma - 1.0)
+        y = t * np.power(x, t - 1.0)
+        return y + sigma if sigma else y
 
     def d2a(x):
-        return gamma * (gamma - 1.0) * np.power(x, gamma - 2.0)
+        return t * (t - 1.0) * np.power(x, t - 2.0)
 
-    return DegeneracyCoefficient(
-        label=f"x^{gamma:g}",
-        eval=a,
-        eval_deriv=da,
-        eval_deriv2=d2a,
-        descriptor={"kind": "power", "params": {"gamma": gamma}},
-    )
-
-
-# the x**theta + sigma*x kinds: sigma and the open theta interval
-_POWER_X = {"power_minus_x": (-1.0, 0.0, 1.0), "power_plus_x": (1.0, 1.0, 2.0)}
+    label = f"x^{t:g}" + ("-x" if sigma < 0 else "+x" if sigma > 0 else "")
+    return DegeneracyCoefficient(label, a, da, d2a, {"kind": kind, "params": {name: t}})
 
 
 def make_example_coefficient(kind: str, **params) -> DegeneracyCoefficient:
-    """Named non-power coefficients with analytic derivatives.
+    """Named coefficients with analytic derivatives.
 
     Kinds and admissible parameters:
 
-    * ``power_cos``: a(x) = x**gamma * cos(beta*x), beta = arctan(alpha),
-      alpha >= 0 and gamma in (0, 1) or (1, 2).
+    * ``power``: a(x) = x**gamma, gamma in (0, 2).
     * ``power_minus_x``: a(x) = x**theta - x, theta in (0, 1).
     * ``power_plus_x``: a(x) = x**theta + x, theta in (1, 2).
+    * ``power_cos``: a(x) = x**gamma * cos(beta*x), beta = arctan(alpha),
+      alpha finite and >= 0 and gamma in (0, 1) or (1, 2).
     """
-    if kind == "power_cos":
-        gamma = params["gamma"]
-        alpha = params.get("alpha", 0.0)
-        if not (0.0 < gamma < 1.0 or 1.0 < gamma < 2.0):
-            raise ValueError(
-                f"power_cos requires gamma in (0,1) or (1,2), got {gamma}"
-            )
-        if alpha < 0.0:
-            raise ValueError(f"power_cos requires alpha >= 0, got {alpha}")
-        beta = math.atan(alpha)
-
-        def a(x):
-            return np.power(x, gamma) * np.cos(beta * x)
-
-        def da(x):
-            return gamma * np.power(x, gamma - 1.0) * np.cos(beta * x) - beta * np.power(
-                x, gamma
-            ) * np.sin(beta * x)
-
-        def d2a(x):
-            return (
-                gamma * (gamma - 1.0) * np.power(x, gamma - 2.0) * np.cos(beta * x)
-                - 2.0 * gamma * beta * np.power(x, gamma - 1.0) * np.sin(beta * x)
-                - beta * beta * np.power(x, gamma) * np.cos(beta * x)
-            )
-
-        label = f"x^{gamma:g}*cos({beta:.4g}x)"
-        desc = {"kind": "power_cos", "params": {"gamma": gamma, "alpha": alpha}}
-        return DegeneracyCoefficient(label, a, da, d2a, desc)
-
     if kind in _POWER_X:
-        sigma, lo, hi = _POWER_X[kind]
-        theta = params["theta"]
-        if not lo < theta < hi:
-            raise ValueError(f"{kind} requires theta in ({lo:g}, {hi:g}), got {theta}")
+        return _power_x(kind, params[_POWER_X[kind][0]])
+    if kind != "power_cos":
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+    gamma = params["gamma"]
+    alpha = params.get("alpha", 0.0)
+    if not (0.0 < gamma < 1.0 or 1.0 < gamma < 2.0):
+        raise ValueError(f"power_cos requires gamma in (0,1) or (1,2), got {gamma}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"power_cos requires a finite alpha >= 0, got {alpha}")
+    beta = math.atan(alpha)
 
-        def a(x):
-            return np.power(x, theta) + sigma * np.asarray(x, dtype=float)
+    def a(x):
+        return np.power(x, gamma) * np.cos(beta * x)
 
-        def da(x):
-            return theta * np.power(x, theta - 1.0) + sigma
+    def da(x):
+        return gamma * np.power(x, gamma - 1.0) * np.cos(beta * x) - beta * np.power(
+            x, gamma
+        ) * np.sin(beta * x)
 
-        def d2a(x):
-            return theta * (theta - 1.0) * np.power(x, theta - 2.0)
+    def d2a(x):
+        return (
+            gamma * (gamma - 1.0) * np.power(x, gamma - 2.0) * np.cos(beta * x)
+            - 2.0 * gamma * beta * np.power(x, gamma - 1.0) * np.sin(beta * x)
+            - beta * beta * np.power(x, gamma) * np.cos(beta * x)
+        )
 
-        label = f"x^{theta:g}{'-' if sigma < 0 else '+'}x"
-        desc = {"kind": kind, "params": {"theta": theta}}
-        return DegeneracyCoefficient(label, a, da, d2a, desc)
-
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+    label = f"x^{gamma:g}*cos({beta:.4g}x)"
+    desc = {"kind": "power_cos", "params": {"gamma": gamma, "alpha": alpha}}
+    return DegeneracyCoefficient(label, a, da, d2a, desc)
 
 
 def make_table_coefficient(x, a, label: str = "table") -> DegeneracyCoefficient:
@@ -174,6 +162,9 @@ def make_table_coefficient(x, a, label: str = "table") -> DegeneracyCoefficient:
     a = np.asarray(a, dtype=float)
     if x.ndim != 1 or x.shape != a.shape or x.size < 4:
         raise ValueError("table needs matching 1-d arrays with at least 4 points")
+    for name, v in (("x", x), ("a", a)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"table {name} must hold only finite values")
     if np.any(np.diff(x) <= 0):
         raise ValueError("table abscissae must be strictly increasing")
     if abs(x[0]) > 0 or abs(a[0]) > 1e-14:
@@ -191,10 +182,8 @@ def make_table_coefficient(x, a, label: str = "table") -> DegeneracyCoefficient:
 # The keys each descriptor kind reads: at the top level, then in "params".
 # Every key is required but the optional ones.
 _DESCRIPTOR_KEYS = {
-    "power": (("kind", "params"), ("gamma",)),
+    **{kind: (("kind", "params"), (row[0],)) for kind, row in _POWER_X.items()},
     "power_cos": (("kind", "params"), ("gamma", "alpha")),
-    "power_minus_x": (("kind", "params"), ("theta",)),
-    "power_plus_x": (("kind", "params"), ("theta",)),
     "table": (("kind", "x", "a"), ()),
 }
 _OPTIONAL_KEYS = ("alpha",)
@@ -220,8 +209,8 @@ def _check_keys(where: str, given: dict, read: tuple, nested: tuple = ()) -> Non
 def coefficient_from_descriptor(desc: dict) -> DegeneracyCoefficient:
     """Rebuild a coefficient from its JSON descriptor.  A key the kind does
     not read, a missing key, a table ``x`` or ``a`` that is not a list, or a
-    value other than a number (a boolean included) where a number belongs,
-    is a ValueError."""
+    value other than a finite number (a boolean included) where a number
+    belongs, is a ValueError."""
     kind = desc.get("kind")
     if not (isinstance(kind, str) and kind in _DESCRIPTOR_KEYS):
         raise ValueError(f"unknown coefficient descriptor kind {kind!r}")
@@ -241,8 +230,12 @@ def coefficient_from_descriptor(desc: dict) -> DegeneracyCoefficient:
     for name, v in given:
         if not isinstance(v, numbers.Real) or isinstance(v, bool):
             raise ValueError(f"{name} must be a number, got {v!r}")
-    if kind == "power":
-        return make_power_coefficient(params["gamma"])
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int beyond the largest double
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be a finite number, got {v}")
     if kind == "table":
         return make_table_coefficient(desc["x"], desc["a"])
     return make_example_coefficient(kind, **params)

@@ -4,8 +4,8 @@ Each formula of the weight layer is written once: the time factor in
 ``weights.time_factor``, the profile's branch dispatch in
 ``PsiFunction._derivative`` (which also gives the bridge's joint slopes), the
 branch composites in ``CarlemanWeights.space_composites`` through one sign
-array, the x**theta +- x coefficients through one set of closures, the
-conjugated operator parts in
+array, the x**t + sigma*x coefficients (the pure power at sigma = 0) through one
+set of closures, the conjugated operator parts in
 ``carleman._l_plus``/``_l_minus`` and the flux Laplacian in
 ``WeightedNorms.flux_laplacian``.  The grid kernels work in row blocks: the
 weight-grid build ``CarlemanWeights._build_grid`` and the fold
@@ -243,6 +243,19 @@ def ref_space_composites(weights, xs):
         "eta": eta, "a": a, "ap": ap, "c1": c1, "c1p": c1p, "c1pp": c1pp,
         "c2": c2, "c3x": c3x, "c4": c4, "c5": c5,
     }
+
+
+def ref_power(gamma):
+    def a(x):
+        return np.power(x, gamma)
+
+    def da(x):
+        return gamma * np.power(x, gamma - 1.0)
+
+    def d2a(x):
+        return gamma * (gamma - 1.0) * np.power(x, gamma - 2.0)
+
+    return a, da, d2a
 
 
 def ref_power_minus_x(theta):
@@ -576,6 +589,9 @@ class TestBranchFormulas:
         )
 
     @pytest.mark.parametrize("kind, theta, ref, sign", [
+        ("power", 0.5, ref_power, ""),
+        ("power", 1.0, ref_power, ""),
+        ("power", 1.5, ref_power, ""),
         ("power_minus_x", 0.2, ref_power_minus_x, "-"),
         ("power_minus_x", 0.5, ref_power_minus_x, "-"),
         ("power_minus_x", 0.9, ref_power_minus_x, "-"),
@@ -584,21 +600,25 @@ class TestBranchFormulas:
         ("power_plus_x", 1.9, ref_power_plus_x, "+"),
     ])
     def test_power_x_family(self, kind, theta, ref, sign):
-        coef = make_example_coefficient(kind, theta=theta)
-        assert coef.label == f"x^{theta:g}{sign}x"
-        assert coef.descriptor == {"kind": kind, "params": {"theta": theta}}
+        name = "gamma" if kind == "power" else "theta"
+        coef = (make_power_coefficient(theta) if kind == "power"
+                else make_example_coefficient(kind, theta=theta))
+        assert coef.label == f"x^{theta:g}" + (f"{sign}x" if sign else "")
+        assert coef.descriptor == {"kind": kind, "params": {name: theta}}
         x = _abscissae(0.4, 0.6)
         with np.errstate(all="ignore"):
             for got, want in zip((coef.eval, coef.eval_deriv, coef.eval_deriv2), ref(theta)):
                 assert same_bits(got(x), want(x))
                 assert got(0.3) == want(0.3)
 
-    def test_the_two_kinds_share_one_set_of_closures(self):
+    def test_the_three_kinds_share_one_set_of_closures(self):
+        power = make_power_coefficient(0.5)
         minus = make_example_coefficient("power_minus_x", theta=0.5)
         plus = make_example_coefficient("power_plus_x", theta=1.5)
-        for f, g in ((minus.eval, plus.eval), (minus.eval_deriv, plus.eval_deriv),
-                     (minus.eval_deriv2, plus.eval_deriv2)):
-            assert f.__code__ is g.__code__
+        for f, g, h in ((power.eval, minus.eval, plus.eval),
+                        (power.eval_deriv, minus.eval_deriv, plus.eval_deriv),
+                        (power.eval_deriv2, minus.eval_deriv2, plus.eval_deriv2)):
+            assert f.__code__ is g.__code__ is h.__code__
 
 
 def test_repeated_abscissae_share_one_value():

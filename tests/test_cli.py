@@ -147,8 +147,20 @@ class TestValidation:
          "x must be a list of numbers, got 'abcd'"),
         ({"kind": "table", "x": [0.0, 0.3, 0.6, 1.0], "a": 1.0},
          "a must be a list of numbers, got 1.0"),
+        ({"kind": "power_cos", "params": {"gamma": 0.5, "alpha": float("nan")}},
+         "alpha must be a finite number, got nan"),
+        ({"kind": "power_cos", "params": {"gamma": 0.5, "alpha": float("inf")}},
+         "alpha must be a finite number, got inf"),
+        ({"kind": "table", "x": [0.0, 0.3, 0.6, 1.0], "a": [0, 1, float("nan"), 3]},
+         "a must be a finite number, got nan"),
+        ({"kind": "table", "x": [0.0, 0.3, 0.6, float("inf")], "a": [0, 1, 2, 3]},
+         "x must be a finite number, got inf"),
+        # an int beyond the largest double once escaped as an OverflowError
+        ({"kind": "table", "x": [0.0, 0.3, 0.6, 10**400], "a": [0, 1, 2, 3]},
+         f"x must be a finite number, got {10**400}"),
     ], ids=["string_param", "null_param", "string_alpha", "list_theta", "string_table_entry",
-            "string_table_x", "number_table_a"])
+            "string_table_x", "number_table_a", "nan_alpha", "inf_alpha", "nan_table_a",
+            "inf_table_x", "huge_int_table_x"])
     def test_non_number_descriptor_value_is_named_exit_2(self, tmp_path, capsys, coefficient,
                                                           error):
         cfg = {"experiment": "classify", "coefficient": coefficient}
@@ -390,6 +402,14 @@ class TestValidation:
             ("null_control", "epsilon", 1e-15, "epsilon: must be >= 1e-14, got 1e-15"),
             # the manufactured study has no control region
             ("convergence", "omega", [0.3, 0.7], "omega: not a field of convergence"),
+            ("energy", "scheme", "rk4",
+             "scheme: must be crank_nicolson or backward_euler, got 'rk4'"),
+            ("carleman_sweep", "s_grid", [], "s_grid: must be a nonempty list"),
+            ("classify", "coefficient", 3, "coefficient: must be an object with a 'kind' field"),
+            ("classify", "coefficient", {"kind": "table", "x": [0, 0.5, 1], "a": [0, 0.5, 1]},
+             "coefficient: table needs matching 1-d arrays with at least 4 points"),
+            ("classify", "coefficient", {"kind": "table", "x": [0, 0.3, 0.6, 1], "a": [0, 1, 0, 3]},
+             "coefficient: table values must be positive for x > 0"),
         ],
     )
     def test_field_error_exit_2(self, tmp_path, capsys, exp, field, value, message):

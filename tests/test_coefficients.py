@@ -59,6 +59,9 @@ class TestExampleCoefficients:
         [
             ("power_cos", {"gamma": 1.0}, "gamma"),
             ("power_cos", {"gamma": 0.5, "alpha": -1.0}, "alpha"),
+            ("power_cos", {"gamma": 0.5, "alpha": float("nan")}, "a finite alpha >= 0, got nan"),
+            ("power_cos", {"gamma": 0.5, "alpha": float("inf")}, "a finite alpha >= 0, got inf"),
+            ("power", {"gamma": 2.2}, "power requires gamma in \\(0, 2\\), got 2.2"),
             ("power_minus_x", {"theta": 1.2}, "theta in \\(0, 1\\)"),
             ("power_plus_x", {"theta": 0.7}, "theta in \\(1, 2\\)"),
             ("no_such_kind", {}, "unknown"),
@@ -225,5 +228,9 @@ class TestDescriptors:
             make_table_coefficient([0.0, 0.5, 0.5, 1.0], [0.0, 0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="a\\(0\\) = 0"):
             make_table_coefficient([0.0, 0.3, 0.6, 1.0], [0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match="table a must hold only finite values"):
+            make_table_coefficient([0.0, 0.3, 0.6, 1.0], [0.0, 1.0, np.nan, 3.0])
+        with pytest.raises(ValueError, match="table x must hold only finite values"):
+            make_table_coefficient([0.0, 0.3, 0.6, np.inf], [0.0, 1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="unknown coefficient descriptor"):
             coefficient_from_descriptor({"kind": "mystery"})

@@ -12,6 +12,7 @@ from carleman_lab import pde_solver
 from carleman_lab.coefficients import DegeneracyCoefficient, classify, make_power_coefficient
 from carleman_lab.pde_solver import (
     LeftBoundary,
+    Mesh,
     ProblemSpec,
     Scheme,
     Trajectory,
@@ -85,6 +86,10 @@ class TestMesh:
             build_mesh(16, 5.0)
         with pytest.raises(ValueError, match="N must be"):
             build_mesh(1, 1.0)
+        with pytest.raises(ValueError, match="mesh needs at least 3 nodes"):
+            Mesh(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="mesh nodes must be strictly increasing"):
+            Mesh(np.array([0.0, 0.5, 0.5, 1.0]))
 
 
 class TestAssembly:
@@ -471,6 +476,10 @@ class TestStackedEnergy:
         u0s[1, 5] = np.nan
         with pytest.raises(ValueError, match="initial data must be finite"):
             energy_report(spec, u0s)
+        with pytest.raises(ValueError, match="initial data must be finite"):
+            solve_forward(spec, u0s[1])
+        with pytest.raises(ValueError, match="terminal data must be finite"):
+            solve_adjoint(spec, u0s[1])
 
     @pytest.mark.parametrize("shape", [(17,), (3, 17), (2, 15), (9, 2, 17)])
     def test_controls_not_one_row_per_sample_raise(self, shape):

@@ -506,8 +506,8 @@ def identity_residual(
     """
     if weights.coef.eval_deriv2 is None:
         raise ValueError(
-            "the identity check needs a coefficient with an analytic second "
-            "derivative; tabulated coefficients are not smooth enough"
+            f"coefficient {weights.coef.label!r} has no second derivative; "
+            "the identity check needs a''"
         )
     if resolution < 2:
         raise ValueError(
@@ -689,6 +689,8 @@ def observability_ratio(
     whose ratio should equal the first draw's.  A draw either of whose
     energies is below ``DEGENERATE_DENOMINATOR`` is excluded: it keeps its
     index, with ratio NaN."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     vt_fields = sample_fields(seed, STREAM_TERMINAL, n_samples, spec.mesh.nodes)
     # each row of a stack marches with the bits it would have alone
     nums, dens = _observability_energies(spec, np.vstack([vt_fields, 2.0 * vt_fields[:1]]))

@@ -702,21 +702,25 @@ def _exp_convergence(cfg, seed, log):
         err_sq = np.cumsum(trapezoid_time_weights(T, M) * rowsums)[-1]
         return math.sqrt(err_sq)
 
+    def orders(study, sizes, errors):
+        # an error that is not positive has no logarithm: a horizon so short
+        # that its trapezoid weights flush the squared errors gives exact zeros
+        for size, err in zip(sizes, errors):
+            if not err > 0.0:
+                raise ValueError(f"the {study} study's error at size {size} is {err:g} at "
+                                 f"T={T:g}, so it has no convergence order")
+        return [math.log(errors[i] / errors[i + 1]) / math.log(sizes[i + 1] / sizes[i])
+                for i in range(len(errors) - 1)]
+
     spatial_n = [int(n) for n in _value(cfg, "spatial_n")]
     m_fixed = int(_value(cfg, "spatial_time_steps"))
     sp_errors = [run(n, m_fixed) for n in spatial_n]
-    sp_orders = [
-        math.log(sp_errors[i] / sp_errors[i + 1]) / math.log(spatial_n[i + 1] / spatial_n[i])
-        for i in range(len(sp_errors) - 1)
-    ]
+    sp_orders = orders("spatial", spatial_n, sp_errors)
 
     temporal_m = [int(m) for m in _value(cfg, "temporal_m")]
     n_fixed = int(_value(cfg, "temporal_mesh_n"))
     tm_errors = [run(n_fixed, m) for m in temporal_m]
-    tm_orders = [
-        math.log(tm_errors[i] / tm_errors[i + 1]) / math.log(temporal_m[i + 1] / temporal_m[i])
-        for i in range(len(tm_errors) - 1)
-    ]
+    tm_orders = orders("temporal", temporal_m, tm_errors)
     log(f"spatial orders: {['%.3f' % o for o in sp_orders]}")
     log(f"temporal orders: {['%.3f' % o for o in tm_orders]}")
     tables = {

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .pde_solver import DEGENERATE_DENOMINATOR, ProblemSpec, _adjoint_march, _Stepper
+from .pde_solver import (DEGENERATE_DENOMINATOR, ProblemSpec, _adjoint_march, _require_shape,
+                         _Stepper)
 
 __all__ = [
     "ControlResult",
@@ -127,6 +128,8 @@ def synthesize_null_control(
         )
     dual = _DualOperator(spec, epsilon)
     op = dual.op
+    row = spec.mesh.nodes.shape
+    _require_shape("the initial data u0", u0, (row,), f"one nodal row {row}")
     u0_unknown = op.restrict(u0)
     if not np.all(np.isfinite(u0_unknown)):
         raise ValueError("initial data must be finite")

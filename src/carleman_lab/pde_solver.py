@@ -426,9 +426,14 @@ def _require_finite(state: np.ndarray, spec: ProblemSpec, forcing: Optional[str]
 
 
 def _require_shape(what: str, field, shapes: tuple, allowed: str) -> None:
-    """Refuse by name a forcing ``field`` of none of ``shapes``; None passes."""
-    if field is not None and np.shape(field) not in shapes:
-        got = f"shape {np.shape(field)}" if np.ndim(field) else repr(field)
+    """Refuse by name a ``field`` of none of ``shapes``, in which a None size
+    stands for any positive one; a None field passes."""
+    shape = np.shape(field)
+    if field is not None and not any(
+        len(shape) == len(want) and all(n > 0 if w is None else n == w for n, w in zip(shape, want))
+        for want in shapes
+    ):
+        got = f"shape {shape}" if shape else repr(field)
         raise ValueError(f"{what} must be {allowed}; got {got}")
 
 
@@ -701,6 +706,7 @@ def solve_forward(
     for name, field in (("control", control), ("source", source)):
         _require_shape(f"the forward {name}", field, (row, block),
                        f"one nodal row {row}, constant in time, or one per substep {block}")
+    _require_shape("the initial data u0", u0, (row,), f"one nodal row {row}")
     u = op.restrict(u0)
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
@@ -746,10 +752,13 @@ def _adjoint_march(
     ``v_T``'s shape.
     """
     st = stepper if stepper is not None else _Stepper(spec)
+    row = spec.mesh.nodes.shape
+    _require_shape("the terminal data v_T", v_T, (row, (None,) + row),
+                   f"one nodal row {row} or a stack (S, {row[0]}) with S >= 1")
     v = st.op.restrict(v_T)
     if not np.all(np.isfinite(v)):
         raise ValueError("terminal data must be finite")
-    row, per_sample = spec.mesh.nodes.shape, np.shape(v_T)
+    per_sample = np.shape(v_T)
     _require_shape("the adjoint source F", F, (row, per_sample),
                    f"one nodal row {row} or one per sample {per_sample}, constant in time")
     M = spec.time_steps
@@ -795,6 +804,8 @@ def energy_report(spec: ProblemSpec, u0s: np.ndarray, h_rows=None) -> np.ndarray
     op = st.op
     mesh = spec.mesh
     u0s = np.asarray(u0s, dtype=float)
+    _require_shape("the initial data u0s", u0s, ((None,) + mesh.nodes.shape,),
+                   f"a stack (S, {mesh.nodes.size}) with S >= 1")
     # row-major like the march's states: a row sum over a column-major
     # block adds in another order
     u = np.ascontiguousarray(op.restrict(u0s))
@@ -889,6 +900,8 @@ def trajectory_from_binary(path) -> dict:
             f"got a file of {len(header)} bytes"
         )
     N, M, T = _BIN_HEADER.unpack(header)
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"a binary trajectory's horizon T must be positive and finite; got T={T}")
     if min(N, M) < 0 or len(payload) != 8 * (M + 1) * (N + 1):
         raise ValueError(
             f"a binary trajectory of N={N}, M={M} holds (M+1)(N+1) = {(M + 1) * (N + 1)} "

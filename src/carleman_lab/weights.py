@@ -425,26 +425,25 @@ class CarlemanWeights:
 
     def visible_rows(self, ts, xs, s: float, k: float) -> np.ndarray:
         """The indices into ts of the rows on which :meth:`weight_grid` of
-        (ts, xs, s, k) can be nonzero, after the same refusals: the rows it
-        builds.  Every other row of that grid is exactly zero."""
-        return self._visible(*_grid_args(ts, xs, s, k), s, k)[0]
+        (ts, xs, s, k) can be nonzero, after the same refusals; the sweep
+        cuts its windows of levels to them.  A row whose largest exponent
+        lies below the clamp, less a unit margin, is zero: that exponent
+        comes from the grid's rounded operations on the row's largest space
+        factors (eta's largest entry, so eta - c3's), and rounding is
+        monotone, so it is exact."""
+        rows, top, _ = self._interior_rows(*_grid_args(ts, xs, s, k), s, k)
+        return rows[~(top < UNDERFLOW_EXPONENT - 1.0)]
 
-    def _visible(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> tuple:
-        """(rows, live, factors): the grid rows that may be nonzero, their
-        positions among the interior rows (t in (0, T)) and the factors the
-        build forms them from, (theta, eta - c3, -4*log(g), log(eta)) on the
-        interior rows and the columns (None for the logs at k = 0; no
-        factors when no row is interior).
-
-        A row whose largest exponent lies below the clamp (less a unit
-        margin) is zero, and one whose exponential overflows is refused by
-        name.  That exponent comes from the same rounded operations on the
-        row's largest space factors, eta's largest entry and so eta - c3's;
-        rounding is monotone, so it is exact.
-        """
+    def _interior_rows(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> tuple:
+        """(rows, top, factors): the interior rows of the grid (t in (0, T)),
+        the largest exponent of each and the factors the build forms them
+        from, (theta, eta - c3, -4*log(g), log(eta)) on those rows and the
+        columns (None for the logs at k = 0; no factors when no row is
+        interior).  An exponent whose exponential overflows is refused by
+        name."""
         rows = np.flatnonzero((ts > 0.0) & (ts < self.T))
         if rows.size == 0:
-            return rows, rows, None
+            return rows, np.empty(0), None
         ti = ts[rows]
         # g stays here rather than coming from time_factor: k*log(sigma) adds
         # -4*log(g), which rounds differently from log(g**-4)
@@ -477,54 +476,42 @@ class CarlemanWeights:
                     f"the weight exp(2*s*phi)*sigma**k overflows double precision "
                     f"at s={s:g}, lambda={self.lam:g}, k={k:g}"
                 ) from None
-        live = (~(top < UNDERFLOW_EXPONENT - 1.0)).nonzero()[0]
-        return rows[live], live, (theta, em, log_g, log_eta)
+        return rows, top, (theta, em, log_g, log_eta)
 
     def _build_grid(self, ts: np.ndarray, xs: np.ndarray, s: float, k: float) -> np.ndarray:
         """exp(2*s*phi + k*log(sigma)), built in row blocks with the
         operations, and so the bits, of
         exp(2*s*outer(theta, eta - c3) + k*log(sigma)) clamped at -700, on
-        the rows of :meth:`_visible`; the others are zero.
-        """
-        out = np.empty((ts.size, xs.size))
-        # the grid rows to build, and their positions in theta
-        rows, live, factors = self._visible(ts, xs, s, k)
+        the interior rows (t in (0, T)); the others are zero.  An exponent
+        at or below the clamp becomes -inf, whose exponential is +0.0."""
+        out = np.zeros((ts.size, xs.size))
+        rows, _, factors = self._interior_rows(ts, xs, s, k)
         if factors is None:
-            out[...] = 0.0
             return out
         theta, em, log_g, log_eta = factors
         two_s = 2.0 * s
         step = block_rows(xs.size)
-        mask = np.empty((min(step, rows.size), xs.size), dtype=bool)
+        shape = (min(step, rows.size), xs.size)
+        # sorted times make the interior rows one run, built in place; other
+        # rows are built in a scratch block and scattered
+        run = rows[-1] - rows[0] + 1 == rows.size
+        block = None if run else np.empty(shape)
         if k > 0.0:
-            scratch = np.empty(mask.shape)
-        # runs of rows consecutive in the grid; the rows before each run and
-        # after the last are zero
-        cuts = []
-        if rows.size and rows[-1] - rows[0] + 1 != rows.size:
-            cuts = ((rows[1:] - rows[:-1] != 1).nonzero()[0] + 1).tolist()
-        done = 0
-        for j0, j1 in zip([0, *cuts], [*cuts, rows.size]):
-            if j0 == j1:
-                continue
-            first, p0 = int(rows[j0]), int(live[j0])
-            out[done:first] = 0.0
-            done = first + j1 - j0
-            for a in range(0, j1 - j0, step):
-                n = min(step, j1 - j0 - a)
-                o = out[first + a : first + a + n]
-                p = p0 + a
-                np.multiply(theta[p : p + n, None], em, out=o)
-                o *= two_s
-                if k > 0.0:
-                    t = scratch[:n]
-                    np.add(log_g[p : p + n, None], log_eta, out=t)
-                    t *= k
-                    o += t
-                keep = np.greater(o, UNDERFLOW_EXPONENT, out=mask[:n])
-                np.exp(o, out=o, where=keep)
-                np.copyto(o, 0.0, where=np.logical_not(keep, out=keep))
-        out[done:] = 0.0
+            scratch = np.empty(shape)
+        for a in range(0, rows.size, step):
+            n = min(step, rows.size - a)
+            o = out[rows[0] + a : rows[0] + a + n] if run else block[:n]
+            np.multiply(theta[a : a + n, None], em, out=o)
+            o *= two_s
+            if k > 0.0:
+                t = scratch[:n]
+                np.add(log_g[a : a + n, None], log_eta, out=t)
+                t *= k
+                o += t
+            o[o <= UNDERFLOW_EXPONENT] = -np.inf
+            np.exp(o, out=o)
+            if not run:
+                out[rows[a : a + n]] = o
         return out
 
     def exp_s_phi_grid(self, ts, xs, s: float) -> np.ndarray:

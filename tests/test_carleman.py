@@ -20,7 +20,8 @@ from carleman_lab.carleman import (
     standard_identity_fields,
     transform_to_w,
 )
-from carleman_lab.coefficients import classify, make_power_coefficient
+from carleman_lab.coefficients import (DegeneracyCoefficient, classify, make_power_coefficient,
+                                       make_table_coefficient)
 from carleman_lab.pde_solver import (
     ProblemSpec,
     Trajectory,
@@ -197,6 +198,25 @@ class TestIdentityResidual:
         with pytest.raises(ValueError, match="resolution >= 2"):
             identity_residual(f, wts, s, 1)
         assert identity_residual(f, wts, s, 2) > 0.0
+
+    def test_coefficient_without_a_second_derivative_is_refused_by_name(self):
+        # the bridge's (a*psi')'' and the identity's composites read a''
+        power = make_power_coefficient(1.0)
+        bare = DegeneracyCoefficient("bare", power.eval, power.eval_deriv)
+        wts = build_weights(bare, 1.0, 2.0, 0.4, 0.6)
+        with pytest.raises(ValueError, match=re.escape(
+                "coefficient 'bare' has no second derivative; third profile derivative "
+                "unavailable")):
+            wts.psi.d3(np.array([0.5]))
+        with pytest.raises(ValueError, match=re.escape(
+                "coefficient 'bare' has no second derivative; the identity check needs a''")):
+            identity_residual(standard_identity_fields(2.0, True)[0], wts, 1.0, 32)
+
+    def test_table_coefficient_carries_a_second_derivative(self):
+        # PCHIP's a'' is piecewise continuous, which the quadrature takes
+        x = np.linspace(0.0, 1.0, 33)
+        wts = build_weights(make_table_coefficient(x, x**0.7), 1.0, 2.0, 0.4, 0.6)
+        assert math.isfinite(identity_residual(standard_identity_fields(2.0, True)[0], wts, 1.0, 32))
 
     @pytest.mark.parametrize("T", [3e22, 1e40, 1e100])
     def test_envelope_overflow_names_T(self, T):

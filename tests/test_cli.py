@@ -1400,6 +1400,19 @@ def test_overflowing_march_names_the_horizon(tmp_path, name, change, line):
     assert not (out / "summary.json").exists()
 
 
+def test_flushed_convergence_errors_name_the_horizon(tmp_path):
+    # weights of T/M ~ 2e-303 flush every squared error to zero, whose
+    # logarithm the orders would take
+    cfg = json.loads((CONFIGS[0].parent / "convergence.json").read_text(encoding="utf-8"))
+    cfg["T"] = 1e-300
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert (out / "run.log").read_text().splitlines()[-1] == (
+        "error: the spatial study's error at size 32 is 0 at T=1e-300, so it has no "
+        "convergence order")
+    assert not (out / "summary.json").exists()
+
+
 def _overflow(length, entry, steps):
     return (f"error: step matrix overflow: a substep of length {length} times the operator's "
             f"largest entry {entry} exceeds double precision at T=1.79769e+308, "

@@ -79,6 +79,20 @@ def test_workload_configs_run_under_both_trees(monkeypatch, tmp_path, capsys):
     assert [(c["seed"], c["epsilon"], c["mesh_n"]) for c in cfgs] == [(3, 1e-4, 16), (3, 1e-6, 16)]
 
 
+def test_workload_seed_defaults_to_the_benchmark_pairs_seed(monkeypatch):
+    # no config runs: each one's seed is read as it would be handed over
+    seeds = []
+
+    def run_config(src, config, out):
+        seeds.append(json.loads(config.read_text(encoding="utf-8"))["seed"])
+        return 0
+
+    monkeypatch.setattr(compare_outputs, "run_config", run_config)
+    src = str(ROOT / "src")
+    assert compare_outputs.main([src, src, "--workload", "control_eps_256"]) == 0
+    assert seeds == [3, 3, 3, 3]
+
+
 def test_workload_usage_errors(capsys):
     src = str(ROOT / "src")
     for argv in (

@@ -9,7 +9,9 @@ import pytest
 from scipy.linalg import lapack, solve_banded
 
 from carleman_lab import pde_solver
+from carleman_lab.carleman import observability_ratio
 from carleman_lab.coefficients import DegeneracyCoefficient, classify, make_power_coefficient
+from carleman_lab.control import synthesize_null_control
 from carleman_lab.pde_solver import (
     LeftBoundary,
     Mesh,
@@ -581,6 +583,14 @@ class TestExportFormats:
         with pytest.raises(ValueError, match="got 117 bytes"):
             trajectory_from_binary(path)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_binary_reader_refuses_a_horizon_not_positive_and_finite(self, tmp_path, T):
+        path = tmp_path / "traj.bin"
+        path.write_bytes(pde_solver._BIN_HEADER.pack(4, 2, T) + np.zeros(15).tobytes())
+        with pytest.raises(ValueError, match=re.escape(
+                f"a binary trajectory's horizon T must be positive and finite; got T={T}")):
+            trajectory_from_binary(path)
+
     @pytest.mark.parametrize("size", [0, 2, 23])
     def test_binary_reader_refuses_a_file_shorter_than_its_header(self, tmp_path, size):
         path = tmp_path / "traj.bin"
@@ -588,6 +598,38 @@ class TestExportFormats:
         with pytest.raises(ValueError, match=re.escape(
                 f"a binary trajectory starts with a 24-byte header; got a file of {size} bytes")):
             trajectory_from_binary(path)
+
+
+_U0 = r"the initial data u0 must be one nodal row \(17,\); got shape "
+_V_T = (r"the terminal data v_T must be one nodal row \(17,\) or a stack \(S, 17\) with "
+        r"S >= 1; got shape ")
+_U0S = r"the initial data u0s must be a stack \(S, 17\) with S >= 1; got shape "
+
+
+class TestStateShapes:
+    @pytest.mark.parametrize("march, shape, message", [
+        (solve_forward, (16,), _U0),
+        (solve_forward, (2, 17), _U0),
+        (lambda spec, u0: synthesize_null_control(spec, u0, 1e-4), (16,), _U0),
+        (lambda spec, u0: synthesize_null_control(spec, u0, 1e-4), (2, 17), _U0),
+        (solve_adjoint, (16,), _V_T),
+        (solve_adjoint, (2, 2, 17), _V_T),
+        (solve_adjoint, (0, 17), _V_T),
+        (energy_report, (17,), _U0S),
+        (energy_report, (2, 16), _U0S),
+        (energy_report, (0, 17), _U0S),
+        (lambda spec, _: observability_ratio(spec, n_samples=0), None,
+         "need at least one sample"),
+    ], ids=["forward-short", "forward-stack", "control-short", "control-stack", "adjoint-short",
+            "adjoint-3d", "adjoint-no-sample", "energy-row", "energy-short", "energy-no-sample",
+            "observability-no-sample"])
+    def test_wrong_shaped_state_is_refused_by_name(self, march, shape, message):
+        # restrict takes the unknown nodes of whatever it is given, so a
+        # short row marched silently and a stack broadcast or grew a dimension
+        spec = make_spec(N=16, M=8)
+        got = "" if shape is None else re.escape(str(shape))
+        with pytest.raises(ValueError, match=f"^{message}{got}$"):
+            march(spec, None if shape is None else np.ones(shape))
 
 
 class TestSpecValidation:

@@ -485,9 +485,9 @@ _PROFILES = {gamma: PsiFunction(make_power_coefficient(gamma), 0.05, 0.9)
 
 
 class TestVisibleRows:
-    """``visible_rows`` is the one row test of the grid build: every row the
-    build leaves nonzero is visible, so a window of the visible rows holds
-    all of a grid."""
+    """``visible_rows`` sets the sweep's windows of levels: every row the
+    grid build leaves nonzero is visible, so a window of the visible rows
+    holds all of a grid."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
